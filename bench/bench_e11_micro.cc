@@ -13,6 +13,7 @@
 #include "grid/base_grid.h"
 #include "grid/projected_grid.h"
 #include "grid/synapse_manager.h"
+#include "grid/synapse_shard.h"
 #include "obs/perf_counters.h"
 
 namespace spot {
@@ -178,10 +179,11 @@ void BM_SynapseUnfusedAddThenQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SynapseUnfusedAddThenQuery)->Arg(8)->Arg(32)->Arg(128);
 
-// The fused detection hot path: one AddAndQuery call bins the point once,
-// projects per subspace by index selection, and serves update + PCS from a
-// single probe per subspace.
-void BM_SynapseFusedAddAndQuery(benchmark::State& state) {
+// The detection hot path: the column kernel the engine runs at every shard
+// count. Each iteration bins a 256-point batch once, folds it into the base
+// grid, then runs SynapseShard::ProcessColumn over every tracked grid — one
+// fused probe per (point, subspace), software-pipelined along the column.
+void BM_SynapseShardProcessColumn(benchmark::State& state) {
   const int dims = 20;
   const int tracked = static_cast<int>(state.range(0));
   SynapseManager mgr(Partition(dims, 5, 0.0, 1.0), DecayModel(2000, 0.01));
@@ -192,26 +194,52 @@ void BM_SynapseFusedAddAndQuery(benchmark::State& state) {
       ++added;
     }
   }
+  const std::size_t kBatch = 256;
   Rng rng(5);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 512; ++i) points.push_back(RandomPoint(rng, dims));
-  std::vector<Pcs> out;
+  std::vector<std::vector<DataPoint>> batches(2);
+  for (auto& batch : batches) {
+    batch.resize(kBatch);
+    for (DataPoint& p : batch) p.values = RandomPoint(rng, dims);
+  }
+  BatchFrame frame;
+  frame.base_coords.resize(kBatch);
+  frame.ticks.resize(kBatch);
+  frame.total_weights.resize(kBatch);
+  std::vector<Pcs> pcs(mgr.NumTracked() * kBatch);
+  std::vector<unsigned char> vetoed(pcs.size());
+  const ShardRunParams params;  // fringe off: exactly one probe per lane
+  ColumnScratch scratch;
   std::uint64_t tick = 0;
+  std::size_t next = 0;
   const PerfWindow perf;
   for (auto _ : state) {
-    const auto& p = points[tick % points.size()];
-    mgr.AddAndQuery(p, tick, &out);
-    benchmark::DoNotOptimize(out.data());
-    ++tick;
+    const std::vector<DataPoint>& batch = batches[next++ % batches.size()];
+    frame.points = batch.data();
+    for (std::size_t j = 0; j < kBatch; ++j) {
+      frame.ticks[j] = tick++;
+      mgr.BinBase(batch[j].values, &frame.base_coords[j]);
+      frame.total_weights[j] = mgr.AddBase(
+          frame.base_coords[j],
+          mgr.base_grid().PrefetchCoords(frame.base_coords[j]),
+          batch[j].values, frame.ticks[j]);
+    }
+    for (std::size_t i = 0; i < mgr.NumTracked(); ++i) {
+      const ShardColumn column{mgr.SubspaceAt(i), mgr.GridAt(i),
+                               mgr.SerialAt(i), pcs.data() + i * kBatch,
+                               vetoed.data() + i * kBatch};
+      SynapseShard::ProcessColumn(column, frame, 0, kBatch, params,
+                                  &scratch);
+    }
+    benchmark::DoNotOptimize(pcs.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const double points =
+      static_cast<double>(state.iterations()) * static_cast<double>(kBatch);
+  state.SetItemsProcessed(static_cast<std::int64_t>(points));
   state.counters["probes/pt"] =
-      static_cast<double>(mgr.hash_probes()) /
-      static_cast<double>(state.iterations());
-  perf.Report(state, static_cast<double>(state.iterations()),
-              static_cast<double>(mgr.hash_probes()));
+      static_cast<double>(mgr.hash_probes()) / points;
+  perf.Report(state, points, static_cast<double>(mgr.hash_probes()));
 }
-BENCHMARK(BM_SynapseFusedAddAndQuery)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_SynapseShardProcessColumn)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_DecayModelSolve(benchmark::State& state) {
   std::uint64_t omega = 100;

@@ -302,11 +302,8 @@ bool SpotDetector::LoadState(std::istream& in) {
 
   // Tear the current state down first: a failed load must leave the
   // detector unlearned, never half-restored.
-  engine_.reset();
   synapses_.reset();
   partition_.reset();
-  tracked_cache_.clear();
-  pcs_cache_.clear();
   topk_.Clear();
   stats_ = SpotStats{};
   tick_ = 0;
@@ -402,10 +399,6 @@ bool SpotDetector::LoadState(std::istream& in) {
     return r.Fail();
   }
 
-  if (was_learned) {
-    tracked_cache_ = synapses_->TrackedSubspaces();
-    pcs_cache_.resize(tracked_cache_.size());
-  }
   // The sink outlives restores (it belongs to the serving layer, not the
   // checkpoint). Re-seat it on the rebuilt members; the restore itself is
   // silent — LoadState paths bypass Track()/Add*() by construction.

@@ -13,12 +13,10 @@ struct SpotConfig;
 
 /// Binary full-state checkpointing of a SpotDetector (DESIGN.md Section 4.3).
 ///
-/// The text snapshot (src/core/snapshot.h) persists only the SST and the
-/// top-level config — it deliberately discards the decayed data synapses.
 /// The checkpoint persists *everything*: config (including the nested
-/// learning configs the text snapshot cannot express), partition, SST,
-/// every BCS/PCS grid cell, the reservoir, the drift statistic, the RNG
-/// stream and all tick/cadence counters — such that
+/// learning configs), partition, SST, every BCS/PCS grid cell, the
+/// reservoir, the drift statistic, the RNG stream and all tick/cadence
+/// counters — such that
 ///
 ///     SaveCheckpoint(A); LoadCheckpoint(&B); B.Process(stream...)
 ///
@@ -86,8 +84,7 @@ class CheckpointReader {
 };
 
 /// Serializes every field of a SpotConfig, including the nested learning
-/// configs (MOGA budgets, outlying-degree knobs, self-evolution knobs)
-/// that the text snapshot's ExportConfig does not cover.
+/// configs (MOGA budgets, outlying-degree knobs, self-evolution knobs).
 void WriteConfigBinary(CheckpointWriter& w, const SpotConfig& config);
 
 /// Mirrors WriteConfigBinary. Returns false (failing the reader) on a

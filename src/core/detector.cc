@@ -115,7 +115,6 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
   // The sink survives a re-Learn: re-apply it before SyncTrackedSubspaces
   // so the initial Track() calls journal the starting SST.
   synapses_->set_event_sink(event_sink_);
-  engine_.reset();  // shard views must not outlive the old synapses
   // Fresh detection state: a re-Learn starts the stream over, so no stats,
   // OS-growth cadence or accumulated drift signal may carry across.
   stats_ = SpotStats{};
@@ -170,7 +169,6 @@ void SpotDetector::SyncTrackedSubspaces() {
   for (const auto& s : synapses_->TrackedSubspaces()) {
     if (!sst_.Contains(s)) synapses_->Untrack(s);
   }
-  tracked_cache_ = synapses_->TrackedSubspaces();
 }
 
 SpotResult SpotDetector::Process(const DataPoint& point) {
@@ -178,30 +176,19 @@ SpotResult SpotDetector::Process(const DataPoint& point) {
     SPOT_LOG(Error) << "Process() called before a successful Learn()";
     return SpotResult{};
   }
-  Timer timer;
-  SpotResult result = ProcessOne(point);
-  stats_.detection_seconds += timer.ElapsedSeconds();
-  return result;
+  return std::move(Detect(std::vector<DataPoint>(1, point)).front());
 }
 
 void SpotDetector::set_num_shards(std::size_t num_shards) {
   config_.num_shards = num_shards == 0 ? 1 : num_shards;
-  if (engine_ != nullptr && engine_->num_shards() != config_.num_shards) {
-    // The next ProcessBatch rebuilds the engine lazily against the pool
-    // EnsurePool() hands out for the new count.
-    engine_.reset();
-  }
-  if (config_.num_shards == 1) {
-    // Dropping to sequential would otherwise strand the owned workers.
-    engine_.reset();
-    owned_pool_.reset();
-  }
+  // Dropping to one shard would otherwise strand the owned workers; the
+  // next sharded batch sizes a new pool for its count (EnsurePool).
+  if (config_.num_shards == 1) owned_pool_.reset();
 }
 
 void SpotDetector::set_thread_pool(ThreadPool* pool) {
   if (external_pool_ == pool) return;
   external_pool_ = pool;
-  engine_.reset();      // must not keep dispatching onto the old pool
   owned_pool_.reset();  // an external pool replaces the owned workers
 }
 
@@ -214,93 +201,35 @@ ThreadPool* SpotDetector::EnsurePool() {
   return owned_pool_.get();
 }
 
+std::vector<SpotResult> SpotDetector::Detect(
+    const std::vector<DataPoint>& points) {
+  Timer timer;
+  ThreadPool* pool = config_.num_shards > 1 ? EnsurePool() : nullptr;
+  std::vector<SpotResult> results =
+      ShardedSpotEngine(this, config_.num_shards, pool).ProcessBatch(points);
+  stats_.detection_seconds += timer.ElapsedSeconds();
+  return results;
+}
+
 std::vector<SpotResult> SpotDetector::ProcessBatch(
     const std::vector<DataPoint>& points) {
-  std::vector<SpotResult> results;
   if (!learned()) {
     SPOT_LOG(Error) << "ProcessBatch() called before a successful Learn()";
-    results.resize(points.size());
-    return results;
+    return std::vector<SpotResult>(points.size());
   }
-  Timer timer;
-  if (config_.num_shards > 1) {
-    if (engine_ == nullptr || engine_->num_shards() != config_.num_shards) {
-      engine_ = std::make_unique<ShardedSpotEngine>(this, config_.num_shards,
-                                                    EnsurePool());
-    }
-    results = engine_->ProcessBatch(points);
-  } else {
-    results.reserve(points.size());
-    for (const DataPoint& p : points) results.push_back(ProcessOne(p));
-  }
-  stats_.detection_seconds += timer.ElapsedSeconds();
+  std::vector<SpotResult> results = Detect(points);
   ++stats_.batches_processed;
   return results;
 }
 
 std::vector<SpotResult> SpotDetector::ProcessBatch(
     const std::vector<std::vector<double>>& batch) {
-  std::vector<SpotResult> results;
-  if (!learned()) {
-    SPOT_LOG(Error) << "ProcessBatch() called before a successful Learn()";
-    results.resize(batch.size());
-    return results;
+  std::vector<DataPoint> points(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    points[i].id = tick_ + i;
+    points[i].values = batch[i];
   }
-  if (config_.num_shards > 1) {
-    std::vector<DataPoint> points(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      points[i].id = tick_ + i;
-      points[i].values = batch[i];
-    }
-    return ProcessBatch(points);
-  }
-  Timer timer;
-  results.reserve(batch.size());
-  DataPoint p;
-  for (const auto& values : batch) {
-    p.id = tick_;
-    p.values = values;
-    results.push_back(ProcessOne(p));
-  }
-  stats_.detection_seconds += timer.ElapsedSeconds();
-  ++stats_.batches_processed;
-  return results;
-}
-
-SpotResult SpotDetector::ProcessOne(const DataPoint& point) {
-  SpotResult result;
-
-  // 1+2 fused. Update data synapses (BCS + every tracked PCS grid) and
-  // retrieve the PCS of the point's cell in every SST subspace from the
-  // same slot lookups: one hash probe per tracked subspace. The point's
-  // base-cell coordinates are computed once and projected per subspace by
-  // index selection.
-  synapses_->AddAndQuery(point.values, tick_++, &pcs_cache_);
-  AddToReservoir(point.values);
-
-  // Outlier-ness check over the retrieved PCSs.
-  double min_rd = 1.0;
-  for (std::size_t i = 0; i < tracked_cache_.size(); ++i) {
-    const Subspace& s = tracked_cache_[i];
-    const Pcs& pcs = pcs_cache_[i];
-    min_rd = std::min(min_rd, pcs.rd);
-    if (pcs.IsSparse(config_.rd_threshold, config_.irsd_threshold)) {
-      // Veto sparse cells that are merely the fringe of an adjacent dense
-      // cluster (statistical tails revisit such cells forever; genuinely
-      // projected outliers sit in isolated cells).
-      if (config_.fringe_factor > 0.0 &&
-          synapses_->IsClusterFringe(point.values, s, pcs.count,
-                                     config_.fringe_factor)) {
-        continue;
-      }
-      result.findings.push_back({s, pcs});
-    }
-  }
-  result.is_outlier = !result.findings.empty();
-  result.score = Clamp(1.0 - min_rd, 0.0, 1.0);
-
-  ApplyPointSideEffects(point.id, tick_ - 1, point.values, result);
-  return result;
+  return ProcessBatch(points);
 }
 
 void SpotDetector::ApplyPointSideEffects(std::uint64_t point_id,

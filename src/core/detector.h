@@ -15,7 +15,6 @@
 #include "core/reservoir.h"
 #include "core/spot_config.h"
 #include "core/topk_outliers.h"
-#include "grid/pcs.h"
 #include "grid/synapse_manager.h"
 #include "learning/sst.h"
 #include "learning/supervised.h"
@@ -29,11 +28,11 @@ class CheckpointWriter;
 class ShardedSpotEngine;
 class ThreadPool;
 
-/// Wall-clock window one shard worker spent folding its slice of the last
-/// sharded batch: start and duration in µs on the SteadyMicrosSinceStart
-/// timebase. Collected only when shard-timing collection is enabled (the
-/// serving tier's flight recorder turns the spans into per-shard probe
-/// trace events).
+/// Time one shard worker spent folding its slice of the last batch: the
+/// start of its first tile and its busy time summed over the batch's tiles,
+/// in µs on the SteadyMicrosSinceStart timebase. Collected only when
+/// shard-timing collection is enabled (the serving tier's flight recorder
+/// turns the spans into per-shard probe trace events).
 struct ShardSpan {
   std::uint64_t start_us = 0;
   std::uint64_t dur_us = 0;
@@ -121,8 +120,10 @@ class SpotDetector {
   bool Learn(const std::vector<std::vector<double>>& training_data,
              const DomainKnowledge* knowledge = nullptr);
 
-  /// Online detection stage: one-pass processing of the next point.
-  /// Requires Learn() to have succeeded.
+  /// Online detection stage: one-pass processing of the next point — a
+  /// batch of one through the same engine as ProcessBatch (it is not
+  /// counted in SpotStats::batches_processed). Requires Learn() to have
+  /// succeeded.
   SpotResult Process(const DataPoint& point);
 
   /// Convenience overload for raw value vectors (ids auto-assigned).
@@ -132,10 +133,10 @@ class SpotDetector {
   /// verdict per point. Produces results identical to calling Process() on
   /// each point in sequence (same synapse updates, OS growth, evolution and
   /// drift side effects at the same ticks) — batching amortizes per-point
-  /// overhead, it is not a semantic change. With config.num_shards > 1 the
-  /// batch is delegated to a ShardedSpotEngine that fans the per-subspace
-  /// synapse work out across worker threads; verdicts stay bit-identical at
-  /// every shard count.
+  /// overhead, it is not a semantic change. Every batch runs through a
+  /// ShardedSpotEngine, which fans the per-subspace synapse work out across
+  /// config.num_shards workers (inline at one shard); verdicts stay
+  /// bit-identical at every shard count.
   std::vector<SpotResult> ProcessBatch(const std::vector<DataPoint>& points);
 
   /// Convenience overload for raw value vectors (ids auto-assigned).
@@ -220,21 +221,20 @@ class SpotDetector {
   void set_event_sink(DetectorEventSink* sink);
   DetectorEventSink* event_sink() const { return event_sink_; }
 
-  /// Enables per-shard timing of sharded batches: after each sharded
-  /// ProcessBatch, shard_spans() holds one wall-clock span per shard.
-  /// Off by default (the spans cost two clock reads per shard per batch);
-  /// sequential batches never produce spans.
+  /// Enables per-shard timing of batches: after each ProcessBatch (or
+  /// Process), shard_spans() holds one wall-clock span per shard — one at
+  /// num_shards == 1. Off by default (the spans cost two clock reads per
+  /// shard per batch).
   void set_collect_shard_timings(bool on) { collect_shard_timings_ = on; }
   bool collect_shard_timings() const { return collect_shard_timings_; }
   const std::vector<ShardSpan>& shard_spans() const { return shard_spans_; }
 
-  /// Enables hardware-counter attribution of sharded batches (DESIGN.md
-  /// Section 12): after each sharded ProcessBatch, bin_perf() holds the
+  /// Enables hardware-counter attribution of batches (DESIGN.md Section
+  /// 12): after each ProcessBatch (or Process), bin_perf() holds the
   /// counter deltas of the phase-0 binning pass and shard_perf() one
   /// entry per shard for its probe loop (both overwritten per batch,
   /// mirroring shard_spans). Off by default; pure measurement — verdicts,
-  /// stats and checkpoint bytes are bit-identical either way, and
-  /// sequential (num_shards == 1) batches never produce totals.
+  /// stats and checkpoint bytes are bit-identical either way.
   void set_collect_perf_counters(bool on) { collect_perf_counters_ = on; }
   bool collect_perf_counters() const { return collect_perf_counters_; }
   const obs::PerfStageTotals& bin_perf() const { return bin_perf_; }
@@ -243,33 +243,33 @@ class SpotDetector {
   }
 
  private:
-  // The sharded engine drives the same per-point pipeline from its batch
-  // join (reservoir, verdict assembly, ApplyPointSideEffects) and borrows
-  // the synapses for its shard views.
+  // The sharded engine drives the per-point pipeline from its batch join
+  // (reservoir, verdict assembly, ApplyPointSideEffects) and borrows the
+  // synapses for its shard views.
   friend class ShardedSpotEngine;
 
   /// The pool sharded batches will run on: the external pool when set,
   /// otherwise a lazily (re)built owned pool sized num_shards - 1.
   ThreadPool* EnsurePool();
 
+  /// Runs `points` through a ShardedSpotEngine built for this call and adds
+  /// the wall-clock time to the stats. Requires learned().
+  std::vector<SpotResult> Detect(const std::vector<DataPoint>& points);
+
   void SyncTrackedSubspaces();
-  /// Shared per-point detection step (Process and sequential ProcessBatch
-  /// both land here, which is what keeps them bit-identical).
-  SpotResult ProcessOne(const DataPoint& point);
-  /// Post-verdict machinery of one point: stats, top-k retention, OS
-  /// growth cadence, CS self-evolution, drift watch. Shared verbatim by
-  /// ProcessOne and the sharded engine's serial join so the two paths
-  /// cannot drift apart. `point_id`/`tick` identify the point for the
-  /// top-k window (tick is the value the point's synapse update used).
+  /// Post-verdict machinery of one point, run by the engine's serial join:
+  /// stats, top-k retention, OS growth cadence, CS self-evolution, drift
+  /// watch. `point_id`/`tick` identify the point for the top-k window (tick
+  /// is the value the point's synapse update used).
   void ApplyPointSideEffects(std::uint64_t point_id, std::uint64_t tick,
                              const std::vector<double>& values,
                              const SpotResult& result);
   void GrowOutlierDriven(const std::vector<double>& values);
   void RunSelfEvolution();
   void RelearnAfterDrift();
-  /// Reservoir offer shared by ProcessOne and the sharded engine's serial
-  /// join: counts post-warm-up replacements and emits kReservoirRefresh
-  /// once per full turnover (~capacity replacements).
+  /// Reservoir offer of the engine's serial join: counts post-warm-up
+  /// replacements and emits kReservoirRefresh once per full turnover
+  /// (~capacity replacements).
   void AddToReservoir(const std::vector<double>& values);
   /// Emits a detector-scoped event at the current tick (no-op unsinked).
   void Emit(DetectorEventKind kind, std::uint64_t a, double value = 0.0);
@@ -277,20 +277,10 @@ class SpotDetector {
   SpotConfig config_;
   Rng rng_;
   Sst sst_;
-  /// Tracked-subspace list cached across Process() calls (refreshed by
-  /// SyncTrackedSubspaces, aligned with SynapseManager's dense grid order)
-  /// so the hot path does not allocate.
-  std::vector<Subspace> tracked_cache_;
-  /// Per-subspace PCS scratch filled by SynapseManager::AddAndQuery;
-  /// pcs_cache_[i] belongs to tracked_cache_[i].
-  std::vector<Pcs> pcs_cache_;
   std::optional<Partition> partition_;
   std::unique_ptr<SynapseManager> synapses_;
-  /// Lazily built when config_.num_shards > 1; reset by Learn(), by
-  /// set_num_shards() and by set_thread_pool() so it always matches the
-  /// live synapses, count and pool. The engine borrows its pool: either
-  /// external_pool_ (service-shared) or the lazily owned owned_pool_.
-  std::unique_ptr<ShardedSpotEngine> engine_;
+  /// Sharded batches borrow either external_pool_ (service-shared) or the
+  /// lazily owned owned_pool_; one-shard batches use no pool.
   ThreadPool* external_pool_ = nullptr;
   std::unique_ptr<ThreadPool> owned_pool_;
   ReservoirSample reservoir_;
@@ -307,12 +297,12 @@ class SpotDetector {
   /// never checkpointed, so a restored detector restarts the count).
   std::uint64_t reservoir_replacements_ = 0;
   bool collect_shard_timings_ = false;
-  /// Filled by the sharded engine when timing collection is on (one entry
-  /// per shard, overwritten each sharded batch).
+  /// Filled by the engine when timing collection is on (one entry per
+  /// shard, overwritten each batch).
   std::vector<ShardSpan> shard_spans_;
   bool collect_perf_counters_ = false;
-  /// Filled by the sharded engine when counter collection is on
-  /// (overwritten each sharded batch, like shard_spans_).
+  /// Filled by the engine when counter collection is on (overwritten each
+  /// batch, like shard_spans_).
   obs::PerfStageTotals bin_perf_;
   std::vector<obs::PerfStageTotals> shard_perf_;
 };

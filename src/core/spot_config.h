@@ -121,10 +121,10 @@ struct SpotConfig {
 
   // --- Batch sharding ----------------------------------------------------
   /// Shards the tracked SST subspaces across this many worker threads
-  /// during ProcessBatch (1 = sequential in-place processing, the default).
-  /// Verdicts are bit-identical at every shard count — sharding is a
-  /// throughput knob, not a semantic one. Single-point Process() always
-  /// runs in place regardless.
+  /// during ProcessBatch (1 = the engine runs inline on the calling thread,
+  /// the default). Verdicts are bit-identical at every shard count —
+  /// sharding is a throughput knob, not a semantic one. Single-point
+  /// Process() runs as a batch of one at the same shard count.
   std::size_t num_shards = 1;
 
   // --- Reproducibility ---------------------------------------------------

@@ -1,64 +1,83 @@
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/log.h"
 #include "common/math_util.h"
 #include "common/timer.h"
 #include "grid/synapse_manager.h"
+#include "grid/synapse_shard.h"
 #include "obs/perf_counters.h"
 
 namespace spot {
+
+namespace {
+
+/// Runs job(0..jobs) on `pool`, or inline on the calling thread without one.
+template <typename Job>
+void ForkJoin(ThreadPool* pool, std::size_t jobs, const Job& job) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < jobs; ++i) job(i);
+  } else {
+    pool->Dispatch(jobs, job);
+  }
+}
+
+/// One tile's output columns, in the manager's dense tracked order. Column
+/// i's lanes are entries [i*n, (i+1)*n) of two flat arrays, so building the
+/// columns costs three allocations however many grids are tracked. Moving
+/// the struct keeps every lane pointer valid.
+struct TileColumns {
+  std::vector<ShardColumn> columns;
+  std::vector<Pcs> pcs;
+  std::vector<unsigned char> vetoed;
+
+  TileColumns(SynapseManager& synapses, std::size_t n) {
+    const std::size_t tracked = synapses.NumTracked();
+    columns.resize(tracked);
+    pcs.resize(tracked * n);
+    vetoed.resize(tracked * n);
+    for (std::size_t i = 0; i < tracked; ++i) {
+      columns[i] = {synapses.SubspaceAt(i), synapses.GridAt(i),
+                    synapses.SerialAt(i), pcs.data() + i * n,
+                    vetoed.data() + i * n};
+    }
+  }
+};
+
+/// Rebuilds `cols` against the manager's tracked set after a mid-tile
+/// Track/Untrack. A column whose grid survived — same serial, which also
+/// tells a re-tracked (fresh, empty) grid apart from the one it replaced —
+/// keeps its lanes. Every other grid was tracked at the event point: its
+/// dense index is appended to `fresh` for the caller to replay.
+void Resync(SynapseManager& synapses, std::size_t n, TileColumns* cols,
+            std::vector<std::size_t>* fresh) {
+  TileColumns rebuilt(synapses, n);
+  std::unordered_map<std::uint64_t, const ShardColumn*> survivors;
+  for (const ShardColumn& column : cols->columns) {
+    survivors.emplace(column.serial, &column);
+  }
+  for (std::size_t i = 0; i < rebuilt.columns.size(); ++i) {
+    const ShardColumn& column = rebuilt.columns[i];
+    const auto it = survivors.find(column.serial);
+    if (it == survivors.end()) {
+      fresh->push_back(i);
+      continue;
+    }
+    std::copy_n(it->second->pcs, n, column.pcs);
+    std::copy_n(it->second->vetoed, n, column.vetoed);
+  }
+  *cols = std::move(rebuilt);
+}
+
+}  // namespace
 
 ShardedSpotEngine::ShardedSpotEngine(SpotDetector* detector,
                                      std::size_t num_shards, ThreadPool* pool)
     : detector_(detector),
       num_shards_(num_shards == 0 ? 1 : num_shards),
-      pool_(num_shards_ > 1 ? pool : nullptr) {
-  shards_.resize(num_shards_);
-}
-
-ShardedSpotEngine::~ShardedSpotEngine() = default;
-
-void ShardedSpotEngine::Resync(std::size_t n, bool reset_all,
-                               std::vector<ShardColumn*>* fresh) {
-  SynapseManager& synapses = *detector_->synapses_;
-  ++resync_stamp_;
-  dense_columns_.clear();
-  const std::size_t tracked = synapses.NumTracked();
-  dense_columns_.reserve(tracked);
-  for (std::size_t i = 0; i < tracked; ++i) {
-    auto [it, inserted] = columns_.try_emplace(synapses.SubspaceAt(i));
-    ShardColumn& column = it->second;
-    // A serial mismatch means the subspace was untracked and re-tracked
-    // since this column last saw it: the grid is fresh and empty, so the
-    // column restarts (and replays the batch tail) exactly as a new one.
-    if (inserted || reset_all || column.serial != synapses.SerialAt(i)) {
-      column.subspace = synapses.SubspaceAt(i);
-      column.grid = synapses.GridAt(i);
-      column.serial = synapses.SerialAt(i);
-      column.pcs.assign(n, Pcs{});
-      column.vetoed.assign(n, 0);
-      if (fresh != nullptr) fresh->push_back(&column);
-    }
-    column.stamp = resync_stamp_;
-    dense_columns_.push_back(&column);
-  }
-  // Sweep columns of untracked subspaces — their grids no longer exist.
-  if (columns_.size() != dense_columns_.size()) {
-    for (auto it = columns_.begin(); it != columns_.end();) {
-      it = it->second.stamp == resync_stamp_ ? std::next(it)
-                                             : columns_.erase(it);
-    }
-  }
-}
-
-void ShardedSpotEngine::SliceShards() {
-  for (SynapseShard& shard : shards_) shard.Clear();
-  for (std::size_t i = 0; i < dense_columns_.size(); ++i) {
-    shards_[i % num_shards_].Adopt(dense_columns_[i]);
-  }
-}
+      pool_(num_shards_ > 1 ? pool : nullptr) {}
 
 std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
     const std::vector<DataPoint>& points) {
@@ -69,139 +88,138 @@ std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
     results.resize(points.size());
     return results;
   }
-  const std::size_t n = points.size();
-  if (n == 0) return results;
-  results.reserve(n);
+  results.reserve(points.size());
+  // Counter attribution (DESIGN.md Section 12) and shard spans: per-batch
+  // overwrite, accumulated over the batch's tiles — the service harvests
+  // them right after ProcessBatch returns. Pure measurement on the side:
+  // the measured code is untouched, so verdicts stay bit-identical with
+  // profiling on.
+  if (detector.collect_perf_counters_) {
+    detector.bin_perf_ = obs::PerfStageTotals{};
+    detector.shard_perf_.assign(num_shards_, obs::PerfStageTotals{});
+  }
+  if (detector.collect_shard_timings_) {
+    detector.shard_spans_.assign(num_shards_, ShardSpan{});
+  }
+  const std::size_t tile = kTilePointsPerShard * num_shards_;
+  for (std::size_t begin = 0; begin < points.size(); begin += tile) {
+    ProcessTile(points.data() + begin,
+                std::min(tile, points.size() - begin), &results);
+  }
+  return results;
+}
 
+void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
+                                    std::vector<SpotResult>* results) {
+  SpotDetector& detector = *detector_;
   SynapseManager& synapses = *detector.synapses_;
   const SpotConfig& config = detector.config_;
   const ShardRunParams params{config.rd_threshold, config.irsd_threshold,
                               config.fringe_factor};
-  // Counter attribution (DESIGN.md Section 12): per-batch overwrite,
-  // mirroring shard_spans_ — the service harvests the deltas right after
-  // ProcessBatch returns. Pure measurement on the side: the measured code
-  // is untouched, so verdicts stay bit-identical with profiling on.
   const bool perf = detector.collect_perf_counters_;
-  if (perf) {
-    detector.bin_perf_ = obs::PerfStageTotals{};
-    detector.shard_perf_.assign(num_shards_, obs::PerfStageTotals{});
-  }
 
   // Phase 0 — coordinator: bin each point once, fold it into the
   // single-owner base grid, and snapshot the per-point total weight. The
   // base grid never depends on the tracked set, so it can run ahead of the
-  // join; every weight is exactly the W the sequential path would read.
-  // Binning the whole batch first lets the fold loop prefetch point j+1's
+  // join; every weight is exactly the W a per-point fold would read.
+  // Binning the whole tile first lets the fold loop prefetch point j+1's
   // base-cell bucket while folding point j (DESIGN.md Section 3.9).
+  BatchFrame frame;
   {
     obs::ScopedCounters bin_perf(perf ? obs::ThreadPerfGroup() : nullptr,
                                  &detector.bin_perf_);
     bin_perf.set_units(n);
-    frame_.points = &points;
-    frame_.base_coords.resize(n);
-    frame_.ticks.resize(n);
-    frame_.total_weights.resize(n);
+    frame.points = points;
+    frame.base_coords.resize(n);
+    frame.ticks.resize(n);
+    frame.total_weights.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      frame_.ticks[j] = detector.tick_++;
-      synapses.BinBase(points[j].values, &frame_.base_coords[j]);
+      frame.ticks[j] = detector.tick_ + j;
+      synapses.BinBase(points[j].values, &frame.base_coords[j]);
     }
     const BaseGrid& base = synapses.base_grid();
-    std::uint64_t hash = base.PrefetchCoords(frame_.base_coords[0]);
+    std::uint64_t hash = base.PrefetchCoords(frame.base_coords[0]);
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint64_t next_hash =
-          j + 1 < n ? base.PrefetchCoords(frame_.base_coords[j + 1]) : 0;
-      frame_.total_weights[j] =
-          synapses.AddBase(frame_.base_coords[j], hash, points[j].values,
-                           frame_.ticks[j]);
+          j + 1 < n ? base.PrefetchCoords(frame.base_coords[j + 1]) : 0;
+      frame.total_weights[j] =
+          synapses.AddBase(frame.base_coords[j], hash, points[j].values,
+                           frame.ticks[j]);
       hash = next_hash;
     }
   }
 
-  // Phase 1 — fan the per-subspace work out to the shards. When the flight
-  // recorder asks for shard timings, each worker clocks its own span into a
-  // distinct slot (no contention; Dispatch joins before anyone reads them).
-  // The tail replays below are deliberately untimed: they are rare
-  // correction work, not the steady-state probe cost.
-  Resync(n, /*reset_all=*/true, nullptr);
-  SliceShards();
+  // Phase 1 — fan the per-subspace work out to the shards. Each worker
+  // clocks its span and measures its counters with its own group into its
+  // own slot — no contention; the join happens before anyone reads them.
+  // A span starts at the shard's first tile and sums its busy time over
+  // the batch. The tail replays below are deliberately unmeasured: they
+  // are rare correction work, not the steady-state probe cost.
+  TileColumns cols(synapses, n);
   const bool timed = detector.collect_shard_timings_;
-  if (timed) detector.shard_spans_.assign(num_shards_, ShardSpan{});
-  if (pool_ != nullptr) {
-    pool_->Dispatch(shards_.size(), [&](std::size_t k) {
-      const std::uint64_t t0 = timed ? SteadyMicrosSinceStart() : 0;
-      {
-        // Each worker thread measures with its own group into its own
-        // slot — no contention; Dispatch joins before anyone reads them.
-        obs::ScopedCounters probe_perf(
-            perf ? obs::ThreadPerfGroup() : nullptr,
-            perf ? &detector.shard_perf_[k] : nullptr);
-        probe_perf.set_units(n * shards_[k].NumGrids());  // logical probes
-        shards_[k].ProcessRun(frame_, 0, n, params);
-      }
-      if (timed) {
-        detector.shard_spans_[k] = {t0, SteadyMicrosSinceStart() - t0};
-      }
-    });
-  } else {
+  const bool first_tile = results->empty();
+  ForkJoin(pool_, num_shards_, [&](std::size_t k) {
     const std::uint64_t t0 = timed ? SteadyMicrosSinceStart() : 0;
     {
-      obs::ScopedCounters probe_perf(perf ? obs::ThreadPerfGroup() : nullptr,
-                                     perf ? &detector.shard_perf_[0] : nullptr);
-      probe_perf.set_units(n * shards_[0].NumGrids());
-      shards_[0].ProcessRun(frame_, 0, n, params);
+      obs::ScopedCounters probe_perf(
+          perf ? obs::ThreadPerfGroup() : nullptr,
+          perf ? &detector.shard_perf_[k] : nullptr);
+      const std::size_t grids = SynapseShard::ProcessRun(
+          cols.columns, k, num_shards_, frame, 0, n, params);
+      probe_perf.set_units(n * grids);  // logical probes
     }
     if (timed) {
-      detector.shard_spans_[0] = {t0, SteadyMicrosSinceStart() - t0};
+      ShardSpan& span = detector.shard_spans_[k];
+      if (first_tile) span.start_us = t0;
+      span.dur_us += SteadyMicrosSinceStart() - t0;
     }
-  }
+  });
 
   // Phase 2 — serial join in arrival order, with the side-effect machinery
-  // (reservoir, OS growth, self-evolution, drift) running at the same ticks
-  // as sequential processing.
+  // (reservoir, OS growth, self-evolution, drift) running at each point's
+  // tick.
   std::uint64_t revision = synapses.revision();
-  std::vector<ShardColumn*> fresh;
+  std::vector<std::size_t> fresh;
   for (std::size_t j = 0; j < n; ++j) {
+    // The detector clock passes each point as its verdict joins, so the
+    // events its side effects emit carry that point's tick.
+    detector.tick_ = frame.ticks[j] + 1;
     detector.AddToReservoir(points[j].values);
     SpotResult result;
     double min_rd = 1.0;
-    for (ShardColumn* column : dense_columns_) {
-      const Pcs& pcs = column->pcs[j];
+    for (const ShardColumn& column : cols.columns) {
+      const Pcs& pcs = column.pcs[j];
       min_rd = std::min(min_rd, pcs.rd);
       if (pcs.IsSparse(config.rd_threshold, config.irsd_threshold) &&
-          column->vetoed[j] == 0) {
-        result.findings.push_back({column->subspace, pcs});
+          column.vetoed[j] == 0) {
+        result.findings.push_back({column.subspace, pcs});
       }
     }
     result.is_outlier = !result.findings.empty();
     result.score = Clamp(1.0 - min_rd, 0.0, 1.0);
 
-    detector.ApplyPointSideEffects(points[j].id, frame_.ticks[j],
+    detector.ApplyPointSideEffects(points[j].id, frame.ticks[j],
                                    points[j].values, result);
 
     if (synapses.revision() != revision) {
       // The tracked set changed (OS growth, self-evolution or drift
-      // relearning): resync the shard views and replay the batch tail into
+      // relearning): rebuild the columns and replay the tile's tail into
       // the newly tracked grids — they start empty at this event point,
-      // exactly as sequential processing would leave them.
+      // exactly as per-point processing would leave them.
       revision = synapses.revision();
       fresh.clear();
-      Resync(n, /*reset_all=*/false, &fresh);
+      Resync(synapses, n, &cols, &fresh);
       const std::size_t begin = j + 1;
-      if (begin < n && !fresh.empty()) {
-        if (pool_ != nullptr) {
-          pool_->Dispatch(fresh.size(), [&](std::size_t f) {
-            SynapseShard::ProcessColumn(fresh[f], frame_, begin, n, params);
-          });
-        } else {
-          for (ShardColumn* column : fresh) {
-            SynapseShard::ProcessColumn(column, frame_, begin, n, params);
-          }
-        }
+      if (begin < n) {
+        ForkJoin(pool_, fresh.size(), [&](std::size_t f) {
+          ColumnScratch scratch;
+          SynapseShard::ProcessColumn(cols.columns[fresh[f]], frame, begin,
+                                      n, params, &scratch);
+        });
       }
     }
-    results.push_back(std::move(result));
+    results->push_back(std::move(result));
   }
-  return results;
 }
 
 }  // namespace spot

@@ -1,91 +1,78 @@
 #ifndef SPOT_ENGINE_SHARDED_ENGINE_H_
 #define SPOT_ENGINE_SHARDED_ENGINE_H_
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "core/detector.h"
 #include "engine/thread_pool.h"
-#include "grid/synapse_shard.h"
-#include "subspace/subspace.h"
 
 namespace spot {
 
-/// Shard-parallel batch detection over a SpotDetector's synapses.
+/// Shard-parallel batch detection over a SpotDetector's synapses — the one
+/// detection path: SpotDetector::ProcessBatch runs it at every shard count
+/// and SpotDetector::Process runs it as a batch of one.
 ///
 /// The engine partitions the tracked SST subspaces into `num_shards`
-/// disjoint SynapseShard views, each owned by one worker of a reusable
-/// fork-join pool, and processes a batch in three phases:
+/// disjoint round-robin slices (SynapseShard), each folded by one worker of
+/// a reusable fork-join pool. It runs a batch as consecutive tiles of at
+/// most kTilePointsPerShard x num_shards points, each tile in three phases:
 ///
 ///   0. Coordinator: bin every point's base-cell coordinates once, fold it
 ///      into the (single-owner) base grid, and snapshot the decayed total
 ///      weight after each fold — the authoritative per-point W.
-///   1. Fan-out: every shard folds the whole batch into its own grids in
+///   1. Fan-out: every shard folds the whole tile into its own grids in
 ///      arrival order, recording per-(subspace, point) PCS and fringe
 ///      verdicts. A grid's state depends only on its own input sequence, so
-///      this is bit-identical to interleaved sequential updates.
+///      this is bit-identical to interleaved per-point updates.
 ///   2. Serial join, in arrival order: assemble each point's verdict from
 ///      the recorded columns in the manager's dense tracked order, then run
-///      the sequential side-effect machinery (reservoir, OS growth, CS
-///      self-evolution, drift detection) at exactly the same ticks as
-///      SpotDetector::Process would. When a side effect changes the tracked
-///      set mid-batch, the shard views resync and the newly tracked grids
-///      replay the remaining batch tail (they start empty at the event
-///      point, exactly like sequential processing); verdicts past the event
-///      are assembled from the new tracked order.
+///      the side-effect machinery (reservoir, OS growth, CS self-evolution,
+///      drift detection) at each point's tick. When a side effect changes
+///      the tracked set mid-tile, the columns are rebuilt against the new
+///      dense order and the newly tracked grids replay the rest of the tile
+///      (they start empty at the event point); verdicts past the event are
+///      assembled from the new tracked order.
 ///
-/// Verdicts (labels, findings, scores) and side-effect counters are
-/// bit-identical to sequential SpotDetector::ProcessBatch at every shard
-/// count; K=1 degenerates to today's path run inline without threads.
+/// The engine keeps no state between batches, and within a batch the
+/// per-(subspace, point) lanes cover one tile, so the lane memory is
+/// bounded by tracked subspaces x tile points at any batch size and a
+/// detector holds none while it waits for its next batch. Verdicts
+/// (labels, findings, scores) and side-effect counters are bit-identical at
+/// every shard count and batch size; K=1 runs phase 1 inline without
+/// threads.
 class ShardedSpotEngine {
  public:
   /// Borrows `detector` and `pool`, both of which must outlive the engine.
   /// `num_shards` >= 1. The engine never owns its pool: the detector owns
   /// one lazily for standalone use, and the SpotService shares one pool
-  /// across every session's engine (the pool's worker count is independent
-  /// of K — Dispatch hands shard jobs to whoever is free, the calling
-  /// thread included). `pool` may be null when num_shards == 1, where the
-  /// engine degenerates to inline processing.
+  /// across every session (the pool's worker count is independent of K —
+  /// Dispatch hands shard jobs to whoever is free, the calling thread
+  /// included). `pool` is ignored when num_shards == 1, where phase 1 runs
+  /// inline.
   ShardedSpotEngine(SpotDetector* detector, std::size_t num_shards,
                     ThreadPool* pool);
-  ~ShardedSpotEngine();
 
-  ShardedSpotEngine(const ShardedSpotEngine&) = delete;
-  ShardedSpotEngine& operator=(const ShardedSpotEngine&) = delete;
-
-  std::size_t num_shards() const { return num_shards_; }
-  ThreadPool* pool() const { return pool_; }
-
-  /// Processes `points` in arrival order; one verdict per point,
-  /// bit-identical to sequential SpotDetector::ProcessBatch. (Raw value
+  /// Processes `points` in arrival order; one verdict per point. (Raw value
   /// vectors go through SpotDetector::ProcessBatch, which also maintains
   /// the timing stats.)
   std::vector<SpotResult> ProcessBatch(const std::vector<DataPoint>& points);
 
  private:
-  /// Rebuilds the dense column view (and the subspace -> column store)
-  /// against the manager's current tracked set. Columns for untracked
-  /// subspaces are dropped (their grids are gone); columns for newly
-  /// tracked subspaces are created with `n`-point lanes and appended to
-  /// `fresh` when given. With `reset_all`, every column's lanes are cleared
-  /// for a new batch.
-  void Resync(std::size_t n, bool reset_all,
-              std::vector<ShardColumn*>* fresh);
+  /// Tile points per shard. Each fork-join then hands every shard about
+  /// tracked x 64 probes whatever K is, and one shard's tile holds
+  /// tracked x 64 lane entries (about 200 KiB at 128 tracked subspaces),
+  /// which stay cache-resident from fan-out to join.
+  static constexpr std::size_t kTilePointsPerShard = 64;
 
-  /// Deterministically slices the dense columns round-robin across shards.
-  void SliceShards();
+  /// Phases 0-2 for the `n` (at most one tile) points at `points`,
+  /// appending one verdict per point to `results`.
+  void ProcessTile(const DataPoint* points, std::size_t n,
+                   std::vector<SpotResult>* results);
 
   SpotDetector* detector_;
   std::size_t num_shards_;
-  ThreadPool* pool_;  // borrowed; unused (may be null) when num_shards_ == 1
-
-  BatchFrame frame_;
-  std::unordered_map<Subspace, ShardColumn, SubspaceHash> columns_;
-  std::vector<ShardColumn*> dense_columns_;  // manager dense order
-  std::vector<SynapseShard> shards_;
-  std::uint64_t resync_stamp_ = 0;
+  ThreadPool* pool_;  // borrowed; null when num_shards_ == 1
 };
 
 }  // namespace spot

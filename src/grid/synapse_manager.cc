@@ -88,30 +88,6 @@ void SynapseManager::Add(const std::vector<double>& point,
   for (auto& entry : grids_) entry.grid->AddAt(base_scratch_, point, tick);
 }
 
-void SynapseManager::AddAndQuery(const std::vector<double>& point,
-                                 std::uint64_t tick, std::vector<Pcs>* out) {
-  partition_.BaseCellInto(point, &base_scratch_);
-  base_.AddAt(base_scratch_, point, tick);
-  const double total_weight = base_.TotalWeight();
-  const std::size_t k = grids_.size();
-  out->resize(k);
-  if (probe_coords_.size() < k) probe_coords_.resize(k);
-  probe_hashes_.resize(k);
-  // Pass 1 — project + hash each tracked subspace's coordinates once and
-  // prefetch their home buckets: K independent cache misses start flowing
-  // before any probe executes.
-  for (std::size_t i = 0; i < k; ++i) {
-    const ProjectedGrid& grid = *grids_[i].grid;
-    grid.ProjectBaseInto(base_scratch_, &probe_coords_[i]);
-    probe_hashes_[i] = grid.PrefetchCoords(probe_coords_[i]);
-  }
-  // Pass 2 — execute the fused update+queries with the staged coords+hash.
-  for (std::size_t i = 0; i < k; ++i) {
-    (*out)[i] = grids_[i].grid->AddAndQueryCoords(
-        probe_coords_[i], probe_hashes_[i], point, tick, total_weight);
-  }
-}
-
 double SynapseManager::AddBase(const CellCoords& coords, std::uint64_t hash,
                                const std::vector<double>& point,
                                std::uint64_t tick) {
@@ -124,21 +100,6 @@ Pcs SynapseManager::Query(const std::vector<double>& point,
   const std::uint32_t idx = IndexOf(s);
   if (idx == FlatIndex::kNoValue) return Pcs{};
   return grids_[idx].grid->Query(point, base_.TotalWeight());
-}
-
-bool SynapseManager::IsClusterFringe(const std::vector<double>& point,
-                                     const Subspace& s, double cell_count,
-                                     double factor) const {
-  const std::uint32_t idx = IndexOf(s);
-  if (idx == FlatIndex::kNoValue) return false;
-  CellCoords coords;
-  const std::vector<int> dims = s.Indices();
-  coords.reserve(dims.size());
-  for (int d : dims) {
-    coords.push_back(
-        partition_.IntervalIndex(d, point[static_cast<std::size_t>(d)]));
-  }
-  return grids_[idx].grid->IsClusterFringe(coords, cell_count, factor);
 }
 
 std::vector<Subspace> SynapseManager::TrackedSubspaces() const {

@@ -29,9 +29,9 @@ class DetectorEventSink;
 /// in subspace of SST").
 ///
 /// Tracked grids live in a dense vector with a stable, deterministic order
-/// (insertion order, perturbed only by Untrack's swap-remove); TrackedSubspaces()
-/// reports that order and AddAndQuery() fills its output in it, so callers
-/// can iterate the grids without any per-subspace hash lookup.
+/// (insertion order, perturbed only by Untrack's swap-remove);
+/// TrackedSubspaces() and GridAt() report that order, so the sharded engine
+/// iterates the grids without any per-subspace hash lookup.
 class SynapseManager {
  public:
   SynapseManager(Partition partition, DecayModel model,
@@ -56,26 +56,11 @@ class SynapseManager {
   bool IsTracked(const Subspace& s) const;
 
   /// Folds one point into the base grid and every tracked projected grid,
-  /// advancing the clock to `tick` (non-decreasing).
+  /// advancing the clock to `tick` (non-decreasing). Learn() warm-starts
+  /// the synapses with it, and Add + Query per point is the reference the
+  /// engine's column kernel (SynapseShard::ProcessColumn) is tested
+  /// against.
   void Add(const std::vector<double>& point, std::uint64_t tick);
-
-  /// Fused update + query, the detection hot path: folds `point` into the
-  /// base grid and every tracked grid, and fills `out` with the PCS of the
-  /// point's cell in each tracked subspace — out[i] corresponds to
-  /// TrackedSubspaces()[i]. The point is binned into base-cell coordinates
-  /// exactly once; each grid projects those coordinates by index selection
-  /// and serves update + query from a single slot lookup, so the whole call
-  /// performs exactly one cell-index hash probe per tracked subspace where
-  /// Add() followed by per-subspace Query() performs two (plus a grid-table
-  /// probe).
-  ///
-  /// The probe loop runs as a two-pass pipeline: pass 1 projects and hashes
-  /// every tracked subspace's coordinates and prefetches their index
-  /// buckets; pass 2 executes the fused update+queries against
-  /// already-inbound cache lines — the K independent probe misses overlap
-  /// instead of serializing (DESIGN.md Section 3.9).
-  void AddAndQuery(const std::vector<double>& point, std::uint64_t tick,
-                   std::vector<Pcs>* out);
 
   /// Bins `point` into base-cell coordinates (allocation-free once `out`
   /// has capacity). The sharded engine bins each point exactly once and
@@ -96,11 +81,6 @@ class SynapseManager {
   /// PCS of `point`'s cell in tracked subspace `s` (PCS{} if untracked).
   Pcs Query(const std::vector<double>& point, const Subspace& s) const;
 
-  /// Fringe test for `point`'s cell in `s` (see
-  /// ProjectedGrid::IsClusterFringe). False when `s` is untracked.
-  bool IsClusterFringe(const std::vector<double>& point, const Subspace& s,
-                       double cell_count, double factor) const;
-
   /// Decayed total stream weight at the current tick.
   double TotalWeight() const { return base_.TotalWeight(); }
 
@@ -109,8 +89,8 @@ class SynapseManager {
   const DecayModel& decay_model() const { return model_; }
   const BaseGrid& base_grid() const { return base_; }
 
-  /// Tracked subspaces in dense (iteration) order — the order AddAndQuery
-  /// fills its output in.
+  /// Tracked subspaces in dense (iteration) order — the order verdict
+  /// findings are assembled in.
   std::vector<Subspace> TrackedSubspaces() const;
 
   std::size_t NumTracked() const { return grids_.size(); }
@@ -160,8 +140,8 @@ class SynapseManager {
   std::size_t CompactAll(std::uint64_t tick);
 
   /// Cell-index hash probes performed by the tracked grids so far (see
-  /// ProjectedGrid::hash_probes); the fused-vs-unfused micro-bench reads
-  /// this to demonstrate the halved probe count.
+  /// ProjectedGrid::hash_probes); the E11 micro-bench and the hot-path
+  /// budget test read this to pin one probe per tracked subspace per point.
   std::uint64_t hash_probes() const;
 
   /// Checkpointing: the base grid, every tracked projected grid — in dense
@@ -192,10 +172,6 @@ class SynapseManager {
   std::vector<TrackedGrid> grids_;  // dense, iterated on the hot path
   FlatIndex by_subspace_;    // subspace mask (2 words) -> dense grid index
   CellCoords base_scratch_;  // base-cell coords, binned once per point
-  // Staging buffers of the two-pass probe pipeline: per tracked grid, the
-  // projected coordinates and their hash from pass 1, consumed by pass 2.
-  std::vector<CellCoords> probe_coords_;
-  std::vector<std::uint64_t> probe_hashes_;
   std::uint64_t revision_ = 0;
   DetectorEventSink* sink_ = nullptr;
 };

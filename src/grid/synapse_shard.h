@@ -15,26 +15,26 @@ namespace spot {
 /// The per-batch inputs every shard shares read-only: the points, their
 /// base-cell coordinates (binned once by the coordinator), their ticks, and
 /// the decayed total stream weight right after each point's base-grid fold —
-/// the authoritative W that every subspace query for that point uses in the
-/// sequential path.
+/// the authoritative W that every subspace query for that point uses.
+/// Entry j of every array belongs to points[j].
 struct BatchFrame {
-  const std::vector<DataPoint>* points = nullptr;
+  const DataPoint* points = nullptr;
   std::vector<CellCoords> base_coords;
   std::vector<std::uint64_t> ticks;
   std::vector<double> total_weights;
 };
 
 /// One subspace's output lane of a batch run: the PCS of every point's cell
-/// in this subspace, plus the fringe-veto verdicts. Exactly one shard worker
-/// writes a column; the coordinating thread reads it only after the workers
-/// have been joined.
+/// in this subspace, plus the fringe-veto verdicts. The lanes point into
+/// storage the caller owns (the engine's per-tile arrays). Exactly one
+/// shard worker writes a column; the coordinating thread reads it only
+/// after the workers have been joined.
 struct ShardColumn {
   Subspace subspace;
   ProjectedGrid* grid = nullptr;  // borrowed from SynapseManager
   std::uint64_t serial = 0;       // SynapseManager::SerialAt of `grid`
-  std::vector<Pcs> pcs;           // pcs[j] = PCS of point j in `subspace`
-  std::vector<unsigned char> vetoed;  // fringe-vetoed sparse findings
-  std::uint64_t stamp = 0;        // resync generation (engine-internal)
+  Pcs* pcs = nullptr;             // pcs[j] = PCS of point j in `subspace`
+  unsigned char* vetoed = nullptr;  // fringe-vetoed sparse findings
 };
 
 /// Detection thresholds a shard run needs to decide, per (point, subspace),
@@ -45,46 +45,51 @@ struct ShardRunParams {
   double fringe_factor = 0.0;
 };
 
-/// A view over a disjoint subset of the SynapseManager's projected grids,
-/// owned by one worker thread of the sharded engine.
+/// Staging buffers of ProcessColumn's software pipeline: the projected
+/// coordinates of the current and the next point. One worker reuses one
+/// scratch across every column it folds, so the kernel allocates nothing
+/// once the buffers have grown to the widest subspace.
+struct ColumnScratch {
+  CellCoords cur;
+  CellCoords next;
+};
+
+/// The column kernel of the sharded engine. Shard k of K owns the batch
+/// columns at dense indices k, k + K, k + 2K, ... — the manager's dense
+/// grid order sliced round-robin — and folds the whole batch into each of
+/// them on one worker thread.
 ///
-/// The shard does not own grid storage — it borrows ProjectedGrid pointers
-/// from the manager's dense list, so the sequential per-point path and the
-/// sharded batch path update the very same synapses. Slices are rebuilt
-/// (from the manager's current dense order) whenever the tracked set changes
-/// — Track/Untrack from OS growth, self-evolution, or drift relearning —
-/// which the engine detects via SynapseManager::revision().
+/// A shard does not own grid storage: it borrows ProjectedGrid pointers
+/// from the manager's dense list, and the engine re-slices its columns
+/// whenever the tracked set changes — Track/Untrack from OS growth,
+/// self-evolution, or drift relearning — which it detects via
+/// SynapseManager::revision().
 ///
 /// Determinism: a ProjectedGrid's state depends only on its own input
 /// sequence (coordinates, ticks, per-point total weights), never on sibling
 /// grids. Each grid is updated by exactly one shard, in arrival order, with
-/// the same ticks and weights the sequential path would use — so every cell
-/// aggregate, compaction sweep, PCS and fringe verdict is bit-identical to
-/// sequential processing at every shard count.
+/// the ticks and weights of per-point SynapseManager::Add — so every cell
+/// aggregate, compaction sweep, PCS and fringe verdict is bit-identical at
+/// every shard count and batch size.
 class SynapseShard {
  public:
-  void Clear() { columns_.clear(); }
-  void Adopt(ShardColumn* column) { columns_.push_back(column); }
-  std::size_t NumGrids() const { return columns_.size(); }
-
-  /// Folds points [begin, end) of the frame into every owned grid in
-  /// arrival order, recording per-(subspace, point) PCS and fringe verdicts
-  /// into the owned columns.
-  void ProcessRun(const BatchFrame& frame, std::size_t begin, std::size_t end,
-                  const ShardRunParams& params) const {
-    for (ShardColumn* column : columns_) {
-      ProcessColumn(column, frame, begin, end, params);
-    }
-  }
+  /// Shard `k` of `num_shards`: folds points [begin, end) of the frame into
+  /// every column it owns in `columns`, in arrival order, recording
+  /// per-(subspace, point) PCS and fringe verdicts. Returns the number of
+  /// grids it folded.
+  static std::size_t ProcessRun(const std::vector<ShardColumn>& columns,
+                                std::size_t k, std::size_t num_shards,
+                                const BatchFrame& frame, std::size_t begin,
+                                std::size_t end,
+                                const ShardRunParams& params);
 
   /// One column's share of a run — also used directly by the engine to
-  /// replay batch tails into grids tracked mid-batch.
-  static void ProcessColumn(ShardColumn* column, const BatchFrame& frame,
+  /// replay the rest of a tile into grids tracked mid-tile.
+  static void ProcessColumn(const ShardColumn& column,
+                            const BatchFrame& frame,
                             std::size_t begin, std::size_t end,
-                            const ShardRunParams& params);
-
- private:
-  std::vector<ShardColumn*> columns_;
+                            const ShardRunParams& params,
+                            ColumnScratch* scratch);
 };
 
 }  // namespace spot

@@ -335,11 +335,9 @@ void SpotService::AccumulateQualityLocked(
 }
 
 void SpotService::HarvestPerfLocked(const SpotDetector& detector) {
-  // The detector overwrites its totals every *sharded* batch, so each
-  // harvest folds exactly one batch's deltas. Sequential sessions
-  // (num_shards <= 1) produce all-zero totals — the families still render,
-  // with zero samples, which is itself the signal that the engine tier ran
-  // unsharded.
+  // The detector overwrites its totals every batch, so each harvest folds
+  // exactly one batch's deltas: one bin total plus one probe total per
+  // engine shard (a single engine_shard="0" family at num_shards == 1).
   perf_bin_total_.Merge(detector.bin_perf());
   const std::vector<obs::PerfStageTotals>& per_shard = detector.shard_perf();
   if (perf_probe_totals_.size() < per_shard.size()) {

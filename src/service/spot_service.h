@@ -58,7 +58,7 @@ struct SpotServiceConfig {
   /// `shard_probe` flight-recorder lanes; off by default for embedded use.
   bool collect_shard_timings = false;
 
-  /// Collect hardware-counter deltas for each sharded ProcessBatch's
+  /// Collect hardware-counter deltas for each ProcessBatch's
   /// phase-0 binning pass and per-shard probe loops (DESIGN.md Section
   /// 12) and accumulate them into the service's ObsSnapshot as labeled
   /// `perf_*` families (`stage="bin"`, `stage="probe",engine_shard="k"`).
@@ -364,7 +364,7 @@ class SpotService {
   obs::Histogram* h_ckpt_load_us_ = obs_.GetHistogram("checkpoint_load_us");
 
   /// Engine-tier perf accumulation (collect_perf_counters): detectors
-  /// overwrite their bin/shard totals every sharded batch; IngestImpl
+  /// overwrite their bin/shard totals every batch; IngestImpl
   /// merges those deltas here (mu_ held) and republishes the labeled
   /// families into obs_. `engine_shard=` (not `shard=`) because the
   /// serving tier already sections service snapshots under shard="i".

@@ -202,7 +202,8 @@ TEST(BatchEquivalenceTest, HarnessMetricsInvariantAcrossBatchSizes) {
 
 // Acceptance budget of the fused hot path: with growth/evolution/fringe off,
 // every processed point performs exactly one cell-index hash probe per
-// tracked subspace (the fused AddAndQuery) — not two (Add + Query).
+// tracked subspace (the column kernel's fused update+query) — not two
+// (Add + Query).
 TEST(BatchEquivalenceTest, HotPathCostsOneProbePerTrackedSubspace) {
   const int kDims = 8;
   SpotConfig cfg = eval::FastTestConfig();

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/detector.h"
+#include "core/detector_events.h"
 #include "engine/sharded_engine.h"
 #include "engine/thread_pool.h"
 #include "eval/harness.h"
@@ -340,6 +341,90 @@ TEST(ShardedEngineTest, StatsExposeThroughputCounters) {
   EXPECT_EQ(det->stats().points_processed, stream.size() + 1);
   EXPECT_GT(det->stats().detection_seconds, 0.0);
   EXPECT_GT(det->stats().PointsPerSecond(), 0.0);
+}
+
+/// Records every detector event, in emission order.
+struct RecordingSink : DetectorEventSink {
+  void OnDetectorEvent(const DetectorEvent& event) override {
+    events.push_back(event);
+  }
+  std::vector<DetectorEvent> events;
+};
+
+// Batches much longer than a tile: every batch splits into several tiles
+// at K = 1 and K = 4, and OS growth, self-evolution and drift relearns land
+// inside tiles and on their boundaries. Verdicts, side effects and the
+// event journal — each event stamped with its point's tick — must still
+// match per-point Process.
+TEST(ShardedEngineTest, MultiTileBatchesMatchPerPointProcess) {
+  const int kDims = 8;
+  const auto training = TrainingBatch(kDims, 500);
+  const auto stream = DriftingEvalStream(kDims, 1400, 908);
+  const SpotConfig cfg = EventfulConfig();
+
+  RecordingSink expected_events;
+  SpotDetector per_point(cfg);
+  per_point.set_event_sink(&expected_events);
+  ASSERT_TRUE(per_point.Learn(training));
+  std::vector<SpotResult> expected;
+  for (const auto& p : stream) expected.push_back(per_point.Process(p.point));
+  ASSERT_GT(per_point.stats().os_growth_runs, 0u);
+  ASSERT_GT(per_point.stats().evolution_rounds, 0u);
+  ASSERT_GT(per_point.stats().drifts_detected, 0u);
+
+  for (const std::size_t num_shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << num_shards);
+    RecordingSink events;
+    SpotDetector det(cfg);
+    det.set_event_sink(&events);
+    ASSERT_TRUE(det.Learn(training));
+    const std::vector<SpotResult> results =
+        RunEngine(&det, num_shards, stream, /*batch_size=*/700);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ExpectIdentical(expected[i], results[i], i, "tiled");
+    }
+    ExpectSameSideEffects(per_point, det, "tiled");
+    ASSERT_EQ(events.events.size(), expected_events.events.size());
+    for (std::size_t e = 0; e < events.events.size(); ++e) {
+      const DetectorEvent& a = expected_events.events[e];
+      const DetectorEvent& b = events.events[e];
+      EXPECT_EQ(a.kind, b.kind) << "event " << e;
+      EXPECT_EQ(a.tick, b.tick) << "event " << e;
+      EXPECT_EQ(a.subspace.bits(), b.subspace.bits()) << "event " << e;
+      EXPECT_EQ(a.a, b.a) << "event " << e;
+      EXPECT_EQ(a.value, b.value) << "event " << e;
+    }
+  }
+}
+
+// A one-shard batch runs through the engine too, so the phase-0 bin pass,
+// the single shard's probe loop and its wall-clock span are attributed
+// exactly as at K > 1: one bin unit per point, one probe entry with one
+// unit per (point, tracked subspace), one span.
+TEST(ShardedEngineTest, OneShardBatchAttributesBinProbeAndSpan) {
+  const int kDims = 6;
+  SpotConfig cfg = eval::FastTestConfig();
+  cfg.num_shards = 1;
+  cfg.os_update_every = 0;  // a fixed tracked set across the batch
+  cfg.evolution_period = 0;
+  cfg.drift_detection = false;
+  auto det = LearnedDetector(cfg, TrainingBatch(kDims, 400));
+  det->set_collect_perf_counters(true);
+  det->set_collect_shard_timings(true);
+
+  std::vector<DataPoint> points;
+  for (const auto& p : DriftingEvalStream(kDims, 150, 907)) {
+    points.push_back(p.point);
+  }
+  const std::size_t tracked = det->TrackedSubspaces();
+  ASSERT_GT(tracked, 0u);
+  det->ProcessBatch(points);
+
+  EXPECT_EQ(det->bin_perf().units, points.size());
+  ASSERT_EQ(det->shard_perf().size(), 1u);
+  EXPECT_EQ(det->shard_perf()[0].units, points.size() * tracked);
+  EXPECT_EQ(det->shard_spans().size(), 1u);
 }
 
 }  // namespace

@@ -251,8 +251,9 @@ std::string FileBytes(const std::string& path) {
 /// batch boundaries the service sees are identical run to run. The free-
 /// running StreamOverWire coalesces by arrival timing, which legitimately
 /// varies the batch split (and with it stats_.batches_processed inside
-/// the checkpoint) between two otherwise identical servers — this
-/// differential must only ever see profiling-induced differences.
+/// the checkpoint) between two otherwise identical servers — the
+/// profiling and observability differentials must only ever see the
+/// differences their knob induces.
 std::vector<SpotResult> StreamDeterministic(SpotClient& client,
                                             const std::string& id,
                                             const std::vector<DataPoint>& points,
@@ -1172,6 +1173,8 @@ std::string ReadFileBytes(const std::string& path) {
 /// One wire run of `points` through a fresh server at the given scale,
 /// checkpointing at the end. Returns the verdicts; `ckpt_bytes` receives
 /// the session's checkpoint file and `stats` its final detector stats.
+/// Streams through StreamDeterministic, whose batch cuts never vary run
+/// to run (RunDifferential covers randomized framing).
 std::vector<SpotResult> ObservedRun(SpotServiceConfig scfg,
                                     SpotServerConfig ncfg, const char* tag,
                                     const std::vector<DataPoint>& points,
@@ -1185,7 +1188,7 @@ std::vector<SpotResult> ObservedRun(SpotServiceConfig scfg,
                                    TenantTraining(0)))
       << client.last_error();
   const std::vector<SpotResult> verdicts =
-      StreamOverWire(client, "diff", points, /*chunk_seed=*/321);
+      StreamDeterministic(client, "diff", points, /*chunk=*/100);
   EXPECT_TRUE(client.Checkpoint("diff")) << client.last_error();
   SessionMetrics m;
   for (std::size_t i = 0; i < server.server().num_reactors(); ++i) {

@@ -1,15 +1,20 @@
-// Unit tests of the PCS machinery: ProjectedGrid RD/IRSD semantics and the
-// SynapseManager that unifies BCS + PCS maintenance.
+// Unit tests of the PCS machinery: ProjectedGrid RD/IRSD semantics, the
+// SynapseManager that unifies BCS + PCS maintenance, and the engine's
+// column kernel (SynapseShard::ProcessColumn).
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "grid/pcs.h"
 #include "grid/projected_grid.h"
 #include "grid/synapse_manager.h"
+#include "grid/synapse_shard.h"
 
 namespace spot {
 namespace {
@@ -380,30 +385,115 @@ TEST(SlabStoreTest, BaseCoordProjectionMatchesRebinning) {
   EXPECT_EQ(rebin.PopulatedCells(), projected.PopulatedCells());
 }
 
-TEST(SynapseManagerTest, AddAndQueryAlignsWithTrackedOrder) {
-  SynapseManager fused(UnitPartition(3), DecayModel(100, 0.01));
-  SynapseManager unfused(UnitPartition(3), DecayModel(100, 0.01));
-  for (auto* mgr : {&fused, &unfused}) {
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// The column kernel the detector ships, against an independent reference:
+// two managers see the same stream, one folding each batch column-major
+// (bin + base fold, then SynapseShard::ProcessColumn on every tracked grid)
+// and one per point (Add, then Query per subspace). Every lane entry — PCS
+// bit patterns and the fringe veto — must match the reference exactly,
+// across batches and decay. Compaction is off: the fused kernel reads a
+// cell's PCS just before a due sweep, where Add + Query reads it after.
+TEST(SynapseShardTest, ProcessColumnMatchesPerPointAddThenQuery) {
+  const DecayModel model(100, 0.01);
+  SynapseManager column(UnitPartition(3), model, 1e-3,
+                        /*compaction_period=*/0);
+  SynapseManager reference(UnitPartition(3), model, 1e-3,
+                           /*compaction_period=*/0);
+  for (auto* mgr : {&column, &reference}) {
     mgr->Track(Subspace::FromIndices({0}));
     mgr->Track(Subspace::FromIndices({1, 2}));
     mgr->Track(Subspace::FromIndices({0, 2}));
   }
-  const auto tracked = fused.TrackedSubspaces();
+  const std::size_t tracked = column.NumTracked();
+  const ShardRunParams params{/*rd_threshold=*/0.5, /*irsd_threshold=*/100.0,
+                              /*fringe_factor=*/2.0};
+  // A Gaussian cluster over uniform background: sparse cells on the
+  // cluster's graded fringe (vetoed or not depending on the neighbor mass)
+  // and far from it.
   Rng rng(29);
-  std::vector<Pcs> out;
-  for (std::uint64_t t = 0; t < 300; ++t) {
-    const std::vector<double> p = {rng.NextDouble(), rng.NextDouble(),
-                                   rng.NextDouble()};
-    fused.AddAndQuery(p, t, &out);
-    unfused.Add(p, t);
-    ASSERT_EQ(out.size(), tracked.size());
-    for (std::size_t i = 0; i < tracked.size(); ++i) {
-      const Pcs q = unfused.Query(p, tracked[i]);
-      ASSERT_EQ(out[i].count, q.count) << "tick " << t << " grid " << i;
-      ASSERT_EQ(out[i].rd, q.rd) << "tick " << t << " grid " << i;
-      ASSERT_EQ(out[i].irsd, q.irsd) << "tick " << t << " grid " << i;
+  const auto draw = [&rng] {
+    std::vector<double> p(3);
+    const bool clustered = rng.NextDouble() < 0.85;
+    for (double& v : p) {
+      v = clustered ? Clamp(rng.NextGaussian(0.5, 0.12), 0.0, 0.999)
+                    : rng.NextDouble();
     }
+    return p;
+  };
+
+  const std::size_t n = 64;
+  std::uint64_t tick = 0;
+  std::size_t sparse = 0;
+  std::size_t vetoed = 0;
+  for (int batch = 0; batch < 6; ++batch) {
+    std::vector<DataPoint> points(n);
+    for (DataPoint& p : points) p.values = draw();
+
+    BatchFrame frame;
+    frame.points = points.data();
+    frame.base_coords.resize(n);
+    frame.ticks.resize(n);
+    frame.total_weights.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      frame.ticks[j] = tick + j;
+      column.BinBase(points[j].values, &frame.base_coords[j]);
+      frame.total_weights[j] = column.AddBase(
+          frame.base_coords[j],
+          column.base_grid().PrefetchCoords(frame.base_coords[j]),
+          points[j].values, frame.ticks[j]);
+    }
+    std::vector<Pcs> pcs(tracked * n);
+    std::vector<unsigned char> veto(tracked * n);
+    ColumnScratch scratch;
+    for (std::size_t i = 0; i < tracked; ++i) {
+      const ShardColumn lane{column.SubspaceAt(i), column.GridAt(i),
+                             column.SerialAt(i), pcs.data() + i * n,
+                             veto.data() + i * n};
+      SynapseShard::ProcessColumn(lane, frame, 0, n, params, &scratch);
+    }
+
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::vector<double>& p = points[j].values;
+      reference.Add(p, tick + j);
+      CellCoords base;
+      reference.BinBase(p, &base);
+      for (std::size_t i = 0; i < tracked; ++i) {
+        ASSERT_EQ(reference.SubspaceAt(i), column.SubspaceAt(i));
+        const Pcs q = reference.Query(p, reference.SubspaceAt(i));
+        const Pcs& got = pcs[i * n + j];
+        ASSERT_EQ(Bits(got.count), Bits(q.count))
+            << "batch " << batch << " point " << j << " grid " << i;
+        ASSERT_EQ(Bits(got.rd), Bits(q.rd))
+            << "batch " << batch << " point " << j << " grid " << i;
+        ASSERT_EQ(Bits(got.irsd), Bits(q.irsd))
+            << "batch " << batch << " point " << j << " grid " << i;
+        bool expect_veto = false;
+        if (q.IsSparse(params.rd_threshold, params.irsd_threshold)) {
+          ++sparse;
+          CellCoords coords;
+          reference.GridAt(i)->ProjectBaseInto(base, &coords);
+          expect_veto = reference.GridAt(i)->IsClusterFringe(
+              coords, q.count, params.fringe_factor);
+        }
+        ASSERT_EQ(veto[i * n + j], expect_veto ? 1 : 0)
+            << "batch " << batch << " point " << j << " grid " << i;
+        vetoed += expect_veto ? 1 : 0;
+      }
+    }
+    tick += n;
   }
+  // The stream must exercise both veto outcomes, or the comparison proves
+  // much less than it claims.
+  EXPECT_GT(vetoed, 0u);
+  EXPECT_GT(sparse, vetoed);
+  // One fused probe per (point, grid) where Add + Query pays two; the
+  // fringe probes match one for one.
+  EXPECT_EQ(reference.hash_probes() - column.hash_probes(), 6 * n * tracked);
 }
 
 TEST(SynapseManagerTest, UntrackKeepsDenseOrderConsistent) {
@@ -419,15 +509,16 @@ TEST(SynapseManagerTest, UntrackKeepsDenseOrderConsistent) {
   EXPECT_TRUE(mgr.IsTracked(a));
   EXPECT_TRUE(mgr.IsTracked(c));
 
-  std::vector<Pcs> out;
-  mgr.AddAndQuery({0.5, 0.5, 0.5, 0.5}, 0, &out);
+  const std::vector<double> p = {0.5, 0.5, 0.5, 0.5};
+  mgr.Add(p, 0);
   const auto tracked = mgr.TrackedSubspaces();
   ASSERT_EQ(tracked.size(), 2u);
-  ASSERT_EQ(out.size(), 2u);
-  // Each output slot matches a direct query of the same-index subspace.
+  // Each dense slot holds the grid of the same-index subspace.
   for (std::size_t i = 0; i < tracked.size(); ++i) {
-    const Pcs q = mgr.Query({0.5, 0.5, 0.5, 0.5}, tracked[i]);
-    EXPECT_EQ(out[i].count, q.count);
+    EXPECT_EQ(mgr.SubspaceAt(i), tracked[i]);
+    EXPECT_EQ(mgr.GridAt(i)->subspace(), tracked[i]);
+    EXPECT_EQ(mgr.GridAt(i)->Query(p, mgr.TotalWeight()).count,
+              mgr.Query(p, tracked[i]).count);
   }
 }
 

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Perf-regression gate: run the hot-path benches, record the trajectory.
 
-Runs ``bench_e11_micro`` (fused/unfused synapse probe micro-bench,
-google-benchmark), ``bench_e2_throughput_sst`` (whole-detector throughput
-vs SST size) and ``spot_loadgen --spawn-server`` (end-to-end pts/s +
-latency through the network ingest layer, real loopback sockets) with
-``--json``, normalizes everything into one spot-bench-v1 document, and
-compares the fused-probe pts/s counters against the latest checked-in
-``BENCH_*.json``: a drop of more than ``--threshold`` (default 15%) on any
-fused-probe row fails the run.
+Runs ``bench_e11_micro`` (column-kernel and unfused synapse probe
+micro-benches, google-benchmark), ``bench_e2_throughput_sst``
+(whole-detector throughput vs SST size) and ``spot_loadgen
+--spawn-server`` (end-to-end pts/s + latency through the network ingest
+layer, real loopback sockets) with ``--json``, normalizes everything into
+one spot-bench-v1 document, and compares the column-kernel pts/s counters
+against the latest checked-in ``BENCH_*.json``: a drop of more than
+``--threshold`` (default 15%) on any column-kernel row fails the run.
 
-Only the fused-probe table gates — it is the purpose-built hot-path counter
-with the least noise. The E2 whole-detector and loadgen end-to-end tables
-ride along in the document for trend reading but never fail the job.
+Only the column-kernel table gates — it times
+``SynapseShard::ProcessColumn``, the probe loop every detection runs, and
+is the purpose-built hot-path counter with the least noise. The E2
+whole-detector and loadgen end-to-end tables ride along in the document
+for trend reading but never fail the job.
 
 Usage:
     tools/bench_regression.py --build-dir build --out BENCH_pr5.json
@@ -31,7 +33,7 @@ import sys
 import tempfile
 
 SCHEMA = "spot-bench-v1"
-FUSED_TABLE = "E11: fused synapse AddAndQuery (hot-path gate)"
+GATE_TABLE = "E11: column kernel SynapseShard::ProcessColumn (hot-path gate)"
 UNFUSED_TABLE = "E11: unfused synapse Add+Query (context)"
 GATE_COLUMN = "pts/s"
 
@@ -58,14 +60,16 @@ def run_e11(build_dir: str) -> list:
     finally:
         os.unlink(raw_path)
 
-    tables = {FUSED_TABLE: [], UNFUSED_TABLE: []}
+    tables = {GATE_TABLE: [], UNFUSED_TABLE: []}
     for bench in raw.get("benchmarks", []):
         name = bench.get("name", "")
         match = re.fullmatch(
-            r"BM_Synapse(Fused|Unfused)\w*/(\d+)", name)
+            r"BM_Synapse(ShardProcessColumn|UnfusedAddThenQuery)/(\d+)",
+            name)
         if not match:
             continue
-        title = FUSED_TABLE if match.group(1) == "Fused" else UNFUSED_TABLE
+        title = (GATE_TABLE if match.group(1) == "ShardProcessColumn"
+                 else UNFUSED_TABLE)
         tables[title].append([
             match.group(2),                                   # SST size
             str(int(round(bench["items_per_second"]))),       # pts/s
@@ -194,10 +198,10 @@ def find_baseline(baseline_dir: str, out_path: str) -> "str | None":
 
 
 def gate_rows(doc: dict) -> dict:
-    """{(row key): pts/s} for every fused-probe row of the document."""
+    """{(row key): pts/s} for every column-kernel row of the document."""
     rows = {}
     for table in doc.get("tables", []):
-        if table["title"] != FUSED_TABLE:
+        if table["title"] != GATE_TABLE:
             continue
         if GATE_COLUMN not in table["headers"]:
             continue
@@ -212,7 +216,7 @@ def check(current: dict, baseline: dict, baseline_name: str,
     base_rows = gate_rows(baseline)
     cur_rows = gate_rows(current)
     if not base_rows:
-        print(f"baseline {baseline_name} has no fused-probe table; "
+        print(f"baseline {baseline_name} has no column-kernel table; "
               "nothing to gate against")
         return True
     ok = True
@@ -279,11 +283,11 @@ def main() -> int:
         print("no checked-in BENCH_*.json baseline yet — starting the "
               "trajectory, nothing to compare")
         return 0
-    print(f"comparing fused-probe pts/s against {baseline_path} "
+    print(f"comparing column-kernel pts/s against {baseline_path} "
           f"(threshold {args.threshold:.0%}):")
     if not check(current, validate(baseline_path),
                  os.path.basename(baseline_path), args.threshold):
-        print("performance regression on the fused-probe hot path",
+        print("performance regression on the column-kernel hot path",
               file=sys.stderr)
         return 1
     return 0
