@@ -6,16 +6,18 @@
 
 namespace spot {
 
-/// Microseconds on the process-wide steady clock, anchored at its first
-/// use. The shared timebase of every trace span (reactor pipeline stages,
-/// engine shard probes), so spans recorded by different threads land on
-/// one comparable axis in the flight-recorder dump.
-inline std::uint64_t SteadyMicrosSinceStart() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point anchor = Clock::now();
+/// `t` (default: now) in microseconds on the process-wide steady clock,
+/// anchored at its first use (earlier instants read 0). The shared
+/// timebase of every trace span (reactor pipeline stages, engine shard
+/// probes), so spans recorded by different threads land on one comparable
+/// axis in the flight-recorder dump.
+inline std::uint64_t SteadyMicrosSinceStart(
+    std::chrono::steady_clock::time_point t =
+        std::chrono::steady_clock::now()) {
+  static const std::chrono::steady_clock::time_point anchor = t;
+  if (t <= anchor) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            anchor)
+      std::chrono::duration_cast<std::chrono::microseconds>(t - anchor)
           .count());
 }
 

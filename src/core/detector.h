@@ -28,14 +28,22 @@ class CheckpointWriter;
 class ShardedSpotEngine;
 class ThreadPool;
 
-/// Time one shard worker spent folding its slice of the last batch: the
-/// start of its first tile and its busy time summed over the batch's tiles,
-/// in µs on the SteadyMicrosSinceStart timebase. Collected only when
-/// shard-timing collection is enabled (the serving tier's flight recorder
-/// turns the spans into per-shard probe trace events).
-struct ShardSpan {
+/// One engine window of the last batch (DESIGN.md Section 12.3): the start
+/// of its first tile (µs, SteadyMicrosSinceStart timebase), its length
+/// summed over the batch's tiles, and — while perf counters are collected
+/// — the counter deltas of those windows (`perf.clock_ns == dur_ns`).
+struct StageEntry {
   std::uint64_t start_us = 0;
-  std::uint64_t dur_us = 0;
+  std::uint64_t dur_ns = 0;
+  obs::PerfStageTotals perf;
+};
+
+/// The per-batch stage record: the phase-0 bin pass and one probe entry per
+/// engine shard. The serving tier turns probe entries into `shard_probe`
+/// spans and folds the perf deltas into `stage="bin"` / `stage="probe"`.
+struct BatchStageRecord {
+  StageEntry bin;
+  std::vector<StageEntry> probes;
 };
 
 // SubspaceFinding lives in core/finding.h (included above) so the top-k
@@ -221,26 +229,16 @@ class SpotDetector {
   void set_event_sink(DetectorEventSink* sink);
   DetectorEventSink* event_sink() const { return event_sink_; }
 
-  /// Enables per-shard timing of batches: after each ProcessBatch (or
-  /// Process), shard_spans() holds one wall-clock span per shard — one at
-  /// num_shards == 1. Off by default (the spans cost two clock reads per
-  /// shard per batch).
-  void set_collect_shard_timings(bool on) { collect_shard_timings_ = on; }
-  bool collect_shard_timings() const { return collect_shard_timings_; }
-  const std::vector<ShardSpan>& shard_spans() const { return shard_spans_; }
+  /// The last ProcessBatch's (or Process's) stage record, overwritten per
+  /// batch (2 + 2K clock reads per tile).
+  const BatchStageRecord& stage_record() const { return stage_record_; }
 
   /// Enables hardware-counter attribution of batches (DESIGN.md Section
-  /// 12): after each ProcessBatch (or Process), bin_perf() holds the
-  /// counter deltas of the phase-0 binning pass and shard_perf() one
-  /// entry per shard for its probe loop (both overwritten per batch,
-  /// mirroring shard_spans). Off by default; pure measurement — verdicts,
-  /// stats and checkpoint bytes are bit-identical either way.
+  /// 12): the stage record's `perf` deltas are filled only while this is
+  /// on. Off by default; pure measurement — verdicts, stats and checkpoint
+  /// bytes are bit-identical either way.
   void set_collect_perf_counters(bool on) { collect_perf_counters_ = on; }
   bool collect_perf_counters() const { return collect_perf_counters_; }
-  const obs::PerfStageTotals& bin_perf() const { return bin_perf_; }
-  const std::vector<obs::PerfStageTotals>& shard_perf() const {
-    return shard_perf_;
-  }
 
  private:
   // The sharded engine drives the per-point pipeline from its batch join
@@ -296,15 +294,9 @@ class SpotDetector {
   /// Post-warm-up reservoir replacements (observability cadence only —
   /// never checkpointed, so a restored detector restarts the count).
   std::uint64_t reservoir_replacements_ = 0;
-  bool collect_shard_timings_ = false;
-  /// Filled by the engine when timing collection is on (one entry per
-  /// shard, overwritten each batch).
-  std::vector<ShardSpan> shard_spans_;
   bool collect_perf_counters_ = false;
-  /// Filled by the engine when counter collection is on (overwritten each
-  /// batch, like shard_spans_).
-  obs::PerfStageTotals bin_perf_;
-  std::vector<obs::PerfStageTotals> shard_perf_;
+  /// Filled by the engine for every batch (see stage_record()).
+  BatchStageRecord stage_record_;
 };
 
 /// Adapter exposing SpotDetector through the generic StreamDetector

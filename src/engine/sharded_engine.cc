@@ -5,10 +5,9 @@
 
 #include "common/log.h"
 #include "common/math_util.h"
-#include "common/timer.h"
 #include "grid/synapse_manager.h"
 #include "grid/synapse_shard.h"
-#include "obs/perf_counters.h"
+#include "obs/stage.h"
 
 namespace spot {
 
@@ -71,6 +70,13 @@ void Resync(SynapseManager& synapses, std::size_t n, TileColumns* cols,
   *cols = std::move(rebuilt);
 }
 
+/// Folds a committed scope's window into a stage-record entry: the start
+/// of the batch's first tile, the length summed over its tiles.
+void Extend(const obs::Stage& scope, bool first_tile, StageEntry* entry) {
+  if (first_tile) entry->start_us = scope.start_us();
+  entry->dur_ns += scope.elapsed_ns();
+}
+
 }  // namespace
 
 ShardedSpotEngine::ShardedSpotEngine(SpotDetector* detector,
@@ -89,18 +95,12 @@ std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
     return results;
   }
   results.reserve(points.size());
-  // Counter attribution (DESIGN.md Section 12) and shard spans: per-batch
-  // overwrite, accumulated over the batch's tiles — the service harvests
-  // them right after ProcessBatch returns. Pure measurement on the side:
-  // the measured code is untouched, so verdicts stay bit-identical with
-  // profiling on.
-  if (detector.collect_perf_counters_) {
-    detector.bin_perf_ = obs::PerfStageTotals{};
-    detector.shard_perf_.assign(num_shards_, obs::PerfStageTotals{});
-  }
-  if (detector.collect_shard_timings_) {
-    detector.shard_spans_.assign(num_shards_, ShardSpan{});
-  }
+  // The stage record (DESIGN.md Section 12.3): per-batch overwrite,
+  // accumulated over the batch's tiles — the service harvests it right
+  // after ProcessBatch returns. Pure measurement on the side: the measured
+  // code is untouched, so verdicts stay bit-identical whatever it records.
+  detector.stage_record_.bin = StageEntry{};
+  detector.stage_record_.probes.assign(num_shards_, StageEntry{});
   const std::size_t tile = kTilePointsPerShard * num_shards_;
   for (std::size_t begin = 0; begin < points.size(); begin += tile) {
     ProcessTile(points.data() + begin,
@@ -117,6 +117,8 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   const ShardRunParams params{config.rd_threshold, config.irsd_threshold,
                               config.fringe_factor};
   const bool perf = detector.collect_perf_counters_;
+  BatchStageRecord& record = detector.stage_record_;
+  const bool first_tile = results->empty();
 
   // Phase 0 — coordinator: bin each point once, fold it into the
   // single-owner base grid, and snapshot the per-point total weight. The
@@ -126,9 +128,9 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   // base-cell bucket while folding point j (DESIGN.md Section 3.9).
   BatchFrame frame;
   {
-    obs::ScopedCounters bin_perf(perf ? obs::ThreadPerfGroup() : nullptr,
-                                 &detector.bin_perf_);
-    bin_perf.set_units(n);
+    obs::Stage bin(nullptr, perf ? obs::ThreadPerfGroup() : nullptr,
+                   &record.bin.perf);
+    bin.set_units(n);
     frame.points = points;
     frame.base_coords.resize(n);
     frame.ticks.resize(n);
@@ -147,32 +149,25 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
                            frame.ticks[j]);
       hash = next_hash;
     }
+    bin.Commit();
+    Extend(bin, first_tile, &record.bin);
   }
 
   // Phase 1 — fan the per-subspace work out to the shards. Each worker
-  // clocks its span and measures its counters with its own group into its
-  // own slot — no contention; the join happens before anyone reads them.
-  // A span starts at the shard's first tile and sums its busy time over
-  // the batch. The tail replays below are deliberately unmeasured: they
-  // are rare correction work, not the steady-state probe cost.
+  // measures its window with its own counter group into its own record
+  // entry — no contention; the join happens before anyone reads them.
+  // The tail replays below are deliberately unmeasured: they are rare
+  // correction work, not the steady-state probe cost.
   TileColumns cols(synapses, n);
-  const bool timed = detector.collect_shard_timings_;
-  const bool first_tile = results->empty();
   ForkJoin(pool_, num_shards_, [&](std::size_t k) {
-    const std::uint64_t t0 = timed ? SteadyMicrosSinceStart() : 0;
-    {
-      obs::ScopedCounters probe_perf(
-          perf ? obs::ThreadPerfGroup() : nullptr,
-          perf ? &detector.shard_perf_[k] : nullptr);
-      const std::size_t grids = SynapseShard::ProcessRun(
-          cols.columns, k, num_shards_, frame, 0, n, params);
-      probe_perf.set_units(n * grids);  // logical probes
-    }
-    if (timed) {
-      ShardSpan& span = detector.shard_spans_[k];
-      if (first_tile) span.start_us = t0;
-      span.dur_us += SteadyMicrosSinceStart() - t0;
-    }
+    StageEntry& entry = record.probes[k];
+    obs::Stage probe(nullptr, perf ? obs::ThreadPerfGroup() : nullptr,
+                     &entry.perf);
+    const std::size_t grids = SynapseShard::ProcessRun(
+        cols.columns, k, num_shards_, frame, 0, n, params);
+    probe.set_units(n * grids);  // logical probes
+    probe.Commit();
+    Extend(probe, first_tile, &entry);
   });
 
   // Phase 2 — serial join in arrival order, with the side-effect machinery

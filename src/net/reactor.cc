@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <utility>
 
@@ -29,13 +28,6 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-using MonoClock = std::chrono::steady_clock;
-
-double MicrosSince(MonoClock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(MonoClock::now() - t0)
-      .count();
-}
-
 }  // namespace
 
 Reactor::Reactor(int index, const SpotServerConfig& config,
@@ -45,7 +37,12 @@ Reactor::Reactor(int index, const SpotServerConfig& config,
       config_(config),
       service_(service),
       registry_(registry),
-      stop_(stop) {}
+      stop_(stop) {
+  for (const obs::TraceStage stage : obs::kReactorStages) {
+    stages_[static_cast<std::size_t>(stage)].hist =
+        obs_.GetHistogram(obs::StageHistogramName(stage));
+  }
+}
 
 Reactor::~Reactor() { Shutdown(); }
 
@@ -150,6 +147,12 @@ bool Reactor::RunOnce(int timeout_ms) {
   return !stopping();
 }
 
+obs::Stage Reactor::Measure(obs::TraceStage stage) {
+  StageSinks& sinks = stages_[static_cast<std::size_t>(stage)];
+  return obs::Stage(sinks.hist, perf_group_.get(), &sinks.perf, trace_,
+                    stage);
+}
+
 void Reactor::PublishMetrics() {
   if (hub_ == nullptr) return;
   // Fold the plain loop counters into the registry so one snapshot
@@ -182,11 +185,10 @@ void Reactor::PublishMetrics() {
       ->Set(static_cast<double>(queued_bytes));
   if (perf_group_ != nullptr) {
     obs::PublishPerfMode(&obs_, perf_group_.get());
-    obs::PublishPerfTotals(&obs_, "stage=\"decode\"", perf_decode_);
-    obs::PublishPerfTotals(&obs_, "stage=\"coalesce\"", perf_coalesce_);
-    obs::PublishPerfTotals(&obs_, "stage=\"process\"", perf_process_);
-    obs::PublishPerfTotals(&obs_, "stage=\"encode\"", perf_encode_);
-    obs::PublishPerfTotals(&obs_, "stage=\"write\"", perf_write_);
+    for (const obs::TraceStage stage : obs::kReactorStages) {
+      obs::PublishPerfTotals(&obs_, obs::StagePerfLabels(stage),
+                             stages_[static_cast<std::size_t>(stage)].perf);
+    }
     if (index_ == 0) {
       // Process-wide gauges once, not per reactor — and on a coarse
       // cadence: counting /proc/self/fd entries every loop turn is
@@ -386,25 +388,17 @@ void Reactor::ReadReady(int fd) {
     conn.decoder.Append(buf, static_cast<std::size_t>(n));
     Frame frame;
     while (!conn.want_close) {
-      const MonoClock::time_point decode_start = MonoClock::now();
-      const std::uint64_t trace_t0 =
-          trace_ != nullptr ? SteadyMicrosSinceStart() : 0;
-      obs::ScopedCounters decode_perf(perf_group_.get(), &perf_decode_);
+      // The decode stage is FrameDecoder::Next alone; the frame's handling
+      // below is accounted to the stages it runs.
+      obs::Stage decode = Measure(obs::TraceStage::kDecode);
       const FrameDecoder::Status status = conn.decoder.Next(&frame);
       if (status == FrameDecoder::Status::kFrame) {
-        decode_perf.set_units(1);  // one whole frame decoded
-        h_decode_us_->Record(MicrosSince(decode_start));
-        if (trace_ != nullptr) {
-          obs::TraceEvent span;
-          span.stage = obs::TraceStage::kDecode;
-          span.ts_us = trace_t0;
-          span.dur_us = SteadyMicrosSinceStart() - trace_t0;
-          span.points = frame.payload.size();  // bytes for byte stages
-          trace_->Record(span);
-        }
+        decode.set_units(1);  // one whole frame decoded
+        decode.set_points(frame.payload.size());  // bytes for byte stages
+        decode.Commit();
       } else {
         // Incomplete or corrupt attempts would skew per-frame rates.
-        decode_perf.Cancel();
+        decode.Cancel();
       }
       if (status == FrameDecoder::Status::kNeedMore) break;
       if (status == FrameDecoder::Status::kCorrupt) {
@@ -656,13 +650,10 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
 }
 
 bool Reactor::HandleIngest(Conn& conn, const std::string& payload) {
-  const MonoClock::time_point coalesce_start = MonoClock::now();
-  const std::uint64_t trace_t0 =
-      trace_ != nullptr ? SteadyMicrosSinceStart() : 0;
-  obs::ScopedCounters coalesce_perf(perf_group_.get(), &perf_coalesce_);
+  obs::Stage coalesce = Measure(obs::TraceStage::kCoalesce);
   IngestReq req;
   if (!DecodeIngest(payload, &req)) {
-    coalesce_perf.Cancel();
+    coalesce.Cancel();
     ++stats_.protocol_errors;
     SendError(conn, MsgType::kIngest, ErrorCode::kMalformedPayload,
               "malformed ingest payload");
@@ -670,7 +661,7 @@ bool Reactor::HandleIngest(Conn& conn, const std::string& payload) {
     return false;
   }
   if (!RequireAttached(conn, MsgType::kIngest, req.session_id)) {
-    coalesce_perf.Cancel();
+    coalesce.Cancel();
     conn.want_close = true;
     return false;
   }
@@ -686,18 +677,10 @@ bool Reactor::HandleIngest(Conn& conn, const std::string& payload) {
   service_->RecordNetwork(req.session_id, activity);
   // Coalesce stage ends here; the early batch cut below is accounted to
   // the process stage by ProcessPending itself.
-  coalesce_perf.set_units(frame_points);
-  coalesce_perf.Commit();
-  h_coalesce_us_->Record(MicrosSince(coalesce_start));
-  if (trace_ != nullptr) {
-    obs::TraceEvent span;
-    span.stage = obs::TraceStage::kCoalesce;
-    span.ts_us = trace_t0;
-    span.dur_us = SteadyMicrosSinceStart() - trace_t0;
-    span.points = frame_points;
-    span.session = req.session_id;
-    trace_->Record(span);
-  }
+  coalesce.set_units(frame_points);
+  coalesce.set_points(frame_points);
+  coalesce.set_session(req.session_id);
+  coalesce.Commit();
   // Early batch cut: keep memory bounded when a client pipelines far
   // ahead; the remainder rides the end-of-turn flush.
   if (pending.size() >= config_.batch_points) {
@@ -730,40 +713,30 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
     // process, shard_probe and encode spans of this chunk all carry it.
     const std::uint64_t batch_id =
         (static_cast<std::uint64_t>(index_) << 48) | next_batch_seq_++;
-    const MonoClock::time_point process_start = MonoClock::now();
-    const std::uint64_t trace_t0 =
-        trace_ != nullptr ? SteadyMicrosSinceStart() : 0;
-    IngestResult result;
-    {
-      // The engine's own bin/probe scopes nest inside this one (snapshot
-      // deltas — each measures exactly its own window).
-      obs::ScopedCounters process_perf(perf_group_.get(), &perf_process_);
-      process_perf.set_units(n);
-      result = service_->Ingest(id, chunk);
-    }
-    const double process_us = MicrosSince(process_start);
-    h_process_us_->Record(process_us);
+    // The engine's own bin/probe scopes nest inside this one (each
+    // measures exactly its own window).
+    obs::Stage process = Measure(obs::TraceStage::kProcess);
+    process.set_units(n);
+    process.set_points(n);
+    process.set_batch(batch_id);
+    process.set_session(id);
+    IngestResult result = service_->Ingest(id, chunk);
+    process.Commit();
+    const double process_us = process.elapsed_us();
     h_batch_points_->Record(static_cast<double>(n));
     if (trace_ != nullptr) {
-      obs::TraceEvent span;
-      span.stage = obs::TraceStage::kProcess;
-      span.ts_us = trace_t0;
-      span.dur_us = SteadyMicrosSinceStart() - trace_t0;
-      span.batch_id = batch_id;
-      span.points = n;
-      span.session = id;
-      trace_->Record(span);
-      // Per-shard probe lanes (present only when the service collects
-      // shard timings): already in the shared steady-µs timebase.
-      for (std::size_t k = 0; k < result.shard_spans.size(); ++k) {
+      // Per-shard probe lanes from the engine's stage record, already on
+      // the shared steady-µs timebase.
+      for (std::size_t k = 0; k < result.stages.probes.size(); ++k) {
+        const StageEntry& probe = result.stages.probes[k];
         obs::TraceEvent shard_span;
         shard_span.stage = obs::TraceStage::kShardProbe;
-        shard_span.ts_us = result.shard_spans[k].start_us;
-        shard_span.dur_us = result.shard_spans[k].dur_us;
+        shard_span.ts_us = probe.start_us;
+        shard_span.dur_us = probe.dur_ns / 1000;
         shard_span.batch_id = batch_id;
         shard_span.shard = static_cast<std::int32_t>(k);
         shard_span.session = id;
-        trace_->Record(shard_span);
+        trace_->Record(std::move(shard_span));
       }
     }
     if (config_.slow_batch_warn_ms > 0.0 &&
@@ -811,24 +784,13 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
                                   static_cast<std::ptrdiff_t>(begin)),
           std::make_move_iterator(result.verdicts.begin() +
                                   static_cast<std::ptrdiff_t>(end)));
-      const MonoClock::time_point encode_start = MonoClock::now();
-      const std::uint64_t encode_t0 =
-          trace_ != nullptr ? SteadyMicrosSinceStart() : 0;
-      obs::ScopedCounters encode_perf(perf_group_.get(), &perf_encode_);
-      encode_perf.set_units(resp.verdicts.size());
+      obs::Stage encode = Measure(obs::TraceStage::kEncode);
+      encode.set_units(resp.verdicts.size());
+      encode.set_points(resp.verdicts.size());
+      encode.set_batch(batch_id);
+      encode.set_session(id);
       const std::string payload = EncodeVerdicts(resp);
-      encode_perf.Commit();
-      h_encode_us_->Record(MicrosSince(encode_start));
-      if (trace_ != nullptr) {
-        obs::TraceEvent span;
-        span.stage = obs::TraceStage::kEncode;
-        span.ts_us = encode_t0;
-        span.dur_us = SteadyMicrosSinceStart() - encode_t0;
-        span.batch_id = batch_id;
-        span.points = resp.verdicts.size();
-        span.session = id;
-        trace_->Record(span);
-      }
+      encode.Commit();
       Enqueue(conn, MsgType::kVerdicts, payload);
       SessionNetActivity activity;
       activity.bytes_out = kFrameHeaderBytes + payload.size();
@@ -899,23 +861,14 @@ void Reactor::TryFlush(Conn& conn) {
     conn.out_off = 0;
     return;
   }
-  obs::ScopedLatency write_timer(h_write_us_);
-  obs::ScopedCounters write_perf(perf_group_.get(), &perf_write_);
-  if (trace_ == nullptr) {
-    write_perf.set_units(WriteLoop(conn));  // bytes for byte stages
+  obs::Stage write = Measure(obs::TraceStage::kWrite);
+  const std::size_t sent = WriteLoop(conn);
+  if (sent == 0) {
+    write.Cancel();  // a flush that moved no bytes is not a write
     return;
   }
-  const std::uint64_t trace_t0 = SteadyMicrosSinceStart();
-  const std::size_t sent = WriteLoop(conn);
-  write_perf.set_units(sent);
-  if (sent > 0) {
-    obs::TraceEvent span;
-    span.stage = obs::TraceStage::kWrite;
-    span.ts_us = trace_t0;
-    span.dur_us = SteadyMicrosSinceStart() - trace_t0;
-    span.points = sent;  // bytes for byte stages
-    trace_->Record(span);
-  }
+  write.set_units(sent);  // bytes for byte stages
+  write.set_points(sent);
 }
 
 std::size_t Reactor::WriteLoop(Conn& conn) {

@@ -1,6 +1,7 @@
 #ifndef SPOT_NET_REACTOR_H_
 #define SPOT_NET_REACTOR_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "net/server_config.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
 #include "stream/data_point.h"
 
@@ -149,6 +151,11 @@ class Reactor {
   /// points (whatever arrived together in this turn is the batch).
   void FlushAllPending();
 
+  /// Opens the measured window of one pipeline stage, feeding its
+  /// histogram, the flight recorder (when tracing) and its perf totals
+  /// (when profiling) — DESIGN.md Section 12.3.
+  obs::Stage Measure(obs::TraceStage stage);
+
   /// Folds the loop counters and gauges into the registry and pushes a
   /// fresh snapshot into the hub (no-op without a hub). Runs at the end
   /// of every loop turn — a few-KB copy, far off the per-point path.
@@ -164,8 +171,8 @@ class Reactor {
   void SendOk(Conn& conn, MsgType request);
   void SendError(Conn& conn, MsgType request, ErrorCode code,
                  const std::string& message);
-  /// Non-blocking write of the connection's output queue (traced as a
-  /// `write` span when bytes actually move and tracing is on).
+  /// Non-blocking write of the connection's output queue, measured as the
+  /// `write` stage when bytes actually move.
   void TryFlush(Conn& conn);
   /// The send loop proper; returns the bytes written this call.
   std::size_t WriteLoop(Conn& conn);
@@ -213,11 +220,6 @@ class Reactor {
   /// name lookups. Cross-thread reads happen only through hub_ snapshot
   /// copies published once per loop turn.
   obs::Registry obs_;
-  obs::Histogram* h_decode_us_ = obs_.GetHistogram("pipeline_decode_us");
-  obs::Histogram* h_coalesce_us_ = obs_.GetHistogram("pipeline_coalesce_us");
-  obs::Histogram* h_process_us_ = obs_.GetHistogram("pipeline_process_us");
-  obs::Histogram* h_encode_us_ = obs_.GetHistogram("pipeline_encode_us");
-  obs::Histogram* h_write_us_ = obs_.GetHistogram("pipeline_write_us");
   obs::Histogram* h_batch_points_ = obs_.GetHistogram("batch_points");
   obs::Counter* c_slow_batches_ = obs_.GetCounter("slow_batches");
   obs::Counter* c_stats_scrapes_ = obs_.GetCounter("stats_scrapes");
@@ -239,14 +241,17 @@ class Reactor {
   /// is opened lazily on the loop thread (perf_event groups count the
   /// opening thread) the first time RunOnce runs with profiling on; null
   /// means profiling off and every stage hook costs one pointer test.
-  /// Totals are loop-thread-local like the registry; they flow out as
-  /// labeled `perf_*` families in PublishMetrics.
   std::unique_ptr<obs::PerfCounterGroup> perf_group_;
-  obs::PerfStageTotals perf_decode_;
-  obs::PerfStageTotals perf_coalesce_;
-  obs::PerfStageTotals perf_process_;
-  obs::PerfStageTotals perf_encode_;
-  obs::PerfStageTotals perf_write_;
+
+  /// Each pipeline stage's histogram in obs_ and its loop-thread-local
+  /// perf totals (published in PublishMetrics), indexed by TraceStage; the
+  /// engine's kShardProbe row stays empty.
+  struct StageSinks {
+    obs::Histogram* hist = nullptr;
+    obs::PerfStageTotals perf;
+  };
+  std::array<StageSinks, static_cast<std::size_t>(obs::TraceStage::kWrite) + 1>
+      stages_;
   /// Process-level gauges (RSS, fds, uptime) are refreshed by reactor 0
   /// only, at most every ~500 ms — /proc reads are cheap but not free.
   std::int64_t last_process_gauges_us_ = 0;

@@ -407,27 +407,34 @@ RpcStatus SpotClient::TopK(const std::string& id, std::uint32_t k,
 bool SpotClient::DrainPending() {
   if (fd_ < 0) return false;
   char buf[65536];
+  std::string lost;  // why the transport ended, if it did
   while (true) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
     if (n == 0) {
-      FailTransport("server closed the connection");
-      return false;
+      lost = "server closed the connection";
+      break;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      FailTransport(std::string("recv(): ") + std::strerror(errno));
-      return false;
+      lost = std::string("recv(): ") + std::strerror(errno);
+      break;
     }
     bytes_received_ += static_cast<std::uint64_t>(n);
     decoder_.Append(buf, static_cast<std::size_t>(n));
   }
   // Only verdict frames can legitimately be in flight outside a barrier;
-  // an Ok/Error here would be out of order and fails the transport.
+  // an Ok/Error here would be out of order and fails the transport. The
+  // frames that arrived are decoded before a lost transport is reported:
+  // a refusal the server sent just before closing keeps its code and cause.
   Frame frame;
   while (true) {
     const FrameDecoder::Status status = decoder_.Next(&frame);
-    if (status == FrameDecoder::Status::kNeedMore) return true;
+    if (status == FrameDecoder::Status::kNeedMore) {
+      if (lost.empty()) return true;
+      FailTransport(lost);
+      return false;
+    }
     if (status == FrameDecoder::Status::kCorrupt) {
       FailTransport("corrupt frame from server: " + decoder_.error());
       return false;

@@ -1,7 +1,6 @@
 #ifndef SPOT_OBS_METRICS_H_
 #define SPOT_OBS_METRICS_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -168,26 +167,6 @@ class MetricsHub {
     MetricsSnapshot snap;
   };
   std::vector<std::unique_ptr<Cell>> cells_;
-};
-
-/// RAII stage timer: records elapsed microseconds into `hist` on
-/// destruction. Pass nullptr to make it a no-op.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram* hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-  ~ScopedLatency() {
-    if (hist_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    hist_->Record(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs

@@ -124,7 +124,6 @@ PerfCounterGroup::~PerfCounterGroup() {
 
 PerfSample PerfCounterGroup::Read() const {
   PerfSample sample;
-  sample.clock_ns = ClockNs();
 #ifdef SPOT_HAVE_PERF_EVENTS
   if (mode_ != PerfMode::kHardware) return sample;
   GroupReadBuf buf;

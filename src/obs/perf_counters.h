@@ -1,7 +1,6 @@
 #ifndef SPOT_OBS_PERF_COUNTERS_H_
 #define SPOT_OBS_PERF_COUNTERS_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,23 +19,23 @@ enum class PerfMode : int {
   /// publish helpers when asked to describe a null group.
   kDisabled = 0,
   /// perf_event_open(2) was denied (perf_event_paranoid, seccomp, a
-  /// non-Linux build, or an unsupported PMU): hardware counts read as 0
-  /// and only the steady-clock time keeps derived rates defined.
+  /// non-Linux build, or an unsupported PMU): hardware counts read as 0;
+  /// PerfStageTotals::clock_ns still measures.
   kSoftware = 1,
   /// The full five-counter group is live on this thread.
   kHardware = 2,
 };
 
 /// One cumulative reading of a group: totals since the group was opened.
-/// `clock_ns` is always valid (steady clock), whatever the mode — it is
-/// the denominator that keeps every derived rate finite in fallback.
+/// The group reads no clock: a stage's time comes from the obs::Stage
+/// scope that reads the group (obs/stage.h), so the perf clock and the
+/// stage's histogram sample are one interval.
 struct PerfSample {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
   std::uint64_t cache_references = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t branch_misses = 0;
-  std::uint64_t clock_ns = 0;
   /// True when the five counters above came from live hardware (scaled
   /// for multiplexing); false in software fallback (they are then 0).
   bool hardware = false;
@@ -52,8 +51,8 @@ struct PerfSample {
 /// Graceful degradation: when the leader cannot be opened (EACCES/EPERM
 /// from perf_event_paranoid or seccomp, ENOSYS/ENOENT on exotic kernels,
 /// EINVAL from an unsupported PMU, or a non-Linux build) the group opens
-/// in kSoftware mode — Read() then reports zero hardware counts and a
-/// valid steady-clock time, and nothing ever fails at the call sites.
+/// in kSoftware mode — Read() then reports zero hardware counts, and
+/// nothing ever fails at the call sites.
 /// The group is all-or-nothing: if any member counter is refused the
 /// whole group falls back, so the atomic-read invariant can never be
 /// silently violated by a partial group.
@@ -85,27 +84,19 @@ class PerfCounterGroup {
 
   PerfMode mode() const { return mode_; }
 
-  /// Cumulative totals since Open(). One read(2) of the group leader in
-  /// hardware mode; a steady-clock read always. A failed group read
+  /// Cumulative totals since Open(): one read(2) of the group leader in
+  /// hardware mode, nothing at all in software mode. A failed group read
   /// degrades that sample to software (it never throws or aborts).
   PerfSample Read() const;
 
  private:
-  PerfCounterGroup() : t0_(std::chrono::steady_clock::now()) {}
-
-  std::uint64_t ClockNs() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
-  }
+  PerfCounterGroup() = default;
 
   PerfMode mode_ = PerfMode::kSoftware;
   int leader_fd_ = -1;
   /// Member fds in group order (instructions, cache-references,
   /// cache-misses, branch-misses); closed with the leader.
   int member_fds_[4] = {-1, -1, -1, -1};
-  std::chrono::steady_clock::time_point t0_;
 };
 
 /// The calling thread's lazily opened group. Pool workers and reactor
@@ -120,6 +111,8 @@ PerfCounterGroup* ThreadPerfGroup();
 /// stages and phase-0 binning, logical probes (points x grids) for the
 /// shard loops, bytes for the write stage — so `instructions / units`
 /// is instructions-per-point / per-probe / per-byte respectively.
+/// `clock_ns` sums the intervals of the obs::Stage scopes folded in,
+/// whatever the mode.
 struct PerfStageTotals {
   std::uint64_t samples = 0;     // scopes committed
   std::uint64_t hw_samples = 0;  // scopes measured in hardware mode
@@ -142,63 +135,6 @@ struct PerfStageTotals {
     branch_misses += other.branch_misses;
     clock_ns += other.clock_ns;
   }
-};
-
-/// RAII stage scope: snapshots the group at construction and folds the
-/// delta into `totals` at destruction. Each scope carries its *own*
-/// start sample, so scopes nest freely — the reactor's `process` stage
-/// encloses the engine's shard scopes on the same thread and each still
-/// measures exactly its own window. Pass nulls to make it a no-op (the
-/// disabled-path cost: one pointer test).
-class ScopedCounters {
- public:
-  ScopedCounters(PerfCounterGroup* group, PerfStageTotals* totals)
-      : group_(group), totals_(totals) {
-    if (group_ != nullptr && totals_ != nullptr) start_ = group_->Read();
-  }
-
-  ScopedCounters(const ScopedCounters&) = delete;
-  ScopedCounters& operator=(const ScopedCounters&) = delete;
-
-  /// Work items this scope will be attributed (see PerfStageTotals).
-  void set_units(std::uint64_t n) { units_ = n; }
-
-  /// Discards the scope: nothing is folded at destruction. Used when the
-  /// measured attempt turns out not to be the event it was armed for
-  /// (e.g. a decode pass that ended kNeedMore instead of a frame).
-  void Cancel() { totals_ = nullptr; }
-
-  /// Ends the measured window *now* and folds the delta; the destructor
-  /// then does nothing. For stages that end mid-function — the coalesce
-  /// stage closes before the early batch cut hands the same call frame
-  /// over to the process stage.
-  void Commit() {
-    Fold();
-    totals_ = nullptr;
-  }
-
-  ~ScopedCounters() { Fold(); }
-
- private:
-  void Fold() {
-    if (group_ == nullptr || totals_ == nullptr) return;
-    const PerfSample end = group_->Read();
-    totals_->samples += 1;
-    totals_->hw_samples += (start_.hardware && end.hardware) ? 1 : 0;
-    totals_->units += units_;
-    totals_->cycles += end.cycles - start_.cycles;
-    totals_->instructions += end.instructions - start_.instructions;
-    totals_->cache_references +=
-        end.cache_references - start_.cache_references;
-    totals_->cache_misses += end.cache_misses - start_.cache_misses;
-    totals_->branch_misses += end.branch_misses - start_.branch_misses;
-    totals_->clock_ns += end.clock_ns - start_.clock_ns;
-  }
-
-  PerfCounterGroup* group_;
-  PerfStageTotals* totals_;
-  PerfSample start_;
-  std::uint64_t units_ = 0;
 };
 
 /// Folds `totals` into `reg` as the spot_perf_* metric families, with

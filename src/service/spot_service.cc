@@ -6,6 +6,7 @@
 #include "common/log.h"
 #include "core/checkpoint.h"
 #include "grid/synapse_manager.h"
+#include "obs/stage.h"
 
 namespace spot {
 
@@ -53,20 +54,19 @@ std::size_t SpotService::ResidentCountLocked() const {
 
 bool SpotService::SaveTimedLocked(const SpotDetector& detector,
                                   const std::string& path) {
-  obs::ScopedLatency timer(h_ckpt_save_us_);
+  obs::Stage timer(h_ckpt_save_us_);
   return SaveCheckpointFile(detector, path);
 }
 
 bool SpotService::LoadTimedLocked(SpotDetector* detector,
                                   const std::string& path) {
-  obs::ScopedLatency timer(h_ckpt_load_us_);
+  obs::Stage timer(h_ckpt_load_us_);
   return LoadCheckpointFile(detector, path);
 }
 
 void SpotService::ApplyPoolLocked(SpotDetector* detector) {
   detector->set_thread_pool(pool_.get());
   detector->set_num_shards(config_.num_shards);
-  detector->set_collect_shard_timings(config_.collect_shard_timings);
   detector->set_collect_perf_counters(config_.collect_perf_counters);
 }
 
@@ -278,10 +278,8 @@ IngestResult SpotService::IngestImpl(const std::string& id,
   }
   result.verdicts = session->detector->ProcessBatch(batch);
   result.ok = true;
-  if (config_.collect_shard_timings) {
-    result.shard_spans = session->detector->shard_spans();
-  }
-  if (config_.collect_perf_counters) HarvestPerfLocked(*session->detector);
+  result.stages = session->detector->stage_record();
+  if (config_.collect_perf_counters) HarvestPerfLocked(result.stages);
   ++session->batches_ingested;
   session->last_stats = session->detector->stats();
   if (config_.collect_quality || session->sink != nullptr) {
@@ -334,17 +332,16 @@ void SpotService::AccumulateQualityLocked(
   session->last_reclaimed = rec;
 }
 
-void SpotService::HarvestPerfLocked(const SpotDetector& detector) {
-  // The detector overwrites its totals every batch, so each harvest folds
+void SpotService::HarvestPerfLocked(const BatchStageRecord& record) {
+  // The detector overwrites its record every batch, so each harvest folds
   // exactly one batch's deltas: one bin total plus one probe total per
   // engine shard (a single engine_shard="0" family at num_shards == 1).
-  perf_bin_total_.Merge(detector.bin_perf());
-  const std::vector<obs::PerfStageTotals>& per_shard = detector.shard_perf();
-  if (perf_probe_totals_.size() < per_shard.size()) {
-    perf_probe_totals_.resize(per_shard.size());
+  perf_bin_total_.Merge(record.bin.perf);
+  if (perf_probe_totals_.size() < record.probes.size()) {
+    perf_probe_totals_.resize(record.probes.size());
   }
-  for (std::size_t k = 0; k < per_shard.size(); ++k) {
-    perf_probe_totals_[k].Merge(per_shard[k]);
+  for (std::size_t k = 0; k < record.probes.size(); ++k) {
+    perf_probe_totals_[k].Merge(record.probes[k].perf);
   }
   obs::PublishPerfTotals(&obs_, "stage=\"bin\"", perf_bin_total_);
   std::uint64_t hw_samples = perf_bin_total_.hw_samples;

@@ -52,12 +52,6 @@ struct SpotServiceConfig {
   /// plus two histogram records per finding — never per clean point.
   bool collect_quality = true;
 
-  /// Collect per-shard wall-clock spans for each ProcessBatch (two
-  /// SteadyMicrosSinceStart() reads per shard per batch) and surface them
-  /// in IngestResult::shard_spans. The serving layer turns these into
-  /// `shard_probe` flight-recorder lanes; off by default for embedded use.
-  bool collect_shard_timings = false;
-
   /// Collect hardware-counter deltas for each ProcessBatch's
   /// phase-0 binning pass and per-shard probe loops (DESIGN.md Section
   /// 12) and accumulate them into the service's ObsSnapshot as labeled
@@ -129,9 +123,9 @@ struct SessionNetActivity {
 struct IngestResult {
   bool ok = false;
   std::vector<SpotResult> verdicts;
-  /// Per-shard wall-clock spans of the batch's probe phase, indexed by
-  /// shard. Empty unless SpotServiceConfig::collect_shard_timings is set.
-  std::vector<ShardSpan> shard_spans;
+  /// Where the batch's engine time went (see BatchStageRecord); the
+  /// serving layer turns its probe entries into `shard_probe` spans.
+  BatchStageRecord stages;
 };
 
 /// Long-lived detection service multiplexing many independent SPOT
@@ -337,10 +331,10 @@ class SpotService {
   /// journals the batch's grid-compaction delta.
   void AccumulateQualityLocked(Session* session,
                                const std::vector<SpotResult>& verdicts);
-  /// Merges the detector's per-batch counter deltas (bin pass + per-shard
-  /// probe loops) into the service running totals and republishes the
-  /// labeled `perf_*` families into obs_ (mu_ held).
-  void HarvestPerfLocked(const SpotDetector& detector);
+  /// Merges one batch's counter deltas (bin pass + per-shard probe loops)
+  /// into the service running totals and republishes the labeled `perf_*`
+  /// families into obs_ (mu_ held).
+  void HarvestPerfLocked(const BatchStageRecord& record);
 
   SpotServiceConfig config_;
   /// The one pool every session's sharded engine borrows (null when
@@ -364,9 +358,9 @@ class SpotService {
   obs::Histogram* h_ckpt_load_us_ = obs_.GetHistogram("checkpoint_load_us");
 
   /// Engine-tier perf accumulation (collect_perf_counters): detectors
-  /// overwrite their bin/shard totals every batch; IngestImpl
-  /// merges those deltas here (mu_ held) and republishes the labeled
-  /// families into obs_. `engine_shard=` (not `shard=`) because the
+  /// overwrite their stage record every batch; IngestImpl merges its
+  /// deltas here (mu_ held) and republishes the labeled families into
+  /// obs_. `engine_shard=` (not `shard=`) because the
   /// serving tier already sections service snapshots under shard="i".
   obs::PerfStageTotals perf_bin_total_;
   std::vector<obs::PerfStageTotals> perf_probe_totals_;

@@ -4,13 +4,17 @@
 // SpotStats counters — including checkpoints taken right before runs that
 // cross CS self-evolution, OS growth, drift-relearn and compaction
 // boundaries, and regardless of the shard count on either side of the
-// save/load. The ASan/UBSan CI job runs this binary.
+// save/load — and that a save onto a full disk fails cleanly, keeping the
+// previous image. The ASan/UBSan CI job runs this binary.
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +280,46 @@ TEST(CheckpointTest, FileRoundTripViaAtomicRename) {
   }
   std::remove(path.c_str());
   EXPECT_FALSE(LoadCheckpointFile(&restored, path + ".does-not-exist"));
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// A full disk during a checkpoint write: `<path>.tmp` is a symlink to
+// /dev/full, so every write through it fails with ENOSPC. The save must
+// report failure, leave no temp file behind, and leave the previous image
+// at the final path byte-identical and loadable.
+TEST(CheckpointTest, FullDiskSaveFailsAndKeepsThePreviousImage) {
+  const std::string path = testing::TempDir() + "spot_checkpoint_full.ckpt";
+  const std::string tmp = path + ".tmp";
+  std::remove(path.c_str());
+  std::remove(tmp.c_str());
+  const auto training = TrainingBatch(5, 200);
+  const auto stream = DriftingEvalStream(5, 600, 6);
+  auto det = LearnedDetector(EventfulConfig(), training);
+  Drive(det.get(), stream, 0, 300, 32);
+  ASSERT_TRUE(SaveCheckpointFile(*det, path));
+  const std::string previous = FileBytes(path);
+  ASSERT_FALSE(previous.empty());
+
+  Drive(det.get(), stream, 300, 600, 32);  // the next image would differ
+  if (::symlink("/dev/full", tmp.c_str()) != 0) {
+    GTEST_SKIP() << "cannot symlink " << tmp << " to /dev/full";
+  }
+  EXPECT_FALSE(SaveCheckpointFile(*det, path));
+  struct stat st;
+  EXPECT_NE(::lstat(tmp.c_str(), &st), 0) << tmp << " left behind";
+  std::remove(tmp.c_str());
+
+  EXPECT_EQ(FileBytes(path), previous);
+  SpotDetector restored{SpotConfig{}};
+  ASSERT_TRUE(LoadCheckpointFile(&restored, path));
+  EXPECT_EQ(SaveToString(restored), previous);
+  std::remove(path.c_str());
 }
 
 /// One supervised round at the current position: label the worst retained

@@ -398,10 +398,10 @@ TEST(ShardedEngineTest, MultiTileBatchesMatchPerPointProcess) {
   }
 }
 
-// A one-shard batch runs through the engine too, so the phase-0 bin pass,
-// the single shard's probe loop and its wall-clock span are attributed
-// exactly as at K > 1: one bin unit per point, one probe entry with one
-// unit per (point, tracked subspace), one span.
+// A one-shard batch runs through the engine too, so the phase-0 bin pass
+// and the single shard's probe loop land in the stage record exactly as at
+// K > 1: one bin unit per point, one probe entry (one span) with one unit
+// per (point, tracked subspace), each entry's perf clock its own length.
 TEST(ShardedEngineTest, OneShardBatchAttributesBinProbeAndSpan) {
   const int kDims = 6;
   SpotConfig cfg = eval::FastTestConfig();
@@ -411,7 +411,6 @@ TEST(ShardedEngineTest, OneShardBatchAttributesBinProbeAndSpan) {
   cfg.drift_detection = false;
   auto det = LearnedDetector(cfg, TrainingBatch(kDims, 400));
   det->set_collect_perf_counters(true);
-  det->set_collect_shard_timings(true);
 
   std::vector<DataPoint> points;
   for (const auto& p : DriftingEvalStream(kDims, 150, 907)) {
@@ -421,10 +420,13 @@ TEST(ShardedEngineTest, OneShardBatchAttributesBinProbeAndSpan) {
   ASSERT_GT(tracked, 0u);
   det->ProcessBatch(points);
 
-  EXPECT_EQ(det->bin_perf().units, points.size());
-  ASSERT_EQ(det->shard_perf().size(), 1u);
-  EXPECT_EQ(det->shard_perf()[0].units, points.size() * tracked);
-  EXPECT_EQ(det->shard_spans().size(), 1u);
+  const BatchStageRecord& record = det->stage_record();
+  EXPECT_EQ(record.bin.perf.units, points.size());
+  EXPECT_EQ(record.bin.perf.clock_ns, record.bin.dur_ns);
+  ASSERT_EQ(record.probes.size(), 1u);
+  EXPECT_EQ(record.probes[0].perf.units, points.size() * tracked);
+  EXPECT_EQ(record.probes[0].perf.clock_ns, record.probes[0].dur_ns);
+  EXPECT_GT(record.probes[0].dur_ns, 0u);
 }
 
 }  // namespace

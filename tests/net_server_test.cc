@@ -20,6 +20,7 @@
 #include <fcntl.h>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -41,6 +42,7 @@
 #include "net/protocol.h"
 #include "net/spot_client.h"
 #include "net/spot_server.h"
+#include "obs/stage.h"
 #include "service/spot_service.h"
 #include "stream/synthetic.h"
 
@@ -448,9 +450,15 @@ TEST(NetRobustnessTest, IngestToUnknownSessionReportsErrorAndCloses) {
   TestServer server(SpotServiceConfig{}, SpotServerConfig{});
   SpotClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(client.Ingest("ghost", TenantPoints(0, 4)));  // send succeeds
-  std::vector<SpotResult> verdicts;
-  EXPECT_FALSE(client.Flush("ghost", &verdicts));  // barrier surfaces it
+  // The send always succeeds, but Ingest also drains replies already in
+  // flight, so the server's refusal surfaces either there or at the Flush
+  // barrier — whichever reads it first.
+  if (client.Ingest("ghost", TenantPoints(0, 4))) {
+    std::vector<SpotResult> verdicts;
+    EXPECT_FALSE(client.Flush("ghost", &verdicts));
+  }
+  EXPECT_EQ(client.last_code(), ErrorCode::kNotAttached)
+      << client.last_error();
   EXPECT_NE(client.last_error().find("ghost"), std::string::npos)
       << client.last_error();
 }
@@ -1202,8 +1210,8 @@ std::vector<SpotResult> ObservedRun(SpotServiceConfig scfg,
 
 // The engine-observability differential (DESIGN.md Section 10): the same
 // stream through a fully instrumented server — journal on, detection
-// quality on, flight recorder + shard timings on — and through one with
-// every observability surface off. Verdict bytes, detector stats and the
+// quality on, flight recorder on — and through one with every
+// observability surface off. Verdict bytes, detector stats and the
 // checkpoint file must match bit for bit at reactors {1,2} x shards
 // {1,4}; only then is "events are pure reporting" actually proven at the
 // serving boundary.
@@ -1212,9 +1220,8 @@ TEST(NetObservabilityTest, JournalAndTracePerturbNothing) {
   int combo = 0;
   for (const std::size_t reactors : {1, 2}) {
     for (const std::size_t shards : {1, 4}) {
-      SpotServiceConfig on_scfg;
+      SpotServiceConfig on_scfg;  // journal + quality default on
       on_scfg.num_shards = shards;
-      on_scfg.collect_shard_timings = true;  // journal + quality default on
       SpotServerConfig on_ncfg;
       on_ncfg.num_reactors = reactors;
       on_ncfg.batch_points = 48;
@@ -1263,7 +1270,6 @@ TEST(NetObservabilityTest, JournalAndTracePerturbNothing) {
 TEST(NetObservabilityTest, TraceDumpOverTheWire) {
   SpotServiceConfig scfg;
   scfg.num_shards = 2;
-  scfg.collect_shard_timings = true;
   SpotServerConfig ncfg;
   ncfg.batch_points = 48;
   ncfg.trace_capacity = 1024;
@@ -1305,6 +1311,76 @@ TEST(NetObservabilityTest, TraceDumpOverTheWire) {
   }
   EXPECT_GE(shared, 2u) << batch_value << " appears only once";
   server.StopAndJoin();
+}
+
+// One clock read per stage boundary (DESIGN.md Section 12.3): with tracing
+// and profiling on and a ring that never wraps, every reactor stage feeds
+// the same windows to all three planes — as many `pipeline_<stage>_us`
+// samples as `perf_samples{stage=...}` as trace spans, and a histogram sum
+// that is the perf clock.
+TEST(NetObservabilityTest, StageHistogramSpansAndPerfClockAgree) {
+  for (const std::size_t reactors : {1, 2}) {
+    SpotServiceConfig scfg;
+    scfg.num_shards = 2;
+    SpotServerConfig ncfg;
+    ncfg.num_reactors = reactors;
+    ncfg.batch_points = 48;
+    ncfg.trace_capacity = 1 << 16;
+    ncfg.profile_counters = true;
+    TestServer server(scfg, ncfg);
+
+    std::vector<std::unique_ptr<SpotClient>> clients;
+    for (int t = 0; t < 2; ++t) {
+      const std::string id = "tenant-" + std::to_string(t);
+      clients.push_back(std::make_unique<SpotClient>());
+      ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server.port()));
+      ASSERT_TRUE(clients.back()->CreateSession(id, SessionConfig(),
+                                                TenantTraining(t)))
+          << clients.back()->last_error();
+      const std::vector<SpotResult> verdicts =
+          StreamOverWire(*clients.back(), id, TenantPoints(t, 300),
+                         3000 + static_cast<std::uint64_t>(t));
+      ASSERT_EQ(verdicts.size(), 300u);
+    }
+    for (auto& client : clients) client->Disconnect();
+    server.StopAndJoin();  // the final publish covers the shutdown drain
+
+    const StatsResp stats = server.server().StatsSnapshot();
+    ASSERT_EQ(stats.reactors.size(), reactors);
+    std::map<obs::TraceStage, std::uint64_t> seen;
+    for (std::size_t r = 0; r < reactors; ++r) {
+      const obs::TraceRecorder* recorder = server.server().trace_recorder(r);
+      ASSERT_NE(recorder, nullptr);
+      ASSERT_EQ(recorder->dropped(), 0u);
+      const std::vector<obs::TraceEvent> spans = recorder->Snapshot();
+      const obs::MetricsSnapshot& snap = stats.reactors[r];
+      for (const obs::TraceStage stage : obs::kReactorStages) {
+        const std::string label = std::string(obs::TraceStageName(stage)) +
+                                  " reactor " + std::to_string(r) + "/" +
+                                  std::to_string(reactors);
+        const std::string labels = "{" + obs::StagePerfLabels(stage) + "}";
+        const obs::Histogram& hist =
+            snap.histograms.at(obs::StageHistogramName(stage));
+        const std::uint64_t perf_samples =
+            snap.counters.at("perf_samples" + labels);
+        const double perf_clock_us =
+            static_cast<double>(snap.counters.at("perf_clock_ns" + labels)) /
+            1e3;
+        const auto span_count = static_cast<std::uint64_t>(std::count_if(
+            spans.begin(), spans.end(),
+            [stage](const obs::TraceEvent& e) { return e.stage == stage; }));
+        EXPECT_EQ(hist.count(), perf_samples) << label;
+        EXPECT_EQ(hist.count(), span_count) << label;
+        EXPECT_NEAR(hist.sum(), perf_clock_us,
+                    static_cast<double>(hist.count()))
+            << label;
+        seen[stage] += hist.count();
+      }
+    }
+    for (const obs::TraceStage stage : obs::kReactorStages) {
+      EXPECT_GT(seen[stage], 0u) << obs::TraceStageName(stage);
+    }
+  }
 }
 
 TEST(NetObservabilityTest, TraceDumpRefusedWhenTracingOff) {
@@ -1351,7 +1427,6 @@ std::string FetchPath(int port, const std::string& path) {
 TEST(NetObservabilityTest, ConcurrentScrapeSurfacesUnderLoad) {
   SpotServiceConfig scfg;
   scfg.num_shards = 2;
-  scfg.collect_shard_timings = true;
   SpotServerConfig ncfg;
   ncfg.num_reactors = 2;
   ncfg.batch_points = 48;

@@ -2,8 +2,9 @@
 // log2 histogram's bucket boundaries and quantile accuracy guarantee
 // (within one power-of-two bucket of the exact nearest-rank order
 // statistic), exact and associative merging, the registry / snapshot /
-// hub plumbing, the Prometheus text renderer, and the standalone HTTP
-// exporter over a real socket.
+// hub plumbing, the obs::Stage scope (one interval feeding the histogram,
+// the trace span and the perf totals), the Prometheus text renderer, and
+// the standalone HTTP exporter over a real socket.
 
 #include <algorithm>
 #include <chrono>
@@ -26,6 +27,9 @@
 #include "obs/exposition.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
+#include "obs/perf_counters.h"
+#include "obs/stage.h"
+#include "obs/trace.h"
 
 namespace spot {
 namespace obs {
@@ -251,12 +255,163 @@ TEST(MetricsHubTest, PublishAndScrape) {
   EXPECT_EQ(all[0].counters.at("n"), 11u);
 }
 
-TEST(ScopedLatencyTest, RecordsElapsedMicros) {
-  Histogram h;
-  { ScopedLatency timer(&h); }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.min(), 0.0);
-  { ScopedLatency noop(nullptr); }  // must not crash
+// ------------------------------------------------------------------ stage --
+
+void SleepMs(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+TEST(StageTest, OneIntervalFeedsHistogramSpanAndPerfClock) {
+  Histogram hist;
+  TraceRecorder trace(16, /*reactor=*/2);
+  auto group = PerfCounterGroup::Open();
+  PerfStageTotals totals;
+  std::uint64_t elapsed_ns = 0;
+  std::uint64_t start_us = 0;
+  {
+    Stage stage(&hist, group.get(), &totals, &trace, TraceStage::kEncode);
+    stage.set_units(42);
+    stage.set_points(7);
+    stage.set_batch(99);
+    stage.set_session("tenant-0");
+    SleepMs(1);
+    stage.Commit();
+    elapsed_ns = stage.elapsed_ns();
+    start_us = stage.start_us();
+  }
+  EXPECT_GE(elapsed_ns, 1000000u);
+
+  ASSERT_EQ(hist.count(), 1u);
+  const double sample = hist.sum();
+  EXPECT_DOUBLE_EQ(sample, static_cast<double>(elapsed_ns) / 1e3);
+
+  const std::vector<TraceEvent> spans = trace.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].stage, TraceStage::kEncode);
+  EXPECT_EQ(spans[0].dur_us, static_cast<std::uint64_t>(std::floor(sample)));
+  EXPECT_EQ(spans[0].ts_us, start_us);
+  EXPECT_EQ(spans[0].points, 7u);
+  EXPECT_EQ(spans[0].batch_id, 99u);
+  EXPECT_EQ(spans[0].session, "tenant-0");
+  EXPECT_EQ(spans[0].reactor, 2u);
+
+  EXPECT_EQ(totals.samples, 1u);
+  EXPECT_EQ(totals.units, 42u);
+  EXPECT_EQ(totals.clock_ns, elapsed_ns);
+}
+
+TEST(StageTest, CancelTouchesNoSink) {
+  Histogram hist;
+  TraceRecorder trace(16);
+  auto group = PerfCounterGroup::Open();
+  PerfStageTotals totals;
+  {
+    Stage stage(&hist, group.get(), &totals, &trace, TraceStage::kDecode);
+    stage.set_units(42);
+    stage.Cancel();
+  }
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_TRUE(trace.Snapshot().empty());
+  EXPECT_EQ(totals.samples, 0u);
+  EXPECT_EQ(totals.units, 0u);
+  EXPECT_EQ(totals.clock_ns, 0u);
+}
+
+TEST(StageTest, CommitEndsTheWindowEarlyAndLandsExactlyOnce) {
+  Histogram hist;
+  TraceRecorder trace(16);
+  auto group = PerfCounterGroup::Open();
+  PerfStageTotals totals;
+  std::uint64_t committed_ns = 0;
+  {
+    Stage stage(&hist, group.get(), &totals, &trace, TraceStage::kCoalesce);
+    stage.set_units(7);
+    SleepMs(1);
+    stage.Commit();
+    committed_ns = totals.clock_ns;
+    // Work after Commit() must not be attributed to the stage, and neither
+    // a second Commit() nor the destructor may feed the sinks again.
+    SleepMs(2);
+    stage.Commit();
+    EXPECT_EQ(stage.elapsed_ns(), committed_ns);
+  }
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(trace.Snapshot().size(), 1u);
+  EXPECT_EQ(totals.samples, 1u);
+  EXPECT_EQ(totals.units, 7u);
+  EXPECT_EQ(totals.clock_ns, committed_ns);
+  EXPECT_GT(committed_ns, 0u);
+}
+
+TEST(StageTest, NullSinksAreNoOps) {
+  // A histogram alone: one sample of the elapsed microseconds.
+  Histogram hist;
+  { Stage stage(&hist); }
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_GE(hist.min(), 0.0);
+
+  // Nothing attached, or half a perf sink: nothing to feed, nothing to
+  // crash on.
+  { Stage stage(nullptr); }
+  PerfStageTotals totals;
+  {
+    Stage stage(nullptr, nullptr, &totals);
+    stage.set_units(9);
+    stage.set_session("no-recorder");
+  }
+  EXPECT_EQ(totals.samples, 0u);
+  EXPECT_EQ(totals.clock_ns, 0u);
+  auto group = PerfCounterGroup::Open();
+  {
+    Stage stage(nullptr, group.get(), nullptr);
+    stage.set_units(9);
+  }
+}
+
+TEST(StageTest, ScopesNestIndependently) {
+  // The reactor's process stage encloses the engine's scopes on the same
+  // thread; each must feed its own window into its own sinks.
+  auto group = PerfCounterGroup::Open();
+  Histogram outer_hist;
+  Histogram inner_hist;
+  PerfStageTotals outer_totals;
+  PerfStageTotals inner_totals;
+  {
+    Stage outer(&outer_hist, group.get(), &outer_totals);
+    outer.set_units(10);
+    SleepMs(1);
+    {
+      Stage inner(&inner_hist, group.get(), &inner_totals);
+      inner.set_units(3);
+      SleepMs(1);
+    }
+    SleepMs(1);
+  }
+  EXPECT_EQ(outer_totals.samples, 1u);
+  EXPECT_EQ(inner_totals.samples, 1u);
+  EXPECT_EQ(outer_totals.units, 10u);
+  EXPECT_EQ(inner_totals.units, 3u);
+  ASSERT_EQ(outer_hist.count(), 1u);
+  ASSERT_EQ(inner_hist.count(), 1u);
+  // The outer window contains the inner one, and each scope's histogram
+  // sample is its own perf clock.
+  EXPECT_GT(outer_totals.clock_ns, inner_totals.clock_ns);
+  EXPECT_DOUBLE_EQ(outer_hist.sum(),
+                   static_cast<double>(outer_totals.clock_ns) / 1e3);
+  EXPECT_DOUBLE_EQ(inner_hist.sum(),
+                   static_cast<double>(inner_totals.clock_ns) / 1e3);
+}
+
+TEST(StageTest, ReactorStageNamesDeriveFromTheTraceStage) {
+  std::vector<std::string> names;
+  for (const TraceStage stage : kReactorStages) {
+    names.push_back(TraceStageName(stage));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"decode", "coalesce", "process",
+                                             "encode", "write"}));
+  EXPECT_EQ(StageHistogramName(TraceStage::kCoalesce),
+            "pipeline_coalesce_us");
+  EXPECT_EQ(StagePerfLabels(TraceStage::kWrite), "stage=\"write\"");
 }
 
 // ------------------------------------------------------------- exposition --

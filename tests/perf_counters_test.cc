@@ -1,8 +1,9 @@
 // Tests of the hardware performance-counter profiling plane (src/obs/
 // perf_counters.{h,cc}, DESIGN.md Section 12): the perf_event_open group
 // wrapper and its graceful-degradation ladder (real denial, forced
-// errno, bogus event config), ScopedCounters fold/Cancel/Commit/nesting
-// semantics, the spot_perf_* publish helpers (raw counters + always-
+// errno, bogus event config), the stage clock that keeps perf totals timed
+// in every mode (the obs::Stage fold/Cancel/Commit/nesting semantics are
+// in obs_test), the spot_perf_* publish helpers (raw counters + always-
 // finite derived gauges), process-level gauges, and the merged-snapshot
 // readers (MergedPerfMode, RenderPerfSummary) that must not trust the
 // summed perf_mode gauge.
@@ -17,6 +18,7 @@
 
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
+#include "obs/stage.h"
 
 namespace spot {
 namespace obs {
@@ -42,12 +44,22 @@ TEST(PerfCounterGroupTest, OpenNeverFailsAndReportsAValidMode) {
               group->mode() == PerfMode::kSoftware);
 }
 
-TEST(PerfCounterGroupTest, ClockAdvancesInEveryMode) {
-  auto group = PerfCounterGroup::Open();
-  const PerfSample a = group->Read();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const PerfSample b = group->Read();
-  EXPECT_GT(b.clock_ns, a.clock_ns);
+TEST(PerfCounterGroupTest, StageClockTimesPerfTotalsInEveryMode) {
+  // The group reads no clock; the obs::Stage scope folding its deltas
+  // supplies clock_ns — live hardware group and software fallback alike.
+  auto live = PerfCounterGroup::Open();
+  ForcedErrnoGuard guard(EACCES);
+  auto fallback = PerfCounterGroup::Open();
+  ASSERT_EQ(fallback->mode(), PerfMode::kSoftware);
+  for (PerfCounterGroup* group : {live.get(), fallback.get()}) {
+    PerfStageTotals totals;
+    {
+      Stage stage(nullptr, group, &totals);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(totals.samples, 1u);
+    EXPECT_GE(totals.clock_ns, 2000000u);
+  }
 }
 
 TEST(PerfCounterGroupTest, HardwareModeCountsAreMonotone) {
@@ -95,88 +107,6 @@ TEST(PerfCounterGroupTest, ThreadPerfGroupIsPerThreadAndStable) {
   t.join();
   EXPECT_NE(theirs, nullptr);
   EXPECT_NE(theirs, mine);  // counters follow the opening thread
-}
-
-// -------------------------------------------------------- scoped folding --
-
-TEST(ScopedCountersTest, FoldsUnitsSamplesAndClock) {
-  auto group = PerfCounterGroup::Open();
-  PerfStageTotals totals;
-  {
-    ScopedCounters scope(group.get(), &totals);
-    scope.set_units(42);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(totals.samples, 1u);
-  EXPECT_EQ(totals.units, 42u);
-  EXPECT_GT(totals.clock_ns, 0u);
-}
-
-TEST(ScopedCountersTest, CancelDiscardsTheScope) {
-  auto group = PerfCounterGroup::Open();
-  PerfStageTotals totals;
-  {
-    ScopedCounters scope(group.get(), &totals);
-    scope.set_units(42);
-    scope.Cancel();
-  }
-  EXPECT_EQ(totals.samples, 0u);
-  EXPECT_EQ(totals.units, 0u);
-  EXPECT_EQ(totals.clock_ns, 0u);
-}
-
-TEST(ScopedCountersTest, CommitEndsTheWindowEarlyAndOnlyOnce) {
-  auto group = PerfCounterGroup::Open();
-  PerfStageTotals totals;
-  std::uint64_t committed_clock = 0;
-  {
-    ScopedCounters scope(group.get(), &totals);
-    scope.set_units(7);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    scope.Commit();
-    committed_clock = totals.clock_ns;
-    // Work after Commit() must not be attributed to the stage, and the
-    // destructor must not fold a second sample.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(totals.samples, 1u);
-  EXPECT_EQ(totals.units, 7u);
-  EXPECT_EQ(totals.clock_ns, committed_clock);
-}
-
-TEST(ScopedCountersTest, NullGroupOrTotalsIsANoOp) {
-  PerfStageTotals totals;
-  {
-    ScopedCounters scope(nullptr, &totals);
-    scope.set_units(9);
-  }
-  EXPECT_EQ(totals.samples, 0u);
-  auto group = PerfCounterGroup::Open();
-  ScopedCounters scope(group.get(), nullptr);  // must not crash on fold
-  scope.set_units(9);
-}
-
-TEST(ScopedCountersTest, ScopesNestIndependently) {
-  // The reactor's process stage encloses the engine's scopes on the same
-  // thread; each must fold its own window into its own totals.
-  auto group = PerfCounterGroup::Open();
-  PerfStageTotals outer_totals;
-  PerfStageTotals inner_totals;
-  {
-    ScopedCounters outer(group.get(), &outer_totals);
-    outer.set_units(10);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    {
-      ScopedCounters inner(group.get(), &inner_totals);
-      inner.set_units(3);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(outer_totals.samples, 1u);
-  EXPECT_EQ(inner_totals.samples, 1u);
-  // The outer window contains the inner one.
-  EXPECT_GT(outer_totals.clock_ns, inner_totals.clock_ns);
 }
 
 TEST(PerfStageTotalsTest, MergeAddsEveryField) {

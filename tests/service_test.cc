@@ -1,7 +1,8 @@
 // Tests of the SpotService session manager (src/service/spot_service.h):
 // interleaved multi-session routing, LRU eviction to disk with transparent
 // reload (a session's verdict sequence must be independent of how often it
-// was evicted), kill/restore via OpenSession, and the metrics registry.
+// was evicted), kill/restore via OpenSession, eviction onto a full disk,
+// and the metrics registry.
 // The ASan/UBSan CI job runs this binary.
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,6 +191,66 @@ TEST(SpotServiceTest, KillAndRestoreContinuesBitIdentically) {
   }
   const auto expected = reference.ProcessBatch(Chunk(stream, 600, 1200));
   ExpectSameVerdicts(expected, continued, "restored service");
+}
+
+// A full disk at eviction time (`<id>.ckpt.tmp` symlinked to /dev/full):
+// the ingest that needs the slot is refused, the victim stays resident and
+// keeps producing the verdicts of an undisturbed service, and once the
+// disk has room the refused ingest succeeds exactly as it would have.
+TEST(SpotServiceTest, FullDiskEvictionIsRefusedAndRetriesIdentically) {
+  const std::string dir = MakeCheckpointDir("full_disk");
+  const std::string tmp = dir + "/victim.ckpt.tmp";
+  std::remove(tmp.c_str());
+  SpotServiceConfig scfg;
+  scfg.max_resident = 1;
+  scfg.checkpoint_dir = dir;
+  SpotService service(scfg);
+  SpotServiceConfig ref_cfg = scfg;
+  ref_cfg.checkpoint_dir = MakeCheckpointDir("full_disk_ref");
+  SpotService undisturbed(ref_cfg);
+
+  const auto victim_stream = TenantStream(0, 300, 5);
+  const auto other_stream = TenantStream(1, 100, 6);
+  const auto other_batch = Chunk(other_stream, 0, 100);
+  for (SpotService* s : {&service, &undisturbed}) {
+    ASSERT_TRUE(s->CreateSession("other", SessionConfig(), TenantTraining(1)));
+    // Admitting the victim evicts "other" to disk.
+    ASSERT_TRUE(
+        s->CreateSession("victim", SessionConfig(), TenantTraining(0)));
+  }
+  auto ingest_both = [&](const std::string& id,
+                         const std::vector<DataPoint>& batch,
+                         const std::string& label) {
+    const IngestResult got = service.Ingest(id, batch);
+    const IngestResult expected = undisturbed.Ingest(id, batch);
+    ASSERT_TRUE(got.ok) << label;
+    ASSERT_TRUE(expected.ok) << label;
+    ExpectSameVerdicts(expected.verdicts, got.verdicts, label);
+  };
+  ingest_both("victim", Chunk(victim_stream, 0, 100), "victim before");
+
+  if (::symlink("/dev/full", tmp.c_str()) != 0) {
+    GTEST_SKIP() << "cannot symlink " << tmp << " to /dev/full";
+  }
+  // Reloading "other" must evict the victim onto the full disk.
+  const IngestResult refused = service.Ingest("other", other_batch);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_TRUE(refused.verdicts.empty());
+  EXPECT_TRUE(service.IsResident("victim"));
+  EXPECT_FALSE(service.IsResident("other"));
+  struct stat st;
+  EXPECT_NE(::lstat(tmp.c_str(), &st), 0) << "failed save left " << tmp;
+  ingest_both("victim", Chunk(victim_stream, 100, 200), "victim on full disk");
+
+  std::remove(tmp.c_str());  // the disk has room again
+  ingest_both("other", other_batch, "refused ingest retried");
+  EXPECT_FALSE(service.IsResident("victim"));
+  // The victim's image written after the failure reloads bit-identically.
+  ingest_both("victim", Chunk(victim_stream, 200, 300), "victim reloaded");
+  EXPECT_EQ(service.TotalMetrics().evictions,
+            undisturbed.TotalMetrics().evictions);
+  EXPECT_EQ(service.TotalMetrics().reloads,
+            undisturbed.TotalMetrics().reloads);
 }
 
 // The shared pool: many sessions, one service-owned worker pool, sharded

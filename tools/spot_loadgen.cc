@@ -88,6 +88,7 @@
 #include "net/spot_client.h"
 #include "net/spot_server.h"
 #include "obs/metrics.h"
+#include "obs/stage.h"
 #include "service/spot_service.h"
 #include "stream/csv.h"
 #include "stream/synthetic.h"
@@ -503,21 +504,14 @@ void ScrapeServerStats(const Flags& flags, std::uint16_t port,
 
   // Fixed stage list (absent stages show count 0) so every run emits the
   // same table shape — bench_regression merges runs by table index.
-  const struct {
-    const char* stage;
-    const char* metric;
-  } kStages[] = {{"decode", "pipeline_decode_us"},
-                 {"coalesce", "pipeline_coalesce_us"},
-                 {"process", "pipeline_process_us"},
-                 {"encode", "pipeline_encode_us"},
-                 {"write", "pipeline_write_us"}};
   spot::eval::Table table(
       {"stage", "reactors", "count", "p50 us", "p95 us", "p99 us"});
-  for (const auto& s : kStages) {
-    const auto it = merged.histograms.find(s.metric);
+  for (const spot::obs::TraceStage stage : spot::obs::kReactorStages) {
+    const auto it =
+        merged.histograms.find(spot::obs::StageHistogramName(stage));
     const spot::obs::Histogram hist =
         it == merged.histograms.end() ? spot::obs::Histogram() : it->second;
-    table.AddRow({s.stage,
+    table.AddRow({spot::obs::TraceStageName(stage),
                   spot::eval::Table::Int(stats.reactors.size()),
                   spot::eval::Table::Int(hist.count()),
                   spot::eval::Table::Num(hist.Quantile(0.50), 1),
@@ -566,7 +560,8 @@ void ScrapeServerStats(const Flags& flags, std::uint16_t port,
          spot::eval::Table::Num(per(instr), 1),
          spot::eval::Table::Num(per(raw("perf_cache_misses")), 3),
          spot::eval::Table::Num(per(raw("perf_branch_misses")), 3)});
-    if (labels == "stage=\"process\"") {
+    if (labels ==
+        spot::obs::StagePerfLabels(spot::obs::TraceStage::kProcess)) {
       // The whole-batch service call, per point: the trajectory scalar
       // tools/bench_regression.py tracks (gates better than pts/s on
       // shared hardware — see DESIGN.md Section 12).
@@ -694,9 +689,6 @@ int main(int argc, char** argv) {
     if (!scfg.checkpoint_dir.empty()) {
       ::mkdir(scfg.checkpoint_dir.c_str(), 0755);
     }
-    // Shard-probe trace lanes cost two clock reads per shard per batch, so
-    // collect them only when a dump is actually requested.
-    scfg.collect_shard_timings = !flags.trace_out.empty();
     spot::net::SpotServerConfig ncfg;
     ncfg.port = 0;
     ncfg.num_reactors = flags.reactors;

@@ -152,9 +152,6 @@ int main(int argc, char** argv) {
   if (!scfg.checkpoint_dir.empty()) {
     ::mkdir(scfg.checkpoint_dir.c_str(), 0755);
   }
-  // Shard-probe lanes ride the flight recorder; collecting them without
-  // it would pay two clock reads per shard per batch for nothing.
-  scfg.collect_shard_timings = ncfg.trace_capacity > 0;
   // One switch for both profiling tiers (the server mirrors it into each
   // service shard's collect_perf_counters).
   ncfg.profile_counters = prof;
