@@ -184,23 +184,23 @@ int main(int argc, char** argv) {
     if (v.is_outlier) ++alarms;
   }
 
-  // Transport counters from the service's metrics registry.
-  spot::SessionMetrics metrics;
-  if (server.service().GetMetrics("sensors", &metrics)) {
-    std::printf("session 'sensors': %llu points, %zu alarms | %llu frames, "
-                "%llu/%llu bytes in/out, queue peak %llu, %llu stalls\n",
-                static_cast<unsigned long long>(
-                    metrics.stats.points_processed),
-                alarms,
-                static_cast<unsigned long long>(
-                    metrics.stats.frames_received),
-                static_cast<unsigned long long>(metrics.stats.bytes_in),
-                static_cast<unsigned long long>(metrics.stats.bytes_out),
-                static_cast<unsigned long long>(
-                    metrics.stats.net_queue_peak),
-                static_cast<unsigned long long>(
-                    metrics.stats.backpressure_stalls));
+  // Transport counters from a kStats scrape of the server's reactors.
+  spot::net::StatsResp snap;
+  if (!client.Stats(&snap)) {
+    std::fprintf(stderr, "stats: %s\n", client.last_error().c_str());
+    return 1;
   }
+  const spot::obs::MetricsSnapshot merged = snap.Merged();
+  const auto counter = [&merged](const char* name) {
+    const auto it = merged.counters.find(name);
+    return static_cast<unsigned long long>(
+        it == merged.counters.end() ? 0 : it->second);
+  };
+  std::printf("server: %llu points, %zu alarms | %llu frames, %llu/%llu "
+              "bytes in/out, %llu stalls\n",
+              counter("points_ingested"), alarms, counter("frames_received"),
+              counter("bytes_in"), counter("bytes_out"),
+              counter("backpressure_stalls"));
 
   client.CloseSession("sensors", /*persist=*/false);
   client.Disconnect();

@@ -87,22 +87,6 @@ struct SpotStats {
                ? static_cast<double>(points_processed) / detection_seconds
                : 0.0;
   }
-
-  /// Network-ingest transport counters, maintained by the serving layer
-  /// (src/net/spot_server.cc via SpotService::RecordNetwork) when the
-  /// detector backs a wire session; a standalone detector leaves them
-  /// zero. Like detection_seconds these are transport measurement, not
-  /// detector state: they are excluded from checkpoints and survive
-  /// session eviction at the service layer.
-  std::uint64_t frames_received = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  /// Times the server paused reading the session's connection because its
-  /// outbound verdict queue hit the backpressure cap.
-  std::uint64_t backpressure_stalls = 0;
-  /// Peak number of coalesced points pending for the session before a
-  /// batch was cut (the server-side queue-depth high-water mark).
-  std::uint64_t net_queue_peak = 0;
 };
 
 /// The Stream Projected Outlier deTector.

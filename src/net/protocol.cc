@@ -34,14 +34,6 @@ bool IsRequestType(std::uint8_t type) {
          type <= static_cast<std::uint8_t>(MsgType::kQueryTopK);
 }
 
-bool IsPlausibleRequestType(std::uint8_t type) {
-  // [1, 15]: the request half of the type space. Types here that this
-  // server does not implement get a kError(kUnsupportedRequest) reply;
-  // anything outside is a protocol violation.
-  return type >= static_cast<std::uint8_t>(MsgType::kCreateSession) &&
-         type < static_cast<std::uint8_t>(MsgType::kOk);
-}
-
 const char* ErrorCodeName(ErrorCode code) {
   switch (code) {
     case ErrorCode::kUnknown:
@@ -214,11 +206,10 @@ bool WireReader::Fail() {
 
 // ---------------------------------------------------------------- frames --
 
-std::string EncodeFrame(MsgType type, const std::string& payload,
-                        std::uint8_t version) {
+std::string EncodeFrame(MsgType type, const std::string& payload) {
   WireWriter w;
   w.U32(kFrameMagic);
-  w.U8(version);
+  w.U8(kWireVersion);
   w.U8(static_cast<std::uint8_t>(type));
   w.U16(0);  // flags
   w.U32(static_cast<std::uint32_t>(payload.size()));
@@ -259,9 +250,7 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
   const std::uint32_t payload_len = header.U32();
   const std::uint32_t payload_crc = header.U32();
   if (magic != kFrameMagic) return Corrupt("bad frame magic");
-  if (version < kMinWireVersion || version > kWireVersion) {
-    return Corrupt("unknown protocol version");
-  }
+  if (version != kWireVersion) return Corrupt("unknown protocol version");
   if (flags != 0) return Corrupt("non-zero reserved flags");
   if (payload_len > max_payload_) return Corrupt("oversized frame payload");
   if (buf_.size() - off_ < kFrameHeaderBytes + payload_len) {
@@ -278,7 +267,6 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
     return Corrupt("payload CRC mismatch");
   }
   out->type = static_cast<MsgType>(type);
-  out->version = version;
   out->payload.assign(payload, payload_len);
   off_ += kFrameHeaderBytes + payload_len;
   if (off_ == buf_.size()) {
@@ -486,21 +474,18 @@ bool DecodeOk(const std::string& payload, OkResp* out) {
   return r.AtEnd();
 }
 
-std::string EncodeError(const ErrorResp& resp, std::uint8_t version) {
+std::string EncodeError(const ErrorResp& resp) {
   WireWriter w;
   w.U8(resp.request_type);
-  // The code field exists from v3 on; a v2-dialect error is message-only.
-  if (version >= 3) w.U16(static_cast<std::uint16_t>(resp.code));
+  w.U16(static_cast<std::uint16_t>(resp.code));
   w.Str(resp.message);
   return w.Take();
 }
 
-bool DecodeError(const std::string& payload, ErrorResp* out,
-                 std::uint8_t version) {
+bool DecodeError(const std::string& payload, ErrorResp* out) {
   WireReader r(payload);
   out->request_type = r.U8();
-  out->code = version >= 3 ? static_cast<ErrorCode>(r.U16())
-                           : ErrorCode::kUnknown;
+  out->code = static_cast<ErrorCode>(r.U16());
   out->message = r.Str();
   return r.AtEnd();
 }

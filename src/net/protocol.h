@@ -16,26 +16,9 @@
 namespace spot {
 namespace net {
 
-/// SPOT wire protocol v3 (DESIGN.md Sections 7 and 11).
-///
-/// v3 (this version) adds the feedback/query plane: the kFeedback request
-/// (supervised labeling of retained or fresh outlier examples), the
-/// kQueryTopK request / kTopKResp response pair (the k worst outliers in
-/// the current window, with their outlying-subspace findings), and a
-/// machine-readable ErrorCode carried in every kError payload. Unlike the
-/// v1 -> v2 bump, v3 *negotiates*: frames of version kMinWireVersion
-/// through kWireVersion are accepted (the layout of every v2 message is
-/// unchanged in v3 except kError, whose layout follows the enclosing
-/// frame's version), a v2-era server answers the new request types with a
-/// kError(kUnsupportedRequest) instead of closing the connection, and the
-/// client degrades gracefully when it sees that refusal. Servers reply in
-/// the highest version the peer has demonstrated (capped by their own),
-/// so a raw v2 client keeps receiving v2-layout errors.
-///
-/// v2 added the kTraceDump request / kTraceResp response pair
-/// (flight-recorder dump, DESIGN.md Section 10) and extended the
-/// kStatsResp payload with per-session detection-quality sections. A v1
-/// peer is still rejected at the frame layer.
+/// SPOT wire protocol v3 (DESIGN.md Sections 7 and 11). There is one
+/// dialect: a frame stamped with any version byte but kWireVersion is
+/// corrupt, and every kError payload carries a machine-readable ErrorCode.
 ///
 /// Every message is one *frame*: a fixed 16-byte header followed by a
 /// little-endian payload. The header is
@@ -69,9 +52,6 @@ namespace net {
 
 constexpr std::uint32_t kFrameMagic = 0x31575053;  // "SPW1" little-endian
 constexpr std::uint8_t kWireVersion = 3;
-/// Oldest frame version still accepted (the v2 message layouts are a
-/// strict subset of v3, so speaking to a v2 peer costs nothing).
-constexpr std::uint8_t kMinWireVersion = 2;
 constexpr std::size_t kFrameHeaderBytes = 16;
 
 /// Default cap on a frame's payload. 16 MiB fits > 100k points of a
@@ -89,8 +69,8 @@ enum class MsgType : std::uint8_t {
   kCloseSession = 6,   // id + persist flag
   kStats = 7,          // empty payload; scrape the server's metrics
   kTraceDump = 8,      // empty payload; dump the flight recorder
-  kFeedback = 9,       // (v3) id + labeled point ids + fresh examples
-  kQueryTopK = 10,     // (v3) id + k; ask for the worst current outliers
+  kFeedback = 9,       // id + labeled point ids + fresh examples
+  kQueryTopK = 10,     // id + k; ask for the worst current outliers
 
   // Responses (server -> client).
   kOk = 16,         // echoes the request type it answers
@@ -98,31 +78,26 @@ enum class MsgType : std::uint8_t {
   kVerdicts = 18,   // id + verdicts for a coalesced run of ingested points
   kStatsResp = 19,  // whole-server metrics snapshot (answers kStats)
   kTraceResp = 20,  // raw Chrome-trace JSON bytes (answers kTraceDump)
-  kTopKResp = 21,   // (v3) id + top-k outlier entries (answers kQueryTopK)
+  kTopKResp = 21,   // id + top-k outlier entries (answers kQueryTopK)
 };
 
-/// True for the request-role message types this server version accepts.
+/// True for the request-role message types the server serves. Any other
+/// type on a request stream is refused with kError(kUnsupportedRequest)
+/// and the connection closes.
 bool IsRequestType(std::uint8_t type);
 
-/// True for type values reserved for *future* requests as well ([1, 15]).
-/// A plausible-but-unsupported request gets a kError(kUnsupportedRequest)
-/// reply — the version-negotiation escape hatch — whereas an implausible
-/// type on a request stream is a protocol violation that closes the
-/// connection, exactly like a response-role type.
-bool IsPlausibleRequestType(std::uint8_t type);
-
-/// Machine-readable cause carried by every v3 kError payload (satellite of
-/// the wire-v3 redesign: clients branch on the code, never on message
-/// text). Codes are part of the wire contract — append, never renumber.
+/// Machine-readable cause carried by every kError payload: clients branch
+/// on the code, never on message text. Codes are part of the wire
+/// contract — append, never renumber.
 enum class ErrorCode : std::uint16_t {
-  /// No code on the wire (v2-layout error) or an unrecognized value.
+  /// An unrecognized value (never sent by a server).
   kUnknown = 0,
   kSessionUnknown = 1,     // no such session (or its reload failed)
   kSessionExists = 2,      // create of an id that is already live
   kNotAttached = 3,        // session not attached to this connection
   kAttachedElsewhere = 4,  // session attached to another connection
   kWrongHomeReactor = 5,   // session pinned to a different reactor
-  kUnsupportedRequest = 6, // plausible request type this server lacks
+  kUnsupportedRequest = 6, // not a request type the server serves
   kMalformedPayload = 7,   // undecodable or semantically invalid payload
   kLearnFailed = 8,        // CreateSession's offline learning failed
   kIngestFailed = 9,       // service refused the batch
@@ -205,27 +180,19 @@ class WireReader {
 
 struct Frame {
   MsgType type = MsgType::kError;
-  /// The version byte the frame arrived under (within [kMinWireVersion,
-  /// kWireVersion]); version-dependent payload layouts (kError) decode
-  /// against it, and servers reply in the highest version a connection
-  /// has demonstrated.
-  std::uint8_t version = kWireVersion;
   std::string payload;
 };
 
-/// Serializes one frame (header + payload) ready for the socket, stamped
-/// with `version` (callers pass a peer's negotiated version to answer
-/// older clients in their own dialect).
-std::string EncodeFrame(MsgType type, const std::string& payload,
-                        std::uint8_t version = kWireVersion);
+/// Serializes one frame (header + payload) ready for the socket.
+std::string EncodeFrame(MsgType type, const std::string& payload);
 
 /// Incremental frame parser over an arriving byte stream.
 ///
 /// Feed bytes with Append() as they arrive; Next() yields complete frames.
-/// Corruption (bad magic, a version outside [kMinWireVersion,
-/// kWireVersion], non-zero flags, CRC mismatch, payload over
-/// `max_payload`) is terminal: the decoder latches kCorrupt and the
-/// connection must be closed. Truncation is simply kNeedMore.
+/// Corruption (bad magic, a version other than kWireVersion, non-zero
+/// flags, CRC mismatch, payload over `max_payload`) is terminal: the
+/// decoder latches kCorrupt and the connection must be closed. Truncation
+/// is simply kNeedMore.
 ///
 /// Memory bound: every kNeedMore return reclaims the prefix consumed by
 /// already-delivered frames, so the internal buffer never holds more than
@@ -296,7 +263,7 @@ struct CloseSessionReq {
   bool persist = true;
 };
 
-/// (v3) Supervised feedback: label previously ingested points by id
+/// Supervised feedback: label previously ingested points by id
 /// (resolved against the session's top-k retention window server-side)
 /// and/or submit fresh labeled outlier examples (rectangular, the
 /// session's dimensionality). Answered kOk/kError after the round ran at
@@ -307,7 +274,7 @@ struct FeedbackReq {
   std::vector<std::vector<double>> examples;  // rectangular, row-major
 };
 
-/// (v3) Ask for the k worst outliers in the session's current window.
+/// Ask for the k worst outliers in the session's current window.
 struct QueryTopKReq {
   std::string session_id;
   std::uint32_t k = 0;
@@ -343,10 +310,7 @@ struct OkResp {
   std::uint8_t request_type = 0;  // the MsgType this Ok answers
 };
 
-/// kError payload. The v3 layout is `u8 request_type, u16 code, str
-/// message`; the v2 layout lacks the code field. Encode/Decode take the
-/// enclosing frame's version so both dialects round-trip; a v2-layout
-/// error decodes with code == kUnknown.
+/// kError payload: `u8 request_type, u16 code, str message`.
 struct ErrorResp {
   std::uint8_t request_type = 0;
   ErrorCode code = ErrorCode::kUnknown;
@@ -366,10 +330,8 @@ struct VerdictsResp {
 std::string EncodeOk(const OkResp& resp);
 bool DecodeOk(const std::string& payload, OkResp* out);
 
-std::string EncodeError(const ErrorResp& resp,
-                        std::uint8_t version = kWireVersion);
-bool DecodeError(const std::string& payload, ErrorResp* out,
-                 std::uint8_t version = kWireVersion);
+std::string EncodeError(const ErrorResp& resp);
+bool DecodeError(const std::string& payload, ErrorResp* out);
 
 std::string EncodeVerdicts(const VerdictsResp& resp);
 bool DecodeVerdicts(const std::string& payload, VerdictsResp* out);
@@ -381,7 +343,7 @@ bool DecodeVerdicts(const std::string& payload, VerdictsResp* out);
 /// the cross-reactor hand-off counter from the session registry. A
 /// kStats *request* carries an empty payload; anything else is malformed
 /// and closes the connection like any other bad request payload.
-/// The per-session detection-quality sections of a kStatsResp (v2) are
+/// The per-session detection-quality sections of a kStatsResp are
 /// the service layer's obs::SessionQuality snapshots, carried verbatim.
 using SubspaceQuality = obs::SubspaceQuality;
 using SessionQuality = obs::SessionQuality;
@@ -411,7 +373,7 @@ void EncodeVerdictList(const std::vector<SpotResult>& verdicts,
 bool DecodeVerdictList(WireReader* r, std::vector<SpotResult>* out);
 std::string VerdictBytes(const std::vector<SpotResult>& verdicts);
 
-/// (v3) Answers kQueryTopK: the session's k worst current outliers, best
+/// Answers kQueryTopK: the session's k worst current outliers, best
 /// first. Each entry carries identity (point id + tick), raw and decayed
 /// score, and the outlying-subspace findings — but *not* the point's
 /// attribute values, which stay server-side (label them by id via

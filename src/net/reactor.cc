@@ -170,7 +170,6 @@ void Reactor::PublishMetrics() {
   obs_.GetCounter("batches_run")->Set(stats_.batches_run);
   obs_.GetCounter("points_ingested")->Set(stats_.points_ingested);
   obs_.GetCounter("listener_pauses")->Set(stats_.listener_pauses);
-  obs_.GetCounter("unsupported_requests")->Set(stats_.unsupported_requests);
   std::size_t pending_points = 0;
   std::size_t queued_bytes = 0;
   for (const auto& [fd, conn] : conns_) {
@@ -195,7 +194,8 @@ void Reactor::PublishMetrics() {
       // measurable at high turn rates.
       const std::int64_t now_us =
           static_cast<std::int64_t>(SteadyMicrosSinceStart());
-      if (now_us - last_process_gauges_us_ >= 500000) {
+      if (last_process_gauges_us_ < 0 ||
+          now_us - last_process_gauges_us_ >= 500000) {
         last_process_gauges_us_ = now_us;
         obs::PublishProcessGauges(&obs_);
       }
@@ -411,12 +411,6 @@ void Reactor::ReadReady(int fd) {
         return;
       }
       ++stats_.frames_received;
-      // Version negotiation is per-connection and monotone: the highest
-      // version the peer ever stamps is what replies are capped to
-      // (together with our own config_.wire_version).
-      if (frame.version > conn.peer_version) {
-        conn.peer_version = frame.version;
-      }
       if (!HandleFrame(conn, frame)) {
         // Response (if any) is queued; close once it drains.
         conn.want_close = true;
@@ -427,30 +421,13 @@ void Reactor::ReadReady(int fd) {
 }
 
 bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
+  // Two tiers (DESIGN.md Section 11.4): a request type is served;
+  // anything else is a protocol violation, refused and closed.
   const std::uint8_t type = static_cast<std::uint8_t>(frame.type);
-  // Three tiers of request-type acceptance (DESIGN.md Section 11):
-  // supported at this server's wire version -> serviced; plausible but
-  // not supported (a future request type, or a v3 type on a server
-  // running with wire_version == 2) -> refused with a cause and the
-  // connection stays open (the negotiation escape hatch clients degrade
-  // through); implausible (a response-role type on the request stream)
-  // -> protocol violation, refused and closed.
-  const bool supported =
-      IsRequestType(type) &&
-      !(config_.wire_version < 3 && (frame.type == MsgType::kFeedback ||
-                                     frame.type == MsgType::kQueryTopK));
-  if (!supported) {
-    if (IsPlausibleRequestType(type)) {
-      ++stats_.unsupported_requests;
-      SendError(conn, frame.type, ErrorCode::kUnsupportedRequest,
-                "request type " + std::to_string(type) +
-                    " is not supported by this server (wire v" +
-                    std::to_string(config_.wire_version) + ")");
-      return true;
-    }
+  if (!IsRequestType(type)) {
     ++stats_.protocol_errors;
     SendError(conn, frame.type, ErrorCode::kUnsupportedRequest,
-              "unexpected non-request frame");
+              "unsupported request type " + std::to_string(type));
     return false;
   }
   switch (frame.type) {
@@ -670,11 +647,6 @@ bool Reactor::HandleIngest(Conn& conn, const std::string& payload) {
   pending.insert(pending.end(),
                  std::make_move_iterator(req.points.begin()),
                  std::make_move_iterator(req.points.end()));
-  SessionNetActivity activity;
-  activity.frames_received = 1;
-  activity.bytes_in = kFrameHeaderBytes + payload.size();
-  activity.queue_depth = pending.size();
-  service_->RecordNetwork(req.session_id, activity);
   // Coalesce stage ends here; the early batch cut below is accounted to
   // the process stage by ProcessPending itself.
   coalesce.set_units(frame_points);
@@ -697,7 +669,6 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
   // chunk would shift the whole remainder every iteration, turning one
   // large coalesced backlog into quadratic work inside the event loop.
   std::size_t pos = 0;
-  bool ok = true;
   const std::size_t batch_points =
       config_.batch_points == 0 ? 1 : config_.batch_points;
   while (pending.size() - pos >= (all ? 1 : batch_points)) {
@@ -751,8 +722,10 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
       SendError(conn, MsgType::kIngest, ErrorCode::kIngestFailed,
                 "Ingest('" + id + "') failed at the service");
       conn.want_close = true;
-      ok = false;
-      break;
+      // The session's stream ends at the refused chunk: processing the
+      // points queued behind it would advance the detector past a hole.
+      pending.clear();
+      return false;
     }
     ++stats_.batches_run;
     stats_.points_ingested += n;
@@ -792,14 +765,11 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
       const std::string payload = EncodeVerdicts(resp);
       encode.Commit();
       Enqueue(conn, MsgType::kVerdicts, payload);
-      SessionNetActivity activity;
-      activity.bytes_out = kFrameHeaderBytes + payload.size();
-      service_->RecordNetwork(id, activity);
       begin = end;
     }
   }
   pending.erase(pending.begin(), pending.begin() + static_cast<long>(pos));
-  return ok;
+  return true;
 }
 
 void Reactor::FlushAllPending() {
@@ -815,10 +785,6 @@ void Reactor::FlushAllPending() {
 
 // ---------------------------------------------------------------- writes --
 
-std::uint8_t Reactor::ReplyVersion(const Conn& conn) const {
-  return std::min(conn.peer_version, config_.wire_version);
-}
-
 bool Reactor::RequireAttached(Conn& conn, MsgType request,
                               const std::string& id) {
   auto owner = session_owner_.find(id);
@@ -831,7 +797,7 @@ bool Reactor::RequireAttached(Conn& conn, MsgType request,
 }
 
 void Reactor::Enqueue(Conn& conn, MsgType type, const std::string& payload) {
-  conn.outbuf.append(EncodeFrame(type, payload, ReplyVersion(conn)));
+  conn.outbuf.append(EncodeFrame(type, payload));
   ++stats_.frames_sent;
   TryFlush(conn);
   UpdateBackpressure(conn);
@@ -849,10 +815,12 @@ void Reactor::SendError(Conn& conn, MsgType request, ErrorCode code,
   resp.request_type = static_cast<std::uint8_t>(request);
   resp.code = code;
   resp.message = message;
-  // The kError payload layout follows the frame version (a v2 peer gets
-  // the code-less v2 layout), which is why the encode and the Enqueue
-  // below must agree on ReplyVersion.
-  Enqueue(conn, MsgType::kError, EncodeError(resp, ReplyVersion(conn)));
+  // Refusals are rare, so the by-name counter lookup stays off every hot
+  // path.
+  obs_.GetCounter(std::string("refusals{code=\"") + ErrorCodeName(code) +
+                  "\"}")
+      ->Inc();
+  Enqueue(conn, MsgType::kError, EncodeError(resp));
 }
 
 void Reactor::TryFlush(Conn& conn) {
@@ -916,11 +884,6 @@ void Reactor::UpdateBackpressure(Conn& conn) {
   if (!conn.paused && queued > config_.max_output_bytes) {
     conn.paused = true;
     ++stats_.backpressure_stalls;
-    SessionNetActivity activity;
-    activity.backpressure_stalls = 1;
-    for (const std::string& id : conn.sessions) {
-      service_->RecordNetwork(id, activity);
-    }
   } else if (conn.paused && queued < config_.max_output_bytes / 2) {
     conn.paused = false;
   }

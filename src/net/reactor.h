@@ -120,11 +120,6 @@ class Reactor {
     bool want_close = false;  // close once outbuf drains
     bool poll_read = true;    // interest currently registered
     bool poll_write = false;
-    /// Highest frame version this peer has demonstrated (monotone,
-    /// starts at the floor). Replies go out stamped — and kError laid
-    /// out — at min(peer_version, config.wire_version), so a v2 client
-    /// keeps receiving v2-dialect frames from a v3 server.
-    std::uint8_t peer_version = kMinWireVersion;
     /// Sessions attached to (and exclusively owned by) this connection.
     std::vector<std::string> sessions;
     /// Per-session coalescing buffers, ordered for deterministic
@@ -146,6 +141,8 @@ class Reactor {
   bool HandleIngest(Conn& conn, const std::string& payload);
   /// Runs `conn`'s pending points for `id` through the service in
   /// batch_points chunks; `all` also processes the sub-batch remainder.
+  /// A refused chunk discards every point still pending for `id`, so
+  /// nothing after it is ever processed.
   bool ProcessPending(Conn& conn, const std::string& id, bool all);
   /// End-of-turn flush: processes every connection's remaining pending
   /// points (whatever arrived together in this turn is the batch).
@@ -161,14 +158,13 @@ class Reactor {
   /// of every loop turn — a few-KB copy, far off the per-point path.
   void PublishMetrics();
 
-  /// The version this connection's replies are stamped with:
-  /// min(peer_version, config.wire_version).
-  std::uint8_t ReplyVersion(const Conn& conn) const;
   /// True when `id` is attached to exactly this connection; otherwise a
   /// kError(kNotAttached) naming the session is queued and false returns.
   bool RequireAttached(Conn& conn, MsgType request, const std::string& id);
   void Enqueue(Conn& conn, MsgType type, const std::string& payload);
   void SendOk(Conn& conn, MsgType request);
+  /// Every refusal goes through here, counted per code as
+  /// `refusals{code="<ErrorCodeName>"}`.
   void SendError(Conn& conn, MsgType request, ErrorCode code,
                  const std::string& message);
   /// Non-blocking write of the connection's output queue, measured as the
@@ -253,8 +249,9 @@ class Reactor {
   std::array<StageSinks, static_cast<std::size_t>(obs::TraceStage::kWrite) + 1>
       stages_;
   /// Process-level gauges (RSS, fds, uptime) are refreshed by reactor 0
-  /// only, at most every ~500 ms — /proc reads are cheap but not free.
-  std::int64_t last_process_gauges_us_ = 0;
+  /// only, on its first publish and then at most every ~500 ms — /proc
+  /// reads are cheap but not free. Negative until the first refresh.
+  std::int64_t last_process_gauges_us_ = -1;
 };
 
 }  // namespace net

@@ -22,15 +22,6 @@ struct SpotServerConfig {
 
   int backlog = 64;
 
-  /// Highest wire protocol version this server speaks (DESIGN.md Section
-  /// 11). The default is the current kWireVersion; setting 2 emulates a
-  /// v2-era server for the negotiation tests — the v3 request types
-  /// (kFeedback, kQueryTopK) are then refused with a cause instead of
-  /// serviced, and every reply is stamped (and kError laid out) in the
-  /// v2 dialect. Replies to a given connection always use
-  /// min(this, highest version the peer has demonstrated).
-  std::uint8_t wire_version = kWireVersion;
-
   /// Event-loop shards (DESIGN.md Section 8): each reactor runs its own
   /// epoll/poll loop on its own thread over its own connections, with its
   /// own SpotService shard. Verdicts never depend on the setting — a
@@ -109,9 +100,10 @@ struct SpotServerConfig {
   bool profile_counters = false;
 };
 
-/// Event-loop counters. Each reactor owns one instance, written only by
-/// its loop thread; read a reactor's stats after its loop exited (or
-/// between manually driven turns), and totals via SpotServer::stats().
+/// Event-loop counters — the server's only transport counters. Each
+/// reactor owns one instance, written only by its loop thread; read a
+/// reactor's stats after its loop exited (or between manually driven
+/// turns), and totals via SpotServer::stats().
 struct SpotServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -127,10 +119,6 @@ struct SpotServerStats {
   /// Times this reactor's listener was paused by an fd-exhausted accept
   /// (EMFILE/ENFILE) — strictly per-reactor, see Reactor::AcceptReady.
   std::uint64_t listener_pauses = 0;
-  /// Plausible-but-unsupported request types answered with a
-  /// kError(kUnsupportedRequest) — the version-negotiation escape hatch.
-  /// Deliberately NOT a protocol error: the connection stays open.
-  std::uint64_t unsupported_requests = 0;
 
   /// Counter-wise sum (for aggregating per-reactor stats into a total).
   void Add(const SpotServerStats& other) {
@@ -146,7 +134,6 @@ struct SpotServerStats {
     batches_run += other.batches_run;
     points_ingested += other.points_ingested;
     listener_pauses += other.listener_pauses;
-    unsupported_requests += other.unsupported_requests;
   }
 };
 

@@ -93,7 +93,7 @@ bool SpotClient::SendFrame(MsgType type, const std::string& payload) {
                 "match a server with a raised cap)");
     return false;
   }
-  const std::string wire = EncodeFrame(type, payload, wire_version_);
+  const std::string wire = EncodeFrame(type, payload);
   std::size_t off = 0;
   while (off < wire.size()) {
     // Non-blocking sends, draining inbound verdicts whenever the socket
@@ -146,227 +146,106 @@ bool SpotClient::StashVerdicts(const Frame& frame) {
   return true;
 }
 
-bool SpotClient::RecordServerError(const Frame& frame, MsgType request) {
+void SpotClient::RecordServerError(const Frame& frame) {
   ErrorResp resp;
-  if (!DecodeError(frame.payload, &resp, frame.version)) {
+  if (!DecodeError(frame.payload, &resp)) {
     FailTransport("malformed error frame from server");
-    return false;
+    return;
   }
   last_error_ = resp.message;
   last_code_ = resp.code;
-  // Graceful degradation against pre-v3 servers (the kStats pattern,
-  // DESIGN.md Section 11): a v2-layout refusal carries no code, but a
-  // v2-dialect error answering a v3-only request *means* the request
-  // type is beyond the server — surface it as the code the server would
-  // have sent had it spoken v3.
-  if (frame.version < 3 && last_code_ == ErrorCode::kUnknown &&
-      (request == MsgType::kFeedback || request == MsgType::kQueryTopK)) {
-    last_code_ = ErrorCode::kUnsupportedRequest;
+}
+
+SpotClient::Decoded SpotClient::NextReply(Frame* frame) {
+  while (true) {
+    const FrameDecoder::Status status = decoder_.Next(frame);
+    if (status == FrameDecoder::Status::kNeedMore) return Decoded::kNeedMore;
+    if (status == FrameDecoder::Status::kCorrupt) {
+      FailTransport("corrupt frame from server: " + decoder_.error());
+      return Decoded::kFailed;
+    }
+    if (frame->type == MsgType::kVerdicts) {
+      if (!StashVerdicts(*frame)) return Decoded::kFailed;
+      continue;
+    }
+    if (frame->type == MsgType::kError) {
+      // Report the server's refusal whichever request it blames (an
+      // ingest error surfaces at the next barrier).
+      RecordServerError(*frame);
+      return Decoded::kFailed;
+    }
+    return Decoded::kReply;
+  }
+}
+
+bool SpotClient::AwaitReply(MsgType reply_type, Frame* reply) {
+  if (fd_ < 0) {
+    if (last_error_.empty()) FailTransport("not connected");
+    return false;
+  }
+  char buf[65536];
+  while (true) {
+    switch (NextReply(reply)) {
+      case Decoded::kFailed:
+        return false;
+      case Decoded::kReply:
+        if (reply->type == reply_type) return true;
+        FailTransport("unexpected frame type from server");
+        return false;
+      case Decoded::kNeedMore:
+        break;
+    }
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n == 0) {
+      FailTransport("server closed the connection");
+      return false;
+    }
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      FailTransport(std::string("recv(): ") + std::strerror(errno));
+      return false;
+    }
+    bytes_received_ += static_cast<std::uint64_t>(n);
+    decoder_.Append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+bool SpotClient::AwaitOk(MsgType request) {
+  Frame frame;
+  if (!AwaitReply(MsgType::kOk, &frame)) return false;
+  OkResp resp;
+  if (!DecodeOk(frame.payload, &resp) ||
+      resp.request_type != static_cast<std::uint8_t>(request)) {
+    FailTransport("out-of-order Ok from server");
+    return false;
   }
   return true;
 }
 
-bool SpotClient::ConsumeFrames(MsgType request, bool* done, bool* ok) {
-  Frame frame;
-  while (true) {
-    const FrameDecoder::Status status = decoder_.Next(&frame);
-    if (status == FrameDecoder::Status::kNeedMore) return true;
-    if (status == FrameDecoder::Status::kCorrupt) {
-      FailTransport("corrupt frame from server: " + decoder_.error());
-      return false;
-    }
-    switch (frame.type) {
-      case MsgType::kVerdicts:
-        if (!StashVerdicts(frame)) return false;
-        break;
-      case MsgType::kOk: {
-        OkResp resp;
-        if (!DecodeOk(frame.payload, &resp) ||
-            resp.request_type != static_cast<std::uint8_t>(request)) {
-          FailTransport("out-of-order Ok from server");
-          return false;
-        }
-        *done = true;
-        *ok = true;
-        return true;
-      }
-      case MsgType::kError: {
-        // Report the server's refusal whichever request it blames (an
-        // ingest error surfaces at the next barrier).
-        if (!RecordServerError(frame, request)) return false;
-        *done = true;
-        *ok = false;
-        return true;
-      }
-      default:
-        FailTransport("unexpected frame type from server");
-        return false;
-    }
-  }
-}
-
-bool SpotClient::ConsumeStatsFrames(StatsResp* out, bool* done, bool* ok) {
-  Frame frame;
-  while (true) {
-    const FrameDecoder::Status status = decoder_.Next(&frame);
-    if (status == FrameDecoder::Status::kNeedMore) return true;
-    if (status == FrameDecoder::Status::kCorrupt) {
-      FailTransport("corrupt frame from server: " + decoder_.error());
-      return false;
-    }
-    switch (frame.type) {
-      case MsgType::kVerdicts:
-        if (!StashVerdicts(frame)) return false;
-        break;
-      case MsgType::kStatsResp:
-        if (!DecodeStats(frame.payload, out)) {
-          FailTransport("malformed stats frame from server");
-          return false;
-        }
-        *done = true;
-        *ok = true;
-        return true;
-      case MsgType::kError: {
-        if (!RecordServerError(frame, MsgType::kStats)) return false;
-        *done = true;
-        *ok = false;
-        return true;
-      }
-      default:
-        FailTransport("unexpected frame type from server");
-        return false;
-    }
-  }
-}
-
-bool SpotClient::ConsumeTraceFrames(std::string* json, bool* done,
-                                    bool* ok) {
-  Frame frame;
-  while (true) {
-    const FrameDecoder::Status status = decoder_.Next(&frame);
-    if (status == FrameDecoder::Status::kNeedMore) return true;
-    if (status == FrameDecoder::Status::kCorrupt) {
-      FailTransport("corrupt frame from server: " + decoder_.error());
-      return false;
-    }
-    switch (frame.type) {
-      case MsgType::kVerdicts:
-        if (!StashVerdicts(frame)) return false;
-        break;
-      case MsgType::kTraceResp:
-        // The payload IS the Chrome-trace JSON document — no codec.
-        *json = std::move(frame.payload);
-        *done = true;
-        *ok = true;
-        return true;
-      case MsgType::kError: {
-        if (!RecordServerError(frame, MsgType::kTraceDump)) return false;
-        *done = true;
-        *ok = false;
-        return true;
-      }
-      default:
-        FailTransport("unexpected frame type from server");
-        return false;
-    }
-  }
-}
-
-bool SpotClient::ConsumeTopKFrames(const std::string& id,
-                                   std::vector<TopKEntry>* out, bool* done,
-                                   bool* ok) {
-  Frame frame;
-  while (true) {
-    const FrameDecoder::Status status = decoder_.Next(&frame);
-    if (status == FrameDecoder::Status::kNeedMore) return true;
-    if (status == FrameDecoder::Status::kCorrupt) {
-      FailTransport("corrupt frame from server: " + decoder_.error());
-      return false;
-    }
-    switch (frame.type) {
-      case MsgType::kVerdicts:
-        if (!StashVerdicts(frame)) return false;
-        break;
-      case MsgType::kTopKResp: {
-        TopKResp resp;
-        if (!DecodeTopK(frame.payload, &resp) || resp.session_id != id) {
-          FailTransport("malformed top-k frame from server");
-          return false;
-        }
-        *out = std::move(resp.entries);
-        *done = true;
-        *ok = true;
-        return true;
-      }
-      case MsgType::kError: {
-        if (!RecordServerError(frame, MsgType::kQueryTopK)) return false;
-        *done = true;
-        *ok = false;
-        return true;
-      }
-      default:
-        FailTransport("unexpected frame type from server");
-        return false;
-    }
-  }
-}
-
 RpcStatus SpotClient::TraceDump(std::string* json) {
   json->clear();
-  if (!SendFrame(MsgType::kTraceDump, std::string())) return Finish(false);
-  if (fd_ < 0) {
-    if (last_error_.empty()) FailTransport("not connected");
+  Frame frame;
+  if (!SendFrame(MsgType::kTraceDump, std::string()) ||
+      !AwaitReply(MsgType::kTraceResp, &frame)) {
     return Finish(false);
   }
-  bool done = false;
-  bool ok = false;
-  if (!ConsumeTraceFrames(json, &done, &ok)) return Finish(false);
-  char buf[65536];
-  while (!done) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) {
-      FailTransport("server closed the connection");
-      return Finish(false);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      FailTransport(std::string("recv(): ") + std::strerror(errno));
-      return Finish(false);
-    }
-    bytes_received_ += static_cast<std::uint64_t>(n);
-    decoder_.Append(buf, static_cast<std::size_t>(n));
-    if (!ConsumeTraceFrames(json, &done, &ok)) return Finish(false);
-  }
-  return Finish(ok);
+  // The payload IS the Chrome-trace JSON document — no codec.
+  *json = std::move(frame.payload);
+  return RpcStatus::Success();
 }
 
 RpcStatus SpotClient::Stats(StatsResp* out) {
   *out = StatsResp{};
-  if (!SendFrame(MsgType::kStats, std::string())) return Finish(false);
-  if (fd_ < 0) {
-    if (last_error_.empty()) FailTransport("not connected");
+  Frame frame;
+  if (!SendFrame(MsgType::kStats, std::string()) ||
+      !AwaitReply(MsgType::kStatsResp, &frame)) {
     return Finish(false);
   }
-  bool done = false;
-  bool ok = false;
-  if (!ConsumeStatsFrames(out, &done, &ok)) return Finish(false);
-  char buf[65536];
-  while (!done) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) {
-      FailTransport("server closed the connection");
-      return Finish(false);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      FailTransport(std::string("recv(): ") + std::strerror(errno));
-      return Finish(false);
-    }
-    bytes_received_ += static_cast<std::uint64_t>(n);
-    decoder_.Append(buf, static_cast<std::size_t>(n));
-    if (!ConsumeStatsFrames(out, &done, &ok)) return Finish(false);
+  if (!DecodeStats(frame.payload, out)) {
+    FailTransport("malformed stats frame from server");
+    return Finish(false);
   }
-  return Finish(ok);
+  return RpcStatus::Success();
 }
 
 RpcStatus SpotClient::TopK(const std::string& id, std::uint32_t k,
@@ -375,33 +254,18 @@ RpcStatus SpotClient::TopK(const std::string& id, std::uint32_t k,
   QueryTopKReq req;
   req.session_id = id;
   req.k = k;
-  if (!SendFrame(MsgType::kQueryTopK, EncodeQueryTopK(req))) {
+  Frame frame;
+  if (!SendFrame(MsgType::kQueryTopK, EncodeQueryTopK(req)) ||
+      !AwaitReply(MsgType::kTopKResp, &frame)) {
     return Finish(false);
   }
-  if (fd_ < 0) {
-    if (last_error_.empty()) FailTransport("not connected");
+  TopKResp resp;
+  if (!DecodeTopK(frame.payload, &resp) || resp.session_id != id) {
+    FailTransport("malformed top-k frame from server");
     return Finish(false);
   }
-  bool done = false;
-  bool ok = false;
-  if (!ConsumeTopKFrames(id, out, &done, &ok)) return Finish(false);
-  char buf[65536];
-  while (!done) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) {
-      FailTransport("server closed the connection");
-      return Finish(false);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      FailTransport(std::string("recv(): ") + std::strerror(errno));
-      return Finish(false);
-    }
-    bytes_received_ += static_cast<std::uint64_t>(n);
-    decoder_.Append(buf, static_cast<std::size_t>(n));
-    if (!ConsumeTopKFrames(id, out, &done, &ok)) return Finish(false);
-  }
-  return Finish(ok);
+  *out = std::move(resp.entries);
+  return RpcStatus::Success();
 }
 
 bool SpotClient::DrainPending() {
@@ -423,72 +287,24 @@ bool SpotClient::DrainPending() {
     bytes_received_ += static_cast<std::uint64_t>(n);
     decoder_.Append(buf, static_cast<std::size_t>(n));
   }
-  // Only verdict frames can legitimately be in flight outside a barrier;
-  // an Ok/Error here would be out of order and fails the transport. The
-  // frames that arrived are decoded before a lost transport is reported:
-  // a refusal the server sent just before closing keeps its code and cause.
+  // Only verdict runs can legitimately be in flight outside a barrier.
+  // The frames that arrived are decoded before a lost transport is
+  // reported: a refusal the server sent just before closing keeps its
+  // code and cause.
   Frame frame;
-  while (true) {
-    const FrameDecoder::Status status = decoder_.Next(&frame);
-    if (status == FrameDecoder::Status::kNeedMore) {
+  switch (NextReply(&frame)) {
+    case Decoded::kNeedMore:
       if (lost.empty()) return true;
       FailTransport(lost);
       return false;
-    }
-    if (status == FrameDecoder::Status::kCorrupt) {
-      FailTransport("corrupt frame from server: " + decoder_.error());
+    case Decoded::kFailed:
+      Disconnect();  // an asynchronous kError: the server closes on us
       return false;
-    }
-    if (frame.type == MsgType::kVerdicts) {
-      if (!StashVerdicts(frame)) return false;
-      continue;
-    }
-    if (frame.type == MsgType::kError) {
-      // An asynchronous refusal (the server is about to close on us):
-      // record its code + cause, then drop the transport.
-      ErrorResp resp;
-      if (DecodeError(frame.payload, &resp, frame.version)) {
-        last_error_ = resp.message;
-        last_code_ = resp.code == ErrorCode::kUnknown
-                         ? ErrorCode::kTransport
-                         : resp.code;
-      } else {
-        last_error_ = "malformed error frame from server";
-        last_code_ = ErrorCode::kTransport;
-      }
-      Disconnect();
-      return false;
-    }
-    FailTransport("unexpected frame type outside a barrier");
-    return false;
+    case Decoded::kReply:
+      break;
   }
-}
-
-bool SpotClient::AwaitResponse(MsgType request) {
-  if (fd_ < 0) {
-    if (last_error_.empty()) FailTransport("not connected");
-    return false;
-  }
-  bool done = false;
-  bool ok = false;
-  if (!ConsumeFrames(request, &done, &ok)) return false;
-  char buf[65536];
-  while (!done) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) {
-      FailTransport("server closed the connection");
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      FailTransport(std::string("recv(): ") + std::strerror(errno));
-      return false;
-    }
-    bytes_received_ += static_cast<std::uint64_t>(n);
-    decoder_.Append(buf, static_cast<std::size_t>(n));
-    if (!ConsumeFrames(request, &done, &ok)) return false;
-  }
-  return ok;
+  FailTransport("unexpected frame type outside a barrier");
+  return false;
 }
 
 RpcStatus SpotClient::CreateSession(
@@ -513,14 +329,14 @@ RpcStatus SpotClient::CreateSession(
   req.training = training;
   return Finish(
       SendFrame(MsgType::kCreateSession, EncodeCreateSession(req)) &&
-      AwaitResponse(MsgType::kCreateSession));
+      AwaitOk(MsgType::kCreateSession));
 }
 
 RpcStatus SpotClient::ResumeSession(const std::string& id) {
   ResumeSessionReq req{id};
   return Finish(
       SendFrame(MsgType::kResumeSession, EncodeResumeSession(req)) &&
-      AwaitResponse(MsgType::kResumeSession));
+      AwaitOk(MsgType::kResumeSession));
 }
 
 RpcStatus SpotClient::Ingest(const std::string& id,
@@ -550,13 +366,8 @@ RpcStatus SpotClient::Ingest(const std::string& id,
   return Finish(DrainPending());
 }
 
-RpcStatus SpotClient::Flush(const std::string& id,
-                            std::vector<SpotResult>* verdicts) {
-  FlushReq req{id};
-  if (!SendFrame(MsgType::kFlush, EncodeFlush(req)) ||
-      !AwaitResponse(MsgType::kFlush)) {
-    return Finish(false);
-  }
+void SpotClient::TakeStash(const std::string& id,
+                           std::vector<SpotResult>* verdicts) {
   auto it = stash_.find(id);
   if (it != stash_.end()) {
     if (verdicts != nullptr) {
@@ -566,13 +377,23 @@ RpcStatus SpotClient::Flush(const std::string& id,
     }
     stash_.erase(it);
   }
+}
+
+RpcStatus SpotClient::Flush(const std::string& id,
+                            std::vector<SpotResult>* verdicts) {
+  FlushReq req{id};
+  if (!SendFrame(MsgType::kFlush, EncodeFlush(req)) ||
+      !AwaitOk(MsgType::kFlush)) {
+    return Finish(false);
+  }
+  TakeStash(id, verdicts);
   return RpcStatus::Success();
 }
 
 RpcStatus SpotClient::Checkpoint(const std::string& id) {
   CheckpointReq req{id};
   return Finish(SendFrame(MsgType::kCheckpoint, EncodeCheckpoint(req)) &&
-                AwaitResponse(MsgType::kCheckpoint));
+                AwaitOk(MsgType::kCheckpoint));
 }
 
 RpcStatus SpotClient::Feedback(
@@ -598,25 +419,17 @@ RpcStatus SpotClient::Feedback(
   req.point_ids = point_ids;
   req.examples = examples;
   return Finish(SendFrame(MsgType::kFeedback, EncodeFeedback(req)) &&
-                AwaitResponse(MsgType::kFeedback));
+                AwaitOk(MsgType::kFeedback));
 }
 
 RpcStatus SpotClient::CloseSession(const std::string& id, bool persist,
                                    std::vector<SpotResult>* verdicts) {
   CloseSessionReq req{id, persist};
   if (!SendFrame(MsgType::kCloseSession, EncodeCloseSession(req)) ||
-      !AwaitResponse(MsgType::kCloseSession)) {
+      !AwaitOk(MsgType::kCloseSession)) {
     return Finish(false);
   }
-  auto it = stash_.find(id);
-  if (it != stash_.end()) {
-    if (verdicts != nullptr) {
-      verdicts->insert(verdicts->end(),
-                       std::make_move_iterator(it->second.begin()),
-                       std::make_move_iterator(it->second.end()));
-    }
-    stash_.erase(it);
-  }
+  TakeStash(id, verdicts);
   outstanding_.erase(id);  // the session is gone; drop its id queue
   return RpcStatus::Success();
 }

@@ -19,7 +19,7 @@ namespace net {
 /// SpotClient call returns the same shape — success, a machine-readable
 /// ErrorCode, and a human-readable cause — so callers branch on the code
 /// and never on message text. `code` distinguishes server refusals
-/// (carried on the wire by a v3 kError), client-side validation failures
+/// (carried on the wire by a kError), client-side validation failures
 /// (kInvalidArgument, nothing was sent) and transport breakage
 /// (kTransport, the connection is gone). Tests in boolean contexts as
 /// `if (!status)`; the explicit conversion keeps it out of arithmetic.
@@ -52,15 +52,6 @@ struct RpcStatus {
 /// the server confirms every pending point of the session was processed,
 /// and returns the session's verdicts accumulated since the last barrier,
 /// one per ingested point in point order.
-///
-/// Version negotiation (wire v3): the client stamps its frames with
-/// wire_version() (default kWireVersion) and decodes version-dependent
-/// payloads (kError) against the version of the frame that carried them.
-/// Against a server that lacks the v3 request types, Feedback() and
-/// TopK() degrade gracefully: the server's refusal comes back as a plain
-/// RpcStatus with code kUnsupportedRequest — whether the server said so
-/// explicitly (v3 layout) or implied it by refusing a v3-only request in
-/// a v2-layout error — and the connection stays usable.
 ///
 /// The client is single-threaded and not thread-safe; use one client per
 /// connection (the load generator runs one per worker thread).
@@ -104,39 +95,34 @@ class SpotClient {
   /// empty (blocks for the Ok).
   RpcStatus Checkpoint(const std::string& id = "");
 
-  /// (v3) Supervised feedback round: label previously ingested points by
-  /// id — they must still be retained in the session's top-k window
+  /// Supervised feedback round: label previously ingested points by id —
+  /// they must still be retained in the session's top-k window
   /// server-side — and/or submit fresh labeled outlier examples of the
   /// session's dimensionality. The server forces a batch boundary first,
   /// so the round lands at the same stream position an in-process caller
   /// would see, and the verdict stream stays bit-identical. Blocks for
-  /// the Ok; code kUnsupportedRequest against a pre-v3 server (the
-  /// connection stays usable).
+  /// the Ok.
   RpcStatus Feedback(const std::string& id,
                      const std::vector<std::uint64_t>& point_ids,
                      const std::vector<std::vector<double>>& examples);
 
-  /// (v3) Streaming top-k query: the session's k worst outliers in the
+  /// Streaming top-k query: the session's k worst outliers in the
   /// current (omega, epsilon)-decayed window, best first, with their
   /// outlying-subspace findings. Read-only server-side — interleaving
   /// queries never perturbs the verdict stream. Blocks for the
-  /// kTopKResp; code kUnsupportedRequest against a pre-v3 server.
+  /// kTopKResp.
   RpcStatus TopK(const std::string& id, std::uint32_t k,
                  std::vector<TopKEntry>* out);
 
   /// Scrapes the server's observability snapshot (blocks for the
   /// kStatsResp; interleaved verdicts are stashed as usual). Fails when
-  /// the server answers with an error or predates the kStats request —
-  /// servers older than the stats protocol treat the unknown type as
-  /// malformed and close the connection, so callers wanting a graceful
-  /// "unsupported" probe should scrape on a dedicated client.
+  /// the server answers with an error.
   RpcStatus Stats(StatsResp* out);
 
   /// Dumps the server's flight recorder (blocks for the kTraceResp;
   /// interleaved verdicts are stashed as usual). `json` receives the raw
   /// Chrome-trace JSON bytes. Fails with kTracingDisabled when the
-  /// recorder is off server-side. Same old-server caveat as Stats(): a
-  /// pre-v2 server closes the connection on the unknown request type.
+  /// recorder is off server-side.
   RpcStatus TraceDump(std::string* json);
 
   /// Closes the session on the server. Implies a flush of its pending
@@ -152,13 +138,6 @@ class SpotClient {
   void set_max_payload(std::size_t bytes) { max_payload_ = bytes; }
   std::size_t max_payload() const { return max_payload_; }
 
-  /// Version this client stamps its frames with (and therefore the
-  /// highest dialect a version-negotiating server will answer it in).
-  /// Default kWireVersion; the negotiation tests set 2 to impersonate a
-  /// v2-era client against a v3 server.
-  void set_wire_version(std::uint8_t version) { wire_version_ = version; }
-  std::uint8_t wire_version() const { return wire_version_; }
-
   /// Cause of the last failed call (empty when none) — the same string
   /// as the returned RpcStatus::cause, kept for log lines and tools.
   const std::string& last_error() const { return last_error_; }
@@ -171,30 +150,29 @@ class SpotClient {
  private:
   /// Writes one frame fully (blocking). False on a transport error.
   bool SendFrame(MsgType type, const std::string& payload);
-  /// Blocks until a kOk/kError for `request` arrives, stashing kVerdicts
-  /// frames seen on the way. False on kError (cause in last_error_,
-  /// code in last_code_) or a transport error.
-  bool AwaitResponse(MsgType request);
-  /// Non-blocking read: stashes any already-arrived frames.
+  /// Blocks until the reply to the request just sent arrives: verdict
+  /// runs on the way are stashed; a kError is recorded (cause in
+  /// last_error_, code in last_code_) and returns false, as does a
+  /// transport failure or any frame type other than `reply_type`. On true
+  /// `*reply` holds the reply frame for the caller to decode.
+  bool AwaitReply(MsgType reply_type, Frame* reply);
+  /// AwaitReply for the kOk answering `request`.
+  bool AwaitOk(MsgType request);
+  /// Non-blocking read: stashes any already-arrived verdict runs. A kError
+  /// here is asynchronous (the server closes after it): its code and
+  /// cause are recorded and the connection is dropped.
   bool DrainPending();
-  /// Parses every complete frame currently buffered. `done` is set when a
-  /// kOk/kError for `request` was consumed (pass kOk in `request_seen`).
-  bool ConsumeFrames(MsgType request, bool* done, bool* ok);
-  /// ConsumeFrames variant for the stats scrape: resolves on kStatsResp
-  /// (decoded into `out`) instead of kOk.
-  bool ConsumeStatsFrames(StatsResp* out, bool* done, bool* ok);
-  /// ConsumeFrames variant for the trace dump: resolves on kTraceResp
-  /// (raw JSON moved into `json`) instead of kOk.
-  bool ConsumeTraceFrames(std::string* json, bool* done, bool* ok);
-  /// ConsumeFrames variant for the top-k query: resolves on kTopKResp
-  /// for `id` (entries moved into `out`) instead of kOk.
-  bool ConsumeTopKFrames(const std::string& id,
-                         std::vector<TopKEntry>* out, bool* done, bool* ok);
+  enum class Decoded { kReply, kNeedMore, kFailed };
+  /// Decodes buffered frames, stashing verdict runs, until a reply frame
+  /// (kReply, in `*frame`), an empty buffer (kNeedMore) or a failure
+  /// (kFailed: a kError was recorded, or the transport failed).
+  Decoded NextReply(Frame* frame);
   bool StashVerdicts(const Frame& frame);
-  /// Decodes a kError frame against its version, records cause + code
-  /// (applying the v2-degradation mapping for `request`), and leaves the
-  /// connection open. False only when the frame itself is malformed.
-  bool RecordServerError(const Frame& frame, MsgType request);
+  /// Moves `id`'s stashed verdicts onto `verdicts` (nullptr discards).
+  void TakeStash(const std::string& id, std::vector<SpotResult>* verdicts);
+  /// Records a kError frame's cause + code; a malformed one fails the
+  /// transport.
+  void RecordServerError(const Frame& frame);
   void FailTransport(const std::string& what);
   void FailInvalid(const std::string& what);
   /// The RpcStatus for the bool the internal helpers produced.
@@ -202,7 +180,6 @@ class SpotClient {
 
   int fd_ = -1;
   std::size_t max_payload_ = kDefaultMaxPayloadBytes;
-  std::uint8_t wire_version_ = kWireVersion;
   FrameDecoder decoder_;
   std::string last_error_;
   ErrorCode last_code_ = ErrorCode::kUnknown;

@@ -463,28 +463,6 @@ bool SpotService::CloseSession(const std::string& id, bool persist) {
   return true;
 }
 
-void SpotService::FillNetStats(const Session& session, SpotStats* stats) {
-  stats->frames_received = session.net.frames_received;
-  stats->bytes_in = session.net.bytes_in;
-  stats->bytes_out = session.net.bytes_out;
-  stats->backpressure_stalls = session.net.backpressure_stalls;
-  stats->net_queue_peak = session.net.queue_depth;
-}
-
-bool SpotService::RecordNetwork(const std::string& id,
-                                const SessionNetActivity& delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  SessionNetActivity& net = it->second.net;
-  net.frames_received += delta.frames_received;
-  net.bytes_in += delta.bytes_in;
-  net.bytes_out += delta.bytes_out;
-  net.backpressure_stalls += delta.backpressure_stalls;
-  net.queue_depth = std::max(net.queue_depth, delta.queue_depth);
-  return true;
-}
-
 bool SpotService::GetMetrics(const std::string& id,
                              SessionMetrics* out) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -496,7 +474,6 @@ bool SpotService::GetMetrics(const std::string& id,
   out->on_disk = session.on_disk;
   out->stats = session.detector != nullptr ? session.detector->stats()
                                            : session.last_stats;
-  FillNetStats(session, &out->stats);
   out->batches_ingested = session.batches_ingested;
   out->evictions = session.evictions;
   out->reloads = session.reloads;
@@ -520,12 +497,6 @@ ServiceMetrics SpotService::TotalMetrics() const {
     total.drifts_detected += stats.drifts_detected;
     total.batches_ingested += session.batches_ingested;
     total.detection_seconds += stats.detection_seconds;
-    total.frames_received += session.net.frames_received;
-    total.bytes_in += session.net.bytes_in;
-    total.bytes_out += session.net.bytes_out;
-    total.backpressure_stalls += session.net.backpressure_stalls;
-    total.net_queue_peak =
-        std::max(total.net_queue_peak, session.net.queue_depth);
   }
   return total;
 }
@@ -597,11 +568,6 @@ void MergeServiceMetrics(ServiceMetrics* into, const ServiceMetrics& from) {
   into->reloads += from.reloads;
   into->checkpoints_written += from.checkpoints_written;
   into->detection_seconds += from.detection_seconds;
-  into->frames_received += from.frames_received;
-  into->bytes_in += from.bytes_in;
-  into->bytes_out += from.bytes_out;
-  into->backpressure_stalls += from.backpressure_stalls;
-  into->net_queue_peak = std::max(into->net_queue_peak, from.net_queue_peak);
 }
 
 }  // namespace spot

@@ -89,34 +89,11 @@ struct ServiceMetrics {
   std::uint64_t reloads = 0;
   std::uint64_t checkpoints_written = 0;
   double detection_seconds = 0.0;
-
-  /// Network-ingest aggregates over all sessions (see the matching
-  /// SpotStats fields): sums, except net_queue_peak which is the max.
-  std::uint64_t frames_received = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t backpressure_stalls = 0;
-  std::uint64_t net_queue_peak = 0;
 };
 
-/// Folds `from` into `into`, field by field: sums everywhere except
-/// net_queue_peak, which keeps the max (it is itself a peak). Used by the
+/// Folds `from` into `into` by summing every field. Used by the
 /// multi-reactor server to aggregate its per-reactor service shards.
 void MergeServiceMetrics(ServiceMetrics* into, const ServiceMetrics& from);
-
-/// One observation of a session's network activity, reported by the
-/// serving layer (src/net/spot_server.cc) after it handles traffic for the
-/// session. Counter fields are *deltas* accumulated into the session's
-/// running totals; `queue_depth` is an *observation* folded in as a peak.
-struct SessionNetActivity {
-  std::uint64_t frames_received = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t backpressure_stalls = 0;
-  /// Pending coalesced points observed for the session (max-folded into
-  /// SpotStats::net_queue_peak).
-  std::uint64_t queue_depth = 0;
-};
 
 /// Result of one Ingest call. `ok` is false when the session is unknown,
 /// its reload from disk failed, or the service could not admit it.
@@ -223,13 +200,6 @@ class SpotService {
   /// left as-is and the in-memory state is discarded.
   bool CloseSession(const std::string& id, bool persist = true);
 
-  /// Folds one round of network activity into `id`'s transport counters
-  /// (surfaced through the SpotStats fields of GetMetrics/TotalMetrics).
-  /// The counters live in the session registry — not the detector — so
-  /// they survive eviction, reload and kill/restore, and never leak into
-  /// checkpoints. False when `id` is unknown.
-  bool RecordNetwork(const std::string& id, const SessionNetActivity& delta);
-
   /// Per-session metrics; false when `id` is unknown.
   bool GetMetrics(const std::string& id, SessionMetrics* out) const;
 
@@ -276,8 +246,6 @@ class SpotService {
     std::uint64_t batches_ingested = 0;
     std::uint64_t evictions = 0;
     std::uint64_t reloads = 0;
-    /// Accumulated network counters (queue_depth holds the peak).
-    SessionNetActivity net;
 
     /// Journal binding (set once at create/open when the journal exists;
     /// survives eviction so lifecycle events keep their session tag).
@@ -295,10 +263,6 @@ class SpotService {
     std::uint64_t last_compactions = 0;
     std::uint64_t last_reclaimed = 0;
   };
-
-  /// Copies the session's accumulated network counters into the SpotStats
-  /// view reported by the metrics registry.
-  static void FillNetStats(const Session& session, SpotStats* stats);
 
   /// Shared body of both Ingest overloads (they differ only in the batch
   /// type SpotDetector::ProcessBatch accepts).

@@ -27,6 +27,7 @@
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <thread>
 #include <vector>
 
@@ -371,15 +372,42 @@ void SendAll(int fd, const std::string& bytes) {
   }
 }
 
-/// Blocks until the peer closes (returns true) — any payload received
-/// before the EOF is discarded.
-bool WaitForClose(int fd) {
+/// Blocks until the peer closes (returns true), collecting the frames it
+/// sent before the EOF into `frames` when non-null. False when the
+/// connection is still open after `timeout_ms`, or its bytes are not
+/// frames — so a server that fails to close cannot hang the test.
+bool WaitForClose(int fd, std::vector<Frame>* frames = nullptr,
+                  int timeout_ms = 5000) {
+  timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  FrameDecoder decoder;
   char buf[4096];
   while (true) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n == 0) return true;
-    if (n < 0 && errno != EINTR) return false;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    decoder.Append(buf, static_cast<std::size_t>(n));
+    Frame frame;
+    FrameDecoder::Status status;
+    while ((status = decoder.Next(&frame)) == FrameDecoder::Status::kFrame) {
+      if (frames != nullptr) frames->push_back(frame);
+    }
+    if (status == FrameDecoder::Status::kCorrupt) return false;
   }
+}
+
+/// The ErrorCode of the first kError among `frames` (kUnknown if none).
+ErrorCode FirstErrorCode(const std::vector<Frame>& frames) {
+  for (const Frame& frame : frames) {
+    ErrorResp resp;
+    if (frame.type == MsgType::kError && DecodeError(frame.payload, &resp)) {
+      return resp.code;
+    }
+  }
+  return ErrorCode::kUnknown;
 }
 
 TEST(NetRobustnessTest, GarbageClosesConnectionServerSurvives) {
@@ -461,6 +489,61 @@ TEST(NetRobustnessTest, IngestToUnknownSessionReportsErrorAndCloses) {
       << client.last_error();
   EXPECT_NE(client.last_error().find("ghost"), std::string::npos)
       << client.last_error();
+}
+
+// A refused chunk ends the session's stream on that connection: points
+// queued behind it in the same read are discarded, never processed past
+// the hole. One write carries a chunk of wrong-width points and a run of
+// good ones; the early batch cut (256) mixes them, the service refuses the
+// mix, and the 54 good points left over must not reach the detector.
+TEST(NetRobustnessTest, RefusedIngestProcessesNothingAfterIt) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
+  {
+    SpotClient setup;
+    ASSERT_TRUE(setup.Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(
+        setup.CreateSession("hole", SessionConfig(), TenantTraining(0)));
+  }
+
+  IngestReq bad;
+  bad.session_id = "hole";
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    bad.points.push_back(DataPoint{900000 + i, {0.1, 0.2, 0.3}});
+  }
+  IngestReq good;
+  good.session_id = "hole";
+  good.points = TenantPoints(0, 300);
+  const int raw = RawConnect(server.port());
+  SendAll(raw, EncodeFrame(MsgType::kResumeSession,
+                           EncodeResumeSession({"hole"})) +
+                   EncodeFrame(MsgType::kIngest, EncodeIngest(bad)) +
+                   EncodeFrame(MsgType::kIngest, EncodeIngest(good)));
+  std::vector<Frame> frames;
+  EXPECT_TRUE(WaitForClose(raw, &frames));
+  ::close(raw);
+  EXPECT_EQ(FirstErrorCode(frames), ErrorCode::kIngestFailed);
+  for (const Frame& frame : frames) {
+    EXPECT_NE(frame.type, MsgType::kVerdicts);
+  }
+  SessionMetrics m;
+  ASSERT_TRUE(server.service().GetMetrics("hole", &m));
+  EXPECT_EQ(m.stats.points_processed, 0u);
+
+  // A new connection resumes the session with no hole in its stream: its
+  // verdicts match a detector that never saw any of the refused write.
+  SpotService reference{SpotServiceConfig{}};
+  ASSERT_TRUE(
+      reference.CreateSession("hole", SessionConfig(), TenantTraining(0)));
+  const std::vector<DataPoint> next = TenantPoints(1, 32);
+  SpotClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.ResumeSession("hole")) << client.last_error();
+  std::vector<SpotResult> verdicts;
+  ASSERT_TRUE(client.Ingest("hole", next));
+  ASSERT_TRUE(client.Flush("hole", &verdicts)) << client.last_error();
+  const IngestResult ref = reference.Ingest("hole", next);
+  ASSERT_TRUE(ref.ok);
+  EXPECT_EQ(VerdictBytes(verdicts), VerdictBytes(ref.verdicts));
 }
 
 TEST(NetRobustnessTest, InvalidClientInputFailsFastWithoutTouchingWire) {
@@ -902,13 +985,9 @@ TEST(NetRobustnessTest, BackpressurePausesReadsAndRecovers) {
 
   server.StopAndJoin();
   EXPECT_GE(server.stats().backpressure_stalls, 1u);
-
-  SessionMetrics m;
-  ASSERT_TRUE(server.service().GetMetrics("slow", &m));
-  EXPECT_GE(m.stats.backpressure_stalls, 1u);
-  EXPECT_GT(m.stats.frames_received, 0u);
-  EXPECT_GT(m.stats.bytes_in, 0u);
-  EXPECT_GT(m.stats.bytes_out, 0u);
+  EXPECT_GT(server.stats().frames_received, 0u);
+  EXPECT_GT(server.stats().bytes_in, 0u);
+  EXPECT_GT(server.stats().bytes_out, 0u);
 }
 
 // Graceful shutdown: Stop() drains pending batches and checkpoints every
@@ -1748,79 +1827,33 @@ TEST(NetFeedbackTest, FeedbackAndTopKRequireAttachment) {
   EXPECT_EQ(verdicts.size(), 16u);
 }
 
-// ------------------------------------------------- version negotiation --
+// ------------------------------------------------------- one dialect --
 
-// Forward direction: a v2-era server (wire_version = 2) must refuse the
-// v3 request types with a machine-readable cause on the open connection —
-// never by closing it — and keep serving the v2 surface untouched.
-TEST(NetVersioningTest, V2ServerRefusesV3RequestsWithoutClosing) {
-  SpotServerConfig ncfg;
-  ncfg.wire_version = 2;
-  TestServer server(SpotServiceConfig{}, ncfg);
+// The request filter has two tiers: a known request type is served, any
+// other type is refused with kUnsupportedRequest and the connection
+// closes — including the unassigned values of the request range.
+TEST(NetVersioningTest, UnknownRequestTypeRefusedAndCloses) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
 
+  const int raw = RawConnect(server.port());
+  SendAll(raw, EncodeFrame(static_cast<MsgType>(11), ""));
+  std::vector<Frame> frames;
+  EXPECT_TRUE(WaitForClose(raw, &frames));
+  ::close(raw);
+  EXPECT_EQ(FirstErrorCode(frames), ErrorCode::kUnsupportedRequest);
+
+  // A well-behaved client on a fresh connection still gets full service.
   SpotClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(
-      client.CreateSession("v2", SessionConfig(), TenantTraining(0)))
+  ASSERT_TRUE(client.CreateSession("ok", SessionConfig(), TenantTraining(0)))
       << client.last_error();
-
-  // The v3 requests degrade to kUnsupportedRequest. The server replies in
-  // the v2 error layout (no code on the wire); the client derives the
-  // code from the refused request type.
-  std::vector<TopKEntry> top;
-  const RpcStatus q = client.TopK("v2", 4, &top);
-  EXPECT_FALSE(q.ok);
-  EXPECT_EQ(q.code, ErrorCode::kUnsupportedRequest);
-  EXPECT_NE(q.cause.find("not supported"), std::string::npos) << q.cause;
-  const RpcStatus fb = client.Feedback("v2", {}, {TenantTraining(0)[0]});
-  EXPECT_FALSE(fb.ok);
-  EXPECT_EQ(fb.code, ErrorCode::kUnsupportedRequest);
-
-  // Same connection, full v2 service before and after the refusals.
   std::vector<SpotResult> verdicts;
-  ASSERT_TRUE(client.Ingest("v2", TenantPoints(0, 32)));
-  ASSERT_TRUE(client.Flush("v2", &verdicts)) << client.last_error();
+  ASSERT_TRUE(client.Ingest("ok", TenantPoints(0, 32)));
+  ASSERT_TRUE(client.Flush("ok", &verdicts)) << client.last_error();
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_EQ(server.stats().unsupported_requests, 2u);
-  EXPECT_EQ(server.stats().protocol_errors, 0u);
-}
-
-// Reverse direction: a v2-era client against a v3 server. The server
-// caps every reply at the version the peer demonstrated, so the client
-// never sees a v3-layout payload it cannot parse — errors decode in the
-// v2 layout (code absent on the wire, kUnknown after decode) and the
-// connection survives them.
-TEST(NetVersioningTest, V3ServerSpeaksV2ToV2Clients) {
-  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
-
-  SpotClient client;
-  client.set_wire_version(2);
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-
-  const RpcStatus resume = client.ResumeSession("ghost");
-  EXPECT_FALSE(resume.ok);
-  // A v3 client would read kSessionUnknown; the v2 layout cannot carry
-  // the code, and ResumeSession is not a v3-only request, so no
-  // degradation mapping applies.
-  EXPECT_EQ(resume.code, ErrorCode::kUnknown);
-  EXPECT_NE(resume.cause.find("ghost"), std::string::npos) << resume.cause;
-
-  // The refusal cost nothing: the same v2 client gets full service.
-  ASSERT_TRUE(
-      client.CreateSession("old", SessionConfig(), TenantTraining(0)))
-      << client.last_error();
-  std::vector<SpotResult> verdicts;
-  ASSERT_TRUE(client.Ingest("old", TenantPoints(0, 32)));
-  ASSERT_TRUE(client.Flush("old", &verdicts)) << client.last_error();
-  EXPECT_EQ(verdicts.size(), 32u);
-
-  // A v3 client on the same server reads the full-fidelity code.
-  SpotClient modern;
-  ASSERT_TRUE(modern.Connect("127.0.0.1", server.port()));
-  EXPECT_FALSE(modern.ResumeSession("ghost"));
-  EXPECT_EQ(modern.last_code(), ErrorCode::kSessionUnknown);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
 }
 
 // Every server refusal carries its machine-readable code (the Section 11
@@ -1847,6 +1880,21 @@ TEST(NetVersioningTest, RefusalsCarryMachineReadableCodes) {
   ASSERT_TRUE(second.Connect("127.0.0.1", server.port()));
   EXPECT_FALSE(second.ResumeSession("dup"));
   EXPECT_EQ(second.last_code(), ErrorCode::kAttachedElsewhere);
+
+  // Every refusal is counted by its code: one each for the three above,
+  // and no other refusals family member.
+  StatsResp stats;
+  ASSERT_TRUE(client.Stats(&stats)) << client.last_error();
+  std::map<std::string, std::uint64_t> refusals;
+  for (const auto& [name, value] : stats.Merged().counters) {
+    if (name.rfind("refusals{", 0) == 0) refusals[name] = value;
+  }
+  const std::map<std::string, std::uint64_t> expected = {
+      {"refusals{code=\"attached_elsewhere\"}", 1},
+      {"refusals{code=\"session_exists\"}", 1},
+      {"refusals{code=\"session_unknown\"}", 1},
+  };
+  EXPECT_EQ(refusals, expected);
 }
 
 }  // namespace

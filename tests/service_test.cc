@@ -430,61 +430,7 @@ TEST(SpotServiceTest, RejectsWrongWidthPoints) {
   EXPECT_TRUE(service.Ingest("a", Chunk(TenantStream(0, 4, 9), 0, 4)).ok);
 }
 
-// The network transport counters live in the session registry — not the
-// detector — so they must accumulate across RecordNetwork calls, fold
-// queue depth as a peak, survive eviction + reload, and aggregate into
-// TotalMetrics without ever entering a checkpoint.
-TEST(SpotServiceTest, NetworkCountersSurfaceAndSurviveEviction) {
-  const std::string dir = MakeCheckpointDir("net");
-  SpotServiceConfig scfg;
-  scfg.checkpoint_dir = dir;
-  SpotService service(scfg);
-  ASSERT_TRUE(service.CreateSession("a", SessionConfig(), TenantTraining(0)));
-  ASSERT_TRUE(service.CreateSession("b", SessionConfig(), TenantTraining(1)));
-
-  SessionNetActivity delta;
-  delta.frames_received = 3;
-  delta.bytes_in = 1000;
-  delta.bytes_out = 500;
-  delta.queue_depth = 128;
-  ASSERT_TRUE(service.RecordNetwork("a", delta));
-  delta.queue_depth = 64;  // lower observation must not shrink the peak
-  delta.backpressure_stalls = 1;
-  ASSERT_TRUE(service.RecordNetwork("a", delta));
-  delta = SessionNetActivity{};
-  delta.frames_received = 1;
-  delta.bytes_in = 10;
-  ASSERT_TRUE(service.RecordNetwork("b", delta));
-  EXPECT_FALSE(service.RecordNetwork("ghost", delta));
-
-  SessionMetrics m;
-  ASSERT_TRUE(service.GetMetrics("a", &m));
-  EXPECT_EQ(m.stats.frames_received, 6u);
-  EXPECT_EQ(m.stats.bytes_in, 2000u);
-  EXPECT_EQ(m.stats.bytes_out, 1000u);
-  EXPECT_EQ(m.stats.backpressure_stalls, 1u);
-  EXPECT_EQ(m.stats.net_queue_peak, 128u);
-
-  // Evict + transparently reload: counters are registry state, not
-  // detector state, so they must be unchanged.
-  ASSERT_TRUE(service.Evict("a"));
-  ASSERT_TRUE(service.GetMetrics("a", &m));
-  EXPECT_EQ(m.stats.frames_received, 6u);
-  EXPECT_EQ(m.stats.net_queue_peak, 128u);
-  ASSERT_TRUE(service.Ingest("a", Chunk(TenantStream(0, 8, 2), 0, 8)).ok);
-  ASSERT_TRUE(service.GetMetrics("a", &m));
-  EXPECT_EQ(m.stats.frames_received, 6u);
-  EXPECT_EQ(m.stats.bytes_in, 2000u);
-
-  const ServiceMetrics total = service.TotalMetrics();
-  EXPECT_EQ(total.frames_received, 7u);
-  EXPECT_EQ(total.bytes_in, 2010u);
-  EXPECT_EQ(total.bytes_out, 1000u);
-  EXPECT_EQ(total.backpressure_stalls, 1u);
-  EXPECT_EQ(total.net_queue_peak, 128u);
-}
-
-TEST(SpotServiceTest, MergeServiceMetricsSumsAndKeepsPeakMax) {
+TEST(SpotServiceTest, MergeServiceMetricsSumsEveryField) {
   ServiceMetrics a;
   a.sessions = 2;
   a.resident_sessions = 1;
@@ -496,17 +442,11 @@ TEST(SpotServiceTest, MergeServiceMetricsSumsAndKeepsPeakMax) {
   a.reloads = 1;
   a.checkpoints_written = 4;
   a.detection_seconds = 0.5;
-  a.frames_received = 7;
-  a.bytes_in = 2010;
-  a.bytes_out = 1000;
-  a.backpressure_stalls = 1;
-  a.net_queue_peak = 128;
 
   ServiceMetrics b;
   b.sessions = 1;
   b.points_processed = 50;
   b.detection_seconds = 0.25;
-  b.net_queue_peak = 64;  // smaller peak must not win
 
   MergeServiceMetrics(&a, b);
   EXPECT_EQ(a.sessions, 3u);
@@ -517,14 +457,6 @@ TEST(SpotServiceTest, MergeServiceMetricsSumsAndKeepsPeakMax) {
   EXPECT_EQ(a.evictions, 2u);
   EXPECT_EQ(a.checkpoints_written, 4u);
   EXPECT_DOUBLE_EQ(a.detection_seconds, 0.75);
-  EXPECT_EQ(a.frames_received, 7u);
-  EXPECT_EQ(a.net_queue_peak, 128u);
-
-  ServiceMetrics c;
-  c.net_queue_peak = 512;  // larger peak replaces
-  MergeServiceMetrics(&a, c);
-  EXPECT_EQ(a.net_queue_peak, 512u);
-  EXPECT_EQ(a.points_processed, 150u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //                [--metrics-port P] [--stats-interval SECS]
 //                [--slow-batch-ms MS] [--log-level LEVEL]
 //                [--trace-capacity N] [--trace-file PATH]
-//                [--wire-version V] [--prof] [--prof-interval SECS]
+//                [--prof] [--prof-interval SECS]
 //
 // Observability (DESIGN.md Sections 9-10): --metrics-port serves the
 // live Prometheus text scrape — plus GET /trace (Chrome-trace JSON) and
@@ -115,11 +115,6 @@ int main(int argc, char** argv) {
   ncfg.use_reuseport = !spot::examples::TakeBoolFlag(&args, "no-reuseport");
   ncfg.batch_points = spot::examples::TakeSizeFlag(&args, "batch", 256);
   ncfg.use_epoll = !spot::examples::TakeBoolFlag(&args, "no-epoll");
-  // --wire-version 2 emulates a pre-feedback server: the v3 request
-  // types are refused with a kUnsupportedRequest cause and every reply
-  // is spoken in the v2 dialect (the negotiation tests drive this).
-  ncfg.wire_version = static_cast<std::uint8_t>(spot::examples::TakeSizeFlag(
-      &args, "wire-version", spot::net::kWireVersion));
   const std::string metrics_port_text =
       spot::examples::TakeStringFlag(&args, "metrics-port");
   if (!metrics_port_text.empty()) {
