@@ -1,6 +1,6 @@
 #include "grid/base_grid.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "core/checkpoint.h"
 
@@ -13,7 +13,8 @@ BaseGrid::BaseGrid(Partition partition, DecayModel model,
       prune_threshold_(prune_threshold),
       compaction_period_(compaction_period),
       total_(model_),
-      index_(static_cast<std::size_t>(partition_.num_dims())) {}
+      index_(static_cast<std::size_t>(partition_.num_dims()),
+             static_cast<std::uint32_t>(partition_.cells_per_dim())) {}
 
 void BaseGrid::Add(const std::vector<double>& point, std::uint64_t tick) {
   AddAt(partition_.BaseCell(point), point, tick);
@@ -63,8 +64,6 @@ std::vector<std::pair<const CellCoords*, const Bcs*>> BaseGrid::OrderedCells()
   index_.ForEach([&](const std::uint32_t*, std::uint32_t slot) {
     out.emplace_back(&cell_coords_[slot], &cell_bcs_[slot]);
   });
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
   return out;
 }
 
@@ -99,7 +98,8 @@ bool BaseGrid::LoadState(CheckpointReader& r) {
   cell_bcs_.reserve(reserve);
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     CellCoords coords = r.Coords();
-    if (coords.size() != static_cast<std::size_t>(partition_.num_dims())) {
+    if (coords.size() != static_cast<std::size_t>(partition_.num_dims()) ||
+        !partition_.InRange(coords)) {
       return r.Fail();
     }
     Bcs bcs;
@@ -118,8 +118,8 @@ bool BaseGrid::LoadState(CheckpointReader& r) {
 }
 
 std::size_t BaseGrid::Compact(std::uint64_t tick) {
-  // Two-pass: backward-shift erasure relocates inline keys, so collect the
-  // doomed coordinates first, then erase them.
+  // Two-pass: erase is not allowed during ForEach, so collect the doomed
+  // coordinates first, then erase them.
   std::vector<CellCoords> doomed;
   index_.ForEach([&](const std::uint32_t*, std::uint32_t slot) {
     if (cell_bcs_[slot].CountAt(tick, model_) < prune_threshold_) {

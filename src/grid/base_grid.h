@@ -88,11 +88,10 @@ class BaseGrid {
   const DecayModel& decay_model() const { return model_; }
 
   /// Every populated cell (coordinates + summary) in ascending coordinate
-  /// order. This is the ONLY iteration surface the grid exposes: callers
-  /// (checkpointing, tests, diagnostics) cannot observe — and so cannot
-  /// come to depend on — the index's internal hash order, which varies
-  /// with insertion/erase history and is never reproduced by a restore.
-  /// Pointers are valid until the next mutating call.
+  /// order — the index's iteration order, which does not depend on
+  /// insertion/erase history. This is the ONLY iteration surface the grid
+  /// exposes (checkpointing, tests, diagnostics). Pointers are valid until
+  /// the next mutating call.
   std::vector<std::pair<const CellCoords*, const Bcs*>> OrderedCells() const;
 
   /// Checkpointing: the populated cells (serialized in ascending coordinate

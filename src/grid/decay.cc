@@ -12,6 +12,7 @@ DecayModel::DecayModel(std::uint64_t omega, double epsilon) {
   omega_ = std::max<std::uint64_t>(1, omega);
   epsilon_ = std::clamp(epsilon, 1e-12, 0.999999);
   alpha_ = SolveAlpha(omega_, epsilon_);
+  powers_ = BuildPowers(alpha_);
 }
 
 DecayModel DecayModel::None() {
@@ -19,14 +20,19 @@ DecayModel DecayModel::None() {
   m.omega_ = 0;
   m.epsilon_ = 0.0;
   m.alpha_ = 1.0;
+  m.powers_ = BuildPowers(m.alpha_);  // all ones: pow(1, a) == 1 exactly
   return m;
 }
 
-double DecayModel::WeightAtAge(std::uint64_t age) const {
-  if (alpha_ >= 1.0) return 1.0;
-  // alpha^age via exp/log is precise enough and O(1); std::pow handles the
-  // integral exponent internally.
-  return std::pow(alpha_, static_cast<double>(age));
+std::shared_ptr<const DecayModel::Powers> DecayModel::BuildPowers(
+    double alpha) {
+  auto powers = std::make_shared<Powers>();
+  for (std::size_t a = 0; a < kPowersCached; ++a) {
+    // The very call WeightAtAge makes for larger ages, so a table read and
+    // a computed power never differ in a bit.
+    (*powers)[a] = std::pow(alpha, static_cast<double>(a));
+  }
+  return powers;
 }
 
 double DecayModel::SteadyStateWeight() const {

@@ -74,6 +74,16 @@ class Partition {
   /// Projects base-cell coordinates onto subspace `s` without re-quantizing.
   CellCoords ProjectBaseCell(const CellCoords& base, const Subspace& s) const;
 
+  /// Whether every coordinate is an interval index (< cells_per_dim). The
+  /// grids' checkpoint loaders refuse cells that fail this: their indices
+  /// address at most cells_per_dim cells per dimension.
+  bool InRange(const CellCoords& coords) const {
+    for (std::uint32_t c : coords) {
+      if (c >= static_cast<std::uint32_t>(cells_per_dim_)) return false;
+    }
+    return true;
+  }
+
  private:
   std::vector<double> lo_;
   std::vector<double> hi_;

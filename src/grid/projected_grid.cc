@@ -1,9 +1,9 @@
 #include "grid/projected_grid.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "core/checkpoint.h"
 
@@ -19,7 +19,8 @@ ProjectedGrid::ProjectedGrid(Subspace subspace, const Partition* partition,
       prune_threshold_(prune_threshold),
       compaction_period_(compaction_period),
       stride_(2 * subspace.Indices().size() + 2),
-      index_(subspace.Indices().size()) {
+      index_(subspace.Indices().size(),
+             static_cast<std::uint32_t>(partition->cells_per_dim())) {
   sigma_uniform_.reserve(dims_.size());
   for (int d : dims_) {
     sigma_uniform_.push_back(partition_->CellWidth(d) / std::sqrt(12.0));
@@ -209,12 +210,12 @@ Pcs ProjectedGrid::PcsFromRecord(const double* rec, double factor,
 
 bool ProjectedGrid::IsClusterFringe(const CellCoords& coords,
                                     double cell_count, double factor) const {
+  assert(coords.size() == dims_.size());
   const double heavy = factor * (cell_count > 1.0 ? cell_count : 1.0);
-  const std::uint32_t max_coord =
-      static_cast<std::uint32_t>(partition_->cells_per_dim() - 1);
-  auto neighbor_is_heavy = [&](const CellCoords& c) {
+  const std::int64_t max_coord = partition_->cells_per_dim() - 1;
+  auto neighbor_is_heavy = [&](const std::uint32_t* c) {
     ++hash_probes_;
-    const std::uint32_t slot = index_.Find(c.data(), index_.Hash(c));
+    const std::uint32_t slot = index_.Find(c, index_.Hash(c));
     if (slot == FlatIndex::kNoValue) return false;
     const double* rec = Record(slot);
     const std::uint64_t rec_tick = static_cast<std::uint64_t>(rec[TickOff()]);
@@ -224,19 +225,21 @@ bool ProjectedGrid::IsClusterFringe(const CellCoords& coords,
     return rec[kCount] * decay >= heavy;
   };
 
+  // Neighbor keys are built in stack arrays: a sparse cell's scan, run once
+  // per sparse (point, subspace) verdict, allocates nothing.
   const std::size_t n = coords.size();
   if (n <= 3) {
     // Full Moore neighborhood via odometer over {-1, 0, +1}^n.
-    std::vector<int> offset(n, -1);
+    int offset[3] = {-1, -1, -1};
+    std::uint32_t probe[3] = {};
     for (;;) {
       bool all_zero = true;
       bool in_range = true;
-      CellCoords probe(n);
       for (std::size_t i = 0; i < n; ++i) {
         if (offset[i] != 0) all_zero = false;
         const std::int64_t v =
             static_cast<std::int64_t>(coords[i]) + offset[i];
-        if (v < 0 || v > static_cast<std::int64_t>(max_coord)) {
+        if (v < 0 || v > max_coord) {
           in_range = false;
           break;
         }
@@ -255,27 +258,31 @@ bool ProjectedGrid::IsClusterFringe(const CellCoords& coords,
     return false;
   }
 
-  // High-dimensional subspaces: axis-aligned neighbors only.
+  // High-dimensional subspaces: axis-aligned neighbors only, probed by
+  // editing one coordinate of a single copy and restoring it afterwards.
+  std::uint32_t probe[Subspace::kMaxDimensions] = {};
+  std::copy(coords.begin(), coords.end(), probe);
   for (std::size_t i = 0; i < n; ++i) {
     for (int delta : {-1, 1}) {
       const std::int64_t v = static_cast<std::int64_t>(coords[i]) + delta;
-      if (v < 0 || v > static_cast<std::int64_t>(max_coord)) continue;
-      CellCoords probe = coords;
+      if (v < 0 || v > max_coord) continue;
       probe[i] = static_cast<std::uint32_t>(v);
       if (neighbor_is_heavy(probe)) return true;
     }
+    probe[i] = coords[i];
   }
   return false;
 }
 
 std::size_t ProjectedGrid::Compact(std::uint64_t tick) {
-  // Backward-shift erasure relocates inline keys, so the sweep is two-pass:
-  // decay every record, sum the survivors through their (still stable) key
-  // pointers, and only then erase the doomed cells — whose coordinates are
-  // the one thing that must be copied out.
+  // Decay every record, re-sum the survivors' squared counts exactly
+  // (cancelling accumulated floating-point drift), and collect the doomed
+  // cells; erase only after the walk. ForEach visits cells in ascending
+  // coordinate order, not in an order that depends on insertion/erase
+  // history (which a restore cannot reproduce), so the summation order —
+  // and the bit-identical-resume guarantee (DESIGN.md Section 4.3) — holds.
   std::vector<CellCoords> doomed;
-  std::vector<std::pair<const std::uint32_t*, double>> survivors;
-  survivors.reserve(index_.size());
+  double sumsq = 0.0;
   index_.ForEach([&](const std::uint32_t* key, std::uint32_t slot) {
     double* rec = Record(slot);
     DecayRecord(rec, tick);
@@ -283,23 +290,9 @@ std::size_t ProjectedGrid::Compact(std::uint64_t tick) {
       free_slots_.push_back(slot);
       doomed.emplace_back(key, key + index_.key_width());
     } else {
-      survivors.emplace_back(key, rec[kCount]);
+      sumsq += rec[kCount] * rec[kCount];
     }
   });
-  // Sweeping visits every cell anyway: recompute the squared-count sum
-  // exactly, cancelling any accumulated floating-point drift. The sum runs
-  // in sorted-coordinate order, NOT index iteration order: bucket order
-  // depends on insertion/erase history, which a checkpoint restore cannot
-  // reproduce, and a different FP summation order would break the
-  // bit-identical-resume guarantee (DESIGN.md Section 4.3).
-  const std::size_t width = index_.key_width();
-  std::sort(survivors.begin(), survivors.end(),
-            [width](const auto& a, const auto& b) {
-              return std::lexicographical_compare(
-                  a.first, a.first + width, b.first, b.first + width);
-            });
-  double sumsq = 0.0;
-  for (const auto& [key, count] : survivors) sumsq += count * count;
   sumsq_ = sumsq;
   sumsq_tick_ = tick;
   if (tick > last_tick_) last_tick_ = tick;
@@ -316,19 +309,12 @@ void ProjectedGrid::SaveState(CheckpointWriter& w) const {
   w.F64(sumsq_);
   w.U64(sumsq_tick_);
   w.U64(hash_probes_);
-  std::vector<std::pair<CellCoords, std::uint32_t>> order;
-  order.reserve(index_.size());
+  w.U64(index_.size());
   index_.ForEach([&](const std::uint32_t* key, std::uint32_t slot) {
-    order.emplace_back(CellCoords(key, key + index_.key_width()), slot);
-  });
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.U64(order.size());
-  for (const auto& [coords, slot] : order) {
-    w.Coords(coords);
+    w.Coords(CellCoords(key, key + index_.key_width()));
     const double* rec = Record(slot);
     for (std::size_t i = 0; i < stride_; ++i) w.F64(rec[i]);
-  }
+  });
 }
 
 bool ProjectedGrid::LoadState(CheckpointReader& r) {
@@ -354,7 +340,9 @@ bool ProjectedGrid::LoadState(CheckpointReader& r) {
   // therefore every later sorted-order fold — is deterministic.
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     CellCoords coords = r.Coords();
-    if (coords.size() != dims_.size()) return r.Fail();
+    if (coords.size() != dims_.size() || !partition_->InRange(coords)) {
+      return r.Fail();
+    }
     const std::uint32_t slot = static_cast<std::uint32_t>(i);
     slab_.resize(slab_.size() + stride_);
     double* rec = Record(slot);

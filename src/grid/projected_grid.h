@@ -26,10 +26,12 @@ class CheckpointWriter;
 ///
 ///     [count, ls[0..k), ss[0..k), last_tick]     (stride = 2k + 2)
 ///
-/// indexed by a FlatIndex (open-addressing CellCoords -> slot table with
-/// inline keys, DESIGN.md Section 3.9), with a free list recycling the
-/// slots of pruned cells. Cell updates and queries therefore touch one
-/// contiguous record and never allocate per cell (DESIGN.md Section 3.5).
+/// indexed by a FlatIndex (CellCoords -> slot: a plain array when the
+/// subspace has at most FlatIndex::kDirectMaxCells cells, else an
+/// open-addressing table with inline keys, DESIGN.md Section 3.9), with a
+/// free list recycling the slots of pruned cells. Cell updates and queries
+/// therefore touch one contiguous record and never allocate per cell
+/// (DESIGN.md Section 3.5).
 /// Ticks are stored as doubles, exact for streams shorter than 2^53 points.
 ///
 /// The batch probe pipeline: callers that update many grids per point (the
@@ -85,7 +87,8 @@ class ProjectedGrid {
     }
   }
 
-  /// Pass 1: hashes caller-projected coordinates once and prefetches their
+  /// Pass 1: hashes caller-projected coordinates once (FlatIndex::Hash —
+  /// the cell id when the index is direct-addressed) and prefetches their
   /// home bucket. Returns the hash for the matching AddAndQueryCoords call.
   /// Purely a cache hint — performs no probe and bumps no counter.
   std::uint64_t PrefetchCoords(const CellCoords& coords) const {
@@ -138,7 +141,8 @@ class ProjectedGrid {
   ///
   /// The full Moore neighborhood (3^|s|-1 probes) is scanned for subspaces
   /// of dimension <= 3; beyond that only axis-aligned neighbors (2|s|) are
-  /// probed to bound the cost.
+  /// probed to bound the cost. `coords` has this grid's width; the scan
+  /// allocates nothing.
   bool IsClusterFringe(const CellCoords& coords, double cell_count,
                        double factor) const;
 
@@ -150,10 +154,12 @@ class ProjectedGrid {
   /// Slots currently on the free list, awaiting recycling.
   std::size_t FreeSlots() const { return free_slots_.size(); }
 
-  /// Cell-index hash probes performed so far (Add / Query / fused / fringe).
-  /// The fused path costs one probe per point where Add+Query costs two.
-  /// Prefetches are hints, not probes, and are not counted — the pipeline
-  /// leaves this trajectory identical to the unpipelined path.
+  /// Cell lookups performed so far (Add / Query / fused / fringe), hashed
+  /// and direct-addressed alike: the value is checkpointed, so it counts
+  /// lookups, not mixer calls. The fused path costs one probe per point
+  /// where Add+Query costs two. Prefetches are hints, not probes, and are
+  /// not counted — the pipeline leaves this trajectory identical to the
+  /// unpipelined path.
   std::uint64_t hash_probes() const { return hash_probes_; }
 
   /// Compaction sweeps run, and cells they reclaimed, since construction.

@@ -139,8 +139,8 @@ class SynapseManager {
   /// Compacts the base grid and every projected grid at `tick`.
   std::size_t CompactAll(std::uint64_t tick);
 
-  /// Cell-index hash probes performed by the tracked grids so far (see
-  /// ProjectedGrid::hash_probes); the E11 micro-bench and the hot-path
+  /// Cell lookups (hashed or direct) performed by the tracked grids so far
+  /// (see ProjectedGrid::hash_probes); the E11 micro-bench and the hot-path
   /// budget test read this to pin one probe per tracked subspace per point.
   std::uint64_t hash_probes() const;
 

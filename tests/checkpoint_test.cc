@@ -4,8 +4,9 @@
 // SpotStats counters — including checkpoints taken right before runs that
 // cross CS self-evolution, OS growth, drift-relearn and compaction
 // boundaries, and regardless of the shard count on either side of the
-// save/load — and that a save onto a full disk fails cleanly, keeping the
-// previous image. The ASan/UBSan CI job runs this binary.
+// save/load — that a save onto a full disk fails cleanly, keeping the
+// previous image, and that grid images with cells outside the partition are
+// refused. The ASan/UBSan CI job runs this binary.
 
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +25,8 @@
 #include "core/drift_detector.h"
 #include "core/reservoir.h"
 #include "eval/presets.h"
+#include "grid/base_grid.h"
+#include "grid/projected_grid.h"
 #include "stream/drift.h"
 #include "stream/synthetic.h"
 
@@ -457,6 +460,73 @@ TEST(CheckpointLayerTest, ReservoirRejectsCapacityMismatch) {
   std::istringstream in(out.str());
   CheckpointReader r(&in);
   EXPECT_FALSE(b.LoadState(r));
+}
+
+// One-cell grid images, written field by field in the layout the grids'
+// SaveState writes, holding the cell at `coords`.
+std::string ProjectedGridImage(const Subspace& s, const CellCoords& coords) {
+  std::ostringstream out;
+  CheckpointWriter w(&out);
+  w.U64(s.bits());
+  w.U64(7);    // last_tick
+  w.U64(0);    // arrivals_since_compaction
+  w.F64(1.0);  // sumsq
+  w.U64(7);    // sumsq_tick
+  w.U64(1);    // hash_probes
+  w.U64(1);    // cells
+  w.Coords(coords);
+  w.F64(1.0);  // record: count, ls[k], ss[k], tick
+  for (std::size_t i = 0; i < 2 * coords.size(); ++i) w.F64(0.5);
+  w.F64(7.0);
+  return out.str();
+}
+
+std::string BaseGridImage(const CellCoords& coords) {
+  std::ostringstream out;
+  CheckpointWriter w(&out);
+  w.U64(7);    // last_tick
+  w.U64(0);    // arrivals_since_compaction
+  w.F64(1.0);  // total weight counter: weight, last tick, seen
+  w.U64(7);
+  w.Bool(true);
+  w.U64(1);    // cells
+  w.Coords(coords);
+  w.F64(1.0);  // Bcs: count, tick, dims, ls[dims], ss[dims]
+  w.U64(7);
+  w.U64(coords.size());
+  for (std::size_t i = 0; i < 2 * coords.size(); ++i) w.F64(0.5);
+  return out.str();
+}
+
+TEST(CheckpointLayerTest, GridsRefuseCellCoordinatesOutsideThePartition) {
+  // Five cells per dimension: coordinate 4 is the last cell, 5 is past it.
+  // Width 1 and 2 grids are direct-addressed (5 and 25 keys); width 4 grids
+  // (625 keys) are hashed, and would silently keep such a cell.
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    const Partition part(static_cast<int>(width), 5, 0.0, 1.0);
+    std::vector<int> dims(width);
+    for (std::size_t d = 0; d < width; ++d) dims[d] = static_cast<int>(d);
+    const Subspace s = Subspace::FromIndices(dims);
+    for (const std::uint32_t coord : {4u, 5u, 0xFFFFFFFFu}) {
+      SCOPED_TRACE(testing::Message() << "width " << width << " coord "
+                                      << coord);
+      CellCoords coords(width, 0);
+      coords.back() = coord;
+      const bool valid = coord < 5;
+      ProjectedGrid projected(s, &part, DecayModel(100, 0.01));
+      std::istringstream pin(ProjectedGridImage(s, coords));
+      CheckpointReader pr(&pin);
+      EXPECT_EQ(projected.LoadState(pr), valid);
+      BaseGrid base(part, DecayModel(100, 0.01));
+      std::istringstream bin(BaseGridImage(coords));
+      CheckpointReader br(&bin);
+      EXPECT_EQ(base.LoadState(br), valid);
+      if (valid) {
+        EXPECT_EQ(projected.PopulatedCells(), 1u);
+        EXPECT_EQ(base.PopulatedCells(), 1u);
+      }
+    }
+  }
 }
 
 TEST(CheckpointLayerTest, PageHinkleyResumesAccumulatedStatistic) {

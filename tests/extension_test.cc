@@ -70,6 +70,24 @@ TEST(FringeHighDimTest, AxisNeighborsOnlyBeyondThreeDims) {
   for (int i = 0; i < 100; ++i) grid.Add({0.3, 0.3, 0.3, 0.3, 0.0}, t++);
   EXPECT_TRUE(grid.IsClusterFringe({2, 1, 1, 1}, 1.0, 8.0));
   EXPECT_FALSE(grid.IsClusterFringe({2, 2, 2, 2}, 1.0, 8.0));
+  // The heavy neighbor on the LAST axis: found only if the scan restores
+  // every coordinate it edited on the earlier axes.
+  EXPECT_TRUE(grid.IsClusterFringe({1, 1, 1, 2}, 1.0, 8.0));
+}
+
+TEST(FringeHighDimTest, FullMooreNeighborhoodAtThreeDims) {
+  // 5^3 = 125 cells: a direct-addressed grid. The heavy cell (1,1,1) is
+  // only a corner (diagonal) neighbor of (2,2,2) and (0,2,0), which the
+  // full Moore scan must see, and no neighbor of (3,3,3).
+  const Partition part(3, 5, 0.0, 1.0);
+  ProjectedGrid grid(Subspace::FromIndices({0, 1, 2}), &part,
+                     DecayModel::None());
+  std::uint64_t t = 0;
+  for (int i = 0; i < 100; ++i) grid.Add({0.3, 0.3, 0.3}, t++);
+  EXPECT_TRUE(grid.IsClusterFringe({2, 2, 2}, 1.0, 8.0));
+  EXPECT_TRUE(grid.IsClusterFringe({0, 2, 0}, 1.0, 8.0));
+  EXPECT_FALSE(grid.IsClusterFringe({3, 3, 3}, 1.0, 8.0));
+  EXPECT_FALSE(grid.IsClusterFringe({4, 4, 4}, 1.0, 8.0));
 }
 
 TEST(FringeDetectorTest, VetoReducesFalsePositivesOnClusterTails) {

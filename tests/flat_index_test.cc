@@ -1,8 +1,8 @@
 // Unit tests of the flat open-addressing synapse index (grid/flat_index.h):
 // rehash across the load-factor boundary, backward-shift deletion keeping
 // probe chains intact, collision-heavy keys, the interaction with the
-// ProjectedGrid slab free list, and a randomized differential check against
-// std::unordered_map.
+// ProjectedGrid slab free list, and a randomized differential check of the
+// hashed and the direct-addressed index against std::unordered_map.
 
 #include <algorithm>
 #include <cstdint>
@@ -272,51 +272,89 @@ TEST(FlatIndexTest, ProjectedGridCompactionRecyclesSlabSlotsThroughIndex) {
 // ------------------------------------------------ differential test ------
 
 TEST(FlatIndexTest, RandomizedDifferentialAgainstUnorderedMap) {
-  Rng rng(20260730);
-  FlatIndex index(3);
-  std::unordered_map<CellCoords, std::uint32_t, CellCoordsHash> reference;
+  // Once hashed (unbounded key words over a 12^3 universe), once
+  // direct-addressed (radix 6: a 216-key space, under kDirectMaxCells).
+  for (const std::uint32_t radix : {0u, 6u}) {
+    SCOPED_TRACE(radix == 0 ? "hashed" : "direct");
+    Rng rng(20260730);
+    FlatIndex index(3, radix);
+    ASSERT_EQ(index.direct(), radix != 0);
+    const std::size_t buckets = index.bucket_count();
+    std::unordered_map<CellCoords, std::uint32_t, CellCoordsHash> reference;
 
-  // Small coordinate universe so inserts, re-inserts, misses and erases all
-  // happen frequently; value is a running counter so stale entries are
-  // detectable.
-  auto random_key = [&rng]() {
-    return Key3(static_cast<std::uint32_t>(rng.NextUint64(12)),
-                static_cast<std::uint32_t>(rng.NextUint64(12)),
-                static_cast<std::uint32_t>(rng.NextUint64(12)));
-  };
+    // Small coordinate universe so inserts, re-inserts, misses and erases
+    // all happen frequently; value is a running counter so stale entries
+    // are detectable.
+    const std::uint64_t universe = radix == 0 ? 12 : radix;
+    auto random_key = [&rng, universe]() {
+      return Key3(static_cast<std::uint32_t>(rng.NextUint64(universe)),
+                  static_cast<std::uint32_t>(rng.NextUint64(universe)),
+                  static_cast<std::uint32_t>(rng.NextUint64(universe)));
+    };
 
-  for (std::uint32_t step = 0; step < 50000; ++step) {
-    const CellCoords key = random_key();
-    const std::size_t op = rng.NextUint64(10);
-    if (op < 5) {  // insert-if-absent
-      const auto [value, inserted] = index.Insert(key, step);
-      const auto [it, ref_inserted] = reference.try_emplace(key, step);
-      ASSERT_EQ(inserted, ref_inserted);
-      ASSERT_EQ(value, it->second);
-    } else if (op < 8) {  // find
-      const std::uint32_t value = index.Find(key);
-      const auto it = reference.find(key);
-      if (it == reference.end()) {
-        ASSERT_EQ(value, FlatIndex::kNoValue);
-      } else {
+    for (std::uint32_t step = 0; step < 50000; ++step) {
+      const CellCoords key = random_key();
+      const std::size_t op = rng.NextUint64(10);
+      if (op < 5) {  // insert-if-absent
+        const auto [value, inserted] = index.Insert(key, step);
+        const auto [it, ref_inserted] = reference.try_emplace(key, step);
+        ASSERT_EQ(inserted, ref_inserted);
         ASSERT_EQ(value, it->second);
+      } else if (op < 8) {  // find
+        const std::uint32_t value = index.Find(key);
+        const auto it = reference.find(key);
+        if (it == reference.end()) {
+          ASSERT_EQ(value, FlatIndex::kNoValue);
+        } else {
+          ASSERT_EQ(value, it->second);
+        }
+      } else {  // erase
+        const bool erased = index.Erase(key);
+        ASSERT_EQ(erased, reference.erase(key) == 1u);
       }
-    } else {  // erase
-      const bool erased = index.Erase(key);
-      ASSERT_EQ(erased, reference.erase(key) == 1u);
+      ASSERT_EQ(index.size(), reference.size());
+      // A direct table holds its whole key space from the start.
+      if (radix != 0) {
+        ASSERT_EQ(index.bucket_count(), buckets);
+      }
     }
-    ASSERT_EQ(index.size(), reference.size());
-  }
 
-  // Final sweep: identical contents, both directions.
-  std::size_t visited = 0;
-  index.ForEach([&](const std::uint32_t* key, std::uint32_t value) {
-    const auto it = reference.find(CellCoords(key, key + 3));
-    ASSERT_NE(it, reference.end());
-    ASSERT_EQ(value, it->second);
-    ++visited;
-  });
-  EXPECT_EQ(visited, reference.size());
+    // Erase then re-insert a live key: the new value is the one found.
+    ASSERT_FALSE(reference.empty());
+    const CellCoords key = reference.begin()->first;
+    ASSERT_TRUE(index.Erase(key));
+    EXPECT_EQ(index.Find(key), FlatIndex::kNoValue);
+    EXPECT_TRUE(index.Insert(key, 777777).second);
+    EXPECT_EQ(index.Find(key), 777777u);
+    reference[key] = 777777;
+
+    // A key outside a direct key space is absent and is never stored.
+    if (radix != 0) {
+      const CellCoords outside = Key3(0, radix, 0);
+      EXPECT_EQ(index.Find(outside), FlatIndex::kNoValue);
+      EXPECT_FALSE(index.Erase(outside));
+      EXPECT_EQ(index.Insert(outside, 1),
+                std::make_pair(FlatIndex::kNoValue, false));
+      EXPECT_EQ(index.size(), reference.size());
+    }
+
+    // Final sweep: identical contents, both directions, visited in
+    // ascending key order.
+    std::size_t visited = 0;
+    CellCoords previous;
+    index.ForEach([&](const std::uint32_t* key, std::uint32_t value) {
+      const CellCoords coords(key, key + 3);
+      const auto it = reference.find(coords);
+      ASSERT_NE(it, reference.end());
+      ASSERT_EQ(value, it->second);
+      if (visited > 0) {
+        ASSERT_LT(previous, coords);
+      }
+      previous = coords;
+      ++visited;
+    });
+    EXPECT_EQ(visited, reference.size());
+  }
 }
 
 }  // namespace

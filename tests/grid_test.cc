@@ -2,6 +2,8 @@
 // (omega, epsilon) decay model, and Base Cell Summaries.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +135,28 @@ TEST(DecayModelTest, WeightAtAgeIsGeometric) {
   EXPECT_DOUBLE_EQ(m.WeightAtAge(0), 1.0);
   EXPECT_NEAR(m.WeightAtAge(2), m.alpha() * m.alpha(), 1e-12);
   EXPECT_GT(m.WeightAtAge(10), m.WeightAtAge(20));
+
+  // Memoized or computed, every weight has std::pow's exact bit pattern —
+  // checkpoints and verdicts depend on it — at every age around the table
+  // boundary and at a few large ages, for two time models (and for the
+  // grids' copies, which share the table).
+  auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (const DecayModel& model :
+       {DecayModel(100, 0.01), DecayModel(2000, 0.001)}) {
+    const DecayModel copy = model;
+    std::vector<std::uint64_t> ages;
+    for (std::uint64_t a = 0; a <= 512; ++a) ages.push_back(a);
+    for (std::uint64_t a : {1000u, 4096u, 65537u, 1000003u}) ages.push_back(a);
+    for (std::uint64_t a : ages) {
+      const double expected = std::pow(model.alpha(), static_cast<double>(a));
+      ASSERT_EQ(bits(model.WeightAtAge(a)), bits(expected)) << "age " << a;
+      ASSERT_EQ(bits(copy.WeightAtAge(a)), bits(expected)) << "age " << a;
+    }
+  }
 }
 
 TEST(DecayModelTest, NoneModelNeverDecays) {
