@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -95,13 +95,13 @@ bool Rng::NextBernoulli(double p) {
 
 Rng Rng::Fork() { return Rng(NextUint64()); }
 
-void Rng::SaveState(CheckpointWriter& w) const {
+void Rng::SaveState(ByteWriter& w) const {
   for (std::uint64_t s : s_) w.U64(s);
   w.Bool(has_spare_gaussian_);
   w.F64(spare_gaussian_);
 }
 
-bool Rng::LoadState(CheckpointReader& r) {
+bool Rng::LoadState(ByteReader& r) {
   for (auto& s : s_) s = r.U64();
   has_spare_gaussian_ = r.Bool();
   spare_gaussian_ = r.F64();

@@ -6,8 +6,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// Deterministic, seedable pseudo-random number generator (xoshiro256++).
 ///
@@ -65,8 +65,8 @@ class Rng {
   /// Checkpointing: the full generator state (xoshiro words + the cached
   /// Box-Muller spare) round-trips, so a restored stream continues with
   /// exactly the draws the uninterrupted one would have made.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   std::uint64_t s_[4];

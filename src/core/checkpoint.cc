@@ -1,11 +1,14 @@
 #include "core/checkpoint.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
 
+#include "common/bytes.h"
 #include "common/log.h"
 #include "core/detector.h"
 #include "engine/sharded_engine.h"  // LoadState resets the (complete) engine
@@ -18,133 +21,19 @@ namespace {
 constexpr std::uint64_t kHeaderMagic = 0x31504B43544F5053ULL;
 constexpr std::uint64_t kTrailerMagic = 0x31444E45544F5053ULL;
 // v2 added topk_capacity to the config, feedback_rounds to the stats and
-// the top-k retention section after the synapses (PR 9). Strict equality
-// stays the rule: v1 images are rejected, not migrated.
-constexpr std::uint8_t kFormatVersion = 2;
+// the top-k retention section after the synapses; v3 appends the CRC-32
+// of every earlier byte after the trailer. Strict equality stays the
+// rule: older images are rejected, not migrated.
+constexpr std::uint8_t kFormatVersion = 3;
+constexpr std::size_t kCrcBytes = 4;
 
 }  // namespace
-
-// ---------------------------------------------------------------- writer --
-
-void CheckpointWriter::U8(std::uint8_t v) {
-  out_->put(static_cast<char>(v));
-}
-
-void CheckpointWriter::U32(std::uint32_t v) {
-  unsigned char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = (v >> (8 * i)) & 0xFF;
-  out_->write(reinterpret_cast<const char*>(buf), 4);
-}
-
-void CheckpointWriter::U64(std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = (v >> (8 * i)) & 0xFF;
-  out_->write(reinterpret_cast<const char*>(buf), 8);
-}
-
-void CheckpointWriter::F64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void CheckpointWriter::Str(const std::string& s) {
-  U64(s.size());
-  out_->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void CheckpointWriter::Coords(const std::vector<std::uint32_t>& c) {
-  U32(static_cast<std::uint32_t>(c.size()));
-  for (std::uint32_t v : c) U32(v);
-}
-
-bool CheckpointWriter::ok() const { return out_->good(); }
-
-// ---------------------------------------------------------------- reader --
-
-std::uint8_t CheckpointReader::U8() {
-  if (failed_) return 0;
-  const int c = in_->get();
-  if (c == std::char_traits<char>::eof()) {
-    failed_ = true;
-    return 0;
-  }
-  return static_cast<std::uint8_t>(c);
-}
-
-std::uint32_t CheckpointReader::U32() {
-  if (failed_) return 0;
-  unsigned char buf[4];
-  in_->read(reinterpret_cast<char*>(buf), 4);
-  if (in_->gcount() != 4) {
-    failed_ = true;
-    return 0;
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t CheckpointReader::U64() {
-  if (failed_) return 0;
-  unsigned char buf[8];
-  in_->read(reinterpret_cast<char*>(buf), 8);
-  if (in_->gcount() != 8) {
-    failed_ = true;
-    return 0;
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-double CheckpointReader::F64() {
-  const std::uint64_t bits = U64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string CheckpointReader::Str() {
-  const std::uint64_t size = U64();
-  if (failed_ || size > (1u << 30)) {
-    failed_ = true;
-    return std::string();
-  }
-  std::string s(static_cast<std::size_t>(size), '\0');
-  in_->read(s.data(), static_cast<std::streamsize>(size));
-  if (in_->gcount() != static_cast<std::streamsize>(size)) {
-    failed_ = true;
-    return std::string();
-  }
-  return s;
-}
-
-std::vector<std::uint32_t> CheckpointReader::Coords() {
-  const std::uint32_t size = U32();
-  if (failed_ || size > (1u << 20)) {
-    failed_ = true;
-    return {};
-  }
-  std::vector<std::uint32_t> c(size);
-  for (std::uint32_t& v : c) v = U32();
-  if (failed_) c.clear();
-  return c;
-}
-
-bool CheckpointReader::Fail() {
-  failed_ = true;
-  return false;
-}
-
-bool CheckpointReader::ok() const { return !failed_ && in_->good(); }
 
 // ---------------------------------------------------------------- config --
 
 namespace {
 
-void WriteNsga2(CheckpointWriter& w, const Nsga2Config& c) {
+void WriteNsga2(ByteWriter& w, const Nsga2Config& c) {
   w.U32(static_cast<std::uint32_t>(c.num_dims));
   w.U32(static_cast<std::uint32_t>(c.max_dimension));
   w.U32(static_cast<std::uint32_t>(c.population_size));
@@ -154,7 +43,7 @@ void WriteNsga2(CheckpointWriter& w, const Nsga2Config& c) {
   w.U64(c.seed);
 }
 
-void ReadNsga2(CheckpointReader& r, Nsga2Config* c) {
+void ReadNsga2(ByteReader& r, Nsga2Config* c) {
   c->num_dims = static_cast<int>(r.U32());
   c->max_dimension = static_cast<int>(r.U32());
   c->population_size = static_cast<int>(r.U32());
@@ -166,7 +55,7 @@ void ReadNsga2(CheckpointReader& r, Nsga2Config* c) {
 
 }  // namespace
 
-void WriteConfigBinary(CheckpointWriter& w, const SpotConfig& c) {
+void WriteConfigBinary(ByteWriter& w, const SpotConfig& c) {
   w.U64(c.omega);
   w.F64(c.epsilon);
   w.Bool(c.use_decay);
@@ -207,7 +96,7 @@ void WriteConfigBinary(CheckpointWriter& w, const SpotConfig& c) {
   w.U64(c.seed);
 }
 
-bool ReadConfigBinary(CheckpointReader& r, SpotConfig* config) {
+bool ReadConfigBinary(ByteReader& r, SpotConfig* config) {
   SpotConfig c;
   c.omega = r.U64();
   c.epsilon = r.F64();
@@ -254,8 +143,8 @@ bool ReadConfigBinary(CheckpointReader& r, SpotConfig* config) {
 
 // -------------------------------------------------------------- detector --
 
-bool SpotDetector::SaveState(std::ostream& out) const {
-  CheckpointWriter w(&out);
+std::string SpotDetector::SaveState(std::size_t capacity) const {
+  ByteWriter w(capacity);
   w.U64(kHeaderMagic);
   w.U8(kFormatVersion);
   WriteConfigBinary(w, config_);
@@ -293,13 +182,11 @@ bool SpotDetector::SaveState(std::ostream& out) const {
     topk_.SaveState(w);
   }
   w.U64(kTrailerMagic);
-  out.flush();
-  return w.ok();
+  w.U32(Crc32(w.bytes().data(), w.bytes().size()));
+  return w.Take();
 }
 
-bool SpotDetector::LoadState(std::istream& in) {
-  CheckpointReader r(&in);
-
+bool SpotDetector::LoadState(const std::string& image) {
   // Tear the current state down first: a failed load must leave the
   // detector unlearned, never half-restored.
   synapses_.reset();
@@ -308,6 +195,16 @@ bool SpotDetector::LoadState(std::istream& in) {
   stats_ = SpotStats{};
   tick_ = 0;
   outliers_since_os_update_ = 0;
+
+  // The CRC seals every byte before it: check it before parsing anything,
+  // so a flipped bit is refused instead of loading a detector whose
+  // verdicts silently differ. The parse must then end where the CRC
+  // begins.
+  if (image.size() < kCrcBytes) return false;
+  const std::size_t body = image.size() - kCrcBytes;
+  ByteReader crc(image.data() + body, kCrcBytes);
+  if (crc.U32() != Crc32(image.data(), body)) return false;
+  ByteReader r(image.data(), body);
 
   if (r.U64() != kHeaderMagic) return r.Fail();
   if (r.U8() != kFormatVersion) return r.Fail();
@@ -393,7 +290,7 @@ bool SpotDetector::LoadState(std::istream& in) {
     }
   }
 
-  if (r.U64() != kTrailerMagic || !r.ok()) {
+  if (r.U64() != kTrailerMagic || !r.AtEnd()) {
     synapses_.reset();
     partition_.reset();
     return r.Fail();
@@ -407,29 +304,80 @@ bool SpotDetector::LoadState(std::istream& in) {
   return true;
 }
 
-bool SaveCheckpoint(const SpotDetector& detector, std::ostream& out) {
-  return detector.SaveState(out);
+namespace {
+
+/// Writes `bytes` to `path` (created or truncated) in one write. False,
+/// with the cause logged, when the open, any write or the close fails.
+bool WriteFile(const std::string& path, const std::string& bytes) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    SPOT_LOG(Error) << "cannot open checkpoint file " << path << ": "
+                    << std::strerror(errno);
+    return false;
+  }
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      SPOT_LOG(Error) << "checkpoint write to " << path << " failed: "
+                      << std::strerror(n < 0 ? errno : EIO);
+      ::close(fd);
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  if (::close(fd) != 0) {
+    SPOT_LOG(Error) << "checkpoint close of " << path << " failed: "
+                    << std::strerror(errno);
+    return false;
+  }
+  return true;
 }
 
-bool LoadCheckpoint(SpotDetector* detector, std::istream& in) {
-  return detector->LoadState(in);
+/// Reads the whole file at `path` into `out` in one exact-size read.
+bool ReadFile(const std::string& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    out->resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < out->size()) {
+      const ssize_t n = ::read(fd, &(*out)[done], out->size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    ok = done == out->size();
+  }
+  ::close(fd);
+  return ok;
 }
+
+}  // namespace
 
 bool SaveCheckpointFile(const SpotDetector& detector,
                         const std::string& path) {
+  // Reserve the buffer at the size of the image this save replaces plus
+  // 1/8: a buffer grown by doubling holds up to twice the image, and
+  // images still grow between saves, so one byte past an exact
+  // reservation doubles it too. On the session-churn benchmark, against
+  // streaming the image to the file in small writes, an exact reservation
+  // raised peak RSS by 4.3-7.4% and the 1/8 headroom by 0.5-1.6% (three
+  // runs each).
+  struct stat previous;
+  const std::size_t capacity =
+      ::stat(path.c_str(), &previous) == 0
+          ? static_cast<std::size_t>(previous.st_size) / 8 * 9
+          : 0;
+  const std::string image = detector.SaveState(capacity);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      SPOT_LOG(Error) << "cannot open checkpoint file " << tmp;
-      return false;
-    }
-    if (!detector.SaveState(out)) {
-      SPOT_LOG(Error) << "checkpoint write to " << tmp << " failed";
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
+  if (!WriteFile(tmp, image)) {
+    std::remove(tmp.c_str());
+    return false;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     SPOT_LOG(Error) << "cannot rename " << tmp << " to " << path;
@@ -440,9 +388,9 @@ bool SaveCheckpointFile(const SpotDetector& detector,
 }
 
 bool LoadCheckpointFile(SpotDetector* detector, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  return detector->LoadState(in);
+  std::string image;
+  if (!ReadFile(path, &image)) return false;
+  return detector->LoadState(image);
 }
 
 }  // namespace spot

@@ -1,8 +1,8 @@
 #ifndef SPOT_CORE_DETECTOR_H_
 #define SPOT_CORE_DETECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,8 +23,6 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
 class ShardedSpotEngine;
 class ThreadPool;
 
@@ -190,17 +188,19 @@ class SpotDetector {
   /// Verdicts never depend on which pool executes the work.
   void set_thread_pool(ThreadPool* pool);
 
-  /// Full-state binary checkpointing (see src/core/checkpoint.h): writes /
-  /// restores config, partition, SST, synapses, reservoir, drift state,
-  /// RNG and all deterministic counters, such that save → load → Process is
-  /// bit-identical to an uninterrupted run. (SpotStats::detection_seconds
-  /// is wall-clock measurement, not detector state; it restarts at zero on
-  /// restore.) SaveState returns false on stream errors;
-  /// LoadState returns false on malformed or incompatible input and leaves
-  /// the detector unlearned (never half-restored). Prefer the
-  /// SaveCheckpointFile/LoadCheckpointFile wrappers for files.
-  bool SaveState(std::ostream& out) const;
-  bool LoadState(std::istream& in);
+  /// Full-state binary checkpointing (see src/core/checkpoint.h): builds /
+  /// restores an in-memory image of config, partition, SST, synapses,
+  /// reservoir, drift state, RNG and all deterministic counters, such that
+  /// save → load → Process is bit-identical to an uninterrupted run.
+  /// (SpotStats::detection_seconds is wall-clock measurement, not detector
+  /// state; it restarts at zero on restore.) SaveState returns the
+  /// CRC-sealed image, built in a buffer that reserves `capacity` bytes up
+  /// front. LoadState returns false on a corrupt, malformed or
+  /// incompatible image and leaves the detector unlearned (never
+  /// half-restored). SaveCheckpointFile/LoadCheckpointFile put the image
+  /// in a file.
+  std::string SaveState(std::size_t capacity = 0) const;
+  bool LoadState(const std::string& image);
 
   /// Attaches an observability sink (borrowed; must outlive the detector
   /// or be detached with nullptr) that receives the engine's rare state

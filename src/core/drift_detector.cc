@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -31,7 +31,7 @@ void PageHinkley::Reset() {
   count_ = 0;
 }
 
-void PageHinkley::SaveState(CheckpointWriter& w) const {
+void PageHinkley::SaveState(ByteWriter& w) const {
   w.F64(delta_);
   w.F64(lambda_);
   w.F64(mean_);
@@ -41,7 +41,7 @@ void PageHinkley::SaveState(CheckpointWriter& w) const {
   w.U64(drifts_);
 }
 
-bool PageHinkley::LoadState(CheckpointReader& r) {
+bool PageHinkley::LoadState(ByteReader& r) {
   delta_ = r.F64();
   lambda_ = r.F64();
   mean_ = r.F64();

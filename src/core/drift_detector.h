@@ -5,8 +5,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// Page-Hinkley change detector over a real-valued signal.
 ///
@@ -37,8 +37,8 @@ class PageHinkley {
 
   /// Checkpointing: parameters and the accumulated PH statistic both
   /// round-trip, so a restored detector alarms at exactly the same tick.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   double delta_;

@@ -1,6 +1,6 @@
 #include "core/reservoir.h"
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -28,7 +28,7 @@ void ReservoirSample::Clear() {
   seen_ = 0;
 }
 
-void ReservoirSample::SaveState(CheckpointWriter& w) const {
+void ReservoirSample::SaveState(ByteWriter& w) const {
   w.U64(capacity_);
   rng_.SaveState(w);
   w.U64(seen_);
@@ -39,7 +39,7 @@ void ReservoirSample::SaveState(CheckpointWriter& w) const {
   }
 }
 
-bool ReservoirSample::LoadState(CheckpointReader& r,
+bool ReservoirSample::LoadState(ByteReader& r,
                                 std::size_t expected_dim) {
   if (r.U64() != capacity_) return r.Fail();
   if (!rng_.LoadState(r)) return false;

@@ -8,8 +8,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// Uniform reservoir sample (Vitter's algorithm R) of the stream seen so
 /// far. The detection stage keeps one as its stand-in for "recent data":
@@ -41,8 +41,8 @@ class ReservoirSample {
   /// with `expected_dim` != 0 every restored item must have exactly that
   /// many attributes (the consumers — evolution, OS growth, relearning —
   /// index items by the stream's dimensionality).
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r, std::size_t expected_dim = 0);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r, std::size_t expected_dim = 0);
 
  private:
   std::size_t capacity_;

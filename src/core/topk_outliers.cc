@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -69,7 +69,7 @@ const std::vector<double>* TopKOutliers::Values(
   return nullptr;
 }
 
-void TopKOutliers::SaveState(CheckpointWriter& w) const {
+void TopKOutliers::SaveState(ByteWriter& w) const {
   w.U64(entries_.size());
   for (const TopKEntry& e : entries_) {
     w.U64(e.point_id);
@@ -87,7 +87,7 @@ void TopKOutliers::SaveState(CheckpointWriter& w) const {
   }
 }
 
-bool TopKOutliers::LoadState(CheckpointReader& r) {
+bool TopKOutliers::LoadState(ByteReader& r) {
   const std::uint64_t count = r.U64();
   if (count > capacity_) return r.Fail();
   entries_.clear();

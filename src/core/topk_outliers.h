@@ -9,8 +9,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// One retained outlier: the point's identity, arrival tick, raw anomaly
 /// score, the raw attribute values (kept server-side so feedback can label
@@ -81,8 +81,8 @@ class TopKOutliers {
   /// Checkpointing of the retained entries (capacity and decay model come
   /// from the owner's config and are not serialized). Entries are written
   /// in rank order, so the byte stream is canonical for a given state.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   /// True when a outranks b (strictly better decayed score at the shared

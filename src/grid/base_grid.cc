@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -67,7 +67,7 @@ std::vector<std::pair<const CellCoords*, const Bcs*>> BaseGrid::OrderedCells()
   return out;
 }
 
-void BaseGrid::SaveState(CheckpointWriter& w) const {
+void BaseGrid::SaveState(ByteWriter& w) const {
   w.U64(last_tick_);
   w.U64(arrivals_since_compaction_);
   total_.SaveState(w);
@@ -79,7 +79,7 @@ void BaseGrid::SaveState(CheckpointWriter& w) const {
   }
 }
 
-bool BaseGrid::LoadState(CheckpointReader& r) {
+bool BaseGrid::LoadState(ByteReader& r) {
   last_tick_ = r.U64();
   arrivals_since_compaction_ = r.U64();
   if (!total_.LoadState(r)) return false;

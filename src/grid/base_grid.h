@@ -12,8 +12,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// Sparse hypercube of Base Cell Summaries at the finest granularity.
 ///
@@ -98,8 +98,8 @@ class BaseGrid {
   /// order so equal grids produce byte-identical sections), the decayed
   /// total-weight counter, the clock and the compaction cadence all
   /// round-trip. Partition and decay model come from the constructor.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   Partition partition_;

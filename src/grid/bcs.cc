@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -58,7 +58,7 @@ double Bcs::CountAt(std::uint64_t tick, const DecayModel& model) const {
   return count_ * model.WeightAtAge(tick - last_tick_);
 }
 
-void Bcs::SaveState(CheckpointWriter& w) const {
+void Bcs::SaveState(ByteWriter& w) const {
   w.F64(count_);
   w.U64(last_tick_);
   w.U64(ls_.size());
@@ -66,7 +66,7 @@ void Bcs::SaveState(CheckpointWriter& w) const {
   for (double v : ss_) w.F64(v);
 }
 
-bool Bcs::LoadState(CheckpointReader& r) {
+bool Bcs::LoadState(ByteReader& r) {
   count_ = r.F64();
   last_tick_ = r.U64();
   const std::uint64_t dims = r.U64();

@@ -8,8 +8,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// Base Cell Summary (paper, Definition 1).
 ///
@@ -62,8 +62,8 @@ class Bcs {
 
   /// Checkpointing: all aggregates plus the tick stamp round-trip exactly
   /// (doubles are stored as raw bit patterns).
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   double count_ = 0.0;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -80,13 +80,13 @@ double DecayedCounter::WeightAt(std::uint64_t tick) const {
   return weight_ * model_->WeightAtAge(delta);
 }
 
-void DecayedCounter::SaveState(CheckpointWriter& w) const {
+void DecayedCounter::SaveState(ByteWriter& w) const {
   w.F64(weight_);
   w.U64(last_tick_);
   w.Bool(seen_any_);
 }
 
-bool DecayedCounter::LoadState(CheckpointReader& r) {
+bool DecayedCounter::LoadState(ByteReader& r) {
   weight_ = r.F64();
   last_tick_ = r.U64();
   seen_any_ = r.Bool();

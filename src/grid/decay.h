@@ -9,8 +9,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// The paper's (omega, epsilon) window-based time model.
 ///
@@ -97,8 +97,8 @@ class DecayedCounter {
 
   /// Checkpointing of the running weight (the model reference is supplied
   /// by the owner at construction and is not serialized).
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   const DecayModel* model_;

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 
 namespace spot {
 
@@ -302,7 +302,7 @@ std::size_t ProjectedGrid::Compact(std::uint64_t tick) {
   return doomed.size();
 }
 
-void ProjectedGrid::SaveState(CheckpointWriter& w) const {
+void ProjectedGrid::SaveState(ByteWriter& w) const {
   w.U64(subspace_.bits());
   w.U64(last_tick_);
   w.U64(arrivals_since_compaction_);
@@ -311,13 +311,13 @@ void ProjectedGrid::SaveState(CheckpointWriter& w) const {
   w.U64(hash_probes_);
   w.U64(index_.size());
   index_.ForEach([&](const std::uint32_t* key, std::uint32_t slot) {
-    w.Coords(CellCoords(key, key + index_.key_width()));
+    w.Coords(key, index_.key_width());
     const double* rec = Record(slot);
     for (std::size_t i = 0; i < stride_; ++i) w.F64(rec[i]);
   });
 }
 
-bool ProjectedGrid::LoadState(CheckpointReader& r) {
+bool ProjectedGrid::LoadState(ByteReader& r) {
   if (r.U64() != subspace_.bits()) return r.Fail();
   last_tick_ = r.U64();
   arrivals_since_compaction_ = r.U64();

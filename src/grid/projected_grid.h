@@ -12,8 +12,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 
 /// Sparse grid of decayed cell aggregates for a single subspace of the SST.
 ///
@@ -177,8 +177,8 @@ class ProjectedGrid {
   /// effect (LoadState rebuilds a dense slab from the sorted stream; every
   /// verdict-relevant computation is keyed by cell coordinates or iterated
   /// in a coordinate-canonical order).
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   // Record field offsets within a slot: [kCount | ls x k | ss x k | tick].

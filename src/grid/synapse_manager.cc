@@ -1,6 +1,6 @@
 #include "grid/synapse_manager.h"
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 #include "core/detector_events.h"
 
 namespace spot {
@@ -151,7 +151,7 @@ std::uint64_t SynapseManager::hash_probes() const {
   return total;
 }
 
-void SynapseManager::SaveState(CheckpointWriter& w) const {
+void SynapseManager::SaveState(ByteWriter& w) const {
   // Decay parameters, for cross-validation at load time: a checkpoint can
   // only be restored into a manager built for the same time model.
   w.U64(model_.omega());
@@ -167,7 +167,7 @@ void SynapseManager::SaveState(CheckpointWriter& w) const {
   }
 }
 
-bool SynapseManager::LoadState(CheckpointReader& r) {
+bool SynapseManager::LoadState(ByteReader& r) {
   if (r.U64() != model_.omega()) return r.Fail();
   if (r.F64() != model_.epsilon()) return r.Fail();
   if (r.F64() != model_.alpha()) return r.Fail();

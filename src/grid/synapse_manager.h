@@ -15,8 +15,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 class DetectorEventSink;
 
 /// Owns the complete set of data synapses: the BaseGrid (BCS hypercube) plus
@@ -151,8 +151,8 @@ class SynapseManager {
   /// Partition, decay model and maintenance knobs come from the
   /// constructor; LoadState validates the stored decay parameters against
   /// them and fails on mismatch.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
  private:
   struct TrackedGrid {

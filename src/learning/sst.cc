@@ -3,7 +3,7 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "core/checkpoint.h"
+#include "common/bytes.h"
 #include "core/detector_events.h"
 
 namespace spot {
@@ -88,7 +88,7 @@ bool Sst::Contains(const Subspace& s) const {
 
 std::size_t Sst::TotalSize() const { return AllSubspaces().size(); }
 
-void Sst::SaveState(CheckpointWriter& w) const {
+void Sst::SaveState(ByteWriter& w) const {
   w.U64(fs_.size());
   for (const auto& s : fs_) w.U64(s.bits());
   const auto save_ranked = [&w](const RankedSubspaceSet& set) {
@@ -103,7 +103,7 @@ void Sst::SaveState(CheckpointWriter& w) const {
   save_ranked(os_);
 }
 
-bool Sst::LoadState(CheckpointReader& r) {
+bool Sst::LoadState(ByteReader& r) {
   const std::uint64_t nfs = r.U64();
   if (nfs > (1u << 24)) return r.Fail();
   std::vector<Subspace> fs;

@@ -10,8 +10,8 @@
 
 namespace spot {
 
-class CheckpointReader;
-class CheckpointWriter;
+class ByteReader;
+class ByteWriter;
 class DetectorEventSink;
 
 /// Which SST subset a subspace belongs to.
@@ -74,8 +74,8 @@ class Sst {
   /// Checkpointing: FS membership plus the scored CS/OS members (in rank
   /// order) round-trip. Capacities come from the constructor; LoadState
   /// validates the stored member counts against them.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(ByteWriter& w) const;
+  bool LoadState(ByteReader& r);
 
   /// Attaches an observability sink (borrowed; nullptr detaches): genuine
   /// CS/OS additions emit kSstInsert, ClearClustering emits kSstClear.

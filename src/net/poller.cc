@@ -1,125 +1,63 @@
 #include "net/poller.h"
 
-#include <cerrno>
-#include <cstring>
-#include <map>
-#include <poll.h>
-#include <utility>
-
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
 
 namespace spot {
 namespace net {
 
 namespace {
 
-class PollPoller : public Poller {
- public:
-  bool Add(int fd, bool read, bool write) override {
-    interest_[fd] = {read, write};
-    return true;
-  }
-  void Update(int fd, bool read, bool write) override {
-    auto it = interest_.find(fd);
-    if (it != interest_.end()) it->second = {read, write};
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  int Wait(int timeout_ms, std::vector<Event>* out) override {
-    fds_.clear();
-    for (const auto& [fd, want] : interest_) {
-      short events = 0;
-      if (want.first) events |= POLLIN;
-      if (want.second) events |= POLLOUT;
-      fds_.push_back(pollfd{fd, events, 0});
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    out->clear();
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out->push_back(e);
-    }
-    return static_cast<int>(out->size());
-  }
-
- private:
-  std::map<int, std::pair<bool, bool>> interest_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-
-  bool Add(int fd, bool read, bool write) override {
-    epoll_event ev = MakeEvent(fd, read, write);
-    return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-  }
-  void Update(int fd, bool read, bool write) override {
-    epoll_event ev = MakeEvent(fd, read, write);
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-  void Remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  int Wait(int timeout_ms, std::vector<Event>* out) override {
-    epoll_event events[64];
-    const int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    out->clear();
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = events[i].data.fd;
-      e.readable = (events[i].events & EPOLLIN) != 0;
-      e.writable = (events[i].events & EPOLLOUT) != 0;
-      e.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out->push_back(e);
-    }
-    return n;
-  }
-
- private:
-  static epoll_event MakeEvent(int fd, bool read, bool write) {
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    if (read) ev.events |= EPOLLIN;
-    if (write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    return ev;
-  }
-
-  int epfd_;
-};
-#endif  // __linux__
+epoll_event MakeEvent(int fd, bool read, bool write) {
+  epoll_event ev{};
+  if (read) ev.events |= EPOLLIN;
+  if (write) ev.events |= EPOLLOUT;
+  ev.data.fd = fd;
+  return ev;
+}
 
 }  // namespace
 
-std::unique_ptr<Poller> Poller::Create(bool use_epoll) {
-#ifdef __linux__
-  if (use_epoll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) return epoll;
+bool EpollPoller::Open() {
+  epfd_ = ::epoll_create1(0);
+  return epfd_ >= 0;
+}
+
+void EpollPoller::Close() {
+  if (epfd_ >= 0) ::close(epfd_);
+  epfd_ = -1;
+}
+
+bool EpollPoller::Add(int fd, bool read, bool write) {
+  epoll_event ev = MakeEvent(fd, read, write);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+void EpollPoller::Update(int fd, bool read, bool write) {
+  epoll_event ev = MakeEvent(fd, read, write);
+  ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
+}
+
+void EpollPoller::Remove(int fd) {
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+int EpollPoller::Wait(int timeout_ms, std::vector<Event>* out) {
+  out->clear();
+  epoll_event events[64];
+  const int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
+  if (n < 0) return errno == EINTR ? 0 : -1;
+  for (int i = 0; i < n; ++i) {
+    Event e;
+    e.fd = events[i].data.fd;
+    e.readable = (events[i].events & EPOLLIN) != 0;
+    e.writable = (events[i].events & EPOLLOUT) != 0;
+    e.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    out->push_back(e);
   }
-#else
-  (void)use_epoll;
-#endif
-  return std::make_unique<PollPoller>();
+  return n;
 }
 
 }  // namespace net

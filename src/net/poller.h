@@ -1,18 +1,15 @@
 #ifndef SPOT_NET_POLLER_H_
 #define SPOT_NET_POLLER_H_
 
-#include <memory>
 #include <vector>
 
 namespace spot {
 namespace net {
 
-/// Readiness-notification interface: epoll(7) on Linux, poll(2) elsewhere
-/// (or when SpotServerConfig::use_epoll is off). Level-triggered in both
-/// implementations, so a partially drained buffer simply re-reports. Each
-/// reactor owns one Poller; instances are not thread-safe and must only
-/// be touched from their reactor's loop thread.
-class Poller {
+/// Level-triggered epoll(7) readiness notification, so a partially drained
+/// buffer simply re-reports. Each reactor owns one; it is not thread-safe
+/// and must only be touched from its reactor's loop thread.
+class EpollPoller {
  public:
   struct Event {
     int fd = -1;
@@ -21,17 +18,26 @@ class Poller {
     bool error = false;
   };
 
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, bool read, bool write) = 0;
-  virtual void Update(int fd, bool read, bool write) = 0;
-  virtual void Remove(int fd) = 0;
+  EpollPoller() = default;
+  ~EpollPoller() { Close(); }
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
+
+  /// Creates the epoll instance; false (with errno set) when
+  /// epoll_create1 fails.
+  bool Open();
+  void Close();
+  bool is_open() const { return epfd_ >= 0; }
+
+  bool Add(int fd, bool read, bool write);
+  void Update(int fd, bool read, bool write);
+  void Remove(int fd);
   /// Waits up to `timeout_ms`; fills `out`. Returns the event count, 0 on
   /// timeout, -1 on a wait error other than EINTR.
-  virtual int Wait(int timeout_ms, std::vector<Event>* out) = 0;
+  int Wait(int timeout_ms, std::vector<Event>* out);
 
-  /// Builds the best available implementation: epoll when `use_epoll` and
-  /// the platform supports it, the portable poll(2) loop otherwise.
-  static std::unique_ptr<Poller> Create(bool use_epoll);
+ private:
+  int epfd_ = -1;
 };
 
 }  // namespace net

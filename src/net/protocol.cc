@@ -1,8 +1,5 @@
 #include "net/protocol.h"
 
-#include <cstring>
-#include <sstream>
-
 #include "core/checkpoint.h"
 
 namespace spot {
@@ -15,16 +12,14 @@ namespace {
 /// the wire carries every nested learning knob and the two serializers
 /// cannot drift apart.
 std::string ConfigBlob(const SpotConfig& config) {
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   WriteConfigBinary(w, config);
-  return out.str();
+  return w.Take();
 }
 
 bool ParseConfigBlob(const std::string& blob, SpotConfig* out) {
-  std::istringstream in(blob);
-  CheckpointReader r(&in);
-  return ReadConfigBinary(r, out) && r.ok();
+  ByteReader r(blob);
+  return ReadConfigBinary(r, out) && r.AtEnd();
 }
 
 }  // namespace
@@ -72,142 +67,10 @@ const char* ErrorCodeName(ErrorCode code) {
   return "unknown";
 }
 
-std::uint32_t Crc32(const void* data, std::size_t len) {
-  // Table-driven IEEE CRC-32 (reflected polynomial 0xEDB88320), the same
-  // checksum zlib and PNG use; the table is built once on first use.
-  static const std::uint32_t* kTable = [] {
-    static std::uint32_t table[256];
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-// ---------------------------------------------------------------- writer --
-
-void WireWriter::U16(std::uint16_t v) {
-  buf_.push_back(static_cast<char>(v & 0xFF));
-  buf_.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void WireWriter::U32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void WireWriter::U64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void WireWriter::F64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void WireWriter::Str(const std::string& s) {
-  U32(static_cast<std::uint32_t>(s.size()));
-  buf_.append(s);
-}
-
-// ---------------------------------------------------------------- reader --
-
-std::uint8_t WireReader::U8() {
-  if (failed_ || pos_ + 1 > len_) {
-    failed_ = true;
-    return 0;
-  }
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint16_t WireReader::U16() {
-  if (failed_ || pos_ + 2 > len_) {
-    failed_ = true;
-    return 0;
-  }
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v = static_cast<std::uint16_t>(
-        v | static_cast<std::uint16_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-                << (8 * i));
-  }
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::U32() {
-  if (failed_ || pos_ + 4 > len_) {
-    failed_ = true;
-    return 0;
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::U64() {
-  if (failed_ || pos_ + 8 > len_) {
-    failed_ = true;
-    return 0;
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-double WireReader::F64() {
-  const std::uint64_t bits = U64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string WireReader::Str() {
-  const std::uint32_t n = U32();
-  if (failed_ || pos_ + n > len_) {
-    failed_ = true;
-    return std::string();
-  }
-  std::string s(data_ + pos_, n);
-  pos_ += n;
-  return s;
-}
-
-bool WireReader::Fail() {
-  failed_ = true;
-  return false;
-}
-
 // ---------------------------------------------------------------- frames --
 
 std::string EncodeFrame(MsgType type, const std::string& payload) {
-  WireWriter w;
+  ByteWriter w;
   w.U32(kFrameMagic);
   w.U8(kWireVersion);
   w.U8(static_cast<std::uint8_t>(type));
@@ -242,7 +105,7 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
     Reclaim();
     return Status::kNeedMore;
   }
-  WireReader header(buf_.data() + off_, kFrameHeaderBytes);
+  ByteReader header(buf_.data() + off_, kFrameHeaderBytes);
   const std::uint32_t magic = header.U32();
   const std::uint8_t version = header.U8();
   const std::uint8_t type = header.U8();
@@ -279,7 +142,7 @@ FrameDecoder::Status FrameDecoder::Next(Frame* out) {
 // -------------------------------------------------------- request codecs --
 
 std::string EncodeCreateSession(const CreateSessionReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   w.Str(ConfigBlob(req.config));
   const std::uint32_t rows = static_cast<std::uint32_t>(req.training.size());
@@ -294,7 +157,7 @@ std::string EncodeCreateSession(const CreateSessionReq& req) {
 }
 
 bool DecodeCreateSession(const std::string& payload, CreateSessionReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   const std::string blob = r.Str();
   if (!r.ok() || !ParseConfigBlob(blob, &out->config)) return r.Fail();
@@ -317,19 +180,19 @@ bool DecodeCreateSession(const std::string& payload, CreateSessionReq* out) {
 }
 
 std::string EncodeResumeSession(const ResumeSessionReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   return w.Take();
 }
 
 bool DecodeResumeSession(const std::string& payload, ResumeSessionReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   return r.AtEnd();
 }
 
 std::string EncodeIngest(const IngestReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   const std::uint32_t count = static_cast<std::uint32_t>(req.points.size());
   const std::uint32_t dims =
@@ -346,7 +209,7 @@ std::string EncodeIngest(const IngestReq& req) {
 }
 
 bool DecodeIngest(const std::string& payload, IngestReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   const std::uint32_t count = r.U32();
   const std::uint32_t dims = r.U32();
@@ -367,45 +230,45 @@ bool DecodeIngest(const std::string& payload, IngestReq* out) {
 }
 
 std::string EncodeFlush(const FlushReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   return w.Take();
 }
 
 bool DecodeFlush(const std::string& payload, FlushReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   return r.AtEnd();
 }
 
 std::string EncodeCheckpoint(const CheckpointReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   return w.Take();
 }
 
 bool DecodeCheckpoint(const std::string& payload, CheckpointReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   return r.AtEnd();
 }
 
 std::string EncodeCloseSession(const CloseSessionReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   w.Bool(req.persist);
   return w.Take();
 }
 
 bool DecodeCloseSession(const std::string& payload, CloseSessionReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   out->persist = r.Bool();
   return r.AtEnd();
 }
 
 std::string EncodeFeedback(const FeedbackReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   w.U32(static_cast<std::uint32_t>(req.point_ids.size()));
   for (std::uint64_t id : req.point_ids) w.U64(id);
@@ -421,7 +284,7 @@ std::string EncodeFeedback(const FeedbackReq& req) {
 }
 
 bool DecodeFeedback(const std::string& payload, FeedbackReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   const std::uint32_t nids = r.U32();
   if (!r.ok()) return false;
@@ -447,14 +310,14 @@ bool DecodeFeedback(const std::string& payload, FeedbackReq* out) {
 }
 
 std::string EncodeQueryTopK(const QueryTopKReq& req) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(req.session_id);
   w.U32(req.k);
   return w.Take();
 }
 
 bool DecodeQueryTopK(const std::string& payload, QueryTopKReq* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   out->k = r.U32();
   return r.AtEnd();
@@ -463,19 +326,19 @@ bool DecodeQueryTopK(const std::string& payload, QueryTopKReq* out) {
 // ------------------------------------------------------- response codecs --
 
 std::string EncodeOk(const OkResp& resp) {
-  WireWriter w;
+  ByteWriter w;
   w.U8(resp.request_type);
   return w.Take();
 }
 
 bool DecodeOk(const std::string& payload, OkResp* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->request_type = r.U8();
   return r.AtEnd();
 }
 
 std::string EncodeError(const ErrorResp& resp) {
-  WireWriter w;
+  ByteWriter w;
   w.U8(resp.request_type);
   w.U16(static_cast<std::uint16_t>(resp.code));
   w.Str(resp.message);
@@ -483,7 +346,7 @@ std::string EncodeError(const ErrorResp& resp) {
 }
 
 bool DecodeError(const std::string& payload, ErrorResp* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->request_type = r.U8();
   out->code = static_cast<ErrorCode>(r.U16());
   out->message = r.Str();
@@ -491,7 +354,7 @@ bool DecodeError(const std::string& payload, ErrorResp* out) {
 }
 
 void EncodeVerdictList(const std::vector<SpotResult>& verdicts,
-                       WireWriter* w) {
+                       ByteWriter* w) {
   w->U32(static_cast<std::uint32_t>(verdicts.size()));
   for (const SpotResult& v : verdicts) {
     w->Bool(v.is_outlier);
@@ -506,7 +369,7 @@ void EncodeVerdictList(const std::vector<SpotResult>& verdicts,
   }
 }
 
-bool DecodeVerdictList(WireReader* r, std::vector<SpotResult>* out) {
+bool DecodeVerdictList(ByteReader* r, std::vector<SpotResult>* out) {
   const std::uint32_t count = r->U32();
   if (!r->ok()) return false;
   // Each verdict occupies at least 13 bytes (flag + score + finding count).
@@ -535,13 +398,13 @@ bool DecodeVerdictList(WireReader* r, std::vector<SpotResult>* out) {
 }
 
 std::string VerdictBytes(const std::vector<SpotResult>& verdicts) {
-  WireWriter w;
+  ByteWriter w;
   EncodeVerdictList(verdicts, &w);
   return w.Take();
 }
 
 std::string EncodeVerdicts(const VerdictsResp& resp) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(resp.session_id);
   w.U64(resp.first_point_id);
   EncodeVerdictList(resp.verdicts, &w);
@@ -549,7 +412,7 @@ std::string EncodeVerdicts(const VerdictsResp& resp) {
 }
 
 bool DecodeVerdicts(const std::string& payload, VerdictsResp* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   out->first_point_id = r.U64();
   if (!DecodeVerdictList(&r, &out->verdicts)) return false;
@@ -557,7 +420,7 @@ bool DecodeVerdicts(const std::string& payload, VerdictsResp* out) {
 }
 
 void EncodeTopKEntryList(const std::vector<TopKEntry>& entries,
-                         WireWriter* w) {
+                         ByteWriter* w) {
   w->U32(static_cast<std::uint32_t>(entries.size()));
   for (const TopKEntry& e : entries) {
     w->U64(e.point_id);
@@ -574,7 +437,7 @@ void EncodeTopKEntryList(const std::vector<TopKEntry>& entries,
   }
 }
 
-bool DecodeTopKEntryList(WireReader* r, std::vector<TopKEntry>* out) {
+bool DecodeTopKEntryList(ByteReader* r, std::vector<TopKEntry>* out) {
   const std::uint32_t count = r->U32();
   if (!r->ok()) return false;
   // An entry occupies at least 36 bytes (id + tick + two scores + finding
@@ -606,20 +469,20 @@ bool DecodeTopKEntryList(WireReader* r, std::vector<TopKEntry>* out) {
 }
 
 std::string TopKBytes(const std::vector<TopKEntry>& entries) {
-  WireWriter w;
+  ByteWriter w;
   EncodeTopKEntryList(entries, &w);
   return w.Take();
 }
 
 std::string EncodeTopK(const TopKResp& resp) {
-  WireWriter w;
+  ByteWriter w;
   w.Str(resp.session_id);
   EncodeTopKEntryList(resp.entries, &w);
   return w.Take();
 }
 
 bool DecodeTopK(const std::string& payload, TopKResp* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->session_id = r.Str();
   if (!DecodeTopKEntryList(&r, &out->entries)) return false;
   return r.AtEnd();
@@ -629,7 +492,7 @@ bool DecodeTopK(const std::string& payload, TopKResp* out) {
 
 namespace {
 
-void EncodeHistogram(const obs::Histogram& hist, WireWriter* w) {
+void EncodeHistogram(const obs::Histogram& hist, ByteWriter* w) {
   w->F64(hist.sum());
   w->F64(hist.min());
   w->F64(hist.max());
@@ -646,7 +509,7 @@ void EncodeHistogram(const obs::Histogram& hist, WireWriter* w) {
   }
 }
 
-bool DecodeHistogram(WireReader* r, obs::Histogram* out) {
+bool DecodeHistogram(ByteReader* r, obs::Histogram* out) {
   const double sum = r->F64();
   const double min = r->F64();
   const double max = r->F64();
@@ -665,7 +528,7 @@ bool DecodeHistogram(WireReader* r, obs::Histogram* out) {
   return r->ok();
 }
 
-void EncodeSnapshot(const obs::MetricsSnapshot& snap, WireWriter* w) {
+void EncodeSnapshot(const obs::MetricsSnapshot& snap, ByteWriter* w) {
   w->U32(static_cast<std::uint32_t>(snap.counters.size()));
   for (const auto& [name, value] : snap.counters) {
     w->Str(name);
@@ -683,7 +546,7 @@ void EncodeSnapshot(const obs::MetricsSnapshot& snap, WireWriter* w) {
   }
 }
 
-bool DecodeSnapshot(WireReader* r, obs::MetricsSnapshot* out) {
+bool DecodeSnapshot(ByteReader* r, obs::MetricsSnapshot* out) {
   out->counters.clear();
   out->gauges.clear();
   out->histograms.clear();
@@ -717,7 +580,7 @@ bool DecodeSnapshot(WireReader* r, obs::MetricsSnapshot* out) {
   return r->ok();
 }
 
-void EncodeSessionQuality(const SessionQuality& q, WireWriter* w) {
+void EncodeSessionQuality(const SessionQuality& q, ByteWriter* w) {
   w->Str(q.session_id);
   w->U64(q.points);
   w->U64(q.alarms);
@@ -737,7 +600,7 @@ void EncodeSessionQuality(const SessionQuality& q, WireWriter* w) {
   }
 }
 
-bool DecodeSessionQuality(WireReader* r, SessionQuality* out) {
+bool DecodeSessionQuality(ByteReader* r, SessionQuality* out) {
   out->session_id = r->Str();
   out->points = r->U64();
   out->alarms = r->U64();
@@ -776,7 +639,7 @@ obs::MetricsSnapshot StatsResp::Merged() const {
 }
 
 std::string EncodeStats(const StatsResp& resp) {
-  WireWriter w;
+  ByteWriter w;
   w.U64(resp.sessions_handed_off);
   w.U32(static_cast<std::uint32_t>(resp.reactors.size()));
   for (const obs::MetricsSnapshot& snap : resp.reactors) {
@@ -794,7 +657,7 @@ std::string EncodeStats(const StatsResp& resp) {
 }
 
 bool DecodeStats(const std::string& payload, StatsResp* out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out->sessions_handed_off = r.U64();
   const std::uint32_t nreactors = r.U32();
   if (!r.ok()) return false;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/detector.h"
 #include "core/spot_config.h"
 #include "core/topk_outliers.h"
@@ -30,14 +31,15 @@ namespace net {
 ///     u32 payload_len
 ///     u32 payload_crc32 (IEEE CRC-32 of the payload bytes)
 ///
-/// mirroring the checkpoint format's versioning discipline
-/// (src/core/checkpoint.h): fixed-width little-endian fields, doubles as
-/// raw IEEE-754 bit patterns, a single version byte that readers must
-/// recognize — no optional fields or skippable sections inside a version;
-/// any layout change bumps kWireVersion. The CRC and the payload-length
-/// cap make frame parsing safe against truncated, corrupt and oversized
-/// input: a violating frame is a *connection* error (there is no way to
-/// resynchronize a byte stream mid-frame), never a crash.
+/// written with the checkpoint format's own codec (common/bytes.h):
+/// fixed-width little-endian fields, doubles as raw IEEE-754 bit
+/// patterns, u32-length-prefixed strings. Like a checkpoint it carries a
+/// single version byte that readers must recognize — no optional fields
+/// or skippable sections inside a version; any layout change bumps
+/// kWireVersion. The CRC and the payload-length cap make frame parsing
+/// safe against truncated, corrupt and oversized input: a violating frame
+/// is a *connection* error (there is no way to resynchronize a byte
+/// stream mid-frame), never a crash.
 ///
 /// Conversation model (one TCP connection, strictly ordered):
 ///  * The client sends request frames (kCreateSession, kResumeSession,
@@ -114,67 +116,8 @@ enum class ErrorCode : std::uint16_t {
 /// Stable lower-case name (for logs and tools; never parsed back).
 const char* ErrorCodeName(ErrorCode code);
 
-/// IEEE CRC-32 (the zlib/PNG polynomial, reflected).
-std::uint32_t Crc32(const void* data, std::size_t len);
-
-// --------------------------------------------------------- byte buffers --
-
-/// Append-only little-endian byte-buffer writer (the in-memory sibling of
-/// CheckpointWriter; same byte layout, funneled through U8/U32/U64/F64).
-class WireWriter {
- public:
-  void U8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U16(std::uint16_t v);
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
-  /// Raw IEEE-754 bit pattern: the value decodes bit-identically.
-  void F64(double v);
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  /// Length-prefixed byte string.
-  void Str(const std::string& s);
-
-  const std::string& bytes() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-/// Bounds-checked little-endian reader over a byte buffer. Mirrors
-/// CheckpointReader: every accessor returns a neutral value once a read
-/// overruns the buffer, and ok() reports the sticky failure.
-class WireReader {
- public:
-  WireReader(const char* data, std::size_t len) : data_(data), len_(len) {}
-  explicit WireReader(const std::string& buf)
-      : WireReader(buf.data(), buf.size()) {}
-
-  std::uint8_t U8();
-  std::uint16_t U16();
-  std::uint32_t U32();
-  std::uint64_t U64();
-  double F64();
-  bool Bool() { return U8() != 0; }
-  std::string Str();
-
-  /// Marks the read as failed (semantic validation error); always returns
-  /// false so `return reader.Fail();` reads naturally in decoders.
-  bool Fail();
-
-  bool ok() const { return !failed_; }
-  /// True when every byte has been consumed (decoders require this so a
-  /// payload with trailing junk is rejected, not silently accepted).
-  bool AtEnd() const { return !failed_ && pos_ == len_; }
-  /// Bytes not yet consumed (decoders bound element counts against this
-  /// before allocating, so a corrupt count cannot trigger a huge alloc).
-  std::size_t remaining() const { return failed_ ? 0 : len_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t len_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
+/// IEEE CRC-32 of frame payloads: the library's one CRC (common/bytes.h).
+using spot::Crc32;
 
 // ---------------------------------------------------------------- frames --
 
@@ -369,8 +312,8 @@ bool DecodeStats(const std::string& payload, StatsResp* out);
 /// and the loadgen's --verify mode compare server round-trip verdicts to
 /// in-process SpotService output through exactly this function.
 void EncodeVerdictList(const std::vector<SpotResult>& verdicts,
-                       WireWriter* w);
-bool DecodeVerdictList(WireReader* r, std::vector<SpotResult>* out);
+                       ByteWriter* w);
+bool DecodeVerdictList(ByteReader* r, std::vector<SpotResult>* out);
 std::string VerdictBytes(const std::vector<SpotResult>& verdicts);
 
 /// Answers kQueryTopK: the session's k worst current outliers, best
@@ -391,8 +334,8 @@ bool DecodeTopK(const std::string& payload, TopKResp* out);
 /// Two top-k answers are equal iff their TopKBytes match; the loadgen's
 /// --verify mode and the differential tests compare through this.
 void EncodeTopKEntryList(const std::vector<TopKEntry>& entries,
-                         WireWriter* w);
-bool DecodeTopKEntryList(WireReader* r, std::vector<TopKEntry>* out);
+                         ByteWriter* w);
+bool DecodeTopKEntryList(ByteReader* r, std::vector<TopKEntry>* out);
 std::string TopKBytes(const std::vector<TopKEntry>& entries);
 
 }  // namespace net

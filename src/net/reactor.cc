@@ -47,7 +47,11 @@ Reactor::Reactor(int index, const SpotServerConfig& config,
 Reactor::~Reactor() { Shutdown(); }
 
 bool Reactor::Init() {
-  poller_ = Poller::Create(config_.use_epoll);
+  if (!poller_.Open()) {
+    SPOT_LOG(Error) << "reactor " << index_
+                    << ": epoll_create1(): " << std::strerror(errno);
+    return false;
+  }
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     SPOT_LOG(Error) << "reactor " << index_
@@ -59,7 +63,7 @@ bool Reactor::Init() {
   if (!SetNonBlocking(wake_rd_) || !SetNonBlocking(wake_wr_)) {
     return false;
   }
-  poller_->Add(wake_rd_, /*read=*/true, /*write=*/false);
+  poller_.Add(wake_rd_, /*read=*/true, /*write=*/false);
   return true;
 }
 
@@ -68,7 +72,7 @@ void Reactor::AdoptListener(int fd, bool acceptor,
   listen_fd_ = fd;
   acceptor_ = acceptor;
   handoff_targets_ = std::move(handoff_targets);
-  poller_->Add(listen_fd_, /*read=*/true, /*write=*/false);
+  poller_.Add(listen_fd_, /*read=*/true, /*write=*/false);
 }
 
 void Reactor::SetObservability(obs::MetricsHub* hub,
@@ -90,15 +94,15 @@ void Reactor::Run() {
 }
 
 bool Reactor::RunOnce(int timeout_ms) {
-  if (stopping() || poller_ == nullptr || shutdown_done_) return false;
+  if (stopping() || !poller_.is_open() || shutdown_done_) return false;
   if (config_.profile_counters && perf_group_ == nullptr) {
     // Opened here — on the loop thread — rather than in Init(), which
     // runs on the server's starting thread: a perf_event group counts
     // the thread that opened it.
     perf_group_ = obs::PerfCounterGroup::Open();
   }
-  std::vector<Poller::Event> events;
-  if (poller_->Wait(timeout_ms, &events) < 0) {
+  std::vector<EpollPoller::Event> events;
+  if (poller_.Wait(timeout_ms, &events) < 0) {
     SPOT_LOG(Error) << "reactor " << index_
                     << ": event wait failed: " << std::strerror(errno);
     return false;
@@ -112,10 +116,10 @@ bool Reactor::RunOnce(int timeout_ms) {
     // the idle cadence the pause exists to protect — and since the flag
     // and the listener are this reactor's own, a paused shard never
     // touches (or stalls) any other reactor's accepts.
-    poller_->Add(listen_fd_, /*read=*/true, /*write=*/false);
+    poller_.Add(listen_fd_, /*read=*/true, /*write=*/false);
     listener_paused_ = false;
   }
-  for (const Poller::Event& ev : events) {
+  for (const EpollPoller::Event& ev : events) {
     if (ev.fd == wake_rd_) {
       DrainIntake();
       continue;
@@ -224,7 +228,7 @@ void Reactor::Shutdown() {
     CloseConn(fd);
   }
   if (listen_fd_ >= 0) {
-    if (poller_ != nullptr) poller_->Remove(listen_fd_);
+    if (poller_.is_open()) poller_.Remove(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -235,12 +239,12 @@ void Reactor::Shutdown() {
     intake_.clear();
   }
   if (wake_rd_ >= 0) {
-    if (poller_ != nullptr) poller_->Remove(wake_rd_);
+    if (poller_.is_open()) poller_.Remove(wake_rd_);
     ::close(wake_rd_);
     ::close(wake_wr_);
     wake_rd_ = wake_wr_ = -1;
   }
-  poller_.reset();
+  poller_.Close();
   PublishMetrics();  // final snapshot covers the shutdown drain
   if (service_ != nullptr && !service_->config().checkpoint_dir.empty()) {
     if (service_->CheckpointAll()) {
@@ -281,7 +285,7 @@ void Reactor::AdoptConn(int fd) {
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
   conn->decoder = FrameDecoder(config_.max_payload_bytes);
-  poller_->Add(fd, /*read=*/true, /*write=*/false);
+  poller_.Add(fd, /*read=*/true, /*write=*/false);
   conns_.emplace(fd, std::move(conn));
   ++stats_.connections_accepted;
 }
@@ -301,7 +305,7 @@ void Reactor::AcceptReady() {
         SPOT_LOG(Error) << "reactor " << index_
                         << ": accept(): " << std::strerror(errno)
                         << "; pausing this reactor's listener for one turn";
-        poller_->Remove(listen_fd_);
+        poller_.Remove(listen_fd_);
         listener_paused_ = true;
         ++stats_.listener_pauses;
       }
@@ -343,7 +347,7 @@ void Reactor::CloseConn(int fd) {
     if (!pending.empty()) ProcessPending(conn, id, /*all=*/true);
   }
   DetachSessions(conn);
-  if (poller_ != nullptr) poller_->Remove(fd);
+  if (poller_.is_open()) poller_.Remove(fd);
   ::close(fd);
   conns_.erase(it);
   ++stats_.connections_closed;
@@ -890,13 +894,13 @@ void Reactor::UpdateBackpressure(Conn& conn) {
 }
 
 void Reactor::SyncPollerInterest(Conn& conn) {
-  if (poller_ == nullptr || conns_.count(conn.fd) == 0) return;
+  if (!poller_.is_open() || conns_.count(conn.fd) == 0) return;
   const bool want_read = !conn.paused && !conn.want_close;
   const bool want_write = conn.out_off < conn.outbuf.size();
   if (want_read != conn.poll_read || want_write != conn.poll_write) {
     conn.poll_read = want_read;
     conn.poll_write = want_write;
-    poller_->Update(conn.fd, want_read, want_write);
+    poller_.Update(conn.fd, want_read, want_write);
   }
 }
 

@@ -30,7 +30,7 @@ namespace net {
 class SessionRegistry;
 
 /// One event-loop shard of the multi-reactor server (DESIGN.md Section
-/// 8). A reactor owns a Poller, a set of connections, an optional
+/// 8). A reactor owns an epoll poller, a set of connections, an optional
 /// listener (its own SO_REUSEPORT listener, the sole listener in
 /// single-reactor or hand-off mode, or none at all when another reactor
 /// accepts for it), and a borrowed SpotService shard holding exactly the
@@ -55,8 +55,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Creates the poller and the cross-thread wakeup pipe. False on
-  /// resource exhaustion.
+  /// Opens the epoll poller and the cross-thread wakeup pipe. False, with
+  /// the cause logged, when either cannot be created.
   bool Init();
 
   /// Takes ownership of a bound, listening, non-blocking socket. At most
@@ -184,7 +184,7 @@ class Reactor {
   SessionRegistry* registry_;
   const std::atomic<bool>* stop_;
 
-  std::unique_ptr<Poller> poller_;
+  EpollPoller poller_;
   int listen_fd_ = -1;
   /// Listener deregistered for one turn after an fd-exhausted accept;
   /// strictly per-reactor so one exhausted shard never stalls another.

@@ -23,7 +23,7 @@ struct SpotServerConfig {
   int backlog = 64;
 
   /// Event-loop shards (DESIGN.md Section 8): each reactor runs its own
-  /// epoll/poll loop on its own thread over its own connections, with its
+  /// epoll loop on its own thread over its own connections, with its
   /// own SpotService shard. Verdicts never depend on the setting — a
   /// session is pinned to the reactor of the connection that opened it
   /// and processed in arrival order there.
@@ -53,7 +53,7 @@ struct SpotServerConfig {
   /// its event loop or other connections.
   std::size_t max_output_bytes = 4u << 20;
 
-  /// Upper bound on one epoll/poll wait, which is also the cadence at
+  /// Upper bound on one epoll wait, which is also the cadence at
   /// which Stop()/SIGTERM is noticed when the server is idle.
   int poll_interval_ms = 50;
 
@@ -62,10 +62,6 @@ struct SpotServerConfig {
   /// the kernel's multi-megabyte loopback buffering) is what fills first;
   /// 0 keeps the OS default.
   int sndbuf_bytes = 0;
-
-  /// Use epoll(7) when available; false forces the portable poll(2) loop
-  /// (the fallback used automatically on non-Linux builds).
-  bool use_epoll = true;
 
   /// Prometheus-text scrape endpoint (DESIGN.md Section 9): when >= 0 the
   /// server runs a minimal HTTP/1.0 responder on its own thread at

@@ -19,12 +19,11 @@
 namespace spot {
 namespace net {
 
-/// Multi-reactor epoll (poll-fallback) ingest server (DESIGN.md
-/// Section 8).
+/// Multi-reactor epoll ingest server (DESIGN.md Section 8).
 ///
 /// The server owns `num_reactors` event-loop shards. Each reactor runs on
-/// its own thread with its own Poller, its own connections, and its own
-/// SpotService shard; the shards share one checkpoint directory (files
+/// its own thread with its own epoll poller, its own connections, and its
+/// own SpotService shard; the shards share one checkpoint directory (files
 /// are per-session, so they never collide). Connections are spread either
 /// by per-reactor SO_REUSEPORT listeners on the shared port (the kernel
 /// picks by 4-tuple hash) or — when SO_REUSEPORT is unavailable or

@@ -5,8 +5,9 @@
 // cross CS self-evolution, OS growth, drift-relearn and compaction
 // boundaries, and regardless of the shard count on either side of the
 // save/load — that a save onto a full disk fails cleanly, keeping the
-// previous image, and that grid images with cells outside the partition are
-// refused. The ASan/UBSan CI job runs this binary.
+// previous image, that a single flipped bit anywhere in an image is refused,
+// and that grid images with cells outside the partition are refused. The
+// ASan/UBSan CI job runs this binary.
 
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "core/checkpoint.h"
 #include "core/detector.h"
 #include "core/drift_detector.h"
@@ -107,14 +109,11 @@ void ExpectSameStats(const SpotStats& a, const SpotStats& b,
 }
 
 std::string SaveToString(const SpotDetector& det) {
-  std::ostringstream out;
-  EXPECT_TRUE(SaveCheckpoint(det, out));
-  return out.str();
+  return det.SaveState();
 }
 
 bool LoadFromString(SpotDetector* det, const std::string& bytes) {
-  std::istringstream in(bytes);
-  return LoadCheckpoint(det, in);
+  return det->LoadState(bytes);
 }
 
 /// Feeds `stream[begin, end)` in batches of `batch` and returns the
@@ -384,22 +383,74 @@ TEST(CheckpointTest, TopKWindowAndFeedbackStateRoundTrip) {
   }
 }
 
-// Pre-feedback-plane checkpoints (format v1) must be refused outright:
-// the v2 image carries topk_capacity, feedback_rounds and the top-k
-// window, and guessing defaults for them would silently fork the verdict
-// stream the checkpoint promises to reproduce.
+/// Recomputes an image's trailing CRC-32 over every earlier byte, so an
+/// edit to the body reaches the parser instead of being refused by the
+/// checksum.
+void Reseal(std::string* image) {
+  const std::size_t body = image->size() - 4;
+  ByteWriter crc;
+  crc.U32(Crc32(image->data(), body));
+  image->replace(body, 4, crc.bytes());
+}
+
+// Images of any other format version must be refused outright: v1 lacks
+// topk_capacity, feedback_rounds and the top-k window, v2 the CRC, and
+// guessing defaults for them would silently fork the verdict stream the
+// checkpoint promises to reproduce. Every forgery is resealed, so the
+// version check, not the checksum, is what refuses it.
 TEST(CheckpointTest, RejectsOtherFormatVersions) {
   const auto training = TrainingBatch(5, 200);
   auto det = LearnedDetector(EventfulConfig(), training);
   std::string bytes = SaveToString(*det);
 
   // The format version is the byte right after the 8-byte header magic.
-  for (const char version : {char{1}, char{3}, char{0}}) {
+  for (const char version : {char{0}, char{1}, char{2}, char{4}}) {
     std::string forged = bytes;
     forged[8] = version;
+    Reseal(&forged);
     SpotDetector victim{SpotConfig{}};
     EXPECT_FALSE(LoadFromString(&victim, forged))
         << "accepted format version " << static_cast<int>(version);
+    EXPECT_FALSE(victim.learned());
+  }
+  // Control: resealing an unmodified image keeps it loadable.
+  Reseal(&bytes);
+  SpotDetector control{SpotConfig{}};
+  EXPECT_TRUE(LoadFromString(&control, bytes));
+}
+
+// The v3 image ends with the CRC-32 of every earlier byte, checked before
+// anything is parsed: a single flipped bit anywhere — header, config,
+// cell records, trailer or the CRC itself — is refused, and the refused
+// load leaves a previously learned detector unlearned.
+TEST(CheckpointTest, RefusesEverySingleBitFlip) {
+  const auto training = TrainingBatch(5, 200);
+  const auto stream = DriftingEvalStream(5, 600, 6);
+  auto det = LearnedDetector(EventfulConfig(), training);
+  Drive(det.get(), stream, 0, 600, 32);
+  const std::string image = SaveToString(*det);
+  ASSERT_GT(image.size(), 4096u);
+
+  const std::size_t total_bits = image.size() * 8;
+  std::vector<std::size_t> bits;
+  // Every bit of the header (magic + version byte) and of the trailer
+  // magic + CRC.
+  for (std::size_t b = 0; b < 9 * 8; ++b) bits.push_back(b);
+  for (std::size_t b = total_bits - 12 * 8; b < total_bits; ++b) {
+    bits.push_back(b);
+  }
+  // 401 more spread evenly over the image, cycling through bit positions.
+  for (std::size_t i = 0; i < 401; ++i) {
+    bits.push_back(i * (total_bits / 401) + i % 8);
+  }
+
+  SpotDetector victim{SpotConfig{}};
+  for (const std::size_t bit : bits) {
+    ASSERT_TRUE(LoadFromString(&victim, image));
+    std::string flipped = image;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_FALSE(LoadFromString(&victim, flipped))
+        << "loaded with bit " << bit << " of " << total_bits << " flipped";
     EXPECT_FALSE(victim.learned());
   }
 }
@@ -410,14 +461,11 @@ TEST(CheckpointLayerTest, RngResumesItsExactStream) {
   Rng a(42);
   for (int i = 0; i < 100; ++i) a.NextGaussian();  // park a spare gaussian
 
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   a.SaveState(w);
-  ASSERT_TRUE(w.ok());
 
   Rng b(7);  // different seed: state must come from the checkpoint alone
-  std::istringstream in(out.str());
-  CheckpointReader r(&in);
+  ByteReader r(w.bytes());
   ASSERT_TRUE(b.LoadState(r));
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.NextUint64(), b.NextUint64());
@@ -434,12 +482,10 @@ TEST(CheckpointLayerTest, ReservoirResumesExactAcceptanceSequence) {
     a.Add(row);
   }
 
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   a.SaveState(w);
   ReservoirSample b(16, 999);
-  std::istringstream in(out.str());
-  CheckpointReader r(&in);
+  ByteReader r(w.bytes());
   ASSERT_TRUE(b.LoadState(r));
   EXPECT_EQ(a.Items(), b.Items());
   EXPECT_EQ(a.seen(), b.seen());
@@ -453,20 +499,17 @@ TEST(CheckpointLayerTest, ReservoirResumesExactAcceptanceSequence) {
 
 TEST(CheckpointLayerTest, ReservoirRejectsCapacityMismatch) {
   ReservoirSample a(16, 5);
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   a.SaveState(w);
   ReservoirSample b(8, 5);
-  std::istringstream in(out.str());
-  CheckpointReader r(&in);
+  ByteReader r(w.bytes());
   EXPECT_FALSE(b.LoadState(r));
 }
 
 // One-cell grid images, written field by field in the layout the grids'
 // SaveState writes, holding the cell at `coords`.
 std::string ProjectedGridImage(const Subspace& s, const CellCoords& coords) {
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   w.U64(s.bits());
   w.U64(7);    // last_tick
   w.U64(0);    // arrivals_since_compaction
@@ -478,12 +521,11 @@ std::string ProjectedGridImage(const Subspace& s, const CellCoords& coords) {
   w.F64(1.0);  // record: count, ls[k], ss[k], tick
   for (std::size_t i = 0; i < 2 * coords.size(); ++i) w.F64(0.5);
   w.F64(7.0);
-  return out.str();
+  return w.Take();
 }
 
 std::string BaseGridImage(const CellCoords& coords) {
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   w.U64(7);    // last_tick
   w.U64(0);    // arrivals_since_compaction
   w.F64(1.0);  // total weight counter: weight, last tick, seen
@@ -495,7 +537,7 @@ std::string BaseGridImage(const CellCoords& coords) {
   w.U64(7);
   w.U64(coords.size());
   for (std::size_t i = 0; i < 2 * coords.size(); ++i) w.F64(0.5);
-  return out.str();
+  return w.Take();
 }
 
 TEST(CheckpointLayerTest, GridsRefuseCellCoordinatesOutsideThePartition) {
@@ -514,12 +556,12 @@ TEST(CheckpointLayerTest, GridsRefuseCellCoordinatesOutsideThePartition) {
       coords.back() = coord;
       const bool valid = coord < 5;
       ProjectedGrid projected(s, &part, DecayModel(100, 0.01));
-      std::istringstream pin(ProjectedGridImage(s, coords));
-      CheckpointReader pr(&pin);
+      const std::string pin = ProjectedGridImage(s, coords);
+      ByteReader pr(pin);
       EXPECT_EQ(projected.LoadState(pr), valid);
       BaseGrid base(part, DecayModel(100, 0.01));
-      std::istringstream bin(BaseGridImage(coords));
-      CheckpointReader br(&bin);
+      const std::string bin = BaseGridImage(coords);
+      ByteReader br(bin);
       EXPECT_EQ(base.LoadState(br), valid);
       if (valid) {
         EXPECT_EQ(projected.PopulatedCells(), 1u);
@@ -534,12 +576,10 @@ TEST(CheckpointLayerTest, PageHinkleyResumesAccumulatedStatistic) {
   Rng noise(3);
   for (int i = 0; i < 500; ++i) a.Add(noise.NextBernoulli(0.05) ? 1.0 : 0.0);
 
-  std::ostringstream out;
-  CheckpointWriter w(&out);
+  ByteWriter w;
   a.SaveState(w);
   PageHinkley b(9.9, 9.9);  // parameters come from the checkpoint
-  std::istringstream in(out.str());
-  CheckpointReader r(&in);
+  ByteReader r(w.bytes());
   ASSERT_TRUE(b.LoadState(r));
   EXPECT_EQ(a.statistic(), b.statistic());
   EXPECT_EQ(a.mean(), b.mean());

@@ -1,13 +1,20 @@
 // Unit tests of src/common: RNG determinism and distributions, running
-// statistics, math helpers.
+// statistics, math helpers, and the byte codec shared by checkpoints and
+// wire frames (scalar round trips, exact double bit patterns, sticky
+// overrun, and the slicing-by-8 CRC-32 against a bytewise reference).
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -301,6 +308,93 @@ TEST(TimerTest, MeasuresNonNegativeElapsed) {
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
   t.Reset();
   EXPECT_GE(t.ElapsedMillis(), 0.0);
+}
+
+// -------------------------------------------------------------- bytes ----
+
+TEST(BytesTest, ScalarRoundTrip) {
+  ByteWriter w;
+  w.U8(0xAB);
+  w.U16(0xBEEF);
+  w.U32(0xDEADBEEFu);
+  w.U64(0x0123456789ABCDEFULL);
+  w.F64(-1234.5678);
+  w.Bool(true);
+  w.Str("hello\0world");  // literal truncates at NUL — also covers short str
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.U8(), 0xAB);
+  EXPECT_EQ(r.U16(), 0xBEEF);
+  EXPECT_EQ(r.U32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.U64(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(r.F64(), -1234.5678);
+  EXPECT_TRUE(r.Bool());
+  EXPECT_EQ(r.Str(), "hello");
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BytesTest, DoubleBitPatternsSurviveExactly) {
+  const double values[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           1.0 / 3.0};
+  ByteWriter w;
+  for (double v : values) w.F64(v);
+  ByteReader r(w.bytes());
+  for (double v : values) {
+    const double got = r.F64();
+    std::uint64_t want_bits = 0, got_bits = 0;
+    std::memcpy(&want_bits, &v, 8);
+    std::memcpy(&got_bits, &got, 8);
+    EXPECT_EQ(want_bits, got_bits);
+  }
+}
+
+TEST(BytesTest, ReaderOverrunIsStickyAndNeutral) {
+  ByteWriter w;
+  w.U32(7);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.U32(), 7u);
+  EXPECT_EQ(r.U64(), 0u);  // overruns: neutral value
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.Str(), "");  // stays failed
+  EXPECT_FALSE(r.AtEnd());
+}
+
+/// The classic bytewise table CRC-32 (reflected 0xEDB88320): the
+/// reference the slicing-by-8 Crc32 must reproduce bit for bit.
+std::uint32_t ReferenceCrc32(const unsigned char* p, std::size_t len) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicingBy8MatchesBytewiseReference) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  std::vector<unsigned char> buf(4096 + 8);
+  Rng rng(11);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextUint64());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "alignment " << align << ", length " << len;
+    }
+  }
 }
 
 }  // namespace

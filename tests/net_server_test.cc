@@ -155,14 +155,13 @@ std::vector<SpotResult> StreamOverWire(SpotClient& client,
 // randomized barriers. VerdictBytes (raw IEEE-754 bit patterns of scores
 // and PCS evidence, subspace masks, flags) must match exactly.
 void RunDifferential(std::size_t shards, std::size_t reactors,
-                     bool use_reuseport, bool use_epoll) {
+                     bool use_reuseport) {
   SpotServiceConfig scfg;
   scfg.num_shards = shards;
   SpotServerConfig ncfg;
   ncfg.batch_points = 48;  // force multi-chunk coalescing paths
   ncfg.num_reactors = reactors;
   ncfg.use_reuseport = use_reuseport;
-  ncfg.use_epoll = use_epoll;
   TestServer server(scfg, ncfg);
 
   SpotServiceConfig ref_cfg;  // shards=1: also proves shard invariance
@@ -200,40 +199,33 @@ void RunDifferential(std::size_t shards, std::size_t reactors,
 }
 
 TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtOneShard) {
-  RunDifferential(/*shards=*/1, /*reactors=*/1, /*use_reuseport=*/true,
-                  /*use_epoll=*/true);
+  RunDifferential(/*shards=*/1, /*reactors=*/1, /*use_reuseport=*/true);
 }
 
 TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtFourShards) {
-  RunDifferential(/*shards=*/4, /*reactors=*/1, /*use_reuseport=*/true,
-                  /*use_epoll=*/true);
+  RunDifferential(/*shards=*/4, /*reactors=*/1, /*use_reuseport=*/true);
 }
 
-TEST(NetDifferentialTest, PollFallbackMatchesEpoll) {
-  RunDifferential(/*shards=*/2, /*reactors=*/1, /*use_reuseport=*/true,
-                  /*use_epoll=*/false);
+TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtTwoShards) {
+  RunDifferential(/*shards=*/2, /*reactors=*/1, /*use_reuseport=*/true);
 }
 
 TEST(NetDifferentialTest, TwoReactorsByteIdentical) {
-  RunDifferential(/*shards=*/1, /*reactors=*/2, /*use_reuseport=*/true,
-                  /*use_epoll=*/true);
+  RunDifferential(/*shards=*/1, /*reactors=*/2, /*use_reuseport=*/true);
 }
 
 TEST(NetDifferentialTest, FourReactorsFourShardsByteIdentical) {
-  RunDifferential(/*shards=*/4, /*reactors=*/4, /*use_reuseport=*/true,
-                  /*use_epoll=*/true);
+  RunDifferential(/*shards=*/4, /*reactors=*/4, /*use_reuseport=*/true);
 }
 
 TEST(NetDifferentialTest, HandOffAcceptModeByteIdentical) {
   // Single listener on reactor 0 dealing connections round-robin — the
   // fallback when SO_REUSEPORT is unavailable.
-  RunDifferential(/*shards=*/1, /*reactors=*/2, /*use_reuseport=*/false,
-                  /*use_epoll=*/true);
+  RunDifferential(/*shards=*/1, /*reactors=*/2, /*use_reuseport=*/false);
 }
 
-TEST(NetDifferentialTest, MultiReactorPollFallbackByteIdentical) {
-  RunDifferential(/*shards=*/2, /*reactors=*/2, /*use_reuseport=*/true,
-                  /*use_epoll=*/false);
+TEST(NetDifferentialTest, TwoReactorsTwoShardsByteIdentical) {
+  RunDifferential(/*shards=*/2, /*reactors=*/2, /*use_reuseport=*/true);
 }
 
 // The profiling differential (DESIGN.md Section 12): the same streams
@@ -449,7 +441,7 @@ TEST(NetRobustnessTest, CorruptCrcAndOversizedFramesRejected) {
   // Header announcing a payload over the server's cap.
   {
     const int raw = RawConnect(server.port());
-    WireWriter w;
+    ByteWriter w;
     w.U32(kFrameMagic);
     w.U8(kWireVersion);
     w.U8(static_cast<std::uint8_t>(MsgType::kIngest));

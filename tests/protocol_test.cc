@@ -1,8 +1,8 @@
-// Tests of the SPOT wire protocol (src/net/protocol.h): little-endian
-// scalar round-trips (including exact double bit patterns), the CRC-32
+// Tests of the SPOT wire protocol (src/net/protocol.h): the CRC-32
 // reference vector, frame encode/decode under byte-at-a-time delivery,
 // every payload codec, and rejection of truncated / corrupt / oversized
-// frames without a crash.
+// frames without a crash. The byte codec itself is tested in
+// common_test.
 
 #include <algorithm>
 #include <cmath>
@@ -14,63 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "net/protocol.h"
 
 namespace spot {
 namespace net {
 namespace {
-
-TEST(WireBufferTest, ScalarRoundTrip) {
-  WireWriter w;
-  w.U8(0xAB);
-  w.U16(0xBEEF);
-  w.U32(0xDEADBEEFu);
-  w.U64(0x0123456789ABCDEFULL);
-  w.F64(-1234.5678);
-  w.Bool(true);
-  w.Str("hello\0world");  // literal truncates at NUL — also covers short str
-  WireReader r(w.bytes());
-  EXPECT_EQ(r.U8(), 0xAB);
-  EXPECT_EQ(r.U16(), 0xBEEF);
-  EXPECT_EQ(r.U32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.U64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.F64(), -1234.5678);
-  EXPECT_TRUE(r.Bool());
-  EXPECT_EQ(r.Str(), "hello");
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(WireBufferTest, DoubleBitPatternsSurviveExactly) {
-  const double values[] = {0.0,
-                           -0.0,
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::denorm_min(),
-                           std::numeric_limits<double>::max(),
-                           1.0 / 3.0};
-  WireWriter w;
-  for (double v : values) w.F64(v);
-  WireReader r(w.bytes());
-  for (double v : values) {
-    const double got = r.F64();
-    std::uint64_t want_bits = 0, got_bits = 0;
-    std::memcpy(&want_bits, &v, 8);
-    std::memcpy(&got_bits, &got, 8);
-    EXPECT_EQ(want_bits, got_bits);
-  }
-}
-
-TEST(WireBufferTest, ReaderOverrunIsStickyAndNeutral) {
-  WireWriter w;
-  w.U32(7);
-  WireReader r(w.bytes());
-  EXPECT_EQ(r.U32(), 7u);
-  EXPECT_EQ(r.U64(), 0u);  // overruns: neutral value
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.Str(), "");  // stays failed
-  EXPECT_FALSE(r.AtEnd());
-}
 
 TEST(Crc32Test, ReferenceVector) {
   // The canonical CRC-32 check value.
@@ -164,7 +113,7 @@ TEST(FrameTest, PayloadCorruptionFailsCrc) {
 TEST(FrameTest, OversizedFrameRejectedBeforeBuffering) {
   // A header announcing a payload beyond the decoder's cap must be
   // rejected from the header alone (no attempt to buffer the payload).
-  WireWriter w;
+  ByteWriter w;
   w.U32(kFrameMagic);
   w.U8(kWireVersion);
   w.U8(static_cast<std::uint8_t>(MsgType::kIngest));
@@ -241,6 +190,26 @@ TEST(CodecTest, CreateSessionRoundTrip) {
   EXPECT_EQ(EncodeCreateSession(got), payload);
 }
 
+TEST(CodecTest, ConfigBlobWithTrailingBytesRejected) {
+  // A kCreateSession payload whose config blob carries one byte past the
+  // config encoding: like every other payload section, it must be exact.
+  const auto payload_with_blob = [](const std::string& blob) {
+    ByteWriter w;
+    w.Str("tenant");
+    w.Str(blob);
+    w.U32(1);  // one training row of one attribute
+    w.U32(1);
+    w.F64(0.5);
+    return w.Take();
+  };
+  ByteWriter config;
+  WriteConfigBinary(config, SpotConfig{});
+  CreateSessionReq got;
+  ASSERT_TRUE(DecodeCreateSession(payload_with_blob(config.bytes()), &got));
+  EXPECT_FALSE(
+      DecodeCreateSession(payload_with_blob(config.bytes() + '\0'), &got));
+}
+
 TEST(CodecTest, IngestRoundTrip) {
   IngestReq req;
   req.session_id = "s";
@@ -274,7 +243,7 @@ TEST(CodecTest, EmptyIngestAndTrailingJunkRejected) {
 
 TEST(CodecTest, HostileCountsDoNotAllocate) {
   // An ingest payload claiming 2^31 points in 16 bytes must fail cleanly.
-  WireWriter w;
+  ByteWriter w;
   w.Str("s");
   w.U32(0x80000000u);  // count
   w.U32(64);           // dims
@@ -283,13 +252,13 @@ TEST(CodecTest, HostileCountsDoNotAllocate) {
 
   // count * (8 + 8*dims) chosen to wrap to 0 mod 2^64: the size bound
   // must be computed by division, never by multiplying untrusted counts.
-  WireWriter o;
+  ByteWriter o;
   o.Str("s");
   o.U32(0x40000000u);  // count = 2^30
   o.U32(0x7FFFFFFFu);  // dims: 8 + 8*dims = 2^34 -> product wraps to 0
   EXPECT_FALSE(DecodeIngest(o.bytes(), &got));
 
-  WireWriter v;
+  ByteWriter v;
   v.Str("s");
   v.U64(0);
   v.U32(0x7FFFFFFFu);  // verdict count
@@ -304,7 +273,7 @@ TEST(CodecTest, HostileTrainingMatrixDoesNotAllocate) {
   // Rewrite the trailing rows/dims words with values whose product wraps
   // mod 2^64 (2^31 * 2^31 * 8 = 2^65 = 0): must be rejected, not
   // allocated.
-  WireWriter tail;
+  ByteWriter tail;
   tail.U32(0x80000000u);  // rows
   tail.U32(0x80000000u);  // dims
   base.replace(base.size() - 8, 8, tail.bytes());
@@ -313,7 +282,7 @@ TEST(CodecTest, HostileTrainingMatrixDoesNotAllocate) {
 
   // Zero-width rows are also hostile: they cost one vector allocation
   // each while claiming zero payload bytes.
-  WireWriter zero;
+  ByteWriter zero;
   zero.U32(0xFFFFFFFFu);  // rows
   zero.U32(0);            // dims
   base.replace(base.size() - 8, 8, zero.bytes());
@@ -401,7 +370,7 @@ TEST(CodecTest, FeedbackRoundTrip) {
 TEST(CodecTest, HostileFeedbackCountsDoNotAllocate) {
   // 4G point ids announced in a dozen bytes: rejected by the
   // remaining-bytes bound before any allocation.
-  WireWriter w;
+  ByteWriter w;
   w.Str("s");
   w.U32(0xFFFFFFFFu);  // id count
   FeedbackReq got;
@@ -409,7 +378,7 @@ TEST(CodecTest, HostileFeedbackCountsDoNotAllocate) {
 
   // rows * dims chosen to wrap mod 2^64 — the bound must divide, never
   // multiply untrusted counts (same discipline as DecodeIngest).
-  WireWriter o;
+  ByteWriter o;
   o.Str("s");
   o.U32(0);            // no ids
   o.U32(0x40000000u);  // rows = 2^30
@@ -417,7 +386,7 @@ TEST(CodecTest, HostileFeedbackCountsDoNotAllocate) {
   EXPECT_FALSE(DecodeFeedback(o.bytes(), &got));
 
   // Zero-width rows claim zero payload bytes but cost an allocation each.
-  WireWriter z;
+  ByteWriter z;
   z.Str("s");
   z.U32(0);
   z.U32(0xFFFFFFFFu);  // rows
@@ -495,13 +464,13 @@ TEST(CodecTest, TopKRoundTripBitExactly) {
 }
 
 TEST(CodecTest, HostileTopKCountsDoNotAllocate) {
-  WireWriter w;
+  ByteWriter w;
   w.Str("t");
   w.U32(0xFFFFFFFFu);  // entry count in a 9-byte payload
   TopKResp got;
   EXPECT_FALSE(DecodeTopK(w.bytes(), &got));
 
-  WireWriter f;
+  ByteWriter f;
   f.Str("t");
   f.U32(1);            // one entry...
   f.U64(1);            // point_id
@@ -715,7 +684,7 @@ TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
   // session) in a handful of bytes must be rejected by the size bound
   // before any proportional allocation — same discipline as the v1
   // reactor/instrument counts.
-  WireWriter w;
+  ByteWriter w;
   w.U64(0);            // handoffs
   w.U32(0);            // reactors
   w.U32(0);            // services
@@ -728,7 +697,7 @@ TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
   one.sessions.back().session_id = "s";
   std::string wire = EncodeStats(one);
   // The session's trailing subspace count is the last u32: rewrite it.
-  WireWriter tail;
+  ByteWriter tail;
   tail.U32(0xFFFFFFFFu);
   wire.replace(wire.size() - 4, 4, tail.bytes());
   EXPECT_FALSE(DecodeStats(wire, &scratch));
@@ -737,13 +706,13 @@ TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
 TEST(CodecTest, HostileStatsCountsDoNotAllocate) {
   // A header announcing 2^32-ish snapshots/instruments must be rejected
   // by the payload-size bound before any proportional allocation.
-  WireWriter w;
+  ByteWriter w;
   w.U64(0);            // handoffs
   w.U32(0xFFFFFFFFu);  // "reactor count"
   StatsResp scratch;
   EXPECT_FALSE(DecodeStats(w.bytes(), &scratch));
 
-  WireWriter w2;
+  ByteWriter w2;
   w2.U64(0);
   w2.U32(1);           // one reactor snapshot...
   w2.U32(0xFFFFFFFFu);  // ...claiming 4G counters

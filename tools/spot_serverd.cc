@@ -2,7 +2,7 @@
 //
 //   spot_serverd [--port P] [--bind ADDR] [--checkpoint-dir DIR]
 //                [--reactors N] [--shards N] [--max-resident N]
-//                [--batch N] [--no-reuseport] [--no-epoll]
+//                [--batch N] [--no-reuseport]
 //                [--metrics-port P] [--stats-interval SECS]
 //                [--slow-batch-ms MS] [--log-level LEVEL]
 //                [--trace-capacity N] [--trace-file PATH]
@@ -27,8 +27,9 @@
 // summary every SECS seconds, mirroring --stats-interval.
 //
 // Hosts --reactors event-loop shards (default: min(hardware cores, 8)),
-// each with its own SpotService (N-shard fork-join pool per service)
-// behind the binary wire protocol. Clients create or resume sessions by
+// each an epoll loop (Linux only; there is no other loop) with its own
+// SpotService (N-shard fork-join pool per service) behind the binary
+// wire protocol. Clients create or resume sessions by
 // name; with --checkpoint-dir, SIGTERM/SIGINT shuts down gracefully —
 // every reactor processes its pending coalesced batches and saves its
 // sessions via CheckpointAll — so `kill -TERM` followed by a restart over
@@ -114,7 +115,6 @@ int main(int argc, char** argv) {
   if (ncfg.num_reactors == 0) ncfg.num_reactors = 1;
   ncfg.use_reuseport = !spot::examples::TakeBoolFlag(&args, "no-reuseport");
   ncfg.batch_points = spot::examples::TakeSizeFlag(&args, "batch", 256);
-  ncfg.use_epoll = !spot::examples::TakeBoolFlag(&args, "no-epoll");
   const std::string metrics_port_text =
       spot::examples::TakeStringFlag(&args, "metrics-port");
   if (!metrics_port_text.empty()) {
