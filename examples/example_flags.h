@@ -12,11 +12,12 @@
 namespace spot {
 namespace examples {
 
-/// Parses the `--threads N` flag every example accepts: N shard workers
-/// per ProcessBatch (SpotConfig::num_shards). Verdicts are bit-identical
-/// at every thread count — it is purely a throughput knob. Returns 1 when
-/// the flag is absent or malformed. When `positional` is non-null it
-/// receives the remaining (non-flag) arguments in order.
+/// Parses the `--threads N` flag every example accepts: N shard jobs per
+/// ProcessBatch (SpotConfig::num_shards), run on the process's one pool
+/// of CPUs - 1 workers. Verdicts are bit-identical at every count — it is
+/// purely a throughput knob. Returns 1 when the flag is absent or
+/// malformed. When `positional` is non-null it receives the remaining
+/// (non-flag) arguments in order.
 inline std::size_t ThreadsFlag(int argc, char** argv,
                                std::vector<std::string>* positional =
                                    nullptr) {

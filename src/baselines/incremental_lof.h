@@ -37,12 +37,6 @@ class IncrementalLofDetector : public StreamDetector {
   Detection Process(const DataPoint& point) override;
   std::string name() const override { return "iLOF"; }
 
-  /// Documented no-op: iLOF is a single-threaded reference baseline. The
-  /// StreamDetector contract says verdicts must never depend on the shard
-  /// count, so the request is ignored explicitly here (not silently varied
-  /// per detector); tests/baselines_test.cc pins this behavior.
-  void set_num_shards(std::size_t num_shards) override { (void)num_shards; }
-
   /// LOF of the most recent point (for tests).
   double last_lof() const { return last_lof_; }
 

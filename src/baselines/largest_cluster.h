@@ -39,12 +39,6 @@ class LargestClusterDetector : public StreamDetector {
   Detection Process(const DataPoint& point) override;
   std::string name() const override { return "LargestCluster"; }
 
-  /// Documented no-op: this baseline is a single-threaded reference
-  /// implementation. The StreamDetector contract says verdicts must never
-  /// depend on the shard count, so the request is ignored explicitly here
-  /// (not silently varied per detector); tests/baselines_test.cc pins it.
-  void set_num_shards(std::size_t num_shards) override { (void)num_shards; }
-
   std::size_t num_clusters() const { return clusters_.size(); }
 
  private:

@@ -38,12 +38,6 @@ class StormDetector : public StreamDetector {
   Detection Process(const DataPoint& point) override;
   std::string name() const override { return "STORM"; }
 
-  /// Documented no-op: STORM is a single-threaded reference baseline. The
-  /// StreamDetector contract says verdicts must never depend on the shard
-  /// count, so the request is ignored explicitly here (not silently varied
-  /// per detector); tests/baselines_test.cc pins this behavior.
-  void set_num_shards(std::size_t num_shards) override { (void)num_shards; }
-
   std::size_t window_size() const { return window_.size(); }
 
  private:

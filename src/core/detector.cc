@@ -31,8 +31,6 @@ SpotDetector::SpotDetector(const SpotConfig& config)
       topk_(config.topk_capacity, TopKDecay(config)),
       drift_(config.drift_delta, config.drift_lambda) {}
 
-SpotDetector::~SpotDetector() = default;
-
 bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
                          const DomainKnowledge* knowledge) {
   const std::string problem = config_.Validate();
@@ -179,34 +177,11 @@ SpotResult SpotDetector::Process(const DataPoint& point) {
   return std::move(Detect(std::vector<DataPoint>(1, point)).front());
 }
 
-void SpotDetector::set_num_shards(std::size_t num_shards) {
-  config_.num_shards = num_shards == 0 ? 1 : num_shards;
-  // Dropping to one shard would otherwise strand the owned workers; the
-  // next sharded batch sizes a new pool for its count (EnsurePool).
-  if (config_.num_shards == 1) owned_pool_.reset();
-}
-
-void SpotDetector::set_thread_pool(ThreadPool* pool) {
-  if (external_pool_ == pool) return;
-  external_pool_ = pool;
-  owned_pool_.reset();  // an external pool replaces the owned workers
-}
-
-ThreadPool* SpotDetector::EnsurePool() {
-  if (external_pool_ != nullptr) return external_pool_;
-  const std::size_t workers = config_.num_shards - 1;
-  if (owned_pool_ == nullptr || owned_pool_->num_threads() != workers) {
-    owned_pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  return owned_pool_.get();
-}
-
 std::vector<SpotResult> SpotDetector::Detect(
     const std::vector<DataPoint>& points) {
   Timer timer;
-  ThreadPool* pool = config_.num_shards > 1 ? EnsurePool() : nullptr;
   std::vector<SpotResult> results =
-      ShardedSpotEngine(this, config_.num_shards, pool).ProcessBatch(points);
+      ShardedSpotEngine(this, config_.num_shards).ProcessBatch(points);
   stats_.detection_seconds += timer.ElapsedSeconds();
   return results;
 }

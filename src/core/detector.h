@@ -1,6 +1,7 @@
 #ifndef SPOT_CORE_DETECTOR_H_
 #define SPOT_CORE_DETECTOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -24,7 +25,6 @@
 namespace spot {
 
 class ShardedSpotEngine;
-class ThreadPool;
 
 /// One engine window of the last batch (DESIGN.md Section 12.3): the start
 /// of its first tile (µs, SteadyMicrosSinceStart timebase), its length
@@ -98,7 +98,6 @@ struct SpotStats {
 class SpotDetector {
  public:
   explicit SpotDetector(const SpotConfig& config);
-  ~SpotDetector();
 
   SpotDetector(const SpotDetector&) = delete;
   SpotDetector& operator=(const SpotDetector&) = delete;
@@ -124,9 +123,9 @@ class SpotDetector {
   /// each point in sequence (same synapse updates, OS growth, evolution and
   /// drift side effects at the same ticks) — batching amortizes per-point
   /// overhead, it is not a semantic change. Every batch runs through a
-  /// ShardedSpotEngine, which fans the per-subspace synapse work out across
-  /// config.num_shards workers (inline at one shard); verdicts stay
-  /// bit-identical at every shard count.
+  /// ShardedSpotEngine, which splits the per-subspace synapse work into
+  /// config.num_shards jobs on the process's shared pool (inline at one
+  /// shard); verdicts stay bit-identical at every shard count.
   std::vector<SpotResult> ProcessBatch(const std::vector<DataPoint>& points);
 
   /// Convenience overload for raw value vectors (ids auto-assigned).
@@ -174,19 +173,14 @@ class SpotDetector {
   std::size_t TrackedSubspaces() const;
 
   /// Reconfigures the shard count used by ProcessBatch (see
-  /// SpotConfig::num_shards). Takes effect from the next batch; verdicts do
-  /// not depend on the setting.
-  void set_num_shards(std::size_t num_shards);
+  /// SpotConfig::num_shards), clamped to [1, SpotConfig::kMaxShards].
+  /// Takes effect from the next batch; verdicts do not depend on the
+  /// setting.
+  void set_num_shards(std::size_t num_shards) {
+    config_.num_shards =
+        std::clamp<std::size_t>(num_shards, 1, SpotConfig::kMaxShards);
+  }
   std::size_t num_shards() const { return config_.num_shards; }
-
-  /// Makes sharded batches run on `pool` (borrowed; must outlive this
-  /// detector or be cleared with nullptr first) instead of a privately
-  /// owned worker pool. This is how the SpotService multiplexes many
-  /// detector sessions onto one shared pool: the fork-join engine only
-  /// ever *borrows* a pool, and the detector owns one lazily when no
-  /// external pool is supplied. Passing nullptr reverts to the owned pool.
-  /// Verdicts never depend on which pool executes the work.
-  void set_thread_pool(ThreadPool* pool);
 
   /// Full-state binary checkpointing (see src/core/checkpoint.h): builds /
   /// restores an in-memory image of config, partition, SST, synapses,
@@ -230,10 +224,6 @@ class SpotDetector {
   // synapses for its shard views.
   friend class ShardedSpotEngine;
 
-  /// The pool sharded batches will run on: the external pool when set,
-  /// otherwise a lazily (re)built owned pool sized num_shards - 1.
-  ThreadPool* EnsurePool();
-
   /// Runs `points` through a ShardedSpotEngine built for this call and adds
   /// the wall-clock time to the stats. Requires learned().
   std::vector<SpotResult> Detect(const std::vector<DataPoint>& points);
@@ -261,10 +251,6 @@ class SpotDetector {
   Sst sst_;
   std::optional<Partition> partition_;
   std::unique_ptr<SynapseManager> synapses_;
-  /// Sharded batches borrow either external_pool_ (service-shared) or the
-  /// lazily owned owned_pool_; one-shard batches use no pool.
-  ThreadPool* external_pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
   ReservoirSample reservoir_;
   /// Worst-outlier retention for QueryTopK / feedback-by-id; rebuilt by
   /// Learn() and LoadState() so it always matches the live config's
@@ -293,9 +279,6 @@ class SpotStreamAdapter : public StreamDetector {
   Detection Process(const DataPoint& point) override;
   std::vector<Detection> ProcessBatch(
       const std::vector<DataPoint>& points) override;
-  void set_num_shards(std::size_t num_shards) override {
-    detector_->set_num_shards(num_shards);
-  }
   std::string name() const override { return "SPOT"; }
 
  private:

@@ -20,6 +20,9 @@ std::string SpotConfig::Validate() const {
   if (unsupervised.moga.generations < 1) {
     return "moga generations must be at least 1";
   }
+  if (num_shards > kMaxShards) {
+    return "num_shards must be at most " + std::to_string(kMaxShards);
+  }
   return "";
 }
 

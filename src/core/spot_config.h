@@ -120,12 +120,19 @@ struct SpotConfig {
   std::size_t topk_capacity = 64;
 
   // --- Batch sharding ----------------------------------------------------
-  /// Shards the tracked SST subspaces across this many worker threads
-  /// during ProcessBatch (1 = the engine runs inline on the calling thread,
-  /// the default). Verdicts are bit-identical at every shard count —
-  /// sharding is a throughput knob, not a semantic one. Single-point
-  /// Process() runs as a batch of one at the same shard count.
+  /// Splits the tracked SST subspaces into this many shard jobs per
+  /// ProcessBatch tile (1 = the engine runs inline on the calling thread,
+  /// the default). The jobs run on the process's one compute pool, whose
+  /// size follows the CPUs, not this count. Verdicts are bit-identical at
+  /// every shard count — sharding is a throughput knob, not a semantic
+  /// one. Single-point Process() runs as a batch of one at the same shard
+  /// count. Validate() refuses counts above kMaxShards.
   std::size_t num_shards = 1;
+
+  /// Largest num_shards Validate() accepts. The engine keeps one stage
+  /// entry per shard and a tile of 64 points per shard, so an unbounded
+  /// count read from a checkpoint or a wire request could exhaust memory.
+  static constexpr std::size_t kMaxShards = 256;
 
   // --- Reproducibility ---------------------------------------------------
   std::uint64_t seed = 1234;

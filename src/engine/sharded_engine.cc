@@ -80,10 +80,10 @@ void Extend(const obs::Stage& scope, bool first_tile, StageEntry* entry) {
 }  // namespace
 
 ShardedSpotEngine::ShardedSpotEngine(SpotDetector* detector,
-                                     std::size_t num_shards, ThreadPool* pool)
+                                     std::size_t num_shards)
     : detector_(detector),
       num_shards_(num_shards == 0 ? 1 : num_shards),
-      pool_(num_shards_ > 1 ? pool : nullptr) {}
+      pool_(num_shards_ > 1 ? &ThreadPool::Shared() : nullptr) {}
 
 std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
     const std::vector<DataPoint>& points) {

@@ -14,9 +14,10 @@ namespace spot {
 /// and SpotDetector::Process runs it as a batch of one.
 ///
 /// The engine partitions the tracked SST subspaces into `num_shards`
-/// disjoint round-robin slices (SynapseShard), each folded by one worker of
-/// a reusable fork-join pool. It runs a batch as consecutive tiles of at
-/// most kTilePointsPerShard x num_shards points, each tile in three phases:
+/// disjoint round-robin slices (SynapseShard), each folded by one job on
+/// the process's fork-join pool (ThreadPool::Shared). It runs a batch as
+/// consecutive tiles of at most kTilePointsPerShard x num_shards points,
+/// each tile in three phases:
 ///
 ///   0. Coordinator: bin every point's base-cell coordinates once, fold it
 ///      into the (single-owner) base grid, and snapshot the decayed total
@@ -39,19 +40,15 @@ namespace spot {
 /// bounded by tracked subspaces x tile points at any batch size and a
 /// detector holds none while it waits for its next batch. Verdicts
 /// (labels, findings, scores) and side-effect counters are bit-identical at
-/// every shard count and batch size; K=1 runs phase 1 inline without
-/// threads.
+/// every shard count and batch size; K=1 runs every phase inline, resync
+/// replays included, and never starts a worker.
 class ShardedSpotEngine {
  public:
-  /// Borrows `detector` and `pool`, both of which must outlive the engine.
-  /// `num_shards` >= 1. The engine never owns its pool: the detector owns
-  /// one lazily for standalone use, and the SpotService shares one pool
-  /// across every session (the pool's worker count is independent of K —
-  /// Dispatch hands shard jobs to whoever is free, the calling thread
-  /// included). `pool` is ignored when num_shards == 1, where phase 1 runs
-  /// inline.
-  ShardedSpotEngine(SpotDetector* detector, std::size_t num_shards,
-                    ThreadPool* pool);
+  /// Borrows `detector`, which must outlive the engine. `num_shards` >= 1
+  /// sets the job count per fork-join and the tile length, not the thread
+  /// count: at K > 1 the jobs run on ThreadPool::Shared(), sized by the
+  /// CPUs, with the calling thread taking part.
+  ShardedSpotEngine(SpotDetector* detector, std::size_t num_shards);
 
   /// Processes `points` in arrival order; one verdict per point. (Raw value
   /// vectors go through SpotDetector::ProcessBatch, which also maintains
@@ -72,7 +69,7 @@ class ShardedSpotEngine {
 
   SpotDetector* detector_;
   std::size_t num_shards_;
-  ThreadPool* pool_;  // borrowed; null when num_shards_ == 1
+  ThreadPool* pool_;  // ThreadPool::Shared(); null when num_shards_ == 1
 };
 
 }  // namespace spot

@@ -1,9 +1,12 @@
 #ifndef SPOT_ENGINE_THREAD_POOL_H_
 #define SPOT_ENGINE_THREAD_POOL_H_
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -11,7 +14,8 @@
 
 namespace spot {
 
-/// Reusable fork-join pool for the sharded engine.
+/// Reusable fork-join pool for the sharded engine. A process has one
+/// (Shared()); every detector, service and reactor dispatches onto it.
 ///
 /// Dispatch(num_jobs, job) runs job(0..num_jobs) across the pool's worker
 /// threads plus the calling thread, blocking until every job has finished.
@@ -20,13 +24,20 @@ namespace spot {
 /// do not depend on their executor (the engine's jobs are whole shards /
 /// whole grids, each internally sequential and touching disjoint state).
 ///
+/// Dispatch() is safe for concurrent callers, under two rules:
+///   - One owner at a time. One dispatch at a time owns the workers. A
+///     caller that finds them owned does not wait: it tries the owner lock
+///     once and, on failure, runs its own jobs inline.
+///   - Bounded wake-ups. A dispatch of n jobs wakes at most n - 1 workers,
+///     since the calling thread runs jobs too.
+///
 /// The mutex handshake around each dispatch establishes happens-before in
 /// both directions: workers see all coordinator writes preceding Dispatch(),
-/// and the coordinator sees all worker writes once Dispatch() returns.
-/// Dispatch() does not return while any worker is still inside the job loop
-/// (participants are counted), so a dispatch's state can never be read by a
-/// straggler after the call completed; workers that wake up late find a null
-/// job and go straight back to sleep.
+/// and the coordinator sees all worker writes once Dispatch() returns. A
+/// worker joins a dispatch only by claiming one of its wake-ups, and
+/// Dispatch() does not return while any joined worker is still inside the
+/// job loop; unclaimed wake-ups expire with the dispatch, so a straggler
+/// can never read a finished dispatch's state.
 class ThreadPool {
  public:
   /// Spawns `num_threads` persistent workers (0 = run everything inline on
@@ -50,40 +61,58 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
+  /// The process's one pool, built on first use with one worker fewer than
+  /// the CPUs in this process's affinity mask, because the dispatching
+  /// thread takes part (so one CPU means no workers at all).
+  static ThreadPool& Shared() {
+    static ThreadPool pool(AffinityCpus() - 1);
+    return pool;
+  }
 
   /// Runs job(i) for every i in [0, num_jobs) and returns once all have
   /// completed. The calling thread participates.
   void Dispatch(std::size_t num_jobs,
                 const std::function<void(std::size_t)>& job) {
     if (num_jobs == 0) return;
-    if (workers_.empty() || num_jobs == 1) {
+    std::unique_lock<std::mutex> owner(owner_, std::defer_lock);
+    if (workers_.empty() || num_jobs == 1 || !owner.try_lock()) {
       for (std::size_t i = 0; i < num_jobs; ++i) job(i);
       return;
     }
+    const std::size_t wake = std::min(num_jobs - 1, workers_.size());
     {
       std::lock_guard<std::mutex> lock(mutex_);
       job_ = &job;
       num_jobs_ = num_jobs;
       next_job_.store(0, std::memory_order_relaxed);
       completed_ = 0;
-      ++generation_;
+      wakeups_ = wake;
     }
-    work_ready_.notify_all();
+    for (std::size_t i = 0; i < wake; ++i) work_ready_.notify_one();
     const std::size_t ran = RunJobs();
     std::unique_lock<std::mutex> lock(mutex_);
     completed_ += ran;
     all_done_.wait(lock, [this] {
       return completed_ == num_jobs_ && active_workers_ == 0;
     });
-    job_ = nullptr;
+    wakeups_ = 0;
   }
 
  private:
+  static std::size_t AffinityCpus() {
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    if (::sched_getaffinity(0, sizeof(cpus), &cpus) == 0 &&
+        CPU_COUNT(&cpus) > 0) {
+      return static_cast<std::size_t>(CPU_COUNT(&cpus));
+    }
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+
   /// Pulls and runs jobs until none remain. Returns the number executed by
-  /// this thread. Only called between the generation handshake (workers) or
-  /// the dispatch setup (coordinator) and the matching completion bookkeeping,
-  /// so the unlocked reads of job_/num_jobs_ cannot race a later dispatch.
+  /// this thread. Only called by the owner between the dispatch setup and
+  /// its completion wait, or by a worker holding one of its wake-ups, so
+  /// the unlocked reads of job_/num_jobs_ cannot race a later dispatch.
   std::size_t RunJobs() {
     std::size_t ran = 0;
     for (;;) {
@@ -96,18 +125,12 @@ class ThreadPool {
   }
 
   void WorkerLoop() {
-    std::uint64_t seen_generation = 0;
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        work_ready_.wait(lock, [&] {
-          return stop_ || generation_ != seen_generation;
-        });
+        work_ready_.wait(lock, [this] { return stop_ || wakeups_ > 0; });
         if (stop_) return;
-        seen_generation = generation_;
-        // A straggler can observe the generation bump after the dispatch
-        // already completed; the job is null by then — nothing to join.
-        if (job_ == nullptr) continue;
+        --wakeups_;
         ++active_workers_;
       }
       const std::size_t ran = RunJobs();
@@ -116,12 +139,13 @@ class ThreadPool {
         completed_ += ran;
         --active_workers_;
         if (active_workers_ == 0 && completed_ == num_jobs_) {
-          all_done_.notify_all();
+          all_done_.notify_one();
         }
       }
     }
   }
 
+  std::mutex owner_;  // held by the dispatch that owns the workers
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable all_done_;
@@ -131,7 +155,7 @@ class ThreadPool {
   std::atomic<std::size_t> next_job_{0};
   std::size_t completed_ = 0;        // guarded by mutex_
   std::size_t active_workers_ = 0;   // guarded by mutex_
-  std::uint64_t generation_ = 0;     // guarded by mutex_
+  std::size_t wakeups_ = 0;          // guarded by mutex_
   bool stop_ = false;                // guarded by mutex_
 };
 

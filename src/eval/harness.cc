@@ -36,7 +36,6 @@ RunResult RunDetection(StreamDetector& detector, StreamSource& source,
                        std::size_t count, const RunOptions& options) {
   RunResult result;
   result.detector_name = detector.name();
-  if (options.num_shards > 0) detector.set_num_shards(options.num_shards);
   const std::size_t batch =
       options.batch_size == 0 ? 1 : options.batch_size;
 

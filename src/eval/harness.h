@@ -25,12 +25,6 @@ struct RunOptions {
   /// for every batch size (batching amortizes overhead, it does not change
   /// semantics); 0 or 1 drives the per-point Process path.
   std::size_t batch_size = 64;
-
-  /// Worker shards per batch, forwarded to the detector via
-  /// StreamDetector::set_num_shards before the run (0 = leave the detector
-  /// as configured). Verdicts are identical at every shard count; this is
-  /// the throughput knob the shard-scaling experiments sweep.
-  std::size_t num_shards = 0;
 };
 
 /// Outcome of driving one detector over one labeled stream.

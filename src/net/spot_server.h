@@ -46,8 +46,8 @@ namespace net {
 class SpotServer {
  public:
   /// The server owns its service shards: one SpotService per reactor,
-  /// each built from `service_config` (shared checkpoint_dir, per-shard
-  /// fork-join pools).
+  /// each built from `service_config` (shared checkpoint_dir). Every
+  /// reactor's sharded batches run on the process's one compute pool.
   SpotServer(SpotServiceConfig service_config, SpotServerConfig config);
   ~SpotServer();
 

@@ -13,20 +13,9 @@ namespace spot {
 SpotService::SpotService(SpotServiceConfig config)
     : config_(std::move(config)) {
   if (config_.max_resident == 0) config_.max_resident = 1;
-  if (config_.num_shards == 0) config_.num_shards = 1;
-  if (config_.num_shards > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_shards - 1);
-  }
   if (config_.journal_capacity > 0) {
     journal_ = std::make_unique<obs::Journal>(config_.journal_capacity);
   }
-}
-
-SpotService::~SpotService() {
-  // Detectors borrow pool_; destroy them first so no engine can outlive
-  // the pool it dispatches onto.
-  std::lock_guard<std::mutex> lock(mu_);
-  sessions_.clear();
 }
 
 bool SpotService::ValidSessionId(const std::string& id) {
@@ -64,8 +53,7 @@ bool SpotService::LoadTimedLocked(SpotDetector* detector,
   return LoadCheckpointFile(detector, path);
 }
 
-void SpotService::ApplyPoolLocked(SpotDetector* detector) {
-  detector->set_thread_pool(pool_.get());
+void SpotService::ApplyServiceConfigLocked(SpotDetector* detector) {
   detector->set_num_shards(config_.num_shards);
   detector->set_collect_perf_counters(config_.collect_perf_counters);
 }
@@ -148,7 +136,7 @@ SpotService::Session* SpotService::ResidentLocked(const std::string& id) {
     }
     if (!MakeRoomLocked(&session)) return nullptr;
     session.detector = std::move(detector);
-    ApplyPoolLocked(session.detector.get());
+    ApplyServiceConfigLocked(session.detector.get());
     BindSinkLocked(id, &session);
     ++session.reloads;
     ++reloads_;
@@ -195,7 +183,7 @@ bool SpotService::CreateSession(
                     << ")";
     return false;
   }
-  ApplyPoolLocked(detector.get());
+  ApplyServiceConfigLocked(detector.get());
   Session session;
   session.detector = std::move(detector);
   session.sink = std::move(sink);
@@ -217,7 +205,7 @@ bool SpotService::OpenSession(const std::string& id) {
     return false;
   }
   if (!MakeRoomLocked(nullptr)) return false;
-  ApplyPoolLocked(detector.get());
+  ApplyServiceConfigLocked(detector.get());
   Session session;
   session.detector = std::move(detector);
   session.on_disk = true;

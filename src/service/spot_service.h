@@ -10,7 +10,6 @@
 
 #include "core/detector.h"
 #include "core/spot_config.h"
-#include "engine/thread_pool.h"
 #include "learning/supervised.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -27,10 +26,12 @@ struct SpotServiceConfig {
   /// the next Ingest for it transparently reloads it.
   std::size_t max_resident = 8;
 
-  /// Shard count applied to every session's ProcessBatch. All sessions
-  /// share ONE fork-join pool owned by the service (`num_shards - 1`
-  /// workers); verdicts never depend on this — it is purely a throughput
-  /// knob, exactly as for a standalone detector.
+  /// Shard count applied to every session's ProcessBatch (clamped to
+  /// [1, SpotConfig::kMaxShards]). It sets the jobs per batch tile, not a
+  /// thread count: every session of every service dispatches on the
+  /// process's one compute pool (ThreadPool::Shared). Verdicts never
+  /// depend on this — it is purely a throughput knob, exactly as for a
+  /// standalone detector.
   std::size_t num_shards = 1;
 
   /// Directory for session checkpoints (`<dir>/<id>.ckpt`, written via the
@@ -106,7 +107,8 @@ struct IngestResult {
 };
 
 /// Long-lived detection service multiplexing many independent SPOT
-/// sessions onto one shared worker pool (DESIGN.md Section 4).
+/// sessions (DESIGN.md Section 4); their sharded batches, like those of
+/// every other service in the process, run on the one process pool.
 ///
 /// Each *session* is a named, fully independent detector: its own config,
 /// partition, SST and synapses. The service routes interleaved
@@ -122,12 +124,11 @@ struct IngestResult {
 ///
 /// Thread-safety: all public methods are safe to call from multiple
 /// threads; calls are serialized by an internal mutex. Parallelism comes
-/// from the shard pool *inside* a batch, not from concurrent batches —
+/// from the shard jobs *inside* a batch, not from concurrent batches —
 /// a session's stream is inherently ordered anyway.
 class SpotService {
  public:
   explicit SpotService(SpotServiceConfig config);
-  ~SpotService();
 
   SpotService(const SpotService&) = delete;
   SpotService& operator=(const SpotService&) = delete;
@@ -283,7 +284,9 @@ class SpotService {
   bool EvictLocked(const std::string& id, Session& session);
   /// Returns `id`'s session resident (reloading if needed), else nullptr.
   Session* ResidentLocked(const std::string& id);
-  void ApplyPoolLocked(SpotDetector* detector);
+  /// Applies the service-wide detector settings: shard count and perf
+  /// counter collection.
+  void ApplyServiceConfigLocked(SpotDetector* detector);
   /// Creates the session's journal sink (no-op without a journal) and
   /// attaches it to the detector.
   void BindSinkLocked(const std::string& id, Session* session);
@@ -301,10 +304,6 @@ class SpotService {
   void HarvestPerfLocked(const BatchStageRecord& record);
 
   SpotServiceConfig config_;
-  /// The one pool every session's sharded engine borrows (null when
-  /// num_shards <= 1). Owning it here — instead of one pool per detector —
-  /// is what lets N sessions share a fixed worker budget.
-  std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex mu_;
   /// Ordered map: SessionIds() and LRU scans are deterministic.

@@ -35,9 +35,9 @@ class StreamDetector {
   /// Ingests a batch of points and returns one verdict per point, in order.
   /// Semantically identical to calling Process() point by point — batching
   /// exists so detectors can amortize per-point overheads (SPOT bins each
-  /// point's cell coordinates once for all subspaces) and as the seam for
-  /// future sharding. The default simply loops Process(), so every detector
-  /// is batch-drivable.
+  /// point's cell coordinates once for all subspaces and shards the
+  /// per-subspace work). The default simply loops Process(), so every
+  /// detector is batch-drivable.
   virtual std::vector<Detection> ProcessBatch(
       const std::vector<DataPoint>& points) {
     std::vector<Detection> verdicts;
@@ -45,15 +45,6 @@ class StreamDetector {
     for (const DataPoint& p : points) verdicts.push_back(Process(p));
     return verdicts;
   }
-
-  /// Requests that ProcessBatch spread its work over `num_shards` worker
-  /// threads, for detectors that support sharding (SPOT does). CONTRACT:
-  /// verdicts must not depend on the setting — it is purely a throughput
-  /// knob, and a detector without a parallel path must treat the call as a
-  /// no-op rather than approximating one (the single-threaded baselines
-  /// override this with documented no-ops, pinned by tests). The default
-  /// implementation ignores the request.
-  virtual void set_num_shards(std::size_t num_shards) { (void)num_shards; }
 
   virtual std::string name() const = 0;
 };

@@ -243,54 +243,5 @@ TEST(BaselineBlindnessTest, AllFullSpaceDetectorsMissProjectedOutlier) {
   EXPECT_FALSE(cluster.Process(Point(sneaky)).is_outlier);
 }
 
-// ----------------------------------------------- set_num_shards contract ----
-
-/// set_num_shards on the single-threaded baselines is a documented no-op:
-/// the StreamDetector contract forbids verdicts from depending on the shard
-/// count, and the baselines have no parallel path, so the call must change
-/// nothing — not window sizes, not scores, not labels. Each detector runs
-/// twice over the same stream, one copy poked with shard requests mid-run.
-TEST(BaselineShardContractTest, SetNumShardsIsAVerdictNoOp) {
-  StormConfig scfg;
-  scfg.min_neighbors = 3;
-  scfg.radius = 0.2;
-  IncrementalLofConfig lcfg;
-  LargestClusterConfig ccfg;
-
-  StormDetector storm_plain(scfg);
-  StormDetector storm_poked(scfg);
-  IncrementalLofDetector lof_plain(lcfg);
-  IncrementalLofDetector lof_poked(lcfg);
-  LargestClusterDetector cluster_plain(ccfg);
-  LargestClusterDetector cluster_poked(ccfg);
-
-  std::vector<StreamDetector*> plain{&storm_plain, &lof_plain,
-                                     &cluster_plain};
-  std::vector<StreamDetector*> poked{&storm_poked, &lof_poked,
-                                     &cluster_poked};
-
-  Rng rng(11);
-  for (int i = 0; i < 300; ++i) {
-    if (i % 50 == 0) {
-      // Shard requests at varying counts, mid-stream: all must be inert.
-      for (StreamDetector* det : poked) {
-        det->set_num_shards(static_cast<std::size_t>(1 + i % 7));
-      }
-    }
-    std::vector<double> p(4);
-    for (double& v : p) v = 0.5 + 0.1 * rng.NextGaussian();
-    if (i % 37 == 0) p[2] = 0.95;  // occasional spike
-    for (std::size_t d = 0; d < plain.size(); ++d) {
-      const Detection a = plain[d]->Process(Point(p));
-      const Detection b = poked[d]->Process(Point(p));
-      EXPECT_EQ(a.is_outlier, b.is_outlier)
-          << plain[d]->name() << " point " << i;
-      EXPECT_EQ(a.score, b.score) << plain[d]->name() << " point " << i;
-    }
-  }
-  EXPECT_EQ(storm_plain.window_size(), storm_poked.window_size());
-  EXPECT_EQ(cluster_plain.num_clusters(), cluster_poked.num_clusters());
-}
-
 }  // namespace
 }  // namespace spot

@@ -6,8 +6,9 @@
 // boundaries, and regardless of the shard count on either side of the
 // save/load — that a save onto a full disk fails cleanly, keeping the
 // previous image, that a single flipped bit anywhere in an image is refused,
-// and that grid images with cells outside the partition are refused. The
-// ASan/UBSan CI job runs this binary.
+// that an image with an out-of-bound shard count is refused, and that grid
+// images with cells outside the partition are refused. The ASan/UBSan CI
+// job runs this binary.
 
 #include <cstdint>
 #include <cstdio>
@@ -417,6 +418,43 @@ TEST(CheckpointTest, RejectsOtherFormatVersions) {
   Reseal(&bytes);
   SpotDetector control{SpotConfig{}};
   EXPECT_TRUE(LoadFromString(&control, bytes));
+}
+
+// The config's shard count is bounded: an image whose num_shards exceeds
+// SpotConfig::kMaxShards — forged into the config section and resealed, so
+// the checksum passes — is refused at load, before any batch could size
+// its shard plan from it. The bound itself still loads. Nothing here
+// processes a batch at a forged count.
+TEST(CheckpointTest, RefusesShardCountAboveTheBound) {
+  const auto training = TrainingBatch(5, 200);
+  auto det = LearnedDetector(EventfulConfig(), training);
+  const std::string bytes = SaveToString(*det);
+  // The config section follows the 8-byte magic and the version byte, and
+  // ends with num_shards and then the seed, one u64 each.
+  ByteWriter section;
+  WriteConfigBinary(section, det->config());
+  const std::size_t at = 9 + section.bytes().size() - 16;
+  ByteReader field(bytes.data() + at, 8);
+  ASSERT_EQ(field.U64(), det->config().num_shards);
+  const auto forge = [&](std::uint64_t shards) {
+    ByteWriter forged_field;
+    forged_field.U64(shards);
+    std::string forged = bytes;
+    forged.replace(at, 8, forged_field.bytes());
+    Reseal(&forged);
+    return forged;
+  };
+  for (const std::uint64_t shards :
+       {std::uint64_t{SpotConfig::kMaxShards + 1}, std::uint64_t{1} << 40,
+        ~std::uint64_t{0}}) {
+    SpotDetector victim{SpotConfig{}};
+    EXPECT_FALSE(LoadFromString(&victim, forge(shards)))
+        << "accepted num_shards " << shards;
+    EXPECT_FALSE(victim.learned());
+  }
+  SpotDetector control{SpotConfig{}};
+  ASSERT_TRUE(LoadFromString(&control, forge(SpotConfig::kMaxShards)));
+  EXPECT_EQ(control.num_shards(), SpotConfig::kMaxShards);
 }
 
 // The v3 image ends with the CRC-32 of every earlier byte, checked before

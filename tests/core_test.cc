@@ -47,6 +47,10 @@ TEST(SpotConfigTest, RejectsBadValues) {
   c = SpotConfig{};
   c.unsupervised.moga.population_size = 1;
   EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.num_shards = SpotConfig::kMaxShards + 1;
+  EXPECT_NE(c.Validate(), "");
 }
 
 // ---------------------------------------------------------- Reservoir ----

@@ -3,11 +3,13 @@
 // bit-identical to sequential SpotDetector processing at every shard count
 // and batch size, including runs that cross CS self-evolution and
 // drift-relearn boundaries. The TSan CI job runs this binary to prove the
-// fan-out/join protocol is race-free at K in {2, 4, 8}.
+// fan-out/join protocol is race-free at K in {2, 4, 8}, and that concurrent
+// dispatchers on one pool are too.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -104,10 +106,7 @@ void ExpectSameSideEffects(const SpotDetector& a, const SpotDetector& b,
 std::vector<SpotResult> RunEngine(SpotDetector* det, std::size_t num_shards,
                                   const std::vector<LabeledPoint>& stream,
                                   std::size_t batch_size) {
-  // The engine borrows its pool (the detector / service owns it in
-  // production); here the test owns one of the standalone K-1 size.
-  ThreadPool pool(num_shards > 1 ? num_shards - 1 : 0);
-  ShardedSpotEngine engine(det, num_shards, &pool);
+  ShardedSpotEngine engine(det, num_shards);
   std::vector<SpotResult> results;
   results.reserve(stream.size());
   std::vector<DataPoint> chunk;
@@ -135,6 +134,29 @@ TEST(ThreadPoolTest, DispatchRunsEveryJobExactlyOnce) {
   }
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i], 50) << "job " << i;
+  }
+}
+
+// Several threads dispatch onto one pool at once, as reactors do on the
+// shared pool: one dispatch at a time owns the workers and the others run
+// their jobs inline, and every job of every dispatch runs exactly once.
+TEST(ThreadPoolTest, ConcurrentDispatchersRunEveryJobOnce) {
+  ThreadPool pool(3);
+  const int kRounds = 200;
+  std::vector<std::vector<int>> hits(4, std::vector<int>(64, 0));
+  std::vector<std::thread> callers;
+  for (std::vector<int>& counts : hits) {
+    callers.emplace_back([&pool, &counts, kRounds] {
+      for (int round = 0; round < kRounds; ++round) {
+        pool.Dispatch(counts.size(), [&](std::size_t i) { counts[i] += 1; });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t t = 0; t < hits.size(); ++t) {
+    for (std::size_t i = 0; i < hits[t].size(); ++i) {
+      EXPECT_EQ(hits[t][i], kRounds) << "caller " << t << " job " << i;
+    }
   }
 }
 
@@ -280,9 +302,10 @@ TEST(ShardedEngineTest, MixedProcessBatchAndReshardingKeepsVerdicts) {
   ExpectSameSideEffects(*sequential, *mixed, "mixed");
 }
 
-// RunOptions::num_shards reaches the detector through the harness and the
-// stream adapter, and leaves every evaluation metric untouched.
-TEST(ShardedEngineTest, HarnessPlumbsNumShards) {
+// A detector sharded through SpotConfig::num_shards yields, through the
+// harness and the stream adapter, every evaluation metric of the one-shard
+// configuration.
+TEST(ShardedEngineTest, HarnessMetricsMatchAtConfiguredShardCount) {
   const int kDims = 8;
   const auto training = TrainingBatch(kDims, 500);
   const auto stream = DriftingEvalStream(kDims, 900, 905);
@@ -299,15 +322,16 @@ TEST(ShardedEngineTest, HarnessPlumbsNumShards) {
     baseline = eval::RunDetection(adapter, replay, stream.size(), opts);
   }
   {
-    auto det = LearnedDetector(EventfulConfig(), training);
+    SpotConfig cfg = EventfulConfig();
+    cfg.num_shards = 3;
+    auto det = LearnedDetector(cfg, training);
+    EXPECT_EQ(det->num_shards(), 3u);
     SpotStreamAdapter adapter(det.get());
     stream::ReplaySource replay(stream);
     eval::RunOptions opts;
     opts.batch_size = 128;
     opts.collect_scores = true;
-    opts.num_shards = 3;
     sharded = eval::RunDetection(adapter, replay, stream.size(), opts);
-    EXPECT_EQ(det->num_shards(), 3u);
   }
   EXPECT_EQ(baseline.confusion.tp(), sharded.confusion.tp());
   EXPECT_EQ(baseline.confusion.fp(), sharded.confusion.fp());

@@ -7,7 +7,8 @@
 // chunking and mid-stream flush barriers, in both SO_REUSEPORT and
 // accept-and-hand-off modes — and that malformed traffic, cross-reactor
 // session claims, and fd exhaustion on one reactor never crash the server
-// or disturb other connections.
+// or disturb other connections — and that every reactor's sharded batches
+// share the process's one compute pool.
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +23,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <sched.h>
 #include <sstream>
 #include <string>
 #include <sys/resource.h>
@@ -854,6 +856,76 @@ TEST(NetMultiReactorTest, FdExhaustionOnOneReactorDoesNotStallOthers) {
   server.StopAndJoin();
   EXPECT_GE(server.server().reactor_stats(0).listener_pauses, 1u);
   EXPECT_EQ(server.server().reactor_stats(1).listener_pauses, 0u);
+}
+
+// A kCreateSession whose config carries a shard count above
+// SpotConfig::kMaxShards is refused with kLearnFailed instead of being
+// served at the service's count; the connection stays usable.
+TEST(NetRobustnessTest, CreateSessionRefusesShardCountAboveTheBound) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
+  SpotClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  SpotConfig cfg = SessionConfig();
+  cfg.num_shards = SpotConfig::kMaxShards + 1;
+  const RpcStatus refused =
+      client.CreateSession("wide", cfg, TenantTraining(0));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.code, ErrorCode::kLearnFailed);
+  EXPECT_TRUE(client.CreateSession("wide", SessionConfig(), TenantTraining(0)))
+      << client.last_error();
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t ThreadCount() {
+  std::size_t threads = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  EXPECT_NE(dir, nullptr);
+  if (dir == nullptr) return 0;
+  while (dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++threads;
+  }
+  ::closedir(dir);
+  return threads;
+}
+
+// Every reactor's sharded batches run on the process's one compute pool:
+// a 2-reactor x 8-shard server adds its reactor threads plus at most
+// CPUs - 1 pool workers, not a pool of K - 1 workers per reactor.
+TEST(NetMultiReactorTest, ReactorsShareOneComputePool) {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(cpus), &cpus), 0);
+  const std::size_t num_cpus = static_cast<std::size_t>(CPU_COUNT(&cpus));
+  const std::size_t before = ThreadCount();
+
+  SpotServiceConfig scfg;
+  scfg.num_shards = 8;
+  SpotServerConfig ncfg;
+  ncfg.num_reactors = 2;
+  ncfg.use_reuseport = false;  // dealt round-robin: one client per reactor
+  TestServer server(scfg, ncfg);
+  std::vector<std::unique_ptr<SpotClient>> clients;
+  for (int t = 0; t < 2; ++t) {
+    const std::string id = "budget-" + std::to_string(t);
+    clients.push_back(std::make_unique<SpotClient>());
+    SpotClient& client = *clients.back();
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(client.CreateSession(id, SessionConfig(), TenantTraining(t)))
+        << client.last_error();
+    std::vector<SpotResult> verdicts;
+    ASSERT_TRUE(client.Ingest(id, TenantPoints(t, 200)));
+    ASSERT_TRUE(client.Flush(id, &verdicts)) << client.last_error();
+    EXPECT_EQ(verdicts.size(), 200u);
+  }
+  const std::size_t serving = ThreadCount();
+  EXPECT_LE(serving, before + ncfg.num_reactors + num_cpus - 1)
+      << "threads before " << before << ", while serving " << serving
+      << ", CPUs " << num_cpus;
+
+  for (auto& client : clients) client->Disconnect();
+  server.StopAndJoin();
+  EXPECT_GT(server.server().reactor_stats(0).batches_run, 0u);
+  EXPECT_GT(server.server().reactor_stats(1).batches_run, 0u);
 }
 
 // A coalesced run whose verdicts would encode past the wire payload cap

@@ -253,8 +253,8 @@ TEST(SpotServiceTest, FullDiskEvictionIsRefusedAndRetriesIdentically) {
             undisturbed.TotalMetrics().reloads);
 }
 
-// The shared pool: many sessions, one service-owned worker pool, sharded
-// batches — verdicts still equal the sequential standalone reference.
+// The shared pool: many sessions, sharded batches on the process's one
+// worker pool — verdicts still equal the sequential standalone reference.
 TEST(SpotServiceTest, SharedPoolShardsBatchesWithoutChangingVerdicts) {
   const std::string dir = MakeCheckpointDir("pool");
   SpotServiceConfig scfg;

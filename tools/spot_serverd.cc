@@ -28,14 +28,15 @@
 //
 // Hosts --reactors event-loop shards (default: min(hardware cores, 8)),
 // each an epoll loop (Linux only; there is no other loop) with its own
-// SpotService (N-shard fork-join pool per service) behind the binary
-// wire protocol. Clients create or resume sessions by
-// name; with --checkpoint-dir, SIGTERM/SIGINT shuts down gracefully —
-// every reactor processes its pending coalesced batches and saves its
-// sessions via CheckpointAll — so `kill -TERM` followed by a restart over
-// the same directory resumes every stream bit-identically, even at a
-// different reactor count (the CI server-smoke job proves it with
-// spot_loadgen --verify).
+// SpotService behind the binary wire protocol. --shards N (at most 256)
+// splits each batch into N jobs on the process's one compute pool of
+// CPUs - 1 workers, shared by every reactor. Clients create or resume
+// sessions by name; with --checkpoint-dir, SIGTERM/SIGINT shuts down
+// gracefully — every reactor processes its pending coalesced batches and
+// saves its sessions via CheckpointAll — so `kill -TERM` followed by a
+// restart over the same directory resumes every stream bit-identically,
+// even at a different reactor count (the CI server-smoke job proves it
+// with spot_loadgen --verify).
 //
 // Prints "listening on <addr>:<port>" once ready (scripts wait for it).
 
@@ -142,6 +143,11 @@ int main(int argc, char** argv) {
 
   if (!args.empty()) {
     SPOT_LOG(Error) << "unknown argument '" << args.front() << "'";
+    return 2;
+  }
+  if (scfg.num_shards > spot::SpotConfig::kMaxShards) {
+    SPOT_LOG(Error) << "--shards must be at most "
+                    << spot::SpotConfig::kMaxShards;
     return 2;
   }
   if (!scfg.checkpoint_dir.empty()) {
