@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   const std::size_t batch =
       spot::examples::TakeSizeFlag(&positional, "batch", 64);
 
-  // The serving side: a single-reactor server owning its service shard.
+  // The serving side: a single-reactor server owning its one service.
   spot::SpotServiceConfig scfg;
   scfg.num_shards = num_threads;
   spot::net::SpotServerConfig ncfg;

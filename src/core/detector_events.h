@@ -102,8 +102,10 @@ struct DetectorEvent {
 
 /// Receives events from one detector (or one of its sub-objects). The
 /// sink must tolerate being called from whichever thread drives the
-/// detector — for the serving tier that is the session's home reactor,
-/// so a per-session sink sees a single writer.
+/// detector. In SpotService that may be any caller's thread, but one at a
+/// time: detector work runs under the session's lease, and lifecycle
+/// events are emitted under the service lock by the lease holder or while
+/// no lease is held, so a per-session sink sees one writer at any moment.
 class DetectorEventSink {
  public:
   virtual ~DetectorEventSink() = default;

@@ -41,8 +41,6 @@ const char* ErrorCodeName(ErrorCode code) {
       return "not_attached";
     case ErrorCode::kAttachedElsewhere:
       return "attached_elsewhere";
-    case ErrorCode::kWrongHomeReactor:
-      return "wrong_home_reactor";
     case ErrorCode::kUnsupportedRequest:
       return "unsupported_request";
     case ErrorCode::kMalformedPayload:
@@ -633,22 +631,17 @@ bool DecodeSessionQuality(ByteReader* r, SessionQuality* out) {
 obs::MetricsSnapshot StatsResp::Merged() const {
   obs::MetricsSnapshot merged;
   for (const obs::MetricsSnapshot& snap : reactors) merged.Merge(snap);
-  for (const obs::MetricsSnapshot& snap : services) merged.Merge(snap);
-  merged.counters["sessions_handed_off"] += sessions_handed_off;
+  merged.Merge(service);
   return merged;
 }
 
 std::string EncodeStats(const StatsResp& resp) {
   ByteWriter w;
-  w.U64(resp.sessions_handed_off);
   w.U32(static_cast<std::uint32_t>(resp.reactors.size()));
   for (const obs::MetricsSnapshot& snap : resp.reactors) {
     EncodeSnapshot(snap, &w);
   }
-  w.U32(static_cast<std::uint32_t>(resp.services.size()));
-  for (const obs::MetricsSnapshot& snap : resp.services) {
-    EncodeSnapshot(snap, &w);
-  }
+  EncodeSnapshot(resp.service, &w);
   w.U32(static_cast<std::uint32_t>(resp.sessions.size()));
   for (const SessionQuality& q : resp.sessions) {
     EncodeSessionQuality(q, &w);
@@ -658,7 +651,6 @@ std::string EncodeStats(const StatsResp& resp) {
 
 bool DecodeStats(const std::string& payload, StatsResp* out) {
   ByteReader r(payload);
-  out->sessions_handed_off = r.U64();
   const std::uint32_t nreactors = r.U32();
   if (!r.ok()) return false;
   // An empty snapshot is 12 bytes (three zero counts).
@@ -667,13 +659,7 @@ bool DecodeStats(const std::string& payload, StatsResp* out) {
   for (obs::MetricsSnapshot& snap : out->reactors) {
     if (!DecodeSnapshot(&r, &snap)) return false;
   }
-  const std::uint32_t nservices = r.U32();
-  if (!r.ok()) return false;
-  if (nservices > payload.size() / 12) return r.Fail();
-  out->services.assign(nservices, obs::MetricsSnapshot());
-  for (obs::MetricsSnapshot& snap : out->services) {
-    if (!DecodeSnapshot(&r, &snap)) return false;
-  }
+  if (!DecodeSnapshot(&r, &out->service)) return false;
   const std::uint32_t nsessions = r.U32();
   if (!r.ok()) return false;
   // A quality section is >= 132 bytes (empty id + eight u64 tallies + two

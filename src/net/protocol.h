@@ -64,10 +64,10 @@ constexpr std::size_t kDefaultMaxPayloadBytes = 16u << 20;
 enum class MsgType : std::uint8_t {
   // Requests (client -> server).
   kCreateSession = 1,  // id + full SpotConfig + training matrix
-  kResumeSession = 2,  // id; reopen from the service checkpoint directory
+  kResumeSession = 2,  // id; attach (reopening from the checkpoint dir)
   kIngest = 3,         // id + batch of points (pipelined, no direct reply)
   kFlush = 4,          // id ("" = all sessions of this connection)
-  kCheckpoint = 5,     // id ("" = CheckpointAll)
+  kCheckpoint = 5,     // id ("" = all sessions of this connection)
   kCloseSession = 6,   // id + persist flag
   kStats = 7,          // empty payload; scrape the server's metrics
   kTraceDump = 8,      // empty payload; dump the flight recorder
@@ -98,7 +98,7 @@ enum class ErrorCode : std::uint16_t {
   kSessionExists = 2,      // create of an id that is already live
   kNotAttached = 3,        // session not attached to this connection
   kAttachedElsewhere = 4,  // session attached to another connection
-  kWrongHomeReactor = 5,   // session pinned to a different reactor
+  // 5 is retired; never reassign it.
   kUnsupportedRequest = 6, // not a request type the server serves
   kMalformedPayload = 7,   // undecodable or semantically invalid payload
   kLearnFailed = 8,        // CreateSession's offline learning failed
@@ -198,7 +198,7 @@ struct FlushReq {
 };
 
 struct CheckpointReq {
-  std::string session_id;  // "" = CheckpointAll
+  std::string session_id;  // "" = every session of the connection
 };
 
 struct CloseSessionReq {
@@ -281,11 +281,11 @@ bool DecodeVerdicts(const std::string& payload, VerdictsResp* out);
 
 /// Whole-server metrics snapshot (answers kStats; DESIGN.md Section 9).
 /// One section per reactor (pipeline-stage histograms + transport
-/// counters + connection gauges) and one per service shard (checkpoint
-/// durations, eviction/reload counters, resident-session gauges), plus
-/// the cross-reactor hand-off counter from the session registry. A
-/// kStats *request* carries an empty payload; anything else is malformed
-/// and closes the connection like any other bad request payload.
+/// counters + connection gauges) and one for the server's service
+/// (checkpoint durations, eviction/reload counters, resident-session
+/// gauges). A kStats *request* carries an empty payload; anything else
+/// is malformed and closes the connection like any other bad request
+/// payload.
 /// The per-session detection-quality sections of a kStatsResp are
 /// the service layer's obs::SessionQuality snapshots, carried verbatim.
 using SubspaceQuality = obs::SubspaceQuality;
@@ -293,13 +293,11 @@ using SessionQuality = obs::SessionQuality;
 
 struct StatsResp {
   std::vector<obs::MetricsSnapshot> reactors;  // index == reactor index
-  std::vector<obs::MetricsSnapshot> services;  // index == shard index
-  std::vector<SessionQuality> sessions;        // every resident session
-  std::uint64_t sessions_handed_off = 0;
+  obs::MetricsSnapshot service;
+  std::vector<SessionQuality> sessions;  // every known session, id order
 
   /// Everything folded into one snapshot (counters/gauges sum,
-  /// histograms merge; the hand-off counter appears as
-  /// "sessions_handed_off").
+  /// histograms merge).
   obs::MetricsSnapshot Merged() const;
 };
 

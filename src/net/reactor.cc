@@ -15,7 +15,6 @@
 
 #include "common/log.h"
 #include "common/timer.h"
-#include "net/session_registry.h"
 #include "service/spot_service.h"
 
 namespace spot {
@@ -23,21 +22,25 @@ namespace net {
 
 namespace {
 
+/// Upper bound on one epoll wait, which is also the cadence at which
+/// Stop()/SIGTERM is noticed when the server is idle.
+constexpr int kPollIntervalMs = 50;
+
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// The reactor index an attachment token names (see Reactor::Owner).
+int ReactorOfOwner(std::uint64_t owner) {
+  return static_cast<int>(owner >> 32) - 1;
+}
+
 }  // namespace
 
 Reactor::Reactor(int index, const SpotServerConfig& config,
-                 SpotService* service, SessionRegistry* registry,
-                 const std::atomic<bool>* stop)
-    : index_(index),
-      config_(config),
-      service_(service),
-      registry_(registry),
-      stop_(stop) {
+                 SpotService* service, const std::atomic<bool>* stop)
+    : index_(index), config_(config), service_(service), stop_(stop) {
   for (const obs::TraceStage stage : obs::kReactorStages) {
     stages_[static_cast<std::size_t>(stage)].hist =
         obs_.GetHistogram(obs::StageHistogramName(stage));
@@ -67,11 +70,9 @@ bool Reactor::Init() {
   return true;
 }
 
-void Reactor::AdoptListener(int fd, bool acceptor,
-                            std::vector<Reactor*> handoff_targets) {
+void Reactor::AdoptListener(int fd, std::vector<Reactor*> targets) {
   listen_fd_ = fd;
-  acceptor_ = acceptor;
-  handoff_targets_ = std::move(handoff_targets);
+  targets_ = std::move(targets);
   poller_.Add(listen_fd_, /*read=*/true, /*write=*/false);
 }
 
@@ -88,14 +89,14 @@ void Reactor::SetTracing(obs::TraceRecorder* recorder,
 }
 
 void Reactor::Run() {
-  while (RunOnce(config_.poll_interval_ms)) {
+  while (RunOnce(kPollIntervalMs)) {
   }
   Shutdown();
 }
 
 bool Reactor::RunOnce(int timeout_ms) {
   if (stopping() || !poller_.is_open() || shutdown_done_) return false;
-  if (config_.profile_counters && perf_group_ == nullptr) {
+  if (service_->config().collect_perf_counters && perf_group_ == nullptr) {
     // Opened here — on the loop thread — rather than in Init(), which
     // runs on the server's starting thread: a perf_event group counts
     // the thread that opened it.
@@ -113,9 +114,7 @@ bool Reactor::RunOnce(int timeout_ms) {
     // still-unaccepted connection right back into the wait set, making
     // it return immediately and turning the "pause" into a hot
     // accept/EMFILE spin. Waiting once without the listener restores
-    // the idle cadence the pause exists to protect — and since the flag
-    // and the listener are this reactor's own, a paused shard never
-    // touches (or stalls) any other reactor's accepts.
+    // the idle cadence the pause exists to protect.
     poller_.Add(listen_fd_, /*read=*/true, /*write=*/false);
     listener_paused_ = false;
   }
@@ -246,15 +245,6 @@ void Reactor::Shutdown() {
   }
   poller_.Close();
   PublishMetrics();  // final snapshot covers the shutdown drain
-  if (service_ != nullptr && !service_->config().checkpoint_dir.empty()) {
-    if (service_->CheckpointAll()) {
-      SPOT_LOG(Info) << "reactor " << index_
-                     << " shutdown checkpoint: all sessions saved";
-    } else {
-      SPOT_LOG(Error) << "reactor " << index_
-                      << " shutdown checkpoint failed for some sessions";
-    }
-  }
 }
 
 // ----------------------------------------------------------- connections --
@@ -299,9 +289,8 @@ void Reactor::AcceptReady() {
         // Out of descriptors with a connection still queued: the
         // level-triggered listen fd would re-fire every Wait and spin
         // this loop hot. Deregister it for one turn (RunOnce re-arms it)
-        // so the degraded reactor keeps its idle cadence. Only THIS
-        // reactor's listener pauses: other reactors own their own
-        // listeners (SO_REUSEPORT mode) and keep accepting.
+        // so the degraded reactor keeps its idle cadence; established
+        // connections on every reactor keep flowing.
         SPOT_LOG(Error) << "reactor " << index_
                         << ": accept(): " << std::strerror(errno)
                         << "; pausing this reactor's listener for one turn";
@@ -321,11 +310,10 @@ void Reactor::AcceptReady() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.sndbuf_bytes,
                    sizeof(config_.sndbuf_bytes));
     }
-    if (acceptor_ && !handoff_targets_.empty()) {
-      // Hand-off mode: deal connections round-robin across all reactors
-      // (deterministic placement — connection k lands on reactor k % N).
-      Reactor* target =
-          handoff_targets_[next_target_ % handoff_targets_.size()];
+    if (!targets_.empty()) {
+      // Deal connections round-robin across all reactors (deterministic
+      // placement — connection k lands on reactor k % N).
+      Reactor* target = targets_[next_target_ % targets_.size()];
       ++next_target_;
       if (target != this) {
         target->EnqueueConn(fd);
@@ -353,17 +341,16 @@ void Reactor::CloseConn(int fd) {
   ++stats_.connections_closed;
 }
 
-void Reactor::AttachLocal(Conn& conn, const std::string& id) {
-  session_owner_[id] = conn.fd;
-  conn.sessions.push_back(id);
+std::uint64_t Reactor::Owner(const Conn& conn) const {
+  return (static_cast<std::uint64_t>(index_ + 1) << 32) |
+         static_cast<std::uint32_t>(conn.fd);
 }
 
 void Reactor::DetachSessions(Conn& conn) {
+  // The sessions stay in the service, unattached; a later resume from any
+  // reactor re-attaches them.
   for (const std::string& id : conn.sessions) {
-    session_owner_.erase(id);
-    // The session stays home on this reactor's shard, unattached; a
-    // later resume from any reactor re-attaches (or hands it off).
-    registry_->Detach(id, index_, conn.fd);
+    service_->DetachSession(id, Owner(conn));
   }
   conn.sessions.clear();
   conn.pending.clear();
@@ -438,40 +425,45 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
     case MsgType::kCreateSession: {
       CreateSessionReq req;
       if (!DecodeCreateSession(frame.payload, &req)) break;
-      std::string error;
-      ErrorCode code = ErrorCode::kUnknown;
-      if (!registry_->BeginCreate(req.session_id, index_, conn.fd, &error,
-                                  &code)) {
-        SendError(conn, frame.type, code, error);
+      // Learn() runs outside the service lock — only this id is reserved
+      // meanwhile, other sessions' calls proceed.
+      bool taken = false;
+      if (!service_->CreateSession(req.session_id, req.config, req.training,
+                                   /*knowledge=*/nullptr, Owner(conn),
+                                   &taken)) {
+        if (taken) {
+          SendError(conn, frame.type, ErrorCode::kSessionExists,
+                    "session '" + req.session_id + "' already exists");
+        } else {
+          SendError(conn, frame.type, ErrorCode::kLearnFailed,
+                    "CreateSession('" + req.session_id +
+                        "') failed (invalid id, config or training)");
+        }
         return true;
       }
-      // Learn() runs outside the registry lock — only this id is
-      // reserved meanwhile, other reactors' lifecycles proceed.
-      if (!service_->CreateSession(req.session_id, req.config,
-                                   req.training)) {
-        registry_->Forget(req.session_id);
-        SendError(conn, frame.type, ErrorCode::kLearnFailed,
-                  "CreateSession('" + req.session_id +
-                      "') failed (invalid id, config or training)");
-        return true;
-      }
-      AttachLocal(conn, req.session_id);
+      conn.sessions.push_back(req.session_id);
       SendOk(conn, frame.type);
       return true;
     }
     case MsgType::kResumeSession: {
       ResumeSessionReq req;
       if (!DecodeResumeSession(frame.payload, &req)) break;
-      std::string error;
-      ErrorCode code = ErrorCode::kUnknown;
-      if (!registry_->Attach(req.session_id, index_, conn.fd, &error,
-                             &code)) {
-        SendError(conn, frame.type, code, error);
+      std::uint64_t holder = 0;
+      if (!service_->AttachSession(req.session_id, Owner(conn), &holder)) {
+        if (holder != 0) {
+          SendError(conn, frame.type, ErrorCode::kAttachedElsewhere,
+                    "session '" + req.session_id +
+                        "' is attached to another connection (on reactor " +
+                        std::to_string(ReactorOfOwner(holder)) + ")");
+        } else {
+          SendError(conn, frame.type, ErrorCode::kSessionUnknown,
+                    "no session or checkpoint for '" + req.session_id + "'");
+        }
         return true;
       }
       if (std::find(conn.sessions.begin(), conn.sessions.end(),
                     req.session_id) == conn.sessions.end()) {
-        AttachLocal(conn, req.session_id);
+        conn.sessions.push_back(req.session_id);
       }
       SendOk(conn, frame.type);
       return true;
@@ -498,18 +490,24 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
     case MsgType::kCheckpoint: {
       CheckpointReq req;
       if (!DecodeCheckpoint(frame.payload, &req)) break;
+      // Only this connection's sessions: a named one must be attached
+      // here, an empty id means every session attached here.
+      if (!req.session_id.empty() &&
+          !RequireAttached(conn, frame.type, req.session_id)) {
+        return true;
+      }
       // A checkpoint must cover every point this connection delivered.
       for (auto& [id, pending] : conn.pending) {
         if (!pending.empty() && !ProcessPending(conn, id, /*all=*/true)) {
           return false;
         }
       }
-      // An empty id checkpoints this reactor's shard — which covers
-      // every session this connection can reach (sessions are pinned to
-      // their connection's reactor).
-      const bool ok = req.session_id.empty()
-                          ? service_->CheckpointAll()
-                          : service_->Checkpoint(req.session_id);
+      bool ok = true;
+      for (const std::string& id : conn.sessions) {
+        if (req.session_id.empty() || id == req.session_id) {
+          ok &= service_->Checkpoint(id);
+        }
+      }
       if (ok) {
         SendOk(conn, frame.type);
       } else {
@@ -567,8 +565,6 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
                   "CloseSession('" + req.session_id + "') failed");
         return true;
       }
-      registry_->Forget(req.session_id);
-      session_owner_.erase(req.session_id);
       conn.sessions.erase(std::find(conn.sessions.begin(),
                                     conn.sessions.end(), req.session_id));
       conn.pending.erase(req.session_id);
@@ -791,8 +787,8 @@ void Reactor::FlushAllPending() {
 
 bool Reactor::RequireAttached(Conn& conn, MsgType request,
                               const std::string& id) {
-  auto owner = session_owner_.find(id);
-  if (owner != session_owner_.end() && owner->second == conn.fd) {
+  if (std::find(conn.sessions.begin(), conn.sessions.end(), id) !=
+      conn.sessions.end()) {
     return true;
   }
   SendError(conn, request, ErrorCode::kNotAttached,

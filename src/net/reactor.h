@@ -27,18 +27,13 @@ class SpotService;
 
 namespace net {
 
-class SessionRegistry;
-
-/// One event-loop shard of the multi-reactor server (DESIGN.md Section
-/// 8). A reactor owns an epoll poller, a set of connections, an optional
-/// listener (its own SO_REUSEPORT listener, the sole listener in
-/// single-reactor or hand-off mode, or none at all when another reactor
-/// accepts for it), and a borrowed SpotService shard holding exactly the
-/// sessions attached to its connections. Everything it touches —
+/// One event loop of the multi-reactor server (DESIGN.md Section 8). A
+/// reactor owns an epoll poller, a set of connections and — on
+/// reactor 0 only — the listener, and borrows the server's one
+/// SpotService, which every reactor shares. Everything it touches —
 /// connections, coalescing buffers, its stats — is loop-thread-local;
-/// the only shared state is the session registry (lifecycle events
-/// only), the service shards (internally locked, and disjoint between
-/// reactors by the registry's ownership invariant), and the server-wide
+/// the only shared state is the service (internally locked; it records
+/// which connection each session is attached to) and the server-wide
 /// stop flag.
 ///
 /// Per-session processing order — and therefore verdict bit-identity —
@@ -49,7 +44,7 @@ class Reactor {
  public:
   /// Borrows everything; all pointees must outlive the reactor.
   Reactor(int index, const SpotServerConfig& config, SpotService* service,
-          SessionRegistry* registry, const std::atomic<bool>* stop);
+          const std::atomic<bool>* stop);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -59,24 +54,24 @@ class Reactor {
   /// the cause logged, when either cannot be created.
   bool Init();
 
-  /// Takes ownership of a bound, listening, non-blocking socket. At most
-  /// one per reactor; pass `acceptor=true` when this reactor accepts on
-  /// behalf of all reactors (hand-off mode) rather than only for itself.
-  void AdoptListener(int fd, bool acceptor,
-                     std::vector<Reactor*> handoff_targets);
+  /// Takes ownership of the server's bound, listening, non-blocking
+  /// socket. With `targets` non-empty (more than one reactor), accepted
+  /// connections are dealt round-robin across them, this reactor
+  /// included; otherwise this reactor keeps every one.
+  void AdoptListener(int fd, std::vector<Reactor*> targets);
 
-  /// Runs the loop until the shared stop flag is set, then drains,
-  /// closes and checkpoints (Shutdown). Call from exactly one thread.
+  /// Runs the loop until the shared stop flag is set, then drains and
+  /// closes (Shutdown). Call from exactly one thread.
   void Run();
 
   /// One event-loop turn; returns false once stopped. Run() is
   /// `while (RunOnce(...)) {}` plus Shutdown().
   bool RunOnce(int timeout_ms);
 
-  /// Drains pending batches, flushes and closes every connection, closes
-  /// the listener and wakeup pipe, and checkpoints this shard's sessions.
-  /// Idempotent; Run() calls it on exit, the server calls it for
-  /// reactors whose loop never ran.
+  /// Drains pending batches, flushes and closes every connection, and
+  /// closes the listener and wakeup pipe. Idempotent; Run() calls it on
+  /// exit, the server calls it for reactors whose loop never ran. The
+  /// server checkpoints the service once every reactor has shut down.
   void Shutdown();
 
   /// Hands a freshly accepted connection to this reactor from another
@@ -120,14 +115,17 @@ class Reactor {
     bool want_close = false;  // close once outbuf drains
     bool poll_read = true;    // interest currently registered
     bool poll_write = false;
-    /// Sessions attached to (and exclusively owned by) this connection.
+    /// Sessions attached to (and exclusively owned by) this connection:
+    /// the reactor's only record of attachment.
     std::vector<std::string> sessions;
     /// Per-session coalescing buffers, ordered for deterministic
     /// end-of-turn flushing.
     std::map<std::string, std::vector<DataPoint>> pending;
   };
 
-  void AttachLocal(Conn& conn, const std::string& id);
+  /// This connection's attachment token in the service: the reactor
+  /// index and the fd, never 0.
+  std::uint64_t Owner(const Conn& conn) const;
   void DetachSessions(Conn& conn);
 
   void AcceptReady();
@@ -158,8 +156,9 @@ class Reactor {
   /// of every loop turn — a few-KB copy, far off the per-point path.
   void PublishMetrics();
 
-  /// True when `id` is attached to exactly this connection; otherwise a
-  /// kError(kNotAttached) naming the session is queued and false returns.
+  /// True when `id` is attached to exactly this connection (it is in
+  /// `conn.sessions`); otherwise a kError(kNotAttached) naming the session
+  /// is queued and false returns.
   bool RequireAttached(Conn& conn, MsgType request, const std::string& id);
   void Enqueue(Conn& conn, MsgType type, const std::string& payload);
   void SendOk(Conn& conn, MsgType request);
@@ -181,21 +180,19 @@ class Reactor {
   const int index_;
   const SpotServerConfig& config_;
   SpotService* service_;
-  SessionRegistry* registry_;
   const std::atomic<bool>* stop_;
 
   EpollPoller poller_;
   int listen_fd_ = -1;
   /// Listener deregistered for one turn after an fd-exhausted accept;
-  /// strictly per-reactor so one exhausted shard never stalls another.
+  /// established connections on every reactor keep flowing meanwhile.
   bool listener_paused_ = false;
-  /// Hand-off mode: this reactor accepts and deals connections
-  /// round-robin across `handoff_targets_` (itself included).
-  bool acceptor_ = false;
-  std::vector<Reactor*> handoff_targets_;
+  /// Reactors the listener deals accepted connections to round-robin
+  /// (itself included); empty with one reactor.
+  std::vector<Reactor*> targets_;
   std::size_t next_target_ = 0;
 
-  /// Cross-thread intake of accepted fds (hand-off mode): guarded by
+  /// Cross-thread intake of connections dealt by reactor 0: guarded by
   /// `intake_mu_`, signalled through the wakeup pipe.
   std::mutex intake_mu_;
   std::vector<int> intake_;
@@ -204,10 +201,6 @@ class Reactor {
 
   bool shutdown_done_ = false;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  /// Reactor-local session -> owning connection fd. A subset view of the
-  /// registry, safe to consult lock-free on the hot ingest path because
-  /// attachment on this reactor implies global exclusivity.
-  std::map<std::string, int> session_owner_;
   SpotServerStats stats_;
 
   /// Loop-thread-local metrics (DESIGN.md Section 9). The registry is
@@ -233,10 +226,11 @@ class Reactor {
   /// never aliases two batches. 0 is reserved for "not batch-scoped".
   std::uint64_t next_batch_seq_ = 1;
 
-  /// Hardware-counter profiling plane (DESIGN.md Section 12). The group
-  /// is opened lazily on the loop thread (perf_event groups count the
-  /// opening thread) the first time RunOnce runs with profiling on; null
-  /// means profiling off and every stage hook costs one pointer test.
+  /// Hardware-counter profiling plane (DESIGN.md Section 12), switched
+  /// by the service's collect_perf_counters. The group is opened lazily
+  /// on the loop thread (perf_event groups count the opening thread) the
+  /// first time RunOnce runs with profiling on; null means profiling off
+  /// and every stage hook costs one pointer test.
   std::unique_ptr<obs::PerfCounterGroup> perf_group_;
 
   /// Each pipeline stage's histogram in obs_ and its loop-thread-local

@@ -20,22 +20,14 @@ struct SpotServerConfig {
   /// Start() — the tests and the in-process loadgen mode rely on this).
   std::uint16_t port = 0;
 
-  int backlog = 64;
-
-  /// Event-loop shards (DESIGN.md Section 8): each reactor runs its own
-  /// epoll loop on its own thread over its own connections, with its
-  /// own SpotService shard. Verdicts never depend on the setting — a
-  /// session is pinned to the reactor of the connection that opened it
-  /// and processed in arrival order there.
+  /// Event loops (DESIGN.md Section 8): each reactor runs its own
+  /// epoll loop on its own thread over its own connections; all of them
+  /// share the server's one SpotService. Reactor 0 accepts and, with more
+  /// than one reactor, deals connections round-robin (connection k lands
+  /// on reactor k % num_reactors). Verdicts never depend on the setting —
+  /// a session is attached to one connection and processed in arrival
+  /// order on that connection's reactor.
   std::size_t num_reactors = 1;
-
-  /// Accept strategy for num_reactors > 1: with SO_REUSEPORT (default)
-  /// every reactor owns its own listener on the shared port and the
-  /// kernel spreads connections; when unavailable — or disabled here —
-  /// reactor 0 owns the sole listener and deals accepted connections
-  /// round-robin across reactors (deterministic placement; the
-  /// cross-reactor tests rely on it).
-  bool use_reuseport = true;
 
   /// Per-session coalescing target: pending ingested points are run
   /// through the service in ProcessBatch chunks of this size. Larger
@@ -52,10 +44,6 @@ struct SpotServerConfig {
   /// the queue drains below half — a slow consumer stalls itself, never
   /// its event loop or other connections.
   std::size_t max_output_bytes = 4u << 20;
-
-  /// Upper bound on one epoll wait, which is also the cadence at
-  /// which Stop()/SIGTERM is noticed when the server is idle.
-  int poll_interval_ms = 50;
 
   /// When positive, sets SO_SNDBUF on accepted connections. The
   /// backpressure tests shrink it so the userspace output queue (and not
@@ -82,18 +70,6 @@ struct SpotServerConfig {
   /// GET /trace). 0 disables tracing entirely — the hot path then pays
   /// one null-pointer test per stage and records nothing.
   std::size_t trace_capacity = 2048;
-
-  /// Hardware performance-counter profiling plane (DESIGN.md Section 12):
-  /// when true each reactor opens a per-thread perf_event group (cycles,
-  /// instructions, cache refs/misses, branch misses) on its loop thread
-  /// and attributes counter deltas to the five pipeline stages
-  /// (decode/coalesce/process/encode/write), published as labeled
-  /// `perf_*` families on every scrape surface. Where the syscall is
-  /// denied (perf_event_paranoid, seccomp, non-Linux) the plane degrades
-  /// to a wall-clock software fallback and says so via the `perf_mode`
-  /// gauge. Off by default — disabled hooks cost one boolean test — and
-  /// verdicts/checkpoint bytes are bit-identical either way.
-  bool profile_counters = false;
 };
 
 /// Event-loop counters — the server's only transport counters. Each

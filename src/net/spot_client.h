@@ -91,8 +91,9 @@ class SpotClient {
   /// Flush() to `verdicts` (nullptr discards them). Blocks for the Ok.
   RpcStatus Flush(const std::string& id, std::vector<SpotResult>* verdicts);
 
-  /// Server-side checkpoint of `id`, or of every session when `id` is
-  /// empty (blocks for the Ok).
+  /// Server-side checkpoint of `id`, which must be attached to this
+  /// connection, or of every session attached to it when `id` is empty
+  /// (blocks for the Ok).
   RpcStatus Checkpoint(const std::string& id = "");
 
   /// Supervised feedback round: label previously ingested points by id —

@@ -11,7 +11,6 @@
 
 #include <fcntl.h>
 
-#include <iterator>
 #include <utility>
 
 #include "common/log.h"
@@ -21,6 +20,9 @@ namespace spot {
 namespace net {
 
 namespace {
+
+/// listen(2) backlog of the server's one listener.
+constexpr int kListenBacklog = 64;
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -53,22 +55,9 @@ std::string SubspaceLabel(std::uint64_t bits) {
 
 SpotServer::SpotServer(SpotServiceConfig service_config,
                        SpotServerConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), service_(std::move(service_config)) {
   if (config_.batch_points == 0) config_.batch_points = 1;
   if (config_.num_reactors == 0) config_.num_reactors = 1;
-  // One profiling switch for both tiers: the reactors read it from
-  // config_, the engine tier through each shard's service config.
-  if (config_.profile_counters) service_config.collect_perf_counters = true;
-  services_.reserve(config_.num_reactors);
-  std::vector<SpotService*> raw;
-  for (std::size_t i = 0; i < config_.num_reactors; ++i) {
-    services_.push_back(std::make_unique<SpotService>(service_config));
-    raw.push_back(services_.back().get());
-  }
-  // Hand-off between shards rides the shared checkpoint directory;
-  // without one, a cross-reactor resume is refused instead.
-  registry_ = std::make_unique<SessionRegistry>(
-      std::move(raw), /*allow_handoff=*/!service_config.checkpoint_dir.empty());
   hub_ = obs::MetricsHub(config_.num_reactors);
   if (config_.trace_capacity > 0) {
     traces_.reserve(config_.num_reactors);
@@ -79,9 +68,8 @@ SpotServer::SpotServer(SpotServiceConfig service_config,
   }
   reactors_.reserve(config_.num_reactors);
   for (std::size_t i = 0; i < config_.num_reactors; ++i) {
-    reactors_.push_back(std::make_unique<Reactor>(
-        static_cast<int>(i), config_, services_[i].get(), registry_.get(),
-        &stop_));
+    reactors_.push_back(std::make_unique<Reactor>(static_cast<int>(i),
+                                                  config_, &service_, &stop_));
     reactors_.back()->SetObservability(&hub_,
                                        [this] { return StatsSnapshot(); });
     if (!traces_.empty()) {
@@ -118,7 +106,7 @@ bool SpotServer::TraceRequested() {
   return g_trace_requested.exchange(false, std::memory_order_relaxed);
 }
 
-int SpotServer::MakeListener(bool reuseport, std::uint16_t* port) {
+int SpotServer::MakeListener(std::uint16_t* port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     SPOT_LOG(Error) << "socket(): " << std::strerror(errno);
@@ -126,17 +114,6 @@ int SpotServer::MakeListener(bool reuseport, std::uint16_t* port) {
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-#else
-    ::close(fd);
-    return -1;
-#endif
-  }
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -148,7 +125,7 @@ int SpotServer::MakeListener(bool reuseport, std::uint16_t* port) {
     return -1;
   }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, config_.backlog) != 0 || !SetNonBlocking(fd)) {
+      ::listen(fd, kListenBacklog) != 0 || !SetNonBlocking(fd)) {
     SPOT_LOG(Error) << "bind/listen on " << config_.bind_address << ":"
                     << *port << ": " << std::strerror(errno);
     ::close(fd);
@@ -167,45 +144,19 @@ bool SpotServer::Start() {
     if (!reactor->Init()) return false;
   }
 
+  // One listener, on reactor 0. With more reactors it accepts on behalf
+  // of all of them and deals connections round-robin.
   const std::size_t n = reactors_.size();
-  if (n > 1 && config_.use_reuseport) {
-    // One SO_REUSEPORT listener per reactor on the shared port. The flag
-    // must be set before bind, so an ephemeral-port request is resolved
-    // by the first listener and the rest bind the resolved port.
-    std::vector<int> fds;
-    std::uint16_t port = config_.port;
-    for (std::size_t i = 0; i < n; ++i) {
-      const int fd = MakeListener(/*reuseport=*/true, &port);
-      if (fd < 0) break;
-      fds.push_back(fd);
-    }
-    if (fds.size() == n) {
-      for (std::size_t i = 0; i < n; ++i) {
-        reactors_[i]->AdoptListener(fds[i], /*acceptor=*/false, {});
-      }
-      port_ = port;
-      reuseport_active_ = true;
-    } else {
-      for (int fd : fds) ::close(fd);
-      SPOT_LOG(Info) << "SO_REUSEPORT unavailable; falling back to "
-                        "accept-and-hand-off on reactor 0";
-    }
+  std::uint16_t port = config_.port;
+  const int fd = MakeListener(&port);
+  if (fd < 0) return false;
+  std::vector<Reactor*> targets;
+  if (n > 1) {
+    targets.reserve(n);
+    for (auto& reactor : reactors_) targets.push_back(reactor.get());
   }
-
-  if (!reuseport_active_) {
-    // Single listener on reactor 0. With more reactors it accepts on
-    // behalf of all of them and deals connections round-robin.
-    std::uint16_t port = config_.port;
-    const int fd = MakeListener(/*reuseport=*/false, &port);
-    if (fd < 0) return false;
-    std::vector<Reactor*> targets;
-    if (n > 1) {
-      targets.reserve(n);
-      for (auto& reactor : reactors_) targets.push_back(reactor.get());
-    }
-    reactors_[0]->AdoptListener(fd, /*acceptor=*/n > 1, std::move(targets));
-    port_ = port;
-  }
+  reactors_[0]->AdoptListener(fd, std::move(targets));
+  port_ = port;
 
   if (config_.metrics_port >= 0) {
     exporter_ = std::make_unique<obs::HttpExporter>(
@@ -225,9 +176,7 @@ bool SpotServer::Start() {
 
   SPOT_LOG(Info) << "spot server listening on " << config_.bind_address
                  << ":" << port_ << " (" << n << " reactor"
-                 << (n == 1 ? "" : "s") << ", "
-                 << (reuseport_active_ ? "SO_REUSEPORT" : "single listener")
-                 << ")";
+                 << (n == 1 ? "" : "s") << ")";
   return true;
 }
 
@@ -248,12 +197,21 @@ void SpotServer::Shutdown() {
   threads_.clear();
   if (shutdown_done_) return;
   shutdown_done_ = true;
-  // The exporter thread reads hub/service/registry state; stop it before
-  // the reactors publish their final snapshots and everything winds down.
+  // The exporter thread reads hub and service state; stop it before the
+  // reactors publish their final snapshots and everything winds down.
   if (exporter_ != nullptr) exporter_->Stop();
   // Each reactor's Run() already shut it down; this covers reactors
   // whose loop never ran (Shutdown is idempotent per reactor).
   for (auto& reactor : reactors_) reactor->Shutdown();
+  // Every loop has drained and been joined: one checkpoint covers every
+  // point any connection delivered.
+  if (!service_.config().checkpoint_dir.empty()) {
+    if (service_.CheckpointAll()) {
+      SPOT_LOG(Info) << "shutdown checkpoint: all sessions saved";
+    } else {
+      SPOT_LOG(Error) << "shutdown checkpoint failed for some sessions";
+    }
+  }
 }
 
 SpotServerStats SpotServer::stats() const {
@@ -262,46 +220,23 @@ SpotServerStats SpotServer::stats() const {
   return total;
 }
 
-ServiceMetrics SpotServer::TotalServiceMetrics() const {
-  ServiceMetrics total;
-  for (const auto& service : services_) {
-    MergeServiceMetrics(&total, service->TotalMetrics());
-  }
-  return total;
-}
-
 StatsResp SpotServer::StatsSnapshot() const {
   StatsResp resp;
   resp.reactors = hub_.All();
-  resp.services.reserve(services_.size());
-  for (const auto& service : services_) {
-    resp.services.push_back(service->ObsSnapshot());
-  }
-  // Shards hold disjoint session sets (registry exclusivity), so the
-  // concatenation has no duplicate ids; per-shard order is id-sorted.
-  for (const auto& service : services_) {
-    std::vector<obs::SessionQuality> quality = service->QualitySnapshot();
-    resp.sessions.insert(resp.sessions.end(),
-                         std::make_move_iterator(quality.begin()),
-                         std::make_move_iterator(quality.end()));
-  }
-  resp.sessions_handed_off = registry_->handoffs();
+  resp.service = service_.ObsSnapshot();
+  resp.sessions = service_.QualitySnapshot();
   return resp;
 }
 
 std::string SpotServer::PrometheusText() const {
   const StatsResp snap = StatsSnapshot();
   std::vector<obs::LabeledSnapshot> sections;
-  sections.reserve(snap.reactors.size() + snap.services.size() +
-                   2 * snap.sessions.size() + 1);
+  sections.reserve(snap.reactors.size() + 1 + 2 * snap.sessions.size());
   for (std::size_t i = 0; i < snap.reactors.size(); ++i) {
     sections.emplace_back("reactor=\"" + std::to_string(i) + "\"",
                           snap.reactors[i]);
   }
-  for (std::size_t i = 0; i < snap.services.size(); ++i) {
-    sections.emplace_back("shard=\"" + std::to_string(i) + "\"",
-                          snap.services[i]);
-  }
+  sections.emplace_back("", snap.service);
   // Detection-quality series (DESIGN.md Section 10): one session="id"
   // section per session, plus one session+subspace section per retained
   // alarming subspace (bounded by kQualityTopSubspaces per session).
@@ -328,9 +263,6 @@ std::string SpotServer::PrometheusText() const {
                             std::move(ss));
     }
   }
-  obs::MetricsSnapshot global;
-  global.counters["sessions_handed_off"] = snap.sessions_handed_off;
-  sections.emplace_back("", std::move(global));
   return obs::RenderPrometheus(sections);
 }
 
@@ -344,17 +276,10 @@ std::string SpotServer::TraceJson() const {
 }
 
 std::string SpotServer::JournalJson() const {
-  std::string out = "{\"shards\":[";
-  bool first = true;
-  for (const auto& service : services_) {
-    obs::Journal* journal = service->journal();
-    if (journal == nullptr) continue;
-    if (!first) out += ',';
-    first = false;
-    out += journal->RenderJson();
-  }
-  out += "]}";
-  return out;
+  const obs::Journal* journal = service_.journal();
+  return journal != nullptr
+             ? journal->RenderJson()
+             : "{\"capacity\":0,\"appended\":0,\"dropped\":0,\"events\":[]}";
 }
 
 int SpotServer::metrics_port() const {

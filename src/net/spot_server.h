@@ -10,7 +10,6 @@
 
 #include "net/reactor.h"
 #include "net/server_config.h"
-#include "net/session_registry.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -21,33 +20,32 @@ namespace net {
 
 /// Multi-reactor epoll ingest server (DESIGN.md Section 8).
 ///
-/// The server owns `num_reactors` event-loop shards. Each reactor runs on
-/// its own thread with its own epoll poller, its own connections, and its
-/// own SpotService shard; the shards share one checkpoint directory (files
-/// are per-session, so they never collide). Connections are spread either
-/// by per-reactor SO_REUSEPORT listeners on the shared port (the kernel
-/// picks by 4-tuple hash) or — when SO_REUSEPORT is unavailable or
-/// disabled — by reactor 0 accepting and dealing fds round-robin.
+/// The server owns `num_reactors` event loops and one SpotService that
+/// every reactor borrows. Each reactor runs on its own thread with its
+/// own epoll poller and its own connections. Reactor 0 owns the listener
+/// and, with more than one reactor, deals accepted connections
+/// round-robin.
 ///
 /// Determinism is unchanged from the single-threaded server: a session is
-/// exclusively attached to one connection, that connection lives on one
-/// reactor, and that reactor processes the session's points strictly in
-/// arrival order — so the verdict stream is byte-identical to feeding the
-/// same points to SpotService::Ingest in-process, regardless of reactor
-/// count, shard count, framing, or coalescing. The cross-reactor
-/// SessionRegistry enforces the exclusivity and hands sessions off
-/// between shards through the checkpoint directory on resume.
+/// exclusively attached to one connection (the service records which),
+/// that connection lives on one reactor, and that reactor processes the
+/// session's points strictly in arrival order — so the verdict stream is
+/// byte-identical to feeding the same points to SpotService::Ingest
+/// in-process, regardless of reactor count, shard count, framing, or
+/// coalescing. A session resumed on another reactor simply attaches
+/// there; its state never moves.
 ///
 /// Shutdown: Stop() (thread- and signal-safe, a single atomic store on a
 /// flag every reactor polls) makes every loop exit, drain its pending
-/// batches, flush what it can, and checkpoint its shard — so a SIGTERM'd
-/// server restarts bit-identically, even at a different reactor count
+/// batches and flush what it can; once every loop is joined the server
+/// checkpoints the service — so a SIGTERM'd server restarts
+/// bit-identically, even at a different reactor count
 /// (InstallSignalHandlers wires this).
 class SpotServer {
  public:
-  /// The server owns its service shards: one SpotService per reactor,
-  /// each built from `service_config` (shared checkpoint_dir). Every
-  /// reactor's sharded batches run on the process's one compute pool.
+  /// The server owns its one SpotService, built from `service_config`.
+  /// Every reactor's sharded batches run on the process's one compute
+  /// pool.
   SpotServer(SpotServiceConfig service_config, SpotServerConfig config);
   ~SpotServer();
 
@@ -66,14 +64,14 @@ class SpotServer {
   void Run();
 
   /// Requests exit of every reactor loop. Async-signal-safe (a single
-  /// atomic store); noticed within poll_interval_ms even when idle.
+  /// atomic store); noticed within one 50 ms poll even when idle.
   void Stop() { stop_.store(true, std::memory_order_relaxed); }
 
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
 
-  /// Stops, joins any loop threads, and runs every reactor's drain +
-  /// checkpoint shutdown. Idempotent; Run() performs it on exit. Only
-  /// call from outside Run() after Run() returned.
+  /// Stops, joins any loop threads, runs every reactor's drain, then
+  /// checkpoints the service once. Idempotent; Run() performs it on exit.
+  /// Only call from outside Run() after Run() returned.
   void Shutdown();
 
   /// Routes SIGTERM/SIGINT to `server->Stop()` (pass nullptr to detach),
@@ -90,15 +88,9 @@ class SpotServer {
   const SpotServerConfig& config() const { return config_; }
   std::size_t num_reactors() const { return reactors_.size(); }
 
-  /// True when every reactor accepts on its own SO_REUSEPORT listener;
-  /// false in single-reactor or round-robin hand-off mode.
-  bool reuseport_active() const { return reuseport_active_; }
-
-  /// Reactor `i`'s service shard (0 ≤ i < num_reactors()).
-  SpotService& service(std::size_t i = 0) { return *services_[i]; }
-  const SpotService& service(std::size_t i = 0) const {
-    return *services_[i];
-  }
+  /// The service every reactor shares.
+  SpotService& service() { return service_; }
+  const SpotService& service() const { return service_; }
 
   /// Reactor `i`'s event-loop counters. Loop-thread state: read after
   /// Run()/Shutdown() returned (or between manually driven turns).
@@ -109,20 +101,16 @@ class SpotServer {
   /// Counter totals across all reactors (same read-after-join caveat).
   SpotServerStats stats() const;
 
-  /// Service metrics aggregated across all shards (sums; queue peak is
-  /// the max). Safe to call any time — services lock internally.
-  ServiceMetrics TotalServiceMetrics() const;
-
   /// Whole-server observability snapshot (DESIGN.md Section 9): the
-  /// per-reactor registry snapshots last published to the hub, one
-  /// service-shard snapshot each, and the cross-reactor hand-off count.
-  /// Safe from any thread at any time — it reads only mutex-guarded
-  /// published copies, never a reactor's live registry. While the server
-  /// runs, each reactor's slice is at most one loop turn stale.
+  /// per-reactor registry snapshots last published to the hub and the
+  /// service's snapshot. Safe from any thread at any time — it reads
+  /// only mutex-guarded published copies, never a reactor's live
+  /// registry. While the server runs, each reactor's slice is at most
+  /// one loop turn stale.
   StatsResp StatsSnapshot() const;
 
   /// StatsSnapshot() rendered as Prometheus text exposition (per-reactor
-  /// series labeled reactor="i", per-shard series labeled shard="i",
+  /// series labeled reactor="i", the service's series unlabeled,
   /// per-session detection-quality series labeled session="id" with
   /// per-subspace sub-series adding subspace="0x<mask>").
   /// This is what the --metrics-port endpoint serves.
@@ -134,9 +122,9 @@ class SpotServer {
   /// from any thread (each ring locks internally).
   std::string TraceJson() const;
 
-  /// Every service shard's detector event journal rendered as one JSON
-  /// object: {"shards":[<journal>, ...]}. Shards without a journal are
-  /// skipped. Safe from any thread.
+  /// The service's detector event journal as JSON (Journal::RenderJson;
+  /// an empty journal of capacity 0 when journaling is off). Safe from
+  /// any thread.
   std::string JournalJson() const;
 
   /// Reactor `i`'s flight-recorder ring, or nullptr when tracing is off.
@@ -152,14 +140,14 @@ class SpotServer {
   Reactor& reactor(std::size_t i = 0) { return *reactors_[i]; }
 
  private:
-  /// Creates one bound, listening, non-blocking socket on
+  /// Creates the bound, listening, non-blocking socket on
   /// `config_.bind_address:*port` (0 = ephemeral; resolved value written
   /// back). Returns -1 on failure.
-  int MakeListener(bool reuseport, std::uint16_t* port);
+  int MakeListener(std::uint16_t* port);
 
   SpotServerConfig config_;
-  std::vector<std::unique_ptr<SpotService>> services_;
-  std::unique_ptr<SessionRegistry> registry_;
+  /// Declared before the reactors, which borrow it, so it outlives them.
+  SpotService service_;
   obs::MetricsHub hub_;
   std::unique_ptr<obs::HttpExporter> exporter_;
   /// Per-reactor flight-recorder rings (empty when trace_capacity == 0).
@@ -169,7 +157,6 @@ class SpotServer {
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::vector<std::thread> threads_;
   std::uint16_t port_ = 0;
-  bool reuseport_active_ = false;
   std::atomic<bool> stop_{false};
   bool shutdown_done_ = false;
 };

@@ -11,7 +11,7 @@ namespace spot {
 namespace obs {
 
 /// One labeled slice of the exposition — e.g. {"reactor=\"0\"", <snap>}
-/// or {"shard=\"1\"", <snap>}. An empty label string means a global,
+/// or {"session=\"s1\"", <snap>}. An empty label string means a global,
 /// unlabeled series.
 using LabeledSnapshot = std::pair<std::string, MetricsSnapshot>;
 

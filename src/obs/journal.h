@@ -18,7 +18,7 @@ struct JournalEntry {
   DetectorEvent event;
 };
 
-/// Bounded ring of detector events for a serving shard.
+/// Bounded ring of detector events for a service's sessions.
 ///
 /// The journal answers "what did the engine decide, and when" — subspace
 /// churn, evolution and OS-growth rounds, drift hits, reservoir turnover,

@@ -81,121 +81,191 @@ void SpotService::JournalLifecycleLocked(Session& session,
   session.sink->OnDetectorEvent(event);
 }
 
-bool SpotService::EvictLocked(const std::string& id, Session& session) {
-  if (session.detector == nullptr) return true;
-  if (config_.checkpoint_dir.empty()) return false;
-  session.last_stats = session.detector->stats();
-  if (!SaveTimedLocked(*session.detector, CheckpointPath(id))) {
-    SPOT_LOG(Error) << "eviction checkpoint for session '" << id
-                    << "' failed; keeping it resident";
+void SpotService::SampleLocked(Session* session) {
+  obs::SessionQuality& q = session->quality;
+  const SpotDetector* detector = session->detector.get();
+  if (detector == nullptr) {
+    q.tracked_subspaces = q.base_cells = q.slab_slots = q.free_slots = 0;
+    q.compactions = q.cells_reclaimed = 0;
+    return;
+  }
+  session->last_stats = detector->stats();
+  if (!config_.collect_quality) return;
+  const SynapseManager& synapses = detector->synapses();
+  q.tracked_subspaces = detector->TrackedSubspaces();
+  q.base_cells = synapses.base_grid().PopulatedCells();
+  q.slab_slots = synapses.TotalSlabSlots();
+  q.free_slots = synapses.TotalFreeSlots();
+  q.compactions = synapses.TotalCompactions();
+  q.cells_reclaimed = synapses.TotalCellsReclaimed();
+}
+
+bool SpotService::SaveLocked(const std::string& id, Session& session) {
+  if (config_.checkpoint_dir.empty() ||
+      !SaveTimedLocked(*session.detector, CheckpointPath(id))) {
     return false;
   }
   ++checkpoints_written_;
-  session.detector.reset();
   session.on_disk = true;
+  JournalLifecycleLocked(session, DetectorEventKind::kCheckpointSave, 0);
+  return true;
+}
+
+bool SpotService::EvictLocked(const std::string& id, Session& session) {
+  if (session.detector == nullptr) return true;
+  if (!SaveLocked(id, session)) {
+    if (!config_.checkpoint_dir.empty()) {
+      SPOT_LOG(Error) << "eviction checkpoint for session '" << id
+                      << "' failed; keeping it resident";
+    }
+    return false;
+  }
+  session.detector.reset();
+  SampleLocked(&session);
   ++session.evictions;
   ++evictions_;
-  JournalLifecycleLocked(session, DetectorEventKind::kCheckpointSave, 0);
   JournalLifecycleLocked(session, DetectorEventKind::kSessionEvict,
                          session.evictions);
   return true;
 }
 
-bool SpotService::MakeRoomLocked(const Session* spare) {
+bool SpotService::MakeRoomLocked(std::unique_lock<std::mutex>& lock) {
   while (ResidentCountLocked() >= config_.max_resident) {
-    // LRU scan over resident sessions; the ordered map makes ties (which
-    // cannot happen — the use clock is strictly increasing) and iteration
-    // deterministic anyway.
+    if (config_.checkpoint_dir.empty()) return false;
+    // LRU scan over idle resident sessions (the use clock is strictly
+    // increasing, so there are no ties). A leased session is never a
+    // victim — that includes the one being admitted.
     std::string victim_id;
     Session* victim = nullptr;
+    bool leased = false;
     for (auto& [id, session] : sessions_) {
-      if (session.detector == nullptr || &session == spare) continue;
+      if (session.detector == nullptr) continue;
+      if (session.busy) {
+        leased = true;
+        continue;
+      }
       if (victim == nullptr || session.last_used < victim->last_used) {
         victim = &session;
         victim_id = id;
       }
     }
-    if (victim == nullptr || !EvictLocked(victim_id, *victim)) return false;
+    if (victim == nullptr) {
+      if (!leased) return false;
+      idle_.wait(lock);  // every candidate is mid-call: wait for one
+      continue;
+    }
+    if (!EvictLocked(victim_id, *victim)) return false;
   }
   return true;
 }
 
-SpotService::Session* SpotService::ResidentLocked(const std::string& id) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return nullptr;
-  Session& session = it->second;
-  if (session.detector == nullptr) {
-    if (!session.on_disk) return nullptr;
+SpotService::Session* SpotService::IdleLocked(
+    std::unique_lock<std::mutex>& lock, const std::string& id) {
+  while (true) {
+    auto it = sessions_.find(id);
+    if (it == sessions_.end()) return nullptr;
+    if (!it->second.busy) return &it->second;
+    idle_.wait(lock);
+  }
+}
+
+SpotService::Session* SpotService::LeaseLocked(
+    std::unique_lock<std::mutex>& lock, const std::string& id) {
+  Session* session = IdleLocked(lock, id);
+  if (session == nullptr) return nullptr;
+  // Claim before reloading: MakeRoomLocked may wait, and a second call
+  // for this session must queue behind this one, not reload it again.
+  session->busy = true;
+  if (session->detector == nullptr) {
     // Load before evicting anyone (see OpenSession): a corrupt checkpoint
     // must not cost a resident session its slot.
     auto detector = std::make_unique<SpotDetector>(SpotConfig{});
-    if (!LoadTimedLocked(detector.get(), CheckpointPath(id))) {
+    if (!session->on_disk ||
+        !LoadTimedLocked(detector.get(), CheckpointPath(id))) {
       SPOT_LOG(Error) << "reload of session '" << id << "' from "
                       << CheckpointPath(id) << " failed";
+      ReleaseLocked(session);
       return nullptr;
     }
-    if (!MakeRoomLocked(&session)) return nullptr;
-    session.detector = std::move(detector);
-    ApplyServiceConfigLocked(session.detector.get());
-    BindSinkLocked(id, &session);
-    ++session.reloads;
+    if (!MakeRoomLocked(lock)) {
+      ReleaseLocked(session);
+      return nullptr;
+    }
+    session->detector = std::move(detector);
+    ApplyServiceConfigLocked(session->detector.get());
+    BindSinkLocked(id, session);
+    ++session->reloads;
     ++reloads_;
-    JournalLifecycleLocked(session, DetectorEventKind::kCheckpointLoad, 0);
-    JournalLifecycleLocked(session, DetectorEventKind::kSessionReload,
-                           session.reloads);
+    JournalLifecycleLocked(*session, DetectorEventKind::kCheckpointLoad, 0);
+    JournalLifecycleLocked(*session, DetectorEventKind::kSessionReload,
+                           session->reloads);
   }
-  session.last_used = ++use_clock_;
-  return &session;
+  session->last_used = ++use_clock_;
+  return session;
+}
+
+void SpotService::ReleaseLocked(Session* session) {
+  SampleLocked(session);
+  session->busy = false;
+  idle_.notify_all();
 }
 
 bool SpotService::CreateSession(
     const std::string& id, const SpotConfig& config,
     const std::vector<std::vector<double>>& training,
-    const DomainKnowledge* knowledge) {
-  std::lock_guard<std::mutex> lock(mu_);
+    const DomainKnowledge* knowledge, std::uint64_t owner, bool* taken) {
+  if (taken != nullptr) *taken = false;
   if (!ValidSessionId(id)) {
     SPOT_LOG(Error) << "invalid session id '" << id << "'";
     return false;
   }
-  if (sessions_.find(id) != sessions_.end()) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (sessions_.count(id) > 0 || !reserved_.emplace(id, owner).second) {
     SPOT_LOG(Error) << "session '" << id << "' already exists";
+    if (taken != nullptr) *taken = true;
     return false;
   }
-  // Learn BEFORE evicting anyone: a failed admission must not knock a hot
-  // session out of memory. (Residency transiently exceeds max_resident by
-  // the one detector being built, which is the admission itself.)
+  lock.unlock();
+  // Learn unlocked, BEFORE evicting anyone: a failed admission must not
+  // knock a hot session out of memory. (Residency transiently exceeds
+  // max_resident by the one detector being built, which is the admission
+  // itself.) Sink before Learn so the initial Track() sweep journals the
+  // session's starting SST.
   auto detector = std::make_unique<SpotDetector>(config);
-  // Sink before Learn so the initial Track() sweep journals the session's
-  // starting SST.
   std::unique_ptr<obs::JournalSink> sink;
   if (journal_ != nullptr) {
     sink = std::make_unique<obs::JournalSink>(journal_.get(),
                                               journal_->InternSession(id));
     detector->set_event_sink(sink.get());
   }
-  if (!detector->Learn(training, knowledge)) return false;
-  if (!MakeRoomLocked(nullptr)) {
-    SPOT_LOG(Error) << "no residency slot for new session '" << id
-                    << "' (max_resident=" << config_.max_resident
-                    << ", eviction "
-                    << (config_.checkpoint_dir.empty() ? "disabled"
-                                                       : "failed")
-                    << ")";
+  const bool learned = detector->Learn(training, knowledge);
+  lock.lock();
+  const bool admitted = learned && MakeRoomLocked(lock);
+  reserved_.erase(id);
+  if (!admitted) {
+    if (learned) {
+      SPOT_LOG(Error) << "no residency slot for new session '" << id
+                      << "' (max_resident=" << config_.max_resident
+                      << ", eviction "
+                      << (config_.checkpoint_dir.empty() ? "disabled"
+                                                         : "failed")
+                      << ")";
+    }
     return false;
   }
   ApplyServiceConfigLocked(detector.get());
-  Session session;
+  Session& session = sessions_[id];
   session.detector = std::move(detector);
   session.sink = std::move(sink);
+  session.owner = owner;
   session.last_used = ++use_clock_;
-  sessions_.emplace(id, std::move(session));
+  SampleLocked(&session);
   return true;
 }
 
-bool SpotService::OpenSession(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool SpotService::OpenLocked(std::unique_lock<std::mutex>& lock,
+                             const std::string& id, std::uint64_t owner) {
   if (!ValidSessionId(id) || config_.checkpoint_dir.empty()) return false;
-  if (sessions_.find(id) != sessions_.end()) return false;
   // Load before evicting anyone: a missing/corrupt checkpoint must not
   // cost a resident session its slot.
   auto detector = std::make_unique<SpotDetector>(SpotConfig{});
@@ -204,17 +274,58 @@ bool SpotService::OpenSession(const std::string& id) {
                     << CheckpointPath(id);
     return false;
   }
-  if (!MakeRoomLocked(nullptr)) return false;
+  // Reserved while MakeRoomLocked may wait, so nobody creates or opens
+  // the id meanwhile.
+  reserved_.emplace(id, owner);
+  const bool admitted = MakeRoomLocked(lock);
+  reserved_.erase(id);
+  if (!admitted) return false;
   ApplyServiceConfigLocked(detector.get());
-  Session session;
+  Session& session = sessions_[id];
   session.detector = std::move(detector);
   session.on_disk = true;
+  session.owner = owner;
   session.last_used = ++use_clock_;
-  session.last_stats = session.detector->stats();
-  auto [it, inserted] = sessions_.emplace(id, std::move(session));
-  BindSinkLocked(id, &it->second);
-  JournalLifecycleLocked(it->second, DetectorEventKind::kCheckpointLoad, 0);
+  SampleLocked(&session);
+  BindSinkLocked(id, &session);
+  JournalLifecycleLocked(session, DetectorEventKind::kCheckpointLoad, 0);
   return true;
+}
+
+bool SpotService::OpenSession(const std::string& id) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (sessions_.count(id) > 0 || reserved_.count(id) > 0) return false;
+  return OpenLocked(lock, id, /*owner=*/0);
+}
+
+bool SpotService::AttachSession(const std::string& id, std::uint64_t owner,
+                                std::uint64_t* holder) {
+  std::uint64_t unused = 0;
+  if (holder == nullptr) holder = &unused;
+  *holder = 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  auto reserved = reserved_.find(id);
+  if (reserved != reserved_.end()) {
+    *holder = reserved->second;
+    return false;
+  }
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) return OpenLocked(lock, id, owner);
+  Session& session = it->second;
+  if (session.owner != 0 && session.owner != owner) {
+    *holder = session.owner;
+    return false;
+  }
+  session.owner = owner;
+  return true;
+}
+
+void SpotService::DetachSession(const std::string& id, std::uint64_t owner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(id);
+  if (it != sessions_.end() && it->second.owner == owner) {
+    it->second.owner = 0;
+  }
 }
 
 bool SpotService::HasSession(const std::string& id) const {
@@ -246,33 +357,36 @@ std::size_t PointWidth(const std::vector<double>& v) { return v.size(); }
 template <typename Batch>
 IngestResult SpotService::IngestImpl(const std::string& id,
                                      const Batch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
   IngestResult result;
-  Session* session = ResidentLocked(id);
+  std::unique_lock<std::mutex> lock(mu_);
+  Session* session = LeaseLocked(lock, id);
   if (session == nullptr) return result;
+  SpotDetector& detector = *session->detector;
   // Width guard: points of the wrong dimensionality (possible when the
   // batch crossed a process boundary, e.g. the network ingest layer)
   // would index out of the session's partition — refuse the batch whole
   // instead of feeding the detector undefined behavior.
-  const std::size_t dims =
-      static_cast<std::size_t>(session->detector->dimension());
+  const std::size_t dims = static_cast<std::size_t>(detector.dimension());
   for (const auto& point : batch) {
     if (PointWidth(point) != dims) {
       SPOT_LOG(Error) << "Ingest('" << id << "'): point width "
                       << PointWidth(point) << " != session dimensionality "
                       << dims;
+      ReleaseLocked(session);
       return result;
     }
   }
-  result.verdicts = session->detector->ProcessBatch(batch);
+  lock.unlock();
+  result.verdicts = detector.ProcessBatch(batch);
   result.ok = true;
-  result.stages = session->detector->stage_record();
+  result.stages = detector.stage_record();
+  lock.lock();
   if (config_.collect_perf_counters) HarvestPerfLocked(result.stages);
   ++session->batches_ingested;
-  session->last_stats = session->detector->stats();
   if (config_.collect_quality || session->sink != nullptr) {
     AccumulateQualityLocked(session, result.verdicts);
   }
+  ReleaseLocked(session);
   return result;
 }
 
@@ -282,22 +396,19 @@ void SpotService::AccumulateQualityLocked(
   if (config_.collect_quality) {
     const double rd_t = detector.config().rd_threshold;
     const double irsd_t = detector.config().irsd_threshold;
+    obs::SessionQuality& q = session->quality;
     for (const SpotResult& v : verdicts) {
-      ++session->q_points;
+      ++q.points;
       if (!v.is_outlier) continue;
-      ++session->q_alarms;
+      ++q.alarms;
       for (const SubspaceFinding& f : v.findings) {
         auto [it, inserted] = session->per_subspace.try_emplace(f.subspace);
-        if (inserted) it->second.first_points = session->q_points - 1;
+        if (inserted) it->second.first_points = q.points - 1;
         ++it->second.alarms;
         // Ratio-to-threshold x1000 (shared ratio-metric convention): mass
         // just under 1000 = borderline verdicts.
-        if (rd_t > 0.0) {
-          session->rd_margin.Record(f.pcs.rd / rd_t * 1000.0);
-        }
-        if (irsd_t > 0.0) {
-          session->irsd_margin.Record(f.pcs.irsd / irsd_t * 1000.0);
-        }
+        if (rd_t > 0.0) q.rd_margin.Record(f.pcs.rd / rd_t * 1000.0);
+        if (irsd_t > 0.0) q.irsd_margin.Record(f.pcs.irsd / irsd_t * 1000.0);
       }
     }
   }
@@ -362,92 +473,75 @@ IngestResult SpotService::Ingest(
 bool SpotService::ApplyFeedback(
     const std::string& id, const std::vector<std::uint64_t>& point_ids,
     const std::vector<std::vector<double>>& examples, std::string* error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Session* session = ResidentLocked(id);
+  std::unique_lock<std::mutex> lock(mu_);
+  Session* session = LeaseLocked(lock, id);
   if (session == nullptr) {
     if (error != nullptr) {
       *error = "unknown session '" + id + "' (or reload failed)";
     }
     return false;
   }
-  if (!session->detector->ApplyFeedback(point_ids, examples, error)) {
-    return false;
-  }
-  session->last_stats = session->detector->stats();
-  return true;
+  lock.unlock();
+  const bool ok = session->detector->ApplyFeedback(point_ids, examples, error);
+  lock.lock();
+  ReleaseLocked(session);
+  return ok;
 }
 
 bool SpotService::QueryTopK(const std::string& id, std::size_t k,
                             std::vector<TopKEntry>* out, std::string* error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Session* session = ResidentLocked(id);
+  std::unique_lock<std::mutex> lock(mu_);
+  Session* session = LeaseLocked(lock, id);
   if (session == nullptr) {
     if (error != nullptr) {
       *error = "unknown session '" + id + "' (or reload failed)";
     }
     return false;
   }
+  lock.unlock();
   *out = session->detector->QueryTopK(k);
+  lock.lock();
+  ReleaseLocked(session);
   return true;
 }
 
 bool SpotService::Checkpoint(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  Session& session = it->second;
-  if (session.detector == nullptr) return session.on_disk;
-  if (config_.checkpoint_dir.empty()) return false;
-  session.last_stats = session.detector->stats();
-  if (!SaveTimedLocked(*session.detector, CheckpointPath(id))) {
-    return false;
-  }
-  ++checkpoints_written_;
-  session.on_disk = true;
-  JournalLifecycleLocked(session, DetectorEventKind::kCheckpointSave, 0);
-  return true;
+  std::unique_lock<std::mutex> lock(mu_);
+  Session* session = IdleLocked(lock, id);
+  if (session == nullptr) return false;
+  if (session->detector == nullptr) return session->on_disk;
+  return SaveLocked(id, *session);
 }
 
 bool SpotService::CheckpointAll() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  std::vector<std::string> ids;
+  for (const auto& [id, session] : sessions_) ids.push_back(id);
   bool all_ok = true;
-  for (auto& [id, session] : sessions_) {
-    if (session.detector == nullptr) continue;
-    if (config_.checkpoint_dir.empty()) return false;
-    session.last_stats = session.detector->stats();
-    if (SaveTimedLocked(*session.detector, CheckpointPath(id))) {
-      ++checkpoints_written_;
-      session.on_disk = true;
-      JournalLifecycleLocked(session, DetectorEventKind::kCheckpointSave, 0);
-    } else {
-      all_ok = false;
-    }
+  for (const std::string& id : ids) {
+    Session* session = IdleLocked(lock, id);
+    if (session == nullptr || session->detector == nullptr) continue;
+    all_ok &= SaveLocked(id, *session);
   }
   return all_ok;
 }
 
 bool SpotService::Evict(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  return EvictLocked(id, it->second);
+  std::unique_lock<std::mutex> lock(mu_);
+  Session* session = IdleLocked(lock, id);
+  return session != nullptr && EvictLocked(id, *session);
 }
 
 bool SpotService::CloseSession(const std::string& id, bool persist) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  Session& session = it->second;
-  if (persist && session.detector != nullptr &&
-      !config_.checkpoint_dir.empty()) {
-    session.last_stats = session.detector->stats();
-    if (!SaveTimedLocked(*session.detector, CheckpointPath(id))) {
-      return false;
-    }
-    ++checkpoints_written_;
-    JournalLifecycleLocked(session, DetectorEventKind::kCheckpointSave, 0);
+  std::unique_lock<std::mutex> lock(mu_);
+  Session* session = IdleLocked(lock, id);
+  if (session == nullptr) return false;
+  if (persist && session->detector != nullptr &&
+      !config_.checkpoint_dir.empty() && !SaveLocked(id, *session)) {
+    return false;
   }
-  sessions_.erase(it);
+  sessions_.erase(id);
+  idle_.notify_all();  // a waiter in MakeRoomLocked may now fit
   return true;
 }
 
@@ -460,8 +554,7 @@ bool SpotService::GetMetrics(const std::string& id,
   out->id = id;
   out->resident = session.detector != nullptr;
   out->on_disk = session.on_disk;
-  out->stats = session.detector != nullptr ? session.detector->stats()
-                                           : session.last_stats;
+  out->stats = session.last_stats;
   out->batches_ingested = session.batches_ingested;
   out->evictions = session.evictions;
   out->reloads = session.reloads;
@@ -476,9 +569,7 @@ ServiceMetrics SpotService::TotalMetrics() const {
   total.reloads = reloads_;
   total.checkpoints_written = checkpoints_written_;
   for (const auto& [id, session] : sessions_) {
-    const SpotStats& stats = session.detector != nullptr
-                                 ? session.detector->stats()
-                                 : session.last_stats;
+    const SpotStats& stats = session.last_stats;
     if (session.detector != nullptr) ++total.resident_sessions;
     total.points_processed += stats.points_processed;
     total.outliers_detected += stats.outliers_detected;
@@ -495,28 +586,15 @@ std::vector<obs::SessionQuality> SpotService::QualitySnapshot() const {
   if (!config_.collect_quality) return out;
   out.reserve(sessions_.size());
   for (const auto& [id, session] : sessions_) {
-    obs::SessionQuality q;
+    obs::SessionQuality q = session.quality;
     q.session_id = id;
-    q.points = session.q_points;
-    q.alarms = session.q_alarms;
-    q.rd_margin = session.rd_margin;
-    q.irsd_margin = session.irsd_margin;
-    if (session.detector != nullptr) {
-      const SynapseManager& synapses = session.detector->synapses();
-      q.tracked_subspaces = session.detector->TrackedSubspaces();
-      q.base_cells = synapses.base_grid().PopulatedCells();
-      q.slab_slots = synapses.TotalSlabSlots();
-      q.free_slots = synapses.TotalFreeSlots();
-      q.compactions = synapses.TotalCompactions();
-      q.cells_reclaimed = synapses.TotalCellsReclaimed();
-    }
     // Top subspaces by alarms; ties break on the subspace mask so the
     // snapshot is deterministic.
     q.subspaces.reserve(session.per_subspace.size());
     for (const auto& [subspace, tally] : session.per_subspace) {
       obs::SubspaceQuality row;
       row.subspace_bits = subspace.bits();
-      row.points = session.q_points - tally.first_points;
+      row.points = session.quality.points - tally.first_points;
       row.alarms = tally.alarms;
       q.subspaces.push_back(row);
     }
@@ -543,19 +621,6 @@ obs::MetricsSnapshot SpotService::ObsSnapshot() const {
   snap.gauges["resident_sessions"] =
       static_cast<double>(ResidentCountLocked());
   return snap;
-}
-
-void MergeServiceMetrics(ServiceMetrics* into, const ServiceMetrics& from) {
-  into->sessions += from.sessions;
-  into->resident_sessions += from.resident_sessions;
-  into->points_processed += from.points_processed;
-  into->outliers_detected += from.outliers_detected;
-  into->drifts_detected += from.drifts_detected;
-  into->batches_ingested += from.batches_ingested;
-  into->evictions += from.evictions;
-  into->reloads += from.reloads;
-  into->checkpoints_written += from.checkpoints_written;
-  into->detection_seconds += from.detection_seconds;
 }
 
 }  // namespace spot

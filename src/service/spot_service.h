@@ -1,6 +1,7 @@
 #ifndef SPOT_SERVICE_SPOT_SERVICE_H_
 #define SPOT_SERVICE_SPOT_SERVICE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -21,17 +22,16 @@ namespace spot {
 /// Configuration of a SpotService instance.
 struct SpotServiceConfig {
   /// Maximum number of detector sessions resident in memory at once. When
-  /// admitting one more would exceed this, the least-recently-used
+  /// admitting one more would exceed this, the least-recently-used idle
   /// resident session is checkpointed to `checkpoint_dir` and dropped;
   /// the next Ingest for it transparently reloads it.
   std::size_t max_resident = 8;
 
   /// Shard count applied to every session's ProcessBatch (clamped to
   /// [1, SpotConfig::kMaxShards]). It sets the jobs per batch tile, not a
-  /// thread count: every session of every service dispatches on the
-  /// process's one compute pool (ThreadPool::Shared). Verdicts never
-  /// depend on this — it is purely a throughput knob, exactly as for a
-  /// standalone detector.
+  /// thread count: every session dispatches on the process's one compute
+  /// pool (ThreadPool::Shared). Verdicts never depend on this — it is
+  /// purely a throughput knob, exactly as for a standalone detector.
   std::size_t num_shards = 1;
 
   /// Directory for session checkpoints (`<dir>/<id>.ckpt`, written via the
@@ -57,16 +57,17 @@ struct SpotServiceConfig {
   /// phase-0 binning pass and per-shard probe loops (DESIGN.md Section
   /// 12) and accumulate them into the service's ObsSnapshot as labeled
   /// `perf_*` families (`stage="bin"`, `stage="probe",engine_shard="k"`).
-  /// Degrades to a clock-only software fallback where perf_event_open is
-  /// denied. Off by default; verdicts and checkpoint bytes are
-  /// bit-identical either way.
+  /// The serving tier reads the same switch to profile its reactor
+  /// stages, so this is the server's one profiling switch. Degrades to a
+  /// clock-only software fallback where perf_event_open is denied. Off by
+  /// default; verdicts and checkpoint bytes are bit-identical either way.
   bool collect_perf_counters = false;
 };
 
 /// Point-in-time view of one session (the per-session half of the metrics
-/// registry). `stats` is the session detector's SpotStats — live when the
-/// session is resident, the values captured at eviction otherwise, so the
-/// registry stays meaningful for evicted sessions too.
+/// registry). `stats` is the session detector's SpotStats as of the end
+/// of its last call, so the registry stays meaningful for evicted (and
+/// mid-call) sessions too.
 struct SessionMetrics {
   std::string id;
   bool resident = false;
@@ -92,10 +93,6 @@ struct ServiceMetrics {
   double detection_seconds = 0.0;
 };
 
-/// Folds `from` into `into` by summing every field. Used by the
-/// multi-reactor server to aggregate its per-reactor service shards.
-void MergeServiceMetrics(ServiceMetrics* into, const ServiceMetrics& from);
-
 /// Result of one Ingest call. `ok` is false when the session is unknown,
 /// its reload from disk failed, or the service could not admit it.
 struct IngestResult {
@@ -107,8 +104,8 @@ struct IngestResult {
 };
 
 /// Long-lived detection service multiplexing many independent SPOT
-/// sessions (DESIGN.md Section 4); their sharded batches, like those of
-/// every other service in the process, run on the one process pool.
+/// sessions (DESIGN.md Section 4); their sharded batches run on the one
+/// process pool.
 ///
 /// Each *session* is a named, fully independent detector: its own config,
 /// partition, SST and synapses. The service routes interleaved
@@ -122,10 +119,20 @@ struct IngestResult {
 /// independent of how often it was evicted, reloaded, or interleaved with
 /// other sessions (tests/service_test.cc proves this).
 ///
-/// Thread-safety: all public methods are safe to call from multiple
-/// threads; calls are serialized by an internal mutex. Parallelism comes
-/// from the shard jobs *inside* a batch, not from concurrent batches —
-/// a session's stream is inherently ordered anyway.
+/// Thread-safety (DESIGN.md Section 4.1): all public methods are safe to
+/// call from multiple threads. One mutex guards the session table, the
+/// LRU clock, the counters and every Session field; detector work
+/// (Learn, ProcessBatch, ApplyFeedback, QueryTopK) runs with it released
+/// while the caller holds the session's *lease*, so calls on different
+/// sessions overlap and calls on one session queue in arrival order. The
+/// metric readers never wait for a lease and never touch a detector.
+/// Checkpoint file I/O (eviction, reload, Checkpoint, CheckpointAll)
+/// runs under the mutex.
+///
+/// Attachment: a session may carry an *owner* token (non-zero), which
+/// the serving tier sets to the connection that created or resumed it.
+/// The service only records and enforces exclusivity; embedders pass no
+/// owner and never see it.
 class SpotService {
  public:
   explicit SpotService(SpotServiceConfig config);
@@ -138,18 +145,34 @@ class SpotService {
   /// not starting with a dot.
   static bool ValidSessionId(const std::string& id);
 
-  /// Creates and learns a new session. Fails (false) on an invalid or
-  /// duplicate id, a failed Learn(), or when no residency slot can be
-  /// freed. The training batch is the session's offline learning stage.
+  /// Creates and learns a new session, attached to `owner` (0 leaves it
+  /// unattached). The id is reserved while Learn() runs unlocked, so a
+  /// concurrent create of the same id is refused. Fails (false) on an
+  /// invalid id, an id that is live or being created (`*taken` set when
+  /// given), a failed Learn(), or when no residency slot can be freed.
+  /// The training batch is the session's offline learning stage.
   bool CreateSession(const std::string& id, const SpotConfig& config,
                      const std::vector<std::vector<double>>& training,
-                     const DomainKnowledge* knowledge = nullptr);
+                     const DomainKnowledge* knowledge = nullptr,
+                     std::uint64_t owner = 0, bool* taken = nullptr);
 
   /// Registers a session persisted by an earlier service instance (e.g.
   /// after a process restart) from `checkpoint_dir/<id>.ckpt`. The
   /// checkpoint embeds the full config, so nothing else is needed. The
   /// session is admitted resident immediately.
   bool OpenSession(const std::string& id);
+
+  /// Attaches `id` to `owner` (non-zero), reopening it from
+  /// `checkpoint_dir` when it is not in memory. Succeeds again for the
+  /// owner already holding it. False when another owner holds it (that
+  /// owner written to `*holder`) or when the session is neither in memory
+  /// nor loadable (`*holder` = 0).
+  bool AttachSession(const std::string& id, std::uint64_t owner,
+                     std::uint64_t* holder = nullptr);
+
+  /// Releases `owner`'s attachment of `id`; the session stays in the
+  /// table, unattached. No-op unless `owner` holds it.
+  void DetachSession(const std::string& id, std::uint64_t owner);
 
   bool HasSession(const std::string& id) const;
   bool IsResident(const std::string& id) const;
@@ -209,15 +232,15 @@ class SpotService {
 
   /// Observability snapshot (DESIGN.md Section 9): checkpoint save/load
   /// duration histograms plus eviction/reload/checkpoint counters and
-  /// session-count gauges. Safe from any thread (locks internally); the
-  /// serving layer scrapes one snapshot per shard.
+  /// session-count gauges. Safe from any thread (locks internally).
   obs::MetricsSnapshot ObsSnapshot() const;
 
   /// Per-session detection-quality snapshots (DESIGN.md Section 10), one
   /// per known session in id order: alarm tallies per subspace (top
   /// `kQualityTopSubspaces` by alarms), verdict-margin histograms, and —
-  /// for resident sessions — live grid occupancy gauges. Empty when
-  /// collect_quality is off. Safe from any thread.
+  /// for resident sessions — grid occupancy gauges sampled when the
+  /// session's last call ended. Empty when collect_quality is off. Safe
+  /// from any thread.
   std::vector<obs::SessionQuality> QualitySnapshot() const;
 
   /// The detector event journal shared by every session of this service,
@@ -232,8 +255,9 @@ class SpotService {
 
  private:
   /// Per-subspace alarm tally (see obs::SubspaceQuality): `first_points`
-  /// is the session's q_points value when the subspace first alarmed, so
-  /// the snapshot's alarm-rate denominator is q_points - first_points.
+  /// is the session's quality.points value when the subspace first
+  /// alarmed, so the snapshot's alarm-rate denominator is quality.points
+  /// - first_points.
   struct SubspaceTally {
     std::uint64_t first_points = 0;
     std::uint64_t alarms = 0;
@@ -241,8 +265,14 @@ class SpotService {
 
   struct Session {
     std::unique_ptr<SpotDetector> detector;  // null while evicted
-    SpotStats last_stats;  // captured at eviction / refreshed per batch
+    /// The detector's stats as of the end of its last call (the readers'
+    /// only view: they never touch a detector).
+    SpotStats last_stats;
     bool on_disk = false;
+    /// Leased: one caller runs detector work with mu_ released. A busy
+    /// session is never evicted, checkpointed or closed.
+    bool busy = false;
+    std::uint64_t owner = 0;  // attached connection token; 0 = unattached
     std::uint64_t last_used = 0;
     std::uint64_t batches_ingested = 0;
     std::uint64_t evictions = 0;
@@ -252,12 +282,11 @@ class SpotService {
     /// survives eviction so lifecycle events keep their session tag).
     std::unique_ptr<obs::JournalSink> sink;
 
-    /// Detection-quality accumulation (survives eviction — these describe
-    /// the session's served stream, not the resident detector).
-    std::uint64_t q_points = 0;
-    std::uint64_t q_alarms = 0;
-    obs::Histogram rd_margin;
-    obs::Histogram irsd_margin;
+    /// Detection-quality accumulation: the point/alarm tallies and margin
+    /// histograms survive eviction (they describe the served stream); the
+    /// grid gauges are resampled whenever a lease ends and read zero while
+    /// evicted. session_id and subspaces are filled per snapshot.
+    obs::SessionQuality quality;
     std::map<Subspace, SubspaceTally> per_subspace;
     /// Last sampled synapse compaction totals (for per-batch deltas; the
     /// totals can shrink when Untrack removes a grid, so deltas clamp).
@@ -277,13 +306,34 @@ class SpotService {
   /// else touching obs_).
   bool SaveTimedLocked(const SpotDetector& detector, const std::string& path);
   bool LoadTimedLocked(SpotDetector* detector, const std::string& path);
-  /// Evicts LRU resident sessions (sparing `spare`) until one more can be
-  /// admitted; false when that is impossible (no checkpoint_dir or a
-  /// checkpoint write failed).
-  bool MakeRoomLocked(const Session* spare);
+  /// Evicts LRU idle resident sessions until one more can be admitted,
+  /// waiting while every candidate is leased; false when that is
+  /// impossible (no checkpoint_dir or a checkpoint write failed).
+  bool MakeRoomLocked(std::unique_lock<std::mutex>& lock);
+  /// Writes a resident, idle session's checkpoint; false without a
+  /// checkpoint_dir or when the write fails.
+  bool SaveLocked(const std::string& id, Session& session);
   bool EvictLocked(const std::string& id, Session& session);
-  /// Returns `id`'s session resident (reloading if needed), else nullptr.
-  Session* ResidentLocked(const std::string& id);
+  /// `id`'s session once no lease holds it (looked up again after every
+  /// wait), or nullptr when it is unknown.
+  Session* IdleLocked(std::unique_lock<std::mutex>& lock,
+                      const std::string& id);
+  /// Leases `id`'s session, reloading it when evicted; nullptr when it is
+  /// unknown or cannot be made resident. The caller may drop the lock and
+  /// use the detector until ReleaseLocked.
+  Session* LeaseLocked(std::unique_lock<std::mutex>& lock,
+                       const std::string& id);
+  /// Ends a lease: stores the detector's stats and quality gauges for
+  /// the readers and wakes every waiter.
+  void ReleaseLocked(Session* session);
+  /// Loads `id` from its checkpoint and admits it attached to `owner`
+  /// (reserving the id while room is made). False when the file is
+  /// missing or corrupt or no slot can be freed.
+  bool OpenLocked(std::unique_lock<std::mutex>& lock, const std::string& id,
+                  std::uint64_t owner);
+  /// Refreshes last_stats and the quality grid gauges from the resident
+  /// detector (zero gauges while evicted).
+  void SampleLocked(Session* session);
   /// Applies the service-wide detector settings: shard count and perf
   /// counter collection.
   void ApplyServiceConfigLocked(SpotDetector* detector);
@@ -306,16 +356,21 @@ class SpotService {
   SpotServiceConfig config_;
 
   mutable std::mutex mu_;
-  /// Ordered map: SessionIds() and LRU scans are deterministic.
+  /// Signalled whenever a lease ends or a session leaves the table.
+  std::condition_variable idle_;
+  /// Ordered map: SessionIds() and LRU scans are deterministic. Nodes are
+  /// stable, so a leased Session stays valid while the lock is dropped.
   std::map<std::string, Session> sessions_;
+  /// Ids reserved by a create or open in flight, with the owner they will
+  /// be attached to.
+  std::map<std::string, std::uint64_t> reserved_;
   std::uint64_t use_clock_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t reloads_ = 0;
   std::uint64_t checkpoints_written_ = 0;
 
-  /// Service-level instruments; written only with mu_ held (the service
-  /// is mutex-serialized anyway, so this adds no locking of its own) and
-  /// exported as a copy by ObsSnapshot().
+  /// Service-level instruments; written only with mu_ held and exported
+  /// as a copy by ObsSnapshot().
   obs::Registry obs_;
   obs::Histogram* h_ckpt_save_us_ = obs_.GetHistogram("checkpoint_save_us");
   obs::Histogram* h_ckpt_load_us_ = obs_.GetHistogram("checkpoint_load_us");
@@ -323,8 +378,7 @@ class SpotService {
   /// Engine-tier perf accumulation (collect_perf_counters): detectors
   /// overwrite their stage record every batch; IngestImpl merges its
   /// deltas here (mu_ held) and republishes the labeled families into
-  /// obs_. `engine_shard=` (not `shard=`) because the
-  /// serving tier already sections service snapshots under shard="i".
+  /// obs_, labeled `engine_shard=` (DESIGN.md Section 12.3).
   obs::PerfStageTotals perf_bin_total_;
   std::vector<obs::PerfStageTotals> perf_probe_totals_;
 

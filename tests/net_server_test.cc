@@ -4,17 +4,18 @@
 // server round-trip verdicts (including outlying-subspace findings) are
 // byte-identical to in-process SpotService::Ingest on the same stream at
 // shards {1, 4} x reactors {1, 2, 4} — under randomized client-side
-// chunking and mid-stream flush barriers, in both SO_REUSEPORT and
-// accept-and-hand-off modes — and that malformed traffic, cross-reactor
-// session claims, and fd exhaustion on one reactor never crash the server
-// or disturb other connections — and that every reactor's sharded batches
-// share the process's one compute pool.
+// chunking and mid-stream flush barriers, with every reactor sharing the
+// server's one service — and that malformed traffic, cross-reactor
+// session claims, and fd exhaustion never crash the server or disturb
+// other connections — and that every reactor's sharded batches share the
+// process's one compute pool.
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
@@ -90,7 +91,7 @@ std::vector<std::vector<double>> TenantTraining(int t) {
   return ValuesOf(Take(gen, 300));
 }
 
-/// A SpotServer (owning its per-reactor service shards) running Run() on
+/// A SpotServer (owning the service its reactors share) running Run() on
 /// a thread — reactor 0's loop lives there, further reactors spawn their
 /// own threads inside Run().
 class TestServer {
@@ -104,8 +105,8 @@ class TestServer {
   ~TestServer() { StopAndJoin(); }
 
   /// Stops every loop and joins; Run() performs the graceful Shutdown()
-  /// (drain + per-reactor CheckpointAll) on its way out. Safe to call
-  /// twice.
+  /// (drain every reactor, then one CheckpointAll) on its way out. Safe
+  /// to call twice.
   void StopAndJoin() {
     if (thread_.joinable()) {
       server_->Stop();
@@ -114,7 +115,7 @@ class TestServer {
   }
 
   std::uint16_t port() const { return server_->port(); }
-  SpotService& service(std::size_t i = 0) { return server_->service(i); }
+  SpotService& service() { return server_->service(); }
   SpotServer& server() { return *server_; }
   /// Aggregated across reactors; only valid after StopAndJoin() (the
   /// counters are loop-thread state).
@@ -156,14 +157,12 @@ std::vector<SpotResult> StreamOverWire(SpotClient& client,
 // in-process reference services at shard count 1 — randomized framing,
 // randomized barriers. VerdictBytes (raw IEEE-754 bit patterns of scores
 // and PCS evidence, subspace masks, flags) must match exactly.
-void RunDifferential(std::size_t shards, std::size_t reactors,
-                     bool use_reuseport) {
+void RunDifferential(std::size_t shards, std::size_t reactors) {
   SpotServiceConfig scfg;
   scfg.num_shards = shards;
   SpotServerConfig ncfg;
   ncfg.batch_points = 48;  // force multi-chunk coalescing paths
   ncfg.num_reactors = reactors;
-  ncfg.use_reuseport = use_reuseport;
   TestServer server(scfg, ncfg);
 
   SpotServiceConfig ref_cfg;  // shards=1: also proves shard invariance
@@ -201,33 +200,27 @@ void RunDifferential(std::size_t shards, std::size_t reactors,
 }
 
 TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtOneShard) {
-  RunDifferential(/*shards=*/1, /*reactors=*/1, /*use_reuseport=*/true);
+  RunDifferential(/*shards=*/1, /*reactors=*/1);
 }
 
 TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtFourShards) {
-  RunDifferential(/*shards=*/4, /*reactors=*/1, /*use_reuseport=*/true);
+  RunDifferential(/*shards=*/4, /*reactors=*/1);
 }
 
 TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtTwoShards) {
-  RunDifferential(/*shards=*/2, /*reactors=*/1, /*use_reuseport=*/true);
+  RunDifferential(/*shards=*/2, /*reactors=*/1);
 }
 
 TEST(NetDifferentialTest, TwoReactorsByteIdentical) {
-  RunDifferential(/*shards=*/1, /*reactors=*/2, /*use_reuseport=*/true);
+  RunDifferential(/*shards=*/1, /*reactors=*/2);
 }
 
 TEST(NetDifferentialTest, FourReactorsFourShardsByteIdentical) {
-  RunDifferential(/*shards=*/4, /*reactors=*/4, /*use_reuseport=*/true);
-}
-
-TEST(NetDifferentialTest, HandOffAcceptModeByteIdentical) {
-  // Single listener on reactor 0 dealing connections round-robin — the
-  // fallback when SO_REUSEPORT is unavailable.
-  RunDifferential(/*shards=*/1, /*reactors=*/2, /*use_reuseport=*/false);
+  RunDifferential(/*shards=*/4, /*reactors=*/4);
 }
 
 TEST(NetDifferentialTest, TwoReactorsTwoShardsByteIdentical) {
-  RunDifferential(/*shards=*/2, /*reactors=*/2, /*use_reuseport=*/true);
+  RunDifferential(/*shards=*/2, /*reactors=*/2);
 }
 
 // The profiling differential (DESIGN.md Section 12): the same streams
@@ -279,10 +272,10 @@ void RunProfilingDifferential(std::size_t shards, std::size_t reactors) {
     SpotServiceConfig scfg;
     scfg.num_shards = shards;
     scfg.checkpoint_dir = dir;
+    scfg.collect_perf_counters = profile;
     SpotServerConfig ncfg;
     ncfg.batch_points = 48;
     ncfg.num_reactors = reactors;
-    ncfg.profile_counters = profile;
     TestServer server(scfg, ncfg);
 
     std::vector<std::unique_ptr<SpotClient>> clients;
@@ -620,11 +613,46 @@ TEST(NetRobustnessTest, SessionExclusiveToOneConnection) {
   EXPECT_EQ(verdicts.size(), 8u);
 }
 
+// kCheckpoint acts only on the requesting connection's sessions: naming a
+// session another connection holds is refused with kNotAttached, an empty
+// id covers only this connection's own (here: no) sessions, and neither
+// writes the other's checkpoint. The owner's own request writes it.
+TEST(NetRobustnessTest, CheckpointActsOnlyOnOwnSessions) {
+  const std::string dir = MakeCheckpointDir("ckpt_owner");
+  const std::string path = dir + "/owned.ckpt";
+  std::remove(path.c_str());
+  SpotServiceConfig scfg;
+  scfg.checkpoint_dir = dir;
+  TestServer server(scfg, SpotServerConfig{});
+
+  SpotClient owner;
+  ASSERT_TRUE(owner.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(
+      owner.CreateSession("owned", SessionConfig(), TenantTraining(0)))
+      << owner.last_error();
+  std::vector<SpotResult> verdicts;
+  ASSERT_TRUE(owner.Ingest("owned", TenantPoints(0, 32)));
+  ASSERT_TRUE(owner.Flush("owned", &verdicts));
+
+  SpotClient other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", server.port()));
+  const RpcStatus refused = other.Checkpoint("owned");
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.code, ErrorCode::kNotAttached);
+  EXPECT_TRUE(other.Checkpoint("")) << other.last_error();
+  struct stat st;
+  EXPECT_NE(::stat(path.c_str(), &st), 0)
+      << "another connection's checkpoint request wrote " << path;
+
+  EXPECT_TRUE(owner.Checkpoint("owned")) << owner.last_error();
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+}
+
 // ---------------------------------------------------------- multi-reactor --
 
-// Hand-off accept mode places connections deterministically: reactor 0
-// accepts and deals round-robin, so the k-th connection lands on reactor
-// k % num_reactors. The cross-reactor tests rely on this.
+// Connections are placed deterministically: reactor 0 accepts and deals
+// round-robin, so the k-th connection lands on reactor k % num_reactors.
+// The cross-reactor tests rely on this.
 
 // A second connection — on a different reactor — claiming a session that
 // is live on the first gets a protocol kError naming the cause, and the
@@ -635,7 +663,6 @@ TEST(NetMultiReactorTest, CrossReactorClaimRefusedNamesOwner) {
   scfg.checkpoint_dir = dir;
   SpotServerConfig ncfg;
   ncfg.num_reactors = 2;
-  ncfg.use_reuseport = false;
   TestServer server(scfg, ncfg);
 
   SpotClient first;  // -> reactor 0
@@ -670,11 +697,11 @@ TEST(NetMultiReactorTest, CrossReactorClaimRefusedNamesOwner) {
 }
 
 // After the owning connection goes away, a resume landing on a different
-// reactor hands the session off through the shared checkpoint directory —
+// reactor attaches there: every reactor shares the server's one service,
+// so nothing moves — no checkpoint directory is needed, none is written —
 // and the spliced verdict stream is byte-identical to an uninterrupted
 // in-process run.
 TEST(NetMultiReactorTest, CrossReactorHandOffBitIdentical) {
-  const std::string dir = MakeCheckpointDir("xhand");
   const std::vector<DataPoint> points = TenantPoints(0, 600);
   const std::size_t kCut = 300;
 
@@ -684,12 +711,9 @@ TEST(NetMultiReactorTest, CrossReactorHandOffBitIdentical) {
   const IngestResult ref = reference.Ingest("s", points);
   ASSERT_TRUE(ref.ok);
 
-  SpotServiceConfig scfg;
-  scfg.checkpoint_dir = dir;
   SpotServerConfig ncfg;
   ncfg.num_reactors = 2;
-  ncfg.use_reuseport = false;
-  TestServer server(scfg, ncfg);
+  TestServer server(SpotServiceConfig{}, ncfg);  // no checkpoint dir
 
   std::vector<SpotResult> wire_verdicts;
   {
@@ -706,64 +730,26 @@ TEST(NetMultiReactorTest, CrossReactorHandOffBitIdentical) {
   {
     SpotClient client;  // -> reactor 1
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-    bool resumed = false;
-    for (int attempt = 0; attempt < 100 && !resumed; ++attempt) {
-      resumed = client.ResumeSession("s").ok;
-      if (!resumed) {
-        // Reactor 0 may not have reaped the first connection yet.
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
+    RpcStatus resumed;
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      resumed = client.ResumeSession("s");
+      if (resumed.ok) break;
+      // Reactor 0 may not have reaped the first connection yet.
+      ASSERT_EQ(resumed.code, ErrorCode::kAttachedElsewhere)
+          << resumed.cause;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    ASSERT_TRUE(resumed) << client.last_error();
-    // The hand-off moved the state into reactor 1's shard.
-    EXPECT_TRUE(server.service(1).HasSession("s"));
-    EXPECT_FALSE(server.service(0).HasSession("s"));
+    ASSERT_TRUE(resumed.ok) << resumed.cause;
     ASSERT_TRUE(client.Ingest(
         "s", std::vector<DataPoint>(points.begin() + kCut, points.end())));
     ASSERT_TRUE(client.Flush("s", &wire_verdicts));
   }
   ASSERT_EQ(wire_verdicts.size(), points.size());
   EXPECT_EQ(VerdictBytes(wire_verdicts), VerdictBytes(ref.verdicts));
-}
-
-// Without a checkpoint directory there is no hand-off channel: a resume
-// from another reactor is cleanly refused, naming the owning reactor, and
-// the session keeps working where it lives.
-TEST(NetMultiReactorTest, CrossReactorResumeRefusedWithoutCheckpointDir) {
-  SpotServerConfig ncfg;
-  ncfg.num_reactors = 2;
-  ncfg.use_reuseport = false;
-  TestServer server(SpotServiceConfig{}, ncfg);
-
-  SpotClient first;  // -> reactor 0
-  ASSERT_TRUE(first.Connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(first.CreateSession("pin", SessionConfig(), TenantTraining(0)));
-  first.Disconnect();
-
-  SpotClient second;  // -> reactor 1
-  ASSERT_TRUE(second.Connect("127.0.0.1", server.port()));
-  std::string error;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    ASSERT_FALSE(second.ResumeSession("pin"));
-    error = second.last_error();
-    // Until reactor 0 reaps the first connection the refusal blames the
-    // attachment; once reaped it must name the home reactor.
-    if (error.find("no checkpoint directory") != std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_NE(error.find("no checkpoint directory"), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("reactor 0"), std::string::npos) << error;
-  EXPECT_EQ(second.last_code(), ErrorCode::kWrongHomeReactor);
-
-  // A resume landing back on the home reactor still works.
-  SpotClient third;  // -> reactor 0
-  ASSERT_TRUE(third.Connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(third.ResumeSession("pin")) << third.last_error();
-  std::vector<SpotResult> verdicts;
-  ASSERT_TRUE(third.Ingest("pin", TenantPoints(0, 8)));
-  EXPECT_TRUE(third.Flush("pin", &verdicts));
-  EXPECT_EQ(verdicts.size(), 8u);
+  EXPECT_EQ(server.service().TotalMetrics().checkpoints_written, 0u);
+  server.StopAndJoin();
+  EXPECT_GT(server.server().reactor_stats(0).batches_run, 0u);
+  EXPECT_GT(server.server().reactor_stats(1).batches_run, 0u);
 }
 
 // fd exhaustion pauses only the affected reactor's listener: established
@@ -772,7 +758,6 @@ TEST(NetMultiReactorTest, CrossReactorResumeRefusedWithoutCheckpointDir) {
 TEST(NetMultiReactorTest, FdExhaustionOnOneReactorDoesNotStallOthers) {
   SpotServerConfig ncfg;
   ncfg.num_reactors = 2;
-  ncfg.use_reuseport = false;  // deterministic: only reactor 0 accepts
   TestServer server(SpotServiceConfig{}, ncfg);
 
   SpotClient c0;  // -> reactor 0
@@ -901,8 +886,7 @@ TEST(NetMultiReactorTest, ReactorsShareOneComputePool) {
   SpotServiceConfig scfg;
   scfg.num_shards = 8;
   SpotServerConfig ncfg;
-  ncfg.num_reactors = 2;
-  ncfg.use_reuseport = false;  // dealt round-robin: one client per reactor
+  ncfg.num_reactors = 2;  // dealt round-robin: one client per reactor
   TestServer server(scfg, ncfg);
   std::vector<std::unique_ptr<SpotClient>> clients;
   for (int t = 0; t < 2; ++t) {
@@ -1183,7 +1167,7 @@ TEST(NetObservabilityTest, MidStreamScrapesPerturbNoVerdicts) {
   StatsResp stats;
   ASSERT_TRUE(ScrapeUntilCount(probe, 1400, &stats)) << probe.last_error();
   ASSERT_EQ(stats.reactors.size(), 2u);
-  ASSERT_EQ(stats.services.size(), 2u);
+  EXPECT_EQ(stats.service.gauges.at("sessions"), 2.0);
   const obs::MetricsSnapshot merged = stats.Merged();
   EXPECT_EQ(merged.counters.at("points_ingested"), 1400u);
   EXPECT_GT(merged.counters.at("batches_run"), 0u);
@@ -1306,8 +1290,9 @@ TEST(NetObservabilityTest, HttpEndpointServesLivePerReactorSeries) {
   EXPECT_NE(text.find("spot_points_ingested{reactor=\"1\"}"),
             std::string::npos);
   EXPECT_NE(text.find("spot_pipeline_process_us_count"), std::string::npos);
-  EXPECT_NE(text.find("spot_sessions{shard="), std::string::npos);
-  EXPECT_NE(text.find("spot_sessions_handed_off"), std::string::npos);
+  // The service's one section renders unlabeled.
+  EXPECT_NE(text.find("\nspot_sessions 1\n"), std::string::npos);
+  EXPECT_NE(text.find("\nspot_checkpoints_written "), std::string::npos);
 
   server.StopAndJoin();
 }
@@ -1342,9 +1327,7 @@ std::vector<SpotResult> ObservedRun(SpotServiceConfig scfg,
       StreamDeterministic(client, "diff", points, /*chunk=*/100);
   EXPECT_TRUE(client.Checkpoint("diff")) << client.last_error();
   SessionMetrics m;
-  for (std::size_t i = 0; i < server.server().num_reactors(); ++i) {
-    if (server.server().service(i).GetMetrics("diff", &m)) break;
-  }
+  EXPECT_TRUE(server.service().GetMetrics("diff", &m));
   *stats = m.stats;
   *ckpt_bytes = ReadFileBytes(scfg.checkpoint_dir + "/diff.ckpt");
   server.StopAndJoin();
@@ -1469,7 +1452,7 @@ TEST(NetObservabilityTest, StageHistogramSpansAndPerfClockAgree) {
     ncfg.num_reactors = reactors;
     ncfg.batch_points = 48;
     ncfg.trace_capacity = 1 << 16;
-    ncfg.profile_counters = true;
+    scfg.collect_perf_counters = true;
     TestServer server(scfg, ncfg);
 
     std::vector<std::unique_ptr<SpotClient>> clients;
@@ -1639,7 +1622,7 @@ TEST(NetObservabilityTest, ConcurrentScrapeSurfacesUnderLoad) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"process\""), std::string::npos);
   const std::string journal = FetchPath(http_port, "/journal");
-  EXPECT_NE(journal.find("\"shards\""), std::string::npos);
+  EXPECT_NE(journal.find("\"capacity\""), std::string::npos);
   EXPECT_NE(journal.find("\"events\""), std::string::npos);
 
   // The quality sections reached both wire surfaces: per-session labels
@@ -1752,12 +1735,7 @@ TEST(NetFeedbackTest, FeedbackAndTopKOverWireBitIdentical) {
     // no-op paths would prove nothing about supervised SST growth.
     EXPECT_GT(applied, 0u);
     SessionMetrics m;
-    bool found = false;
-    for (std::size_t r = 0; r < server.server().num_reactors() && !found;
-         ++r) {
-      found = server.server().service(r).GetMetrics("fb", &m);
-    }
-    ASSERT_TRUE(found);
+    ASSERT_TRUE(server.service().GetMetrics("fb", &m));
     EXPECT_EQ(m.stats.feedback_rounds, applied);
     server.StopAndJoin();
   }

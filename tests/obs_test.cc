@@ -424,7 +424,7 @@ TEST(ExpositionTest, RendersPrometheusTextWithLabels) {
   r0.histograms["pipeline_process_us"].Record(10.0);
   r0.histograms["pipeline_process_us"].Record(300.0);
   MetricsSnapshot global;
-  global.counters["sessions_handed_off"] = 1;
+  global.counters["checkpoints_written"] = 1;
 
   const std::string text = RenderPrometheus(
       {{"reactor=\"0\"", r0}, {"reactor=\"1\"", r1}, {"", global}});
@@ -435,7 +435,7 @@ TEST(ExpositionTest, RendersPrometheusTextWithLabels) {
             std::string::npos);
   EXPECT_NE(text.find("spot_points_ingested{reactor=\"1\"} 50\n"),
             std::string::npos);
-  EXPECT_NE(text.find("spot_sessions_handed_off 1\n"), std::string::npos);
+  EXPECT_NE(text.find("spot_checkpoints_written 1\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE spot_pipeline_process_us histogram\n"),
             std::string::npos);
   EXPECT_NE(

@@ -568,7 +568,6 @@ TEST(FrameTest, TraceDumpRoundTrip) {
 
 TEST(CodecTest, StatsRoundTrip) {
   StatsResp resp;
-  resp.sessions_handed_off = 3;
   obs::MetricsSnapshot r0;
   r0.counters["points_ingested"] = 1234;
   r0.counters["batches_run"] = 17;
@@ -579,30 +578,25 @@ TEST(CodecTest, StatsRoundTrip) {
   }
   obs::MetricsSnapshot r1;  // empty slot: a reactor that never published
   resp.reactors = {r0, r1};
-  obs::MetricsSnapshot svc;
-  svc.counters["evictions"] = 5;
-  svc.histograms["checkpoint_save_us"].Record(900.0);
-  resp.services = {svc};
+  resp.service.counters["evictions"] = 5;
+  resp.service.histograms["checkpoint_save_us"].Record(900.0);
 
   StatsResp decoded;
   ASSERT_TRUE(DecodeStats(EncodeStats(resp), &decoded));
-  EXPECT_EQ(decoded.sessions_handed_off, 3u);
   ASSERT_EQ(decoded.reactors.size(), 2u);
-  ASSERT_EQ(decoded.services.size(), 1u);
   EXPECT_EQ(decoded.reactors[0].counters, r0.counters);
   EXPECT_EQ(decoded.reactors[0].gauges, r0.gauges);
   EXPECT_EQ(decoded.reactors[0].histograms.at("pipeline_process_us"),
             r0.histograms.at("pipeline_process_us"));
   EXPECT_TRUE(decoded.reactors[1].empty());
-  EXPECT_EQ(decoded.services[0].counters.at("evictions"), 5u);
-  EXPECT_EQ(decoded.services[0].histograms.at("checkpoint_save_us"),
-            svc.histograms.at("checkpoint_save_us"));
+  EXPECT_EQ(decoded.service.counters.at("evictions"), 5u);
+  EXPECT_EQ(decoded.service.histograms.at("checkpoint_save_us"),
+            resp.service.histograms.at("checkpoint_save_us"));
 
-  // Merged() folds every slice plus the hand-off count into one view.
+  // Merged() folds every reactor slice and the service into one view.
   const obs::MetricsSnapshot merged = decoded.Merged();
   EXPECT_EQ(merged.counters.at("points_ingested"), 1234u);
   EXPECT_EQ(merged.counters.at("evictions"), 5u);
-  EXPECT_EQ(merged.counters.at("sessions_handed_off"), 3u);
 
   // Truncation anywhere must decode to false, never crash or over-read.
   const std::string wire = EncodeStats(resp);
@@ -616,12 +610,11 @@ TEST(CodecTest, StatsRoundTrip) {
 }
 
 TEST(CodecTest, StatsSessionQualityRoundTrip) {
-  // v2: the stats payload carries per-session detection-quality sections
+  // The stats payload carries per-session detection-quality sections
   // after the reactor/service snapshots. Histograms and the capped
   // per-subspace rows must round-trip exactly, and truncating anywhere
-  // inside the new tail must fail cleanly like the v1 sections.
+  // inside the tail must fail cleanly like the snapshot sections.
   StatsResp resp;
-  resp.sessions_handed_off = 1;
   resp.reactors = {obs::MetricsSnapshot()};
   SessionQuality q;
   q.session_id = "lg-0";
@@ -685,9 +678,10 @@ TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
   // before any proportional allocation — same discipline as the v1
   // reactor/instrument counts.
   ByteWriter w;
-  w.U64(0);            // handoffs
   w.U32(0);            // reactors
-  w.U32(0);            // services
+  w.U32(0);            // service snapshot: counters,
+  w.U32(0);            //   gauges,
+  w.U32(0);            //   histograms
   w.U32(0xFFFFFFFFu);  // "session count"
   StatsResp scratch;
   EXPECT_FALSE(DecodeStats(w.bytes(), &scratch));

@@ -2,14 +2,17 @@
 // interleaved multi-session routing, LRU eviction to disk with transparent
 // reload (a session's verdict sequence must be independent of how often it
 // was evicted), kill/restore via OpenSession, eviction onto a full disk,
-// and the metrics registry.
-// The ASan/UBSan CI job runs this binary.
+// attachment, concurrent callers on one service, and the metrics registry.
+// The ASan/UBSan and TSan CI jobs run this binary.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -17,6 +20,7 @@
 
 #include "core/detector.h"
 #include "eval/presets.h"
+#include "net/protocol.h"
 #include "service/spot_service.h"
 #include "stream/synthetic.h"
 
@@ -430,33 +434,210 @@ TEST(SpotServiceTest, RejectsWrongWidthPoints) {
   EXPECT_TRUE(service.Ingest("a", Chunk(TenantStream(0, 4, 9), 0, 4)).ok);
 }
 
-TEST(SpotServiceTest, MergeServiceMetricsSumsEveryField) {
-  ServiceMetrics a;
-  a.sessions = 2;
-  a.resident_sessions = 1;
-  a.points_processed = 100;
-  a.outliers_detected = 3;
-  a.drifts_detected = 1;
-  a.batches_ingested = 10;
-  a.evictions = 2;
-  a.reloads = 1;
-  a.checkpoints_written = 4;
-  a.detection_seconds = 0.5;
+// Attachment: a session carries at most one owner. Create can attach it,
+// another owner is refused and told who holds it, the holder re-attaches
+// idempotently, a detach by anyone else changes nothing, and a session
+// only on disk is reopened by the attach itself.
+TEST(SpotServiceTest, AttachmentIsExclusiveAndReopensFromDisk) {
+  const std::string dir = MakeCheckpointDir("attach");
+  SpotServiceConfig scfg;
+  scfg.checkpoint_dir = dir;
+  {
+    SpotService service(scfg);
+    ASSERT_TRUE(service.CreateSession("a", SessionConfig(), TenantTraining(0),
+                                      nullptr, /*owner=*/7));
+    bool taken = false;
+    EXPECT_FALSE(service.CreateSession("a", SessionConfig(),
+                                       TenantTraining(0), nullptr, 8, &taken));
+    EXPECT_TRUE(taken);
+    std::uint64_t holder = 0;
+    EXPECT_FALSE(service.AttachSession("a", 8, &holder));
+    EXPECT_EQ(holder, 7u);
+    EXPECT_TRUE(service.AttachSession("a", 7));  // the holder again
+    service.DetachSession("a", 8);                // not the holder: no-op
+    EXPECT_FALSE(service.AttachSession("a", 8, &holder));
+    service.DetachSession("a", 7);
+    EXPECT_TRUE(service.AttachSession("a", 8));
+    EXPECT_FALSE(service.AttachSession("ghost", 8, &holder));
+    EXPECT_EQ(holder, 0u);
+    ASSERT_TRUE(service.CheckpointAll());
+  }
+  SpotService restarted(scfg);
+  EXPECT_FALSE(restarted.HasSession("a"));
+  EXPECT_TRUE(restarted.AttachSession("a", 9));
+  EXPECT_TRUE(restarted.IsResident("a"));
+  std::uint64_t holder = 0;
+  EXPECT_FALSE(restarted.AttachSession("a", 10, &holder));
+  EXPECT_EQ(holder, 9u);
+}
 
-  ServiceMetrics b;
-  b.sessions = 1;
-  b.points_processed = 50;
-  b.detection_seconds = 0.25;
+/// Everything one tenant's caller saw: verdict bytes, top-k answers and
+/// feedback outcomes, in call order.
+struct TenantTranscript {
+  std::string verdicts;
+  std::string topk;
+  std::string feedback;
+};
 
-  MergeServiceMetrics(&a, b);
-  EXPECT_EQ(a.sessions, 3u);
-  EXPECT_EQ(a.resident_sessions, 1u);
-  EXPECT_EQ(a.points_processed, 150u);
-  EXPECT_EQ(a.outliers_detected, 3u);
-  EXPECT_EQ(a.batches_ingested, 10u);
-  EXPECT_EQ(a.evictions, 2u);
-  EXPECT_EQ(a.checkpoints_written, 4u);
-  EXPECT_DOUBLE_EQ(a.detection_seconds, 0.75);
+constexpr std::size_t kConcurrentBatch = 64;
+constexpr std::size_t kConcurrentBatches = 6;
+
+/// The serial reference: a standalone detector fed tenant `t`'s batches,
+/// a top-4 query after each and a feedback round after every third.
+TenantTranscript SerialTranscript(int t) {
+  SpotDetector detector(SessionConfig());
+  EXPECT_TRUE(detector.Learn(TenantTraining(t)));
+  const auto stream =
+      TenantStream(t, static_cast<int>(kConcurrentBatch * kConcurrentBatches),
+                   40 + static_cast<std::uint64_t>(t));
+  TenantTranscript out;
+  for (std::size_t b = 0; b < kConcurrentBatches; ++b) {
+    const auto batch =
+        Chunk(stream, b * kConcurrentBatch, (b + 1) * kConcurrentBatch);
+    out.verdicts += net::VerdictBytes(detector.ProcessBatch(batch));
+    const std::vector<TopKEntry> top = detector.QueryTopK(4);
+    out.topk += net::TopKBytes(top);
+    if (b % 3 == 2) {
+      std::vector<std::uint64_t> ids;
+      for (const TopKEntry& e : top) ids.push_back(e.point_id);
+      out.feedback +=
+          detector.ApplyFeedback(ids, {batch.front().values}) ? '1' : '0';
+    }
+  }
+  return out;
+}
+
+// Four callers stream their own sessions through ONE service at the same
+// time — creates (Learn) included — while the service can hold only two
+// resident, so evictions and reloads interleave with other sessions'
+// detector work, and a fifth thread scrapes every reader throughout. Each
+// session's verdicts, top-k answers and feedback outcomes must equal a
+// serial standalone reference, byte for byte.
+TEST(SpotServiceTest, ConcurrentSessionsMatchSerialReference) {
+  const int kTenants = 4;
+  std::vector<TenantTranscript> want;
+  for (int t = 0; t < kTenants; ++t) want.push_back(SerialTranscript(t));
+
+  SpotServiceConfig scfg;
+  scfg.max_resident = 2;  // < kTenants: eviction traffic under concurrency
+  scfg.checkpoint_dir = MakeCheckpointDir("concurrent");
+  SpotService service(scfg);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      SessionMetrics m;
+      for (int t = 0; t < kTenants; ++t) {
+        service.GetMetrics("tenant-" + std::to_string(t), &m);
+      }
+      const ServiceMetrics total = service.TotalMetrics();
+      EXPECT_LE(total.resident_sessions, scfg.max_resident);
+      EXPECT_LE(service.QualitySnapshot().size(),
+                static_cast<std::size_t>(kTenants));
+      service.ObsSnapshot();
+      ++scrapes;
+    }
+  });
+
+  std::vector<TenantTranscript> got(kTenants);
+  std::atomic<int> created{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kTenants; ++t) {
+    callers.emplace_back([&, t] {
+      const std::string id = "tenant-" + std::to_string(t);
+      const bool ok =
+          service.CreateSession(id, SessionConfig(), TenantTraining(t));
+      // Stream only once every session exists: at least two of them are
+      // then on disk, so reloads interleave with the other callers'
+      // batches whatever the scheduling.
+      ++created;
+      while (created.load() < kTenants) std::this_thread::yield();
+      ASSERT_TRUE(ok) << id;
+      const auto stream = TenantStream(
+          t, static_cast<int>(kConcurrentBatch * kConcurrentBatches),
+          40 + static_cast<std::uint64_t>(t));
+      for (std::size_t b = 0; b < kConcurrentBatches; ++b) {
+        const auto batch =
+            Chunk(stream, b * kConcurrentBatch, (b + 1) * kConcurrentBatch);
+        const IngestResult r = service.Ingest(id, batch);
+        ASSERT_TRUE(r.ok) << id << " batch " << b;
+        got[t].verdicts += net::VerdictBytes(r.verdicts);
+        std::vector<TopKEntry> top;
+        ASSERT_TRUE(service.QueryTopK(id, 4, &top));
+        got[t].topk += net::TopKBytes(top);
+        if (b % 3 == 2) {
+          std::vector<std::uint64_t> ids;
+          for (const TopKEntry& e : top) ids.push_back(e.point_id);
+          got[t].feedback +=
+              service.ApplyFeedback(id, ids, {batch.front().values}) ? '1'
+                                                                      : '0';
+        }
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  done.store(true);
+  scraper.join();
+
+  for (int t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(got[t].verdicts, want[t].verdicts) << "tenant " << t;
+    EXPECT_EQ(got[t].topk, want[t].topk) << "tenant " << t;
+    EXPECT_EQ(got[t].feedback, want[t].feedback) << "tenant " << t;
+  }
+  const ServiceMetrics total = service.TotalMetrics();
+  EXPECT_EQ(total.sessions, static_cast<std::size_t>(kTenants));
+  EXPECT_GT(total.evictions, 0u) << "no eviction interleaved";
+  EXPECT_GT(total.reloads, 0u) << "no reload interleaved";
+  EXPECT_EQ(total.points_processed,
+            kTenants * kConcurrentBatch * kConcurrentBatches);
+  EXPECT_GT(scrapes.load(), 0u);
+}
+
+// Detector work runs outside the table lock: while one caller's
+// CreateSession is inside a long Learn(), an Ingest on another session
+// returns. (A service that learned under its lock would hold the Ingest
+// until the Learn finished.)
+TEST(SpotServiceTest, IngestProceedsWhileAnotherSessionLearns) {
+  SpotService service{SpotServiceConfig{}};
+  ASSERT_TRUE(service.CreateSession("b", SessionConfig(), TenantTraining(1)));
+  const auto batch = Chunk(TenantStream(1, 64, 9), 0, 64);
+
+  // A Learn over a large training batch with a long MOGA search: seconds,
+  // against the milliseconds of one 64-point Ingest.
+  SpotConfig slow = SessionConfig();
+  slow.unsupervised.moga.generations = 200;
+  slow.unsupervised.moga.population_size = 64;
+  stream::SyntheticConfig gen_cfg;
+  gen_cfg.dimension = 6;
+  gen_cfg.outlier_probability = 0.0;
+  gen_cfg.concept_seed = 100;
+  gen_cfg.seed = 8123;
+  stream::GaussianStream gen(gen_cfg);
+  const auto training = ValuesOf(Take(gen, 6000));
+
+  std::atomic<bool> learning{false};
+  std::atomic<bool> created{false};
+  std::thread creator([&] {
+    learning.store(true);
+    EXPECT_TRUE(service.CreateSession("a", slow, training));
+    created.store(true);
+  });
+  while (!learning.load()) std::this_thread::yield();
+  // Let the creator reserve the id and enter Learn().
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  const IngestResult r = service.Ingest("b", batch);
+  const double ingest_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  const bool created_before_ingest_returned = created.load();
+  creator.join();
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.verdicts.size(), batch.size());
+  EXPECT_FALSE(created_before_ingest_returned)
+      << "Ingest waited " << ingest_ms << " ms for another session's Learn";
+  EXPECT_TRUE(service.HasSession("a"));
 }
 
 }  // namespace

@@ -63,7 +63,7 @@
 //
 // --spawn-server hosts the multi-reactor server in-process on an
 // ephemeral loopback port (real sockets, zero orchestration) with
-// --reactors event-loop shards — how the bench regression job measures
+// --reactors event loops — how the bench regression job measures
 // end-to-end throughput. Against an external server, pass the server's
 // --reactors value so the report records it.
 
@@ -495,12 +495,11 @@ void ScrapeServerStats(const Flags& flags, std::uint16_t port,
     return it == merged.counters.end() ? 0 : it->second;
   };
   std::printf("server scrape: %llu points in %llu batches across %zu "
-              "reactor(s), %llu checkpoints, %llu hand-offs\n",
+              "reactor(s), %llu checkpoints\n",
               static_cast<unsigned long long>(counter("points_ingested")),
               static_cast<unsigned long long>(counter("batches_run")),
               stats.reactors.size(),
-              static_cast<unsigned long long>(counter("checkpoints_written")),
-              static_cast<unsigned long long>(counter("sessions_handed_off")));
+              static_cast<unsigned long long>(counter("checkpoints_written")));
 
   // Fixed stage list (absent stages show count 0) so every run emits the
   // same table shape — bench_regression merges runs by table index.
@@ -686,13 +685,13 @@ int main(int argc, char** argv) {
     scfg.num_shards = flags.shards;
     scfg.max_resident = std::max<std::size_t>(8, flags.connections);
     scfg.checkpoint_dir = flags.checkpoint_dir;
+    scfg.collect_perf_counters = flags.prof;  // both profiling tiers
     if (!scfg.checkpoint_dir.empty()) {
       ::mkdir(scfg.checkpoint_dir.c_str(), 0755);
     }
     spot::net::SpotServerConfig ncfg;
     ncfg.port = 0;
     ncfg.num_reactors = flags.reactors;
-    ncfg.profile_counters = flags.prof;  // mirrored into the service tier
     server = std::make_unique<spot::net::SpotServer>(scfg, ncfg);
     if (!server->Start()) {
       SPOT_LOG(Error) << "cannot start in-process server";

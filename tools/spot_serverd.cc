@@ -2,7 +2,7 @@
 //
 //   spot_serverd [--port P] [--bind ADDR] [--checkpoint-dir DIR]
 //                [--reactors N] [--shards N] [--max-resident N]
-//                [--batch N] [--no-reuseport]
+//                [--batch N]
 //                [--metrics-port P] [--stats-interval SECS]
 //                [--slow-batch-ms MS] [--log-level LEVEL]
 //                [--trace-capacity N] [--trace-file PATH]
@@ -26,17 +26,20 @@
 // (implies --prof) additionally logs a one-line per-stage IPC/cache-miss
 // summary every SECS seconds, mirroring --stats-interval.
 //
-// Hosts --reactors event-loop shards (default: min(hardware cores, 8)),
-// each an epoll loop (Linux only; there is no other loop) with its own
-// SpotService behind the binary wire protocol. --shards N (at most 256)
-// splits each batch into N jobs on the process's one compute pool of
-// CPUs - 1 workers, shared by every reactor. Clients create or resume
-// sessions by name; with --checkpoint-dir, SIGTERM/SIGINT shuts down
-// gracefully — every reactor processes its pending coalesced batches and
-// saves its sessions via CheckpointAll — so `kill -TERM` followed by a
-// restart over the same directory resumes every stream bit-identically,
-// even at a different reactor count (the CI server-smoke job proves it
-// with spot_loadgen --verify).
+// Hosts --reactors event loops (default: min(hardware cores, 8)), each an
+// epoll loop (Linux only; there is no other loop), in front of one
+// SpotService behind the binary wire protocol. Reactor 0 accepts and
+// deals connections round-robin; --no-reuseport is still accepted and
+// changes nothing (there is one accept path). --max-resident bounds the
+// resident sessions of the whole server. --shards N (at most 256) splits
+// each batch into N jobs on the process's one compute pool of CPUs - 1
+// workers, shared by every reactor. Clients create or resume sessions by
+// name, on any reactor; with --checkpoint-dir, SIGTERM/SIGINT shuts down
+// gracefully — every reactor processes its pending coalesced batches,
+// then the server saves every session via CheckpointAll — so `kill
+// -TERM` followed by a restart over the same directory resumes every
+// stream bit-identically, even at a different reactor count (the CI
+// server-smoke job proves it with spot_loadgen --verify).
 //
 // Prints "listening on <addr>:<port>" once ready (scripts wait for it).
 
@@ -114,7 +117,8 @@ int main(int argc, char** argv) {
   ncfg.num_reactors =
       spot::examples::TakeSizeFlag(&args, "reactors", DefaultReactors());
   if (ncfg.num_reactors == 0) ncfg.num_reactors = 1;
-  ncfg.use_reuseport = !spot::examples::TakeBoolFlag(&args, "no-reuseport");
+  // Older scripts pass --no-reuseport; with one accept path it is a no-op.
+  spot::examples::TakeBoolFlag(&args, "no-reuseport");
   ncfg.batch_points = spot::examples::TakeSizeFlag(&args, "batch", 256);
   const std::string metrics_port_text =
       spot::examples::TakeStringFlag(&args, "metrics-port");
@@ -133,7 +137,9 @@ int main(int argc, char** argv) {
       spot::examples::TakeSizeFlag(&args, "stats-interval", 0);
   const std::size_t prof_interval =
       spot::examples::TakeSizeFlag(&args, "prof-interval", 0);
-  const bool prof =
+  // One switch for both profiling tiers: the reactors read it from the
+  // service's config.
+  scfg.collect_perf_counters =
       spot::examples::TakeBoolFlag(&args, "prof") || prof_interval > 0;
   // A server is interactive enough to default chattier than the library's
   // kWarning: startup/shutdown landmarks come through SPOT_LOG(Info).
@@ -153,9 +159,6 @@ int main(int argc, char** argv) {
   if (!scfg.checkpoint_dir.empty()) {
     ::mkdir(scfg.checkpoint_dir.c_str(), 0755);
   }
-  // One switch for both profiling tiers (the server mirrors it into each
-  // service shard's collect_perf_counters).
-  ncfg.profile_counters = prof;
 
   spot::net::SpotServer server(scfg, ncfg);
   if (!server.Start()) {
@@ -168,9 +171,8 @@ int main(int argc, char** argv) {
     std::printf("metrics on %s:%d/metrics\n", ncfg.bind_address.c_str(),
                 server.metrics_port());
   }
-  std::printf("listening on %s:%u (reactors=%zu%s, shards=%zu, batch=%zu%s%s)\n",
+  std::printf("listening on %s:%u (reactors=%zu, shards=%zu, batch=%zu%s%s)\n",
               ncfg.bind_address.c_str(), server.port(), server.num_reactors(),
-              server.reuseport_active() ? " via SO_REUSEPORT" : "",
               scfg.num_shards, ncfg.batch_points,
               scfg.checkpoint_dir.empty() ? "" : ", checkpoints in ",
               scfg.checkpoint_dir.c_str());
@@ -246,14 +248,14 @@ int main(int argc, char** argv) {
   if (tracer.joinable()) tracer.join();
 
   // Shutdown summary: one line per reactor, then the total, then the
-  // service-side aggregates across all shards.
+  // service's aggregates.
   char label[32];
   for (std::size_t i = 0; i < server.num_reactors(); ++i) {
     std::snprintf(label, sizeof(label), "reactor %zu", i);
     PrintStatsLine(label, server.reactor_stats(i));
   }
   PrintStatsLine("total", server.stats());
-  const spot::ServiceMetrics metrics = server.TotalServiceMetrics();
+  const spot::ServiceMetrics metrics = server.service().TotalMetrics();
   std::printf(
       "service totals: %zu sessions, %llu points processed, "
       "%llu outliers, %llu drifts, %llu checkpoints written\n",
