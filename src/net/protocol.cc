@@ -351,19 +351,48 @@ bool DecodeError(const std::string& payload, ErrorResp* out) {
   return r.AtEnd();
 }
 
+namespace {
+
+/// The finding layout verdicts and top-k entries share: a u32 count, then
+/// per finding the subspace mask and the three PCS doubles (32 bytes).
+void EncodeFindings(const std::vector<SubspaceFinding>& findings,
+                    ByteWriter* w) {
+  w->U32(static_cast<std::uint32_t>(findings.size()));
+  for (const SubspaceFinding& f : findings) {
+    w->U64(f.subspace.bits());
+    w->F64(f.pcs.rd);
+    w->F64(f.pcs.irsd);
+    w->F64(f.pcs.count);
+  }
+}
+
+bool DecodeFindings(ByteReader* r, std::vector<SubspaceFinding>* out) {
+  const std::uint32_t count = r->U32();
+  if (!r->ok()) return false;
+  // Bound the untrusted count against the remaining bytes so a crafted
+  // count cannot force a huge allocation.
+  if (static_cast<std::uint64_t>(count) * 32 > r->remaining()) {
+    return r->Fail();
+  }
+  out->assign(count, SubspaceFinding{});
+  for (SubspaceFinding& f : *out) {
+    f.subspace = Subspace(r->U64());
+    f.pcs.rd = r->F64();
+    f.pcs.irsd = r->F64();
+    f.pcs.count = r->F64();
+  }
+  return r->ok();
+}
+
+}  // namespace
+
 void EncodeVerdictList(const std::vector<SpotResult>& verdicts,
                        ByteWriter* w) {
   w->U32(static_cast<std::uint32_t>(verdicts.size()));
   for (const SpotResult& v : verdicts) {
     w->Bool(v.is_outlier);
     w->F64(v.score);
-    w->U32(static_cast<std::uint32_t>(v.findings.size()));
-    for (const SubspaceFinding& f : v.findings) {
-      w->U64(f.subspace.bits());
-      w->F64(f.pcs.rd);
-      w->F64(f.pcs.irsd);
-      w->F64(f.pcs.count);
-    }
+    EncodeFindings(v.findings, w);
   }
 }
 
@@ -378,19 +407,7 @@ bool DecodeVerdictList(ByteReader* r, std::vector<SpotResult>* out) {
   for (SpotResult& v : *out) {
     v.is_outlier = r->Bool();
     v.score = r->F64();
-    const std::uint32_t nfindings = r->U32();
-    if (!r->ok()) return false;
-    // A finding is 32 bytes (subspace mask + three PCS doubles).
-    if (static_cast<std::uint64_t>(nfindings) * 32 > r->remaining()) {
-      return r->Fail();
-    }
-    v.findings.assign(nfindings, SubspaceFinding{});
-    for (SubspaceFinding& f : v.findings) {
-      f.subspace = Subspace(r->U64());
-      f.pcs.rd = r->F64();
-      f.pcs.irsd = r->F64();
-      f.pcs.count = r->F64();
-    }
+    if (!DecodeFindings(r, &v.findings)) return false;
   }
   return r->ok();
 }
@@ -425,13 +442,7 @@ void EncodeTopKEntryList(const std::vector<TopKEntry>& entries,
     w->U64(e.tick);
     w->F64(e.score);
     w->F64(e.decayed_score);
-    w->U32(static_cast<std::uint32_t>(e.findings.size()));
-    for (const SubspaceFinding& f : e.findings) {
-      w->U64(f.subspace.bits());
-      w->F64(f.pcs.rd);
-      w->F64(f.pcs.irsd);
-      w->F64(f.pcs.count);
-    }
+    EncodeFindings(e.findings, w);
   }
 }
 
@@ -449,19 +460,7 @@ bool DecodeTopKEntryList(ByteReader* r, std::vector<TopKEntry>* out) {
     e.tick = r->U64();
     e.score = r->F64();
     e.decayed_score = r->F64();
-    const std::uint32_t nfindings = r->U32();
-    if (!r->ok()) return false;
-    // A finding is 32 bytes (subspace mask + three PCS doubles).
-    if (static_cast<std::uint64_t>(nfindings) * 32 > r->remaining()) {
-      return r->Fail();
-    }
-    e.findings.assign(nfindings, SubspaceFinding{});
-    for (SubspaceFinding& f : e.findings) {
-      f.subspace = Subspace(r->U64());
-      f.pcs.rd = r->F64();
-      f.pcs.irsd = r->F64();
-      f.pcs.count = r->F64();
-    }
+    if (!DecodeFindings(r, &e.findings)) return false;
   }
   return r->ok();
 }
@@ -632,6 +631,15 @@ obs::MetricsSnapshot StatsResp::Merged() const {
   obs::MetricsSnapshot merged;
   for (const obs::MetricsSnapshot& snap : reactors) merged.Merge(snap);
   merged.Merge(service);
+  // Summed perf_* gauges are no mode or rate; MergedPerfMode and
+  // PerfStageRows derive both from the summed perf counters instead.
+  for (auto it = merged.gauges.begin(); it != merged.gauges.end();) {
+    if (it->first.rfind("perf_", 0) == 0) {
+      it = merged.gauges.erase(it);
+    } else {
+      ++it;
+    }
+  }
   return merged;
 }
 

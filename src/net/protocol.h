@@ -104,7 +104,7 @@ enum class ErrorCode : std::uint16_t {
   kLearnFailed = 8,        // CreateSession's offline learning failed
   kIngestFailed = 9,       // service refused the batch
   kCheckpointFailed = 10,  // checkpoint write failed / no directory
-  kStatsUnavailable = 11,  // stats scrape not available on this server
+  kStatsUnavailable = 11,  // not sent: every server answers kStats
   kTracingDisabled = 12,   // flight recorder not enabled
   kFeedbackFailed = 13,    // detector refused the feedback round
 
@@ -297,7 +297,8 @@ struct StatsResp {
   std::vector<SessionQuality> sessions;  // every known session, id order
 
   /// Everything folded into one snapshot (counters/gauges sum,
-  /// histograms merge).
+  /// histograms merge), minus every `perf_*` gauge: a mode or a rate
+  /// does not add across sections.
   obs::MetricsSnapshot Merged() const;
 };
 

@@ -39,8 +39,14 @@ int ReactorOfOwner(std::uint64_t owner) {
 }  // namespace
 
 Reactor::Reactor(int index, const SpotServerConfig& config,
-                 SpotService* service, const std::atomic<bool>* stop)
-    : index_(index), config_(config), service_(service), stop_(stop) {
+                 SpotService* service, const std::atomic<bool>* stop,
+                 obs::MetricsHub* hub, std::function<StatsResp()> stats_source)
+    : index_(index),
+      config_(config),
+      service_(service),
+      stop_(stop),
+      hub_(hub),
+      stats_source_(std::move(stats_source)) {
   for (const obs::TraceStage stage : obs::kReactorStages) {
     stages_[static_cast<std::size_t>(stage)].hist =
         obs_.GetHistogram(obs::StageHistogramName(stage));
@@ -74,12 +80,6 @@ void Reactor::AdoptListener(int fd, std::vector<Reactor*> targets) {
   listen_fd_ = fd;
   targets_ = std::move(targets);
   poller_.Add(listen_fd_, /*read=*/true, /*write=*/false);
-}
-
-void Reactor::SetObservability(obs::MetricsHub* hub,
-                               std::function<StatsResp()> stats_source) {
-  hub_ = hub;
-  stats_source_ = std::move(stats_source);
 }
 
 void Reactor::SetTracing(obs::TraceRecorder* recorder,
@@ -157,22 +157,6 @@ obs::Stage Reactor::Measure(obs::TraceStage stage) {
 }
 
 void Reactor::PublishMetrics() {
-  if (hub_ == nullptr) return;
-  // Fold the plain loop counters into the registry so one snapshot
-  // carries the whole reactor; Set (not Inc) because stats_ is itself
-  // monotonic and already holds the running totals.
-  obs_.GetCounter("connections_accepted")->Set(stats_.connections_accepted);
-  obs_.GetCounter("connections_closed")->Set(stats_.connections_closed);
-  obs_.GetCounter("frames_received")->Set(stats_.frames_received);
-  obs_.GetCounter("frames_sent")->Set(stats_.frames_sent);
-  obs_.GetCounter("bytes_in")->Set(stats_.bytes_in);
-  obs_.GetCounter("bytes_out")->Set(stats_.bytes_out);
-  obs_.GetCounter("corrupt_frames")->Set(stats_.corrupt_frames);
-  obs_.GetCounter("protocol_errors")->Set(stats_.protocol_errors);
-  obs_.GetCounter("backpressure_stalls")->Set(stats_.backpressure_stalls);
-  obs_.GetCounter("batches_run")->Set(stats_.batches_run);
-  obs_.GetCounter("points_ingested")->Set(stats_.points_ingested);
-  obs_.GetCounter("listener_pauses")->Set(stats_.listener_pauses);
   std::size_t pending_points = 0;
   std::size_t queued_bytes = 0;
   for (const auto& [fd, conn] : conns_) {
@@ -277,7 +261,7 @@ void Reactor::AdoptConn(int fd) {
   conn->decoder = FrameDecoder(config_.max_payload_bytes);
   poller_.Add(fd, /*read=*/true, /*write=*/false);
   conns_.emplace(fd, std::move(conn));
-  ++stats_.connections_accepted;
+  c_connections_accepted_->Inc();
 }
 
 void Reactor::AcceptReady() {
@@ -296,7 +280,7 @@ void Reactor::AcceptReady() {
                         << "; pausing this reactor's listener for one turn";
         poller_.Remove(listen_fd_);
         listener_paused_ = true;
-        ++stats_.listener_pauses;
+        c_listener_pauses_->Inc();
       }
       return;  // EAGAIN or transient accept failure: try next turn
     }
@@ -338,7 +322,7 @@ void Reactor::CloseConn(int fd) {
   if (poller_.is_open()) poller_.Remove(fd);
   ::close(fd);
   conns_.erase(it);
-  ++stats_.connections_closed;
+  c_connections_closed_->Inc();
 }
 
 std::uint64_t Reactor::Owner(const Conn& conn) const {
@@ -375,7 +359,7 @@ void Reactor::ReadReady(int fd) {
       CloseConn(fd);
       return;
     }
-    stats_.bytes_in += static_cast<std::uint64_t>(n);
+    c_bytes_in_->Inc(static_cast<std::uint64_t>(n));
     conn.decoder.Append(buf, static_cast<std::size_t>(n));
     Frame frame;
     while (!conn.want_close) {
@@ -395,13 +379,13 @@ void Reactor::ReadReady(int fd) {
       if (status == FrameDecoder::Status::kCorrupt) {
         // The byte stream cannot be resynchronized mid-frame: drop the
         // connection. (Sessions stay intact; the client can reconnect.)
-        ++stats_.corrupt_frames;
+        c_corrupt_frames_->Inc();
         SPOT_LOG(Error) << "closing connection " << fd << ": "
                         << conn.decoder.error();
         CloseConn(fd);
         return;
       }
-      ++stats_.frames_received;
+      c_frames_received_->Inc();
       if (!HandleFrame(conn, frame)) {
         // Response (if any) is queued; close once it drains.
         conn.want_close = true;
@@ -416,7 +400,7 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
   // anything else is a protocol violation, refused and closed.
   const std::uint8_t type = static_cast<std::uint8_t>(frame.type);
   if (!IsRequestType(type)) {
-    ++stats_.protocol_errors;
+    c_protocol_errors_->Inc();
     SendError(conn, frame.type, ErrorCode::kUnsupportedRequest,
               "unsupported request type " + std::to_string(type));
     return false;
@@ -524,11 +508,6 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
       // request carries no payload; anything else is malformed and
       // falls through to the close-the-connection path below.
       if (!frame.payload.empty()) break;
-      if (!stats_source_) {
-        SendError(conn, frame.type, ErrorCode::kStatsUnavailable,
-                  "stats not available on this server");
-        return true;
-      }
       // Publish our own registry first so the snapshot reflects this
       // very turn; other reactors are at most one loop turn stale.
       c_stats_scrapes_->Inc();
@@ -620,7 +599,7 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
     default:
       break;
   }
-  ++stats_.protocol_errors;
+  c_protocol_errors_->Inc();
   SendError(conn, frame.type, ErrorCode::kMalformedPayload,
             "malformed request payload");
   return false;
@@ -631,7 +610,7 @@ bool Reactor::HandleIngest(Conn& conn, const std::string& payload) {
   IngestReq req;
   if (!DecodeIngest(payload, &req)) {
     coalesce.Cancel();
-    ++stats_.protocol_errors;
+    c_protocol_errors_->Inc();
     SendError(conn, MsgType::kIngest, ErrorCode::kMalformedPayload,
               "malformed ingest payload");
     conn.want_close = true;
@@ -727,8 +706,8 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
       pending.clear();
       return false;
     }
-    ++stats_.batches_run;
-    stats_.points_ingested += n;
+    c_batches_run_->Inc();
+    c_points_ingested_->Inc(n);
     // A large coalesced run's verdicts can encode past the wire payload
     // cap (13 bytes per verdict + 32 per finding), which the client's
     // decoder would latch as corrupt. Split the run into as many
@@ -798,7 +777,7 @@ bool Reactor::RequireAttached(Conn& conn, MsgType request,
 
 void Reactor::Enqueue(Conn& conn, MsgType type, const std::string& payload) {
   conn.outbuf.append(EncodeFrame(type, payload));
-  ++stats_.frames_sent;
+  c_frames_sent_->Inc();
   TryFlush(conn);
   UpdateBackpressure(conn);
   SyncPollerInterest(conn);
@@ -871,7 +850,7 @@ std::size_t Reactor::WriteLoop(Conn& conn) {
       return sent;
     }
     conn.out_off += static_cast<std::size_t>(n);
-    stats_.bytes_out += static_cast<std::uint64_t>(n);
+    c_bytes_out_->Inc(static_cast<std::uint64_t>(n));
     sent += static_cast<std::size_t>(n);
   }
   conn.outbuf.clear();
@@ -883,7 +862,7 @@ void Reactor::UpdateBackpressure(Conn& conn) {
   const std::size_t queued = conn.outbuf.size() - conn.out_off;
   if (!conn.paused && queued > config_.max_output_bytes) {
     conn.paused = true;
-    ++stats_.backpressure_stalls;
+    c_backpressure_stalls_->Inc();
   } else if (conn.paused && queued < config_.max_output_bytes / 2) {
     conn.paused = false;
   }

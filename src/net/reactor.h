@@ -31,10 +31,10 @@ namespace net {
 /// reactor owns an epoll poller, a set of connections and — on
 /// reactor 0 only — the listener, and borrows the server's one
 /// SpotService, which every reactor shares. Everything it touches —
-/// connections, coalescing buffers, its stats — is loop-thread-local;
-/// the only shared state is the service (internally locked; it records
-/// which connection each session is attached to) and the server-wide
-/// stop flag.
+/// connections, coalescing buffers, its metrics registry — is
+/// loop-thread-local; the only shared state is the service (internally
+/// locked; it records which connection each session is attached to), the
+/// server-wide stop flag and the metrics hub it publishes into.
 ///
 /// Per-session processing order — and therefore verdict bit-identity —
 /// is exactly the single-threaded server's: a session is exclusively
@@ -42,9 +42,14 @@ namespace net {
 /// processes the session's points in arrival order.
 class Reactor {
  public:
-  /// Borrows everything; all pointees must outlive the reactor.
+  /// Borrows everything; all pointees must outlive the reactor. `hub`
+  /// receives this reactor's metrics snapshot at the end of every loop
+  /// turn (slot `index`); `stats_source` assembles the whole-server
+  /// StatsResp a kStats request on one of this reactor's connections is
+  /// answered with (DESIGN.md Section 9).
   Reactor(int index, const SpotServerConfig& config, SpotService* service,
-          const std::atomic<bool>* stop);
+          const std::atomic<bool>* stop, obs::MetricsHub* hub,
+          std::function<StatsResp()> stats_source);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -64,29 +69,18 @@ class Reactor {
   /// closes (Shutdown). Call from exactly one thread.
   void Run();
 
-  /// One event-loop turn; returns false once stopped. Run() is
-  /// `while (RunOnce(...)) {}` plus Shutdown().
-  bool RunOnce(int timeout_ms);
-
   /// Drains pending batches, flushes and closes every connection, and
-  /// closes the listener and wakeup pipe. Idempotent; Run() calls it on
-  /// exit, the server calls it for reactors whose loop never ran. The
-  /// server checkpoints the service once every reactor has shut down.
+  /// closes the listener and wakeup pipe, then publishes a final metrics
+  /// snapshot, so a read after the loop is joined is exact. Idempotent;
+  /// Run() calls it on exit, the server calls it for reactors whose loop
+  /// never ran. The server checkpoints the service once every reactor
+  /// has shut down.
   void Shutdown();
 
   /// Hands a freshly accepted connection to this reactor from another
   /// thread (the acceptor's). The fd is adopted on the next loop turn;
   /// the wakeup pipe makes that turn start immediately.
   void EnqueueConn(int fd);
-
-  /// Wires the reactor into the server's observability plane
-  /// (DESIGN.md Section 9). `hub` receives this reactor's metrics
-  /// snapshot at the end of every loop turn (slot == index());
-  /// `stats_source` assembles the whole-server StatsResp a kStats
-  /// request on one of this reactor's connections is answered with.
-  /// Call before the loop starts; both may be null/empty (metrics off).
-  void SetObservability(obs::MetricsHub* hub,
-                        std::function<StatsResp()> stats_source);
 
   /// Wires the reactor into the flight recorder (DESIGN.md Section 10).
   /// `recorder` receives this reactor's pipeline spans
@@ -97,13 +91,6 @@ class Reactor {
   /// pays one null test and records nothing).
   void SetTracing(obs::TraceRecorder* recorder,
                   std::function<std::string()> trace_source);
-
-  int index() const { return index_; }
-  SpotService* service() const { return service_; }
-  /// Loop-thread state: read only after the loop thread is joined (or
-  /// between RunOnce calls when driving turns manually).
-  const SpotServerStats& stats() const { return stats_; }
-  std::size_t connections() const { return conns_.size(); }
 
  private:
   struct Conn {
@@ -122,6 +109,10 @@ class Reactor {
     /// end-of-turn flushing.
     std::map<std::string, std::vector<DataPoint>> pending;
   };
+
+  /// One event-loop turn; returns false once stopped. Run() is
+  /// `while (RunOnce(...)) {}` plus Shutdown().
+  bool RunOnce(int timeout_ms);
 
   /// This connection's attachment token in the service: the reactor
   /// index and the fd, never 0.
@@ -151,9 +142,9 @@ class Reactor {
   /// (when profiling) — DESIGN.md Section 12.3.
   obs::Stage Measure(obs::TraceStage stage);
 
-  /// Folds the loop counters and gauges into the registry and pushes a
-  /// fresh snapshot into the hub (no-op without a hub). Runs at the end
-  /// of every loop turn — a few-KB copy, far off the per-point path.
+  /// Refreshes the registry's gauges and pushes a fresh snapshot into the
+  /// hub. Runs at the end of every loop turn — a few-KB copy, far off the
+  /// per-point path.
   void PublishMetrics();
 
   /// True when `id` is attached to exactly this connection (it is in
@@ -201,20 +192,36 @@ class Reactor {
 
   bool shutdown_done_ = false;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  SpotServerStats stats_;
 
-  /// Loop-thread-local metrics (DESIGN.md Section 9). The registry is
-  /// written only by the loop thread; the cached instrument pointers
-  /// keep the hot path at a plain increment — no atomics, no locks, no
-  /// name lookups. Cross-thread reads happen only through hub_ snapshot
-  /// copies published once per loop turn.
+  /// Loop-thread-local metrics (DESIGN.md Section 9), the reactor's only
+  /// record of its counters. The registry is written only by the loop
+  /// thread; the cached instrument pointers keep every event at a plain
+  /// increment — no atomics, no locks, no name lookups. Cross-thread
+  /// reads happen only through hub_ snapshot copies published once per
+  /// loop turn.
   obs::Registry obs_;
+  obs::Counter* c_connections_accepted_ =
+      obs_.GetCounter("connections_accepted");
+  obs::Counter* c_connections_closed_ = obs_.GetCounter("connections_closed");
+  obs::Counter* c_frames_received_ = obs_.GetCounter("frames_received");
+  obs::Counter* c_frames_sent_ = obs_.GetCounter("frames_sent");
+  obs::Counter* c_bytes_in_ = obs_.GetCounter("bytes_in");
+  obs::Counter* c_bytes_out_ = obs_.GetCounter("bytes_out");
+  obs::Counter* c_corrupt_frames_ = obs_.GetCounter("corrupt_frames");
+  obs::Counter* c_protocol_errors_ = obs_.GetCounter("protocol_errors");
+  obs::Counter* c_backpressure_stalls_ =
+      obs_.GetCounter("backpressure_stalls");
+  obs::Counter* c_batches_run_ = obs_.GetCounter("batches_run");
+  obs::Counter* c_points_ingested_ = obs_.GetCounter("points_ingested");
+  /// Times this reactor's listener was paused by an fd-exhausted accept
+  /// (EMFILE/ENFILE) — strictly per-reactor, see AcceptReady.
+  obs::Counter* c_listener_pauses_ = obs_.GetCounter("listener_pauses");
   obs::Histogram* h_batch_points_ = obs_.GetHistogram("batch_points");
   obs::Counter* c_slow_batches_ = obs_.GetCounter("slow_batches");
   obs::Counter* c_stats_scrapes_ = obs_.GetCounter("stats_scrapes");
   obs::Counter* c_trace_dumps_ = obs_.GetCounter("trace_dumps");
-  obs::MetricsHub* hub_ = nullptr;
-  std::function<StatsResp()> stats_source_;
+  obs::MetricsHub* const hub_;
+  const std::function<StatsResp()> stats_source_;
 
   /// Flight recorder (DESIGN.md Section 10): per-batch pipeline spans,
   /// written only by the loop thread into the server-owned per-reactor

@@ -72,43 +72,6 @@ struct SpotServerConfig {
   std::size_t trace_capacity = 2048;
 };
 
-/// Event-loop counters — the server's only transport counters. Each
-/// reactor owns one instance, written only by its loop thread; read a
-/// reactor's stats after its loop exited (or between manually driven
-/// turns), and totals via SpotServer::stats().
-struct SpotServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_closed = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t corrupt_frames = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t backpressure_stalls = 0;
-  std::uint64_t batches_run = 0;
-  std::uint64_t points_ingested = 0;
-  /// Times this reactor's listener was paused by an fd-exhausted accept
-  /// (EMFILE/ENFILE) — strictly per-reactor, see Reactor::AcceptReady.
-  std::uint64_t listener_pauses = 0;
-
-  /// Counter-wise sum (for aggregating per-reactor stats into a total).
-  void Add(const SpotServerStats& other) {
-    connections_accepted += other.connections_accepted;
-    connections_closed += other.connections_closed;
-    frames_received += other.frames_received;
-    frames_sent += other.frames_sent;
-    bytes_in += other.bytes_in;
-    bytes_out += other.bytes_out;
-    corrupt_frames += other.corrupt_frames;
-    protocol_errors += other.protocol_errors;
-    backpressure_stalls += other.backpressure_stalls;
-    batches_run += other.batches_run;
-    points_ingested += other.points_ingested;
-    listener_pauses += other.listener_pauses;
-  }
-};
-
 }  // namespace net
 }  // namespace spot
 

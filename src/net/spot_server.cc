@@ -68,10 +68,9 @@ SpotServer::SpotServer(SpotServiceConfig service_config,
   }
   reactors_.reserve(config_.num_reactors);
   for (std::size_t i = 0; i < config_.num_reactors; ++i) {
-    reactors_.push_back(std::make_unique<Reactor>(static_cast<int>(i),
-                                                  config_, &service_, &stop_));
-    reactors_.back()->SetObservability(&hub_,
-                                       [this] { return StatsSnapshot(); });
+    reactors_.push_back(std::make_unique<Reactor>(
+        static_cast<int>(i), config_, &service_, &stop_, &hub_,
+        [this] { return StatsSnapshot(); }));
     if (!traces_.empty()) {
       reactors_.back()->SetTracing(traces_[i].get(),
                                    [this] { return TraceJson(); });
@@ -212,12 +211,6 @@ void SpotServer::Shutdown() {
       SPOT_LOG(Error) << "shutdown checkpoint failed for some sessions";
     }
   }
-}
-
-SpotServerStats SpotServer::stats() const {
-  SpotServerStats total;
-  for (const auto& reactor : reactors_) total.Add(reactor->stats());
-  return total;
 }
 
 StatsResp SpotServer::StatsSnapshot() const {

@@ -92,21 +92,14 @@ class SpotServer {
   SpotService& service() { return service_; }
   const SpotService& service() const { return service_; }
 
-  /// Reactor `i`'s event-loop counters. Loop-thread state: read after
-  /// Run()/Shutdown() returned (or between manually driven turns).
-  const SpotServerStats& reactor_stats(std::size_t i) const {
-    return reactors_[i]->stats();
-  }
-
-  /// Counter totals across all reactors (same read-after-join caveat).
-  SpotServerStats stats() const;
-
   /// Whole-server observability snapshot (DESIGN.md Section 9): the
   /// per-reactor registry snapshots last published to the hub and the
-  /// service's snapshot. Safe from any thread at any time — it reads
-  /// only mutex-guarded published copies, never a reactor's live
-  /// registry. While the server runs, each reactor's slice is at most
-  /// one loop turn stale.
+  /// service's snapshot — the only record of the server's counters. Safe
+  /// from any thread at any time — it reads only mutex-guarded published
+  /// copies, never a reactor's live registry. While the server runs,
+  /// each reactor's slice is at most one loop turn stale; after Run() or
+  /// Shutdown() returned it is exact (every reactor's shutdown publishes
+  /// a final snapshot).
   StatsResp StatsSnapshot() const;
 
   /// StatsSnapshot() rendered as Prometheus text exposition (per-reactor
@@ -135,9 +128,6 @@ class SpotServer {
   /// The metrics HTTP port actually bound (valid after Start() when
   /// config().metrics_port >= 0; -1 when the endpoint is disabled).
   int metrics_port() const;
-
-  /// Reactor handle for tests that drive turns manually.
-  Reactor& reactor(std::size_t i = 0) { return *reactors_[i]; }
 
  private:
   /// Creates the bound, listening, non-blocking socket on

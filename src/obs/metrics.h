@@ -19,9 +19,10 @@ class Counter {
  public:
   void Inc(std::uint64_t n = 1) { value_ += n; }
 
-  /// Overwrites the value. Used when the counter mirrors a monotonic
-  /// source maintained elsewhere (e.g. the reactor's transport counters
-  /// folded in at publish time).
+  /// Overwrites the value. Only the perf totals still mirror a running
+  /// total kept elsewhere (PublishPerfTotals copies a PerfStageTotals,
+  /// which obs::Stage and the engine's BatchStageRecord write); every
+  /// other counter is incremented where its event happens.
   void Set(std::uint64_t v) { value_ = v; }
 
   std::uint64_t value() const { return value_; }

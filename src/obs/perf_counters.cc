@@ -274,39 +274,47 @@ PerfMode MergedPerfMode(const MetricsSnapshot& snap) {
   return any_series ? PerfMode::kSoftware : PerfMode::kDisabled;
 }
 
-std::string RenderPerfSummary(const MetricsSnapshot& snap) {
-  std::string out;
+std::vector<PerfStageRow> PerfStageRows(const MetricsSnapshot& snap) {
   auto counter = [&snap](const std::string& name) -> double {
     const auto it = snap.counters.find(name);
     return it == snap.counters.end() ? 0.0
                                      : static_cast<double>(it->second);
   };
   // Every instrumented stage owns a perf_units{...} counter; enumerate
-  // those to find the label sets, then pull each stage's raw totals and
-  // derive the line's rates from them (derived gauges don't merge
-  // meaningfully across sections, the raw counters do).
+  // those to find the label sets, then pull each stage's raw totals.
   static constexpr char kPrefix[] = "perf_units{";
-  bool any = false;
+  std::vector<PerfStageRow> rows;
   for (const auto& [name, value] : snap.counters) {
     if (name.compare(0, sizeof(kPrefix) - 1, kPrefix) != 0) continue;
-    const std::string labels =
-        name.substr(sizeof(kPrefix) - 1,
-                    name.size() - sizeof(kPrefix) /* trailing '}' */);
+    PerfStageRow row;
+    row.labels = name.substr(sizeof(kPrefix) - 1,
+                             name.size() - sizeof(kPrefix) /* '}' */);
+    row.stage = PrettyStage(row.labels);
+    row.units = value;
     const double units = static_cast<double>(value);
-    const double cycles = counter(Keyed("perf_cycles", labels));
-    const double instr = counter(Keyed("perf_instructions", labels));
-    const double misses = counter(Keyed("perf_cache_misses", labels));
-    const double branch = counter(Keyed("perf_branch_misses", labels));
+    const double instr = counter(Keyed("perf_instructions", row.labels));
+    row.ipc = SafeDiv(instr, counter(Keyed("perf_cycles", row.labels)));
+    row.instr_per_unit = SafeDiv(instr, units);
+    row.miss_per_unit =
+        SafeDiv(counter(Keyed("perf_cache_misses", row.labels)), units);
+    row.branch_miss_per_unit =
+        SafeDiv(counter(Keyed("perf_branch_misses", row.labels)), units);
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+std::string RenderPerfSummary(const MetricsSnapshot& snap) {
+  std::string out;
+  for (const PerfStageRow& row : PerfStageRows(snap)) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   " %s: ipc=%.2f instr/u=%.1f miss/u=%.3f bmiss/u=%.3f",
-                  PrettyStage(labels).c_str(), SafeDiv(instr, cycles),
-                  SafeDiv(instr, units), SafeDiv(misses, units),
-                  SafeDiv(branch, units));
-    out.append(any ? " |" : "").append(buf);
-    any = true;
+                  row.stage.c_str(), row.ipc, row.instr_per_unit,
+                  row.miss_per_unit, row.branch_miss_per_unit);
+    out.append(out.empty() ? "" : " |").append(buf);
   }
-  if (!any) return std::string();
+  if (out.empty()) return std::string();
   const PerfMode mode = MergedPerfMode(snap);
   return std::string("perf[")
       .append(mode == PerfMode::kHardware

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -166,11 +167,31 @@ void PublishProcessGauges(Registry* reg);
 /// no perf series at all = kDisabled.
 PerfMode MergedPerfMode(const MetricsSnapshot& snap);
 
+/// One instrumented stage pulled back out of a (possibly merged)
+/// snapshot's raw perf counters. The rates derive from the summed raw
+/// counters (the per-section rate gauges do not merge meaningfully); a
+/// zero denominator reads 0.
+struct PerfStageRow {
+  /// The embedded label set, e.g. `stage="probe",engine_shard="2"`.
+  std::string labels;
+  /// Its label values slash-joined, e.g. `probe/2`.
+  std::string stage;
+  std::uint64_t units = 0;
+  double ipc = 0.0;
+  double instr_per_unit = 0.0;
+  double miss_per_unit = 0.0;
+  double branch_miss_per_unit = 0.0;
+};
+
+/// One row per `perf_units{...}` counter in `snap`, in label order: the
+/// rows behind RenderPerfSummary and spot_loadgen's stage x counter
+/// table.
+std::vector<PerfStageRow> PerfStageRows(const MetricsSnapshot& snap);
+
 /// One compact line for periodic log dumps (`spot_serverd
-/// --prof-interval`): per-stage IPC / instructions-per-unit /
-/// cache-miss-per-unit pulled back out of a (possibly merged) snapshot's
-/// spot_perf_* series, e.g.
-///   `perf mode=hw decode: ipc=1.42 instr/u=518 miss/u=0.8 ...`.
+/// --prof-interval`): PerfStageRows' IPC / instructions-per-unit /
+/// cache- and branch-miss-per-unit after the merged mode, e.g.
+///   `perf[hw] decode: ipc=1.42 instr/u=518.0 miss/u=0.800 ...`.
 /// Empty string when the snapshot carries no perf series.
 std::string RenderPerfSummary(const MetricsSnapshot& snap);
 

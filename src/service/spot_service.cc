@@ -105,7 +105,7 @@ bool SpotService::SaveLocked(const std::string& id, Session& session) {
       !SaveTimedLocked(*session.detector, CheckpointPath(id))) {
     return false;
   }
-  ++checkpoints_written_;
+  c_ckpt_written_->Inc();
   session.on_disk = true;
   JournalLifecycleLocked(session, DetectorEventKind::kCheckpointSave, 0);
   return true;
@@ -123,7 +123,7 @@ bool SpotService::EvictLocked(const std::string& id, Session& session) {
   session.detector.reset();
   SampleLocked(&session);
   ++session.evictions;
-  ++evictions_;
+  c_evicted_->Inc();
   JournalLifecycleLocked(session, DetectorEventKind::kSessionEvict,
                          session.evictions);
   return true;
@@ -195,7 +195,7 @@ SpotService::Session* SpotService::LeaseLocked(
     ApplyServiceConfigLocked(session->detector.get());
     BindSinkLocked(id, session);
     ++session->reloads;
-    ++reloads_;
+    c_reloaded_->Inc();
     JournalLifecycleLocked(*session, DetectorEventKind::kCheckpointLoad, 0);
     JournalLifecycleLocked(*session, DetectorEventKind::kSessionReload,
                            session->reloads);
@@ -377,10 +377,15 @@ IngestResult SpotService::IngestImpl(const std::string& id,
     }
   }
   lock.unlock();
+  const SpotStats before = detector.stats();
   result.verdicts = detector.ProcessBatch(batch);
   result.ok = true;
   result.stages = detector.stage_record();
+  const SpotStats& after = detector.stats();
   lock.lock();
+  c_points_->Inc(after.points_processed - before.points_processed);
+  c_outliers_->Inc(after.outliers_detected - before.outliers_detected);
+  c_drifts_->Inc(after.drifts_detected - before.drifts_detected);
   if (config_.collect_perf_counters) HarvestPerfLocked(result.stages);
   ++session->batches_ingested;
   if (config_.collect_quality || session->sink != nullptr) {
@@ -565,18 +570,13 @@ ServiceMetrics SpotService::TotalMetrics() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceMetrics total;
   total.sessions = sessions_.size();
-  total.evictions = evictions_;
-  total.reloads = reloads_;
-  total.checkpoints_written = checkpoints_written_;
-  for (const auto& [id, session] : sessions_) {
-    const SpotStats& stats = session.last_stats;
-    if (session.detector != nullptr) ++total.resident_sessions;
-    total.points_processed += stats.points_processed;
-    total.outliers_detected += stats.outliers_detected;
-    total.drifts_detected += stats.drifts_detected;
-    total.batches_ingested += session.batches_ingested;
-    total.detection_seconds += stats.detection_seconds;
-  }
+  total.resident_sessions = ResidentCountLocked();
+  total.points_processed = c_points_->value();
+  total.outliers_detected = c_outliers_->value();
+  total.drifts_detected = c_drifts_->value();
+  total.evictions = c_evicted_->value();
+  total.reloads = c_reloaded_->value();
+  total.checkpoints_written = c_ckpt_written_->value();
   return total;
 }
 
@@ -614,9 +614,6 @@ std::vector<obs::SessionQuality> SpotService::QualitySnapshot() const {
 obs::MetricsSnapshot SpotService::ObsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   obs::MetricsSnapshot snap = obs_.Snapshot();
-  snap.counters["evictions"] = evictions_;
-  snap.counters["reloads"] = reloads_;
-  snap.counters["checkpoints_written"] = checkpoints_written_;
   snap.gauges["sessions"] = static_cast<double>(sessions_.size());
   snap.gauges["resident_sessions"] =
       static_cast<double>(ResidentCountLocked());

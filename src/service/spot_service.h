@@ -78,19 +78,20 @@ struct SessionMetrics {
   std::uint64_t reloads = 0;
 };
 
-/// Aggregate view over every known session plus service-level counters
-/// (the global half of the metrics registry).
+/// The service's lifetime counters plus its two session-count gauges
+/// (the global half of the metrics registry). The counters cover every
+/// batch this service processed since it started, closed sessions
+/// included; a session reopened from a checkpoint adds only what it
+/// processes after reopening.
 struct ServiceMetrics {
   std::size_t sessions = 0;
   std::size_t resident_sessions = 0;
   std::uint64_t points_processed = 0;
   std::uint64_t outliers_detected = 0;
   std::uint64_t drifts_detected = 0;
-  std::uint64_t batches_ingested = 0;
   std::uint64_t evictions = 0;
   std::uint64_t reloads = 0;
   std::uint64_t checkpoints_written = 0;
-  double detection_seconds = 0.0;
 };
 
 /// Result of one Ingest call. `ok` is false when the session is unknown,
@@ -227,12 +228,15 @@ class SpotService {
   /// Per-session metrics; false when `id` is unknown.
   bool GetMetrics(const std::string& id, SessionMetrics* out) const;
 
-  /// Global metrics over all known sessions.
+  /// The service's counters as ObsSnapshot reports them (lifetime totals,
+  /// see ServiceMetrics) plus the session counts.
   ServiceMetrics TotalMetrics() const;
 
   /// Observability snapshot (DESIGN.md Section 9): checkpoint save/load
-  /// duration histograms plus eviction/reload/checkpoint counters and
-  /// session-count gauges. Safe from any thread (locks internally).
+  /// duration histograms, the lifetime counters (points, outliers,
+  /// drifts, evictions, reloads, checkpoints written) and the
+  /// session-count gauges computed at read time. Safe from any thread
+  /// (locks internally).
   obs::MetricsSnapshot ObsSnapshot() const;
 
   /// Per-session detection-quality snapshots (DESIGN.md Section 10), one
@@ -365,15 +369,20 @@ class SpotService {
   /// be attached to.
   std::map<std::string, std::uint64_t> reserved_;
   std::uint64_t use_clock_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t reloads_ = 0;
-  std::uint64_t checkpoints_written_ = 0;
 
-  /// Service-level instruments; written only with mu_ held and exported
-  /// as a copy by ObsSnapshot().
+  /// Service-level instruments, the only record of the service's
+  /// counters; written only with mu_ held and exported as a copy by
+  /// ObsSnapshot().
   obs::Registry obs_;
   obs::Histogram* h_ckpt_save_us_ = obs_.GetHistogram("checkpoint_save_us");
   obs::Histogram* h_ckpt_load_us_ = obs_.GetHistogram("checkpoint_load_us");
+  obs::Counter* c_evicted_ = obs_.GetCounter("evictions");
+  obs::Counter* c_reloaded_ = obs_.GetCounter("reloads");
+  obs::Counter* c_ckpt_written_ = obs_.GetCounter("checkpoints_written");
+  /// The detectors' SpotStats deltas across every ProcessBatch.
+  obs::Counter* c_points_ = obs_.GetCounter("points_processed");
+  obs::Counter* c_outliers_ = obs_.GetCounter("outliers_detected");
+  obs::Counter* c_drifts_ = obs_.GetCounter("drifts_detected");
 
   /// Engine-tier perf accumulation (collect_perf_counters): detectors
   /// overwrite their stage record every batch; IngestImpl merges its

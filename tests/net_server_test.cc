@@ -117,9 +117,19 @@ class TestServer {
   std::uint16_t port() const { return server_->port(); }
   SpotService& service() { return server_->service(); }
   SpotServer& server() { return *server_; }
-  /// Aggregated across reactors; only valid after StopAndJoin() (the
-  /// counters are loop-thread state).
-  SpotServerStats stats() const { return server_->stats(); }
+
+  /// Counter `name` as the server's registries record it, read through
+  /// StatsSnapshot(): reactor `reactor`'s own, or summed across every
+  /// section when negative. Exact after StopAndJoin(): each reactor's
+  /// shutdown publishes a final snapshot.
+  std::uint64_t Counter(const std::string& name, int reactor = -1) const {
+    const StatsResp stats = server_->StatsSnapshot();
+    const obs::MetricsSnapshot snap =
+        reactor < 0 ? stats.Merged()
+                    : stats.reactors[static_cast<std::size_t>(reactor)];
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  }
 
  private:
   std::unique_ptr<SpotServer> server_;
@@ -195,8 +205,8 @@ void RunDifferential(std::size_t shards, std::size_t reactors) {
   }
   for (auto& client : clients) client->Disconnect();
   server.StopAndJoin();
-  EXPECT_GT(server.stats().batches_run, 0u);
-  EXPECT_EQ(server.stats().points_ingested, 1400u);
+  EXPECT_GT(server.Counter("batches_run"), 0u);
+  EXPECT_EQ(server.Counter("points_ingested"), 1400u);
 }
 
 TEST(NetDifferentialTest, WireVerdictsByteIdenticalAtOneShard) {
@@ -263,7 +273,8 @@ std::vector<SpotResult> StreamDeterministic(SpotClient& client,
 void RunProfilingDifferential(std::size_t shards, std::size_t reactors) {
   std::vector<std::string> verdict_bytes;     // [off, on]
   std::vector<std::string> checkpoint_bytes;  // [off, on] x 2 tenants
-  std::vector<SpotServerStats> stats;
+  std::vector<std::uint64_t> points_ingested;  // [off, on]
+  std::vector<std::uint64_t> batches_run;      // [off, on]
   for (const bool profile : {false, true}) {
     const std::string dir = MakeCheckpointDir(
         (std::string("profdiff_") + (profile ? "on" : "off") + "_" +
@@ -298,7 +309,8 @@ void RunProfilingDifferential(std::size_t shards, std::size_t reactors) {
     verdict_bytes.push_back(all_verdicts);
     for (auto& client : clients) client->Disconnect();
     server.StopAndJoin();  // graceful: drains + CheckpointAll
-    stats.push_back(server.stats());
+    points_ingested.push_back(server.Counter("points_ingested"));
+    batches_run.push_back(server.Counter("batches_run"));
     for (int t = 0; t < 2; ++t) {
       checkpoint_bytes.push_back(
           FileBytes(dir + "/tenant-" + std::to_string(t) + ".ckpt"));
@@ -308,8 +320,8 @@ void RunProfilingDifferential(std::size_t shards, std::size_t reactors) {
   EXPECT_EQ(verdict_bytes[0], verdict_bytes[1])
       << "profiling perturbed verdict bytes at shards=" << shards
       << " reactors=" << reactors;
-  EXPECT_EQ(stats[0].points_ingested, stats[1].points_ingested);
-  EXPECT_EQ(stats[0].batches_run, stats[1].batches_run);
+  EXPECT_EQ(points_ingested[0], points_ingested[1]);
+  EXPECT_EQ(batches_run[0], batches_run[1]);
   for (int t = 0; t < 2; ++t) {
     EXPECT_FALSE(checkpoint_bytes[static_cast<std::size_t>(t)].empty());
     EXPECT_EQ(checkpoint_bytes[static_cast<std::size_t>(t)],
@@ -416,7 +428,7 @@ TEST(NetRobustnessTest, GarbageClosesConnectionServerSurvives) {
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_EQ(server.stats().corrupt_frames, 1u);
+  EXPECT_EQ(server.Counter("corrupt_frames"), 1u);
 }
 
 TEST(NetRobustnessTest, CorruptCrcAndOversizedFramesRejected) {
@@ -456,9 +468,9 @@ TEST(NetRobustnessTest, CorruptCrcAndOversizedFramesRejected) {
   }
 
   server.StopAndJoin();
-  EXPECT_EQ(server.stats().corrupt_frames, 2u);
-  EXPECT_EQ(server.stats().connections_closed,
-            server.stats().connections_accepted);
+  EXPECT_EQ(server.Counter("corrupt_frames"), 2u);
+  EXPECT_EQ(server.Counter("connections_closed"),
+            server.Counter("connections_accepted"));
 }
 
 TEST(NetRobustnessTest, IngestToUnknownSessionReportsErrorAndCloses) {
@@ -748,8 +760,8 @@ TEST(NetMultiReactorTest, CrossReactorHandOffBitIdentical) {
   EXPECT_EQ(VerdictBytes(wire_verdicts), VerdictBytes(ref.verdicts));
   EXPECT_EQ(server.service().TotalMetrics().checkpoints_written, 0u);
   server.StopAndJoin();
-  EXPECT_GT(server.server().reactor_stats(0).batches_run, 0u);
-  EXPECT_GT(server.server().reactor_stats(1).batches_run, 0u);
+  EXPECT_GT(server.Counter("batches_run", 0), 0u);
+  EXPECT_GT(server.Counter("batches_run", 1), 0u);
 }
 
 // fd exhaustion pauses only the affected reactor's listener: established
@@ -839,8 +851,8 @@ TEST(NetMultiReactorTest, FdExhaustionOnOneReactorDoesNotStallOthers) {
   ::close(late);
 
   server.StopAndJoin();
-  EXPECT_GE(server.server().reactor_stats(0).listener_pauses, 1u);
-  EXPECT_EQ(server.server().reactor_stats(1).listener_pauses, 0u);
+  EXPECT_GE(server.Counter("listener_pauses", 0), 1u);
+  EXPECT_EQ(server.Counter("listener_pauses", 1), 0u);
 }
 
 // A kCreateSession whose config carries a shard count above
@@ -908,8 +920,8 @@ TEST(NetMultiReactorTest, ReactorsShareOneComputePool) {
 
   for (auto& client : clients) client->Disconnect();
   server.StopAndJoin();
-  EXPECT_GT(server.server().reactor_stats(0).batches_run, 0u);
-  EXPECT_GT(server.server().reactor_stats(1).batches_run, 0u);
+  EXPECT_GT(server.Counter("batches_run", 0), 0u);
+  EXPECT_GT(server.Counter("batches_run", 1), 0u);
 }
 
 // A coalesced run whose verdicts would encode past the wire payload cap
@@ -1032,10 +1044,10 @@ TEST(NetRobustnessTest, BackpressurePausesReadsAndRecovers) {
   EXPECT_EQ(verdicts_seen, points.size());
 
   server.StopAndJoin();
-  EXPECT_GE(server.stats().backpressure_stalls, 1u);
-  EXPECT_GT(server.stats().frames_received, 0u);
-  EXPECT_GT(server.stats().bytes_in, 0u);
-  EXPECT_GT(server.stats().bytes_out, 0u);
+  EXPECT_GE(server.Counter("backpressure_stalls"), 1u);
+  EXPECT_GT(server.Counter("frames_received"), 0u);
+  EXPECT_GT(server.Counter("bytes_in"), 0u);
+  EXPECT_GT(server.Counter("bytes_out"), 0u);
 }
 
 // Graceful shutdown: Stop() drains pending batches and checkpoints every
@@ -1185,6 +1197,41 @@ TEST(NetObservabilityTest, MidStreamScrapesPerturbNoVerdicts) {
   server.StopAndJoin();
 }
 
+// One record per counter on both layers: clients on two reactors stream,
+// close their sessions, and the server stops. The service's lifetime
+// points_processed and the reactors' summed points_ingested both count
+// every streamed point, though no session is left open.
+TEST(NetObservabilityTest, ServiceTotalsMatchReactorCounters) {
+  SpotServerConfig ncfg;
+  ncfg.batch_points = 48;
+  ncfg.num_reactors = 2;
+  TestServer server(SpotServiceConfig{}, ncfg);
+
+  std::uint64_t streamed = 0;
+  for (int t = 0; t < 2; ++t) {  // connection t lands on reactor t
+    const std::string id = "tenant-" + std::to_string(t);
+    SpotClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(client.CreateSession(id, SessionConfig(), TenantTraining(t)))
+        << client.last_error();
+    const std::vector<DataPoint> points = TenantPoints(t, 300 + 100 * t);
+    EXPECT_EQ(StreamOverWire(client, id, points,
+                             500 + static_cast<std::uint64_t>(t))
+                  .size(),
+              points.size());
+    ASSERT_TRUE(client.CloseSession(id, /*persist=*/false))
+        << client.last_error();
+    streamed += points.size();
+  }
+  server.StopAndJoin();
+
+  EXPECT_EQ(server.service().TotalMetrics().sessions, 0u);
+  EXPECT_GT(server.Counter("points_ingested", 0), 0u);
+  EXPECT_GT(server.Counter("points_ingested", 1), 0u);
+  EXPECT_EQ(server.Counter("points_ingested"), streamed);
+  EXPECT_EQ(server.Counter("points_processed"), streamed);
+}
+
 TEST(NetObservabilityTest, MalformedStatsClosesOnlyThatConnection) {
   TestServer server(SpotServiceConfig{}, SpotServerConfig{});
 
@@ -1208,7 +1255,7 @@ TEST(NetObservabilityTest, MalformedStatsClosesOnlyThatConnection) {
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_GE(server.stats().protocol_errors, 1u);
+  EXPECT_GE(server.Counter("protocol_errors"), 1u);
 }
 
 /// Sums every series of `family` (any label set) in Prometheus text.
@@ -1895,7 +1942,7 @@ TEST(NetVersioningTest, UnknownRequestTypeRefusedAndCloses) {
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(server.Counter("protocol_errors"), 1u);
 }
 
 // Every server refusal carries its machine-readable code (the Section 11

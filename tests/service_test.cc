@@ -22,6 +22,7 @@
 #include "eval/presets.h"
 #include "net/protocol.h"
 #include "service/spot_service.h"
+#include "stream/drift.h"
 #include "stream/synthetic.h"
 
 namespace spot {
@@ -411,6 +412,74 @@ TEST(SpotServiceTest, CloseWithoutPersistDiscardsAndWithPersistKeeps) {
   // "a" was persisted: a new service can reopen it. "b" was not.
   EXPECT_TRUE(service.OpenSession("a"));
   EXPECT_FALSE(service.OpenSession("b"));
+}
+
+// The service's totals are lifetime counters: sessions closed with or
+// without a final checkpoint still count, and a session reopened from a
+// checkpoint adds only the points it processes after reopening.
+TEST(SpotServiceTest, TotalsSurviveClosedSessions) {
+  const std::string dir = MakeCheckpointDir("totals");
+  SpotServiceConfig scfg;
+  scfg.checkpoint_dir = dir;
+  const std::size_t kM = 256;  // points in "c"'s checkpoint
+  const std::size_t kK = 192;  // points "c" processes after reopening
+  const auto reopened_stream =
+      TenantStream(2, static_cast<int>(kM + kK), 5);
+  {
+    SpotService earlier(scfg);
+    ASSERT_TRUE(
+        earlier.CreateSession("c", SessionConfig(), TenantTraining(2)));
+    ASSERT_TRUE(earlier.Ingest("c", Chunk(reopened_stream, 0, kM)).ok);
+    ASSERT_TRUE(earlier.CloseSession("c", /*persist=*/true));
+  }
+
+  // Abrupt concept shifts with drift detection on, so the drift total is
+  // checked against a non-zero reference.
+  SpotConfig cfg = SessionConfig();
+  cfg.drift_detection = true;
+  cfg.drift_lambda = 8.0;
+  SpotService service(scfg);
+  SpotStats want;
+  for (int t = 0; t < 2; ++t) {
+    const std::string id = "tenant-" + std::to_string(t);
+    stream::DriftConfig dcfg;
+    dcfg.base.dimension = 6;
+    dcfg.base.outlier_probability = 0.02;
+    dcfg.base.concept_seed = 100 + static_cast<std::uint64_t>(t);
+    dcfg.base.seed = 6100 + static_cast<std::uint64_t>(t);
+    dcfg.kind = stream::DriftKind::kAbrupt;
+    dcfg.period = 300;
+    stream::DriftingStream gen(dcfg);
+    const auto points = Take(gen, 900);
+    SpotDetector reference(cfg);
+    ASSERT_TRUE(reference.Learn(TenantTraining(t)));
+    ASSERT_TRUE(service.CreateSession(id, cfg, TenantTraining(t)));
+    for (std::size_t b = 0; b < points.size(); b += 100) {
+      const auto batch = Chunk(points, b, b + 100);
+      reference.ProcessBatch(batch);
+      ASSERT_TRUE(service.Ingest(id, batch).ok) << id;
+    }
+    want.points_processed += reference.stats().points_processed;
+    want.outliers_detected += reference.stats().outliers_detected;
+    want.drifts_detected += reference.stats().drifts_detected;
+    ASSERT_TRUE(service.CloseSession(id, /*persist=*/t == 0));
+  }
+  ASSERT_GT(want.outliers_detected, 0u);
+  ASSERT_GT(want.drifts_detected, 0u);
+  ServiceMetrics total = service.TotalMetrics();
+  EXPECT_EQ(total.sessions, 0u);
+  EXPECT_EQ(total.points_processed, want.points_processed);
+  EXPECT_EQ(total.outliers_detected, want.outliers_detected);
+  EXPECT_EQ(total.drifts_detected, want.drifts_detected);
+
+  ASSERT_TRUE(service.OpenSession("c"));
+  SessionMetrics m;
+  ASSERT_TRUE(service.GetMetrics("c", &m));
+  EXPECT_EQ(m.stats.points_processed, kM);
+  ASSERT_TRUE(service.Ingest("c", Chunk(reopened_stream, kM, kM + kK)).ok);
+  total = service.TotalMetrics();
+  EXPECT_EQ(total.sessions, 1u);
+  EXPECT_EQ(total.points_processed, want.points_processed + kK);
 }
 
 // Points whose width disagrees with the session's trained dimensionality

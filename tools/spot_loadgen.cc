@@ -523,51 +523,25 @@ void ScrapeServerStats(const Flags& flags, std::uint16_t port,
   // the server ran with profiling on (--prof here with --spawn-server, or
   // the external server's own switch). The perf series ride the same
   // kStats snapshot as the latency table, keyed by their embedded labels.
-  constexpr const char kUnitsPrefix[] = "perf_units{";
-  bool any_perf = false;
+  const std::vector<spot::obs::PerfStageRow> perf_rows =
+      spot::obs::PerfStageRows(merged);
   spot::eval::Table perf_table({"stage", "units", "ipc", "instr/u",
                                 "miss/u", "bmiss/u"});
-  for (const auto& [name, units] : merged.counters) {
-    if (name.rfind(kUnitsPrefix, 0) != 0) continue;
-    any_perf = true;
-    const std::string labels = name.substr(sizeof(kUnitsPrefix) - 1,
-                                           name.size() - sizeof(kUnitsPrefix));
-    const auto raw = [&merged, &labels](const char* base) -> double {
-      const auto it = merged.counters.find(std::string(base) + "{" + labels +
-                                           "}");
-      return it == merged.counters.end() ? 0.0
-                                         : static_cast<double>(it->second);
-    };
-    const double u = static_cast<double>(units);
-    const double cycles = raw("perf_cycles");
-    const double instr = raw("perf_instructions");
-    // Human-readable stage tag: the quoted label values, slash-joined
-    // (`stage="probe",engine_shard="2"` -> probe/2).
-    std::string stage;
-    for (std::size_t at = 0; (at = labels.find('"', at)) != std::string::npos;
-         ) {
-      const std::size_t close = labels.find('"', at + 1);
-      if (close == std::string::npos) break;
-      if (!stage.empty()) stage += "/";
-      stage += labels.substr(at + 1, close - at - 1);
-      at = close + 1;
-    }
-    const auto per = [u](double v) { return u > 0.0 ? v / u : 0.0; };
-    perf_table.AddRow(
-        {stage, spot::eval::Table::Int(units),
-         spot::eval::Table::Num(cycles > 0.0 ? instr / cycles : 0.0, 2),
-         spot::eval::Table::Num(per(instr), 1),
-         spot::eval::Table::Num(per(raw("perf_cache_misses")), 3),
-         spot::eval::Table::Num(per(raw("perf_branch_misses")), 3)});
-    if (labels ==
+  for (const spot::obs::PerfStageRow& row : perf_rows) {
+    perf_table.AddRow({row.stage, spot::eval::Table::Int(row.units),
+                       spot::eval::Table::Num(row.ipc, 2),
+                       spot::eval::Table::Num(row.instr_per_unit, 1),
+                       spot::eval::Table::Num(row.miss_per_unit, 3),
+                       spot::eval::Table::Num(row.branch_miss_per_unit, 3)});
+    if (row.labels ==
         spot::obs::StagePerfLabels(spot::obs::TraceStage::kProcess)) {
       // The whole-batch service call, per point: the trajectory scalar
       // tools/bench_regression.py tracks (gates better than pts/s on
       // shared hardware — see DESIGN.md Section 12).
-      json->SetCounter("instr/pt", per(instr));
+      json->SetCounter("instr/pt", row.instr_per_unit);
     }
   }
-  if (any_perf) {
+  if (!perf_rows.empty()) {
     // Derived from the raw sample counters, not the summed-gauge
     // perf_mode (see obs::MergedPerfMode).
     const spot::obs::PerfMode mode = spot::obs::MergedPerfMode(merged);

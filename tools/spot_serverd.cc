@@ -82,19 +82,21 @@ std::size_t DefaultReactors() {
   return capped < 8 ? capped : 8;
 }
 
-void PrintStatsLine(const char* label, const spot::net::SpotServerStats& s) {
+/// One shutdown line from a reactor's (or the merged) registry snapshot.
+void PrintStatsLine(const char* label, const spot::obs::MetricsSnapshot& s) {
+  const auto counter = [&s](const char* name) {
+    const auto it = s.counters.find(name);
+    return static_cast<unsigned long long>(
+        it == s.counters.end() ? 0 : it->second);
+  };
   std::printf(
       "%s: %llu points in %llu batches over %llu connections "
       "(%llu frames in, %llu/%llu bytes in/out, %llu stalls, "
       "%llu listener pauses)\n",
-      label, static_cast<unsigned long long>(s.points_ingested),
-      static_cast<unsigned long long>(s.batches_run),
-      static_cast<unsigned long long>(s.connections_accepted),
-      static_cast<unsigned long long>(s.frames_received),
-      static_cast<unsigned long long>(s.bytes_in),
-      static_cast<unsigned long long>(s.bytes_out),
-      static_cast<unsigned long long>(s.backpressure_stalls),
-      static_cast<unsigned long long>(s.listener_pauses));
+      label, counter("points_ingested"), counter("batches_run"),
+      counter("connections_accepted"), counter("frames_received"),
+      counter("bytes_in"), counter("bytes_out"),
+      counter("backpressure_stalls"), counter("listener_pauses"));
 }
 
 }  // namespace
@@ -178,83 +180,69 @@ int main(int argc, char** argv) {
               scfg.checkpoint_dir.c_str());
   std::fflush(stdout);
 
-  // Periodic stats dump: one merged summary line per interval, built from
-  // the same published snapshots the scrape surfaces read — safe to run
-  // beside the reactors.
-  std::thread dumper;
-  if (stats_interval > 0) {
-    dumper = std::thread([&server, stats_interval] {
-      auto next = std::chrono::steady_clock::now() +
-                  std::chrono::seconds(stats_interval);
+  // One watcher thread, polling every 200 ms, does whichever of three jobs
+  // are on, all from the same published snapshots the scrape surfaces
+  // read — safe to run beside the reactors:
+  //  - --stats-interval: one merged summary line per interval;
+  //  - --prof-interval: one per-stage IPC / instructions-per-unit /
+  //    cache-miss line per interval;
+  //  - SIGUSR2 trace dumps (tracing on): the signal handler only latches
+  //    a flag; the watcher renders the flight recorder and writes the
+  //    Chrome-trace file outside signal context.
+  // With all three off no thread starts.
+  std::thread watcher;
+  if (stats_interval > 0 || prof_interval > 0 || ncfg.trace_capacity > 0) {
+    watcher = std::thread([&server, stats_interval, prof_interval,
+                           trace_file, tracing = ncfg.trace_capacity > 0] {
+      using Clock = std::chrono::steady_clock;
+      auto next_stats = Clock::now() + std::chrono::seconds(stats_interval);
+      auto next_prof = Clock::now() + std::chrono::seconds(prof_interval);
       while (!server.stopping()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        if (std::chrono::steady_clock::now() < next) continue;
-        next += std::chrono::seconds(stats_interval);
-        const spot::net::StatsResp snap = server.StatsSnapshot();
-        std::printf("stats: %s\n",
-                    spot::obs::SummaryLine(snap.Merged()).c_str());
-        std::fflush(stdout);
-      }
-    });
-  }
-
-  // Periodic profiling dump (--prof-interval): one per-stage IPC /
-  // instructions-per-unit / cache-miss line per interval, rendered from
-  // the same merged snapshot as the stats line.
-  std::thread prof_dumper;
-  if (prof_interval > 0) {
-    prof_dumper = std::thread([&server, prof_interval] {
-      auto next = std::chrono::steady_clock::now() +
-                  std::chrono::seconds(prof_interval);
-      while (!server.stopping()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        if (std::chrono::steady_clock::now() < next) continue;
-        next += std::chrono::seconds(prof_interval);
-        const spot::net::StatsResp snap = server.StatsSnapshot();
-        const std::string line =
-            spot::obs::RenderPerfSummary(snap.Merged());
-        if (!line.empty()) SPOT_LOG(Info) << line;
-      }
-    });
-  }
-
-  // SIGUSR2 trace dumps: the signal handler only latches a flag; this
-  // watcher renders the flight recorder and writes the Chrome-trace file
-  // outside signal context, far from the reactors' loops.
-  std::thread tracer;
-  if (ncfg.trace_capacity > 0) {
-    tracer = std::thread([&server, trace_file] {
-      while (!server.stopping()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        if (!spot::net::SpotServer::TraceRequested()) continue;
-        const std::string json = server.TraceJson();
-        std::ofstream out(trace_file,
-                          std::ios::binary | std::ios::trunc);
-        if (out && out.write(json.data(),
-                             static_cast<std::streamsize>(json.size()))) {
-          std::printf("trace dumped to %s (%zu bytes)\n",
-                      trace_file.c_str(), json.size());
+        const Clock::time_point now = Clock::now();
+        if (stats_interval > 0 && now >= next_stats) {
+          next_stats += std::chrono::seconds(stats_interval);
+          const spot::net::StatsResp snap = server.StatsSnapshot();
+          std::printf("stats: %s\n",
+                      spot::obs::SummaryLine(snap.Merged()).c_str());
           std::fflush(stdout);
-        } else {
-          SPOT_LOG(Error) << "cannot write trace to " << trace_file;
+        }
+        if (prof_interval > 0 && now >= next_prof) {
+          next_prof += std::chrono::seconds(prof_interval);
+          const spot::net::StatsResp snap = server.StatsSnapshot();
+          const std::string line =
+              spot::obs::RenderPerfSummary(snap.Merged());
+          if (!line.empty()) SPOT_LOG(Info) << line;
+        }
+        if (tracing && spot::net::SpotServer::TraceRequested()) {
+          const std::string json = server.TraceJson();
+          std::ofstream out(trace_file, std::ios::binary | std::ios::trunc);
+          if (out && out.write(json.data(),
+                               static_cast<std::streamsize>(json.size()))) {
+            std::printf("trace dumped to %s (%zu bytes)\n",
+                        trace_file.c_str(), json.size());
+            std::fflush(stdout);
+          } else {
+            SPOT_LOG(Error) << "cannot write trace to " << trace_file;
+          }
         }
       }
     });
   }
 
   server.Run();  // until SIGTERM/SIGINT; drains + checkpoints on the way out
-  if (dumper.joinable()) dumper.join();
-  if (prof_dumper.joinable()) prof_dumper.join();
-  if (tracer.joinable()) tracer.join();
+  if (watcher.joinable()) watcher.join();
 
   // Shutdown summary: one line per reactor, then the total, then the
-  // service's aggregates.
+  // service's aggregates — all read from the registries, which are exact
+  // once Run() has returned.
+  const spot::net::StatsResp final_stats = server.StatsSnapshot();
   char label[32];
-  for (std::size_t i = 0; i < server.num_reactors(); ++i) {
+  for (std::size_t i = 0; i < final_stats.reactors.size(); ++i) {
     std::snprintf(label, sizeof(label), "reactor %zu", i);
-    PrintStatsLine(label, server.reactor_stats(i));
+    PrintStatsLine(label, final_stats.reactors[i]);
   }
-  PrintStatsLine("total", server.stats());
+  PrintStatsLine("total", final_stats.Merged());
   const spot::ServiceMetrics metrics = server.service().TotalMetrics();
   std::printf(
       "service totals: %zu sessions, %llu points processed, "
