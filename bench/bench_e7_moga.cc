@@ -8,7 +8,12 @@
 // mean sparsity comes to the true optimum (quality ratio), and how many
 // objective evaluations each method spends. Expected shape: top-1 always
 // found and quality ratio near 1 with a sub-lattice evaluation budget whose
-// advantage grows with phi.
+// advantage grows with phi. Beside the evaluation counts, each search's
+// thread CPU time divided by its distinct evaluations (exhaustive / MOGA;
+// the MOGA figure includes the NSGA-II bookkeeping) puts the sparsity
+// kernel's cost beside how often it runs.
+
+#include <time.h>
 
 #include "bench/bench_util.h"
 #include "common/math_util.h"
@@ -21,10 +26,17 @@
 namespace spot {
 namespace {
 
+double ThreadCpuUs() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 +
+         static_cast<double>(ts.tv_nsec) * 1e-3;
+}
+
 void Run(bench::JsonReporter& reporter) {
   eval::Table table({"phi", "lattice size", "exhaustive evals", "MOGA evals",
-                     "best-8 mean (exact)", "best-8 mean (MOGA)",
-                     "top-1 hit"});
+                     "CPU us/eval (exh / MOGA)", "best-8 mean (exact)",
+                     "best-8 mean (MOGA)", "top-1 hit"});
   const int kMaxDim = 3;
   const std::size_t kTopK = 8;
 
@@ -39,7 +51,9 @@ void Run(bench::JsonReporter& reporter) {
 
     // Exhaustive reference.
     BatchSparsityObjectives exact_obj(&part, &batch, {batch.size() - 1});
+    const double exact_cpu0 = ThreadCpuUs();
     const auto truth = ExhaustiveTopSparse(&exact_obj, dims, kMaxDim, kTopK);
+    const double exact_cpu_us = ThreadCpuUs() - exact_cpu0;
     const std::size_t exact_evals = exact_obj.evaluation_count();
 
     // MOGA with a fixed budget.
@@ -51,7 +65,10 @@ void Run(bench::JsonReporter& reporter) {
     cfg.generations = 20;
     cfg.seed = 29;
     MogaSearch search(cfg, &moga_obj);
+    const double moga_cpu0 = ThreadCpuUs();
     const auto found = search.FindTopSparse(kTopK);
+    const double moga_cpu_us = ThreadCpuUs() - moga_cpu0;
+    const std::size_t moga_evals = moga_obj.evaluation_count();
 
     // Mean sparsity score (minimized) of the true top-8 vs MOGA's top-8:
     // close values mean MOGA's set is as sparse as the optimum. Exact
@@ -68,8 +85,11 @@ void Run(bench::JsonReporter& reporter) {
     table.AddRow(
         {eval::Table::Int(static_cast<std::uint64_t>(dims)),
          eval::Table::Int(LatticeSize(dims, kMaxDim)),
-         eval::Table::Int(exact_evals),
-         eval::Table::Int(moga_obj.evaluation_count()),
+         eval::Table::Int(exact_evals), eval::Table::Int(moga_evals),
+         eval::Table::Num(exact_cpu_us / static_cast<double>(exact_evals), 1) +
+             " / " +
+             eval::Table::Num(moga_cpu_us / static_cast<double>(moga_evals),
+                              1),
          eval::Table::Num(mean_score(truth), 4),
          eval::Table::Num(mean_score(found), 4),
          top1 ? "yes" : "no"});

@@ -263,9 +263,7 @@ void SpotDetector::GrowOutlierDriven(const std::vector<double>& values) {
   Emit(DetectorEventKind::kOsGrowthRun, stats_.os_growth_runs);
 
   // Mini-MOGA targeted at this outlier against the recent sample.
-  std::vector<std::vector<double>> batch = sample;
-  batch.push_back(values);
-  BatchSparsityObjectives obj(&*partition_, &batch, {batch.size() - 1});
+  BatchSparsityObjectives obj(&*partition_, &sample, &values);
   Nsga2Config cfg = config_.supervised.moga;
   cfg.num_dims = partition_->num_dims();
   cfg.max_dimension = std::min(cfg.max_dimension, cfg.num_dims);

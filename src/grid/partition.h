@@ -12,18 +12,6 @@ namespace spot {
 /// ascending attribute order.
 using CellCoords = std::vector<std::uint32_t>;
 
-/// Hash functor for CellCoords (FNV-1a over the raw indices).
-struct CellCoordsHash {
-  std::size_t operator()(const CellCoords& c) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::uint32_t v : c) {
-      h ^= v;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// Equi-width partition of the (clamped) attribute domain.
 ///
 /// Quantization of BCS and PCS "entails an equi-width partition of domain

@@ -11,10 +11,9 @@ namespace spot {
 
 namespace {
 
-// Projects rows onto the listed attributes (identity when dims is empty).
+// Projects rows onto the listed attributes.
 std::vector<std::vector<double>> ProjectRows(
     const std::vector<std::vector<double>>& rows, const std::vector<int>& dims) {
-  if (dims.empty()) return rows;
   std::vector<std::vector<double>> out;
   out.reserve(rows.size());
   for (const auto& row : rows) {
@@ -61,8 +60,13 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
     hi.push_back(partition.hi(d));
   }
   const Partition reduced_partition(lo, hi, partition.cells_per_dim());
-  const std::vector<std::vector<double>> reduced_training =
-      restricted ? ProjectRows(training_data, dims) : training_data;
+  // Only the relevance restriction needs projected rows; otherwise every
+  // search borrows the training rows as they are.
+  const std::vector<std::vector<double>> projected_training =
+      restricted ? ProjectRows(training_data, dims)
+                 : std::vector<std::vector<double>>();
+  const std::vector<std::vector<double>>* sample =
+      restricted ? &projected_training : &training_data;
 
   Nsga2Config moga_cfg = config.moga;
   moga_cfg.num_dims = static_cast<int>(dims.size());
@@ -73,12 +77,11 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
   std::unordered_map<Subspace, double, SubspaceHash> best;
 
   for (const auto& example : knowledge.outlier_examples) {
-    std::vector<std::vector<double>> batch = reduced_training;
-    batch.push_back(restricted
-                        ? ProjectRows({example}, dims).front()
-                        : example);
-    const std::vector<std::size_t> target = {batch.size() - 1};
-    BatchSparsityObjectives obj(&reduced_partition, &batch, target);
+    const std::vector<double> projected =
+        restricted ? ProjectRows({example}, dims).front()
+                   : std::vector<double>();
+    BatchSparsityObjectives obj(&reduced_partition, sample,
+                                restricted ? &projected : &example);
     moga_cfg.seed = rng.NextUint64();
     MogaSearch search(moga_cfg, &obj);
     for (const auto& ss :

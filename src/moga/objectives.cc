@@ -1,7 +1,9 @@
 #include "moga/objectives.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/bits.h"
 #include "grid/pcs.h"
 
 namespace spot {
@@ -18,11 +20,44 @@ bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b) {
 BatchSparsityObjectives::BatchSparsityObjectives(
     const Partition* partition, const std::vector<std::vector<double>>* data,
     std::vector<std::size_t> targets)
-    : partition_(partition), data_(data), targets_(std::move(targets)) {
+    : partition_(partition), targets_(std::move(targets)) {
+  rows_.reserve(data->size());
+  for (const auto& row : *data) rows_.push_back(row.data());
   if (targets_.empty()) {
-    targets_.resize(data_->size());
+    targets_.resize(rows_.size());
     for (std::size_t i = 0; i < targets_.size(); ++i) targets_[i] = i;
   }
+  BinRows();
+}
+
+BatchSparsityObjectives::BatchSparsityObjectives(
+    const Partition* partition, const std::vector<std::vector<double>>* sample,
+    const std::vector<double>* target)
+    : partition_(partition), targets_(1, sample->size()) {
+  rows_.reserve(sample->size() + 1);
+  for (const auto& row : *sample) rows_.push_back(row.data());
+  rows_.push_back(target->data());
+  BinRows();
+}
+
+void BatchSparsityObjectives::BinRows() {
+  num_dims_ = static_cast<std::size_t>(partition_->num_dims());
+  su_.resize(num_dims_);
+  for (std::size_t d = 0; d < num_dims_; ++d) {
+    su_[d] = partition_->CellWidth(static_cast<int>(d)) / std::sqrt(12.0);
+  }
+  const std::size_t n = rows_.size();
+  bins_.resize(n * num_dims_);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t d = 0; d < num_dims_; ++d) {
+      bins_[r * num_dims_ + d] =
+          partition_->IntervalIndex(static_cast<int>(d), rows_[r][d]);
+    }
+  }
+  // A batch of n rows has at most n cells in any subspace.
+  count_.resize(n);
+  irsd_.resize(n);
+  row_slot_.resize(n);
 }
 
 const ObjectiveVector& BatchSparsityObjectives::EvaluateCached(
@@ -31,63 +66,65 @@ const ObjectiveVector& BatchSparsityObjectives::EvaluateCached(
   if (it != cache_.end()) return it->second;
   ++eval_count_;
 
-  const std::vector<int> dims = s.Indices();
-  struct CellAgg {
-    double count = 0.0;
-    std::vector<double> ls;
-    std::vector<double> ss;
-  };
-  std::unordered_map<CellCoords, CellAgg, CellCoordsHash> hist;
+  int dims[Subspace::kMaxDimensions];
+  std::size_t width = 0;
+  for (std::uint64_t bits = s.bits(); bits != 0; bits &= bits - 1) {
+    dims[width++] = CountTrailingZeros64(bits);
+  }
+  if (slot_index_.size() <= width) slot_index_.resize(width + 1);
+  std::optional<FlatIndex>& index = slot_index_[width];
+  if (index) {
+    index->Clear();
+  } else {
+    index.emplace(width,
+                  static_cast<std::uint32_t>(partition_->cells_per_dim()));
+  }
+  const std::size_t n = rows_.size();
+  const std::size_t stride = 2 * width;  // linear sums, then squared sums
+  if (sums_.size() < n * stride) sums_.resize(n * stride);
 
-  // Pass 1: histogram of the whole batch in subspace s.
-  std::vector<CellCoords> point_cells;
-  point_cells.reserve(data_->size());
-  for (const auto& row : *data_) {
-    CellCoords coords;
-    coords.reserve(dims.size());
-    for (int d : dims) {
-      coords.push_back(
-          partition_->IntervalIndex(d, row[static_cast<std::size_t>(d)]));
-    }
-    auto [cit, inserted] = hist.try_emplace(coords);
-    CellAgg& cell = cit->second;
+  // Pass 1: histogram of the whole batch in subspace s, each cell's sums
+  // folded in row order.
+  std::uint32_t key[Subspace::kMaxDimensions];
+  std::uint32_t cells = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::uint32_t* bin = bins_.data() + r * num_dims_;
+    for (std::size_t i = 0; i < width; ++i) key[i] = bin[dims[i]];
+    const auto [slot, inserted] = index->Insert(key, index->Hash(key), cells);
+    double* sums = sums_.data() + slot * stride;
     if (inserted) {
-      cell.ls.assign(dims.size(), 0.0);
-      cell.ss.assign(dims.size(), 0.0);
+      ++cells;
+      count_[slot] = 0.0;
+      irsd_[slot] = -1.0;
+      std::fill(sums, sums + stride, 0.0);
     }
-    cell.count += 1.0;
-    for (std::size_t i = 0; i < dims.size(); ++i) {
-      const double v = row[static_cast<std::size_t>(dims[i])];
-      cell.ls[i] += v;
-      cell.ss[i] += v * v;
+    row_slot_[r] = slot;
+    count_[slot] += 1.0;
+    const double* row = rows_[r];
+    for (std::size_t i = 0; i < width; ++i) {
+      const double v = row[dims[i]];
+      sums[i] += v;
+      sums[width + i] += v * v;
     }
-    point_cells.push_back(std::move(coords));
   }
 
   // Pass 2: average RD / IRSD over the target points' cells. RD uses the
   // same count-weighted-average reference as the online PCS:
-  // RD = count * N / sum(count_i^2).
-  const double total = static_cast<double>(data_->size());
+  // RD = count * N / sum(count_i^2). The counts are integers far below
+  // 2^53, so the sum of squares is exact in any cell order.
+  const double total = static_cast<double>(n);
   double sumsq = 0.0;
-  for (const auto& [coords, cell] : hist) sumsq += cell.count * cell.count;
+  for (std::uint32_t c = 0; c < cells; ++c) sumsq += count_[c] * count_[c];
   if (sumsq <= 0.0) sumsq = 1.0;
   double rd_sum = 0.0;
   double irsd_sum = 0.0;
   for (std::size_t t : targets_) {
-    const CellAgg& cell = hist.at(point_cells[t]);
-    rd_sum += cell.count * total / sumsq;
-    if (cell.count >= 2.0) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < dims.size(); ++i) {
-        const double mean = cell.ls[i] / cell.count;
-        const double var = cell.ss[i] / cell.count - mean * mean;
-        const double sigma = var > 0.0 ? std::sqrt(var) : 0.0;
-        const double su =
-            partition_->CellWidth(dims[i]) / std::sqrt(12.0);
-        const double ratio = su / (sigma + 0.01 * su);
-        acc += ratio > Pcs::kIrsdCap ? Pcs::kIrsdCap : ratio;
-      }
-      irsd_sum += acc / static_cast<double>(dims.size());
+    const std::uint32_t slot = row_slot_[t];
+    const double count = count_[slot];
+    rd_sum += count * total / sumsq;
+    if (count >= 2.0) {
+      if (irsd_[slot] < 0.0) irsd_[slot] = CellIrsd(slot, dims, width);
+      irsd_sum += irsd_[slot];
     }
     // count < 2: IRSD contribution is 0 (maximally sparse).
   }
@@ -98,6 +135,22 @@ const ObjectiveVector& BatchSparsityObjectives::EvaluateCached(
                 static_cast<double>(s.Dimension())};
   auto [rit, ok] = cache_.emplace(s, std::move(obj));
   return rit->second;
+}
+
+double BatchSparsityObjectives::CellIrsd(std::uint32_t slot, const int* dims,
+                                         std::size_t width) const {
+  const double count = count_[slot];
+  const double* sums = sums_.data() + slot * 2 * width;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < width; ++i) {
+    const double mean = sums[i] / count;
+    const double var = sums[width + i] / count - mean * mean;
+    const double sigma = var > 0.0 ? std::sqrt(var) : 0.0;
+    const double su = su_[static_cast<std::size_t>(dims[i])];
+    const double ratio = su / (sigma + 0.01 * su);
+    acc += ratio > Pcs::kIrsdCap ? Pcs::kIrsdCap : ratio;
+  }
+  return acc / static_cast<double>(width);
 }
 
 ObjectiveVector BatchSparsityObjectives::Evaluate(const Subspace& s) {

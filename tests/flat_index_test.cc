@@ -22,6 +22,19 @@
 namespace spot {
 namespace {
 
+// Hash functor for the std::unordered_map reference (FNV-1a over the raw
+// indices).
+struct CellCoordsHash {
+  std::size_t operator()(const CellCoords& c) const {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint32_t v : c) {
+      h ^= v;
+      h *= 1099511628211ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 CellCoords Key1(std::uint32_t a) { return CellCoords{a}; }
 CellCoords Key3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
   return CellCoords{a, b, c};

@@ -1,21 +1,50 @@
 // Unit tests of src/moga: dominance, fast non-dominated sort, crowding,
-// genetic operators, the NSGA-II loop, and MOGA vs exhaustive search.
+// genetic operators, the sparsity objectives (pinned bit for bit to the
+// unordered_map kernel they replaced, and allocation-counted), the NSGA-II
+// loop, and MOGA vs exhaustive search.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <new>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "grid/partition.h"
+#include "grid/pcs.h"
 #include "moga/moga_search.h"
 #include "moga/nsga2.h"
 #include "moga/objectives.h"
 #include "moga/operators.h"
 #include "stream/synthetic.h"
+#include "subspace/lattice.h"
+
+// Global operator new counts the allocations of this thread while armed, so
+// a test can bound what one objective evaluation allocates.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// new-expression that allocated (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace spot {
 namespace {
@@ -266,6 +295,253 @@ TEST_F(ObjectivesFixture, DefaultTargetsAreAllPoints) {
   // Mean RD over all points is well-defined and positive.
   const ObjectiveVector v = obj.Evaluate(Subspace::FromIndices({1}));
   EXPECT_GT(v.values[0], 0.0);
+}
+
+// ------------------------------- kernel vs the unordered_map reference ----
+
+// The objective kernel as it was before the batch was binned once and cells
+// slotted through a FlatIndex: every evaluation re-bins each row into an
+// unordered_map of per-cell vectors. Kept verbatim as the reference the
+// kernel must match bit for bit.
+struct ReferenceCellHash {
+  std::size_t operator()(const CellCoords& c) const {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint32_t v : c) {
+      h ^= v;
+      h *= 1099511628211ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+ObjectiveVector ReferenceObjectives(
+    const Partition& partition, const std::vector<std::vector<double>>& data,
+    std::vector<std::size_t> targets, const Subspace& s) {
+  if (targets.empty()) {
+    targets.resize(data.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) targets[i] = i;
+  }
+  const std::vector<int> dims = s.Indices();
+  struct CellAgg {
+    double count = 0.0;
+    std::vector<double> ls;
+    std::vector<double> ss;
+  };
+  std::unordered_map<CellCoords, CellAgg, ReferenceCellHash> hist;
+
+  std::vector<CellCoords> point_cells;
+  point_cells.reserve(data.size());
+  for (const auto& row : data) {
+    CellCoords coords;
+    coords.reserve(dims.size());
+    for (int d : dims) {
+      coords.push_back(
+          partition.IntervalIndex(d, row[static_cast<std::size_t>(d)]));
+    }
+    auto [cit, inserted] = hist.try_emplace(coords);
+    CellAgg& cell = cit->second;
+    if (inserted) {
+      cell.ls.assign(dims.size(), 0.0);
+      cell.ss.assign(dims.size(), 0.0);
+    }
+    cell.count += 1.0;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      const double v = row[static_cast<std::size_t>(dims[i])];
+      cell.ls[i] += v;
+      cell.ss[i] += v * v;
+    }
+    point_cells.push_back(std::move(coords));
+  }
+
+  const double total = static_cast<double>(data.size());
+  double sumsq = 0.0;
+  for (const auto& [coords, cell] : hist) sumsq += cell.count * cell.count;
+  if (sumsq <= 0.0) sumsq = 1.0;
+  double rd_sum = 0.0;
+  double irsd_sum = 0.0;
+  for (std::size_t t : targets) {
+    const CellAgg& cell = hist.at(point_cells[t]);
+    rd_sum += cell.count * total / sumsq;
+    if (cell.count >= 2.0) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < dims.size(); ++i) {
+        const double mean = cell.ls[i] / cell.count;
+        const double var = cell.ss[i] / cell.count - mean * mean;
+        const double sigma = var > 0.0 ? std::sqrt(var) : 0.0;
+        const double su = partition.CellWidth(dims[i]) / std::sqrt(12.0);
+        const double ratio = su / (sigma + 0.01 * su);
+        acc += ratio > Pcs::kIrsdCap ? Pcs::kIrsdCap : ratio;
+      }
+      irsd_sum += acc / static_cast<double>(dims.size());
+    }
+  }
+  const double n_targets = static_cast<double>(targets.size());
+
+  ObjectiveVector obj;
+  obj.values = {rd_sum / n_targets, irsd_sum / n_targets,
+                static_cast<double>(s.Dimension())};
+  return obj;
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Evaluates every subspace of up to 5 dims with `obj` and with the
+// reference; returns how many objective values differ in any bit, and
+// describes the first in `first`.
+std::size_t CountMismatches(BatchSparsityObjectives* obj,
+                            const Partition& partition,
+                            const std::vector<std::vector<double>>& data,
+                            const std::vector<std::size_t>& targets,
+                            std::string* first) {
+  std::size_t mismatches = 0;
+  const int max_dim = std::min(5, partition.num_dims());
+  for (const Subspace& s : EnumerateLattice(partition.num_dims(), max_dim)) {
+    const ObjectiveVector got = obj->Evaluate(s);
+    const ObjectiveVector want =
+        ReferenceObjectives(partition, data, targets, s);
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (Bits(got.values[i]) == Bits(want.values[i])) continue;
+      if (mismatches++ == 0) {
+        *first = s.ToString() + " objective " + std::to_string(i) + ": " +
+                 std::to_string(got.values[i]) + " vs reference " +
+                 std::to_string(want.values[i]);
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Rows in [0, 0.55): `n` of them, half uniform and half in a tight
+// Gaussian clump, and one exact duplicate; then two rows past every other
+// in every attribute (0.75 and the last, 0.95), which sit alone in their
+// cell of every subspace when cells are at most 0.2 wide.
+std::vector<std::vector<double>> KernelRows(int dims, int n,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row(static_cast<std::size_t>(dims));
+    for (double& v : row) {
+      v = i % 2 == 0 ? rng.NextDouble(0.0, 0.55)
+                     : std::clamp(rng.NextGaussian(0.3, 0.03), 0.0, 0.54);
+    }
+    rows.push_back(std::move(row));
+  }
+  rows.push_back(rows[5]);
+  rows.emplace_back(static_cast<std::size_t>(dims), 0.75);
+  rows.emplace_back(static_cast<std::size_t>(dims), 0.95);
+  return rows;
+}
+
+// The three target sets every setup runs: the last row only, seven
+// scattered rows with one repeated, and all rows.
+std::vector<std::vector<std::size_t>> KernelTargets(std::size_t n) {
+  return {{n - 1}, {3, 17, 17, n / 3, n / 2, n - 9, n - 2}, {}};
+}
+
+void ExpectKernelMatchesReference(const Partition& partition,
+                                  const std::vector<std::vector<double>>& data) {
+  for (const std::vector<std::size_t>& targets : KernelTargets(data.size())) {
+    SCOPED_TRACE(targets.empty() ? std::string("all rows")
+                                 : std::to_string(targets.size()) +
+                                       " target(s)");
+    BatchSparsityObjectives obj(&partition, &data, targets);
+    std::string first;
+    EXPECT_EQ(CountMismatches(&obj, partition, data, targets, &first), 0u)
+        << first;
+  }
+  // The targeted constructor against the reference on the copied batch
+  // (sample, then target), once with the last row as the target and once
+  // with a row from the bulk of the data.
+  const std::vector<std::vector<double>> sample(data.begin(), data.end() - 1);
+  for (const std::vector<double>* target :
+       {&data.back(), &data[data.size() / 2]}) {
+    std::vector<std::vector<double>> batch = sample;
+    batch.push_back(*target);
+    BatchSparsityObjectives targeted(&partition, &sample, target);
+    std::string first;
+    EXPECT_EQ(CountMismatches(&targeted, partition, batch,
+                              {batch.size() - 1}, &first),
+              0u)
+        << "targeted constructor: " << first;
+  }
+}
+
+TEST(ObjectivesKernelTest, MatchesReferenceAtEightDimsFiveCells) {
+  // Keys of 1-3 dims are direct-addressed (<= 125 cells), 4-5 hashed.
+  ExpectKernelMatchesReference(Partition(8, 5, 0.0, 1.0),
+                               KernelRows(8, 300, 11));
+}
+
+TEST(ObjectivesKernelTest, MatchesReferenceAtTwelveDimsTenCells) {
+  // Keys of 1-2 dims are direct-addressed (<= 100 cells), 3 and up hashed.
+  ExpectKernelMatchesReference(Partition(12, 10, 0.0, 1.0),
+                               KernelRows(12, 200, 12));
+}
+
+TEST(ObjectivesKernelTest, MatchesReferenceOnFittedPartition) {
+  // Attribute widths differ (each its own scale), attribute 5 is constant,
+  // and the partition is fitted to the first 150 rows only, so later rows
+  // fall outside its range and clamp into the boundary intervals.
+  Rng rng(13);
+  std::vector<std::vector<double>> data;
+  for (int i = 0; i < 200; ++i) {
+    const double stretch = i < 150 ? 1.0 : 1.6;
+    std::vector<double> row;
+    for (int d = 0; d < 5; ++d) {
+      row.push_back(stretch * (d + 1) * (rng.NextDouble() - 0.3));
+    }
+    row.push_back(3.0);
+    data.push_back(std::move(row));
+  }
+  const Partition partition = Partition::FitToData(
+      std::vector<std::vector<double>>(data.begin(), data.begin() + 150), 6);
+  ExpectKernelMatchesReference(partition, data);
+}
+
+TEST(ObjectivesKernelTest, TargetsAloneInTheirCellsScoreZeroIrsd) {
+  // The last two rows sit alone in every subspace (count < 2), so their
+  // IRSD contribution is 0 everywhere, as in the reference.
+  const std::vector<std::vector<double>> data = KernelRows(8, 300, 11);
+  const Partition partition(8, 5, 0.0, 1.0);
+  const std::vector<std::size_t> targets = {data.size() - 2,
+                                            data.size() - 1};
+  BatchSparsityObjectives obj(&partition, &data, targets);
+  for (const Subspace& s : EnumerateLattice(8, 5)) {
+    EXPECT_EQ(Bits(obj.Evaluate(s).values[1]), Bits(0.0)) << s.ToString();
+  }
+  std::string first;
+  EXPECT_EQ(CountMismatches(&obj, partition, data, targets, &first), 0u)
+      << first;
+}
+
+TEST(ObjectivesKernelTest, EvaluationMakesNoAllocationPerRow) {
+  // 50 distinct subspaces of 1-5 dims over 5000 rows: keys of 1-3 dims are
+  // direct-addressed, 4-5 hashed. The kernel reuses its cell index and
+  // per-cell arrays, so after their first growth an evaluation allocates
+  // only its memo entry and result; one allocation per row would read over
+  // 5000.
+  Rng rng(14);
+  std::vector<std::vector<double>> data(5000, std::vector<double>(8));
+  for (auto& row : data) {
+    for (double& v : row) v = rng.NextDouble();
+  }
+  const Partition partition(8, 5, 0.0, 1.0);
+  BatchSparsityObjectives obj(&partition, &data);
+  const std::vector<Subspace> subspaces = SampleLattice(8, 5, 50, rng);
+  ASSERT_EQ(subspaces.size(), 50u);
+  t_allocations = 0;
+  for (const Subspace& s : subspaces) {
+    t_count_allocations = true;
+    obj.Evaluate(s);
+    t_count_allocations = false;
+  }
+  EXPECT_EQ(obj.evaluation_count(), 50u);
+  EXPECT_LE(t_allocations, 8u * 50u);
 }
 
 // --------------------------------------------------------------- Nsga2 ----
