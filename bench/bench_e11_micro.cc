@@ -3,14 +3,15 @@
 // Paper claim (Section II-C2): "BCS and PCS can be updated incrementally
 // and thus will be very quickly. Also, the outlier-ness check of each data
 // in the stream is also very efficient." These benches measure the
-// individual operations: BCS update, projected-grid update, PCS query,
-// fringe check, decay solve, and the full per-point detection step.
+// individual operations: projected-grid update, PCS query, the column
+// kernel, decay solve, and the full per-point detection step. Base Cell
+// Summaries are not materialized (DESIGN.md Section 3.2), so there is no
+// BCS update to measure.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "grid/base_grid.h"
 #include "grid/projected_grid.h"
 #include "grid/synapse_manager.h"
 #include "grid/synapse_shard.h"
@@ -54,35 +55,6 @@ class PerfWindow {
  private:
   obs::PerfSample start_;
 };
-
-void BM_BcsAdd(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  const DecayModel model(2000, 0.01);
-  Bcs bcs(dims);
-  Rng rng(1);
-  const std::vector<double> p = RandomPoint(rng, dims);
-  std::uint64_t tick = 0;
-  for (auto _ : state) {
-    bcs.Add(p, tick++, model);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BcsAdd)->Arg(10)->Arg(20)->Arg(50);
-
-void BM_BaseGridAdd(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  BaseGrid grid(Partition(dims, 5, 0.0, 1.0), DecayModel(2000, 0.01));
-  Rng rng(2);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 512; ++i) points.push_back(RandomPoint(rng, dims));
-  std::uint64_t tick = 0;
-  for (auto _ : state) {
-    grid.Add(points[tick % points.size()], tick);
-    ++tick;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BaseGridAdd)->Arg(10)->Arg(20)->Arg(50);
 
 void BM_ProjectedGridAddAndQuery(benchmark::State& state) {
   const int subspace_dim = static_cast<int>(state.range(0));
@@ -180,9 +152,10 @@ void BM_SynapseUnfusedAddThenQuery(benchmark::State& state) {
 BENCHMARK(BM_SynapseUnfusedAddThenQuery)->Arg(8)->Arg(32)->Arg(128);
 
 // The detection hot path: the column kernel the engine runs at every shard
-// count. Each iteration bins a 256-point batch once, folds it into the base
-// grid, then runs SynapseShard::ProcessColumn over every tracked grid — one
-// fused probe per (point, subspace), software-pipelined along the column.
+// count. Each iteration bins a 256-point batch once, folds each arrival
+// into the total-weight counter (the engine's phase 0), then runs
+// SynapseShard::ProcessColumn over every tracked grid — one fused probe per
+// (point, subspace), software-pipelined along the column.
 void BM_SynapseShardProcessColumn(benchmark::State& state) {
   const int dims = 20;
   const int tracked = static_cast<int>(state.range(0));
@@ -218,10 +191,7 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
     for (std::size_t j = 0; j < kBatch; ++j) {
       frame.ticks[j] = tick++;
       mgr.BinBase(batch[j].values, &frame.base_coords[j]);
-      frame.total_weights[j] = mgr.AddBase(
-          frame.base_coords[j],
-          mgr.base_grid().PrefetchCoords(frame.base_coords[j]),
-          batch[j].values, frame.ticks[j]);
+      frame.total_weights[j] = mgr.AddBase(frame.ticks[j]);
     }
     for (std::size_t i = 0; i < mgr.NumTracked(); ++i) {
       const ShardColumn column{mgr.SubspaceAt(i), mgr.GridAt(i),

@@ -11,6 +11,9 @@
 // tightens, because stronger decay weights the newest points more than the
 // hard window's uniform weighting. Memory is O(populated cells) for the
 // decayed summaries vs O(omega) raw values for the exact window.
+//
+// The decayed side is a 1-d ProjectedGrid, whose cells hold the paper's
+// (count, LS, SS) triple, plus its own DecayedCounter for the total mass.
 
 #include <cmath>
 #include <deque>
@@ -18,8 +21,9 @@
 #include "common/rng.h"
 #include "bench/bench_util.h"
 #include "eval/table.h"
-#include "grid/base_grid.h"
 #include "eval/metrics.h"
+#include "grid/decay.h"
+#include "grid/projected_grid.h"
 
 namespace spot {
 namespace {
@@ -35,7 +39,9 @@ void Run(bench::JsonReporter& reporter) {
 
   for (double epsilon : {0.1, 0.01, 0.001}) {
     const DecayModel model(kOmega, epsilon);
-    BaseGrid grid(Partition(1, kCells, 0.0, 1.0), model, 1e-4, 0);
+    const Partition partition(1, kCells, 0.0, 1.0);
+    ProjectedGrid grid(Subspace::FromIndices({0}), &partition, model, 1e-4, 0);
+    DecayedCounter total_weight(model);
     std::deque<double> window;  // exact sliding window of raw values
     Rng rng(77);
 
@@ -49,6 +55,7 @@ void Run(bench::JsonReporter& reporter) {
                                         0.0, 0.999)
                            : rng.NextDouble();
       grid.Add({v}, t);
+      total_weight.Observe(t);
       window.push_back(v);
       if (window.size() > kOmega) window.pop_front();
 
@@ -57,13 +64,13 @@ void Run(bench::JsonReporter& reporter) {
         // of the exact window.
         std::vector<double> exact(kCells, 0.0);
         for (double w : window) {
-          exact[grid.partition().IntervalIndex(0, w)] += 1.0;
+          exact[partition.IntervalIndex(0, w)] += 1.0;
         }
-        const double total = grid.TotalWeight();
+        const double total = total_weight.WeightAt(t);
         for (int c = 0; c < kCells; ++c) {
-          const Bcs* bcs = grid.FindByCoords({static_cast<std::uint32_t>(c)});
-          const double decayed_share =
-              total > 0.0 ? (bcs ? bcs->CountAt(t, model) : 0.0) / total : 0.0;
+          const double count =
+              grid.QueryCoords({static_cast<std::uint32_t>(c)}, total).count;
+          const double decayed_share = total > 0.0 ? count / total : 0.0;
           const double exact_share =
               exact[c] / static_cast<double>(window.size());
           rel_errors.push_back(std::fabs(decayed_share - exact_share));

@@ -22,9 +22,11 @@ constexpr std::uint64_t kHeaderMagic = 0x31504B43544F5053ULL;
 constexpr std::uint64_t kTrailerMagic = 0x31444E45544F5053ULL;
 // v2 added topk_capacity to the config, feedback_rounds to the stats and
 // the top-k retention section after the synapses; v3 appends the CRC-32
-// of every earlier byte after the trailer. Strict equality stays the
-// rule: older images are rejected, not migrated.
-constexpr std::uint8_t kFormatVersion = 3;
+// of every earlier byte after the trailer; v4 drops the base-cell store,
+// so the synapse section carries the total-weight counter where v3 had
+// the base grid. Strict equality stays the rule: older images are
+// rejected, not migrated.
+constexpr std::uint8_t kFormatVersion = 4;
 constexpr std::size_t kCrcBytes = 4;
 
 }  // namespace

@@ -13,9 +13,9 @@ struct SpotConfig;
 /// Binary full-state checkpointing of a SpotDetector (DESIGN.md Section 4.3).
 ///
 /// The checkpoint persists *everything*: config (including the nested
-/// learning configs), partition, SST, every BCS/PCS grid cell, the
-/// reservoir, the drift statistic, the RNG stream and all tick/cadence
-/// counters — such that
+/// learning configs), partition, SST, the decayed total stream weight,
+/// every projected grid cell, the reservoir, the drift statistic, the RNG
+/// stream and all tick/cadence counters — such that
 ///
 ///     image = A.SaveState(); B.LoadState(image); B.Process(stream...)
 ///

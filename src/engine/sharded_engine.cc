@@ -120,12 +120,10 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   BatchStageRecord& record = detector.stage_record_;
   const bool first_tile = results->empty();
 
-  // Phase 0 — coordinator: bin each point once, fold it into the
-  // single-owner base grid, and snapshot the per-point total weight. The
-  // base grid never depends on the tracked set, so it can run ahead of the
-  // join; every weight is exactly the W a per-point fold would read.
-  // Binning the whole tile first lets the fold loop prefetch point j+1's
-  // base-cell bucket while folding point j (DESIGN.md Section 3.9).
+  // Phase 0 — coordinator: bin each point once and fold its arrival into
+  // the single-owner total-weight counter, snapshotting the per-point W.
+  // The counter never depends on the tracked set, so it can run ahead of
+  // the join; every weight is exactly the W a per-point fold would read.
   BatchFrame frame;
   {
     obs::Stage bin(nullptr, perf ? obs::ThreadPerfGroup() : nullptr,
@@ -138,16 +136,7 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
     for (std::size_t j = 0; j < n; ++j) {
       frame.ticks[j] = detector.tick_ + j;
       synapses.BinBase(points[j].values, &frame.base_coords[j]);
-    }
-    const BaseGrid& base = synapses.base_grid();
-    std::uint64_t hash = base.PrefetchCoords(frame.base_coords[0]);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t next_hash =
-          j + 1 < n ? base.PrefetchCoords(frame.base_coords[j + 1]) : 0;
-      frame.total_weights[j] =
-          synapses.AddBase(frame.base_coords[j], hash, points[j].values,
-                           frame.ticks[j]);
-      hash = next_hash;
+      frame.total_weights[j] = synapses.AddBase(frame.ticks[j]);
     }
     bin.Commit();
     Extend(bin, first_tile, &record.bin);

@@ -19,9 +19,10 @@ namespace spot {
 /// consecutive tiles of at most kTilePointsPerShard x num_shards points,
 /// each tile in three phases:
 ///
-///   0. Coordinator: bin every point's base-cell coordinates once, fold it
-///      into the (single-owner) base grid, and snapshot the decayed total
-///      weight after each fold — the authoritative per-point W.
+///   0. Coordinator: bin every point's base-cell coordinates once, fold
+///      its arrival into the (single-owner) total-weight counter, and
+///      snapshot the decayed total weight after each fold — the
+///      authoritative per-point W.
 ///   1. Fan-out: every shard folds the whole tile into its own grids in
 ///      arrival order, recording per-(subspace, point) PCS and fringe
 ///      verdicts. A grid's state depends only on its own input sequence, so

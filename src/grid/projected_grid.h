@@ -17,10 +17,11 @@ class ByteWriter;
 
 /// Sparse grid of decayed cell aggregates for a single subspace of the SST.
 ///
-/// Mirrors BaseGrid but keyed by projected-cell coordinates, and able to
-/// answer PCS queries. One ProjectedGrid exists per SST subspace; the
-/// per-arrival update cost is O(|s|) plus one hash probe, which is what lets
-/// SPOT keep up with fast streams.
+/// Each populated projected cell keeps the paper's (count, LS, SS) triple,
+/// and the grid answers PCS queries from it. One ProjectedGrid exists per
+/// SST subspace, and no base-cell store sits behind it (DESIGN.md Section
+/// 3.2); the per-arrival update cost is O(|s|) plus one hash probe, which is
+/// what lets SPOT keep up with fast streams.
 ///
 /// Storage is a slab: one contiguous arena of fixed-stride records
 ///

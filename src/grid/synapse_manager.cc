@@ -23,7 +23,7 @@ SynapseManager::SynapseManager(Partition partition, DecayModel model,
       model_(model),
       prune_threshold_(prune_threshold),
       compaction_period_(compaction_period),
-      base_(partition_, model_, prune_threshold_, compaction_period_),
+      total_(model_),
       by_subspace_(2) {}
 
 std::uint32_t SynapseManager::IndexOf(const Subspace& s) const {
@@ -84,22 +84,15 @@ bool SynapseManager::IsTracked(const Subspace& s) const {
 void SynapseManager::Add(const std::vector<double>& point,
                          std::uint64_t tick) {
   partition_.BaseCellInto(point, &base_scratch_);
-  base_.AddAt(base_scratch_, point, tick);
+  total_.Observe(tick);
   for (auto& entry : grids_) entry.grid->AddAt(base_scratch_, point, tick);
-}
-
-double SynapseManager::AddBase(const CellCoords& coords, std::uint64_t hash,
-                               const std::vector<double>& point,
-                               std::uint64_t tick) {
-  base_.AddAt(coords, hash, point, tick);
-  return base_.TotalWeight();
 }
 
 Pcs SynapseManager::Query(const std::vector<double>& point,
                           const Subspace& s) const {
   const std::uint32_t idx = IndexOf(s);
   if (idx == FlatIndex::kNoValue) return Pcs{};
-  return grids_[idx].grid->Query(point, base_.TotalWeight());
+  return grids_[idx].grid->Query(point, TotalWeight());
 }
 
 std::vector<Subspace> SynapseManager::TrackedSubspaces() const {
@@ -110,37 +103,37 @@ std::vector<Subspace> SynapseManager::TrackedSubspaces() const {
 }
 
 std::size_t SynapseManager::TotalPopulatedCells() const {
-  std::size_t total = base_.PopulatedCells();
+  std::size_t total = 0;
   for (const auto& entry : grids_) total += entry.grid->PopulatedCells();
   return total;
 }
 
 std::size_t SynapseManager::TotalSlabSlots() const {
-  std::size_t total = base_.SlabSlots();
+  std::size_t total = 0;
   for (const auto& entry : grids_) total += entry.grid->SlabSlots();
   return total;
 }
 
 std::size_t SynapseManager::TotalFreeSlots() const {
-  std::size_t total = base_.FreeSlots();
+  std::size_t total = 0;
   for (const auto& entry : grids_) total += entry.grid->FreeSlots();
   return total;
 }
 
 std::uint64_t SynapseManager::TotalCompactions() const {
-  std::uint64_t total = base_.compactions();
+  std::uint64_t total = 0;
   for (const auto& entry : grids_) total += entry.grid->compactions();
   return total;
 }
 
 std::uint64_t SynapseManager::TotalCellsReclaimed() const {
-  std::uint64_t total = base_.cells_reclaimed();
+  std::uint64_t total = 0;
   for (const auto& entry : grids_) total += entry.grid->cells_reclaimed();
   return total;
 }
 
 std::size_t SynapseManager::CompactAll(std::uint64_t tick) {
-  std::size_t removed = base_.Compact(tick);
+  std::size_t removed = 0;
   for (auto& entry : grids_) removed += entry.grid->Compact(tick);
   return removed;
 }
@@ -158,7 +151,7 @@ void SynapseManager::SaveState(ByteWriter& w) const {
   w.F64(model_.epsilon());
   w.F64(model_.alpha());
   w.U64(revision_);
-  base_.SaveState(w);
+  total_.SaveState(w);
   w.U64(grids_.size());
   for (const auto& entry : grids_) {
     w.U64(entry.subspace.bits());
@@ -172,7 +165,7 @@ bool SynapseManager::LoadState(ByteReader& r) {
   if (r.F64() != model_.epsilon()) return r.Fail();
   if (r.F64() != model_.alpha()) return r.Fail();
   revision_ = r.U64();
-  if (!base_.LoadState(r)) return false;
+  if (!total_.LoadState(r)) return false;
   const std::uint64_t count = r.U64();
   if (count > (1u << 24)) return r.Fail();
   grids_.clear();

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "grid/base_grid.h"
 #include "grid/decay.h"
 #include "grid/flat_index.h"
 #include "grid/partition.h"
@@ -19,14 +18,18 @@ class ByteReader;
 class ByteWriter;
 class DetectorEventSink;
 
-/// Owns the complete set of data synapses: the BaseGrid (BCS hypercube) plus
-/// one ProjectedGrid per tracked SST subspace, all sharing one partition and
-/// one (omega, epsilon) decay model.
+/// Owns the complete set of data synapses: the decayed total stream weight W
+/// plus one ProjectedGrid per tracked SST subspace, all sharing one
+/// partition and one (omega, epsilon) decay model.
 ///
 /// This is the state the paper's detection stage updates per arrival
 /// ("data synapses (BCS and PCS) are first updated dynamically") and then
 /// queries ("retrieve PCS of the projected cell to which each data belongs
-/// in subspace of SST").
+/// in subspace of SST"). The paper's Base Cell Summaries are not
+/// materialized: detection reads only W from the base level, so the base
+/// level is one DecayedCounter, whose own tick is the manager's clock, and
+/// new grids start empty instead of being derived from base cells
+/// (DESIGN.md Section 3.2).
 ///
 /// Tracked grids live in a dense vector with a stable, deterministic order
 /// (insertion order, perturbed only by Untrack's swap-remove);
@@ -55,11 +58,11 @@ class SynapseManager {
 
   bool IsTracked(const Subspace& s) const;
 
-  /// Folds one point into the base grid and every tracked projected grid,
-  /// advancing the clock to `tick` (non-decreasing). Learn() warm-starts
-  /// the synapses with it, and Add + Query per point is the reference the
-  /// engine's column kernel (SynapseShard::ProcessColumn) is tested
-  /// against.
+  /// Folds one point into the total weight and every tracked projected
+  /// grid, advancing the clock to `tick` (non-decreasing). Learn()
+  /// warm-starts the synapses with it, and Add + Query per point is the
+  /// reference the engine's column kernel (SynapseShard::ProcessColumn) is
+  /// tested against.
   void Add(const std::vector<double>& point, std::uint64_t tick);
 
   /// Bins `point` into base-cell coordinates (allocation-free once `out`
@@ -69,25 +72,24 @@ class SynapseManager {
     partition_.BaseCellInto(point, out);
   }
 
-  /// Folds one point into the base grid only — the sharded engine fans the
-  /// projected-grid updates out to shard workers — and returns the decayed
-  /// total stream weight right after the fold, which is the authoritative W
-  /// that every subspace query for this point must use. `hash` is the value
-  /// BaseGrid::PrefetchCoords staged one point ahead, so the batch path
-  /// hashes each base cell exactly once.
-  double AddBase(const CellCoords& coords, std::uint64_t hash,
-                 const std::vector<double>& point, std::uint64_t tick);
+  /// Folds the arrival at `tick` into the total weight only — the sharded
+  /// engine fans the projected-grid updates out to shard workers — and
+  /// returns the decayed total stream weight right after the fold, which is
+  /// the authoritative W that every subspace query for this point must use.
+  double AddBase(std::uint64_t tick) {
+    total_.Observe(tick);
+    return TotalWeight();
+  }
 
   /// PCS of `point`'s cell in tracked subspace `s` (PCS{} if untracked).
   Pcs Query(const std::vector<double>& point, const Subspace& s) const;
 
   /// Decayed total stream weight at the current tick.
-  double TotalWeight() const { return base_.TotalWeight(); }
+  double TotalWeight() const { return total_.WeightAt(total_.last_tick()); }
 
-  std::uint64_t last_tick() const { return base_.last_tick(); }
+  std::uint64_t last_tick() const { return total_.last_tick(); }
   const Partition& partition() const { return partition_; }
   const DecayModel& decay_model() const { return model_; }
-  const BaseGrid& base_grid() const { return base_; }
 
   /// Tracked subspaces in dense (iteration) order — the order verdict
   /// findings are assembled in.
@@ -117,16 +119,16 @@ class SynapseManager {
   /// proxy reported by the scalability experiments).
   std::size_t TotalPopulatedCells() const;
 
-  /// Slab occupancy across the base grid and every tracked grid: total
-  /// allocated record slots and how many of them sit on free lists.
+  /// Slab occupancy across every tracked grid: total allocated record slots
+  /// and how many of them sit on free lists.
   /// Scrape-time gauges (DESIGN.md Section 10) — never on the hot path.
   std::size_t TotalSlabSlots() const;
   std::size_t TotalFreeSlots() const;
 
-  /// Compaction sweeps run (and cells they reclaimed) across the base grid
-  /// and every tracked grid since construction. Monotone except when
-  /// Untrack frees a grid, taking its contribution with it — consumers
-  /// sampling deltas (the service's journal) clamp at zero.
+  /// Compaction sweeps run (and cells they reclaimed) across every tracked
+  /// grid since construction. Monotone except when Untrack frees a grid,
+  /// taking its contribution with it — consumers sampling deltas (the
+  /// service's journal) clamp at zero.
   std::uint64_t TotalCompactions() const;
   std::uint64_t TotalCellsReclaimed() const;
 
@@ -136,7 +138,7 @@ class SynapseManager {
   /// Pure reporting; grid state never depends on the sink.
   void set_event_sink(DetectorEventSink* sink) { sink_ = sink; }
 
-  /// Compacts the base grid and every projected grid at `tick`.
+  /// Compacts every tracked grid at `tick`.
   std::size_t CompactAll(std::uint64_t tick);
 
   /// Cell lookups (hashed or direct) performed by the tracked grids so far
@@ -144,13 +146,13 @@ class SynapseManager {
   /// budget test read this to pin one probe per tracked subspace per point.
   std::uint64_t hash_probes() const;
 
-  /// Checkpointing: the base grid, every tracked projected grid — in dense
-  /// order, with per-grid serials — and the revision counter round-trip,
-  /// so the restored manager reports the same tracked order (verdict
-  /// `findings` are assembled in it) and shard views resync identically.
-  /// Partition, decay model and maintenance knobs come from the
-  /// constructor; LoadState validates the stored decay parameters against
-  /// them and fails on mismatch.
+  /// Checkpointing: the total-weight counter, every tracked projected grid —
+  /// in dense order, with per-grid serials — and the revision counter
+  /// round-trip, so the restored manager reports the same tracked order
+  /// (verdict `findings` are assembled in it) and shard views resync
+  /// identically. Partition, decay model and maintenance knobs come from
+  /// the constructor; LoadState validates the stored decay parameters
+  /// against them and fails on mismatch.
   void SaveState(ByteWriter& w) const;
   bool LoadState(ByteReader& r);
 
@@ -168,7 +170,7 @@ class SynapseManager {
   DecayModel model_;
   double prune_threshold_;
   std::uint64_t compaction_period_;
-  BaseGrid base_;
+  DecayedCounter total_;  // W; points at model_, declared before it
   std::vector<TrackedGrid> grids_;  // dense, iterated on the hot path
   FlatIndex by_subspace_;    // subspace mask (2 words) -> dense grid index
   CellCoords base_scratch_;  // base-cell coords, binned once per point

@@ -14,8 +14,9 @@ namespace spot {
 
 /// The per-batch inputs every shard shares read-only: the points, their
 /// base-cell coordinates (binned once by the coordinator), their ticks, and
-/// the decayed total stream weight right after each point's base-grid fold —
-/// the authoritative W that every subspace query for that point uses.
+/// the decayed total stream weight right after each point's arrival is
+/// folded in — the authoritative W that every subspace query for that point
+/// uses.
 /// Entry j of every array belongs to points[j].
 struct BatchFrame {
   const DataPoint* points = nullptr;

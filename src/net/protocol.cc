@@ -582,7 +582,6 @@ void EncodeSessionQuality(const SessionQuality& q, ByteWriter* w) {
   w->U64(q.points);
   w->U64(q.alarms);
   w->U64(q.tracked_subspaces);
-  w->U64(q.base_cells);
   w->U64(q.slab_slots);
   w->U64(q.free_slots);
   w->U64(q.compactions);
@@ -602,7 +601,6 @@ bool DecodeSessionQuality(ByteReader* r, SessionQuality* out) {
   out->points = r->U64();
   out->alarms = r->U64();
   out->tracked_subspaces = r->U64();
-  out->base_cells = r->U64();
   out->slab_slots = r->U64();
   out->free_slots = r->U64();
   out->compactions = r->U64();
@@ -670,9 +668,9 @@ bool DecodeStats(const std::string& payload, StatsResp* out) {
   if (!DecodeSnapshot(&r, &out->service)) return false;
   const std::uint32_t nsessions = r.U32();
   if (!r.ok()) return false;
-  // A quality section is >= 132 bytes (empty id + eight u64 tallies + two
-  // empty histograms + subspace count).
-  if (nsessions > payload.size() / 132) return r.Fail();
+  // A quality section is >= 120 bytes (empty id + seven u64 tallies + two
+  // 28-byte empty histograms + subspace count).
+  if (nsessions > payload.size() / 120) return r.Fail();
   out->sessions.assign(nsessions, SessionQuality());
   for (SessionQuality& q : out->sessions) {
     if (!DecodeSessionQuality(&r, &q)) return false;

@@ -240,7 +240,6 @@ std::string SpotServer::PrometheusText() const {
     s.counters["grid_compactions"] = q.compactions;
     s.counters["grid_cells_reclaimed"] = q.cells_reclaimed;
     s.gauges["tracked_subspaces"] = static_cast<double>(q.tracked_subspaces);
-    s.gauges["base_grid_cells"] = static_cast<double>(q.base_cells);
     s.gauges["slab_slots"] = static_cast<double>(q.slab_slots);
     s.gauges["slab_free_slots"] = static_cast<double>(q.free_slots);
     s.histograms["rd_margin_x1000"] = q.rd_margin;

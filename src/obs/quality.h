@@ -33,10 +33,9 @@ struct SessionQuality {
   std::uint64_t points = 0;  // points probed since the session opened here
   std::uint64_t alarms = 0;  // points with >= 1 finding
   std::uint64_t tracked_subspaces = 0;
-  std::uint64_t base_cells = 0;   // populated base-grid cells
   std::uint64_t slab_slots = 0;   // summary slots allocated (live + free)
   std::uint64_t free_slots = 0;   // slots awaiting recycling
-  std::uint64_t compactions = 0;  // sweeps across base + projected grids
+  std::uint64_t compactions = 0;  // sweeps across the projected grids
   std::uint64_t cells_reclaimed = 0;
   Histogram rd_margin;    // rd/rd_threshold x1000, outlier findings
   Histogram irsd_margin;  // irsd/irsd_threshold x1000

@@ -85,7 +85,7 @@ void SpotService::SampleLocked(Session* session) {
   obs::SessionQuality& q = session->quality;
   const SpotDetector* detector = session->detector.get();
   if (detector == nullptr) {
-    q.tracked_subspaces = q.base_cells = q.slab_slots = q.free_slots = 0;
+    q.tracked_subspaces = q.slab_slots = q.free_slots = 0;
     q.compactions = q.cells_reclaimed = 0;
     return;
   }
@@ -93,7 +93,6 @@ void SpotService::SampleLocked(Session* session) {
   if (!config_.collect_quality) return;
   const SynapseManager& synapses = detector->synapses();
   q.tracked_subspaces = detector->TrackedSubspaces();
-  q.base_cells = synapses.base_grid().PopulatedCells();
   q.slab_slots = synapses.TotalSlabSlots();
   q.free_slots = synapses.TotalFreeSlots();
   q.compactions = synapses.TotalCompactions();

@@ -1,11 +1,13 @@
 // Equivalence tests of the batch detection layer: ProcessBatch must be a
 // pure amortization of Process — identical outlier labels, findings and
 // scores for every batch size — and the fused synapse path must stay within
-// its one-hash-probe-per-subspace budget.
+// its one-hash-probe-per-subspace budget and its allocation budget.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,25 @@
 #include "eval/presets.h"
 #include "stream/replay.h"
 #include "stream/synthetic.h"
+
+// Global operator new counts the allocations of this thread while armed, so
+// a test can bound what ProcessBatch allocates per point.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+// Both sides out of line, so the compiler pairs neither an inlined malloc()
+// nor an inlined free() with a new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace spot {
 namespace {
@@ -225,6 +246,59 @@ TEST(BatchEquivalenceTest, HotPathCostsOneProbePerTrackedSubspace) {
   const std::uint64_t probes_after = det.synapses().hash_probes();
 
   EXPECT_EQ(probes_after - probes_before, points.size() * tracked);
+}
+
+// Allocation budget of the batch path at one shard, on the probe-bound
+// benchmark workload's detector: 20 attributes, the SST pinned at 128 FS
+// subspaces of up to 3 dimensions, no OS growth. Phase 0 bins each point
+// once (one coordinate vector per point) and folds the total-weight counter,
+// which allocates nothing; a tile's columns cost three allocations, and
+// outliers' findings and compaction sweeps the rest. One more heap object
+// per point anywhere on the path would exceed the bound.
+TEST(BatchEquivalenceTest, ProcessBatchAllocationsPerPointBounded) {
+  const int kDims = 20;
+  SpotConfig cfg = eval::ExperimentConfig(14);
+  cfg.fs_max_dimension = 3;
+  cfg.fs_cap = 128;
+  cfg.unsupervised.top_subspaces_per_run = 0;
+  cfg.os_update_every = 0;
+  cfg.num_shards = 1;
+  SpotDetector det(cfg);
+  ASSERT_TRUE(det.Learn(TrainingBatch(kDims, 600)));
+  ASSERT_EQ(det.TrackedSubspaces(), 128u);
+
+  stream::SyntheticConfig scfg;
+  scfg.dimension = kDims;
+  scfg.outlier_probability = 0.01;
+  scfg.concept_seed = 700;
+  scfg.seed = 707;
+  stream::GaussianStream gen(scfg);
+  const std::size_t kBatch = 256;
+  const auto next_batch = [&] {
+    std::vector<DataPoint> points;
+    points.reserve(kBatch);
+    while (points.size() < kBatch) points.push_back(gen.Next()->point);
+    return points;
+  };
+  for (int b = 0; b < 20; ++b) det.ProcessBatch(next_batch());
+
+  const int kTimed = 100;
+  std::size_t outliers = 0;
+  t_allocations = 0;
+  for (int b = 0; b < kTimed; ++b) {
+    const std::vector<DataPoint> points = next_batch();
+    t_count_allocations = true;
+    const std::vector<SpotResult> results = det.ProcessBatch(points);
+    t_count_allocations = false;
+    for (const SpotResult& r : results) outliers += r.is_outlier ? 1 : 0;
+  }
+  const double points = static_cast<double>(kTimed * kBatch);
+  const double per_point = static_cast<double>(t_allocations) / points;
+  EXPECT_GT(outliers, 0u);  // findings vectors are part of the budget
+  EXPECT_LE(per_point, 2.0) << t_allocations << " allocations over "
+                            << points << " points";
+  RecordProperty("allocations_per_point_x1000",
+                 static_cast<int>(per_point * 1000.0));
 }
 
 }  // namespace

@@ -28,8 +28,8 @@
 #include "core/drift_detector.h"
 #include "core/reservoir.h"
 #include "eval/presets.h"
-#include "grid/base_grid.h"
 #include "grid/projected_grid.h"
+#include "grid/synapse_manager.h"
 #include "stream/drift.h"
 #include "stream/synthetic.h"
 
@@ -395,7 +395,8 @@ void Reseal(std::string* image) {
 }
 
 // Images of any other format version must be refused outright: v1 lacks
-// topk_capacity, feedback_rounds and the top-k window, v2 the CRC, and
+// topk_capacity, feedback_rounds and the top-k window, v2 the CRC, v3
+// carries base-cell records where v4 has only the total-weight counter, and
 // guessing defaults for them would silently fork the verdict stream the
 // checkpoint promises to reproduce. Every forgery is resealed, so the
 // version check, not the checksum, is what refuses it.
@@ -405,7 +406,7 @@ TEST(CheckpointTest, RejectsOtherFormatVersions) {
   std::string bytes = SaveToString(*det);
 
   // The format version is the byte right after the 8-byte header magic.
-  for (const char version : {char{0}, char{1}, char{2}, char{4}}) {
+  for (const char version : {char{0}, char{1}, char{2}, char{3}, char{5}}) {
     std::string forged = bytes;
     forged[8] = version;
     Reseal(&forged);
@@ -457,8 +458,8 @@ TEST(CheckpointTest, RefusesShardCountAboveTheBound) {
   EXPECT_EQ(control.num_shards(), SpotConfig::kMaxShards);
 }
 
-// The v3 image ends with the CRC-32 of every earlier byte, checked before
-// anything is parsed: a single flipped bit anywhere — header, config,
+// Since v3 the image ends with the CRC-32 of every earlier byte, checked
+// before anything is parsed: a single flipped bit anywhere — header, config,
 // cell records, trailer or the CRC itself — is refused, and the refused
 // load leaves a previously learned detector unlearned.
 TEST(CheckpointTest, RefusesEverySingleBitFlip) {
@@ -544,8 +545,8 @@ TEST(CheckpointLayerTest, ReservoirRejectsCapacityMismatch) {
   EXPECT_FALSE(b.LoadState(r));
 }
 
-// One-cell grid images, written field by field in the layout the grids'
-// SaveState writes, holding the cell at `coords`.
+// A one-cell grid image, written field by field in the layout
+// ProjectedGrid::SaveState writes, holding the cell at `coords`.
 std::string ProjectedGridImage(const Subspace& s, const CellCoords& coords) {
   ByteWriter w;
   w.U64(s.bits());
@@ -559,22 +560,6 @@ std::string ProjectedGridImage(const Subspace& s, const CellCoords& coords) {
   w.F64(1.0);  // record: count, ls[k], ss[k], tick
   for (std::size_t i = 0; i < 2 * coords.size(); ++i) w.F64(0.5);
   w.F64(7.0);
-  return w.Take();
-}
-
-std::string BaseGridImage(const CellCoords& coords) {
-  ByteWriter w;
-  w.U64(7);    // last_tick
-  w.U64(0);    // arrivals_since_compaction
-  w.F64(1.0);  // total weight counter: weight, last tick, seen
-  w.U64(7);
-  w.Bool(true);
-  w.U64(1);    // cells
-  w.Coords(coords);
-  w.F64(1.0);  // Bcs: count, tick, dims, ls[dims], ss[dims]
-  w.U64(7);
-  w.U64(coords.size());
-  for (std::size_t i = 0; i < 2 * coords.size(); ++i) w.F64(0.5);
   return w.Take();
 }
 
@@ -597,16 +582,42 @@ TEST(CheckpointLayerTest, GridsRefuseCellCoordinatesOutsideThePartition) {
       const std::string pin = ProjectedGridImage(s, coords);
       ByteReader pr(pin);
       EXPECT_EQ(projected.LoadState(pr), valid);
-      BaseGrid base(part, DecayModel(100, 0.01));
-      const std::string bin = BaseGridImage(coords);
-      ByteReader br(bin);
-      EXPECT_EQ(base.LoadState(br), valid);
       if (valid) {
         EXPECT_EQ(projected.PopulatedCells(), 1u);
-        EXPECT_EQ(base.PopulatedCells(), 1u);
       }
     }
   }
+}
+
+// The base level of the synapses is the total-weight counter alone: with
+// no grid tracked, a manager's image depends on the arrival ticks only, not
+// on which base cells the points fell in. N points in one cell and N points
+// spread over many cells, at the same ticks, give byte-identical images.
+TEST(CheckpointLayerTest, SynapseImageCarriesNoBaseCells) {
+  const Partition part(4, 5, 0.0, 1.0);
+  const DecayModel model(100, 0.01);
+  SynapseManager one_cell(part, model);
+  SynapseManager spread(part, model);
+  Rng rng(8);
+  for (std::uint64_t t = 0; t < 300; ++t) {
+    one_cell.Add({0.1, 0.1, 0.1, 0.1}, t);
+    spread.Add({rng.NextDouble(), rng.NextDouble(), rng.NextDouble(),
+                rng.NextDouble()},
+               t);
+  }
+  ByteWriter a;
+  one_cell.SaveState(a);
+  ByteWriter b;
+  spread.SaveState(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+  EXPECT_EQ(one_cell.TotalWeight(), spread.TotalWeight());
+
+  SynapseManager restored(part, model);
+  ByteReader r(b.bytes());
+  ASSERT_TRUE(restored.LoadState(r));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(restored.TotalWeight(), spread.TotalWeight());
+  EXPECT_EQ(restored.last_tick(), 299u);
 }
 
 TEST(CheckpointLayerTest, PageHinkleyResumesAccumulatedStatistic) {

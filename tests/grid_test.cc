@@ -1,5 +1,5 @@
 // Unit tests of src/grid fundamentals: equi-width partition, the
-// (omega, epsilon) decay model, and Base Cell Summaries.
+// (omega, epsilon) decay model, and the decayed total-weight counter.
 
 #include <cmath>
 #include <cstdint>
@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/base_grid.h"
-#include "grid/bcs.h"
 #include "grid/decay.h"
 #include "grid/partition.h"
 
@@ -208,146 +206,6 @@ TEST(DecayedCounterTest, WindowResidualBoundHolds) {
   // All observed points now have age >= omega.
   const double residual = counter.WeightAt(2 * omega - 1 + 1);
   EXPECT_LE(residual, epsilon * 1.0000001);
-}
-
-// ------------------------------------------------------------------ Bcs --
-
-TEST(BcsTest, EmptySummary) {
-  const Bcs bcs(3);
-  EXPECT_DOUBLE_EQ(bcs.count(), 0.0);
-  EXPECT_EQ(bcs.num_dims(), 3);
-  EXPECT_DOUBLE_EQ(bcs.MeanOf(0), 0.0);
-  EXPECT_DOUBLE_EQ(bcs.StdDevOf(0), 0.0);
-}
-
-TEST(BcsTest, NoDecayAccumulatesExactly) {
-  const DecayModel m = DecayModel::None();
-  Bcs bcs(2);
-  bcs.Add({1.0, 2.0}, 0, m);
-  bcs.Add({3.0, 4.0}, 1, m);
-  EXPECT_DOUBLE_EQ(bcs.count(), 2.0);
-  EXPECT_DOUBLE_EQ(bcs.linear_sum()[0], 4.0);
-  EXPECT_DOUBLE_EQ(bcs.linear_sum()[1], 6.0);
-  EXPECT_DOUBLE_EQ(bcs.squared_sum()[0], 10.0);
-  EXPECT_DOUBLE_EQ(bcs.squared_sum()[1], 20.0);
-  EXPECT_DOUBLE_EQ(bcs.MeanOf(0), 2.0);
-  EXPECT_DOUBLE_EQ(bcs.StdDevOf(0), 1.0);
-}
-
-TEST(BcsTest, DecayMatchesBruteForce) {
-  const DecayModel m(20, 0.05);
-  Bcs bcs(1);
-  const std::vector<double> arrivals = {1.0, 2.0, 3.0, 4.0};
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    bcs.Add({arrivals[i]}, i, m);
-  }
-  // Expected decayed aggregates at tick 3.
-  double count = 0.0;
-  double ls = 0.0;
-  double ss = 0.0;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const double w = m.WeightAtAge(3 - i);
-    count += w;
-    ls += w * arrivals[i];
-    ss += w * arrivals[i] * arrivals[i];
-  }
-  EXPECT_NEAR(bcs.count(), count, 1e-12);
-  EXPECT_NEAR(bcs.linear_sum()[0], ls, 1e-12);
-  EXPECT_NEAR(bcs.squared_sum()[0], ss, 1e-12);
-}
-
-TEST(BcsTest, CountAtProjectsForward) {
-  const DecayModel m(20, 0.05);
-  Bcs bcs(1);
-  bcs.Add({1.0}, 0, m);
-  EXPECT_NEAR(bcs.CountAt(10, m), m.WeightAtAge(10), 1e-12);
-  EXPECT_DOUBLE_EQ(bcs.CountAt(0, m), 1.0);
-}
-
-TEST(BcsTest, MergeEqualsUnionStream) {
-  const DecayModel m(30, 0.02);
-  Bcs all(2);
-  Bcs left(2);
-  Bcs right(2);
-  for (std::uint64_t t = 0; t < 20; ++t) {
-    const std::vector<double> p = {static_cast<double>(t), 1.0};
-    all.Add(p, t, m);
-    if (t % 2 == 0) {
-      left.Add(p, t, m);
-    } else {
-      right.Add(p, t, m);
-    }
-  }
-  left.Merge(right, 19, m);
-  EXPECT_NEAR(left.count(), all.count(), 1e-9);
-  EXPECT_NEAR(left.linear_sum()[0], all.linear_sum()[0], 1e-9);
-  EXPECT_NEAR(left.squared_sum()[0], all.squared_sum()[0], 1e-9);
-}
-
-TEST(BcsTest, LazyInitFromFirstPoint) {
-  const DecayModel m = DecayModel::None();
-  Bcs bcs;  // default-constructed, dims unknown
-  bcs.Add({1.0, 2.0, 3.0}, 0, m);
-  EXPECT_EQ(bcs.num_dims(), 3);
-  EXPECT_DOUBLE_EQ(bcs.count(), 1.0);
-}
-
-TEST(BcsTest, StdDevRequiresTwoPoints) {
-  const DecayModel m = DecayModel::None();
-  Bcs bcs(1);
-  bcs.Add({5.0}, 0, m);
-  EXPECT_DOUBLE_EQ(bcs.StdDevOf(0), 0.0);
-  bcs.Add({7.0}, 1, m);
-  EXPECT_DOUBLE_EQ(bcs.StdDevOf(0), 1.0);
-}
-
-// ------------------------------------------------------------ BaseGrid --
-
-TEST(BaseGridTest, AddAndFind) {
-  BaseGrid grid(Partition(2, 10, 0.0, 1.0), DecayModel::None());
-  grid.Add({0.05, 0.15}, 0);
-  grid.Add({0.05, 0.18}, 1);  // same cell
-  grid.Add({0.95, 0.95}, 2);  // different cell
-  EXPECT_EQ(grid.PopulatedCells(), 2u);
-  const Bcs* cell = grid.Find({0.06, 0.12});
-  ASSERT_NE(cell, nullptr);
-  EXPECT_DOUBLE_EQ(cell->count(), 2.0);
-  EXPECT_EQ(grid.Find({0.5, 0.5}), nullptr);
-}
-
-TEST(BaseGridTest, TotalWeightCountsEverything) {
-  BaseGrid grid(Partition(2, 10, 0.0, 1.0), DecayModel::None());
-  for (std::uint64_t t = 0; t < 10; ++t) {
-    grid.Add({0.1 * static_cast<double>(t), 0.5}, t);
-  }
-  EXPECT_NEAR(grid.TotalWeight(), 10.0, 1e-9);
-}
-
-TEST(BaseGridTest, DecayedTotalWeightBelowCount) {
-  BaseGrid grid(Partition(1, 10, 0.0, 1.0), DecayModel(50, 0.01));
-  for (std::uint64_t t = 0; t < 100; ++t) grid.Add({0.5}, t);
-  EXPECT_LT(grid.TotalWeight(), 100.0);
-  EXPECT_GT(grid.TotalWeight(), 1.0);
-}
-
-TEST(BaseGridTest, CompactRemovesStaleCells) {
-  BaseGrid grid(Partition(1, 10, 0.0, 1.0), DecayModel(10, 0.001), 1e-3, 0);
-  grid.Add({0.05}, 0);  // one old cell
-  for (std::uint64_t t = 1; t < 200; ++t) grid.Add({0.95}, t);
-  EXPECT_EQ(grid.PopulatedCells(), 2u);
-  const std::size_t removed = grid.Compact(199);
-  EXPECT_EQ(removed, 1u);
-  EXPECT_EQ(grid.PopulatedCells(), 1u);
-  EXPECT_EQ(grid.Find({0.05}), nullptr);
-}
-
-TEST(BaseGridTest, AutomaticCompactionTriggers) {
-  BaseGrid grid(Partition(1, 10, 0.0, 1.0), DecayModel(10, 0.001), 1e-3,
-                /*compaction_period=*/50);
-  grid.Add({0.05}, 0);
-  for (std::uint64_t t = 1; t < 200; ++t) grid.Add({0.95}, t);
-  // The old cell decayed away and a sweep has certainly run.
-  EXPECT_EQ(grid.PopulatedCells(), 1u);
 }
 
 }  // namespace

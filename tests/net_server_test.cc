@@ -1684,7 +1684,6 @@ TEST(NetObservabilityTest, ConcurrentScrapeSurfacesUnderLoad) {
   for (const SessionQuality& q : stats.sessions) {
     session_points += q.points;
     EXPECT_GT(q.tracked_subspaces, 0u) << q.session_id;
-    EXPECT_GT(q.base_cells, 0u) << q.session_id;
   }
   EXPECT_EQ(session_points, 1000u);
   for (int attempt = 0; attempt < 200; ++attempt) {

@@ -1,7 +1,6 @@
 // Parameterized property tests (TEST_P sweeps) over the library's core
-// invariants: the (omega, epsilon) decay contract, BCS additivity, lattice
-// cardinalities, NSGA-II front invariants, and PCS semantics across grid
-// resolutions.
+// invariants: the (omega, epsilon) decay contract, lattice cardinalities,
+// NSGA-II front invariants, and PCS semantics across grid resolutions.
 
 #include <cmath>
 #include <tuple>
@@ -11,7 +10,6 @@
 
 #include "common/math_util.h"
 #include "common/rng.h"
-#include "grid/bcs.h"
 #include "grid/decay.h"
 #include "grid/partition.h"
 #include "grid/projected_grid.h"
@@ -60,48 +58,6 @@ INSTANTIATE_TEST_SUITE_P(
     OmegaEpsilonSweep, DecayContractTest,
     ::testing::Combine(::testing::Values(10, 100, 1000, 10000),
                        ::testing::Values(0.1, 0.01, 0.001)));
-
-// ----------------------------------------------------- BCS additivity -----
-
-class BcsAdditivityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BcsAdditivityTest, SplitStreamsMergeToWholeAnyDimension) {
-  const int dims = GetParam();
-  const DecayModel model(64, 0.01);
-  Rng rng(static_cast<std::uint64_t>(dims));
-  Bcs whole(dims);
-  Bcs part_a(dims);
-  Bcs part_b(dims);
-  Bcs part_c(dims);
-  for (std::uint64_t t = 0; t < 150; ++t) {
-    std::vector<double> p(static_cast<std::size_t>(dims));
-    for (double& v : p) v = rng.NextDouble();
-    whole.Add(p, t, model);
-    switch (t % 3) {
-      case 0:
-        part_a.Add(p, t, model);
-        break;
-      case 1:
-        part_b.Add(p, t, model);
-        break;
-      default:
-        part_c.Add(p, t, model);
-        break;
-    }
-  }
-  part_a.Merge(part_b, 149, model);
-  part_a.Merge(part_c, 149, model);
-  EXPECT_NEAR(part_a.count(), whole.count(), 1e-9);
-  for (int d = 0; d < dims; ++d) {
-    EXPECT_NEAR(part_a.linear_sum()[static_cast<std::size_t>(d)],
-                whole.linear_sum()[static_cast<std::size_t>(d)], 1e-9);
-    EXPECT_NEAR(part_a.squared_sum()[static_cast<std::size_t>(d)],
-                whole.squared_sum()[static_cast<std::size_t>(d)], 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(DimSweep, BcsAdditivityTest,
-                         ::testing::Values(1, 2, 5, 10, 32, 64));
 
 // ------------------------------------------------ Lattice cardinality -----
 

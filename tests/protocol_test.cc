@@ -659,7 +659,6 @@ TEST(CodecTest, StatsSessionQualityRoundTrip) {
   q.points = 5000;
   q.alarms = 123;
   q.tracked_subspaces = 9;
-  q.base_cells = 456;
   q.slab_slots = 1024;
   q.free_slots = 16;
   q.compactions = 3;
@@ -687,7 +686,6 @@ TEST(CodecTest, StatsSessionQualityRoundTrip) {
   EXPECT_EQ(got.points, 5000u);
   EXPECT_EQ(got.alarms, 123u);
   EXPECT_EQ(got.tracked_subspaces, 9u);
-  EXPECT_EQ(got.base_cells, 456u);
   EXPECT_EQ(got.slab_slots, 1024u);
   EXPECT_EQ(got.free_slots, 16u);
   EXPECT_EQ(got.compactions, 3u);
@@ -733,6 +731,19 @@ TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
   tail.U32(0xFFFFFFFFu);
   wire.replace(wire.size() - 4, 4, tail.bytes());
   EXPECT_FALSE(DecodeStats(wire, &scratch));
+}
+
+TEST(CodecTest, MinimalSessionSectionsDecode) {
+  // The session-count bound divides by the smallest section a session can
+  // encode to (120 bytes), so a payload made of nothing but minimal
+  // sections — no reactors, empty ids, empty histograms — still decodes.
+  StatsResp resp;
+  resp.sessions.resize(64);
+  const std::string wire = EncodeStats(resp);
+  ASSERT_EQ(wire.size(), 20u + 64u * 120u);
+  StatsResp decoded;
+  ASSERT_TRUE(DecodeStats(wire, &decoded));
+  EXPECT_EQ(decoded.sessions.size(), 64u);
 }
 
 TEST(CodecTest, HostileStatsCountsDoNotAllocate) {

@@ -1,6 +1,6 @@
 // Unit tests of the PCS machinery: ProjectedGrid RD/IRSD semantics, the
-// SynapseManager that unifies BCS + PCS maintenance, and the engine's
-// column kernel (SynapseShard::ProcessColumn).
+// SynapseManager that keeps the total weight and every tracked grid, and the
+// engine's column kernel (SynapseShard::ProcessColumn).
 
 #include <cmath>
 #include <cstdint>
@@ -185,6 +185,24 @@ TEST(SynapseManagerTest, AddUpdatesAllGrids) {
   EXPECT_NEAR(b.count, 10.0, 1e-9);
 }
 
+// The total stream weight W is one decayed counter: every arrival counts,
+// whatever cell it lands in and whether or not any grid is tracked.
+TEST(SynapseManagerTest, TotalWeightCountsEverything) {
+  SynapseManager mgr(UnitPartition(2), DecayModel::None());
+  for (std::uint64_t t = 0; t < 10; ++t) {
+    mgr.Add({0.1 * static_cast<double>(t), 0.5}, t);
+  }
+  EXPECT_NEAR(mgr.TotalWeight(), 10.0, 1e-9);
+  EXPECT_EQ(mgr.last_tick(), 9u);
+}
+
+TEST(SynapseManagerTest, DecayedTotalWeightBelowCount) {
+  SynapseManager mgr(UnitPartition(1), DecayModel(50, 0.01));
+  for (std::uint64_t t = 0; t < 100; ++t) mgr.Add({0.5}, t);
+  EXPECT_LT(mgr.TotalWeight(), 100.0);
+  EXPECT_GT(mgr.TotalWeight(), 1.0);
+}
+
 TEST(SynapseManagerTest, QueryUntrackedReturnsEmptyPcs) {
   SynapseManager mgr(UnitPartition(3), DecayModel::None());
   mgr.Add({0.5, 0.5, 0.5}, 0);
@@ -208,8 +226,8 @@ TEST(SynapseManagerTest, TotalPopulatedCellsAggregates) {
   mgr.Track(Subspace::FromIndices({0}));
   mgr.Add({0.05, 0.05}, 0);
   mgr.Add({0.95, 0.95}, 1);
-  // Base grid: 2 cells; projected {0}: 2 cells.
-  EXPECT_EQ(mgr.TotalPopulatedCells(), 4u);
+  // Projected {0}: 2 cells. Base cells are not stored.
+  EXPECT_EQ(mgr.TotalPopulatedCells(), 2u);
 }
 
 TEST(SynapseManagerTest, CompactAllSweepsEveryGrid) {
@@ -218,7 +236,7 @@ TEST(SynapseManagerTest, CompactAllSweepsEveryGrid) {
   mgr.Add({0.05}, 0);
   for (std::uint64_t t = 1; t < 300; ++t) mgr.Add({0.95}, t);
   const std::size_t removed = mgr.CompactAll(299);
-  EXPECT_GE(removed, 2u);  // stale cell gone from base + projected grid
+  EXPECT_GE(removed, 1u);  // stale cell gone from the projected grid
 }
 
 TEST(SynapseManagerTest, CompactAllReclaimsPrunedSlotsAndPreservesPcs) {
@@ -248,9 +266,9 @@ TEST(SynapseManagerTest, CompactAllReclaimsPrunedSlotsAndPreservesPcs) {
     ASSERT_EQ(mgr.GridAt(g)->FreeSlots(), 0u);
   }
 
-  // The stale cell is reclaimed from the base grid and from every projected
-  // grid; its slab slots move to the free lists (the slabs never shrink).
-  EXPECT_EQ(mgr.CompactAll(now), 3u);
+  // The stale cell is reclaimed from every projected grid; its slab slots
+  // move to the free lists (the slabs never shrink).
+  EXPECT_EQ(mgr.CompactAll(now), 2u);
   for (std::size_t g = 0; g < mgr.NumTracked(); ++g) {
     EXPECT_EQ(mgr.GridAt(g)->PopulatedCells(), 2u);
     EXPECT_EQ(mgr.GridAt(g)->SlabSlots(), 3u);
@@ -391,13 +409,52 @@ std::uint64_t Bits(double v) {
   return bits;
 }
 
+/// The output lanes of one column-major batch: entry i * n + j belongs to
+/// dense grid i and point j.
+struct BatchLanes {
+  std::vector<Pcs> pcs;
+  std::vector<unsigned char> veto;
+};
+
+/// Folds `points` (ticks from `tick` on) into `mgr` the way the engine
+/// does: phase 0 bins every point and folds the total-weight counter, then
+/// SynapseShard::ProcessColumn runs over every tracked grid in dense order.
+BatchLanes FoldColumnMajor(SynapseManager* mgr,
+                           const std::vector<DataPoint>& points,
+                           std::uint64_t tick, const ShardRunParams& params) {
+  const std::size_t n = points.size();
+  BatchFrame frame;
+  frame.points = points.data();
+  frame.base_coords.resize(n);
+  frame.ticks.resize(n);
+  frame.total_weights.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    frame.ticks[j] = tick + j;
+    mgr->BinBase(points[j].values, &frame.base_coords[j]);
+    frame.total_weights[j] = mgr->AddBase(frame.ticks[j]);
+  }
+  BatchLanes lanes;
+  lanes.pcs.resize(mgr->NumTracked() * n);
+  lanes.veto.resize(mgr->NumTracked() * n);
+  ColumnScratch scratch;
+  for (std::size_t i = 0; i < mgr->NumTracked(); ++i) {
+    const ShardColumn lane{mgr->SubspaceAt(i), mgr->GridAt(i),
+                           mgr->SerialAt(i), lanes.pcs.data() + i * n,
+                           lanes.veto.data() + i * n};
+    SynapseShard::ProcessColumn(lane, frame, 0, n, params, &scratch);
+  }
+  return lanes;
+}
+
 // The column kernel the detector ships, against an independent reference:
 // two managers see the same stream, one folding each batch column-major
-// (bin + base fold, then SynapseShard::ProcessColumn on every tracked grid)
-// and one per point (Add, then Query per subspace). Every lane entry — PCS
-// bit patterns and the fringe veto — must match the reference exactly,
-// across batches and decay. Compaction is off: the fused kernel reads a
-// cell's PCS just before a due sweep, where Add + Query reads it after.
+// (bin + total-weight fold, then SynapseShard::ProcessColumn on every
+// tracked grid) and one per point (Add, then Query per subspace). Every
+// lane entry — PCS bit patterns and the fringe veto — must match the
+// reference exactly, across batches and decay. Compaction is off: the fused
+// kernel reads a cell's PCS just before a due sweep, where Add + Query reads
+// it after (SynapseShardTest.ProcessColumnMatchesFusedPerPointWithSweeps
+// covers sweeps).
 TEST(SynapseShardTest, ProcessColumnMatchesPerPointAddThenQuery) {
   const DecayModel model(100, 0.01);
   SynapseManager column(UnitPartition(3), model, 1e-3,
@@ -433,29 +490,9 @@ TEST(SynapseShardTest, ProcessColumnMatchesPerPointAddThenQuery) {
   for (int batch = 0; batch < 6; ++batch) {
     std::vector<DataPoint> points(n);
     for (DataPoint& p : points) p.values = draw();
-
-    BatchFrame frame;
-    frame.points = points.data();
-    frame.base_coords.resize(n);
-    frame.ticks.resize(n);
-    frame.total_weights.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      frame.ticks[j] = tick + j;
-      column.BinBase(points[j].values, &frame.base_coords[j]);
-      frame.total_weights[j] = column.AddBase(
-          frame.base_coords[j],
-          column.base_grid().PrefetchCoords(frame.base_coords[j]),
-          points[j].values, frame.ticks[j]);
-    }
-    std::vector<Pcs> pcs(tracked * n);
-    std::vector<unsigned char> veto(tracked * n);
-    ColumnScratch scratch;
-    for (std::size_t i = 0; i < tracked; ++i) {
-      const ShardColumn lane{column.SubspaceAt(i), column.GridAt(i),
-                             column.SerialAt(i), pcs.data() + i * n,
-                             veto.data() + i * n};
-      SynapseShard::ProcessColumn(lane, frame, 0, n, params, &scratch);
-    }
+    const BatchLanes lanes = FoldColumnMajor(&column, points, tick, params);
+    const std::vector<Pcs>& pcs = lanes.pcs;
+    const std::vector<unsigned char>& veto = lanes.veto;
 
     for (std::size_t j = 0; j < n; ++j) {
       const std::vector<double>& p = points[j].values;
@@ -494,6 +531,91 @@ TEST(SynapseShardTest, ProcessColumnMatchesPerPointAddThenQuery) {
   // One fused probe per (point, grid) where Add + Query pays two; the
   // fringe probes match one for one.
   EXPECT_EQ(reference.hash_probes() - column.hash_probes(), 6 * n * tracked);
+}
+
+// The column kernel with compaction sweeps firing mid-batch: strong decay
+// and a 64-arrival cadence, so background cells fall below the prune
+// threshold between visits. The reference twin folds point by point through
+// each grid's fused AddAndQueryAt, which reads the PCS before a due sweep,
+// as the kernel does, so both sides sweep at the same arrival. PCS and
+// veto lanes must match bit for bit.
+TEST(SynapseShardTest, ProcessColumnMatchesFusedPerPointWithSweeps) {
+  const DecayModel model(50, 0.01);
+  SynapseManager column(UnitPartition(3), model, 1e-3,
+                        /*compaction_period=*/64);
+  SynapseManager reference(UnitPartition(3), model, 1e-3,
+                           /*compaction_period=*/64);
+  for (auto* mgr : {&column, &reference}) {
+    mgr->Track(Subspace::FromIndices({0}));
+    mgr->Track(Subspace::FromIndices({1, 2}));
+    mgr->Track(Subspace::FromIndices({0, 1, 2}));
+  }
+  const std::size_t tracked = column.NumTracked();
+  const ShardRunParams params{/*rd_threshold=*/0.5, /*irsd_threshold=*/100.0,
+                              /*fringe_factor=*/2.0};
+  Rng rng(31);
+  const auto draw = [&rng] {
+    std::vector<double> p(3);
+    const bool clustered = rng.NextDouble() < 0.8;
+    for (double& v : p) {
+      v = clustered ? Clamp(rng.NextGaussian(0.5, 0.1), 0.0, 0.999)
+                    : rng.NextDouble();
+    }
+    return p;
+  };
+
+  // 100 points per batch against a 64-arrival cadence: sweeps land at a
+  // different offset in every batch.
+  const std::size_t n = 100;
+  std::uint64_t tick = 0;
+  std::size_t sparse = 0;
+  std::size_t vetoed = 0;
+  for (int batch = 0; batch < 8; ++batch) {
+    std::vector<DataPoint> points(n);
+    for (DataPoint& p : points) p.values = draw();
+    const BatchLanes lanes = FoldColumnMajor(&column, points, tick, params);
+    const std::vector<Pcs>& pcs = lanes.pcs;
+    const std::vector<unsigned char>& veto = lanes.veto;
+
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::vector<double>& p = points[j].values;
+      const double w = reference.AddBase(tick + j);
+      CellCoords base;
+      reference.BinBase(p, &base);
+      for (std::size_t i = 0; i < tracked; ++i) {
+        ASSERT_EQ(reference.SubspaceAt(i), column.SubspaceAt(i));
+        ProjectedGrid& grid = *reference.GridAt(i);
+        const Pcs q = grid.AddAndQueryAt(base, p, tick + j, w);
+        const Pcs& got = pcs[i * n + j];
+        ASSERT_EQ(Bits(got.count), Bits(q.count))
+            << "batch " << batch << " point " << j << " grid " << i;
+        ASSERT_EQ(Bits(got.rd), Bits(q.rd))
+            << "batch " << batch << " point " << j << " grid " << i;
+        ASSERT_EQ(Bits(got.irsd), Bits(q.irsd))
+            << "batch " << batch << " point " << j << " grid " << i;
+        bool expect_veto = false;
+        if (q.IsSparse(params.rd_threshold, params.irsd_threshold)) {
+          ++sparse;
+          CellCoords coords;
+          grid.ProjectBaseInto(base, &coords);
+          expect_veto =
+              grid.IsClusterFringe(coords, q.count, params.fringe_factor);
+        }
+        ASSERT_EQ(veto[i * n + j], expect_veto ? 1 : 0)
+            << "batch " << batch << " point " << j << " grid " << i;
+        vetoed += expect_veto ? 1 : 0;
+      }
+    }
+    tick += n;
+  }
+  // Sweeps really ran and reclaimed cells, on both sides alike, and the
+  // stream exercised both veto outcomes.
+  EXPECT_GT(column.TotalCellsReclaimed(), 0u);
+  EXPECT_EQ(column.TotalCellsReclaimed(), reference.TotalCellsReclaimed());
+  EXPECT_EQ(column.TotalPopulatedCells(), reference.TotalPopulatedCells());
+  EXPECT_EQ(column.hash_probes(), reference.hash_probes());
+  EXPECT_GT(vetoed, 0u);
+  EXPECT_GT(sparse, vetoed);
 }
 
 TEST(SynapseManagerTest, UntrackKeepsDenseOrderConsistent) {
