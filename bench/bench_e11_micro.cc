@@ -155,7 +155,7 @@ BENCHMARK(BM_SynapseUnfusedAddThenQuery)->Arg(8)->Arg(32)->Arg(128);
 // count. Each iteration bins a 256-point batch once, folds each arrival
 // into the total-weight counter (the engine's phase 0), then runs
 // SynapseShard::ProcessColumn over every tracked grid — one fused probe per
-// (point, subspace), software-pipelined along the column.
+// (point, subspace), one point after another along the column.
 void BM_SynapseShardProcessColumn(benchmark::State& state) {
   const int dims = 20;
   const int tracked = static_cast<int>(state.range(0));
@@ -181,7 +181,7 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
   std::vector<Pcs> pcs(mgr.NumTracked() * kBatch);
   std::vector<unsigned char> vetoed(pcs.size());
   const ShardRunParams params;  // fringe off: exactly one probe per lane
-  ColumnScratch scratch;
+  CellCoords coords;
   std::uint64_t tick = 0;
   std::size_t next = 0;
   const PerfWindow perf;
@@ -198,7 +198,7 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
                                mgr.SerialAt(i), pcs.data() + i * kBatch,
                                vetoed.data() + i * kBatch};
       SynapseShard::ProcessColumn(column, frame, 0, kBatch, params,
-                                  &scratch);
+                                  &coords);
     }
     benchmark::DoNotOptimize(pcs.data());
   }

@@ -87,7 +87,13 @@ class ByteReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
-  bool Bool() { return U8() != 0; }
+  /// A flag byte: 0 or 1. Any other byte fails the read, so every flag
+  /// has exactly one encoding.
+  bool Bool() {
+    const std::uint8_t b = U8();
+    if (b > 1) Fail();
+    return b == 1;
+  }
   std::string Str();
   /// A coordinate list of at most 2^20 entries (a longer count is a
   /// corrupt prefix, refused before allocating).

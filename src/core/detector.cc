@@ -49,6 +49,16 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
                     << Subspace::kMaxDimensions;
     return false;
   }
+  // fs_cap 0 enumerates the whole lattice, whose size follows the stream
+  // width: refuse one too large to hold before anything is built.
+  const int max_dim = std::min(config_.fs_max_dimension, num_dims);
+  const std::uint64_t lattice = LatticeSize(num_dims, max_dim);
+  if (config_.fs_cap == 0 && lattice > SpotConfig::kMaxSubspaces) {
+    SPOT_LOG(Error) << "FS lattice has " << lattice
+                    << " subspaces; with fs_cap 0 at most "
+                    << SpotConfig::kMaxSubspaces << " are tracked";
+    return false;
+  }
 
   if (config_.domain_lo < config_.domain_hi) {
     partition_ = Partition(num_dims, config_.cells_per_dim,
@@ -59,10 +69,8 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
   }
 
   // --- FS: the lattice up to MaxDimension, capped by uniform sampling. ---
-  const int max_dim = std::min(config_.fs_max_dimension, num_dims);
   std::vector<Subspace> fs;
   if (max_dim > 0) {
-    const std::uint64_t lattice = LatticeSize(num_dims, max_dim);
     if (config_.fs_cap != 0 && lattice > config_.fs_cap) {
       SPOT_LOG(Warning) << "FS lattice has " << lattice
                         << " subspaces; sampling " << config_.fs_cap;

@@ -1,13 +1,16 @@
 #include "core/reservoir.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace spot {
 
+// Nothing is sized from `capacity` here: a detector builds its reservoir
+// before Learn() validates the config, so the sample grows as points
+// arrive.
 ReservoirSample::ReservoirSample(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_(seed) {
-  items_.reserve(capacity_);
-}
+    : capacity_(capacity), rng_(seed) {}
 
 bool ReservoirSample::Add(const std::vector<double>& values) {
   ++seen_;
@@ -47,7 +50,10 @@ bool ReservoirSample::LoadState(ByteReader& r,
   const std::uint64_t count = r.U64();
   if (count > capacity_ || count > seen_) return r.Fail();
   items_.clear();
-  items_.reserve(static_cast<std::size_t>(count));
+  // Every stored item spends at least its 8-byte length prefix, so the
+  // bytes left bound how many a well-formed image can hold.
+  items_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining() / 8)));
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     const std::uint64_t dim = r.U64();
     if (dim > (1u << 20)) return r.Fail();  // corrupt length prefix

@@ -14,14 +14,35 @@ std::string SpotConfig::Validate() const {
   if (drift_detection && drift_lambda <= 0.0) {
     return "drift_lambda must be positive when drift detection is enabled";
   }
-  if (unsupervised.moga.population_size < 2) {
-    return "moga population_size must be at least 2";
+  for (const Nsga2Config* moga : {&unsupervised.moga, &supervised.moga}) {
+    if (moga->population_size < 2) {
+      return "moga population_size must be at least 2";
+    }
+    if (static_cast<std::size_t>(moga->population_size) > kMaxSubspaces) {
+      return "moga population_size must be at most " +
+             std::to_string(kMaxSubspaces);
+    }
   }
   if (unsupervised.moga.generations < 1) {
     return "moga generations must be at least 1";
   }
   if (num_shards > kMaxShards) {
     return "num_shards must be at most " + std::to_string(kMaxShards);
+  }
+  if (reservoir_capacity > kMaxRetainedPoints) {
+    return "reservoir_capacity must be at most " +
+           std::to_string(kMaxRetainedPoints);
+  }
+  if (topk_capacity > kMaxRetainedPoints) {
+    return "topk_capacity must be at most " +
+           std::to_string(kMaxRetainedPoints);
+  }
+  if (fs_cap > kMaxSubspaces) {
+    return "fs_cap must be at most " + std::to_string(kMaxSubspaces);
+  }
+  if (evolution.offspring > kMaxSubspaces) {
+    return "evolution offspring must be at most " +
+           std::to_string(kMaxSubspaces);
   }
   return "";
 }

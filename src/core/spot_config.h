@@ -53,7 +53,7 @@ struct SpotConfig {
   int fs_max_dimension = 2;
 
   /// Hard cap on |FS|; when the lattice is larger, FS is a uniform sample
-  /// of that size (0 = unlimited).
+  /// of that size (0 = unlimited, up to kMaxSubspaces).
   std::size_t fs_cap = 1024;
 
   /// CS / OS capacity bounds.
@@ -133,6 +133,18 @@ struct SpotConfig {
   /// entry per shard and a tile of 64 points per shard, so an unbounded
   /// count read from a checkpoint or a wire request could exhaust memory.
   static constexpr std::size_t kMaxShards = 256;
+
+  /// Largest reservoir_capacity and topk_capacity Validate() accepts. Each
+  /// bounds a buffer of retained points, so an unbounded one read from a
+  /// wire request or a checkpoint would let one session's memory grow with
+  /// its stream.
+  static constexpr std::size_t kMaxRetainedPoints = std::size_t{1} << 20;
+
+  /// Largest fs_cap, evolution.offspring and MOGA population_size
+  /// Validate() accepts, and the largest FS lattice Learn() enumerates when
+  /// fs_cap is 0 (the lattice's size follows the stream width, which only
+  /// Learn sees). Each sizes an array of subspaces.
+  static constexpr std::size_t kMaxSubspaces = std::size_t{1} << 16;
 
   // --- Reproducibility ---------------------------------------------------
   std::uint64_t seed = 1234;

@@ -91,7 +91,11 @@ bool TopKOutliers::LoadState(ByteReader& r) {
   const std::uint64_t count = r.U64();
   if (count > capacity_) return r.Fail();
   entries_.clear();
-  entries_.reserve(static_cast<std::size_t>(count));
+  // Every stored entry spends at least 36 bytes (id, tick, score, value
+  // count, finding count), so the bytes left bound how many a well-formed
+  // image can hold.
+  entries_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining() / 36)));
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     TopKEntry e;
     e.point_id = r.U64();

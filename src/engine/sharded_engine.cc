@@ -196,9 +196,9 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
       const std::size_t begin = j + 1;
       if (begin < n) {
         ForkJoin(pool_, fresh.size(), [&](std::size_t f) {
-          ColumnScratch scratch;
+          CellCoords coords;
           SynapseShard::ProcessColumn(cols.columns[fresh[f]], frame, begin,
-                                      n, params, &scratch);
+                                      n, params, &coords);
         });
       }
     }

@@ -13,7 +13,7 @@ namespace spot {
 /// `std::uint32_t` values, purpose-built for the synapse hot path
 /// (DESIGN.md Section 3.9).
 ///
-/// The three cell/subspace indices SPOT probes once per tracked subspace per
+/// The cell and subspace indices SPOT probes per tracked subspace per
 /// arrival used to be `std::unordered_map`, whose per-node allocations and
 /// pointer-chasing defeat the contiguous slab the cell records already live
 /// in. This index stores keys and values inline in ONE contiguous bucket
@@ -25,10 +25,8 @@ namespace spot {
 /// (width <= 14 fits a 64-byte line), with:
 ///
 ///  - linear probing over a power-of-two capacity (mask, no modulo);
-///  - a strong 64-bit mixer (murmur3-style avalanche per word) computed
-///    ONCE per logical operation and reusable across Prefetch/Find/Upsert,
-///    which is what lets callers issue `Prefetch(hash)` for a whole batch of
-///    probes before executing any of them;
+///  - a strong 64-bit mixer (murmur3-style avalanche per word), computed
+///    inside each keyed operation: callers pass the key and nothing else;
 ///  - tombstone-free BACKWARD-SHIFT deletion: erasing moves displaced
 ///    successors back toward their home buckets, so probe chains never
 ///    accumulate dead entries and lookup cost stays bounded by the load
@@ -117,76 +115,30 @@ class FlatIndex {
     return h;
   }
 
-  /// The `hash` argument every keyed operation below takes, computed once
-  /// per key: Hash(key, width) when hashed; when direct, the key's cell id
-  /// (first word most significant, so id order is key order), or
-  /// kOutsideKeySpace when a word is >= radix.
-  std::uint64_t Hash(const std::uint32_t* key) const {
-    if (direct_cells_ == 0) return Hash(key, width_);
-    std::uint64_t id = 0;
-    for (std::size_t i = 0; i < width_; ++i) {
-      if (key[i] >= radix_) return kOutsideKeySpace;
-      id = id * radix_ + key[i];
-    }
-    return id;
-  }
-
-  std::uint64_t Hash(const std::vector<std::uint32_t>& key) const {
-    return Hash(key.data());
-  }
-
-  /// Issues a prefetch for the home bucket of `hash`. Pass 1 of the batch
-  /// probe pipeline calls this for every tracked subspace before pass 2
-  /// executes any Find/Upsert, so the (almost certain) cache misses of K
-  /// independent probes overlap instead of serializing.
-  void Prefetch(std::uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (direct_cells_ == 0) {
-      __builtin_prefetch(BucketAt(hash & mask_), 1, 3);
-    } else if (hash < direct_cells_) {
-      __builtin_prefetch(direct_.data() + hash, 1, 3);
-    }
-#else
-    (void)hash;
-#endif
-  }
-
-  /// Value stored under `key`, or kNoValue. `hash` must be Hash(key); a key
-  /// outside a direct index's key space is never present.
-  std::uint32_t Find(const std::uint32_t* key, std::uint64_t hash) const {
-    if (direct_cells_ != 0) {
-      return hash < direct_cells_ ? direct_[hash] : kNoValue;
-    }
-    std::size_t b = hash & mask_;
-    for (;;) {
-      const std::uint32_t* bucket = BucketAt(b);
-      if (bucket[width_] == kNoValue) return kNoValue;
-      if (KeyEquals(bucket, key)) return bucket[width_];
-      b = (b + 1) & mask_;
-    }
-  }
-
-  std::uint32_t Find(const std::vector<std::uint32_t>& key) const {
-    return Find(key.data(), Hash(key.data()));
+  /// Value stored under `key`, or kNoValue. A key outside a direct index's
+  /// key space is never present.
+  std::uint32_t Find(const std::uint32_t* key) const {
+    const std::uint32_t* value = ValueOf(key);
+    return value != nullptr ? *value : kNoValue;
   }
 
   /// Inserts `key` with `value` unless present; returns {current value,
-  /// inserted}. `hash` must be Hash(key). A key outside a direct index's
-  /// key space is not stored: {kNoValue, false}. A hashed table only grows
-  /// when a genuinely new key would cross the 3/4 load boundary — an upsert
-  /// of an existing key (the common hot-path case) never rehashes; a direct
-  /// one never grows.
+  /// inserted}. A key outside a direct index's key space is not stored:
+  /// {kNoValue, false}. A hashed table only grows when a genuinely new key
+  /// would cross the 3/4 load boundary — an upsert of an existing key (the
+  /// common hot-path case) never rehashes; a direct one never grows.
   std::pair<std::uint32_t, bool> Insert(const std::uint32_t* key,
-                                        std::uint64_t hash,
                                         std::uint32_t value) {
     if (direct_cells_ != 0) {
-      if (hash >= direct_cells_) return {kNoValue, false};
-      std::uint32_t& entry = direct_[hash];
+      const std::size_t id = DirectId(key);
+      if (id >= direct_cells_) return {kNoValue, false};
+      std::uint32_t& entry = direct_[id];
       if (entry != kNoValue) return {entry, false};
       entry = value;
       ++size_;
       return {value, true};
     }
+    const std::uint64_t hash = Hash(key, width_);
     for (;;) {
       std::size_t b = hash & mask_;
       for (;;) {
@@ -207,30 +159,13 @@ class FlatIndex {
     }
   }
 
-  std::pair<std::uint32_t, bool> Insert(const std::vector<std::uint32_t>& key,
-                                        std::uint32_t value) {
-    return Insert(key.data(), Hash(key.data()), value);
-  }
-
   /// Overwrites the value of an existing key (no-op when absent); returns
   /// whether the key was found.
-  bool Assign(const std::uint32_t* key, std::uint64_t hash,
-              std::uint32_t value) {
-    if (direct_cells_ != 0) {
-      if (Find(key, hash) == kNoValue) return false;
-      direct_[hash] = value;
-      return true;
-    }
-    std::size_t b = hash & mask_;
-    for (;;) {
-      std::uint32_t* bucket = BucketAt(b);
-      if (bucket[width_] == kNoValue) return false;
-      if (KeyEquals(bucket, key)) {
-        bucket[width_] = value;
-        return true;
-      }
-      b = (b + 1) & mask_;
-    }
+  bool Assign(const std::uint32_t* key, std::uint32_t value) {
+    std::uint32_t* stored = ValueOf(key);
+    if (stored == nullptr) return false;
+    *stored = value;
+    return true;
   }
 
   /// Removes `key`; returns whether it was present. A direct index clears
@@ -238,24 +173,19 @@ class FlatIndex {
   /// displaced successor of the vacated bucket is moved back toward its
   /// home bucket, so no tombstone is left and unrelated probe chains
   /// crossing the gap stay intact.
-  bool Erase(const std::uint32_t* key, std::uint64_t hash) {
+  bool Erase(const std::uint32_t* key) {
+    std::uint32_t* stored = ValueOf(key);
+    if (stored == nullptr) return false;
+    --size_;
     if (direct_cells_ != 0) {
-      if (Find(key, hash) == kNoValue) return false;
-      direct_[hash] = kNoValue;
-      --size_;
+      *stored = kNoValue;
       return true;
     }
-    std::size_t b = hash & mask_;
-    for (;;) {
-      std::uint32_t* bucket = BucketAt(b);
-      if (bucket[width_] == kNoValue) return false;
-      if (KeyEquals(bucket, key)) break;
-      b = (b + 1) & mask_;
-    }
-    // b holds the doomed entry: shift successors back until a bucket that is
-    // empty or already home closes the chain.
-    std::size_t gap = b;
-    std::size_t j = b;
+    // The doomed entry's bucket: shift successors back until a bucket that
+    // is empty or already home closes the chain.
+    std::size_t gap =
+        static_cast<std::size_t>(stored - buckets_.data()) / stride_;
+    std::size_t j = gap;
     for (;;) {
       j = (j + 1) & mask_;
       std::uint32_t* bucket = BucketAt(j);
@@ -270,12 +200,7 @@ class FlatIndex {
       }
     }
     BucketAt(gap)[width_] = kNoValue;
-    --size_;
     return true;
-  }
-
-  bool Erase(const std::vector<std::uint32_t>& key) {
-    return Erase(key.data(), Hash(key.data()));
   }
 
   /// Drops every entry, keeping the current bucket array.
@@ -336,6 +261,35 @@ class FlatIndex {
     return buckets_.data() + b * stride_;
   }
 
+  /// Direct index: the key's cell id (first word most significant, so id
+  /// order is key order), or direct_cells_ when a word is >= radix.
+  std::size_t DirectId(const std::uint32_t* key) const {
+    std::size_t id = 0;
+    for (std::size_t i = 0; i < width_; ++i) {
+      if (key[i] >= radix_) return direct_cells_;
+      id = id * radix_ + key[i];
+    }
+    return id;
+  }
+
+  /// The stored value of `key` — its direct entry or the value word of its
+  /// bucket — or nullptr when the key is absent.
+  const std::uint32_t* ValueOf(const std::uint32_t* key) const {
+    if (direct_cells_ != 0) {
+      const std::size_t id = DirectId(key);
+      return id < direct_cells_ && direct_[id] != kNoValue ? &direct_[id]
+                                                           : nullptr;
+    }
+    for (std::size_t b = Hash(key, width_) & mask_;; b = (b + 1) & mask_) {
+      const std::uint32_t* bucket = BucketAt(b);
+      if (bucket[width_] == kNoValue) return nullptr;
+      if (KeyEquals(bucket, key)) return bucket + width_;
+    }
+  }
+  std::uint32_t* ValueOf(const std::uint32_t* key) {
+    return const_cast<std::uint32_t*>(std::as_const(*this).ValueOf(key));
+  }
+
   bool KeyEquals(const std::uint32_t* bucket, const std::uint32_t* key) const {
     for (std::size_t i = 0; i < width_; ++i) {
       if (bucket[i] != key[i]) return false;
@@ -380,10 +334,6 @@ class FlatIndex {
       for (std::size_t i = 0; i < stride_; ++i) d[i] = bucket[i];
     }
   }
-
-  /// Hash() of a key with a word >= radix in a direct index: past every
-  /// bucket, so lookups miss.
-  static constexpr std::uint64_t kOutsideKeySpace = ~std::uint64_t{0};
 
   std::size_t width_;
   std::size_t stride_;               // u32 words per bucket: width_ + 1

@@ -34,16 +34,11 @@ double ProjectedGrid::SumSqAt(std::uint64_t tick) const {
   return sumsq_ * model_.WeightAtAge(2 * (tick - sumsq_tick_));
 }
 
-void ProjectedGrid::BinPoint(const std::vector<double>& point) {
+void ProjectedGrid::BinInto(const std::vector<double>& point,
+                            CellCoords* out) const {
   for (std::size_t i = 0; i < dims_.size(); ++i) {
-    coords_scratch_[i] = partition_->IntervalIndex(
+    (*out)[i] = partition_->IntervalIndex(
         dims_[i], point[static_cast<std::size_t>(dims_[i])]);
-  }
-}
-
-void ProjectedGrid::ProjectBase(const CellCoords& base) {
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    coords_scratch_[i] = base[static_cast<std::size_t>(dims_[i])];
   }
 }
 
@@ -59,7 +54,6 @@ void ProjectedGrid::DecayRecord(double* rec, std::uint64_t tick) const {
 }
 
 std::uint32_t ProjectedGrid::UpsertSlot(const CellCoords& coords,
-                                        std::uint64_t hash,
                                         std::uint64_t tick) {
   ++hash_probes_;
   // Candidate slot chosen before the insert so the index stores the final
@@ -67,7 +61,7 @@ std::uint32_t ProjectedGrid::UpsertSlot(const CellCoords& coords,
   const std::uint32_t candidate =
       free_slots_.empty() ? static_cast<std::uint32_t>(slab_.size() / stride_)
                           : free_slots_.back();
-  const auto [slot, inserted] = index_.Insert(coords.data(), hash, candidate);
+  const auto [slot, inserted] = index_.Insert(coords.data(), candidate);
   if (!inserted) return slot;
   if (!free_slots_.empty()) {
     free_slots_.pop_back();
@@ -80,14 +74,14 @@ std::uint32_t ProjectedGrid::UpsertSlot(const CellCoords& coords,
   return slot;
 }
 
-double* ProjectedGrid::FoldPoint(const CellCoords& coords, std::uint64_t hash,
+double* ProjectedGrid::FoldPoint(const CellCoords& coords,
                                  const std::vector<double>& point,
                                  std::uint64_t tick) {
   last_tick_ = tick;
   sumsq_ = SumSqAt(tick);
   sumsq_tick_ = tick;
 
-  double* rec = Record(UpsertSlot(coords, hash, tick));
+  double* rec = Record(UpsertSlot(coords, tick));
   DecayRecord(rec, tick);
   const double old_count = rec[kCount];
   rec[kCount] += 1.0;
@@ -112,60 +106,54 @@ void ProjectedGrid::MaybeCompact(std::uint64_t tick) {
 
 void ProjectedGrid::Add(const std::vector<double>& point,
                         std::uint64_t tick) {
-  BinPoint(point);
-  FoldPoint(coords_scratch_, index_.Hash(coords_scratch_), point, tick);
+  BinInto(point, &coords_scratch_);
+  FoldPoint(coords_scratch_, point, tick);
   MaybeCompact(tick);
 }
 
 void ProjectedGrid::AddAt(const CellCoords& base,
                           const std::vector<double>& point,
                           std::uint64_t tick) {
-  ProjectBase(base);
-  FoldPoint(coords_scratch_, index_.Hash(coords_scratch_), point, tick);
+  ProjectBaseInto(base, &coords_scratch_);
+  FoldPoint(coords_scratch_, point, tick);
   MaybeCompact(tick);
 }
 
 Pcs ProjectedGrid::AddAndQuery(const std::vector<double>& point,
                                std::uint64_t tick, double total_weight) {
-  BinPoint(point);
-  return AddAndQueryCoords(coords_scratch_, index_.Hash(coords_scratch_),
-                           point, tick, total_weight);
+  BinInto(point, &coords_scratch_);
+  return AddAndQueryCoords(coords_scratch_, point, tick, total_weight);
 }
 
 Pcs ProjectedGrid::AddAndQueryAt(const CellCoords& base,
                                  const std::vector<double>& point,
                                  std::uint64_t tick, double total_weight) {
-  ProjectBase(base);
-  return AddAndQueryCoords(coords_scratch_, index_.Hash(coords_scratch_),
-                           point, tick, total_weight);
+  ProjectBaseInto(base, &coords_scratch_);
+  return AddAndQueryCoords(coords_scratch_, point, tick, total_weight);
 }
 
 Pcs ProjectedGrid::AddAndQueryCoords(const CellCoords& coords,
-                                     std::uint64_t hash,
                                      const std::vector<double>& point,
                                      std::uint64_t tick, double total_weight) {
   const Pcs pcs =
-      PcsFromRecord(FoldPoint(coords, hash, point, tick), 1.0, total_weight);
+      PcsFromRecord(FoldPoint(coords, point, tick), 1.0, total_weight);
   MaybeCompact(tick);
   return pcs;
 }
 
 Pcs ProjectedGrid::Query(const std::vector<double>& point,
                          double total_weight) const {
-  // Stack-local coordinates: the const query path must not touch the
-  // update scratch (see the threading note in the class comment).
+  // Local coordinates: the const query path must not touch the update
+  // scratch (see the threading note in the class comment).
   CellCoords coords(dims_.size());
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    coords[i] = partition_->IntervalIndex(
-        dims_[i], point[static_cast<std::size_t>(dims_[i])]);
-  }
+  BinInto(point, &coords);
   return QueryCoords(coords, total_weight);
 }
 
 Pcs ProjectedGrid::QueryCoords(const CellCoords& coords,
                                double total_weight) const {
   ++hash_probes_;
-  const std::uint32_t slot = index_.Find(coords.data(), index_.Hash(coords));
+  const std::uint32_t slot = index_.Find(coords.data());
   if (slot == FlatIndex::kNoValue) return Pcs{};
   const double* rec = Record(slot);
   const std::uint64_t rec_tick = static_cast<std::uint64_t>(rec[TickOff()]);
@@ -215,7 +203,7 @@ bool ProjectedGrid::IsClusterFringe(const CellCoords& coords,
   const std::int64_t max_coord = partition_->cells_per_dim() - 1;
   auto neighbor_is_heavy = [&](const std::uint32_t* c) {
     ++hash_probes_;
-    const std::uint32_t slot = index_.Find(c, index_.Hash(c));
+    const std::uint32_t slot = index_.Find(c);
     if (slot == FlatIndex::kNoValue) return false;
     const double* rec = Record(slot);
     const std::uint64_t rec_tick = static_cast<std::uint64_t>(rec[TickOff()]);
@@ -281,14 +269,17 @@ std::size_t ProjectedGrid::Compact(std::uint64_t tick) {
   // coordinate order, not in an order that depends on insertion/erase
   // history (which a restore cannot reproduce), so the summation order —
   // and the bit-identical-resume guarantee (DESIGN.md Section 4.3) — holds.
-  std::vector<CellCoords> doomed;
+  // The doomed keys go into one flat buffer the grid keeps across sweeps,
+  // so collecting them allocates nothing once the buffer has grown.
+  const std::size_t width = index_.key_width();
+  doomed_.clear();
   double sumsq = 0.0;
   index_.ForEach([&](const std::uint32_t* key, std::uint32_t slot) {
     double* rec = Record(slot);
     DecayRecord(rec, tick);
     if (rec[kCount] < prune_threshold_) {
       free_slots_.push_back(slot);
-      doomed.emplace_back(key, key + index_.key_width());
+      doomed_.insert(doomed_.end(), key, key + width);
     } else {
       sumsq += rec[kCount] * rec[kCount];
     }
@@ -296,10 +287,13 @@ std::size_t ProjectedGrid::Compact(std::uint64_t tick) {
   sumsq_ = sumsq;
   sumsq_tick_ = tick;
   if (tick > last_tick_) last_tick_ = tick;
-  for (const CellCoords& coords : doomed) index_.Erase(coords);
+  const std::size_t removed = doomed_.size() / width;
+  for (std::size_t i = 0; i < removed; ++i) {
+    index_.Erase(doomed_.data() + i * width);
+  }
   ++compactions_;
-  cells_reclaimed_ += doomed.size();
-  return doomed.size();
+  cells_reclaimed_ += removed;
+  return removed;
 }
 
 void ProjectedGrid::SaveState(ByteWriter& w) const {
@@ -347,7 +341,7 @@ bool ProjectedGrid::LoadState(ByteReader& r) {
     slab_.resize(slab_.size() + stride_);
     double* rec = Record(slot);
     for (std::size_t k = 0; k < stride_; ++k) rec[k] = r.F64();
-    if (!index_.Insert(coords.data(), index_.Hash(coords), slot).second) {
+    if (!index_.Insert(coords.data(), slot).second) {
       return r.Fail();  // duplicate cell: corrupt checkpoint
     }
   }

@@ -35,13 +35,6 @@ class ByteWriter;
 /// (DESIGN.md Section 3.5).
 /// Ticks are stored as doubles, exact for streams shorter than 2^53 points.
 ///
-/// The batch probe pipeline: callers that update many grids per point (the
-/// SynapseManager hot path) or many points per grid (the shard fold) split
-/// each probe into PrefetchCoords — hash once, prefetch the home bucket —
-/// and AddAndQueryCoords — execute the fused update+query with the staged
-/// hash — so independent probes overlap their cache misses instead of
-/// serializing them.
-///
 /// Threading: a grid instance is single-threaded. Update paths reuse a
 /// coordinate scratch buffer, and every probe (including const queries)
 /// bumps the hash_probes() counter, so concurrent access — even concurrent
@@ -66,9 +59,9 @@ class ProjectedGrid {
   /// Fused update + query from precomputed *base-cell* coordinates: the
   /// projected coordinates are selected from `base` by dimension index
   /// instead of re-binning the raw values. `point` still supplies the raw
-  /// values folded into the linear/squared sums. This is the batch hot path:
-  /// the caller bins the full-dimensional point once and every subspace grid
-  /// reuses it.
+  /// values folded into the linear/squared sums. The caller bins the
+  /// full-dimensional point once and every subspace grid reuses it; point
+  /// by point, this is what the column kernel does along a column.
   Pcs AddAndQueryAt(const CellCoords& base, const std::vector<double>& point,
                     std::uint64_t tick, double total_weight);
 
@@ -76,11 +69,8 @@ class ProjectedGrid {
   void AddAt(const CellCoords& base, const std::vector<double>& point,
              std::uint64_t tick);
 
-  // --- Batch probe pipeline (pass 1 / pass 2) ----------------------------
-
   /// Projects base-cell coordinates onto this grid's subspace into `out`
-  /// (resized as needed) — the caller-owned staging buffer of the probe
-  /// pipeline.
+  /// (resized to the grid's width; allocation-free once it has capacity).
   void ProjectBaseInto(const CellCoords& base, CellCoords* out) const {
     out->resize(dims_.size());
     for (std::size_t i = 0; i < dims_.size(); ++i) {
@@ -88,20 +78,10 @@ class ProjectedGrid {
     }
   }
 
-  /// Pass 1: hashes caller-projected coordinates once (FlatIndex::Hash —
-  /// the cell id when the index is direct-addressed) and prefetches their
-  /// home bucket. Returns the hash for the matching AddAndQueryCoords call.
-  /// Purely a cache hint — performs no probe and bumps no counter.
-  std::uint64_t PrefetchCoords(const CellCoords& coords) const {
-    const std::uint64_t hash = index_.Hash(coords);
-    index_.Prefetch(hash);
-    return hash;
-  }
-
-  /// Pass 2: fused update + query from caller-projected coordinates and
-  /// their PrefetchCoords hash — the hash is computed exactly once per
-  /// probe across the whole pipeline.
-  Pcs AddAndQueryCoords(const CellCoords& coords, std::uint64_t hash,
+  /// Fused update + query from caller-projected coordinates (see
+  /// ProjectBaseInto) — the column kernel's one probe per point, which
+  /// leaves the coordinates with the caller for the fringe scan.
+  Pcs AddAndQueryCoords(const CellCoords& coords,
                         const std::vector<double>& point, std::uint64_t tick,
                         double total_weight);
 
@@ -158,9 +138,7 @@ class ProjectedGrid {
   /// Cell lookups performed so far (Add / Query / fused / fringe), hashed
   /// and direct-addressed alike: the value is checkpointed, so it counts
   /// lookups, not mixer calls. The fused path costs one probe per point
-  /// where Add+Query costs two. Prefetches are hints, not probes, and are
-  /// not counted — the pipeline leaves this trajectory identical to the
-  /// unpipelined path.
+  /// where Add+Query costs two.
   std::uint64_t hash_probes() const { return hash_probes_; }
 
   /// Compaction sweeps run, and cells they reclaimed, since construction.
@@ -198,26 +176,23 @@ class ProjectedGrid {
   /// Decays every aggregate of `rec` in place to `tick`.
   void DecayRecord(double* rec, std::uint64_t tick) const;
 
-  /// Slot of the cell at `coords` (whose hash is `hash`), allocating (from
-  /// the free list, else by growing the slab) when absent. One hash probe.
-  std::uint32_t UpsertSlot(const CellCoords& coords, std::uint64_t hash,
-                           std::uint64_t tick);
+  /// Slot of the cell at `coords`, allocating (from the free list, else by
+  /// growing the slab) when absent. One hash probe.
+  std::uint32_t UpsertSlot(const CellCoords& coords, std::uint64_t tick);
 
   /// Fused core shared by every update entry point: upserts the cell of
   /// `coords`, decays it, folds `point` in, and returns its record.
-  double* FoldPoint(const CellCoords& coords, std::uint64_t hash,
-                    const std::vector<double>& point, std::uint64_t tick);
+  double* FoldPoint(const CellCoords& coords, const std::vector<double>& point,
+                    std::uint64_t tick);
 
   /// PCS of a record whose stored aggregates are `factor` away from being
   /// current (factor = alpha^(last_tick_ - record tick); 1 when fresh).
   Pcs PcsFromRecord(const double* rec, double factor,
                     double total_weight) const;
 
-  /// Fills coords_scratch_ by re-binning `point`.
-  void BinPoint(const std::vector<double>& point);
-
-  /// Fills coords_scratch_ by index-selecting from base-cell coords.
-  void ProjectBase(const CellCoords& base);
+  /// Bins `point`'s retained values into projected coordinates in `out`
+  /// (already sized to the grid's width).
+  void BinInto(const std::vector<double>& point, CellCoords* out) const;
 
   void MaybeCompact(std::uint64_t tick);
 
@@ -240,6 +215,7 @@ class ProjectedGrid {
   std::vector<std::uint32_t> free_slots_;
   FlatIndex index_;                      // coords -> slot, keys inline
   CellCoords coords_scratch_;            // reused across update calls
+  std::vector<std::uint32_t> doomed_;    // Compact's keys, reused per sweep
   mutable std::uint64_t hash_probes_ = 0;
   std::uint64_t compactions_ = 0;        // not checkpointed (see accessor)
   std::uint64_t cells_reclaimed_ = 0;

@@ -29,7 +29,7 @@ SynapseManager::SynapseManager(Partition partition, DecayModel model,
 std::uint32_t SynapseManager::IndexOf(const Subspace& s) const {
   std::uint32_t key[2];
   SubspaceKey(s, key);
-  return by_subspace_.Find(key, FlatIndex::Hash(key, 2));
+  return by_subspace_.Find(key);
 }
 
 void SynapseManager::Track(const Subspace& s) {
@@ -37,8 +37,7 @@ void SynapseManager::Track(const Subspace& s) {
   ++revision_;
   std::uint32_t key[2];
   SubspaceKey(s, key);
-  by_subspace_.Insert(key, FlatIndex::Hash(key, 2),
-                      static_cast<std::uint32_t>(grids_.size()));
+  by_subspace_.Insert(key, static_cast<std::uint32_t>(grids_.size()));
   grids_.push_back(
       {s, revision_,
        std::make_unique<ProjectedGrid>(s, &partition_, model_,
@@ -57,7 +56,7 @@ void SynapseManager::Track(const Subspace& s) {
 void SynapseManager::Untrack(const Subspace& s) {
   std::uint32_t key[2];
   SubspaceKey(s, key);
-  const std::uint32_t idx = by_subspace_.Find(key, FlatIndex::Hash(key, 2));
+  const std::uint32_t idx = by_subspace_.Find(key);
   if (idx == FlatIndex::kNoValue) return;
   ++revision_;
   if (sink_ != nullptr) {
@@ -68,11 +67,11 @@ void SynapseManager::Untrack(const Subspace& s) {
     event.a = grids_.size() - 1;
     sink_->OnDetectorEvent(event);
   }
-  by_subspace_.Erase(key, FlatIndex::Hash(key, 2));
+  by_subspace_.Erase(key);
   if (idx != grids_.size() - 1) {
     grids_[idx] = std::move(grids_.back());
     SubspaceKey(grids_[idx].subspace, key);
-    by_subspace_.Assign(key, FlatIndex::Hash(key, 2), idx);
+    by_subspace_.Assign(key, idx);
   }
   grids_.pop_back();
 }
@@ -186,9 +185,7 @@ bool SynapseManager::LoadState(ByteReader& r) {
     if (s.IsEmpty() || (s.bits() & ~valid_mask) != 0) return r.Fail();
     std::uint32_t key[2];
     SubspaceKey(s, key);
-    if (!by_subspace_
-             .Insert(key, FlatIndex::Hash(key, 2),
-                     static_cast<std::uint32_t>(grids_.size()))
+    if (!by_subspace_.Insert(key, static_cast<std::uint32_t>(grids_.size()))
              .second) {
       return r.Fail();  // duplicate tracked subspace
     }

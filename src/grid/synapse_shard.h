@@ -46,15 +46,6 @@ struct ShardRunParams {
   double fringe_factor = 0.0;
 };
 
-/// Staging buffers of ProcessColumn's software pipeline: the projected
-/// coordinates of the current and the next point. One worker reuses one
-/// scratch across every column it folds, so the kernel allocates nothing
-/// once the buffers have grown to the widest subspace.
-struct ColumnScratch {
-  CellCoords cur;
-  CellCoords next;
-};
-
 /// The column kernel of the sharded engine. Shard k of K owns the batch
 /// columns at dense indices k, k + K, k + 2K, ... — the manager's dense
 /// grid order sliced round-robin — and folds the whole batch into each of
@@ -85,12 +76,16 @@ class SynapseShard {
                                 const ShardRunParams& params);
 
   /// One column's share of a run — also used directly by the engine to
-  /// replay the rest of a tile into grids tracked mid-tile.
+  /// replay the rest of a tile into grids tracked mid-tile. A plain loop
+  /// over the points: project the point's base coordinates into `coords`,
+  /// make one fused fold + query probe, and scan the fringe only when the
+  /// cell is sparse. `coords` is the caller's buffer, reused across
+  /// columns, so the kernel allocates nothing once it has grown to the
+  /// widest subspace.
   static void ProcessColumn(const ShardColumn& column,
                             const BatchFrame& frame,
                             std::size_t begin, std::size_t end,
-                            const ShardRunParams& params,
-                            ColumnScratch* scratch);
+                            const ShardRunParams& params, CellCoords* coords);
 };
 
 }  // namespace spot

@@ -90,7 +90,7 @@ const ObjectiveVector& BatchSparsityObjectives::EvaluateCached(
   for (std::size_t r = 0; r < n; ++r) {
     const std::uint32_t* bin = bins_.data() + r * num_dims_;
     for (std::size_t i = 0; i < width; ++i) key[i] = bin[dims[i]];
-    const auto [slot, inserted] = index->Insert(key, index->Hash(key), cells);
+    const auto [slot, inserted] = index->Insert(key, cells);
     double* sums = sums_.data() + slot * stride;
     if (inserted) {
       ++cells;

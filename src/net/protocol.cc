@@ -166,8 +166,10 @@ bool DecodeCreateSession(const std::string& payload, CreateSessionReq* out) {
   // be a corrupt (or hostile) length field; bound before allocating.
   // Divide instead of multiplying so a crafted rows*dims cannot wrap
   // mod 2^64 past the check, and reject zero-width rows outright (rows of
-  // no attributes cost allocation but can never be valid training).
-  if (rows > 0 && (dims == 0 || rows > payload.size() / (8ull * dims))) {
+  // no attributes cost allocation but can never be valid training). An
+  // empty matrix is encoded with width 0 and only so.
+  if (rows > 0 ? dims == 0 || rows > payload.size() / (8ull * dims)
+               : dims != 0) {
     return r.Fail();
   }
   out->training.assign(rows, std::vector<double>(dims));
@@ -214,8 +216,10 @@ bool DecodeIngest(const std::string& payload, IngestReq* out) {
   if (!r.ok()) return false;
   // Each point occupies 8 + 8*dims bytes; divide (never multiply by the
   // untrusted count) so a crafted count*dims cannot wrap mod 2^64 past
-  // this bound and force a huge allocation.
-  if (count > payload.size() / (8ull + 8ull * dims)) {
+  // this bound and force a huge allocation. An empty batch is encoded with
+  // width 0 and only so.
+  if (count > payload.size() / (8ull + 8ull * dims) ||
+      (count == 0 && dims != 0)) {
     return r.Fail();
   }
   out->points.assign(count, DataPoint{});
@@ -295,9 +299,10 @@ bool DecodeFeedback(const std::string& payload, FeedbackReq* out) {
   const std::uint32_t rows = r.U32();
   const std::uint32_t dims = r.U32();
   if (!r.ok()) return false;
-  // Same hostile-count bound as the training matrix: divide, never
-  // multiply rows*dims, and reject zero-width rows outright.
-  if (rows > 0 && (dims == 0 || rows > payload.size() / (8ull * dims))) {
+  // Same hostile-count bound and empty-matrix encoding as the training
+  // matrix: divide, never multiply rows*dims, and reject zero-width rows.
+  if (rows > 0 ? dims == 0 || rows > payload.size() / (8ull * dims)
+               : dims != 0) {
     return r.Fail();
   }
   out->examples.assign(rows, std::vector<double>(dims));

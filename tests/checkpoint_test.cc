@@ -6,10 +6,12 @@
 // boundaries, and regardless of the shard count on either side of the
 // save/load — that a save onto a full disk fails cleanly, keeping the
 // previous image, that a single flipped bit anywhere in an image is refused,
-// that an image with an out-of-bound shard count is refused, and that grid
+// that an image with an out-of-bound shard count or retained-point capacity
+// is refused, and that grid
 // images with cells outside the partition are refused. The ASan/UBSan CI
 // job runs this binary.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -456,6 +458,46 @@ TEST(CheckpointTest, RefusesShardCountAboveTheBound) {
   SpotDetector control{SpotConfig{}};
   ASSERT_TRUE(LoadFromString(&control, forge(SpotConfig::kMaxShards)));
   EXPECT_EQ(control.num_shards(), SpotConfig::kMaxShards);
+}
+
+// The config's retained-point capacities are bounded too: an image whose
+// reservoir_capacity or topk_capacity is forged far past
+// SpotConfig::kMaxRetainedPoints and resealed is refused at load, before the
+// reservoir or the top-k window is rebuilt from it.
+TEST(CheckpointTest, RefusesRetainedCapacitiesAboveTheBound) {
+  const auto training = TrainingBatch(5, 200);
+  auto det = LearnedDetector(EventfulConfig(), training);
+  const std::string bytes = SaveToString(*det);
+  // A field's offset is where the config section first differs from one
+  // written with that field's every byte changed; the section follows the
+  // 8-byte magic and the version byte.
+  ByteWriter plain;
+  WriteConfigBinary(plain, det->config());
+  const auto offset_of = [&](std::size_t SpotConfig::*field) {
+    SpotConfig changed = det->config();
+    changed.*field = ~(changed.*field);
+    ByteWriter other;
+    WriteConfigBinary(other, changed);
+    const std::string& a = plain.bytes();
+    return 9 + static_cast<std::size_t>(
+                   std::mismatch(a.begin(), a.end(), other.bytes().begin())
+                       .first -
+                   a.begin());
+  };
+  for (std::size_t SpotConfig::*field :
+       {&SpotConfig::reservoir_capacity, &SpotConfig::topk_capacity}) {
+    const std::size_t at = offset_of(field);
+    ByteReader stored(bytes.data() + at, 8);
+    ASSERT_EQ(stored.U64(), det->config().*field);
+    ByteWriter forged_field;
+    forged_field.U64(std::uint64_t{1} << 40);
+    std::string forged = bytes;
+    forged.replace(at, 8, forged_field.bytes());
+    Reseal(&forged);
+    SpotDetector victim{SpotConfig{}};
+    EXPECT_FALSE(LoadFromString(&victim, forged)) << "field at byte " << at;
+    EXPECT_FALSE(victim.learned());
+  }
 }
 
 // Since v3 the image ends with the CRC-32 of every earlier byte, checked

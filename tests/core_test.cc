@@ -51,6 +51,32 @@ TEST(SpotConfigTest, RejectsBadValues) {
   c = SpotConfig{};
   c.num_shards = SpotConfig::kMaxShards + 1;
   EXPECT_NE(c.Validate(), "");
+
+  // Values that size allocations are bounded.
+  c = SpotConfig{};
+  c.reservoir_capacity = SpotConfig::kMaxRetainedPoints + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.topk_capacity = SpotConfig::kMaxRetainedPoints + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.fs_cap = SpotConfig::kMaxSubspaces + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.evolution.offspring = SpotConfig::kMaxSubspaces + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.unsupervised.moga.population_size =
+      static_cast<int>(SpotConfig::kMaxSubspaces) + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.supervised.moga.population_size = -1;
+  EXPECT_NE(c.Validate(), "");
 }
 
 // ---------------------------------------------------------- Reservoir ----

@@ -45,32 +45,30 @@ CellCoords Key3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
 TEST(FlatIndexTest, InsertFindEraseRoundTrip) {
   FlatIndex index(3);
   EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.Find(Key3(1, 2, 3)), FlatIndex::kNoValue);
+  EXPECT_EQ(index.Find(Key3(1, 2, 3).data()), FlatIndex::kNoValue);
 
-  EXPECT_TRUE(index.Insert(Key3(1, 2, 3), 7).second);
+  EXPECT_TRUE(index.Insert(Key3(1, 2, 3).data(), 7).second);
   EXPECT_EQ(index.size(), 1u);
-  EXPECT_EQ(index.Find(Key3(1, 2, 3)), 7u);
+  EXPECT_EQ(index.Find(Key3(1, 2, 3).data()), 7u);
 
   // Duplicate insert keeps the existing value and reports no insertion.
-  const auto [value, inserted] = index.Insert(Key3(1, 2, 3), 99);
+  const auto [value, inserted] = index.Insert(Key3(1, 2, 3).data(), 99);
   EXPECT_FALSE(inserted);
   EXPECT_EQ(value, 7u);
   EXPECT_EQ(index.size(), 1u);
 
-  EXPECT_TRUE(index.Erase(Key3(1, 2, 3)));
-  EXPECT_FALSE(index.Erase(Key3(1, 2, 3)));
+  EXPECT_TRUE(index.Erase(Key3(1, 2, 3).data()));
+  EXPECT_FALSE(index.Erase(Key3(1, 2, 3).data()));
   EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.Find(Key3(1, 2, 3)), FlatIndex::kNoValue);
+  EXPECT_EQ(index.Find(Key3(1, 2, 3).data()), FlatIndex::kNoValue);
 }
 
 TEST(FlatIndexTest, AssignOverwritesOnlyExistingKeys) {
   FlatIndex index(1);
-  index.Insert(Key1(5), 10);
-  EXPECT_TRUE(index.Assign(Key1(5).data(), FlatIndex::Hash(Key1(5).data(), 1),
-                           20));
-  EXPECT_EQ(index.Find(Key1(5)), 20u);
-  EXPECT_FALSE(index.Assign(Key1(6).data(),
-                            FlatIndex::Hash(Key1(6).data(), 1), 30));
+  index.Insert(Key1(5).data(), 10);
+  EXPECT_TRUE(index.Assign(Key1(5).data(), 20));
+  EXPECT_EQ(index.Find(Key1(5).data()), 20u);
+  EXPECT_FALSE(index.Assign(Key1(6).data(), 30));
   EXPECT_EQ(index.size(), 1u);
 }
 
@@ -85,19 +83,20 @@ TEST(FlatIndexTest, GrowsAcrossLoadFactorBoundaryAndKeepsAllKeys) {
   const std::uint32_t fit =
       static_cast<std::uint32_t>(initial_buckets * 3 / 4);
   for (std::uint32_t i = 0; i < fit; ++i) {
-    ASSERT_TRUE(index.Insert(Key1(i), i).second);
+    ASSERT_TRUE(index.Insert(Key1(i).data(), i).second);
   }
   EXPECT_EQ(index.bucket_count(), initial_buckets);
-  ASSERT_TRUE(index.Insert(Key1(fit), fit).second);
+  ASSERT_TRUE(index.Insert(Key1(fit).data(), fit).second);
   EXPECT_GT(index.bucket_count(), initial_buckets);
 
   // Every key must survive the rehash, through repeated doublings.
   for (std::uint32_t i = fit + 1; i < 5000; ++i) {
-    ASSERT_TRUE(index.Insert(Key1(i), i).second);
+    ASSERT_TRUE(index.Insert(Key1(i).data(), i).second);
   }
   EXPECT_EQ(index.size(), 5000u);
   for (std::uint32_t i = 0; i < 5000; ++i) {
-    ASSERT_EQ(index.Find(Key1(i)), i) << "key " << i << " lost in rehash";
+    ASSERT_EQ(index.Find(Key1(i).data()), i)
+        << "key " << i << " lost in rehash";
   }
   // Power-of-two capacity, never past max load.
   const std::size_t buckets = index.bucket_count();
@@ -111,7 +110,7 @@ TEST(FlatIndexTest, ReservePreventsMidInsertionRehash) {
   const std::size_t buckets = index.bucket_count();
   EXPECT_GE(buckets * 3, 1000u * 4 / 4 * 3);  // holds 1000 under 3/4 load
   for (std::uint32_t i = 0; i < 1000; ++i) {
-    index.Insert(CellCoords{i, i + 1}, i);
+    index.Insert(CellCoords{i, i + 1}.data(), i);
   }
   EXPECT_EQ(index.bucket_count(), buckets);
   EXPECT_EQ(index.size(), 1000u);
@@ -141,23 +140,23 @@ TEST(FlatIndexTest, BackwardShiftErasePreservesProbeChains) {
   // Three keys sharing one home bucket: they occupy home, home+1, home+2.
   const std::vector<CellCoords> chain = CollidingKeys(index, 3);
   for (std::uint32_t i = 0; i < chain.size(); ++i) {
-    ASSERT_TRUE(index.Insert(chain[i], 100 + i).second);
+    ASSERT_TRUE(index.Insert(chain[i].data(), 100 + i).second);
   }
   ASSERT_EQ(index.bucket_count(), buckets_before)
       << "grew: chain construction invalid";
 
   // Erase the chain HEAD: the displaced successors must shift back so they
   // remain reachable (a tombstone-free table has no marker to skip over).
-  EXPECT_TRUE(index.Erase(chain[0]));
-  EXPECT_EQ(index.Find(chain[1]), 101u);
-  EXPECT_EQ(index.Find(chain[2]), 102u);
+  EXPECT_TRUE(index.Erase(chain[0].data()));
+  EXPECT_EQ(index.Find(chain[1].data()), 101u);
+  EXPECT_EQ(index.Find(chain[2].data()), 102u);
 
   // Re-insert and erase the MIDDLE of the chain.
-  ASSERT_TRUE(index.Insert(chain[0], 100).second);
-  EXPECT_TRUE(index.Erase(chain[2]));
-  EXPECT_EQ(index.Find(chain[0]), 100u);
-  EXPECT_EQ(index.Find(chain[1]), 101u);
-  EXPECT_EQ(index.Find(chain[2]), FlatIndex::kNoValue);
+  ASSERT_TRUE(index.Insert(chain[0].data(), 100).second);
+  EXPECT_TRUE(index.Erase(chain[2].data()));
+  EXPECT_EQ(index.Find(chain[0].data()), 100u);
+  EXPECT_EQ(index.Find(chain[1].data()), 101u);
+  EXPECT_EQ(index.Find(chain[2].data()), FlatIndex::kNoValue);
   EXPECT_EQ(index.size(), 2u);
 }
 
@@ -173,20 +172,20 @@ TEST(FlatIndexTest, EraseDoesNotDisturbIndependentChains) {
     }
   }
   for (std::uint32_t i = 0; i < chain.size(); ++i) {
-    index.Insert(chain[i], i);
+    index.Insert(chain[i].data(), i);
   }
   for (std::uint32_t i = 0; i < others.size(); ++i) {
-    index.Insert(others[i], 1000 + i);
+    index.Insert(others[i].data(), 1000 + i);
   }
   // Erase the colliding chain one head at a time; unrelated keys must stay
   // reachable after every single backward shift.
   for (std::size_t e = 0; e < chain.size(); ++e) {
-    ASSERT_TRUE(index.Erase(chain[e]));
+    ASSERT_TRUE(index.Erase(chain[e].data()));
     for (std::size_t i = e + 1; i < chain.size(); ++i) {
-      ASSERT_EQ(index.Find(chain[i]), i);
+      ASSERT_EQ(index.Find(chain[i].data()), i);
     }
     for (std::uint32_t i = 0; i < others.size(); ++i) {
-      ASSERT_EQ(index.Find(others[i]), 1000 + i);
+      ASSERT_EQ(index.Find(others[i].data()), 1000 + i);
     }
   }
 }
@@ -207,17 +206,17 @@ TEST(FlatIndexTest, CollisionHeavySequentialCoords) {
     }
   }
   for (std::uint32_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(index.Insert(keys[i], i).second);
+    ASSERT_TRUE(index.Insert(keys[i].data(), i).second);
   }
   for (std::uint32_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(index.Find(keys[i]), i);
+    ASSERT_EQ(index.Find(keys[i].data()), i);
   }
   // Erase every other key; the rest must remain reachable.
   for (std::uint32_t i = 0; i < keys.size(); i += 2) {
-    ASSERT_TRUE(index.Erase(keys[i]));
+    ASSERT_TRUE(index.Erase(keys[i].data()));
   }
   for (std::uint32_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(index.Find(keys[i]),
+    ASSERT_EQ(index.Find(keys[i].data()),
               i % 2 == 0 ? FlatIndex::kNoValue : i);
   }
   EXPECT_EQ(index.size(), keys.size() / 2);
@@ -229,7 +228,7 @@ TEST(FlatIndexTest, ForEachVisitsEveryEntryExactlyOnce) {
   FlatIndex index(2);
   std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
   for (std::uint32_t i = 0; i < 500; ++i) {
-    index.Insert(CellCoords{i, i * 3}, i);
+    index.Insert(CellCoords{i, i * 3}.data(), i);
     expected.insert({i, i * 3});
   }
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
@@ -309,12 +308,12 @@ TEST(FlatIndexTest, RandomizedDifferentialAgainstUnorderedMap) {
       const CellCoords key = random_key();
       const std::size_t op = rng.NextUint64(10);
       if (op < 5) {  // insert-if-absent
-        const auto [value, inserted] = index.Insert(key, step);
+        const auto [value, inserted] = index.Insert(key.data(), step);
         const auto [it, ref_inserted] = reference.try_emplace(key, step);
         ASSERT_EQ(inserted, ref_inserted);
         ASSERT_EQ(value, it->second);
       } else if (op < 8) {  // find
-        const std::uint32_t value = index.Find(key);
+        const std::uint32_t value = index.Find(key.data());
         const auto it = reference.find(key);
         if (it == reference.end()) {
           ASSERT_EQ(value, FlatIndex::kNoValue);
@@ -322,7 +321,7 @@ TEST(FlatIndexTest, RandomizedDifferentialAgainstUnorderedMap) {
           ASSERT_EQ(value, it->second);
         }
       } else {  // erase
-        const bool erased = index.Erase(key);
+        const bool erased = index.Erase(key.data());
         ASSERT_EQ(erased, reference.erase(key) == 1u);
       }
       ASSERT_EQ(index.size(), reference.size());
@@ -335,18 +334,18 @@ TEST(FlatIndexTest, RandomizedDifferentialAgainstUnorderedMap) {
     // Erase then re-insert a live key: the new value is the one found.
     ASSERT_FALSE(reference.empty());
     const CellCoords key = reference.begin()->first;
-    ASSERT_TRUE(index.Erase(key));
-    EXPECT_EQ(index.Find(key), FlatIndex::kNoValue);
-    EXPECT_TRUE(index.Insert(key, 777777).second);
-    EXPECT_EQ(index.Find(key), 777777u);
+    ASSERT_TRUE(index.Erase(key.data()));
+    EXPECT_EQ(index.Find(key.data()), FlatIndex::kNoValue);
+    EXPECT_TRUE(index.Insert(key.data(), 777777).second);
+    EXPECT_EQ(index.Find(key.data()), 777777u);
     reference[key] = 777777;
 
     // A key outside a direct key space is absent and is never stored.
     if (radix != 0) {
       const CellCoords outside = Key3(0, radix, 0);
-      EXPECT_EQ(index.Find(outside), FlatIndex::kNoValue);
-      EXPECT_FALSE(index.Erase(outside));
-      EXPECT_EQ(index.Insert(outside, 1),
+      EXPECT_EQ(index.Find(outside.data()), FlatIndex::kNoValue);
+      EXPECT_FALSE(index.Erase(outside.data()));
+      EXPECT_EQ(index.Insert(outside.data(), 1),
                 std::make_pair(FlatIndex::kNoValue, false));
       EXPECT_EQ(index.size(), reference.size());
     }

@@ -872,6 +872,61 @@ TEST(NetRobustnessTest, CreateSessionRefusesShardCountAboveTheBound) {
       << client.last_error();
 }
 
+// Config values that size allocations are bounded (SpotConfig::
+// kMaxRetainedPoints, kMaxSubspaces), and a kCreateSession carrying one past
+// its bound is refused with kLearnFailed before anything is sized from it.
+// An unlimited FS (fs_cap 0) is bounded by the same count, but its lattice
+// follows the training width, so Learn refuses it. The connection stays
+// usable throughout.
+TEST(NetRobustnessTest, CreateSessionRefusesHostileCapacities) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
+  SpotClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  const std::size_t huge = std::size_t{1} << 40;
+  std::vector<std::pair<std::string, SpotConfig>> hostile;
+  const auto add = [&](const char* what, const auto& edit) {
+    SpotConfig cfg = SessionConfig();
+    edit(&cfg);
+    hostile.emplace_back(what, cfg);
+  };
+  add("reservoir_capacity",
+      [&](SpotConfig* c) { c->reservoir_capacity = huge; });
+  add("topk_capacity", [&](SpotConfig* c) { c->topk_capacity = huge; });
+  add("fs_cap", [&](SpotConfig* c) { c->fs_cap = huge; });
+  add("evolution.offspring",
+      [&](SpotConfig* c) { c->evolution.offspring = huge; });
+  add("unsupervised population_size", [](SpotConfig* c) {
+    c->unsupervised.moga.population_size =
+        static_cast<int>(SpotConfig::kMaxSubspaces) + 1;
+  });
+  add("supervised population_size",
+      [](SpotConfig* c) { c->supervised.moga.population_size = -1; });
+  for (const auto& [what, cfg] : hostile) {
+    const RpcStatus refused =
+        client.CreateSession("hostile", cfg, TenantTraining(0));
+    EXPECT_FALSE(refused.ok) << what;
+    EXPECT_EQ(refused.code, ErrorCode::kLearnFailed) << what;
+  }
+
+  // 24 attributes to depth 24: a lattice of 2^24 - 1 subspaces.
+  SpotConfig unlimited = SessionConfig();
+  unlimited.fs_cap = 0;
+  unlimited.fs_max_dimension = 24;
+  std::vector<std::vector<double>> wide(20, std::vector<double>(24));
+  for (std::size_t r = 0; r < wide.size(); ++r) {
+    for (std::size_t d = 0; d < 24; ++d) {
+      wide[r][d] = static_cast<double>((r * 7 + d * 3) % 11) / 11.0;
+    }
+  }
+  const RpcStatus refused = client.CreateSession("hostile", unlimited, wide);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.code, ErrorCode::kLearnFailed);
+
+  EXPECT_TRUE(
+      client.CreateSession("hostile", SessionConfig(), TenantTraining(0)))
+      << client.last_error();
+}
+
 /// Threads of this process: the entries of /proc/self/task.
 std::size_t ThreadCount() {
   std::size_t threads = 0;

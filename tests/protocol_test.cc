@@ -1,7 +1,8 @@
 // Tests of the SPOT wire protocol (src/net/protocol.h): the CRC-32
 // reference vector, frame encode/decode under byte-at-a-time delivery,
-// every payload codec, and rejection of truncated / corrupt / oversized
-// frames without a crash. The byte codec itself is tested in
+// every payload codec, request decoders that accept exactly one encoding per
+// request under fixed-seed mutation, and rejection of truncated / corrupt /
+// oversized frames without a crash. The byte codec itself is tested in
 // common_test.
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/checkpoint.h"
 #include "net/protocol.h"
 #include "obs/exposition.h"
@@ -412,6 +414,177 @@ TEST(CodecTest, QueryTopKRoundTrip) {
   }
   QueryTopKReq scratch;
   EXPECT_FALSE(DecodeQueryTopK(wire + "x", &scratch));
+}
+
+// ---------------------------------------------------- canonical decoding --
+
+/// One request type's codec as a byte-to-byte round trip, with sample
+/// payloads to mutate. Lists come both filled and empty, since an empty
+/// list has exactly one encoding too.
+struct RequestCodec {
+  const char* name;
+  std::vector<std::string> payloads;
+  /// Decodes `payload` and re-encodes the request into `out`; false when
+  /// the decode fails.
+  bool (*round_trip)(const std::string& payload, std::string* out);
+};
+
+template <typename Req, bool (*Decode)(const std::string&, Req*),
+          std::string (*Encode)(const Req&)>
+bool RoundTrip(const std::string& payload, std::string* out) {
+  Req req;
+  if (!Decode(payload, &req)) return false;
+  *out = Encode(req);
+  return true;
+}
+
+std::vector<RequestCodec> RequestCodecs() {
+  CreateSessionReq create;
+  create.session_id = "tenant";
+  create.config.use_decay = false;
+  create.config.seed = 5;
+  create.training = {{0.25, 0.5}, {0.75, 1.0}, {-1.5, 2.0}};
+  CreateSessionReq create_empty;
+  create_empty.session_id = "t";
+
+  IngestReq ingest;
+  ingest.session_id = "s";
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    DataPoint p;
+    p.id = 40 + i;
+    p.values = {0.5 * static_cast<double>(i), -1.0};
+    ingest.points.push_back(p);
+  }
+  IngestReq ingest_empty;
+  ingest_empty.session_id = "s";
+
+  FeedbackReq feedback;
+  feedback.session_id = "fb";
+  feedback.point_ids = {7, 1u << 30};
+  feedback.examples = {{1.5, -2.5}, {0.0, 3.0}};
+  FeedbackReq feedback_ids;
+  feedback_ids.session_id = "fb";
+  feedback_ids.point_ids = {9};
+
+  // Codecs that decode a width come last (see the test below).
+  return {
+      {"ResumeSession",
+       {EncodeResumeSession({"r-1"})},
+       RoundTrip<ResumeSessionReq, DecodeResumeSession, EncodeResumeSession>},
+      {"Flush",
+       {EncodeFlush({"s"}), EncodeFlush({""})},
+       RoundTrip<FlushReq, DecodeFlush, EncodeFlush>},
+      {"Checkpoint",
+       {EncodeCheckpoint({"s"})},
+       RoundTrip<CheckpointReq, DecodeCheckpoint, EncodeCheckpoint>},
+      {"CloseSession",
+       {EncodeCloseSession({"s", true}), EncodeCloseSession({"s", false})},
+       RoundTrip<CloseSessionReq, DecodeCloseSession, EncodeCloseSession>},
+      {"QueryTopK",
+       {EncodeQueryTopK({"q", 17})},
+       RoundTrip<QueryTopKReq, DecodeQueryTopK, EncodeQueryTopK>},
+      {"Ingest",
+       {EncodeIngest(ingest), EncodeIngest(ingest_empty)},
+       RoundTrip<IngestReq, DecodeIngest, EncodeIngest>},
+      {"Feedback",
+       {EncodeFeedback(feedback), EncodeFeedback(feedback_ids)},
+       RoundTrip<FeedbackReq, DecodeFeedback, EncodeFeedback>},
+      {"CreateSession",
+       {EncodeCreateSession(create), EncodeCreateSession(create_empty)},
+       RoundTrip<CreateSessionReq, DecodeCreateSession, EncodeCreateSession>},
+  };
+}
+
+/// Fixed-seed mutations of `p`: every truncation, every byte overwritten
+/// with a few boundary values, every 4-byte window read as a little-endian
+/// u32 (where the length and count fields live) nudged and zeroed, and
+/// random splices with `other` (another sample of the same type), range
+/// deletions, range duplications and multi-byte flips.
+std::vector<std::string> Mutations(const std::string& p,
+                                   const std::string& other, Rng* rng) {
+  std::vector<std::string> out;
+  for (std::size_t n = 0; n < p.size(); ++n) out.push_back(p.substr(0, n));
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    for (const int b : {0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF,
+                        static_cast<unsigned char>(p[i]) ^ 0x01}) {
+      std::string m = p;
+      m[i] = static_cast<char>(b);
+      out.push_back(m);
+    }
+  }
+  for (std::size_t i = 0; i + 4 <= p.size(); ++i) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, p.data() + i, 4);
+    for (const std::uint32_t w : {v + 1, v - 1, v + 8, v - 8, 0u, 2 * v}) {
+      std::string m = p;
+      std::memcpy(&m[i], &w, 4);
+      out.push_back(m);
+    }
+  }
+  const auto cut = [rng](const std::string& s) {
+    return static_cast<std::size_t>(rng->NextUint64(s.size() + 1));
+  };
+  for (int k = 0; k < 200; ++k) {
+    out.push_back(p.substr(0, cut(p)) + other.substr(cut(other)));
+    std::size_t a = cut(p);
+    std::size_t b = cut(p);
+    if (a > b) std::swap(a, b);
+    out.push_back(p.substr(0, a) + p.substr(b));  // deletion
+    out.push_back(p.substr(0, b) + p.substr(a));  // duplication
+    std::string m = p;
+    for (int f = 0; f < 3 && !m.empty(); ++f) {
+      m[rng->NextUint64(m.size())] =
+          static_cast<char>(1 + rng->NextUint64(255));
+    }
+    out.push_back(m);
+  }
+  return out;
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out += kDigits[static_cast<unsigned char>(c) >> 4];
+    out += kDigits[static_cast<unsigned char>(c) & 0xF];
+  }
+  return out;
+}
+
+// Request decoders are canonical: every mutated payload either fails to
+// decode or decodes to a request that re-encodes to exactly the mutated
+// bytes, so no request has two encodings. A flag byte other than 0 or 1
+// and an empty list with a non-zero width are the two ways to break that,
+// and both are refused. A decoder that accepts a width for an empty
+// matrix may also size a row buffer from it, so the codecs that decode
+// widths run last and the first codec with a non-canonical decode stops
+// the test.
+TEST(CodecTest, RequestDecodersAreCanonicalUnderMutation) {
+  Rng rng(20261019);
+  for (const RequestCodec& codec : RequestCodecs()) {
+    std::size_t decoded = 0;
+    std::size_t non_canonical = 0;
+    std::string first;
+    for (std::size_t i = 0; i < codec.payloads.size(); ++i) {
+      const std::string& p = codec.payloads[i];
+      std::string again;
+      ASSERT_TRUE(codec.round_trip(p, &again)) << codec.name;
+      ASSERT_EQ(again, p) << codec.name;
+      const std::string& other =
+          codec.payloads[(i + 1) % codec.payloads.size()];
+      for (const std::string& m : Mutations(p, other, &rng)) {
+        std::string re;
+        if (!codec.round_trip(m, &re)) continue;
+        ++decoded;
+        if (re != m) {
+          if (non_canonical++ == 0) first = Hex(m) + " -> " + Hex(re);
+        }
+      }
+    }
+    EXPECT_GT(decoded, 0u) << codec.name;
+    ASSERT_EQ(non_canonical, 0u)
+        << codec.name << ": first non-canonical payload " << first;
+  }
 }
 
 std::vector<TopKEntry> SampleTopK() {

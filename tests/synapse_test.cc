@@ -436,12 +436,12 @@ BatchLanes FoldColumnMajor(SynapseManager* mgr,
   BatchLanes lanes;
   lanes.pcs.resize(mgr->NumTracked() * n);
   lanes.veto.resize(mgr->NumTracked() * n);
-  ColumnScratch scratch;
+  CellCoords coords;
   for (std::size_t i = 0; i < mgr->NumTracked(); ++i) {
     const ShardColumn lane{mgr->SubspaceAt(i), mgr->GridAt(i),
                            mgr->SerialAt(i), lanes.pcs.data() + i * n,
                            lanes.veto.data() + i * n};
-    SynapseShard::ProcessColumn(lane, frame, 0, n, params, &scratch);
+    SynapseShard::ProcessColumn(lane, frame, 0, n, params, &coords);
   }
   return lanes;
 }
