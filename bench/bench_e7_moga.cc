@@ -11,9 +11,14 @@
 // advantage grows with phi. Beside the evaluation counts, each search's
 // thread CPU time divided by its distinct evaluations (exhaustive / MOGA;
 // the MOGA figure includes the NSGA-II bookkeeping) puts the sparsity
-// kernel's cost beside how often it runs.
+// kernel's cost beside how often it runs, and the heap allocations of one
+// MOGA search (a counting operator new in this binary only) show what the
+// search's bookkeeping costs beyond the kernel.
 
 #include <time.h>
+
+#include <cstdlib>
+#include <new>
 
 #include "bench/bench_util.h"
 #include "common/math_util.h"
@@ -22,6 +27,25 @@
 #include "moga/moga_search.h"
 #include "moga/objectives.h"
 #include "subspace/subspace.h"
+
+// Global operator new counts this thread's allocations while armed, so a
+// row can report what one MOGA search allocates.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+// Both sides out of line, so the compiler pairs neither an inlined malloc()
+// nor an inlined free() with a new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace spot {
 namespace {
@@ -35,7 +59,8 @@ double ThreadCpuUs() {
 
 void Run(bench::JsonReporter& reporter) {
   eval::Table table({"phi", "lattice size", "exhaustive evals", "MOGA evals",
-                     "CPU us/eval (exh / MOGA)", "best-8 mean (exact)",
+                     "CPU us/eval (exh / MOGA)", "MOGA allocs/search",
+                     "best-8 mean (exact)",
                      "best-8 mean (MOGA)", "top-1 hit"});
   const int kMaxDim = 3;
   const std::size_t kTopK = 8;
@@ -64,9 +89,11 @@ void Run(bench::JsonReporter& reporter) {
     cfg.population_size = 32;
     cfg.generations = 20;
     cfg.seed = 29;
-    MogaSearch search(cfg, &moga_obj);
     const double moga_cpu0 = ThreadCpuUs();
-    const auto found = search.FindTopSparse(kTopK);
+    t_allocations = 0;
+    t_count_allocations = true;
+    const auto found = FindTopSparse(&moga_obj, cfg, kTopK);
+    t_count_allocations = false;
     const double moga_cpu_us = ThreadCpuUs() - moga_cpu0;
     const std::size_t moga_evals = moga_obj.evaluation_count();
 
@@ -90,6 +117,7 @@ void Run(bench::JsonReporter& reporter) {
              " / " +
              eval::Table::Num(moga_cpu_us / static_cast<double>(moga_evals),
                               1),
+         eval::Table::Int(t_allocations),
          eval::Table::Num(mean_score(truth), 4),
          eval::Table::Num(mean_score(found), 4),
          top1 ? "yes" : "no"});

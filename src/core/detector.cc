@@ -279,9 +279,8 @@ void SpotDetector::GrowOutlierDriven(const std::vector<double>& values) {
   cfg.population_size = std::min(cfg.population_size, 24);
   cfg.generations = std::min(cfg.generations, 10);
   cfg.seed = rng_.NextUint64();
-  MogaSearch search(cfg, &obj);
-  for (const auto& ss :
-       search.FindTopSparse(config_.supervised.top_subspaces_per_example)) {
+  for (const auto& ss : FindTopSparse(
+           &obj, cfg, config_.supervised.top_subspaces_per_example)) {
     sst_.AddOutlierDriven(ss.subspace, ss.score);
   }
   SyncTrackedSubspaces();

@@ -15,16 +15,20 @@ std::string SpotConfig::Validate() const {
     return "drift_lambda must be positive when drift detection is enabled";
   }
   for (const Nsga2Config* moga : {&unsupervised.moga, &supervised.moga}) {
-    if (moga->population_size < 2) {
-      return "moga population_size must be at least 2";
+    if (moga->population_size < 2 ||
+        moga->population_size > kMaxMogaPopulation) {
+      return "moga population_size must be in [2, " +
+             std::to_string(kMaxMogaPopulation) + "]";
     }
-    if (static_cast<std::size_t>(moga->population_size) > kMaxSubspaces) {
-      return "moga population_size must be at most " +
-             std::to_string(kMaxSubspaces);
+    if (moga->generations < 1 || moga->generations > kMaxMogaGenerations) {
+      return "moga generations must be in [1, " +
+             std::to_string(kMaxMogaGenerations) + "]";
     }
   }
-  if (unsupervised.moga.generations < 1) {
-    return "moga generations must be at least 1";
+  if (unsupervised.outlying_degree.num_runs < 1 ||
+      unsupervised.outlying_degree.num_runs > kMaxOutlyingRuns) {
+    return "outlying_degree num_runs must be in [1, " +
+           std::to_string(kMaxOutlyingRuns) + "]";
   }
   if (num_shards > kMaxShards) {
     return "num_shards must be at most " + std::to_string(kMaxShards);

@@ -140,11 +140,23 @@ struct SpotConfig {
   /// its stream.
   static constexpr std::size_t kMaxRetainedPoints = std::size_t{1} << 20;
 
-  /// Largest fs_cap, evolution.offspring and MOGA population_size
-  /// Validate() accepts, and the largest FS lattice Learn() enumerates when
-  /// fs_cap is 0 (the lattice's size follows the stream width, which only
-  /// Learn sees). Each sizes an array of subspaces.
+  /// Largest fs_cap and evolution.offspring Validate() accepts, and the
+  /// largest FS lattice Learn() enumerates when fs_cap is 0 (the lattice's
+  /// size follows the stream width, which only Learn sees). Each sizes an
+  /// array of subspaces.
   static constexpr std::size_t kMaxSubspaces = std::size_t{1} << 16;
+
+  /// Largest MOGA population_size and generations Validate() accepts for
+  /// either search, and the largest outlying_degree.num_runs. These bound
+  /// running time, not memory: Learn, a feedback round and a drift relearn
+  /// run their searches on the calling thread (a reactor's loop thread, for
+  /// the wire), and one NSGA-II generation costs O(population^2). With all
+  /// three at their caps, Learn on 400 x 8 training rows with
+  /// eval::FastTestConfig's other values took 8.4 s on a 4-vCPU x86-64
+  /// container, against 0.01 s at that config's own budget.
+  static constexpr int kMaxMogaPopulation = 128;
+  static constexpr int kMaxMogaGenerations = 1000;
+  static constexpr int kMaxOutlyingRuns = 100;
 
   // --- Reproducibility ---------------------------------------------------
   std::uint64_t seed = 1234;

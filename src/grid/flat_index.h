@@ -51,7 +51,11 @@ namespace spot {
 /// Compact, the checkpoint writers) get an order that does not depend on
 /// insertion/erase history. It visits a stable snapshot only as long as no
 /// mutation happens during the walk; erase during iteration is not
-/// supported — collect doomed keys, then erase.
+/// supported — collect doomed keys, then erase. It allocates nothing once
+/// the index has been walked at its current size: a direct key is decoded
+/// into a stack array, and a hashed index sorts its occupied buckets in a
+/// buffer it keeps across walks. That buffer makes ForEach unsafe to run
+/// on one index from two threads at once, although it is const.
 class FlatIndex {
  public:
   /// Reserved value marking an empty bucket; never store it.
@@ -68,6 +72,11 @@ class FlatIndex {
   /// RSS than hashing every grid; 4-d grids at 5 cells (625 keys) stay
   /// hashed.
   static constexpr std::size_t kDirectMaxCells = 256;
+
+  /// Widest key a direct index takes (ForEach decodes keys into a stack
+  /// array of this many words). Any grid key fits: it has one word per
+  /// attribute of a Subspace, which has at most 64.
+  static constexpr std::size_t kDirectMaxWidth = 64;
 
   /// `key_width`: number of u32 words per key (> 0, fixed for the lifetime).
   /// `radix`: when nonzero, every key word the caller inserts is below it
@@ -228,7 +237,7 @@ class FlatIndex {
   void ForEach(Fn&& fn) const {
     if (direct_cells_ != 0) {
       // Ids ascend in key order: decode each occupied id's key in place.
-      std::vector<std::uint32_t> key(width_);
+      std::uint32_t key[kDirectMaxWidth];
       for (std::size_t id = 0; id < direct_cells_; ++id) {
         if (direct_[id] == kNoValue) continue;
         std::size_t rest = id;
@@ -236,23 +245,23 @@ class FlatIndex {
           key[i] = static_cast<std::uint32_t>(rest % radix_);
           rest /= radix_;
         }
-        fn(static_cast<const std::uint32_t*>(key.data()), direct_[id]);
+        fn(static_cast<const std::uint32_t*>(key), direct_[id]);
       }
       return;
     }
-    std::vector<const std::uint32_t*> occupied;
-    occupied.reserve(size_);
+    order_.clear();
+    order_.reserve(size_);
     for (std::size_t b = 0; b <= mask_; ++b) {
       const std::uint32_t* bucket = BucketAt(b);
-      if (bucket[width_] != kNoValue) occupied.push_back(bucket);
+      if (bucket[width_] != kNoValue) order_.push_back(bucket);
     }
     const std::size_t width = width_;
-    std::sort(occupied.begin(), occupied.end(),
+    std::sort(order_.begin(), order_.end(),
               [width](const std::uint32_t* a, const std::uint32_t* b) {
                 return std::lexicographical_compare(a, a + width, b,
                                                     b + width);
               });
-    for (const std::uint32_t* bucket : occupied) fn(bucket, bucket[width_]);
+    for (const std::uint32_t* bucket : order_) fn(bucket, bucket[width_]);
   }
 
  private:
@@ -306,9 +315,10 @@ class FlatIndex {
   }
 
   /// Size of the key space radix^width when it is at most
-  /// kDirectMaxCells, else 0 (hashed).
+  /// kDirectMaxCells and keys are at most kDirectMaxWidth words, else 0
+  /// (hashed).
   static std::size_t DirectCells(std::size_t width, std::uint32_t radix) {
-    if (radix == 0) return 0;
+    if (radix == 0 || width > kDirectMaxWidth) return 0;
     std::size_t cells = 1;
     for (std::size_t i = 0; i < width; ++i) {
       cells *= radix;
@@ -343,6 +353,8 @@ class FlatIndex {
   std::size_t size_ = 0;
   std::vector<std::uint32_t> buckets_;  // hashed: inline [key | value]
   std::vector<std::uint32_t> direct_;   // direct: value by key id
+  // Hashed: ForEach's occupied buckets in key order, kept across walks.
+  mutable std::vector<const std::uint32_t*> order_;
 };
 
 }  // namespace spot

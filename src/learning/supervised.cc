@@ -1,7 +1,6 @@
 #include "learning/supervised.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "moga/moga_search.h"
@@ -31,8 +30,7 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
     const std::vector<std::vector<double>>& training_data,
     const Partition& partition, const DomainKnowledge& knowledge,
     const SupervisedConfig& config, std::uint64_t seed) {
-  std::vector<ScoredSubspace> out;
-  if (training_data.empty() || knowledge.outlier_examples.empty()) return out;
+  if (training_data.empty() || knowledge.outlier_examples.empty()) return {};
   Rng rng(seed);
 
   // Attribute-relevance restriction: remap the problem onto the relevant
@@ -74,7 +72,7 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
                                     static_cast<int>(dims.size()));
 
   // Best score per discovered subspace across all examples.
-  std::unordered_map<Subspace, double, SubspaceHash> best;
+  RankedSubspaceSet best;
 
   for (const auto& example : knowledge.outlier_examples) {
     const std::vector<double> projected =
@@ -83,27 +81,17 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
     BatchSparsityObjectives obj(&reduced_partition, sample,
                                 restricted ? &projected : &example);
     moga_cfg.seed = rng.NextUint64();
-    MogaSearch search(moga_cfg, &obj);
     for (const auto& ss :
-         search.FindTopSparse(config.top_subspaces_per_example)) {
+         FindTopSparse(&obj, moga_cfg, config.top_subspaces_per_example)) {
       // Map reduced attribute indices back to original ones.
       Subspace mapped;
       for (int i : ss.subspace.Indices()) {
         mapped.Add(dims[static_cast<std::size_t>(i)]);
       }
-      auto it = best.find(mapped);
-      if (it == best.end() || ss.score < it->second) best[mapped] = ss.score;
+      best.InsertBest(mapped, ss.score);
     }
   }
-
-  out.reserve(best.size());
-  for (const auto& [subspace, score] : best) out.push_back({subspace, score});
-  std::sort(out.begin(), out.end(),
-            [](const ScoredSubspace& a, const ScoredSubspace& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.subspace < b.subspace;
-            });
-  return out;
+  return best.Ranked();
 }
 
 }  // namespace spot

@@ -1,7 +1,6 @@
 #include "learning/unsupervised.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "moga/moga_search.h"
@@ -13,17 +12,15 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
     const std::vector<std::vector<double>>& training_data,
     const Partition& partition, const UnsupervisedConfig& config,
     std::uint64_t seed) {
-  std::vector<ScoredSubspace> out;
-  if (training_data.empty()) return out;
+  if (training_data.empty()) return {};
   Rng rng(seed);
 
   // Step 1: MOGA over the whole batch — global sparse subspaces.
   BatchSparsityObjectives global_obj(&partition, &training_data);
   Nsga2Config moga_cfg = config.moga;
   moga_cfg.seed = rng.NextUint64();
-  MogaSearch global_search(moga_cfg, &global_obj);
-  std::vector<ScoredSubspace> global_top =
-      global_search.FindTopSparse(config.top_subspaces_per_run);
+  const std::vector<ScoredSubspace> global_top =
+      FindTopSparse(&global_obj, moga_cfg, config.top_subspaces_per_run);
 
   // Step 2: outlying degree of every training point via lead clustering
   // under multiple data orders.
@@ -42,8 +39,8 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
   for (const auto& ss : global_top) seeds.push_back(ss.subspace);
 
   // Keep the best (lowest) score seen for each discovered subspace.
-  std::unordered_map<Subspace, double, SubspaceHash> best;
-  for (const auto& ss : global_top) best.emplace(ss.subspace, ss.score);
+  RankedSubspaceSet best;
+  for (const auto& ss : global_top) best.InsertBest(ss.subspace, ss.score);
 
   const std::size_t per_point =
       std::max<std::size_t>(2, config.top_subspaces_per_run / 2);
@@ -51,23 +48,12 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
     BatchSparsityObjectives targeted_obj(&partition, &training_data,
                                          {point});
     moga_cfg.seed = rng.NextUint64();
-    MogaSearch targeted_search(moga_cfg, &targeted_obj);
-    for (const auto& ss : targeted_search.FindTopSparse(per_point, seeds)) {
-      auto it = best.find(ss.subspace);
-      if (it == best.end() || ss.score < it->second) {
-        best[ss.subspace] = ss.score;
-      }
+    for (const auto& ss :
+         FindTopSparse(&targeted_obj, moga_cfg, per_point, seeds)) {
+      best.InsertBest(ss.subspace, ss.score);
     }
   }
-
-  out.reserve(best.size());
-  for (const auto& [subspace, score] : best) out.push_back({subspace, score});
-  std::sort(out.begin(), out.end(),
-            [](const ScoredSubspace& a, const ScoredSubspace& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.subspace < b.subspace;
-            });
-  return out;
+  return best.Ranked();
 }
 
 }  // namespace spot

@@ -1,56 +1,44 @@
 #include "moga/moga_search.h"
 
-#include <algorithm>
-
 #include "subspace/lattice.h"
 
 namespace spot {
 
-MogaSearch::MogaSearch(const Nsga2Config& config,
-                       SubspaceObjectives* objectives)
-    : config_(config), objectives_(objectives) {}
-
-std::vector<ScoredSubspace> MogaSearch::FindTopSparse(
+std::vector<ScoredSubspace> FindTopSparse(
+    BatchSparsityObjectives* objectives, const Nsga2Config& config,
     std::size_t k, const std::vector<Subspace>& seeds) {
-  Nsga2 nsga2(config_, objectives_);
-  const std::vector<Individual> final_pop = nsga2.Run(seeds);
+  Nsga2(config, objectives).Run(seeds);
 
-  // Rank the union of everything the search ever evaluated (the memo table
-  // is the search archive — a converged final population may hold only a
-  // handful of distinct subspaces), plus the final population and seeds for
-  // objectives implementations without an archive.
-  RankedSubspaceSet ranked(0);
+  // Rank everything the search ever evaluated: the memo table is the
+  // search archive, and it holds every member of every population (a
+  // converged final population may hold only a handful of distinct
+  // subspaces). A seed past the population size, or one that Repair
+  // changed, entered no population as given, so the seed itself is scored
+  // here.
+  RankedSubspaceSet ranked;
   std::vector<std::pair<Subspace, double>> archive;
-  objectives_->AppendEvaluated(&archive);
+  objectives->AppendEvaluated(&archive);
   for (const auto& [subspace, score] : archive) {
     ranked.Insert(subspace, score);
   }
-  for (const auto& ind : final_pop) {
-    ranked.Insert(ind.subspace, objectives_->SparsityScore(ind.subspace));
-  }
   for (const auto& s : seeds) {
-    if (!s.IsEmpty()) ranked.Insert(s, objectives_->SparsityScore(s));
+    if (!s.IsEmpty()) ranked.Insert(s, objectives->SparsityScore(s));
   }
-
-  std::vector<ScoredSubspace> all = ranked.Ranked();
-  if (all.size() > k) all.resize(k);
-  return all;
+  std::vector<ScoredSubspace> top = ranked.Ranked();
+  if (top.size() > k) top.resize(k);
+  return top;
 }
 
-std::vector<ScoredSubspace> ExhaustiveTopSparse(SubspaceObjectives* objectives,
-                                                int num_dims, int max_dim,
-                                                std::size_t k) {
-  std::vector<ScoredSubspace> scored;
+std::vector<ScoredSubspace> ExhaustiveTopSparse(
+    BatchSparsityObjectives* objectives, int num_dims, int max_dim,
+    std::size_t k) {
+  RankedSubspaceSet ranked;
   for (const Subspace& s : EnumerateLattice(num_dims, max_dim)) {
-    scored.push_back({s, objectives->SparsityScore(s)});
+    ranked.Insert(s, objectives->SparsityScore(s));
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredSubspace& a, const ScoredSubspace& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.subspace < b.subspace;
-            });
-  if (scored.size() > k) scored.resize(k);
-  return scored;
+  std::vector<ScoredSubspace> top = ranked.Ranked();
+  if (top.size() > k) top.resize(k);
+  return top;
 }
 
 }  // namespace spot

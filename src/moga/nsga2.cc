@@ -59,9 +59,8 @@ std::vector<double> CrowdingDistances(const std::vector<ObjectiveVector>& objs,
               std::numeric_limits<double>::infinity());
     return distance;
   }
-  const std::size_t m = objs[front[0]].values.size();
   std::vector<std::size_t> order(n);
-  for (std::size_t obj = 0; obj < m; ++obj) {
+  for (std::size_t obj = 0; obj < kNumObjectives; ++obj) {
     for (std::size_t i = 0; i < n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return objs[front[a]].values[obj] < objs[front[b]].values[obj];
@@ -81,7 +80,8 @@ std::vector<double> CrowdingDistances(const std::vector<ObjectiveVector>& objs,
   return distance;
 }
 
-Nsga2::Nsga2(const Nsga2Config& config, SubspaceObjectives* objectives)
+Nsga2::Nsga2(const Nsga2Config& config,
+             BatchSparsityObjectives* objectives)
     : config_(config), objectives_(objectives), rng_(config.seed) {
   if (config_.mutation_prob <= 0.0) {
     config_.mutation_prob = 1.0 / std::max(1, config_.num_dims);

@@ -40,12 +40,11 @@ std::vector<double> CrowdingDistances(const std::vector<ObjectiveVector>& objs,
                                       const std::vector<std::size_t>& front);
 
 /// The Multi-Objective Genetic Algorithm at SPOT's core: elitist NSGA-II
-/// over the subspace lattice, minimizing the criteria supplied by a
-/// SubspaceObjectives implementation.
+/// over the subspace lattice, minimizing the sparsity objectives of a batch.
 class Nsga2 {
  public:
   /// `objectives` must outlive Run().
-  Nsga2(const Nsga2Config& config, SubspaceObjectives* objectives);
+  Nsga2(const Nsga2Config& config, BatchSparsityObjectives* objectives);
 
   /// Evolves the population from a random initialization (optionally seeded
   /// with `seeds` — e.g. the current CS during self-evolution) and returns
@@ -63,7 +62,7 @@ class Nsga2 {
   void Assign(std::vector<Individual>* pop);
 
   Nsga2Config config_;
-  SubspaceObjectives* objectives_;
+  BatchSparsityObjectives* objectives_;
   Rng rng_;
 };
 

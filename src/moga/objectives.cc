@@ -10,7 +10,7 @@ namespace spot {
 
 bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b) {
   bool strictly_better = false;
-  for (std::size_t i = 0; i < a.values.size(); ++i) {
+  for (std::size_t i = 0; i < kNumObjectives; ++i) {
     if (a.values[i] > b.values[i]) return false;
     if (a.values[i] < b.values[i]) strictly_better = true;
   }
@@ -60,8 +60,7 @@ void BatchSparsityObjectives::BinRows() {
   row_slot_.resize(n);
 }
 
-const ObjectiveVector& BatchSparsityObjectives::EvaluateCached(
-    const Subspace& s) {
+const ObjectiveVector& BatchSparsityObjectives::Evaluate(const Subspace& s) {
   auto it = cache_.find(s);
   if (it != cache_.end()) return it->second;
   ++eval_count_;
@@ -130,11 +129,9 @@ const ObjectiveVector& BatchSparsityObjectives::EvaluateCached(
   }
   const double n_targets = static_cast<double>(targets_.size());
 
-  ObjectiveVector obj;
-  obj.values = {rd_sum / n_targets, irsd_sum / n_targets,
-                static_cast<double>(s.Dimension())};
-  auto [rit, ok] = cache_.emplace(s, std::move(obj));
-  return rit->second;
+  const ObjectiveVector obj{{rd_sum / n_targets, irsd_sum / n_targets,
+                             static_cast<double>(s.Dimension())}};
+  return cache_.emplace(s, obj).first->second;
 }
 
 double BatchSparsityObjectives::CellIrsd(std::uint32_t slot, const int* dims,
@@ -153,17 +150,13 @@ double BatchSparsityObjectives::CellIrsd(std::uint32_t slot, const int* dims,
   return acc / static_cast<double>(width);
 }
 
-ObjectiveVector BatchSparsityObjectives::Evaluate(const Subspace& s) {
-  return EvaluateCached(s);
-}
-
 double BatchSparsityObjectives::SparsityScore(const Subspace& s) {
-  const ObjectiveVector& obj = EvaluateCached(s);
+  const ObjectiveVector& obj = Evaluate(s);
   return obj.values[0] + obj.values[1];
 }
 
 void BatchSparsityObjectives::AppendEvaluated(
-    std::vector<std::pair<Subspace, double>>* out) {
+    std::vector<std::pair<Subspace, double>>* out) const {
   out->reserve(out->size() + cache_.size());
   for (const auto& [subspace, obj] : cache_) {
     out->emplace_back(subspace, obj.values[0] + obj.values[1]);

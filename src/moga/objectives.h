@@ -1,6 +1,7 @@
 #ifndef SPOT_MOGA_OBJECTIVES_H_
 #define SPOT_MOGA_OBJECTIVES_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -14,39 +15,18 @@
 
 namespace spot {
 
-/// A vector of objective values, all to be *minimized*.
+/// Number of objectives a candidate subspace is scored on.
+inline constexpr std::size_t kNumObjectives = 3;
+
+/// The objective values of a candidate subspace, all to be *minimized*:
+/// mean RD, mean IRSD and |s| (see BatchSparsityObjectives).
 struct ObjectiveVector {
-  std::vector<double> values;
+  std::array<double, kNumObjectives> values{};
 };
 
 /// Pareto dominance: `a` dominates `b` iff a is no worse in every objective
 /// and strictly better in at least one (minimization).
 bool Dominates(const ObjectiveVector& a, const ObjectiveVector& b);
-
-/// Interface the genetic search optimizes against. SPOT uses "multiple
-/// measurements" of outlier-ness (paper, Section III): implementations
-/// return one value per criterion.
-class SubspaceObjectives {
- public:
-  virtual ~SubspaceObjectives() = default;
-
-  /// Objective values of candidate subspace `s` (lower = sparser = better).
-  virtual ObjectiveVector Evaluate(const Subspace& s) = 0;
-
-  virtual int num_objectives() const = 0;
-
-  /// Scalarized sparsity score used for ranking SST members
-  /// (RD-mean + IRSD-mean; dimension excluded). Lower is sparser.
-  virtual double SparsityScore(const Subspace& s) = 0;
-
-  /// Appends every subspace this object has evaluated so far, with its
-  /// sparsity score — the search archive. Implementations without a memo
-  /// table may leave this empty; MogaSearch then ranks only the final
-  /// population.
-  virtual void AppendEvaluated(std::vector<std::pair<Subspace, double>>* out) {
-    (void)out;
-  }
-};
 
 /// Sparsity objectives of a candidate subspace measured over a static batch
 /// of points (the learning stage's training data, or the detection stage's
@@ -56,6 +36,9 @@ class SubspaceObjectives {
 ///   f1 = mean over target points of RD of the point's projected cell
 ///   f2 = mean over target points of IRSD of the point's projected cell
 ///   f3 = |s| (prefer low-dimensional, interpretable outlying subspaces)
+///
+/// SPOT uses "multiple measurements" of outlier-ness (paper, Section III);
+/// this is the one objective type every MOGA run searches against.
 ///
 /// RD / IRSD use the same definitions as the online PCS (DESIGN.md 3.3),
 /// computed over an un-decayed histogram of the batch. Evaluations are
@@ -69,7 +52,7 @@ class SubspaceObjectives {
 /// in it. The index and the arrays are reused across evaluations, so an
 /// evaluation makes no allocation per row, and an object must not be shared
 /// between threads.
-class BatchSparsityObjectives : public SubspaceObjectives {
+class BatchSparsityObjectives {
  public:
   /// Rows are `*data`. `targets` restricts the points whose sparsity is
   /// averaged (empty = all points); the histogram is always built from the
@@ -86,11 +69,18 @@ class BatchSparsityObjectives : public SubspaceObjectives {
                           const std::vector<std::vector<double>>* sample,
                           const std::vector<double>* target);
 
-  ObjectiveVector Evaluate(const Subspace& s) override;
-  int num_objectives() const override { return 3; }
-  double SparsityScore(const Subspace& s) override;
-  void AppendEvaluated(
-      std::vector<std::pair<Subspace, double>>* out) override;
+  /// Objective values of candidate subspace `s` (lower = sparser =
+  /// better). The result is the memo table's entry: it stays valid, and
+  /// unchanged, as long as this object lives.
+  const ObjectiveVector& Evaluate(const Subspace& s);
+
+  /// Scalarized sparsity score used for ranking SST members
+  /// (RD-mean + IRSD-mean; dimension excluded). Lower is sparser.
+  double SparsityScore(const Subspace& s);
+
+  /// Appends every subspace evaluated so far, with its sparsity score: the
+  /// search archive that FindTopSparse ranks.
+  void AppendEvaluated(std::vector<std::pair<Subspace, double>>* out) const;
 
   /// Number of distinct subspaces evaluated so far (memoization hits do not
   /// count). Reported by the MOGA-vs-exhaustive experiment.
@@ -100,7 +90,6 @@ class BatchSparsityObjectives : public SubspaceObjectives {
   /// Computes su_, bins every row in every attribute, and sizes the
   /// per-row scratch.
   void BinRows();
-  const ObjectiveVector& EvaluateCached(const Subspace& s);
   /// IRSD of cell `slot` (count >= 2) over the `width` attributes `dims`.
   double CellIrsd(std::uint32_t slot, const int* dims,
                   std::size_t width) const;

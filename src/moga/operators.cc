@@ -9,13 +9,6 @@ Subspace UniformCrossover(const Subspace& a, const Subspace& b, Rng& rng) {
   return Subspace((a.bits() & mask) | (b.bits() & ~mask));
 }
 
-Subspace OnePointCrossover(const Subspace& a, const Subspace& b, int num_dims,
-                           Rng& rng) {
-  const int cut = rng.NextInt(1, std::max(1, num_dims - 1));
-  const std::uint64_t low_mask = (1ULL << static_cast<unsigned>(cut)) - 1ULL;
-  return Subspace((a.bits() & low_mask) | (b.bits() & ~low_mask));
-}
-
 Subspace BitFlipMutation(const Subspace& s, int num_dims, double flip_prob,
                          Rng& rng) {
   std::uint64_t bits = s.bits();

@@ -14,11 +14,6 @@ namespace spot {
 /// equal probability.
 Subspace UniformCrossover(const Subspace& a, const Subspace& b, Rng& rng);
 
-/// One-point crossover on the attribute axis: bits below the cut come from
-/// `a`, the rest from `b`.
-Subspace OnePointCrossover(const Subspace& a, const Subspace& b, int num_dims,
-                           Rng& rng);
-
 /// Flips each of the `num_dims` bits independently with probability
 /// `flip_prob`.
 Subspace BitFlipMutation(const Subspace& s, int num_dims, double flip_prob,

@@ -518,16 +518,23 @@ bool DecodeHistogram(ByteReader* r, obs::Histogram* out) {
   const std::uint32_t nonzero = r->U32();
   if (!r->ok()) return false;
   if (nonzero > obs::Histogram::kNumBuckets) return r->Fail();
+  // The encoder lists exactly the populated buckets, in ascending index
+  // order, so a zero count or a repeated or out-of-order index has no
+  // encoding and fails the decode.
   std::uint64_t counts[obs::Histogram::kNumBuckets] = {};
+  int next = 0;  // lowest index the next pair may carry
   for (std::uint32_t b = 0; b < nonzero; ++b) {
     const std::uint8_t idx = r->U8();
     const std::uint64_t count = r->U64();
     if (!r->ok()) return false;
-    if (idx >= obs::Histogram::kNumBuckets) return r->Fail();
+    if (idx < next || idx >= obs::Histogram::kNumBuckets || count == 0) {
+      return r->Fail();
+    }
     counts[idx] = count;
+    next = idx + 1;
   }
-  *out = obs::Histogram::Restore(counts, sum, min, max);
-  return r->ok();
+  if (!obs::Histogram::Restore(counts, sum, min, max, out)) return r->Fail();
+  return true;
 }
 
 void EncodeSnapshot(const obs::MetricsSnapshot& snap, ByteWriter* w) {
@@ -548,38 +555,48 @@ void EncodeSnapshot(const obs::MetricsSnapshot& snap, ByteWriter* w) {
   }
 }
 
+// The values of the three snapshot sections: counters, gauges, histograms.
+bool DecodeValue(ByteReader* r, std::uint64_t* v) {
+  *v = r->U64();
+  return r->ok();
+}
+bool DecodeValue(ByteReader* r, double* v) {
+  *v = r->F64();
+  return r->ok();
+}
+bool DecodeValue(ByteReader* r, obs::Histogram* h) {
+  return DecodeHistogram(r, h);
+}
+
+/// Decodes a snapshot section, a count of (name, value) pairs each at least
+/// `min_bytes` long. Bounding the untrusted count against the remaining
+/// bytes keeps a crafted count from driving huge allocations. EncodeSnapshot
+/// writes a section in its map's (ascending, unique) name order, so a
+/// repeated or out-of-order name has no encoding and fails the decode.
+template <typename Map>
+bool DecodeSection(ByteReader* r, std::size_t min_bytes, Map* out) {
+  const std::uint32_t count = r->U32();
+  if (!r->ok()) return false;
+  if (count > r->remaining() / min_bytes) return r->Fail();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::string name = r->Str();
+    typename Map::mapped_type value;
+    if (!DecodeValue(r, &value)) return false;
+    if (!out->empty() && !(out->rbegin()->first < name)) return r->Fail();
+    out->emplace_hint(out->end(), std::move(name), std::move(value));
+  }
+  return true;
+}
+
 bool DecodeSnapshot(ByteReader* r, obs::MetricsSnapshot* out) {
   out->counters.clear();
   out->gauges.clear();
   out->histograms.clear();
-  const std::uint32_t ncounters = r->U32();
-  if (!r->ok()) return false;
-  // A counter is >= 12 bytes (length-prefixed name + u64); bounding the
-  // untrusted counts against the remaining bytes keeps a crafted count
-  // from driving huge allocations (same discipline as DecodeIngest).
-  if (ncounters > r->remaining() / 12) return r->Fail();
-  for (std::uint32_t i = 0; i < ncounters; ++i) {
-    const std::string name = r->Str();
-    out->counters[name] = r->U64();
-  }
-  const std::uint32_t ngauges = r->U32();
-  if (!r->ok()) return false;
-  if (ngauges > r->remaining() / 12) return r->Fail();
-  for (std::uint32_t i = 0; i < ngauges; ++i) {
-    const std::string name = r->Str();
-    out->gauges[name] = r->F64();
-  }
-  const std::uint32_t nhists = r->U32();
-  if (!r->ok()) return false;
-  // A histogram is >= 32 bytes (name + three doubles + bucket count).
-  if (nhists > r->remaining() / 32) return r->Fail();
-  for (std::uint32_t i = 0; i < nhists; ++i) {
-    const std::string name = r->Str();
-    obs::Histogram hist;
-    if (!DecodeHistogram(r, &hist)) return false;
-    out->histograms[name] = hist;
-  }
-  return r->ok();
+  // A counter or gauge is >= 12 bytes (length-prefixed name + 8 bytes), a
+  // histogram >= 32 (name + three doubles + bucket count).
+  return DecodeSection(r, 12, &out->counters) &&
+         DecodeSection(r, 12, &out->gauges) &&
+         DecodeSection(r, 32, &out->histograms);
 }
 
 void EncodeSessionQuality(const SessionQuality& q, ByteWriter* w) {

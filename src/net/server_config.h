@@ -31,9 +31,10 @@ struct SpotServerConfig {
 
   /// Per-session coalescing target: pending ingested points are run
   /// through the service in ProcessBatch chunks of this size. Larger
-  /// batches amortize the engine's fork-join and probe-pipeline setup;
-  /// verdicts never depend on the setting (the batch engine is
-  /// bit-identical at every batch size).
+  /// batches amortize the per-batch service and engine setup (the session
+  /// lease, the engine and its shard fork-joins, one per tile); verdicts
+  /// never depend on the setting (the batch engine is bit-identical at
+  /// every batch size).
   std::size_t batch_points = 256;
 
   /// Frame payload cap; a header announcing more is treated as corrupt.

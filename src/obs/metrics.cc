@@ -87,21 +87,29 @@ double Histogram::Quantile(double q) const {
   return max_;  // unreachable when counts are consistent
 }
 
-Histogram Histogram::Restore(const std::uint64_t counts[kNumBuckets],
-                             double sum, double min, double max) {
+bool Histogram::Restore(const std::uint64_t counts[kNumBuckets], double sum,
+                        double min, double max, Histogram* out) {
   Histogram h;
-  std::uint64_t total = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     h.buckets_[static_cast<std::size_t>(i)] =
         counts[static_cast<std::size_t>(i)];
-    total += counts[static_cast<std::size_t>(i)];
+    h.count_ += counts[static_cast<std::size_t>(i)];
   }
-  h.count_ = total;
-  if (total == 0) return Histogram();
-  h.sum_ = std::isnan(sum) ? 0.0 : sum;
-  h.min_ = std::isnan(min) ? 0.0 : std::max(min, 0.0);
-  h.max_ = std::isnan(max) ? h.min_ : std::max(max, h.min_);
-  return h;
+  if (h.count_ == 0) {
+    // An empty histogram's moments are +0.
+    if (sum != 0.0 || min != 0.0 || max != 0.0 || std::signbit(sum) ||
+        std::signbit(min) || std::signbit(max)) {
+      return false;
+    }
+  } else if (std::isnan(sum) || std::isnan(min) || std::isnan(max) ||
+             sum < 0.0 || min < 0.0 || max < min) {
+    return false;  // Record clamps NaN and negative samples to 0
+  }
+  h.sum_ = sum;
+  h.min_ = min;
+  h.max_ = max;
+  *out = h;
+  return true;
 }
 
 bool Histogram::operator==(const Histogram& other) const {

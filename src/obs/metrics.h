@@ -91,10 +91,13 @@ class Histogram {
     return buckets_[static_cast<std::size_t>(i)];
   }
 
-  /// Rebuilds a histogram from serialized parts (wire decode). The count
-  /// is recomputed from the bucket counts; min/max are clamped sane.
-  static Histogram Restore(const std::uint64_t counts[kNumBuckets],
-                           double sum, double min, double max);
+  /// Rebuilds a histogram from serialized parts (wire decode) into `out`;
+  /// the count is recomputed from the bucket counts. Returns false, leaving
+  /// `out` alone, for parts that Record and Merge never produce: a NaN sum,
+  /// min or max, a negative sum or min, a max below the min, or an empty
+  /// histogram whose sum, min or max is not +0.
+  static bool Restore(const std::uint64_t counts[kNumBuckets], double sum,
+                      double min, double max, Histogram* out);
 
   bool operator==(const Histogram& other) const;
   bool operator!=(const Histogram& other) const { return !(*this == other); }

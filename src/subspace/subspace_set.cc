@@ -14,6 +14,14 @@ bool RankedSubspaceSet::Insert(const Subspace& s, double score) {
   return Contains(s);
 }
 
+bool RankedSubspaceSet::InsertBest(const Subspace& s, double score) {
+  if (s.IsEmpty()) return false;
+  const auto [it, inserted] = scores_.try_emplace(s, score);
+  if (!inserted && score < it->second) it->second = score;
+  EnforceCapacity();
+  return Contains(s);
+}
+
 bool RankedSubspaceSet::Erase(const Subspace& s) {
   return scores_.erase(s) > 0;
 }

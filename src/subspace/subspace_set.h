@@ -30,6 +30,11 @@ class RankedSubspaceSet {
   /// after the call.
   bool Insert(const Subspace& s, double score);
 
+  /// As Insert, but a member keeps its score when that is already lower
+  /// (better) than `score`: the set then holds each subspace's best score
+  /// over every insertion.
+  bool InsertBest(const Subspace& s, double score);
+
   /// Removes a subspace if present; returns whether it was present.
   bool Erase(const Subspace& s);
 

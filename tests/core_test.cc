@@ -77,6 +77,43 @@ TEST(SpotConfigTest, RejectsBadValues) {
   c = SpotConfig{};
   c.supervised.moga.population_size = -1;
   EXPECT_NE(c.Validate(), "");
+
+  // Values that set how long a search runs on the calling thread are
+  // bounded too.
+  c = SpotConfig{};
+  c.unsupervised.moga.population_size = SpotConfig::kMaxMogaPopulation + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.supervised.moga.population_size = SpotConfig::kMaxMogaPopulation + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.unsupervised.moga.generations = SpotConfig::kMaxMogaGenerations + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.supervised.moga.generations = SpotConfig::kMaxMogaGenerations + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.supervised.moga.generations = 0;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.unsupervised.outlying_degree.num_runs = 0;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.unsupervised.outlying_degree.num_runs = SpotConfig::kMaxOutlyingRuns + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  // The caps themselves are accepted.
+  c = SpotConfig{};
+  c.unsupervised.moga.population_size = SpotConfig::kMaxMogaPopulation;
+  c.supervised.moga.generations = SpotConfig::kMaxMogaGenerations;
+  c.unsupervised.outlying_degree.num_runs = SpotConfig::kMaxOutlyingRuns;
+  EXPECT_EQ(c.Validate(), "");
 }
 
 // ---------------------------------------------------------- Reservoir ----

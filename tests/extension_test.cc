@@ -266,8 +266,7 @@ TEST(SearchArchiveTest, FindTopSparseRanksOverAllEvaluated) {
   cfg.population_size = 12;
   cfg.generations = 6;
   cfg.seed = 3;
-  MogaSearch search(cfg, &obj);
-  const auto top = search.FindTopSparse(5);
+  const auto top = FindTopSparse(&obj, cfg, 5);
   ASSERT_GE(top.size(), 5u);
   // Re-rank the archive by score; the returned set must match its head.
   std::vector<std::pair<Subspace, double>> archive;

@@ -1,11 +1,14 @@
 // Unit tests of the flat open-addressing synapse index (grid/flat_index.h):
 // rehash across the load-factor boundary, backward-shift deletion keeping
 // probe chains intact, collision-heavy keys, the interaction with the
-// ProjectedGrid slab free list, and a randomized differential check of the
-// hashed and the direct-addressed index against std::unordered_map.
+// ProjectedGrid slab free list, a randomized differential check of the
+// hashed and the direct-addressed index against std::unordered_map, and
+// what a ForEach walk allocates.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +21,25 @@
 #include "grid/partition.h"
 #include "grid/projected_grid.h"
 #include "subspace/subspace.h"
+
+// Global operator new counts the allocations of this thread while armed, so
+// a test can bound what one ForEach walk allocates.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+// Both sides out of line, so the compiler pairs neither an inlined malloc()
+// nor an inlined free() with a new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace spot {
 namespace {
@@ -238,6 +260,42 @@ TEST(FlatIndexTest, ForEachVisitsEveryEntryExactlyOnce) {
     EXPECT_TRUE(seen.insert({key[0], key[1]}).second) << "visited twice";
   });
   EXPECT_EQ(seen, expected);
+}
+
+TEST(FlatIndexTest, ForEachAllocatesNothingOnceWalked) {
+  // A direct index decodes each key on the stack; a hashed one sorts its
+  // occupied buckets in a buffer it keeps, so only a walk at a new high
+  // size may allocate. Compaction sweeps and checkpoint writes walk every
+  // grid's index.
+  for (const std::uint32_t radix : {0u, 6u}) {
+    SCOPED_TRACE(radix == 0 ? "hashed" : "direct");
+    FlatIndex index(3, radix);
+    for (std::uint32_t i = 0; i < 150; ++i) {
+      index.Insert(Key3(i % 6, (i / 6) % 6, i / 36).data(), i);
+    }
+    std::size_t visited = 0;
+    index.ForEach([&](const std::uint32_t*, std::uint32_t) { ++visited; });
+    EXPECT_EQ(visited, 150u);
+    index.Erase(Key3(0, 0, 0).data());
+    std::vector<std::uint32_t> keys;
+    keys.reserve(3 * 150);
+    t_allocations = 0;
+    t_count_allocations = true;
+    index.ForEach([&](const std::uint32_t* key, std::uint32_t) {
+      keys.insert(keys.end(), key, key + 3);
+    });
+    t_count_allocations = false;
+    EXPECT_EQ(t_allocations, 0u);
+    ASSERT_EQ(keys.size(), 3u * 149u);
+    // Still ascending key order.
+    for (std::size_t k = 3; k < keys.size(); k += 3) {
+      EXPECT_TRUE(std::lexicographical_compare(
+          keys.begin() + static_cast<std::ptrdiff_t>(k - 3),
+          keys.begin() + static_cast<std::ptrdiff_t>(k),
+          keys.begin() + static_cast<std::ptrdiff_t>(k),
+          keys.begin() + static_cast<std::ptrdiff_t>(k + 3)));
+    }
+  }
 }
 
 // ------------------------------------- slab free-list interaction --------

@@ -22,6 +22,7 @@
 #include <fcntl.h>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sched.h>
@@ -875,9 +876,12 @@ TEST(NetRobustnessTest, CreateSessionRefusesShardCountAboveTheBound) {
 // Config values that size allocations are bounded (SpotConfig::
 // kMaxRetainedPoints, kMaxSubspaces), and a kCreateSession carrying one past
 // its bound is refused with kLearnFailed before anything is sized from it.
-// An unlimited FS (fs_cap 0) is bounded by the same count, but its lattice
-// follows the training width, so Learn refuses it. The connection stays
-// usable throughout.
+// So are the MOGA budgets that set how long Learn holds the reactor's loop
+// thread (kMaxMogaPopulation, kMaxMogaGenerations, kMaxOutlyingRuns): a
+// create asking for 2^31 - 1 generations is refused, not run. An unlimited
+// FS (fs_cap 0) is bounded by kMaxSubspaces, but its lattice follows the
+// training width, so Learn refuses it. The connection stays usable
+// throughout.
 TEST(NetRobustnessTest, CreateSessionRefusesHostileCapacities) {
   TestServer server(SpotServiceConfig{}, SpotServerConfig{});
   SpotClient client;
@@ -901,6 +905,18 @@ TEST(NetRobustnessTest, CreateSessionRefusesHostileCapacities) {
   });
   add("supervised population_size",
       [](SpotConfig* c) { c->supervised.moga.population_size = -1; });
+  add("unsupervised generations", [](SpotConfig* c) {
+    c->unsupervised.moga.generations = std::numeric_limits<int>::max();
+  });
+  add("supervised generations", [](SpotConfig* c) {
+    c->supervised.moga.generations = std::numeric_limits<int>::max();
+  });
+  add("supervised population_size for time", [](SpotConfig* c) {
+    c->supervised.moga.population_size = SpotConfig::kMaxMogaPopulation + 1;
+  });
+  add("outlying_degree num_runs", [](SpotConfig* c) {
+    c->unsupervised.outlying_degree.num_runs = std::numeric_limits<int>::max();
+  });
   for (const auto& [what, cfg] : hostile) {
     const RpcStatus refused =
         client.CreateSession("hostile", cfg, TenantTraining(0));

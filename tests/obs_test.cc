@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,13 +188,48 @@ TEST(HistogramTest, RestoreRoundTrips) {
   for (int i = 0; i < 333; ++i) h.Record(rng.NextInt(0, 5000));
   std::uint64_t counts[Histogram::kNumBuckets];
   for (int i = 0; i < Histogram::kNumBuckets; ++i) counts[i] = h.bucket(i);
-  const Histogram r = Histogram::Restore(counts, h.sum(), h.min(), h.max());
+  Histogram r;
+  ASSERT_TRUE(Histogram::Restore(counts, h.sum(), h.min(), h.max(), &r));
   EXPECT_EQ(r, h);
 
   const std::uint64_t zeros[Histogram::kNumBuckets] = {};
-  const Histogram e = Histogram::Restore(zeros, 123.0, 4.0, 5.0);
-  EXPECT_EQ(e.count(), 0u);  // moments of an empty histogram are dropped
+  Histogram e;
+  ASSERT_TRUE(Histogram::Restore(zeros, 0.0, 0.0, 0.0, &e));
   EXPECT_EQ(e, Histogram());
+}
+
+TEST(HistogramTest, RestoreRefusesPartsRecordNeverProduces) {
+  // Parts no sequence of Record and Merge calls yields are refused, not
+  // normalized, so a decoded histogram re-encodes to the bytes it came from.
+  Histogram h;
+  for (double v : {3.0, 7.0, 100.0}) h.Record(v);
+  std::uint64_t counts[Histogram::kNumBuckets];
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) counts[i] = h.bucket(i);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::uint64_t zeros[Histogram::kNumBuckets] = {};
+  struct Case {
+    const char* what;
+    const std::uint64_t* counts;
+    double sum, min, max;
+  };
+  const Case cases[] = {
+      {"NaN sum", counts, nan, 3.0, 100.0},
+      {"NaN min", counts, 110.0, nan, 100.0},
+      {"NaN max", counts, 110.0, 3.0, nan},
+      {"negative sum", counts, -110.0, 3.0, 100.0},
+      {"negative min", counts, 110.0, -3.0, 100.0},
+      {"max below min", counts, 110.0, 7.0, 3.0},
+      {"empty with a sum", zeros, 123.0, 0.0, 0.0},
+      {"empty with a min", zeros, 0.0, 4.0, 0.0},
+      {"empty with a max", zeros, 0.0, 0.0, 5.0},
+      {"empty with -0", zeros, -0.0, 0.0, 0.0},
+  };
+  for (const Case& c : cases) {
+    Histogram out = h;
+    EXPECT_FALSE(Histogram::Restore(c.counts, c.sum, c.min, c.max, &out))
+        << c.what;
+    EXPECT_EQ(out, h) << c.what;  // left alone
+  }
 }
 
 // --------------------------------------------------- registry / hub ------

@@ -418,10 +418,10 @@ TEST(CodecTest, QueryTopKRoundTrip) {
 
 // ---------------------------------------------------- canonical decoding --
 
-/// One request type's codec as a byte-to-byte round trip, with sample
+/// One message type's codec as a byte-to-byte round trip, with sample
 /// payloads to mutate. Lists come both filled and empty, since an empty
 /// list has exactly one encoding too.
-struct RequestCodec {
+struct PayloadCodec {
   const char* name;
   std::vector<std::string> payloads;
   /// Decodes `payload` and re-encodes the request into `out`; false when
@@ -429,16 +429,16 @@ struct RequestCodec {
   bool (*round_trip)(const std::string& payload, std::string* out);
 };
 
-template <typename Req, bool (*Decode)(const std::string&, Req*),
-          std::string (*Encode)(const Req&)>
+template <typename Msg, bool (*Decode)(const std::string&, Msg*),
+          std::string (*Encode)(const Msg&)>
 bool RoundTrip(const std::string& payload, std::string* out) {
-  Req req;
-  if (!Decode(payload, &req)) return false;
-  *out = Encode(req);
+  Msg msg;
+  if (!Decode(payload, &msg)) return false;
+  *out = Encode(msg);
   return true;
 }
 
-std::vector<RequestCodec> RequestCodecs() {
+std::vector<PayloadCodec> RequestCodecs() {
   CreateSessionReq create;
   create.session_id = "tenant";
   create.config.use_decay = false;
@@ -551,17 +551,14 @@ std::string Hex(const std::string& bytes) {
   return out;
 }
 
-// Request decoders are canonical: every mutated payload either fails to
-// decode or decodes to a request that re-encodes to exactly the mutated
-// bytes, so no request has two encodings. A flag byte other than 0 or 1
-// and an empty list with a non-zero width are the two ways to break that,
-// and both are refused. A decoder that accepts a width for an empty
-// matrix may also size a row buffer from it, so the codecs that decode
-// widths run last and the first codec with a non-canonical decode stops
-// the test.
-TEST(CodecTest, RequestDecodersAreCanonicalUnderMutation) {
-  Rng rng(20261019);
-  for (const RequestCodec& codec : RequestCodecs()) {
+// Runs every codec over the mutations of its sample payloads: each mutated
+// payload either fails to decode or decodes to a message that re-encodes
+// to exactly the mutated bytes. The first codec with a non-canonical
+// decode stops the run.
+void ExpectCanonicalUnderMutation(const std::vector<PayloadCodec>& codecs,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  for (const PayloadCodec& codec : codecs) {
     std::size_t decoded = 0;
     std::size_t non_canonical = 0;
     std::string first;
@@ -585,6 +582,15 @@ TEST(CodecTest, RequestDecodersAreCanonicalUnderMutation) {
     ASSERT_EQ(non_canonical, 0u)
         << codec.name << ": first non-canonical payload " << first;
   }
+}
+
+// Request decoders are canonical: no request has two encodings. A flag
+// byte other than 0 or 1 and an empty list with a non-zero width are the
+// two ways to break that, and both are refused. A decoder that accepts a
+// width for an empty matrix may also size a row buffer from it, so the
+// codecs that decode widths run last.
+TEST(CodecTest, RequestDecodersAreCanonicalUnderMutation) {
+  ExpectCanonicalUnderMutation(RequestCodecs(), 20261019);
 }
 
 std::vector<TopKEntry> SampleTopK() {
@@ -917,6 +923,79 @@ TEST(CodecTest, MinimalSessionSectionsDecode) {
   StatsResp decoded;
   ASSERT_TRUE(DecodeStats(wire, &decoded));
   EXPECT_EQ(decoded.sessions.size(), 64u);
+}
+
+std::vector<PayloadCodec> ResponseCodecs() {
+  VerdictsResp verdicts;
+  verdicts.session_id = "v";
+  verdicts.first_point_id = 424242;
+  verdicts.verdicts = SampleVerdicts();
+  VerdictsResp verdicts_empty;
+  verdicts_empty.session_id = "v";
+
+  TopKResp topk;
+  topk.session_id = "t";
+  topk.entries = SampleTopK();
+  TopKResp topk_empty;
+  topk_empty.session_id = "t";
+
+  // Snapshots with several names per section, in the map's order, and
+  // histograms that are populated, single-sample and empty.
+  StatsResp stats;
+  obs::MetricsSnapshot r0;
+  r0.counters["batches_run"] = 17;
+  r0.counters["points_ingested"] = 1234;
+  r0.gauges["connections"] = 2.0;
+  r0.gauges["pending_points"] = 48.5;
+  for (int i = 0; i < 40; ++i) {
+    r0.histograms["pipeline_process_us"].Record(i * 37.0);
+  }
+  r0.histograms["pipeline_encode_us"].Record(3.0);
+  r0.histograms["pipeline_write_us"];  // registered, never recorded
+  stats.reactors = {r0, obs::MetricsSnapshot()};
+  stats.service.counters["evictions"] = 5;
+  stats.service.histograms["checkpoint_save_us"].Record(900.0);
+  SessionQuality q;
+  q.session_id = "lg-0";
+  q.points = 5000;
+  q.alarms = 123;
+  for (int i = 1; i <= 20; ++i) q.rd_margin.Record(i * 40.0);
+  SubspaceQuality sub;
+  sub.subspace_bits = 0b1011;
+  sub.points = 5000;
+  sub.alarms = 100;
+  q.subspaces.push_back(sub);
+  stats.sessions.push_back(q);
+
+  return {
+      {"Ok",
+       {EncodeOk({5}), EncodeOk({0})},
+       RoundTrip<OkResp, DecodeOk, EncodeOk>},
+      {"Error",
+       {EncodeError({3, ErrorCode::kLearnFailed, "bad config"}),
+        EncodeError({1, ErrorCode::kUnknown, ""})},
+       RoundTrip<ErrorResp, DecodeError, EncodeError>},
+      {"Verdicts",
+       {EncodeVerdicts(verdicts), EncodeVerdicts(verdicts_empty)},
+       RoundTrip<VerdictsResp, DecodeVerdicts, EncodeVerdicts>},
+      {"TopK",
+       {EncodeTopK(topk), EncodeTopK(topk_empty)},
+       RoundTrip<TopKResp, DecodeTopK, EncodeTopK>},
+      {"Stats",
+       {EncodeStats(stats), EncodeStats(StatsResp())},
+       RoundTrip<StatsResp, DecodeStats, EncodeStats>},
+  };
+}
+
+// Response decoders are canonical too. A stats payload has three ways to
+// break that, all refused: a histogram bucket with a zero count or a
+// repeated or out-of-order index; histogram moments that Record never
+// produces (a NaN, a negative min, a max below the min, moments on an
+// empty histogram), which decoding used to normalize; and a repeated or
+// out-of-order instrument name, which decoding used to fold into one map
+// entry.
+TEST(CodecTest, ResponseDecodersAreCanonicalUnderMutation) {
+  ExpectCanonicalUnderMutation(ResponseCodecs(), 20261020);
 }
 
 TEST(CodecTest, HostileStatsCountsDoNotAllocate) {

@@ -185,6 +185,7 @@ TEST(RankedSetTest, InsertAndRank) {
 TEST(RankedSetTest, RejectsEmptySubspace) {
   RankedSubspaceSet set(0);
   EXPECT_FALSE(set.Insert(Subspace(), 0.0));
+  EXPECT_FALSE(set.InsertBest(Subspace(), 0.0));
   EXPECT_TRUE(set.empty());
 }
 
@@ -215,6 +216,15 @@ TEST(RankedSetTest, UpdateScoreReRanks) {
   EXPECT_EQ(set.size(), 2u);
   EXPECT_EQ(set.Ranked().front().subspace, Subspace::Singleton(0));
   EXPECT_DOUBLE_EQ(set.ScoreOf(Subspace::Singleton(0)), 0.5);
+
+  // InsertBest keeps the lower of a member's scores and inserts the rest.
+  EXPECT_TRUE(set.InsertBest(Subspace::Singleton(0), 2.0));
+  EXPECT_DOUBLE_EQ(set.ScoreOf(Subspace::Singleton(0)), 0.5);
+  EXPECT_TRUE(set.InsertBest(Subspace::Singleton(1), 0.25));
+  EXPECT_DOUBLE_EQ(set.ScoreOf(Subspace::Singleton(1)), 0.25);
+  EXPECT_TRUE(set.InsertBest(Subspace::Singleton(2), 4.0));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.Ranked().front().subspace, Subspace::Singleton(1));
 }
 
 TEST(RankedSetTest, TopKAndMembers) {
