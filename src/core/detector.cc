@@ -300,6 +300,10 @@ bool SpotDetector::ApplyFeedback(
   if (point_ids.empty() && examples.empty()) {
     return fail("feedback carries no labels");
   }
+  if (point_ids.size() + examples.size() > SpotConfig::kMaxFeedbackLabels) {
+    return fail("feedback carries more than " +
+                std::to_string(SpotConfig::kMaxFeedbackLabels) + " labels");
+  }
   const std::size_t dims = static_cast<std::size_t>(partition_->num_dims());
   DomainKnowledge knowledge;
   knowledge.outlier_examples.reserve(point_ids.size() + examples.size());

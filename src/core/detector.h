@@ -141,9 +141,10 @@ class SpotDetector {
   /// round consumes one RNG draw, so call order relative to Process()
   /// determines all subsequent verdicts. Returns false without touching
   /// any state (or the RNG stream) when the detector is unlearned, no
-  /// labels were given, an id is not retained, an example's width does not
-  /// match the stream, or the reservoir is still too small; `error` (may
-  /// be nullptr) then names the problem.
+  /// labels or more than SpotConfig::kMaxFeedbackLabels were given, an id
+  /// is not retained, an example's width does not match the stream, or the
+  /// reservoir is still too small; `error` (may be nullptr) then names the
+  /// problem.
   bool ApplyFeedback(const std::vector<std::uint64_t>& point_ids,
                      const std::vector<std::vector<double>>& examples,
                      std::string* error = nullptr);

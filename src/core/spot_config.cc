@@ -30,6 +30,10 @@ std::string SpotConfig::Validate() const {
     return "outlying_degree num_runs must be in [1, " +
            std::to_string(kMaxOutlyingRuns) + "]";
   }
+  if (unsupervised.top_outlying_points > kMaxTopOutlyingPoints) {
+    return "top_outlying_points must be at most " +
+           std::to_string(kMaxTopOutlyingPoints);
+  }
   if (num_shards > kMaxShards) {
     return "num_shards must be at most " + std::to_string(kMaxShards);
   }

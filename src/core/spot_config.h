@@ -158,6 +158,17 @@ struct SpotConfig {
   static constexpr int kMaxMogaGenerations = 1000;
   static constexpr int kMaxOutlyingRuns = 100;
 
+  /// Largest unsupervised.top_outlying_points Validate() accepts, and the
+  /// most labels (point ids plus examples) SpotDetector::ApplyFeedback
+  /// takes in one round. Learn runs one search per top outlying point and
+  /// a feedback round one per label, all on the calling thread, so these
+  /// bound how many searches one request starts. At both caps and the
+  /// MOGA budget caps, Learn on 400 x 8 training rows with
+  /// eval::FastTestConfig's other values took 36 s on a 4-vCPU x86-64
+  /// container and a feedback round after 2000 more points 34 s.
+  static constexpr std::size_t kMaxTopOutlyingPoints = 32;
+  static constexpr std::size_t kMaxFeedbackLabels = 32;
+
   // --- Reproducibility ---------------------------------------------------
   std::uint64_t seed = 1234;
 

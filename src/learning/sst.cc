@@ -1,5 +1,6 @@
 #include "learning/sst.h"
 
+#include <cmath>
 #include <sstream>
 #include <unordered_set>
 
@@ -119,7 +120,11 @@ bool Sst::LoadState(ByteReader& r) {
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
       const Subspace s(r.U64());
       const double score = r.F64();
-      if (s.IsEmpty() || !set->Insert(s, score)) return r.Fail();
+      // No ranking orders a NaN score, so a set holding one would save in
+      // an order that depends on its hash map's history.
+      if (s.IsEmpty() || std::isnan(score) || !set->Insert(s, score)) {
+        return r.Fail();
+      }
     }
     return r.ok();
   };

@@ -439,6 +439,23 @@ bool DecodeVerdicts(const std::string& payload, VerdictsResp* out) {
   return r.AtEnd();
 }
 
+std::size_t VerdictRunEnd(const std::string& session_id,
+                          const std::vector<SpotResult>& verdicts,
+                          std::size_t begin, std::size_t max_payload) {
+  // EncodeVerdicts: the id, the first point id and the verdict count, then
+  // per verdict a flag, the score and a finding count, and 32 bytes per
+  // finding (EncodeFindings).
+  std::size_t bytes = 4 + session_id.size() + 8 + 4;
+  std::size_t end = begin;
+  while (end < verdicts.size()) {
+    const std::size_t verdict_bytes = 13 + 32 * verdicts[end].findings.size();
+    if (end > begin && bytes + verdict_bytes > max_payload) break;
+    bytes += verdict_bytes;
+    ++end;
+  }
+  return end;
+}
+
 void EncodeTopKEntryList(const std::vector<TopKEntry>& entries,
                          ByteWriter* w) {
   w->U32(static_cast<std::uint32_t>(entries.size()));
@@ -599,52 +616,6 @@ bool DecodeSnapshot(ByteReader* r, obs::MetricsSnapshot* out) {
          DecodeSection(r, 32, &out->histograms);
 }
 
-void EncodeSessionQuality(const SessionQuality& q, ByteWriter* w) {
-  w->Str(q.session_id);
-  w->U64(q.points);
-  w->U64(q.alarms);
-  w->U64(q.tracked_subspaces);
-  w->U64(q.slab_slots);
-  w->U64(q.free_slots);
-  w->U64(q.compactions);
-  w->U64(q.cells_reclaimed);
-  EncodeHistogram(q.rd_margin, w);
-  EncodeHistogram(q.irsd_margin, w);
-  w->U32(static_cast<std::uint32_t>(q.subspaces.size()));
-  for (const SubspaceQuality& s : q.subspaces) {
-    w->U64(s.subspace_bits);
-    w->U64(s.points);
-    w->U64(s.alarms);
-  }
-}
-
-bool DecodeSessionQuality(ByteReader* r, SessionQuality* out) {
-  out->session_id = r->Str();
-  out->points = r->U64();
-  out->alarms = r->U64();
-  out->tracked_subspaces = r->U64();
-  out->slab_slots = r->U64();
-  out->free_slots = r->U64();
-  out->compactions = r->U64();
-  out->cells_reclaimed = r->U64();
-  if (!DecodeHistogram(r, &out->rd_margin) ||
-      !DecodeHistogram(r, &out->irsd_margin)) {
-    return false;
-  }
-  const std::uint32_t nsub = r->U32();
-  if (!r->ok()) return false;
-  // A subspace row is 24 bytes; bound against the remaining bytes so a
-  // crafted count cannot force a huge allocation.
-  if (nsub > r->remaining() / 24) return r->Fail();
-  out->subspaces.assign(nsub, SubspaceQuality{});
-  for (SubspaceQuality& s : out->subspaces) {
-    s.subspace_bits = r->U64();
-    s.points = r->U64();
-    s.alarms = r->U64();
-  }
-  return r->ok();
-}
-
 }  // namespace
 
 obs::MetricsSnapshot StatsResp::Merged() const {
@@ -671,8 +642,9 @@ std::string EncodeStats(const StatsResp& resp) {
   }
   EncodeSnapshot(resp.service, &w);
   w.U32(static_cast<std::uint32_t>(resp.sessions.size()));
-  for (const SessionQuality& q : resp.sessions) {
-    EncodeSessionQuality(q, &w);
+  for (const auto& [label, snap] : resp.sessions) {
+    w.Str(label);
+    EncodeSnapshot(snap, &w);
   }
   return w.Take();
 }
@@ -690,12 +662,13 @@ bool DecodeStats(const std::string& payload, StatsResp* out) {
   if (!DecodeSnapshot(&r, &out->service)) return false;
   const std::uint32_t nsessions = r.U32();
   if (!r.ok()) return false;
-  // A quality section is >= 120 bytes (empty id + seven u64 tallies + two
-  // 28-byte empty histograms + subspace count).
-  if (nsessions > payload.size() / 120) return r.Fail();
-  out->sessions.assign(nsessions, SessionQuality());
-  for (SessionQuality& q : out->sessions) {
-    if (!DecodeSessionQuality(&r, &q)) return false;
+  // A session section is >= 16 bytes (an empty label and an empty
+  // snapshot).
+  if (nsessions > r.remaining() / 16) return r.Fail();
+  out->sessions.assign(nsessions, obs::LabeledSnapshot());
+  for (auto& [label, snap] : out->sessions) {
+    label = r.Str();
+    if (!DecodeSnapshot(&r, &snap)) return false;
   }
   return r.AtEnd();
 }

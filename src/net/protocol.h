@@ -10,8 +10,8 @@
 #include "core/detector.h"
 #include "core/spot_config.h"
 #include "core/topk_outliers.h"
+#include "obs/exposition.h"
 #include "obs/metrics.h"
-#include "obs/quality.h"
 #include "stream/data_point.h"
 
 namespace spot {
@@ -279,26 +279,32 @@ bool DecodeError(const std::string& payload, ErrorResp* out);
 std::string EncodeVerdicts(const VerdictsResp& resp);
 bool DecodeVerdicts(const std::string& payload, VerdictsResp* out);
 
+/// One past the last verdict of the longest run from `begin` whose
+/// EncodeVerdicts payload for `session_id` fits in `max_payload` bytes.
+/// The run takes at least one verdict, so a verdict that alone exceeds
+/// the cap still travels, in a payload of its own.
+std::size_t VerdictRunEnd(const std::string& session_id,
+                          const std::vector<SpotResult>& verdicts,
+                          std::size_t begin, std::size_t max_payload);
+
 /// Whole-server metrics snapshot (answers kStats; DESIGN.md Section 9).
 /// One section per reactor (pipeline-stage histograms + transport
-/// counters + connection gauges) and one for the server's service
+/// counters + connection gauges), one for the server's service
 /// (checkpoint durations, eviction/reload counters, resident-session
-/// gauges). A kStats *request* carries an empty payload; anything else
-/// is malformed and closes the connection like any other bad request
-/// payload.
-/// The per-session detection-quality sections of a kStatsResp are
-/// the service layer's obs::SessionQuality snapshots, carried verbatim.
-using SubspaceQuality = obs::SubspaceQuality;
-using SessionQuality = obs::SessionQuality;
-
+/// gauges) and the service's labeled detection-quality sections
+/// (SpotService::QualitySnapshot). A kStats *request* carries an empty
+/// payload; anything else is malformed and closes the connection like any
+/// other bad request payload.
 struct StatsResp {
   std::vector<obs::MetricsSnapshot> reactors;  // index == reactor index
   obs::MetricsSnapshot service;
-  std::vector<SessionQuality> sessions;  // every known session, id order
+  /// `session="id"` and `session="id",subspace="0x…"` sections, sessions
+  /// in id order.
+  std::vector<obs::LabeledSnapshot> sessions;
 
-  /// Everything folded into one snapshot (counters/gauges sum,
-  /// histograms merge), minus every `perf_*` gauge: a mode or a rate
-  /// does not add across sections.
+  /// The reactors and the service folded into one snapshot
+  /// (counters/gauges sum, histograms merge), minus every `perf_*` gauge:
+  /// a mode or a rate does not add across sections.
   obs::MetricsSnapshot Merged() const;
 };
 

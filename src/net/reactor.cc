@@ -534,11 +534,7 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
       CloseSessionReq req;
       if (!DecodeCloseSession(frame.payload, &req)) break;
       if (!RequireAttached(conn, frame.type, req.session_id)) return true;
-      auto pending = conn.pending.find(req.session_id);
-      if (pending != conn.pending.end() && !pending->second.empty() &&
-          !ProcessPending(conn, req.session_id, /*all=*/true)) {
-        return false;
-      }
+      if (!DrainSession(conn, req.session_id)) return false;
       if (!service_->CloseSession(req.session_id, req.persist)) {
         SendError(conn, frame.type, ErrorCode::kCheckpointFailed,
                   "CloseSession('" + req.session_id + "') failed");
@@ -554,17 +550,11 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
       FeedbackReq req;
       if (!DecodeFeedback(frame.payload, &req)) break;
       if (!RequireAttached(conn, frame.type, req.session_id)) return true;
-      // Batch-boundary barrier: every point this connection already
-      // delivered for the session is processed before the round, so the
-      // detector's tick and RNG stream sit at exactly the position the
-      // in-process reference reaches before its own ApplyFeedback —
-      // that positional identity is what makes the differential
-      // bit-identity guarantee hold (DESIGN.md Section 11).
-      auto pending = conn.pending.find(req.session_id);
-      if (pending != conn.pending.end() && !pending->second.empty() &&
-          !ProcessPending(conn, req.session_id, /*all=*/true)) {
-        return false;
-      }
+      // Batch-boundary barrier: the detector's tick and RNG stream sit at
+      // exactly the position the in-process reference reaches before its
+      // own ApplyFeedback — that positional identity is what makes the
+      // differential bit-identity guarantee hold (DESIGN.md Section 11).
+      if (!DrainSession(conn, req.session_id)) return false;
       std::string error;
       if (!service_->ApplyFeedback(req.session_id, req.point_ids,
                                    req.examples, &error)) {
@@ -580,11 +570,7 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
       if (!RequireAttached(conn, frame.type, req.session_id)) return true;
       // Same barrier as kFeedback: the query answers "after everything
       // you sent so far", never a mid-batch snapshot.
-      auto pending = conn.pending.find(req.session_id);
-      if (pending != conn.pending.end() && !pending->second.empty() &&
-          !ProcessPending(conn, req.session_id, /*all=*/true)) {
-        return false;
-      }
+      if (!DrainSession(conn, req.session_id)) return false;
       TopKResp resp;
       resp.session_id = req.session_id;
       std::string error;
@@ -709,25 +695,14 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
     c_batches_run_->Inc();
     c_points_ingested_->Inc(n);
     // A large coalesced run's verdicts can encode past the wire payload
-    // cap (13 bytes per verdict + 32 per finding), which the client's
-    // decoder would latch as corrupt. Split the run into as many
-    // kVerdicts frames as the cap requires — protocol-legal (verdicts
-    // arrive "batched however the server coalesced them") with
-    // first_point_id kept accurate per frame.
-    const std::size_t header_bytes = 4 + id.size() + 8 + 4;
+    // cap, which the client's decoder would latch as corrupt. Split the
+    // run into as many kVerdicts frames as the cap requires —
+    // protocol-legal (verdicts arrive "batched however the server
+    // coalesced them") with first_point_id kept accurate per frame.
     std::size_t begin = 0;
     while (begin < result.verdicts.size()) {
-      std::size_t bytes = header_bytes;
-      std::size_t end = begin;
-      while (end < result.verdicts.size()) {
-        const std::size_t vbytes =
-            13 + 32 * result.verdicts[end].findings.size();
-        if (end > begin && bytes + vbytes > config_.max_payload_bytes) {
-          break;
-        }
-        bytes += vbytes;
-        ++end;
-      }
+      const std::size_t end = VerdictRunEnd(id, result.verdicts, begin,
+                                            config_.max_payload_bytes);
       VerdictsResp resp;
       resp.session_id = id;
       resp.first_point_id = chunk[begin].id;
@@ -749,6 +724,12 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
   }
   pending.erase(pending.begin(), pending.begin() + static_cast<long>(pos));
   return true;
+}
+
+bool Reactor::DrainSession(Conn& conn, const std::string& id) {
+  auto pending = conn.pending.find(id);
+  return pending == conn.pending.end() || pending->second.empty() ||
+         ProcessPending(conn, id, /*all=*/true);
 }
 
 void Reactor::FlushAllPending() {

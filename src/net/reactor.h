@@ -133,6 +133,11 @@ class Reactor {
   /// A refused chunk discards every point still pending for `id`, so
   /// nothing after it is ever processed.
   bool ProcessPending(Conn& conn, const std::string& id, bool all);
+  /// Batch-boundary barrier: processes every point `conn` still has
+  /// pending for `id`, so a request on the session sees everything the
+  /// connection delivered before it. False when a chunk was refused (the
+  /// error is queued).
+  bool DrainSession(Conn& conn, const std::string& id);
   /// End-of-turn flush: processes every connection's remaining pending
   /// points (whatever arrived together in this turn is the batch).
   void FlushAllPending();

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -11,6 +10,7 @@
 
 #include <fcntl.h>
 
+#include <iterator>
 #include <utility>
 
 #include "common/log.h"
@@ -41,14 +41,6 @@ void TraceOnSignal(int /*signo*/) {
   // Only latch a flag (async-signal-safe); the binary's watcher thread
   // renders and writes the dump outside signal context.
   g_trace_requested.store(true, std::memory_order_relaxed);
-}
-
-/// Subspace mask as a Prometheus label value ("0x5" = dims {0,2}).
-std::string SubspaceLabel(std::uint64_t bits) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
 }
 
 }  // namespace
@@ -222,39 +214,17 @@ StatsResp SpotServer::StatsSnapshot() const {
 }
 
 std::string SpotServer::PrometheusText() const {
-  const StatsResp snap = StatsSnapshot();
+  StatsResp snap = StatsSnapshot();
   std::vector<obs::LabeledSnapshot> sections;
-  sections.reserve(snap.reactors.size() + 1 + 2 * snap.sessions.size());
+  sections.reserve(snap.reactors.size() + 1 + snap.sessions.size());
   for (std::size_t i = 0; i < snap.reactors.size(); ++i) {
     sections.emplace_back("reactor=\"" + std::to_string(i) + "\"",
-                          snap.reactors[i]);
+                          std::move(snap.reactors[i]));
   }
-  sections.emplace_back("", snap.service);
-  // Detection-quality series (DESIGN.md Section 10): one session="id"
-  // section per session, plus one session+subspace section per retained
-  // alarming subspace (bounded by kQualityTopSubspaces per session).
-  for (const SessionQuality& q : snap.sessions) {
-    obs::MetricsSnapshot s;
-    s.counters["session_points"] = q.points;
-    s.counters["session_alarms"] = q.alarms;
-    s.counters["grid_compactions"] = q.compactions;
-    s.counters["grid_cells_reclaimed"] = q.cells_reclaimed;
-    s.gauges["tracked_subspaces"] = static_cast<double>(q.tracked_subspaces);
-    s.gauges["slab_slots"] = static_cast<double>(q.slab_slots);
-    s.gauges["slab_free_slots"] = static_cast<double>(q.free_slots);
-    s.histograms["rd_margin_x1000"] = q.rd_margin;
-    s.histograms["irsd_margin_x1000"] = q.irsd_margin;
-    const std::string session_label = "session=\"" + q.session_id + "\"";
-    sections.emplace_back(session_label, std::move(s));
-    for (const SubspaceQuality& sub : q.subspaces) {
-      obs::MetricsSnapshot ss;
-      ss.counters["subspace_points"] = sub.points;
-      ss.counters["subspace_alarms"] = sub.alarms;
-      sections.emplace_back(session_label + ",subspace=\"" +
-                                SubspaceLabel(sub.subspace_bits) + "\"",
-                            std::move(ss));
-    }
-  }
+  sections.emplace_back("", std::move(snap.service));
+  sections.insert(sections.end(),
+                  std::make_move_iterator(snap.sessions.begin()),
+                  std::make_move_iterator(snap.sessions.end()));
   return obs::RenderPrometheus(sections);
 }
 
@@ -268,10 +238,7 @@ std::string SpotServer::TraceJson() const {
 }
 
 std::string SpotServer::JournalJson() const {
-  const obs::Journal* journal = service_.journal();
-  return journal != nullptr
-             ? journal->RenderJson()
-             : "{\"capacity\":0,\"appended\":0,\"dropped\":0,\"events\":[]}";
+  return service_.journal().RenderJson();
 }
 
 int SpotServer::metrics_port() const {

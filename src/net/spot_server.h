@@ -103,9 +103,8 @@ class SpotServer {
   StatsResp StatsSnapshot() const;
 
   /// StatsSnapshot() rendered as Prometheus text exposition (per-reactor
-  /// series labeled reactor="i", the service's series unlabeled,
-  /// per-session detection-quality series labeled session="id" with
-  /// per-subspace sub-series adding subspace="0x<mask>").
+  /// series labeled reactor="i", the service's series unlabeled, then the
+  /// service's labeled session sections as they are).
   /// This is what the --metrics-port endpoint serves.
   std::string PrometheusText() const;
 
@@ -115,9 +114,8 @@ class SpotServer {
   /// from any thread (each ring locks internally).
   std::string TraceJson() const;
 
-  /// The service's detector event journal as JSON (Journal::RenderJson;
-  /// an empty journal of capacity 0 when journaling is off). Safe from
-  /// any thread.
+  /// The service's detector event journal as JSON (Journal::RenderJson).
+  /// Safe from any thread.
   std::string JournalJson() const;
 
   /// Reactor `i`'s flight-recorder ring, or nullptr when tracing is off.

@@ -2,34 +2,10 @@
 
 #include <cstdio>
 
+#include "obs/exposition.h"
+
 namespace spot::obs {
 namespace {
-
-// Minimal JSON string escaping: session names arrive from the wire, so
-// quotes, backslashes and control bytes must not break the document.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendDouble(std::string* out, double v) {
   char buf[64];
@@ -39,10 +15,7 @@ void AppendDouble(std::string* out, double v) {
 
 }  // namespace
 
-Journal::Journal(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_ < 4096 ? capacity_ : 4096);
-}
+Journal::Journal(std::size_t capacity) : ring_(capacity) {}
 
 std::uint32_t Journal::InternSession(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -54,39 +27,17 @@ std::uint32_t Journal::InternSession(const std::string& name) {
 }
 
 void Journal::Append(std::uint32_t session, const DetectorEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
   JournalEntry entry;
-  entry.seq = seq_++;
   entry.session = session;
   entry.event = event;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(entry));
-  } else {
-    ring_[next_] = std::move(entry);
-    next_ = (next_ + 1) % capacity_;
-    ++dropped_;
-  }
+  ring_.Push(std::move(entry));
 }
 
 std::vector<JournalEntry> Journal::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<JournalEntry> out;
-  out.reserve(ring_.size());
-  // next_ is the oldest slot once the ring has wrapped.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
+  std::uint64_t seq = 0;
+  std::vector<JournalEntry> out = ring_.Snapshot(&seq);
+  for (JournalEntry& e : out) e.seq = seq++;
   return out;
-}
-
-std::uint64_t Journal::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::uint64_t Journal::appended() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seq_;
 }
 
 std::string Journal::SessionName(std::uint32_t index) const {
@@ -95,25 +46,23 @@ std::string Journal::SessionName(std::uint32_t index) const {
 }
 
 std::string Journal::RenderJson() const {
-  // Copy under the lock, render outside it: ToString/formatting is the
+  // Copy under the locks, render outside them: ToString/formatting is the
   // expensive part and must not hold writers up.
-  std::vector<JournalEntry> events = Snapshot();
-  std::uint64_t total;
-  std::uint64_t lost;
+  const std::vector<JournalEntry> events = Snapshot();
+  // The oldest retained entry's seq counts the entries dropped before it.
+  const std::uint64_t lost = events.empty() ? 0 : events.front().seq;
   std::vector<std::string> names;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    total = seq_;
-    lost = dropped_;
     names = sessions_;
   }
 
   std::string out;
   out.reserve(64 + events.size() * 96);
   out += "{\"capacity\":";
-  out += std::to_string(capacity_);
+  out += std::to_string(capacity());
   out += ",\"appended\":";
-  out += std::to_string(total);
+  out += std::to_string(lost + events.size());
   out += ",\"dropped\":";
   out += std::to_string(lost);
   out += ",\"events\":[";

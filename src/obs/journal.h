@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/detector_events.h"
+#include "obs/ring.h"
 
 namespace spot::obs {
 
@@ -25,18 +26,11 @@ struct JournalEntry {
 /// grid compactions, checkpoint/evict/reload lifecycle — without touching
 /// the per-point hot path: events are emitted only from the rare state
 /// transitions (DESIGN.md Section 10), so an unsinked detector pays one
-/// pointer test per transition and nothing per point.
-///
-/// The ring itself is mutex-guarded. That is deliberate: writers arrive at
-/// event rate (tens per million points), readers at scrape rate, so the
-/// lock is uncontended in practice and keeps Snapshot() trivially correct
-/// across threads (the reactor appends while an exporter thread renders).
-/// When the ring is full the oldest entry is overwritten and dropped()
-/// grows, so a scrape always sees the newest window plus an honest count
-/// of what it missed.
+/// pointer test per transition and nothing per point. The events live in
+/// an obs::Ring, so the reactor appends while an exporter thread renders.
 class Journal {
  public:
-  explicit Journal(std::size_t capacity = 8192);
+  explicit Journal(std::size_t capacity);
 
   /// Interns a session name, returning the index Append() takes. Names are
   /// never evicted (sessions are few and long-lived); re-interning an
@@ -52,12 +46,12 @@ class Journal {
   std::vector<JournalEntry> Snapshot() const;
 
   /// Events overwritten before any snapshot could retain them.
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
   /// Total events ever appended (retained + dropped).
-  std::uint64_t appended() const;
+  std::uint64_t appended() const { return ring_.appended(); }
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   /// Session name for an InternSession index ("?" if out of range).
   std::string SessionName(std::uint32_t index) const;
@@ -71,12 +65,10 @@ class Journal {
   std::string RenderJson() const;
 
  private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::vector<JournalEntry> ring_;  // grows to capacity_, then wraps
-  std::size_t next_ = 0;            // overwrite cursor once full
-  std::uint64_t seq_ = 0;
-  std::uint64_t dropped_ = 0;
+  /// Entries carry no seq here: an entry's seq is its position in append
+  /// order, which Snapshot reads off the ring.
+  Ring<JournalEntry> ring_;
+  mutable std::mutex mu_;  // guards sessions_
   std::vector<std::string> sessions_;
 };
 

@@ -1,56 +1,8 @@
 #include "obs/trace.h"
 
-#include <utility>
+#include "obs/exposition.h"
 
 namespace spot::obs {
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back('?');  // session names are printable; don't bloat
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
-TraceRecorder::TraceRecorder(std::size_t capacity, std::uint32_t reactor)
-    : capacity_(capacity == 0 ? 1 : capacity), reactor_(reactor) {
-  ring_.reserve(capacity_ < 4096 ? capacity_ : 4096);
-}
-
-void TraceRecorder::Record(TraceEvent event) {
-  event.reactor = reactor_;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[next_] = std::move(event);
-    next_ = (next_ + 1) % capacity_;
-    ++dropped_;
-  }
-}
-
-std::vector<TraceEvent> TraceRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t TraceRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
 
 std::string RenderChromeTrace(
     const std::vector<std::vector<TraceEvent>>& snapshots) {

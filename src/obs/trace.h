@@ -2,9 +2,11 @@
 #define SPOT_OBS_TRACE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace spot::obs {
 
@@ -49,36 +51,36 @@ struct TraceEvent {
   std::string session;       // empty when not session-scoped
 };
 
-/// Fixed-size per-reactor flight recorder: a mutex-guarded ring of the most
-/// recent spans. Each reactor owns one recorder and is its only writer, so
-/// the lock is contended only during a dump; when recording is off the
-/// reactor never calls Record at all (the enabled check lives caller-side),
-/// making the recorder literally zero-cost when idle.
+/// Fixed-size per-reactor flight recorder: an obs::Ring of the most recent
+/// spans. Each reactor owns one recorder and is its only writer, so the
+/// lock is contended only during a dump; when recording is off the reactor
+/// never calls Record at all (the enabled check lives caller-side), making
+/// the recorder literally zero-cost when idle.
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = 2048,
-                         std::uint32_t reactor = 0);
+                         std::uint32_t reactor = 0)
+      : ring_(capacity), reactor_(reactor) {}
 
   /// Appends a span (reactor id is stamped here), overwriting the oldest
   /// when full.
-  void Record(TraceEvent event);
+  void Record(TraceEvent event) {
+    event.reactor = reactor_;
+    ring_.Push(std::move(event));
+  }
 
   /// The retained window, oldest first.
-  std::vector<TraceEvent> Snapshot() const;
+  std::vector<TraceEvent> Snapshot() const { return ring_.Snapshot(); }
 
   /// Spans overwritten since construction.
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   std::uint32_t reactor() const { return reactor_; }
 
  private:
-  const std::size_t capacity_;
+  Ring<TraceEvent> ring_;
   const std::uint32_t reactor_;
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> ring_;
-  std::size_t next_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 /// Renders spans from any number of recorders as a Chrome-trace / Perfetto

@@ -1,6 +1,8 @@
 #include "service/spot_service.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <tuple>
 #include <utility>
 
 #include "common/log.h"
@@ -13,9 +15,6 @@ namespace spot {
 SpotService::SpotService(SpotServiceConfig config)
     : config_(std::move(config)) {
   if (config_.max_resident == 0) config_.max_resident = 1;
-  if (config_.journal_capacity > 0) {
-    journal_ = std::make_unique<obs::Journal>(config_.journal_capacity);
-  }
 }
 
 bool SpotService::ValidSessionId(const std::string& id) {
@@ -59,10 +58,9 @@ void SpotService::ApplyServiceConfigLocked(SpotDetector* detector) {
 }
 
 void SpotService::BindSinkLocked(const std::string& id, Session* session) {
-  if (journal_ == nullptr) return;
   if (session->sink == nullptr) {
     session->sink = std::make_unique<obs::JournalSink>(
-        journal_.get(), journal_->InternSession(id));
+        &journal_, journal_.InternSession(id));
   }
   if (session->detector != nullptr) {
     session->detector->set_event_sink(session->sink.get());
@@ -72,7 +70,6 @@ void SpotService::BindSinkLocked(const std::string& id, Session* session) {
 void SpotService::JournalLifecycleLocked(Session& session,
                                          DetectorEventKind kind,
                                          std::uint64_t a, double value) {
-  if (session.sink == nullptr) return;
   DetectorEvent event;
   event.kind = kind;
   event.tick = session.last_stats.points_processed;
@@ -82,21 +79,20 @@ void SpotService::JournalLifecycleLocked(Session& session,
 }
 
 void SpotService::SampleLocked(Session* session) {
-  obs::SessionQuality& q = session->quality;
   const SpotDetector* detector = session->detector.get();
   if (detector == nullptr) {
-    q.tracked_subspaces = q.slab_slots = q.free_slots = 0;
-    q.compactions = q.cells_reclaimed = 0;
+    session->tracked_subspaces = session->slab_slots = 0;
+    session->free_slots = session->compactions = 0;
+    session->cells_reclaimed = 0;
     return;
   }
   session->last_stats = detector->stats();
-  if (!config_.collect_quality) return;
   const SynapseManager& synapses = detector->synapses();
-  q.tracked_subspaces = detector->TrackedSubspaces();
-  q.slab_slots = synapses.TotalSlabSlots();
-  q.free_slots = synapses.TotalFreeSlots();
-  q.compactions = synapses.TotalCompactions();
-  q.cells_reclaimed = synapses.TotalCellsReclaimed();
+  session->tracked_subspaces = detector->TrackedSubspaces();
+  session->slab_slots = synapses.TotalSlabSlots();
+  session->free_slots = synapses.TotalFreeSlots();
+  session->compactions = synapses.TotalCompactions();
+  session->cells_reclaimed = synapses.TotalCellsReclaimed();
 }
 
 bool SpotService::SaveLocked(const std::string& id, Session& session) {
@@ -231,12 +227,9 @@ bool SpotService::CreateSession(
   // itself.) Sink before Learn so the initial Track() sweep journals the
   // session's starting SST.
   auto detector = std::make_unique<SpotDetector>(config);
-  std::unique_ptr<obs::JournalSink> sink;
-  if (journal_ != nullptr) {
-    sink = std::make_unique<obs::JournalSink>(journal_.get(),
-                                              journal_->InternSession(id));
-    detector->set_event_sink(sink.get());
-  }
+  auto sink = std::make_unique<obs::JournalSink>(
+      &journal_, journal_.InternSession(id));
+  detector->set_event_sink(sink.get());
   const bool learned = detector->Learn(training, knowledge);
   lock.lock();
   const bool admitted = learned && MakeRoomLocked(lock);
@@ -387,9 +380,7 @@ IngestResult SpotService::IngestImpl(const std::string& id,
   c_drifts_->Inc(after.drifts_detected - before.drifts_detected);
   if (config_.collect_perf_counters) HarvestPerfLocked(result.stages);
   ++session->batches_ingested;
-  if (config_.collect_quality || session->sink != nullptr) {
-    AccumulateQualityLocked(session, result.verdicts);
-  }
+  AccumulateQualityLocked(session, result.verdicts);
   ReleaseLocked(session);
   return result;
 }
@@ -397,22 +388,21 @@ IngestResult SpotService::IngestImpl(const std::string& id,
 void SpotService::AccumulateQualityLocked(
     Session* session, const std::vector<SpotResult>& verdicts) {
   const SpotDetector& detector = *session->detector;
-  if (config_.collect_quality) {
-    const double rd_t = detector.config().rd_threshold;
-    const double irsd_t = detector.config().irsd_threshold;
-    obs::SessionQuality& q = session->quality;
-    for (const SpotResult& v : verdicts) {
-      ++q.points;
-      if (!v.is_outlier) continue;
-      ++q.alarms;
-      for (const SubspaceFinding& f : v.findings) {
-        auto [it, inserted] = session->per_subspace.try_emplace(f.subspace);
-        if (inserted) it->second.first_points = q.points - 1;
-        ++it->second.alarms;
-        // Ratio-to-threshold x1000 (shared ratio-metric convention): mass
-        // just under 1000 = borderline verdicts.
-        if (rd_t > 0.0) q.rd_margin.Record(f.pcs.rd / rd_t * 1000.0);
-        if (irsd_t > 0.0) q.irsd_margin.Record(f.pcs.irsd / irsd_t * 1000.0);
+  const double rd_t = detector.config().rd_threshold;
+  const double irsd_t = detector.config().irsd_threshold;
+  for (const SpotResult& v : verdicts) {
+    ++session->points;
+    if (!v.is_outlier) continue;
+    ++session->alarms;
+    for (const SubspaceFinding& f : v.findings) {
+      auto [it, inserted] = session->per_subspace.try_emplace(f.subspace);
+      if (inserted) it->second.first_points = session->points - 1;
+      ++it->second.alarms;
+      // Ratio-to-threshold x1000 (shared ratio-metric convention): mass
+      // just under 1000 = borderline verdicts.
+      if (rd_t > 0.0) session->rd_margin.Record(f.pcs.rd / rd_t * 1000.0);
+      if (irsd_t > 0.0) {
+        session->irsd_margin.Record(f.pcs.irsd / irsd_t * 1000.0);
       }
     }
   }
@@ -421,7 +411,7 @@ void SpotService::AccumulateQualityLocked(
   // an event; either way resample so the next delta starts clean.
   const std::uint64_t comp = detector.synapses().TotalCompactions();
   const std::uint64_t rec = detector.synapses().TotalCellsReclaimed();
-  if (comp > session->last_compactions && session->sink != nullptr) {
+  if (comp > session->last_compactions) {
     DetectorEvent event;
     event.kind = DetectorEventKind::kGridCompaction;
     event.tick = detector.stats().points_processed;
@@ -579,33 +569,41 @@ ServiceMetrics SpotService::TotalMetrics() const {
   return total;
 }
 
-std::vector<obs::SessionQuality> SpotService::QualitySnapshot() const {
+std::vector<obs::LabeledSnapshot> SpotService::QualitySnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<obs::SessionQuality> out;
-  if (!config_.collect_quality) return out;
-  out.reserve(sessions_.size());
+  std::vector<obs::LabeledSnapshot> out;
   for (const auto& [id, session] : sessions_) {
-    obs::SessionQuality q = session.quality;
-    q.session_id = id;
-    // Top subspaces by alarms; ties break on the subspace mask so the
+    const std::string label = "session=\"" + id + "\"";
+    obs::MetricsSnapshot s;
+    s.counters["session_points"] = session.points;
+    s.counters["session_alarms"] = session.alarms;
+    s.counters["grid_compactions"] = session.compactions;
+    s.counters["grid_cells_reclaimed"] = session.cells_reclaimed;
+    s.gauges["tracked_subspaces"] =
+        static_cast<double>(session.tracked_subspaces);
+    s.gauges["slab_slots"] = static_cast<double>(session.slab_slots);
+    s.gauges["slab_free_slots"] = static_cast<double>(session.free_slots);
+    s.histograms["rd_margin_x1000"] = session.rd_margin;
+    s.histograms["irsd_margin_x1000"] = session.irsd_margin;
+    out.emplace_back(label, std::move(s));
+    // (~alarms, mask) ascending ranks by alarms, ties on the mask, so the
     // snapshot is deterministic.
-    q.subspaces.reserve(session.per_subspace.size());
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> top;
     for (const auto& [subspace, tally] : session.per_subspace) {
-      obs::SubspaceQuality row;
-      row.subspace_bits = subspace.bits();
-      row.points = session.quality.points - tally.first_points;
-      row.alarms = tally.alarms;
-      q.subspaces.push_back(row);
+      top.emplace_back(~tally.alarms, subspace.bits(),
+                       session.points - tally.first_points);
     }
-    std::sort(q.subspaces.begin(), q.subspaces.end(),
-              [](const obs::SubspaceQuality& a, const obs::SubspaceQuality& b) {
-                if (a.alarms != b.alarms) return a.alarms > b.alarms;
-                return a.subspace_bits < b.subspace_bits;
-              });
-    if (q.subspaces.size() > kQualityTopSubspaces) {
-      q.subspaces.resize(kQualityTopSubspaces);
+    std::sort(top.begin(), top.end());
+    top.resize(std::min(top.size(), kQualityTopSubspaces));
+    for (const auto& [not_alarms, mask, points] : top) {
+      char hex[32];
+      std::snprintf(hex, sizeof(hex), "0x%llx",
+                    static_cast<unsigned long long>(mask));
+      obs::MetricsSnapshot sub;
+      sub.counters["subspace_points"] = points;
+      sub.counters["subspace_alarms"] = ~not_alarms;
+      out.emplace_back(label + ",subspace=\"" + hex + "\"", std::move(sub));
     }
-    out.push_back(std::move(q));
   }
   return out;
 }

@@ -12,14 +12,15 @@
 #include "core/detector.h"
 #include "core/spot_config.h"
 #include "learning/supervised.h"
+#include "obs/exposition.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/quality.h"
 #include "stream/data_point.h"
 
 namespace spot {
 
-/// Configuration of a SpotService instance.
+/// Configuration of a SpotService instance. The event journal and the
+/// detection-quality sections are always on (see QualitySnapshot).
 struct SpotServiceConfig {
   /// Maximum number of detector sessions resident in memory at once. When
   /// admitting one more would exceed this, the least-recently-used idle
@@ -39,19 +40,6 @@ struct SpotServiceConfig {
   /// exist. When empty, eviction and persistence are disabled: sessions
   /// beyond max_resident are refused instead of evicted.
   std::string checkpoint_dir;
-
-  /// Capacity of the service's detector event journal (DESIGN.md Section
-  /// 10): the bounded ring of engine state transitions (SST churn, drift,
-  /// evolution, compactions, checkpoint lifecycle) across all sessions.
-  /// 0 disables journaling entirely — detectors run unsinked and pay
-  /// nothing.
-  std::size_t journal_capacity = 8192;
-
-  /// Accumulate per-session detection-quality metrics (per-subspace alarm
-  /// tallies + verdict-margin histograms) from every ingest. On by
-  /// default: the cost is one map update per *finding* (findings are rare)
-  /// plus two histogram records per finding — never per clean point.
-  bool collect_quality = true;
 
   /// Collect hardware-counter deltas for each ProcessBatch's
   /// phase-0 binning pass and per-shard probe loops (DESIGN.md Section
@@ -239,29 +227,37 @@ class SpotService {
   /// (locks internally).
   obs::MetricsSnapshot ObsSnapshot() const;
 
-  /// Per-session detection-quality snapshots (DESIGN.md Section 10), one
-  /// per known session in id order: alarm tallies per subspace (top
-  /// `kQualityTopSubspaces` by alarms), verdict-margin histograms, and —
-  /// for resident sessions — grid occupancy gauges sampled when the
-  /// session's last call ended. Empty when collect_quality is off. Safe
-  /// from any thread.
-  std::vector<obs::SessionQuality> QualitySnapshot() const;
+  /// Per-session detection quality (DESIGN.md Section 10.2) as labeled
+  /// sections, sessions in id order. A `session="<id>"` section holds the
+  /// counters `session_points` (points probed since the session opened
+  /// here) and `session_alarms` (points with a finding); the histograms
+  /// `rd_margin_x1000` and `irsd_margin_x1000`, each outlier finding's rd
+  /// or irsd over its threshold x1000, so mass just under 1000 means
+  /// borderline verdicts; and the grid gauges `tracked_subspaces`,
+  /// `slab_slots` and `slab_free_slots` and counters `grid_compactions`
+  /// and `grid_cells_reclaimed`, sampled when the session's last call
+  /// ended, which read 0 while it is evicted. Then come its top
+  /// `kQualityTopSubspaces` alarming subspaces by alarms, then mask, one
+  /// `session="<id>",subspace="0x<mask>"` section each: `subspace_alarms`
+  /// and `subspace_points`, the alarm rate's denominator (session points
+  /// since the subspace first alarmed). Safe from any thread.
+  std::vector<obs::LabeledSnapshot> QualitySnapshot() const;
 
-  /// The detector event journal shared by every session of this service,
-  /// or nullptr when journal_capacity == 0.
-  obs::Journal* journal() const { return journal_.get(); }
+  /// The detector event journal shared by every session of this service.
+  const obs::Journal& journal() const { return journal_; }
 
-  /// Per-subspace rows retained in a QualitySnapshot entry (the map keeps
-  /// every alarming subspace; only the snapshot is capped).
+  /// Per-session subspace sections a QualitySnapshot carries (the tally
+  /// map keeps every alarming subspace; only the snapshot is capped).
   static constexpr std::size_t kQualityTopSubspaces = 64;
+
+  /// Capacity of the service's event journal (DESIGN.md Section 10.1).
+  static constexpr std::size_t kJournalCapacity = 8192;
 
   const SpotServiceConfig& config() const { return config_; }
 
  private:
-  /// Per-subspace alarm tally (see obs::SubspaceQuality): `first_points`
-  /// is the session's quality.points value when the subspace first
-  /// alarmed, so the snapshot's alarm-rate denominator is quality.points
-  /// - first_points.
+  /// `first_points` is the session's `points` when the subspace first
+  /// alarmed.
   struct SubspaceTally {
     std::uint64_t first_points = 0;
     std::uint64_t alarms = 0;
@@ -282,16 +278,22 @@ class SpotService {
     std::uint64_t evictions = 0;
     std::uint64_t reloads = 0;
 
-    /// Journal binding (set once at create/open when the journal exists;
-    /// survives eviction so lifecycle events keep their session tag).
+    /// Journal binding (set once at create/open; survives eviction so
+    /// lifecycle events keep their session tag).
     std::unique_ptr<obs::JournalSink> sink;
 
-    /// Detection-quality accumulation: the point/alarm tallies and margin
-    /// histograms survive eviction (they describe the served stream); the
-    /// grid gauges are resampled whenever a lease ends and read zero while
-    /// evicted. session_id and subspaces are filled per snapshot.
-    obs::SessionQuality quality;
+    /// Detection quality (see QualitySnapshot); the tallies and margins
+    /// survive eviction.
+    std::uint64_t points = 0;
+    std::uint64_t alarms = 0;
+    obs::Histogram rd_margin;
+    obs::Histogram irsd_margin;
     std::map<Subspace, SubspaceTally> per_subspace;
+    std::uint64_t tracked_subspaces = 0;
+    std::uint64_t slab_slots = 0;
+    std::uint64_t free_slots = 0;
+    std::uint64_t compactions = 0;
+    std::uint64_t cells_reclaimed = 0;
     /// Last sampled synapse compaction totals (for per-batch deltas; the
     /// totals can shrink when Untrack removes a grid, so deltas clamp).
     std::uint64_t last_compactions = 0;
@@ -341,11 +343,11 @@ class SpotService {
   /// Applies the service-wide detector settings: shard count and perf
   /// counter collection.
   void ApplyServiceConfigLocked(SpotDetector* detector);
-  /// Creates the session's journal sink (no-op without a journal) and
-  /// attaches it to the detector.
+  /// Creates the session's journal sink once and attaches it to the
+  /// detector.
   void BindSinkLocked(const std::string& id, Session* session);
   /// Emits a service-lifecycle event (checkpoint save/load, evict,
-  /// reload) into the journal under the session's tag; no-op unsinked.
+  /// reload) into the journal under the session's tag.
   void JournalLifecycleLocked(Session& session, DetectorEventKind kind,
                               std::uint64_t a, double value = 0.0);
   /// Folds one batch's verdicts into the session's quality tallies and
@@ -391,9 +393,8 @@ class SpotService {
   obs::PerfStageTotals perf_bin_total_;
   std::vector<obs::PerfStageTotals> perf_probe_totals_;
 
-  /// Event journal shared by every session (null when disabled). Created
-  /// once in the constructor; sinks hand out stable pointers to it.
-  std::unique_ptr<obs::Journal> journal_;
+  /// Event journal shared by every session; sinks hold pointers to it.
+  obs::Journal journal_{kJournalCapacity};
 };
 
 }  // namespace spot

@@ -6,15 +6,18 @@
 // boundaries, and regardless of the shard count on either side of the
 // save/load — that a save onto a full disk fails cleanly, keeping the
 // previous image, that a single flipped bit anywhere in an image is refused,
-// that an image with an out-of-bound shard count or retained-point capacity
-// is refused, and that grid
+// that fixed-seed mutations of an image are refused or, resealed, load to a
+// state that saves canonically, that an image with an out-of-bound shard
+// count or retained-point capacity is refused, and that grid
 // images with cells outside the partition are refused. The ASan/UBSan CI
 // job runs this binary.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "core/checkpoint.h"
 #include "core/detector.h"
 #include "core/drift_detector.h"
@@ -32,6 +36,8 @@
 #include "eval/presets.h"
 #include "grid/projected_grid.h"
 #include "grid/synapse_manager.h"
+#include "learning/sst.h"
+#include "mutations.h"
 #include "stream/drift.h"
 #include "stream/synthetic.h"
 
@@ -536,6 +542,68 @@ TEST(CheckpointTest, RefusesEverySingleBitFlip) {
   }
 }
 
+// In-tree mutation fuzzing of checkpoint images, with the mutator the wire
+// codecs get in protocol_test (truncations, byte overwrites, u32 nudges,
+// splices with another image, range deletions and duplications, multi-byte
+// flips) over a learned, driven image. Sealed, every mutation is refused
+// and leaves a learned victim unlearned. Resealed, so that the parser's own
+// bounds rather than the CRC meet it, each one is either refused the same
+// way or it loads, and then the loaded state saves an image that loads
+// again and re-saves to the same bytes. The image is over 80 KB, so the
+// deterministic mutations keep every kStride-th position and the random
+// ones run kRounds rounds, which keeps the run within seconds under the
+// sanitizers.
+TEST(CheckpointTest, MutatedImagesAreRefusedOrLoadCanonically) {
+  constexpr std::size_t kStride = 4099;
+  constexpr int kRounds = 60;
+  const auto training = TrainingBatch(5, 200);
+  const auto stream = DriftingEvalStream(5, 600, 6);
+  auto det = LearnedDetector(EventfulConfig(), training);
+  const std::string other = SaveToString(*det);  // learned, not yet driven
+  Drive(det.get(), stream, 0, 600, 32);
+  const std::string image = SaveToString(*det);
+  // The victim is relearned before every load from this smaller image.
+  const std::string learned = SaveToString(
+      *LearnedDetector(eval::FastTestConfig(), TrainingBatch(2, 40)));
+
+  Rng rng(20261021);
+  SpotDetector victim{SpotConfig{}};
+  std::size_t sealed = 0;
+  std::size_t loaded = 0;
+  std::size_t refused = 0;
+  ForEachMutation(
+      image, other, &rng,
+      [&](const std::string& m) {
+        if (m != image && m != other) {
+          ++sealed;
+          ASSERT_TRUE(LoadFromString(&victim, learned));
+          EXPECT_FALSE(LoadFromString(&victim, m))
+              << "loaded a sealed mutation of " << m.size() << " bytes";
+          EXPECT_FALSE(victim.learned());
+        }
+        if (m.size() < 4) return;
+        std::string resealed = m;
+        Reseal(&resealed);
+        ASSERT_TRUE(LoadFromString(&victim, learned));
+        if (!LoadFromString(&victim, resealed)) {
+          ++refused;
+          EXPECT_FALSE(victim.learned());
+          return;
+        }
+        ++loaded;
+        const std::string saved = SaveToString(victim);
+        SpotDetector again{SpotConfig{}};
+        ASSERT_TRUE(LoadFromString(&again, saved))
+            << "a loaded mutation of " << m.size() << " bytes saved an "
+            << "image that does not load";
+        EXPECT_EQ(SaveToString(again), saved);
+      },
+      kStride, kRounds);
+  EXPECT_GT(sealed, 400u);
+  EXPECT_GT(refused, 200u);
+  EXPECT_GT(loaded, 100u);
+}
+
 // ------------------------------------------------- per-layer round trips --
 
 TEST(CheckpointLayerTest, RngResumesItsExactStream) {
@@ -660,6 +728,40 @@ TEST(CheckpointLayerTest, SynapseImageCarriesNoBaseCells) {
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(restored.TotalWeight(), spread.TotalWeight());
   EXPECT_EQ(restored.last_tick(), 299u);
+}
+
+// A NaN subspace score has no place in the SST's (score, subspace)
+// ranking, so an image that reloaded with one saved in an order that
+// depended on the hash map's history: resealed, such an image loaded, but
+// its save loaded again and re-saved to other bytes. The SST now refuses
+// the score; a finite one, however extreme, still loads.
+TEST(CheckpointLayerTest, SstRefusesNanScores) {
+  const auto image = [](double score) {
+    Sst sst(4, 4);
+    sst.SetFixed({Subspace(0b1)});
+    sst.AddClustering(Subspace(0b11), 0.5);
+    sst.AddOutlierDriven(Subspace(0b110), score);
+    ByteWriter w;
+    sst.SaveState(w);
+    return w.Take();
+  };
+  for (const double score :
+       {std::numeric_limits<double>::quiet_NaN(), -std::nan("7")}) {
+    const std::string bytes = image(score);
+    ByteReader r(bytes);
+    Sst loaded(4, 4);
+    EXPECT_FALSE(loaded.LoadState(r));
+  }
+  for (const double score :
+       {0.25, std::numeric_limits<double>::infinity(), -1e308}) {
+    const std::string bytes = image(score);
+    ByteReader r(bytes);
+    Sst loaded(4, 4);
+    ASSERT_TRUE(loaded.LoadState(r)) << score;
+    ByteWriter again;
+    loaded.SaveState(again);
+    EXPECT_EQ(again.bytes(), bytes) << score;
+  }
 }
 
 TEST(CheckpointLayerTest, PageHinkleyResumesAccumulatedStatistic) {

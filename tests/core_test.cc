@@ -2,6 +2,7 @@
 // Page-Hinkley drift detection, and SpotDetector behaviour.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,11 +109,21 @@ TEST(SpotConfigTest, RejectsBadValues) {
   c.unsupervised.outlying_degree.num_runs = SpotConfig::kMaxOutlyingRuns + 1;
   EXPECT_NE(c.Validate(), "");
 
+  // So is the number of searches Learn starts, one per top outlying point.
+  c = SpotConfig{};
+  c.unsupervised.top_outlying_points = SpotConfig::kMaxTopOutlyingPoints + 1;
+  EXPECT_NE(c.Validate(), "");
+
+  c = SpotConfig{};
+  c.unsupervised.top_outlying_points = std::size_t{1} << 40;
+  EXPECT_NE(c.Validate(), "");
+
   // The caps themselves are accepted.
   c = SpotConfig{};
   c.unsupervised.moga.population_size = SpotConfig::kMaxMogaPopulation;
   c.supervised.moga.generations = SpotConfig::kMaxMogaGenerations;
   c.unsupervised.outlying_degree.num_runs = SpotConfig::kMaxOutlyingRuns;
+  c.unsupervised.top_outlying_points = SpotConfig::kMaxTopOutlyingPoints;
   EXPECT_EQ(c.Validate(), "");
 }
 
@@ -344,6 +355,42 @@ TEST(SpotDetectorTest, SupervisedKnowledgePopulatesOs) {
   knowledge.outlier_examples.push_back(example);
   ASSERT_TRUE(det.Learn(training, &knowledge));
   EXPECT_FALSE(det.sst().outlier_driven().empty());
+}
+
+// A feedback round runs one MOGA search per label on the calling thread,
+// so a round with more than SpotConfig::kMaxFeedbackLabels labels is
+// refused before its RNG draw, like every other refusal: the detector's
+// next verdicts equal those of a twin that never saw the round.
+TEST(SpotDetectorTest, RefusesFeedbackRoundsAboveTheLabelCap) {
+  const auto training = TrainingBatch(300, 6, 2);
+  SpotDetector det(SmallConfig());
+  SpotDetector twin(SmallConfig());
+  ASSERT_TRUE(det.Learn(training));
+  ASSERT_TRUE(twin.Learn(training));
+  const auto warmup = TrainingBatch(200, 6, 7);
+  det.ProcessBatch(warmup);
+  twin.ProcessBatch(warmup);
+
+  const std::vector<double> example(6, 0.95);
+  std::vector<std::vector<double>> examples(
+      SpotConfig::kMaxFeedbackLabels + 1, example);
+  std::string error;
+  EXPECT_FALSE(det.ApplyFeedback({}, examples, &error));
+  EXPECT_NE(error.find("labels"), std::string::npos) << error;
+  EXPECT_EQ(det.stats().feedback_rounds, 0u);
+
+  const auto batch = TrainingBatch(100, 6, 8);
+  const auto got = det.ProcessBatch(batch);
+  const auto want = twin.ProcessBatch(batch);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].is_outlier, want[i].is_outlier) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+  }
+
+  // A round at the cap is accepted.
+  examples.pop_back();
+  EXPECT_TRUE(det.ApplyFeedback({}, examples, &error)) << error;
 }
 
 TEST(SpotDetectorTest, OsGrowsFromDetectedOutliers) {

@@ -1453,12 +1453,12 @@ std::vector<SpotResult> ObservedRun(SpotServiceConfig scfg,
 }
 
 // The engine-observability differential (DESIGN.md Section 10): the same
-// stream through a fully instrumented server — journal on, detection
-// quality on, flight recorder on — and through one with every
-// observability surface off. Verdict bytes, detector stats and the
-// checkpoint file must match bit for bit at reactors {1,2} x shards
-// {1,4}; only then is "events are pure reporting" actually proven at the
-// serving boundary.
+// stream through a server with its flight recorder on and through one with
+// tracing off; the journal and the quality sections are always on, and
+// JournalTest.SinkChangesNeitherVerdictsNorCheckpointBytes and the
+// SpotServiceTest differentials against bare detectors prove those perturb
+// nothing. Verdict bytes, detector stats and the checkpoint file must
+// match bit for bit at reactors {1,2} x shards {1,4}.
 TEST(NetObservabilityTest, JournalAndTracePerturbNothing) {
   const std::vector<DataPoint> points = TenantPoints(0, 500);
   int combo = 0;
@@ -1473,8 +1473,6 @@ TEST(NetObservabilityTest, JournalAndTracePerturbNothing) {
 
       SpotServiceConfig off_scfg;
       off_scfg.num_shards = shards;
-      off_scfg.journal_capacity = 0;
-      off_scfg.collect_quality = false;
       SpotServerConfig off_ncfg;
       off_ncfg.num_reactors = reactors;
       off_ncfg.batch_points = 48;
@@ -1744,18 +1742,23 @@ TEST(NetObservabilityTest, ConcurrentScrapeSurfacesUnderLoad) {
   EXPECT_NE(journal.find("\"events\""), std::string::npos);
 
   // The quality sections reached both wire surfaces: per-session labels
-  // in the Prometheus text, SessionQuality entries in kStats.
+  // in the Prometheus text, labeled session sections in kStats.
   std::string metrics;
   StatsResp stats;
   SpotClient probe;
   ASSERT_TRUE(probe.Connect("127.0.0.1", server.port()));
   ASSERT_TRUE(ScrapeUntilCount(probe, 1000, &stats)) << probe.last_error();
-  ASSERT_EQ(stats.sessions.size(), 2u);
+  std::vector<std::string> session_labels;
   std::uint64_t session_points = 0;
-  for (const SessionQuality& q : stats.sessions) {
-    session_points += q.points;
-    EXPECT_GT(q.tracked_subspaces, 0u) << q.session_id;
+  for (const auto& [label, section] : stats.sessions) {
+    if (label.find(",subspace=") != std::string::npos) continue;
+    session_labels.push_back(label);
+    session_points += section.counters.at("session_points");
+    EXPECT_GT(section.gauges.at("tracked_subspaces"), 0.0) << label;
   }
+  EXPECT_EQ(session_labels,
+            (std::vector<std::string>{"session=\"tenant-0\"",
+                                      "session=\"tenant-1\""}));
   EXPECT_EQ(session_points, 1000u);
   for (int attempt = 0; attempt < 200; ++attempt) {
     metrics = FetchPath(http_port, "/metrics");

@@ -573,6 +573,18 @@ TEST(ExpositionTest, SummaryLineNamesEveryInstrument) {
   EXPECT_NE(line.find("pipeline_process_us=1/"), std::string::npos);
 }
 
+// The journal and the flight recorder render names through the one
+// escaper: quotes and backslashes escaped, control bytes as \u00XX, every
+// other byte as is.
+TEST(ExpositionTest, AppendJsonStringEscapesQuotesBackslashesAndControls) {
+  std::string out = "x";
+  AppendJsonString(&out, "a\"b\\c\n\x01\x1f d\x7f");
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\u000a\\u0001\\u001f d\x7f\"");
+  out.clear();
+  AppendJsonString(&out, "");
+  EXPECT_EQ(out, "\"\"");
+}
+
 // ----------------------------------------------------------- quantiles ----
 
 TEST(QuantilesTest, MatchesSingleQuantileCalls) {

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "net/protocol.h"
+#include "mutations.h"
 #include "obs/exposition.h"
 #include "obs/perf_counters.h"
 
@@ -495,52 +496,6 @@ std::vector<PayloadCodec> RequestCodecs() {
   };
 }
 
-/// Fixed-seed mutations of `p`: every truncation, every byte overwritten
-/// with a few boundary values, every 4-byte window read as a little-endian
-/// u32 (where the length and count fields live) nudged and zeroed, and
-/// random splices with `other` (another sample of the same type), range
-/// deletions, range duplications and multi-byte flips.
-std::vector<std::string> Mutations(const std::string& p,
-                                   const std::string& other, Rng* rng) {
-  std::vector<std::string> out;
-  for (std::size_t n = 0; n < p.size(); ++n) out.push_back(p.substr(0, n));
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    for (const int b : {0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF,
-                        static_cast<unsigned char>(p[i]) ^ 0x01}) {
-      std::string m = p;
-      m[i] = static_cast<char>(b);
-      out.push_back(m);
-    }
-  }
-  for (std::size_t i = 0; i + 4 <= p.size(); ++i) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, p.data() + i, 4);
-    for (const std::uint32_t w : {v + 1, v - 1, v + 8, v - 8, 0u, 2 * v}) {
-      std::string m = p;
-      std::memcpy(&m[i], &w, 4);
-      out.push_back(m);
-    }
-  }
-  const auto cut = [rng](const std::string& s) {
-    return static_cast<std::size_t>(rng->NextUint64(s.size() + 1));
-  };
-  for (int k = 0; k < 200; ++k) {
-    out.push_back(p.substr(0, cut(p)) + other.substr(cut(other)));
-    std::size_t a = cut(p);
-    std::size_t b = cut(p);
-    if (a > b) std::swap(a, b);
-    out.push_back(p.substr(0, a) + p.substr(b));  // deletion
-    out.push_back(p.substr(0, b) + p.substr(a));  // duplication
-    std::string m = p;
-    for (int f = 0; f < 3 && !m.empty(); ++f) {
-      m[rng->NextUint64(m.size())] =
-          static_cast<char>(1 + rng->NextUint64(255));
-    }
-    out.push_back(m);
-  }
-  return out;
-}
-
 std::string Hex(const std::string& bytes) {
   static const char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -569,14 +524,14 @@ void ExpectCanonicalUnderMutation(const std::vector<PayloadCodec>& codecs,
       ASSERT_EQ(again, p) << codec.name;
       const std::string& other =
           codec.payloads[(i + 1) % codec.payloads.size()];
-      for (const std::string& m : Mutations(p, other, &rng)) {
+      ForEachMutation(p, other, &rng, [&](const std::string& m) {
         std::string re;
-        if (!codec.round_trip(m, &re)) continue;
+        if (!codec.round_trip(m, &re)) return;
         ++decoded;
         if (re != m) {
           if (non_canonical++ == 0) first = Hex(m) + " -> " + Hex(re);
         }
-      }
+      });
     }
     EXPECT_GT(decoded, 0u) << codec.name;
     ASSERT_EQ(non_canonical, 0u)
@@ -703,6 +658,42 @@ TEST(CodecTest, VerdictBytesDistinguishesVerdicts) {
   EXPECT_NE(VerdictBytes(a), VerdictBytes(b));
 }
 
+// The reactor splits a coalesced verdict run at the payload cap with
+// VerdictRunEnd, so its size rule must be EncodeVerdicts' own: for ids of
+// several lengths and verdicts with 0-3 findings, every run fits a cap of
+// exactly its encoded size and loses its last verdict one byte below it.
+TEST(CodecTest, VerdictRunEndMatchesEncodedSize) {
+  std::vector<SpotResult> verdicts(9);
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    verdicts[i].is_outlier = i % 4 != 0;
+    verdicts[i].score = 0.5 * static_cast<double>(i);
+    for (std::size_t f = 0; f < i % 4; ++f) {
+      SubspaceFinding finding;
+      finding.subspace = Subspace(std::uint64_t{1} << f);
+      finding.pcs.rd = 0.25;
+      verdicts[i].findings.push_back(finding);
+    }
+  }
+  for (const std::string& id : std::vector<std::string>{
+           "", "s", "tenant-0", std::string(130, 'x')}) {
+    for (std::size_t begin = 0; begin < verdicts.size(); ++begin) {
+      for (std::size_t end = begin + 1; end <= verdicts.size(); ++end) {
+        VerdictsResp run;
+        run.session_id = id;
+        run.verdicts.assign(verdicts.begin() + static_cast<long>(begin),
+                            verdicts.begin() + static_cast<long>(end));
+        const std::size_t bytes = EncodeVerdicts(run).size();
+        EXPECT_EQ(VerdictRunEnd(id, verdicts, begin, bytes), end)
+            << id.size() << " " << begin << ".." << end;
+        // A run always takes its first verdict, whatever the cap.
+        EXPECT_EQ(VerdictRunEnd(id, verdicts, begin, bytes - 1),
+                  std::max(end - 1, begin + 1))
+            << id.size() << " " << begin << ".." << end;
+      }
+    }
+  }
+}
+
 TEST(CodecTest, RequestTypePredicate) {
   EXPECT_TRUE(IsRequestType(static_cast<std::uint8_t>(MsgType::kIngest)));
   EXPECT_TRUE(
@@ -826,57 +817,53 @@ TEST(CodecTest, MergedLeavesOutPerfGauges) {
   EXPECT_EQ(obs::MergedPerfMode(merged), obs::PerfMode::kSoftware);
 }
 
-TEST(CodecTest, StatsSessionQualityRoundTrip) {
-  // The stats payload carries per-session detection-quality sections
-  // after the reactor/service snapshots. Histograms and the capped
-  // per-subspace rows must round-trip exactly, and truncating anywhere
-  // inside the tail must fail cleanly like the snapshot sections.
+// A session's detection-quality section and one of its subspace sections,
+// as SpotService::QualitySnapshot labels and fills them.
+std::vector<obs::LabeledSnapshot> SampleSessionSections() {
+  obs::MetricsSnapshot session;
+  session.counters["grid_cells_reclaimed"] = 77;
+  session.counters["grid_compactions"] = 3;
+  session.counters["session_alarms"] = 123;
+  session.counters["session_points"] = 5000;
+  session.gauges["slab_free_slots"] = 16.0;
+  session.gauges["slab_slots"] = 1024.0;
+  session.gauges["tracked_subspaces"] = 9.0;
+  for (int i = 1; i <= 50; ++i) {
+    session.histograms["rd_margin_x1000"].Record(i * 40.0);
+  }
+  session.histograms["irsd_margin_x1000"].Record(999.0);
+  obs::MetricsSnapshot subspace;
+  subspace.counters["subspace_alarms"] = 100;
+  subspace.counters["subspace_points"] = 5000;
+  return {{"session=\"lg-0\"", session},
+          {"session=\"lg-0\",subspace=\"0xb\"", subspace}};
+}
+
+TEST(CodecTest, StatsSessionSectionsRoundTrip) {
+  // The stats payload carries the service's labeled session sections
+  // after the reactor/service snapshots. A session section, a subspace
+  // section and an empty section must round-trip exactly, and truncating
+  // anywhere inside the tail must fail cleanly like the snapshot sections.
   StatsResp resp;
   resp.reactors = {obs::MetricsSnapshot()};
-  SessionQuality q;
-  q.session_id = "lg-0";
-  q.points = 5000;
-  q.alarms = 123;
-  q.tracked_subspaces = 9;
-  q.slab_slots = 1024;
-  q.free_slots = 16;
-  q.compactions = 3;
-  q.cells_reclaimed = 77;
-  for (int i = 1; i <= 50; ++i) q.rd_margin.Record(i * 40.0);
-  q.irsd_margin.Record(999.0);
-  SubspaceQuality sub;
-  sub.subspace_bits = 0b1011;
-  sub.points = 5000;
-  sub.alarms = 100;
-  q.subspaces.push_back(sub);
-  sub.subspace_bits = 0b0100;
-  sub.alarms = 23;
-  q.subspaces.push_back(sub);
-  resp.sessions.push_back(q);
-  SessionQuality empty_q;  // a session that alarmed on nothing yet
-  empty_q.session_id = "idle";
-  resp.sessions.push_back(empty_q);
+  resp.sessions = SampleSessionSections();
+  // A session that has seen nothing yet, under an empty label.
+  resp.sessions.emplace_back("", obs::MetricsSnapshot());
 
   StatsResp decoded;
   ASSERT_TRUE(DecodeStats(EncodeStats(resp), &decoded));
-  ASSERT_EQ(decoded.sessions.size(), 2u);
-  const SessionQuality& got = decoded.sessions[0];
-  EXPECT_EQ(got.session_id, "lg-0");
-  EXPECT_EQ(got.points, 5000u);
-  EXPECT_EQ(got.alarms, 123u);
-  EXPECT_EQ(got.tracked_subspaces, 9u);
-  EXPECT_EQ(got.slab_slots, 1024u);
-  EXPECT_EQ(got.free_slots, 16u);
-  EXPECT_EQ(got.compactions, 3u);
-  EXPECT_EQ(got.cells_reclaimed, 77u);
-  EXPECT_EQ(got.rd_margin, q.rd_margin);
-  EXPECT_EQ(got.irsd_margin, q.irsd_margin);
-  ASSERT_EQ(got.subspaces.size(), 2u);
-  EXPECT_EQ(got.subspaces[0].subspace_bits, 0b1011u);
-  EXPECT_EQ(got.subspaces[0].alarms, 100u);
-  EXPECT_EQ(got.subspaces[1].subspace_bits, 0b0100u);
-  EXPECT_EQ(decoded.sessions[1].session_id, "idle");
-  EXPECT_EQ(decoded.sessions[1].rd_margin.count(), 0u);
+  ASSERT_EQ(decoded.sessions.size(), 3u);
+  for (std::size_t i = 0; i < resp.sessions.size(); ++i) {
+    const obs::LabeledSnapshot& want = resp.sessions[i];
+    const obs::LabeledSnapshot& got = decoded.sessions[i];
+    EXPECT_EQ(got.first, want.first) << i;
+    EXPECT_EQ(got.second.counters, want.second.counters) << i;
+    EXPECT_EQ(got.second.gauges, want.second.gauges) << i;
+    EXPECT_EQ(got.second.histograms, want.second.histograms) << i;
+  }
+  EXPECT_TRUE(decoded.sessions[2].second.empty());
+  // The merged view folds the reactors and the service only.
+  EXPECT_EQ(decoded.Merged().counters.count("session_points"), 0u);
 
   const std::string wire = EncodeStats(resp);
   for (std::size_t cut = 0; cut < wire.size(); cut += 5) {
@@ -888,10 +875,10 @@ TEST(CodecTest, StatsSessionQualityRoundTrip) {
 }
 
 TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
-  // A stats tail claiming 4G sessions (or 4G subspace rows inside one
-  // session) in a handful of bytes must be rejected by the size bound
-  // before any proportional allocation — same discipline as the v1
-  // reactor/instrument counts.
+  // A stats tail claiming 4G session sections (or 4G counters inside one
+  // section) in a handful of bytes must be rejected by the size bound
+  // before any proportional allocation — same discipline as the reactor
+  // and instrument counts.
   ByteWriter w;
   w.U32(0);            // reactors
   w.U32(0);            // service snapshot: counters,
@@ -902,24 +889,24 @@ TEST(CodecTest, HostileSessionCountsDoNotAllocate) {
   EXPECT_FALSE(DecodeStats(w.bytes(), &scratch));
 
   StatsResp one;
-  one.sessions.emplace_back();
-  one.sessions.back().session_id = "s";
+  one.sessions.emplace_back("session=\"s\"", obs::MetricsSnapshot());
   std::string wire = EncodeStats(one);
-  // The session's trailing subspace count is the last u32: rewrite it.
-  ByteWriter tail;
-  tail.U32(0xFFFFFFFFu);
-  wire.replace(wire.size() - 4, 4, tail.bytes());
+  // The section's snapshot ends with its three u32 counts; rewrite the
+  // counter count.
+  ByteWriter count;
+  count.U32(0xFFFFFFFFu);
+  wire.replace(wire.size() - 12, 4, count.bytes());
   EXPECT_FALSE(DecodeStats(wire, &scratch));
 }
 
 TEST(CodecTest, MinimalSessionSectionsDecode) {
   // The session-count bound divides by the smallest section a session can
-  // encode to (120 bytes), so a payload made of nothing but minimal
-  // sections — no reactors, empty ids, empty histograms — still decodes.
+  // encode to (16 bytes: an empty label and an empty snapshot), so a
+  // payload made of nothing but minimal sections still decodes.
   StatsResp resp;
   resp.sessions.resize(64);
   const std::string wire = EncodeStats(resp);
-  ASSERT_EQ(wire.size(), 20u + 64u * 120u);
+  ASSERT_EQ(wire.size(), 20u + 64u * 16u);
   StatsResp decoded;
   ASSERT_TRUE(DecodeStats(wire, &decoded));
   EXPECT_EQ(decoded.sessions.size(), 64u);
@@ -955,17 +942,7 @@ std::vector<PayloadCodec> ResponseCodecs() {
   stats.reactors = {r0, obs::MetricsSnapshot()};
   stats.service.counters["evictions"] = 5;
   stats.service.histograms["checkpoint_save_us"].Record(900.0);
-  SessionQuality q;
-  q.session_id = "lg-0";
-  q.points = 5000;
-  q.alarms = 123;
-  for (int i = 1; i <= 20; ++i) q.rd_margin.Record(i * 40.0);
-  SubspaceQuality sub;
-  sub.subspace_bits = 0b1011;
-  sub.points = 5000;
-  sub.alarms = 100;
-  q.subspaces.push_back(sub);
-  stats.sessions.push_back(q);
+  stats.sessions = SampleSessionSections();
 
   return {
       {"Ok",

@@ -602,8 +602,13 @@ TEST(SpotServiceTest, ConcurrentSessionsMatchSerialReference) {
       }
       const ServiceMetrics total = service.TotalMetrics();
       EXPECT_LE(total.resident_sessions, scfg.max_resident);
-      EXPECT_LE(service.QualitySnapshot().size(),
-                static_cast<std::size_t>(kTenants));
+      std::size_t quality_sessions = 0;
+      for (const auto& [label, section] : service.QualitySnapshot()) {
+        if (label.find(",subspace=") == std::string::npos) {
+          ++quality_sessions;
+        }
+      }
+      EXPECT_LE(quality_sessions, static_cast<std::size_t>(kTenants));
       service.ObsSnapshot();
       ++scrapes;
     }
