@@ -15,7 +15,6 @@
 #include "grid/projected_grid.h"
 #include "grid/synapse_manager.h"
 #include "grid/synapse_shard.h"
-#include "obs/perf_counters.h"
 
 namespace spot {
 namespace {
@@ -25,36 +24,6 @@ std::vector<double> RandomPoint(Rng& rng, int dims) {
   for (double& v : p) v = rng.NextDouble();
   return p;
 }
-
-/// Hardware-counter window around a benchmark's measured loop (DESIGN.md
-/// Section 12): snapshot the calling thread's perf group before the loop,
-/// then report instructions-per-item — and, when the bench counts probes,
-/// cache-misses-per-probe — beside google-benchmark's time/op. Where
-/// perf_event_open is denied the columns read 0 (the clock-only fallback
-/// has no counts), keeping the table shape identical everywhere.
-class PerfWindow {
- public:
-  PerfWindow() : start_(obs::ThreadPerfGroup()->Read()) {}
-
-  void Report(benchmark::State& state, double items,
-              double probes = -1.0) const {
-    const obs::PerfSample end = obs::ThreadPerfGroup()->Read();
-    const bool hw = start_.hardware && end.hardware;
-    const double instr =
-        hw ? static_cast<double>(end.instructions - start_.instructions) : 0;
-    const double miss =
-        hw ? static_cast<double>(end.cache_misses - start_.cache_misses) : 0;
-    state.counters["instr/pt"] = items > 0 ? instr / items : 0.0;
-    if (probes >= 0.0) {
-      state.counters["miss/probe"] = probes > 0 ? miss / probes : 0.0;
-    } else {
-      state.counters["miss/pt"] = items > 0 ? miss / items : 0.0;
-    }
-  }
-
- private:
-  obs::PerfSample start_;
-};
 
 void BM_ProjectedGridAddAndQuery(benchmark::State& state) {
   const int subspace_dim = static_cast<int>(state.range(0));
@@ -68,7 +37,6 @@ void BM_ProjectedGridAddAndQuery(benchmark::State& state) {
   std::vector<std::vector<double>> points;
   for (int i = 0; i < 512; ++i) points.push_back(RandomPoint(rng, dims));
   std::uint64_t tick = 0;
-  const PerfWindow perf;
   for (auto _ : state) {
     const auto& p = points[tick % points.size()];
     grid.Add(p, tick);
@@ -79,8 +47,6 @@ void BM_ProjectedGridAddAndQuery(benchmark::State& state) {
   state.counters["probes/pt"] =
       static_cast<double>(grid.hash_probes()) /
       static_cast<double>(state.iterations());
-  perf.Report(state, static_cast<double>(state.iterations()),
-              static_cast<double>(grid.hash_probes()));
 }
 BENCHMARK(BM_ProjectedGridAddAndQuery)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
@@ -99,7 +65,6 @@ void BM_ProjectedGridFusedAddQuery(benchmark::State& state) {
   std::vector<std::vector<double>> points;
   for (int i = 0; i < 512; ++i) points.push_back(RandomPoint(rng, dims));
   std::uint64_t tick = 0;
-  const PerfWindow perf;
   for (auto _ : state) {
     const auto& p = points[tick % points.size()];
     benchmark::DoNotOptimize(grid.AddAndQuery(p, tick, 100.0));
@@ -109,8 +74,6 @@ void BM_ProjectedGridFusedAddQuery(benchmark::State& state) {
   state.counters["probes/pt"] =
       static_cast<double>(grid.hash_probes()) /
       static_cast<double>(state.iterations());
-  perf.Report(state, static_cast<double>(state.iterations()),
-              static_cast<double>(grid.hash_probes()));
 }
 BENCHMARK(BM_ProjectedGridFusedAddQuery)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
@@ -133,7 +96,6 @@ void BM_SynapseUnfusedAddThenQuery(benchmark::State& state) {
   std::vector<std::vector<double>> points;
   for (int i = 0; i < 512; ++i) points.push_back(RandomPoint(rng, dims));
   std::uint64_t tick = 0;
-  const PerfWindow perf;
   for (auto _ : state) {
     const auto& p = points[tick % points.size()];
     mgr.Add(p, tick);
@@ -146,8 +108,6 @@ void BM_SynapseUnfusedAddThenQuery(benchmark::State& state) {
   state.counters["probes/pt"] =
       static_cast<double>(mgr.hash_probes()) /
       static_cast<double>(state.iterations());
-  perf.Report(state, static_cast<double>(state.iterations()),
-              static_cast<double>(mgr.hash_probes()));
 }
 BENCHMARK(BM_SynapseUnfusedAddThenQuery)->Arg(8)->Arg(32)->Arg(128);
 
@@ -184,7 +144,6 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
   CellCoords coords;
   std::uint64_t tick = 0;
   std::size_t next = 0;
-  const PerfWindow perf;
   for (auto _ : state) {
     const std::vector<DataPoint>& batch = batches[next++ % batches.size()];
     frame.points = batch.data();
@@ -207,7 +166,6 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(points));
   state.counters["probes/pt"] =
       static_cast<double>(mgr.hash_probes()) / points;
-  perf.Report(state, points, static_cast<double>(mgr.hash_probes()));
 }
 BENCHMARK(BM_SynapseShardProcessColumn)->Arg(8)->Arg(32)->Arg(128);
 
@@ -231,13 +189,11 @@ void BM_SpotProcess(benchmark::State& state) {
   std::vector<std::vector<double>> points;
   for (int i = 0; i < 1024; ++i) points.push_back(RandomPoint(rng, dims));
   std::size_t i = 0;
-  const PerfWindow perf;
   for (auto _ : state) {
     benchmark::DoNotOptimize(det.Process(points[i % points.size()]));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  perf.Report(state, static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_SpotProcess)->Arg(32)->Arg(128)->Arg(512);
 
@@ -264,16 +220,12 @@ void BM_SpotProcessBatch(benchmark::State& state) {
     }
   }
   std::size_t pos = 0;
-  const PerfWindow perf;
   for (auto _ : state) {
     benchmark::DoNotOptimize(det.ProcessBatch(chunks[pos % chunks.size()]));
     ++pos;
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * batch));
-  perf.Report(state,
-              static_cast<double>(state.iterations()) *
-                  static_cast<double>(batch));
 }
 BENCHMARK(BM_SpotProcessBatch)
     ->Args({128, 64})

@@ -29,7 +29,7 @@ namespace bench {
 ///
 ///     {"schema": "spot-bench-v1", "bench": "<binary name>",
 ///      "tables": [{"title": ..., "headers": [...], "rows": [[...]]}],
-///      "counters": {"instr/pt": 512.3, ...}}        // when any were set
+///      "counters": {"cpu_ns/pt": 2114.6, ...}}      // when any were set
 ///
 /// so the perf trajectory can be tracked across PRs by diffing artifacts
 /// instead of scraping stdout. Cells are emitted as the exact strings the
@@ -75,8 +75,8 @@ class JsonReporter {
     tables_.push_back(table);
   }
 
-  /// Records one scalar into the document's `counters` block (hardware
-  /// profiling rates like instructions-per-point ride here — named
+  /// Records one scalar into the document's `counters` block (profiling
+  /// rates like the process stage's CPU ns per point ride here — named
   /// scalars, not table cells, so downstream tooling reads them without
   /// knowing any table's shape). Last write per name wins.
   void SetCounter(const std::string& name, double value) {

@@ -28,8 +28,9 @@ class ShardedSpotEngine;
 
 /// One engine window of the last batch (DESIGN.md Section 12.3): the start
 /// of its first tile (µs, SteadyMicrosSinceStart timebase), its length
-/// summed over the batch's tiles, and — while perf counters are collected
-/// — the counter deltas of those windows (`perf.clock_ns == dur_ns`).
+/// summed over the batch's tiles, and — while profiling is on — those
+/// windows' totals (`perf.clock_ns == dur_ns`) with the CPU time the
+/// measuring thread spent inside them (`perf.cpu_ns`).
 struct StageEntry {
   std::uint64_t start_us = 0;
   std::uint64_t dur_ns = 0;
@@ -38,7 +39,7 @@ struct StageEntry {
 
 /// The per-batch stage record: the phase-0 bin pass and one probe entry per
 /// engine shard. The serving tier turns probe entries into `shard_probe`
-/// spans and folds the perf deltas into `stage="bin"` / `stage="probe"`.
+/// spans and folds the perf totals into `stage="bin"` / `stage="probe"`.
 struct BatchStageRecord {
   StageEntry bin;
   std::vector<StageEntry> probes;
@@ -212,9 +213,9 @@ class SpotDetector {
   /// batch (2 + 2K clock reads per tile).
   const BatchStageRecord& stage_record() const { return stage_record_; }
 
-  /// Enables hardware-counter attribution of batches (DESIGN.md Section
-  /// 12): the stage record's `perf` deltas are filled only while this is
-  /// on. Off by default; pure measurement — verdicts, stats and checkpoint
+  /// Enables per-stage CPU profiling of batches (DESIGN.md Section 12):
+  /// the stage record's `perf` totals are filled only while this is on.
+  /// Off by default; pure measurement — verdicts, stats and checkpoint
   /// bytes are bit-identical either way.
   void set_collect_perf_counters(bool on) { collect_perf_counters_ = on; }
   bool collect_perf_counters() const { return collect_perf_counters_; }

@@ -126,8 +126,7 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   // the join; every weight is exactly the W a per-point fold would read.
   BatchFrame frame;
   {
-    obs::Stage bin(nullptr, perf ? obs::ThreadPerfGroup() : nullptr,
-                   &record.bin.perf);
+    obs::Stage bin(nullptr, perf ? &record.bin.perf : nullptr);
     bin.set_units(n);
     frame.points = points;
     frame.base_coords.resize(n);
@@ -143,15 +142,14 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   }
 
   // Phase 1 — fan the per-subspace work out to the shards. Each worker
-  // measures its window with its own counter group into its own record
+  // measures its window, and its own CPU time, into its own record
   // entry — no contention; the join happens before anyone reads them.
   // The tail replays below are deliberately unmeasured: they are rare
   // correction work, not the steady-state probe cost.
   TileColumns cols(synapses, n);
   ForkJoin(pool_, num_shards_, [&](std::size_t k) {
     StageEntry& entry = record.probes[k];
-    obs::Stage probe(nullptr, perf ? obs::ThreadPerfGroup() : nullptr,
-                     &entry.perf);
+    obs::Stage probe(nullptr, perf ? &entry.perf : nullptr);
     const std::size_t grids = SynapseShard::ProcessRun(
         cols.columns, k, num_shards_, frame, 0, n, params);
     probe.set_units(n * grids);  // logical probes

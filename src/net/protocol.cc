@@ -622,15 +622,6 @@ obs::MetricsSnapshot StatsResp::Merged() const {
   obs::MetricsSnapshot merged;
   for (const obs::MetricsSnapshot& snap : reactors) merged.Merge(snap);
   merged.Merge(service);
-  // Summed perf_* gauges are no mode or rate; MergedPerfMode and
-  // PerfStageRows derive both from the summed perf counters instead.
-  for (auto it = merged.gauges.begin(); it != merged.gauges.end();) {
-    if (it->first.rfind("perf_", 0) == 0) {
-      it = merged.gauges.erase(it);
-    } else {
-      ++it;
-    }
-  }
   return merged;
 }
 

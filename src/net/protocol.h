@@ -303,8 +303,7 @@ struct StatsResp {
   std::vector<obs::LabeledSnapshot> sessions;
 
   /// The reactors and the service folded into one snapshot
-  /// (counters/gauges sum, histograms merge), minus every `perf_*` gauge:
-  /// a mode or a rate does not add across sections.
+  /// (counters/gauges sum, histograms merge).
   obs::MetricsSnapshot Merged() const;
 };
 

@@ -44,6 +44,7 @@ Reactor::Reactor(int index, const SpotServerConfig& config,
     : index_(index),
       config_(config),
       service_(service),
+      profiling_(service->config().collect_perf_counters),
       stop_(stop),
       hub_(hub),
       stats_source_(std::move(stats_source)) {
@@ -96,12 +97,6 @@ void Reactor::Run() {
 
 bool Reactor::RunOnce(int timeout_ms) {
   if (stopping() || !poller_.is_open() || shutdown_done_) return false;
-  if (service_->config().collect_perf_counters && perf_group_ == nullptr) {
-    // Opened here — on the loop thread — rather than in Init(), which
-    // runs on the server's starting thread: a perf_event group counts
-    // the thread that opened it.
-    perf_group_ = obs::PerfCounterGroup::Open();
-  }
   std::vector<EpollPoller::Event> events;
   if (poller_.Wait(timeout_ms, &events) < 0) {
     SPOT_LOG(Error) << "reactor " << index_
@@ -152,7 +147,7 @@ bool Reactor::RunOnce(int timeout_ms) {
 
 obs::Stage Reactor::Measure(obs::TraceStage stage) {
   StageSinks& sinks = stages_[static_cast<std::size_t>(stage)];
-  return obs::Stage(sinks.hist, perf_group_.get(), &sinks.perf, trace_,
+  return obs::Stage(sinks.hist, profiling_ ? &sinks.perf : nullptr, trace_,
                     stage);
 }
 
@@ -169,8 +164,7 @@ void Reactor::PublishMetrics() {
   obs_.GetGauge("pending_points")->Set(static_cast<double>(pending_points));
   obs_.GetGauge("outbound_queued_bytes")
       ->Set(static_cast<double>(queued_bytes));
-  if (perf_group_ != nullptr) {
-    obs::PublishPerfMode(&obs_, perf_group_.get());
+  if (profiling_) {
     for (const obs::TraceStage stage : obs::kReactorStages) {
       obs::PublishPerfTotals(&obs_, obs::StagePerfLabels(stage),
                              stages_[static_cast<std::size_t>(stage)].perf);

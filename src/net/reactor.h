@@ -176,6 +176,10 @@ class Reactor {
   const int index_;
   const SpotServerConfig& config_;
   SpotService* service_;
+  /// Per-stage CPU profiling (DESIGN.md Section 12), switched by the
+  /// service's collect_perf_counters; off, every stage hook costs one
+  /// pointer test.
+  const bool profiling_;
   const std::atomic<bool>* stop_;
 
   EpollPoller poller_;
@@ -237,13 +241,6 @@ class Reactor {
   /// bits keeps ids globally unique, so a merged multi-reactor trace
   /// never aliases two batches. 0 is reserved for "not batch-scoped".
   std::uint64_t next_batch_seq_ = 1;
-
-  /// Hardware-counter profiling plane (DESIGN.md Section 12), switched
-  /// by the service's collect_perf_counters. The group is opened lazily
-  /// on the loop thread (perf_event groups count the opening thread) the
-  /// first time RunOnce runs with profiling on; null means profiling off
-  /// and every stage hook costs one pointer test.
-  std::unique_ptr<obs::PerfCounterGroup> perf_group_;
 
   /// Each pipeline stage's histogram in obs_ and its loop-thread-local
   /// perf totals (published in PublishMetrics), indexed by TraceStage; the

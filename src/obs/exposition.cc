@@ -15,7 +15,7 @@ std::string FormatDouble(double v) {
 }
 
 /// Registry keys may embed label pairs in the metric name itself —
-/// `perf_cycles{stage="decode"}` — which lets a label-less Registry carry
+/// `perf_cpu_ns{stage="decode"}` — which lets a label-less Registry carry
 /// labeled families through every scrape surface unchanged (DESIGN.md
 /// Section 12). Splits such a key into its family base name and the
 /// embedded label string (empty for plain names).

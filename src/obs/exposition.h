@@ -21,10 +21,10 @@ using LabeledSnapshot = std::pair<std::string, MetricsSnapshot>;
 /// `_bucket{le=...}` series (only up to the highest populated bucket,
 /// then `+Inf`), plus `_sum` and `_count`.
 ///
-/// Metric names may embed label pairs — `perf_cycles{stage="decode"}` —
+/// Metric names may embed label pairs — `perf_cpu_ns{stage="decode"}` —
 /// which are split off the family name and merged after the section
-/// label, so a label-less Registry can carry labeled families (the perf
-/// profiling plane rides this, DESIGN.md Section 12).
+/// label, so a label-less Registry can carry labeled families (the
+/// per-stage CPU profiling plane rides this, DESIGN.md Section 12).
 std::string RenderPrometheus(const std::vector<LabeledSnapshot>& sections);
 
 /// Compact single-line rendering for periodic log dumps: counters and

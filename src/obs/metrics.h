@@ -20,9 +20,10 @@ class Counter {
   void Inc(std::uint64_t n = 1) { value_ += n; }
 
   /// Overwrites the value. Only the perf totals still mirror a running
-  /// total kept elsewhere (PublishPerfTotals copies a PerfStageTotals,
-  /// which obs::Stage and the engine's BatchStageRecord write); every
-  /// other counter is incremented where its event happens.
+  /// total kept elsewhere (PublishPerfTotals copies a PerfStageTotals —
+  /// the wall and thread CPU ns that obs::Stage scopes and the engine's
+  /// BatchStageRecord sum); every other counter is incremented where its
+  /// event happens.
   void Set(std::uint64_t v) { value_ = v; }
 
   std::uint64_t value() const { return value_; }

@@ -36,26 +36,23 @@ inline std::string StagePerfLabels(TraceStage stage) {
 /// and feeds that one interval to every attached sink — one `hist` sample
 /// in µs; one `trace` span of kind `stage` (start on the
 /// SteadyMicrosSinceStart timebase, `dur_us` the interval in whole µs);
-/// one `totals` sample with `group`'s counter deltas across the window and
-/// `clock_ns` the interval. Histogram sample, span and perf clock are thus
-/// the same number. Null sinks are skipped (the perf sink needs both
-/// `group` and `totals`); Cancel() feeds none. Each scope keeps its own
-/// start, so scopes nest and each measures exactly its own window.
+/// one `totals` sample with `clock_ns` the interval and `cpu_ns` the
+/// thread CPU time read inside it. Histogram sample, span and perf clock
+/// are thus the same number. Null sinks are skipped, and the CPU clock is
+/// read only with `totals` attached; Cancel() feeds none. Each scope keeps
+/// its own start, so scopes nest and each measures exactly its own window.
+/// A scope must end on the thread that opened it.
 class Stage {
  public:
-  explicit Stage(Histogram* hist, PerfCounterGroup* group = nullptr,
-                 PerfStageTotals* totals = nullptr,
+  explicit Stage(Histogram* hist, PerfStageTotals* totals = nullptr,
                  TraceRecorder* trace = nullptr,
                  TraceStage stage = TraceStage::kDecode)
-      : hist_(hist),
-        group_(totals != nullptr ? group : nullptr),
-        totals_(totals),
-        trace_(trace) {
+      : hist_(hist), totals_(totals), trace_(trace) {
     span_.stage = stage;
-    // Counters first, clock second (the reverse at the end): the interval
-    // excludes the counter reads themselves.
-    if (group_ != nullptr) perf_start_ = group_->Read();
+    // Wall clock first, CPU clock second (the reverse at the end): the CPU
+    // window nests inside the wall window.
     start_ = std::chrono::steady_clock::now();
+    if (totals_ != nullptr) cpu_start_ns_ = ThreadCpuNs();
   }
   ~Stage() { Commit(); }
 
@@ -77,6 +74,7 @@ class Stage {
   void Commit() {
     if (done_) return;
     done_ = true;
+    const std::uint64_t cpu_end_ns = totals_ != nullptr ? ThreadCpuNs() : 0;
     elapsed_ns_ = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
@@ -87,18 +85,11 @@ class Stage {
       span_.dur_us = elapsed_ns_ / 1000;
       trace_->Record(std::move(span_));
     }
-    if (group_ == nullptr) return;
-    const PerfSample end = group_->Read();
+    if (totals_ == nullptr) return;
     totals_->samples += 1;
-    totals_->hw_samples += (perf_start_.hardware && end.hardware) ? 1 : 0;
     totals_->units += units_;
-    totals_->cycles += end.cycles - perf_start_.cycles;
-    totals_->instructions += end.instructions - perf_start_.instructions;
-    totals_->cache_references +=
-        end.cache_references - perf_start_.cache_references;
-    totals_->cache_misses += end.cache_misses - perf_start_.cache_misses;
-    totals_->branch_misses += end.branch_misses - perf_start_.branch_misses;
     totals_->clock_ns += elapsed_ns_;
+    totals_->cpu_ns += cpu_end_ns - cpu_start_ns_;
   }
 
   /// Ends the scope without feeding any sink: the armed window was not the
@@ -113,11 +104,10 @@ class Stage {
 
  private:
   Histogram* hist_;
-  PerfCounterGroup* group_;
   PerfStageTotals* totals_;
   TraceRecorder* trace_;
   TraceEvent span_;
-  PerfSample perf_start_;
+  std::uint64_t cpu_start_ns_ = 0;
   std::uint64_t units_ = 0;
   std::uint64_t elapsed_ns_ = 0;
   bool done_ = false;

@@ -52,9 +52,15 @@ bool SpotService::LoadTimedLocked(SpotDetector* detector,
   return LoadCheckpointFile(detector, path);
 }
 
-void SpotService::ApplyServiceConfigLocked(SpotDetector* detector) {
+void SpotService::InstallLocked(Session* session,
+                                std::unique_ptr<SpotDetector> detector) {
   detector->set_num_shards(config_.num_shards);
   detector->set_collect_perf_counters(config_.collect_perf_counters);
+  // The grids' compaction counters are not checkpointed, so a reloaded
+  // detector restarts them at 0: deltas count from what this one holds.
+  session->last_compactions = detector->synapses().TotalCompactions();
+  session->last_reclaimed = detector->synapses().TotalCellsReclaimed();
+  session->detector = std::move(detector);
 }
 
 void SpotService::BindSinkLocked(const std::string& id, Session* session) {
@@ -82,8 +88,7 @@ void SpotService::SampleLocked(Session* session) {
   const SpotDetector* detector = session->detector.get();
   if (detector == nullptr) {
     session->tracked_subspaces = session->slab_slots = 0;
-    session->free_slots = session->compactions = 0;
-    session->cells_reclaimed = 0;
+    session->free_slots = 0;
     return;
   }
   session->last_stats = detector->stats();
@@ -91,8 +96,6 @@ void SpotService::SampleLocked(Session* session) {
   session->tracked_subspaces = detector->TrackedSubspaces();
   session->slab_slots = synapses.TotalSlabSlots();
   session->free_slots = synapses.TotalFreeSlots();
-  session->compactions = synapses.TotalCompactions();
-  session->cells_reclaimed = synapses.TotalCellsReclaimed();
 }
 
 bool SpotService::SaveLocked(const std::string& id, Session& session) {
@@ -186,8 +189,7 @@ SpotService::Session* SpotService::LeaseLocked(
       ReleaseLocked(session);
       return nullptr;
     }
-    session->detector = std::move(detector);
-    ApplyServiceConfigLocked(session->detector.get());
+    InstallLocked(session, std::move(detector));
     BindSinkLocked(id, session);
     ++session->reloads;
     c_reloaded_->Inc();
@@ -245,9 +247,8 @@ bool SpotService::CreateSession(
     }
     return false;
   }
-  ApplyServiceConfigLocked(detector.get());
   Session& session = sessions_[id];
-  session.detector = std::move(detector);
+  InstallLocked(&session, std::move(detector));
   session.sink = std::move(sink);
   session.owner = owner;
   session.last_used = ++use_clock_;
@@ -272,9 +273,8 @@ bool SpotService::OpenLocked(std::unique_lock<std::mutex>& lock,
   const bool admitted = MakeRoomLocked(lock);
   reserved_.erase(id);
   if (!admitted) return false;
-  ApplyServiceConfigLocked(detector.get());
   Session& session = sessions_[id];
-  session.detector = std::move(detector);
+  InstallLocked(&session, std::move(detector));
   session.on_disk = true;
   session.owner = owner;
   session.last_used = ++use_clock_;
@@ -406,20 +406,23 @@ void SpotService::AccumulateQualityLocked(
       }
     }
   }
-  // Journal this batch's grid-compaction delta. The synapse totals can
+  // Journal this batch's grid-compaction delta, and add it to the
+  // session's totals, which survive eviction. The synapse totals can
   // shrink when Untrack drops a grid's contribution, so only a growth is
   // an event; either way resample so the next delta starts clean.
   const std::uint64_t comp = detector.synapses().TotalCompactions();
   const std::uint64_t rec = detector.synapses().TotalCellsReclaimed();
   if (comp > session->last_compactions) {
+    const std::uint64_t reclaimed =
+        rec >= session->last_reclaimed ? rec - session->last_reclaimed : 0;
     DetectorEvent event;
     event.kind = DetectorEventKind::kGridCompaction;
     event.tick = detector.stats().points_processed;
     event.a = comp - session->last_compactions;
-    event.value = rec >= session->last_reclaimed
-                      ? static_cast<double>(rec - session->last_reclaimed)
-                      : 0.0;
+    event.value = static_cast<double>(reclaimed);
     session->sink->OnDetectorEvent(event);
+    session->compactions += event.a;
+    session->cells_reclaimed += reclaimed;
   }
   session->last_compactions = comp;
   session->last_reclaimed = rec;
@@ -437,21 +440,12 @@ void SpotService::HarvestPerfLocked(const BatchStageRecord& record) {
     perf_probe_totals_[k].Merge(record.probes[k].perf);
   }
   obs::PublishPerfTotals(&obs_, "stage=\"bin\"", perf_bin_total_);
-  std::uint64_t hw_samples = perf_bin_total_.hw_samples;
   for (std::size_t k = 0; k < perf_probe_totals_.size(); ++k) {
     obs::PublishPerfTotals(
         &obs_,
         "stage=\"probe\",engine_shard=\"" + std::to_string(k) + "\"",
         perf_probe_totals_[k]);
-    hw_samples += perf_probe_totals_[k].hw_samples;
   }
-  // Engine-tier mode, derived from what the pool threads actually
-  // measured (the service cannot reach their thread-local groups): any
-  // hardware sample means the PMU is live.
-  obs_.GetGauge("perf_mode")
-      ->Set(static_cast<double>(
-          hw_samples > 0 ? static_cast<int>(obs::PerfMode::kHardware)
-                         : static_cast<int>(obs::PerfMode::kSoftware)));
 }
 
 IngestResult SpotService::Ingest(const std::string& id,

@@ -41,14 +41,13 @@ struct SpotServiceConfig {
   /// beyond max_resident are refused instead of evicted.
   std::string checkpoint_dir;
 
-  /// Collect hardware-counter deltas for each ProcessBatch's
-  /// phase-0 binning pass and per-shard probe loops (DESIGN.md Section
-  /// 12) and accumulate them into the service's ObsSnapshot as labeled
-  /// `perf_*` families (`stage="bin"`, `stage="probe",engine_shard="k"`).
-  /// The serving tier reads the same switch to profile its reactor
-  /// stages, so this is the server's one profiling switch. Degrades to a
-  /// clock-only software fallback where perf_event_open is denied. Off by
-  /// default; verdicts and checkpoint bytes are bit-identical either way.
+  /// Measure wall and thread CPU time for each ProcessBatch's phase-0
+  /// binning pass and per-shard probe loops (DESIGN.md Section 12) and
+  /// accumulate them into the service's ObsSnapshot as labeled `perf_*`
+  /// counters (`stage="bin"`, `stage="probe",engine_shard="k"`). The
+  /// serving tier reads the same switch to profile its reactor stages,
+  /// so this is the server's one profiling switch. Off by default;
+  /// verdicts and checkpoint bytes are bit-identical either way.
   bool collect_perf_counters = false;
 };
 
@@ -233,10 +232,12 @@ class SpotService {
   /// here) and `session_alarms` (points with a finding); the histograms
   /// `rd_margin_x1000` and `irsd_margin_x1000`, each outlier finding's rd
   /// or irsd over its threshold x1000, so mass just under 1000 means
-  /// borderline verdicts; and the grid gauges `tracked_subspaces`,
-  /// `slab_slots` and `slab_free_slots` and counters `grid_compactions`
-  /// and `grid_cells_reclaimed`, sampled when the session's last call
-  /// ended, which read 0 while it is evicted. Then come its top
+  /// borderline verdicts; the grid gauges `tracked_subspaces`,
+  /// `slab_slots` and `slab_free_slots`, sampled when the session's last
+  /// call ended, which read 0 while it is evicted; and the counters
+  /// `grid_compactions` and `grid_cells_reclaimed`, the sums of the
+  /// session's journaled `grid_compaction` events since it opened here,
+  /// which survive eviction and never decrease. Then come its top
   /// `kQualityTopSubspaces` alarming subspaces by alarms, then mask, one
   /// `session="<id>",subspace="0x<mask>"` section each: `subspace_alarms`
   /// and `subspace_points`, the alarm rate's denominator (session points
@@ -292,10 +293,12 @@ class SpotService {
     std::uint64_t tracked_subspaces = 0;
     std::uint64_t slab_slots = 0;
     std::uint64_t free_slots = 0;
+    /// Sums of the journaled grid-compaction deltas (sweeps, cells).
     std::uint64_t compactions = 0;
     std::uint64_t cells_reclaimed = 0;
-    /// Last sampled synapse compaction totals (for per-batch deltas; the
-    /// totals can shrink when Untrack removes a grid, so deltas clamp).
+    /// The resident detector's synapse compaction totals as of the last
+    /// delta, or of its install (for per-batch deltas; the totals can
+    /// shrink when Untrack removes a grid, so deltas clamp).
     std::uint64_t last_compactions = 0;
     std::uint64_t last_reclaimed = 0;
   };
@@ -340,9 +343,10 @@ class SpotService {
   /// Refreshes last_stats and the quality grid gauges from the resident
   /// detector (zero gauges while evicted).
   void SampleLocked(Session* session);
-  /// Applies the service-wide detector settings: shard count and perf
-  /// counter collection.
-  void ApplyServiceConfigLocked(SpotDetector* detector);
+  /// Makes `detector` the session's resident detector: applies the
+  /// service-wide settings (shard count, stage profiling) and takes the
+  /// baseline its compaction deltas count from.
+  void InstallLocked(Session* session, std::unique_ptr<SpotDetector> detector);
   /// Creates the session's journal sink once and attaches it to the
   /// detector.
   void BindSinkLocked(const std::string& id, Session* session);
@@ -354,9 +358,9 @@ class SpotService {
   /// journals the batch's grid-compaction delta.
   void AccumulateQualityLocked(Session* session,
                                const std::vector<SpotResult>& verdicts);
-  /// Merges one batch's counter deltas (bin pass + per-shard probe loops)
+  /// Merges one batch's stage windows (bin pass + per-shard probe loops)
   /// into the service running totals and republishes the labeled `perf_*`
-  /// families into obs_ (mu_ held).
+  /// counters into obs_ (mu_ held).
   void HarvestPerfLocked(const BatchStageRecord& record);
 
   SpotServiceConfig config_;

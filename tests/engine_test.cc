@@ -453,5 +453,39 @@ TEST(ShardedEngineTest, OneShardBatchAttributesBinProbeAndSpan) {
   EXPECT_GT(record.probes[0].dur_ns, 0u);
 }
 
+// At K=4 each shard's probe job runs on a pool worker (or inline on the
+// caller when the pool is owned or empty) and reads that thread's CPU
+// clock inside its own wall window. 200 points fit one tile of 64 x 4,
+// so each entry is one window. The CPU time may exceed the wall time only by the
+// disagreement of two kernel clocks: 1% plus 50 µs, the tolerance
+// perf_counters_test states and justifies.
+TEST(ShardedEngineTest, FourShardProbeEntriesReadCpuInsideTheirWindows) {
+  const int kDims = 6;
+  SpotConfig cfg = eval::FastTestConfig();
+  cfg.num_shards = 4;
+  cfg.os_update_every = 0;
+  cfg.evolution_period = 0;
+  cfg.drift_detection = false;
+  auto det = LearnedDetector(cfg, TrainingBatch(kDims, 400));
+  det->set_collect_perf_counters(true);
+
+  std::vector<DataPoint> points;
+  for (const auto& p : DriftingEvalStream(kDims, 200, 911)) {
+    points.push_back(p.point);
+  }
+  det->ProcessBatch(points);
+
+  const BatchStageRecord& record = det->stage_record();
+  ASSERT_EQ(record.probes.size(), 4u);
+  for (std::size_t k = 0; k < record.probes.size(); ++k) {
+    const obs::PerfStageTotals& perf = record.probes[k].perf;
+    EXPECT_EQ(perf.samples, 1u) << "shard " << k;
+    EXPECT_GT(perf.cpu_ns, 0u) << "shard " << k;
+    EXPECT_LE(perf.cpu_ns, perf.clock_ns + perf.clock_ns / 100 + 50000)
+        << "shard " << k << ": cpu " << perf.cpu_ns << " ns, wall "
+        << perf.clock_ns << " ns";
+  }
+}
+
 }  // namespace
 }  // namespace spot

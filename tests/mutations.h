@@ -1,6 +1,6 @@
 // Fixed-seed byte mutations shared by the tests that fuzz a decoder in
-// tree: the wire payload codecs (protocol_test) and checkpoint images
-// (checkpoint_test).
+// tree: the wire payload codecs (protocol_test), checkpoint images
+// (checkpoint_test) and a live server's socket (net_server_test).
 
 #ifndef SPOT_TESTS_MUTATIONS_H_
 #define SPOT_TESTS_MUTATIONS_H_

@@ -37,6 +37,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -44,6 +45,7 @@
 #include "common/rng.h"
 #include "core/detector.h"
 #include "eval/presets.h"
+#include "mutations.h"
 #include "net/protocol.h"
 #include "net/spot_client.h"
 #include "net/spot_server.h"
@@ -2057,6 +2059,349 @@ TEST(NetVersioningTest, RefusalsCarryMachineReadableCodes) {
       {"refusals{code=\"session_unknown\"}", 1},
   };
   EXPECT_EQ(refusals, expected);
+}
+
+// ------------------------------------------------------ live mutator --
+
+/// A raw client connection that reads reply frames under a deadline.
+class RawClient {
+ public:
+  enum class End { kReply, kClosed, kTimeout };
+
+  explicit RawClient(std::uint16_t port) : fd_(RawConnect(port)) {
+    timeval tv{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    // No Nagle: a split frame's second write must not wait for the ack of
+    // its first.
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  ~RawClient() { ::close(fd_); }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  void Send(const std::string& bytes) { SendAll(fd_, bytes); }
+
+  /// Appends reply frames to `frames` up to and including the first of
+  /// type `until` (kReply), or until the server closes (kClosed); kTimeout
+  /// when neither happens within 5 s or the reply bytes are not frames.
+  End ReadUntil(MsgType until, std::vector<Frame>* frames) {
+    char buf[65536];
+    while (true) {
+      Frame frame;
+      FrameDecoder::Status status;
+      while ((status = decoder_.Next(&frame)) ==
+             FrameDecoder::Status::kFrame) {
+        frames->push_back(frame);
+        if (frame.type == until) return End::kReply;
+      }
+      if (status == FrameDecoder::Status::kCorrupt) return End::kTimeout;
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n == 0) return End::kClosed;
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return errno == ECONNRESET ? End::kClosed : End::kTimeout;
+      }
+      decoder_.Append(buf, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  FrameDecoder decoder_;
+};
+
+/// About `keep` of `p`'s fixed-seed mutations (tests/mutations.h), evenly
+/// spaced over the mutator's order so every kind of mutation is sampled.
+std::vector<std::string> SampledMutations(const std::string& p,
+                                          const std::string& other,
+                                          std::uint64_t seed,
+                                          std::size_t keep) {
+  Rng rng(seed);
+  std::vector<std::string> all;
+  ForEachMutation(
+      p, other, &rng, [&all](const std::string& m) { all.push_back(m); },
+      /*stride=*/1, /*rounds=*/50);
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < keep && i < all.size(); ++i) {
+    out.push_back(all[i * all.size() / keep]);
+  }
+  return out;
+}
+
+/// Pads `bytes` with zeros until a FrameDecoder reading them ends on a
+/// frame boundary or on corruption, so the server can decide the bytes
+/// without waiting for more. True when the decoder finds corruption — the
+/// server must then close the connection and count a corrupt frame.
+bool PadToDecision(std::string* bytes, std::size_t max_payload) {
+  while (true) {
+    FrameDecoder decoder(max_payload);
+    decoder.Append(bytes->data(), bytes->size());
+    Frame frame;
+    FrameDecoder::Status status;
+    std::size_t consumed = 0;
+    while ((status = decoder.Next(&frame)) == FrameDecoder::Status::kFrame) {
+      consumed += kFrameHeaderBytes + frame.payload.size();
+    }
+    if (status == FrameDecoder::Status::kCorrupt) return true;
+    const std::size_t rest = bytes->size() - consumed;
+    if (rest == 0) return false;
+    std::size_t need = kFrameHeaderBytes - std::min(rest, kFrameHeaderBytes);
+    if (need == 0) {
+      std::uint32_t len = 0;
+      std::memcpy(&len, bytes->data() + consumed + 8, 4);  // payload length
+      need = kFrameHeaderBytes + len - rest;
+    }
+    bytes->append(need, '\0');
+  }
+}
+
+// A live server under the mutator: one reactor serves a well-behaved
+// connection A streaming its session while a victim connection B sends
+// (1) one small kIngest + kFlush pair split in two writes at every byte
+// boundary, (2) fixed-seed payload mutations of
+// kIngest, kFlush and kFeedback resealed into valid frames, so the
+// decoders and the service see them, and (3) mutations of whole raw
+// frames. After every mutation B sends a kFlush and a kStats sentinel:
+// every outcome must be served, refused with a named kError that
+// `refusals{code=...}` counts, or a close that `connections_closed`
+// counts (and `corrupt_frames` too, whenever the bytes no longer frame).
+// The reactor's counters are checked against the tallies at every
+// sentinel. A's verdicts must equal an in-process reference, B's session
+// must end unattached and resumable, and the server must stay up.
+TEST(NetRobustnessTest, LiveServerUnderTheMutator) {
+  SpotServerConfig ncfg;
+  ncfg.num_reactors = 1;
+  ncfg.max_payload_bytes = 1 << 14;  // bounds PadToDecision's zeros
+  TestServer server(SpotServiceConfig{}, ncfg);
+  SpotService reference{SpotServiceConfig{}};
+  const std::string kVictim = "victim";
+
+  // B creates its session over a raw connection.
+  auto b = std::make_unique<RawClient>(server.port());
+  {
+    CreateSessionReq create{kVictim, SessionConfig(), TenantTraining(1)};
+    b->Send(EncodeFrame(MsgType::kCreateSession, EncodeCreateSession(create)));
+    std::vector<Frame> frames;
+    ASSERT_EQ(b->ReadUntil(MsgType::kOk, &frames), RawClient::End::kReply);
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_TRUE(reference.CreateSession(kVictim, SessionConfig(),
+                                        TenantTraining(1)));
+  }
+
+  // A streams its own session through the same reactor until B is done.
+  SpotClient a;
+  ASSERT_TRUE(a.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(a.CreateSession("steady", SessionConfig(), TenantTraining(0)))
+      << a.last_error();
+  const std::vector<DataPoint> a_points = TenantPoints(0, 6000);
+  std::atomic<bool> b_done{false};
+  std::size_t a_sent = 0;
+  std::vector<SpotResult> a_verdicts;
+  std::thread a_thread([&] {
+    do {
+      const std::size_t n = std::min<std::size_t>(200, a_points.size() - a_sent);
+      const std::vector<DataPoint> part(
+          a_points.begin() + static_cast<long>(a_sent),
+          a_points.begin() + static_cast<long>(a_sent + n));
+      for (SpotResult& v : StreamDeterministic(a, "steady", part, 50)) {
+        a_verdicts.push_back(std::move(v));
+      }
+      a_sent += n;
+    } while (a_sent < a_points.size() && !b_done.load());
+  });
+  // Stops and joins A on every exit, a failed ASSERT's early return too.
+  struct JoinA {
+    std::atomic<bool>* done;
+    std::thread* thread;
+    ~JoinA() {
+      done->store(true);
+      if (thread->joinable()) thread->join();
+    }
+  } join_a{&b_done, &a_thread};
+
+  const std::string sentinel =
+      EncodeFrame(MsgType::kFlush, EncodeFlush({kVictim})) +
+      EncodeFrame(MsgType::kStats, "");
+  std::map<std::string, std::uint64_t> base;  // reactor counters before B
+  std::map<std::string, std::uint64_t> want;  // B's tallies since then
+  const auto check_counters = [&](const Frame& stats_frame,
+                                  const std::string& what) {
+    StatsResp stats;
+    ASSERT_TRUE(DecodeStats(stats_frame.payload, &stats)) << what;
+    std::map<std::string, std::uint64_t> delta;
+    for (const auto& [name, value] : stats.reactors.at(0).counters) {
+      if (name == "connections_closed" || name == "corrupt_frames" ||
+          name.rfind("refusals{", 0) == 0) {
+        if (value != base[name]) delta[name] = value - base[name];
+      }
+    }
+    std::map<std::string, std::uint64_t> nonzero;
+    for (const auto& [name, value] : want) {
+      if (value != 0) nonzero[name] = value;
+    }
+    EXPECT_EQ(delta, nonzero) << what;
+  };
+  {
+    b->Send(EncodeFrame(MsgType::kStats, ""));
+    std::vector<Frame> frames;
+    ASSERT_EQ(b->ReadUntil(MsgType::kStatsResp, &frames),
+              RawClient::End::kReply);
+    StatsResp stats;
+    ASSERT_TRUE(DecodeStats(frames.back().payload, &stats));
+    for (const auto& [name, value] : stats.reactors.at(0).counters) {
+      base[name] = value;
+    }
+  }
+  const auto reconnect_b = [&](const std::string& what) {
+    b = std::make_unique<RawClient>(server.port());
+    b->Send(EncodeFrame(MsgType::kResumeSession,
+                        EncodeResumeSession({kVictim})));
+    std::vector<Frame> frames;
+    ASSERT_EQ(b->ReadUntil(MsgType::kOk, &frames), RawClient::End::kReply)
+        << what;
+    // A close must detach: a refused resume means the session stayed
+    // attached to a dead connection.
+    ASSERT_EQ(frames.size(), 1u) << what;
+  };
+  // Sends `bytes` (ending in the sentinel unless corrupt) and tallies the
+  // outcome.
+  const auto run_one = [&](const std::string& bytes, bool corrupt,
+                           const std::string& what) {
+    b->Send(bytes);
+    std::vector<Frame> frames;
+    const RawClient::End end = b->ReadUntil(MsgType::kStatsResp, &frames);
+    ASSERT_NE(end, RawClient::End::kTimeout) << what;
+    for (const Frame& frame : frames) {
+      if (frame.type != MsgType::kError) continue;
+      ErrorResp err;
+      ASSERT_TRUE(DecodeError(frame.payload, &err)) << what;
+      const std::string code = ErrorCodeName(err.code);
+      EXPECT_NE(code, "unknown") << what;
+      ++want["refusals{code=\"" + code + "\"}"];
+    }
+    if (corrupt) {
+      EXPECT_EQ(end, RawClient::End::kClosed) << what;
+    }
+    if (end == RawClient::End::kClosed) {
+      ++want["connections_closed"];
+      if (corrupt) ++want["corrupt_frames"];
+      reconnect_b(what);
+    } else {
+      check_counters(frames.back(), what);
+    }
+  };
+
+  // (1) Split frames: each flush answers what the unsplit pair would.
+  IngestReq small{kVictim, TenantPoints(1, 2)};
+  const std::string pair =
+      EncodeFrame(MsgType::kIngest, EncodeIngest(small)) +
+      EncodeFrame(MsgType::kFlush, EncodeFlush({kVictim}));
+  ASSERT_LE(pair.size(), 512u);
+  for (std::size_t cut = 1; cut < pair.size(); ++cut) {
+    b->Send(pair.substr(0, cut));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    b->Send(pair.substr(cut));
+    std::vector<Frame> frames;
+    ASSERT_EQ(b->ReadUntil(MsgType::kOk, &frames), RawClient::End::kReply)
+        << "cut " << cut;
+    std::vector<SpotResult> got;
+    for (const Frame& frame : frames) {
+      VerdictsResp resp;
+      if (frame.type != MsgType::kVerdicts) continue;
+      ASSERT_TRUE(DecodeVerdicts(frame.payload, &resp));
+      got.insert(got.end(), resp.verdicts.begin(), resp.verdicts.end());
+    }
+    const IngestResult expected = reference.Ingest(kVictim, small.points);
+    ASSERT_TRUE(expected.ok);
+    EXPECT_EQ(VerdictBytes(got), VerdictBytes(expected.verdicts))
+        << "cut " << cut;
+  }
+
+  // (2) Resealed payload mutations.
+  IngestReq ingest{kVictim, TenantPoints(1, 3)};
+  IngestReq other_ingest{kVictim, TenantPoints(2, 2)};
+  FeedbackReq feedback{kVictim, {}, {TenantPoints(1, 1)[0].values}};
+  FeedbackReq other_feedback{kVictim, {3, 7}, {}};
+  for (const DataPoint& p : TenantPoints(3, 2)) {
+    other_feedback.examples.push_back(p.values);
+  }
+  struct Plan {
+    MsgType type;
+    std::string payload;
+    std::string other;
+    std::size_t keep;
+  };
+  const Plan plans[] = {
+      {MsgType::kIngest, EncodeIngest(ingest), EncodeIngest(other_ingest),
+       120},
+      {MsgType::kFlush, EncodeFlush({kVictim}), EncodeFlush({""}), 60},
+      {MsgType::kFeedback, EncodeFeedback(feedback),
+       EncodeFeedback(other_feedback), 40},
+  };
+  std::uint64_t seed = 11;
+  for (const Plan& plan : plans) {
+    std::size_t i = 0;
+    for (const std::string& m :
+         SampledMutations(plan.payload, plan.other, seed++, plan.keep)) {
+      run_one(EncodeFrame(plan.type, m) + sentinel, /*corrupt=*/false,
+              "resealed type " +
+                  std::to_string(static_cast<int>(plan.type)) +
+                  " mutation " + std::to_string(i++));
+    }
+  }
+
+  // (3) Raw frame mutations: whatever no longer frames closes and counts.
+  std::size_t raw_corrupt = 0;
+  std::size_t i = 0;
+  for (std::string m : SampledMutations(
+           EncodeFrame(MsgType::kIngest, EncodeIngest(ingest)),
+           EncodeFrame(MsgType::kFeedback, EncodeFeedback(feedback)), seed,
+           120)) {
+    m += sentinel;
+    const bool corrupt = PadToDecision(&m, ncfg.max_payload_bytes);
+    raw_corrupt += corrupt ? 1 : 0;
+    run_one(m, corrupt, "raw mutation " + std::to_string(i++));
+  }
+  EXPECT_GT(raw_corrupt, 60u);
+
+  // B's last connection goes down on garbage; its session resumes and
+  // serves on a fresh one.
+  run_one(std::string(64, 'Z'), /*corrupt=*/true, "garbage");
+  {
+    b->Send(EncodeFrame(MsgType::kIngest, EncodeIngest(small)) + sentinel);
+    std::vector<Frame> frames;
+    ASSERT_EQ(b->ReadUntil(MsgType::kStatsResp, &frames),
+              RawClient::End::kReply);
+    EXPECT_EQ(std::count_if(frames.begin(), frames.end(),
+                            [](const Frame& f) {
+                              return f.type == MsgType::kVerdicts;
+                            }),
+              1);
+    check_counters(frames.back(), "after resume");
+  }
+
+  b_done.store(true);
+  a_thread.join();
+  ASSERT_TRUE(reference.CreateSession("steady", SessionConfig(),
+                                      TenantTraining(0)));
+  const IngestResult a_reference = reference.Ingest(
+      "steady", std::vector<DataPoint>(
+                    a_points.begin(),
+                    a_points.begin() + static_cast<long>(a_sent)));
+  ASSERT_TRUE(a_reference.ok);
+  ASSERT_EQ(a_verdicts.size(), a_sent);
+  EXPECT_EQ(VerdictBytes(a_verdicts), VerdictBytes(a_reference.verdicts));
+
+  // The server is still up: a new client gets full service.
+  SpotClient fresh;
+  ASSERT_TRUE(fresh.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(fresh.CreateSession("late", SessionConfig(), TenantTraining(2)))
+      << fresh.last_error();
+  std::vector<SpotResult> late;
+  ASSERT_TRUE(fresh.Ingest("late", TenantPoints(2, 16)));
+  ASSERT_TRUE(fresh.Flush("late", &late));
+  EXPECT_EQ(late.size(), 16u);
 }
 
 }  // namespace

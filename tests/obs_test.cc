@@ -300,12 +300,11 @@ void SleepMs(int ms) {
 TEST(StageTest, OneIntervalFeedsHistogramSpanAndPerfClock) {
   Histogram hist;
   TraceRecorder trace(16, /*reactor=*/2);
-  auto group = PerfCounterGroup::Open();
   PerfStageTotals totals;
   std::uint64_t elapsed_ns = 0;
   std::uint64_t start_us = 0;
   {
-    Stage stage(&hist, group.get(), &totals, &trace, TraceStage::kEncode);
+    Stage stage(&hist, &totals, &trace, TraceStage::kEncode);
     stage.set_units(42);
     stage.set_points(7);
     stage.set_batch(99);
@@ -339,10 +338,9 @@ TEST(StageTest, OneIntervalFeedsHistogramSpanAndPerfClock) {
 TEST(StageTest, CancelTouchesNoSink) {
   Histogram hist;
   TraceRecorder trace(16);
-  auto group = PerfCounterGroup::Open();
   PerfStageTotals totals;
   {
-    Stage stage(&hist, group.get(), &totals, &trace, TraceStage::kDecode);
+    Stage stage(&hist, &totals, &trace, TraceStage::kDecode);
     stage.set_units(42);
     stage.Cancel();
   }
@@ -356,11 +354,10 @@ TEST(StageTest, CancelTouchesNoSink) {
 TEST(StageTest, CommitEndsTheWindowEarlyAndLandsExactlyOnce) {
   Histogram hist;
   TraceRecorder trace(16);
-  auto group = PerfCounterGroup::Open();
   PerfStageTotals totals;
   std::uint64_t committed_ns = 0;
   {
-    Stage stage(&hist, group.get(), &totals, &trace, TraceStage::kCoalesce);
+    Stage stage(&hist, &totals, &trace, TraceStage::kCoalesce);
     stage.set_units(7);
     SleepMs(1);
     stage.Commit();
@@ -386,20 +383,18 @@ TEST(StageTest, NullSinksAreNoOps) {
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_GE(hist.min(), 0.0);
 
-  // Nothing attached, or half a perf sink: nothing to feed, nothing to
-  // crash on.
+  // Nothing attached: nothing to feed, nothing to crash on.
   { Stage stage(nullptr); }
   PerfStageTotals totals;
   {
-    Stage stage(nullptr, nullptr, &totals);
+    Stage stage(nullptr, nullptr);
     stage.set_units(9);
     stage.set_session("no-recorder");
   }
   EXPECT_EQ(totals.samples, 0u);
   EXPECT_EQ(totals.clock_ns, 0u);
-  auto group = PerfCounterGroup::Open();
   {
-    Stage stage(nullptr, group.get(), nullptr);
+    Stage stage(nullptr, nullptr, nullptr);
     stage.set_units(9);
   }
 }
@@ -407,17 +402,16 @@ TEST(StageTest, NullSinksAreNoOps) {
 TEST(StageTest, ScopesNestIndependently) {
   // The reactor's process stage encloses the engine's scopes on the same
   // thread; each must feed its own window into its own sinks.
-  auto group = PerfCounterGroup::Open();
   Histogram outer_hist;
   Histogram inner_hist;
   PerfStageTotals outer_totals;
   PerfStageTotals inner_totals;
   {
-    Stage outer(&outer_hist, group.get(), &outer_totals);
+    Stage outer(&outer_hist, &outer_totals);
     outer.set_units(10);
     SleepMs(1);
     {
-      Stage inner(&inner_hist, group.get(), &inner_totals);
+      Stage inner(&inner_hist, &inner_totals);
       inner.set_units(3);
       SleepMs(1);
     }
@@ -493,46 +487,46 @@ TEST(ExpositionTest, RendersPrometheusTextWithLabels) {
 }
 
 TEST(ExpositionTest, EmbeddedLabelsMergeAfterTheSectionLabel) {
-  // Registry keys may embed labels in the name (`perf_cycles{stage=...}`,
+  // Registry keys may embed labels in the name (`perf_cpu_ns{stage=...}`,
   // DESIGN.md Section 12); the renderer must split them back out, put the
   // section label first, and still emit exactly one TYPE line per family.
   MetricsSnapshot r0, r1;
-  r0.counters["perf_cycles{stage=\"decode\"}"] = 100;
-  r0.counters["perf_cycles{stage=\"process\"}"] = 900;
-  r1.counters["perf_cycles{stage=\"decode\"}"] = 50;
-  r0.gauges["perf_ipc{stage=\"decode\"}"] = 1.5;
+  r0.counters["perf_cpu_ns{stage=\"decode\"}"] = 100;
+  r0.counters["perf_cpu_ns{stage=\"process\"}"] = 900;
+  r1.counters["perf_cpu_ns{stage=\"decode\"}"] = 50;
+  r0.gauges["stage_load{stage=\"decode\"}"] = 1.5;
   MetricsSnapshot svc;
-  svc.counters["perf_cycles{stage=\"probe\",engine_shard=\"2\"}"] = 7;
+  svc.counters["perf_cpu_ns{stage=\"probe\",engine_shard=\"2\"}"] = 7;
 
   const std::string text = RenderPrometheus(
       {{"reactor=\"0\"", r0}, {"reactor=\"1\"", r1}, {"shard=\"0\"", svc}});
 
   EXPECT_NE(
-      text.find("spot_perf_cycles{reactor=\"0\",stage=\"decode\"} 100\n"),
+      text.find("spot_perf_cpu_ns{reactor=\"0\",stage=\"decode\"} 100\n"),
       std::string::npos);
   EXPECT_NE(
-      text.find("spot_perf_cycles{reactor=\"0\",stage=\"process\"} 900\n"),
+      text.find("spot_perf_cpu_ns{reactor=\"0\",stage=\"process\"} 900\n"),
       std::string::npos);
   EXPECT_NE(
-      text.find("spot_perf_cycles{reactor=\"1\",stage=\"decode\"} 50\n"),
+      text.find("spot_perf_cpu_ns{reactor=\"1\",stage=\"decode\"} 50\n"),
       std::string::npos);
-  EXPECT_NE(text.find("spot_perf_cycles{shard=\"0\",stage=\"probe\","
+  EXPECT_NE(text.find("spot_perf_cpu_ns{shard=\"0\",stage=\"probe\","
                       "engine_shard=\"2\"} 7\n"),
             std::string::npos);
-  EXPECT_NE(text.find("spot_perf_ipc{reactor=\"0\",stage=\"decode\"} 1.5\n"),
+  EXPECT_NE(text.find("spot_stage_load{reactor=\"0\",stage=\"decode\"} 1.5\n"),
             std::string::npos);
-  // One TYPE line for the whole spot_perf_cycles family despite four
+  // One TYPE line for the whole spot_perf_cpu_ns family despite four
   // series across three sections, and the gauge typed independently.
   std::size_t type_lines = 0;
-  for (std::size_t pos = text.find("# TYPE spot_perf_cycles counter");
+  for (std::size_t pos = text.find("# TYPE spot_perf_cpu_ns counter");
        pos != std::string::npos;
-       pos = text.find("# TYPE spot_perf_cycles counter", pos + 1)) {
+       pos = text.find("# TYPE spot_perf_cpu_ns counter", pos + 1)) {
     ++type_lines;
   }
   EXPECT_EQ(type_lines, 1u);
-  EXPECT_NE(text.find("# TYPE spot_perf_ipc gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE spot_stage_load gauge\n"), std::string::npos);
   // A braced key must never leak into an exposition name verbatim.
-  EXPECT_EQ(text.find("spot_perf_cycles{stage=\"decode\"}{"),
+  EXPECT_EQ(text.find("spot_perf_cpu_ns{stage=\"decode\"}{"),
             std::string::npos);
 }
 

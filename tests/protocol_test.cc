@@ -781,22 +781,17 @@ TEST(CodecTest, StatsRoundTrip) {
   EXPECT_FALSE(DecodeStats(wire + "x", &scratch));
 }
 
-// Every section publishes its own perf_mode and derived perf rate gauges;
-// summed across sections they are neither a mode nor a rate (three
-// software-mode sections would read perf_mode=3). The merged view leaves
-// every perf_* gauge out, so the stats line prints none, while the mode
-// still derives from the summed sample counters.
-TEST(CodecTest, MergedLeavesOutPerfGauges) {
+// Every section publishes its own perf_* counters; the merged view sums
+// them, so the rates PerfStageRows derives cover every section.
+TEST(CodecTest, MergedSumsPerfCounters) {
   obs::PerfStageTotals totals;
   totals.samples = 4;
   totals.units = 100;
-  totals.cycles = 500;
-  totals.instructions = 1000;
+  totals.clock_ns = 5000;
+  totals.cpu_ns = 3000;
   const auto section = [&totals](const std::string& labels) {
     obs::Registry reg;
     obs::PublishPerfTotals(&reg, labels, totals);
-    reg.GetGauge("perf_mode")
-        ->Set(static_cast<double>(obs::PerfMode::kSoftware));
     return reg.Snapshot();
   };
   StatsResp resp;
@@ -806,15 +801,11 @@ TEST(CodecTest, MergedLeavesOutPerfGauges) {
   resp.service.gauges["sessions"] = 2.0;
 
   const obs::MetricsSnapshot merged = resp.Merged();
-  for (const auto& [name, value] : merged.gauges) {
-    EXPECT_NE(name.rfind("perf_", 0), 0u) << name << "=" << value;
-  }
   EXPECT_EQ(merged.gauges.at("sessions"), 2.0);
   EXPECT_EQ(merged.counters.at("perf_units{stage=\"process\"}"), 200u);
   EXPECT_EQ(merged.counters.at("perf_units{stage=\"bin\"}"), 100u);
-  const std::string line = obs::SummaryLine(merged);
-  EXPECT_EQ(line.find("perf_mode="), std::string::npos) << line;
-  EXPECT_EQ(obs::MergedPerfMode(merged), obs::PerfMode::kSoftware);
+  EXPECT_EQ(merged.counters.at("perf_cpu_ns{stage=\"process\"}"), 6000u);
+  EXPECT_EQ(merged.counters.at("perf_cpu_ns{stage=\"bin\"}"), 3000u);
 }
 
 // A session's detection-quality section and one of its subspace sections,

@@ -13,6 +13,7 @@
 #include <string>
 #include <sys/stat.h>
 #include <thread>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -672,6 +673,77 @@ TEST(SpotServiceTest, ConcurrentSessionsMatchSerialReference) {
 // CreateSession is inside a long Learn(), an Ingest on another session
 // returns. (A service that learned under its lock would hold the Ingest
 // until the Learn finished.)
+// Grid compaction counters are not checkpointed, so a reloaded detector's
+// restart at 0. The service counts each session's compactions as deltas
+// from the detector it installed, so a service that reloads a session on
+// every batch journals the same grid_compaction events, and reports the
+// same per-session totals, as one that never evicts. The tracked set is
+// fixed (no OS growth, evolution or drift), so no Untrack shrinks a total,
+// and the sweeps run every 64 arrivals so every batch compacts.
+TEST(SpotServiceTest, CompactionCountsSurviveEviction) {
+  SpotConfig cfg = eval::FastTestConfig();
+  cfg.os_update_every = 0;
+  cfg.evolution_period = 0;
+  cfg.drift_detection = false;
+  cfg.compaction_period = 64;
+  const int kTenants = 2;
+  const std::size_t kBatch = 200;
+  const std::size_t kBatches = 10;
+
+  using Event = std::tuple<std::string, std::uint64_t, std::uint64_t, double>;
+  std::vector<std::vector<Event>> events;  // per service, in journal order
+  std::vector<std::vector<std::uint64_t>> totals;  // per service
+  for (const std::size_t max_resident : {2, 1}) {
+    SpotServiceConfig scfg;
+    scfg.max_resident = max_resident;
+    scfg.checkpoint_dir =
+        MakeCheckpointDir(max_resident == 2 ? "compact_r2" : "compact_r1");
+    SpotService service(scfg);
+    std::vector<std::vector<LabeledPoint>> streams;
+    for (int t = 0; t < kTenants; ++t) {
+      streams.push_back(TenantStream(t, static_cast<int>(kBatch * kBatches),
+                                     21));
+      ASSERT_TRUE(service.CreateSession("tenant-" + std::to_string(t), cfg,
+                                        TenantTraining(t)));
+    }
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      for (int t = 0; t < kTenants; ++t) {
+        ASSERT_TRUE(service
+                        .Ingest("tenant-" + std::to_string(t),
+                                Chunk(streams[t], b * kBatch,
+                                      (b + 1) * kBatch))
+                        .ok);
+      }
+    }
+    const ServiceMetrics metrics = service.TotalMetrics();
+    if (max_resident == 1) {
+      EXPECT_GE(metrics.reloads, kBatches);  // a reload on every batch
+    } else {
+      EXPECT_EQ(metrics.reloads, 0u);
+    }
+    std::vector<Event> journaled;
+    for (const obs::JournalEntry& e : service.journal().Snapshot()) {
+      if (e.event.kind != DetectorEventKind::kGridCompaction) continue;
+      journaled.emplace_back(service.journal().SessionName(e.session),
+                             e.event.tick, e.event.a, e.event.value);
+    }
+    events.push_back(journaled);
+    std::vector<std::uint64_t> counts;
+    for (const auto& [label, section] : service.QualitySnapshot()) {
+      if (label.find("subspace=") != std::string::npos) continue;
+      counts.push_back(section.counters.at("grid_compactions"));
+      counts.push_back(section.counters.at("grid_cells_reclaimed"));
+    }
+    totals.push_back(counts);
+  }
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_GE(events[0].size(), kBatches * kTenants);
+  EXPECT_EQ(events[0], events[1]);
+  ASSERT_EQ(totals[0].size(), 2u * kTenants);
+  EXPECT_GT(totals[0][0], 0u);
+  EXPECT_EQ(totals[0], totals[1]);
+}
+
 TEST(SpotServiceTest, IngestProceedsWhileAnotherSessionLearns) {
   SpotService service{SpotServiceConfig{}};
   ASSERT_TRUE(service.CreateSession("b", SessionConfig(), TenantTraining(1)));

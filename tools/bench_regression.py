@@ -74,13 +74,6 @@ def run_e11(build_dir: str) -> list:
             match.group(2),                                   # SST size
             str(int(round(bench["items_per_second"]))),       # pts/s
             f"{bench.get('probes/pt', 0):.0f}",
-            # Hardware-counter rates (0 when perf_event_open is
-            # unavailable and the bench fell back to the software clock).
-            # Trend columns only — never gated: instructions-per-point is
-            # far more stable than pts/s on shared CI hardware, so read it
-            # when a pts/s wiggle needs a verdict.
-            f"{bench.get('instr/pt', 0):.0f}",
-            f"{bench.get('miss/probe', 0):.3f}",
         ])
     for title, rows in tables.items():
         if not rows:
@@ -88,8 +81,7 @@ def run_e11(build_dir: str) -> list:
         rows.sort(key=lambda r: int(r[0]))
     return [
         {"title": title,
-         "headers": ["SST size", GATE_COLUMN, "probes/pt", "instr/pt",
-                     "miss/probe"],
+         "headers": ["SST size", GATE_COLUMN, "probes/pt"],
          "rows": rows}
         for title, rows in tables.items()
     ]
@@ -130,11 +122,11 @@ def run_loadgen(build_dir: str) -> list:
     gates.
 
     Runs with --prof so the spawned servers profile their pipeline stages;
-    the scraped instructions-per-point of the process stage comes back in
-    the loadgen document's ``counters`` block (merged into the trajectory
-    document, 0/absent when perf_event_open is unavailable). --prof is
-    exercised under --verify here, so this doubles as a regression check
-    that profiling never perturbs verdict bytes.
+    the scraped CPU ns per point of the process stage (``cpu_ns/pt``)
+    comes back in the loadgen document's ``counters`` block (merged into
+    the trajectory document). --prof is exercised under --verify here, so
+    this doubles as a regression check that profiling never perturbs
+    verdict bytes.
     """
     binary = os.path.join(build_dir, "tools", "spot_loadgen")
     if not os.path.exists(binary):
@@ -267,9 +259,8 @@ def main() -> int:
                   loadgen_tables,
     }
     if loadgen_counters:
-        # End-to-end hardware rates scraped from the spawned server
-        # (e.g. the process stage's instructions-per-point). Trend data
-        # only — never gated.
+        # Per-stage CPU rates scraped from the spawned server (the
+        # process stage's cpu_ns/pt). Trend data only — never gated.
         current["counters"] = loadgen_counters
 
     if args.out:

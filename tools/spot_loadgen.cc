@@ -15,13 +15,13 @@
 //                [--checkpoint-dir DIR] [--json OUT] [--trace-out FILE]
 //                [--prof]
 //
-// --prof turns on the hardware-counter profiling plane (DESIGN.md
-// Section 12) on the spawned server (with --spawn-server) and renders a
-// stage x counter attribution table (IPC, instructions/unit,
-// cache-misses/unit) from the post-run scrape; against an external
-// server the table appears whenever that server runs with --prof. The
-// overall instructions-per-point also lands in the JSON document's
-// `counters` block as `instr/pt` for the bench-regression trajectory.
+// --prof turns on the per-stage CPU profiling plane (DESIGN.md Section
+// 12) on the spawned server (with --spawn-server) and renders a stage x
+// counter attribution table (units, wall ns/unit, CPU ns/unit, CPU/wall)
+// from the post-run scrape; against an external server the table appears
+// whenever that server runs with --prof. The process stage's CPU ns per
+// point also lands in the JSON document's `counters` block as `cpu_ns/pt`
+// for the bench-regression trajectory.
 //
 // --mix selects the request blend on top of the ingest stream (wire v3,
 // DESIGN.md Section 11):
@@ -525,32 +525,22 @@ void ScrapeServerStats(const Flags& flags, std::uint16_t port,
   // kStats snapshot as the latency table, keyed by their embedded labels.
   const std::vector<spot::obs::PerfStageRow> perf_rows =
       spot::obs::PerfStageRows(merged);
-  spot::eval::Table perf_table({"stage", "units", "ipc", "instr/u",
-                                "miss/u", "bmiss/u"});
+  spot::eval::Table perf_table(
+      {"stage", "units", "wall ns/u", "cpu ns/u", "cpu/wall"});
   for (const spot::obs::PerfStageRow& row : perf_rows) {
     perf_table.AddRow({row.stage, spot::eval::Table::Int(row.units),
-                       spot::eval::Table::Num(row.ipc, 2),
-                       spot::eval::Table::Num(row.instr_per_unit, 1),
-                       spot::eval::Table::Num(row.miss_per_unit, 3),
-                       spot::eval::Table::Num(row.branch_miss_per_unit, 3)});
+                       spot::eval::Table::Num(row.wall_ns_per_unit, 1),
+                       spot::eval::Table::Num(row.cpu_ns_per_unit, 1),
+                       spot::eval::Table::Num(row.cpu_per_wall, 3)});
     if (row.labels ==
         spot::obs::StagePerfLabels(spot::obs::TraceStage::kProcess)) {
       // The whole-batch service call, per point: the trajectory scalar
-      // tools/bench_regression.py tracks (gates better than pts/s on
-      // shared hardware — see DESIGN.md Section 12).
-      json->SetCounter("instr/pt", row.instr_per_unit);
+      // tools/bench_regression.py records (trend data, DESIGN.md Section
+      // 12.5).
+      json->SetCounter("cpu_ns/pt", row.cpu_ns_per_unit);
     }
   }
   if (!perf_rows.empty()) {
-    // Derived from the raw sample counters, not the summed-gauge
-    // perf_mode (see obs::MergedPerfMode).
-    const spot::obs::PerfMode mode = spot::obs::MergedPerfMode(merged);
-    std::printf("perf mode: %s\n",
-                mode == spot::obs::PerfMode::kHardware
-                    ? "hardware"
-                    : mode == spot::obs::PerfMode::kSoftware
-                          ? "software fallback"
-                          : "disabled");
     json->Print(perf_table, "SERVER: stage x counter attribution (scraped)");
   }
 }

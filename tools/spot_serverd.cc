@@ -6,7 +6,7 @@
 //                [--metrics-port P] [--stats-interval SECS]
 //                [--slow-batch-ms MS] [--log-level LEVEL]
 //                [--trace-capacity N] [--trace-file PATH]
-//                [--prof] [--prof-interval SECS]
+//                [--prof]
 //
 // Observability (DESIGN.md Sections 9-10): --metrics-port serves the
 // live Prometheus text scrape — plus GET /trace (Chrome-trace JSON) and
@@ -20,11 +20,10 @@
 // per-reactor flight-recorder rings (0 disables tracing, default 2048);
 // SIGUSR2 dumps the flight recorder to --trace-file (default
 // spot_trace.json) without disturbing the ingest pipeline; --prof turns
-// on the hardware-counter profiling plane (DESIGN.md Section 12 — the
-// `spot_perf_*` families appear on every scrape surface, falling back to
-// clock-only mode where perf_event_open is denied); --prof-interval
-// (implies --prof) additionally logs a one-line per-stage IPC/cache-miss
-// summary every SECS seconds, mirroring --stats-interval.
+// on the per-stage CPU profiling plane (DESIGN.md Section 12 — each
+// stage's `spot_perf_units`, `spot_perf_samples`, `spot_perf_clock_ns`
+// and `spot_perf_cpu_ns` counters appear on every scrape surface, and on
+// the --stats-interval line).
 //
 // Hosts --reactors event loops (default: min(hardware cores, 8)), each an
 // epoll loop (Linux only; there is no other loop), in front of one
@@ -56,7 +55,6 @@
 #include "examples/example_flags.h"
 #include "net/spot_server.h"
 #include "obs/exposition.h"
-#include "obs/perf_counters.h"
 #include "service/spot_service.h"
 
 namespace {
@@ -137,12 +135,9 @@ int main(int argc, char** argv) {
       &args, "trace-file", "spot_trace.json");
   const std::size_t stats_interval =
       spot::examples::TakeSizeFlag(&args, "stats-interval", 0);
-  const std::size_t prof_interval =
-      spot::examples::TakeSizeFlag(&args, "prof-interval", 0);
   // One switch for both profiling tiers: the reactors read it from the
   // service's config.
-  scfg.collect_perf_counters =
-      spot::examples::TakeBoolFlag(&args, "prof") || prof_interval > 0;
+  scfg.collect_perf_counters = spot::examples::TakeBoolFlag(&args, "prof");
   // A server is interactive enough to default chattier than the library's
   // kWarning: startup/shutdown landmarks come through SPOT_LOG(Info).
   spot::SetLogLevel(
@@ -180,23 +175,20 @@ int main(int argc, char** argv) {
               scfg.checkpoint_dir.c_str());
   std::fflush(stdout);
 
-  // One watcher thread, polling every 200 ms, does whichever of three jobs
-  // are on, all from the same published snapshots the scrape surfaces
+  // One watcher thread, polling every 200 ms, does whichever of two jobs
+  // are on, both from the same published snapshots the scrape surfaces
   // read — safe to run beside the reactors:
   //  - --stats-interval: one merged summary line per interval;
-  //  - --prof-interval: one per-stage IPC / instructions-per-unit /
-  //    cache-miss line per interval;
   //  - SIGUSR2 trace dumps (tracing on): the signal handler only latches
   //    a flag; the watcher renders the flight recorder and writes the
   //    Chrome-trace file outside signal context.
-  // With all three off no thread starts.
+  // With both off no thread starts.
   std::thread watcher;
-  if (stats_interval > 0 || prof_interval > 0 || ncfg.trace_capacity > 0) {
-    watcher = std::thread([&server, stats_interval, prof_interval,
-                           trace_file, tracing = ncfg.trace_capacity > 0] {
+  if (stats_interval > 0 || ncfg.trace_capacity > 0) {
+    watcher = std::thread([&server, stats_interval, trace_file,
+                           tracing = ncfg.trace_capacity > 0] {
       using Clock = std::chrono::steady_clock;
       auto next_stats = Clock::now() + std::chrono::seconds(stats_interval);
-      auto next_prof = Clock::now() + std::chrono::seconds(prof_interval);
       while (!server.stopping()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
         const Clock::time_point now = Clock::now();
@@ -206,13 +198,6 @@ int main(int argc, char** argv) {
           std::printf("stats: %s\n",
                       spot::obs::SummaryLine(snap.Merged()).c_str());
           std::fflush(stdout);
-        }
-        if (prof_interval > 0 && now >= next_prof) {
-          next_prof += std::chrono::seconds(prof_interval);
-          const spot::net::StatsResp snap = server.StatsSnapshot();
-          const std::string line =
-              spot::obs::RenderPerfSummary(snap.Merged());
-          if (!line.empty()) SPOT_LOG(Info) << line;
         }
         if (tracing && spot::net::SpotServer::TraceRequested()) {
           const std::string json = server.TraceJson();
