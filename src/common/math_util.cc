@@ -62,6 +62,11 @@ double Clamp(double x, double lo, double hi) {
   return std::max(lo, std::min(hi, x));
 }
 
+bool AllFinite(const std::vector<double>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double x) { return std::isfinite(x); });
+}
+
 bool ApproxEqual(double a, double b, double tol) {
   const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
   return std::fabs(a - b) <= tol * scale;

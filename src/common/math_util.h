@@ -31,6 +31,9 @@ std::uint64_t LatticeSize(int n, int max_dim);
 /// x clamped to [lo, hi].
 double Clamp(double x, double lo, double hi);
 
+/// True when no element of `v` is NaN or infinite.
+bool AllFinite(const std::vector<double>& v);
+
 /// True when |a - b| <= tol, with tol scaled by magnitude for large values.
 bool ApproxEqual(double a, double b, double tol = 1e-9);
 

@@ -42,6 +42,13 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
     SPOT_LOG(Error) << "Learn() requires a non-empty training batch";
     return false;
   }
+  for (const auto& row : training_data) {
+    if (!AllFinite(row)) {
+      SPOT_LOG(Error) << "Learn() refuses a training row with a NaN or "
+                         "infinite attribute";
+      return false;
+    }
+  }
 
   const int num_dims = static_cast<int>(training_data.front().size());
   if (num_dims > Subspace::kMaxDimensions) {
@@ -319,6 +326,9 @@ bool SpotDetector::ApplyFeedback(
     if (example.size() != dims) {
       return fail("labeled example has " + std::to_string(example.size()) +
                   " attributes; the stream has " + std::to_string(dims));
+    }
+    if (!AllFinite(example)) {
+      return fail("labeled example has a NaN or infinite attribute");
     }
     knowledge.outlier_examples.push_back(example);
   }

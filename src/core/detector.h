@@ -27,13 +27,12 @@ namespace spot {
 class ShardedSpotEngine;
 
 /// One engine window of the last batch (DESIGN.md Section 12.3): the start
-/// of its first tile (µs, SteadyMicrosSinceStart timebase), its length
-/// summed over the batch's tiles, and — while profiling is on — those
-/// windows' totals (`perf.clock_ns == dur_ns`) with the CPU time the
-/// measuring thread spent inside them (`perf.cpu_ns`).
+/// of its first tile (µs, SteadyMicrosSinceStart timebase) and the
+/// windows' totals over the batch's tiles — their summed length
+/// (`perf.clock_ns`) and the CPU time the measuring thread spent inside
+/// them (`perf.cpu_ns`).
 struct StageEntry {
   std::uint64_t start_us = 0;
-  std::uint64_t dur_ns = 0;
   obs::PerfStageTotals perf;
 };
 
@@ -106,7 +105,7 @@ class SpotDetector {
   /// Offline learning stage. `knowledge` may be nullptr (pure unsupervised).
   /// Training points also warm-start the data synapses. Returns false (and
   /// leaves the detector unlearned) when the config is invalid or the
-  /// training batch is empty.
+  /// training batch is empty or holds a NaN or infinite attribute.
   bool Learn(const std::vector<std::vector<double>>& training_data,
              const DomainKnowledge* knowledge = nullptr);
 
@@ -143,9 +142,9 @@ class SpotDetector {
   /// determines all subsequent verdicts. Returns false without touching
   /// any state (or the RNG stream) when the detector is unlearned, no
   /// labels or more than SpotConfig::kMaxFeedbackLabels were given, an id
-  /// is not retained, an example's width does not match the stream, or the
-  /// reservoir is still too small; `error` (may be nullptr) then names the
-  /// problem.
+  /// is not retained, an example's width does not match the stream or it
+  /// holds a NaN or infinite attribute, or the reservoir is still too
+  /// small; `error` (may be nullptr) then names the problem.
   bool ApplyFeedback(const std::vector<std::uint64_t>& point_ids,
                      const std::vector<std::vector<double>>& examples,
                      std::string* error = nullptr);
@@ -210,15 +209,10 @@ class SpotDetector {
   DetectorEventSink* event_sink() const { return event_sink_; }
 
   /// The last ProcessBatch's (or Process's) stage record, overwritten per
-  /// batch (2 + 2K clock reads per tile).
+  /// batch (2 + 2K steady-clock and as many thread-CPU-clock reads per
+  /// tile). Pure measurement: verdicts, stats and checkpoint bytes never
+  /// depend on it.
   const BatchStageRecord& stage_record() const { return stage_record_; }
-
-  /// Enables per-stage CPU profiling of batches (DESIGN.md Section 12):
-  /// the stage record's `perf` totals are filled only while this is on.
-  /// Off by default; pure measurement — verdicts, stats and checkpoint
-  /// bytes are bit-identical either way.
-  void set_collect_perf_counters(bool on) { collect_perf_counters_ = on; }
-  bool collect_perf_counters() const { return collect_perf_counters_; }
 
  private:
   // The sharded engine drives the per-point pipeline from its batch join
@@ -266,7 +260,6 @@ class SpotDetector {
   /// Post-warm-up reservoir replacements (observability cadence only —
   /// never checkpointed, so a restored detector restarts the count).
   std::uint64_t reservoir_replacements_ = 0;
-  bool collect_perf_counters_ = false;
   /// Filled by the engine for every batch (see stage_record()).
   BatchStageRecord stage_record_;
 };

@@ -173,7 +173,8 @@ struct SpotConfig {
   std::uint64_t seed = 1234;
 
   /// Returns an empty string when the configuration is usable, otherwise a
-  /// description of the first problem found.
+  /// description of the first problem found. Every double field must be
+  /// finite.
   std::string Validate() const;
 };
 

@@ -70,13 +70,6 @@ void Resync(SynapseManager& synapses, std::size_t n, TileColumns* cols,
   *cols = std::move(rebuilt);
 }
 
-/// Folds a committed scope's window into a stage-record entry: the start
-/// of the batch's first tile, the length summed over its tiles.
-void Extend(const obs::Stage& scope, bool first_tile, StageEntry* entry) {
-  if (first_tile) entry->start_us = scope.start_us();
-  entry->dur_ns += scope.elapsed_ns();
-}
-
 }  // namespace
 
 ShardedSpotEngine::ShardedSpotEngine(SpotDetector* detector,
@@ -116,7 +109,6 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   const SpotConfig& config = detector.config_;
   const ShardRunParams params{config.rd_threshold, config.irsd_threshold,
                               config.fringe_factor};
-  const bool perf = detector.collect_perf_counters_;
   BatchStageRecord& record = detector.stage_record_;
   const bool first_tile = results->empty();
 
@@ -126,7 +118,7 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   // the join; every weight is exactly the W a per-point fold would read.
   BatchFrame frame;
   {
-    obs::Stage bin(nullptr, perf ? &record.bin.perf : nullptr);
+    obs::Stage bin(nullptr, &record.bin.perf);
     bin.set_units(n);
     frame.points = points;
     frame.base_coords.resize(n);
@@ -138,7 +130,7 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
       frame.total_weights[j] = synapses.AddBase(frame.ticks[j]);
     }
     bin.Commit();
-    Extend(bin, first_tile, &record.bin);
+    if (first_tile) record.bin.start_us = bin.start_us();
   }
 
   // Phase 1 — fan the per-subspace work out to the shards. Each worker
@@ -149,12 +141,12 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   TileColumns cols(synapses, n);
   ForkJoin(pool_, num_shards_, [&](std::size_t k) {
     StageEntry& entry = record.probes[k];
-    obs::Stage probe(nullptr, perf ? &entry.perf : nullptr);
+    obs::Stage probe(nullptr, &entry.perf);
     const std::size_t grids = SynapseShard::ProcessRun(
         cols.columns, k, num_shards_, frame, 0, n, params);
     probe.set_units(n * grids);  // logical probes
     probe.Commit();
-    Extend(probe, first_tile, &entry);
+    if (first_tile) entry.start_us = probe.start_us();
   });
 
   // Phase 2 — serial join in arrival order, with the side-effect machinery

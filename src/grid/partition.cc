@@ -54,10 +54,15 @@ double Partition::CellWidth(int dim) const {
 std::uint32_t Partition::IntervalIndex(int dim, double value) const {
   const std::size_t d = static_cast<std::size_t>(dim);
   const double scaled = (value - lo_[d]) * inv_width_[d];
-  if (scaled <= 0.0) return 0;
-  const std::uint32_t idx = static_cast<std::uint32_t>(scaled);
-  const std::uint32_t last = static_cast<std::uint32_t>(cells_per_dim_ - 1);
-  return idx > last ? last : idx;
+  // Clamp in double, before the cast, so the cast is always defined: NaN
+  // fails the first test and reads cell 0, as everything at or below the
+  // low edge does; everything past the last cell, infinities included,
+  // reads the last cell.
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= static_cast<double>(cells_per_dim_)) {
+    return static_cast<std::uint32_t>(cells_per_dim_ - 1);
+  }
+  return static_cast<std::uint32_t>(scaled);
 }
 
 CellCoords Partition::BaseCell(const std::vector<double>& point) const {

@@ -42,7 +42,8 @@ class Partition {
   /// Width of one interval along `dim`.
   double CellWidth(int dim) const;
 
-  /// Interval index of `value` along `dim`, clamped to [0, cells_per_dim).
+  /// Interval index of `value` along `dim`, clamped to [0, cells_per_dim);
+  /// defined for every double (NaN reads 0, +inf the last cell).
   std::uint32_t IntervalIndex(int dim, double value) const;
 
   /// Base-cell coordinates of a full-dimensional point (paper: "a base cell

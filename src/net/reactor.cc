@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/timer.h"
 #include "service/spot_service.h"
 
 namespace spot {
@@ -44,7 +43,6 @@ Reactor::Reactor(int index, const SpotServerConfig& config,
     : index_(index),
       config_(config),
       service_(service),
-      profiling_(service->config().collect_perf_counters),
       stop_(stop),
       hub_(hub),
       stats_source_(std::move(stats_source)) {
@@ -123,7 +121,7 @@ bool Reactor::RunOnce(int timeout_ms) {
       continue;
     }
     if (ev.error && conns_.count(ev.fd) > 0) {
-      CloseConn(ev.fd);
+      CloseConn(ev.fd, CloseCause::kSocketError);
       continue;
     }
     if (ev.readable) ReadReady(ev.fd);
@@ -134,21 +132,20 @@ bool Reactor::RunOnce(int timeout_ms) {
   FlushAllPending();
   // Deferred closes: connections marked want_close go once their output
   // drained (or their socket broke).
-  std::vector<int> doomed;
+  std::vector<std::pair<int, CloseCause>> doomed;
   for (const auto& [fd, conn] : conns_) {
     if (conn->want_close && conn->out_off >= conn->outbuf.size()) {
-      doomed.push_back(fd);
+      doomed.emplace_back(fd, conn->close_cause);
     }
   }
-  for (int fd : doomed) CloseConn(fd);
+  for (const auto& [fd, cause] : doomed) CloseConn(fd, cause);
   PublishMetrics();
   return !stopping();
 }
 
 obs::Stage Reactor::Measure(obs::TraceStage stage) {
   StageSinks& sinks = stages_[static_cast<std::size_t>(stage)];
-  return obs::Stage(sinks.hist, profiling_ ? &sinks.perf : nullptr, trace_,
-                    stage);
+  return obs::Stage(sinks.hist, &sinks.perf, trace_, stage);
 }
 
 void Reactor::PublishMetrics() {
@@ -164,25 +161,12 @@ void Reactor::PublishMetrics() {
   obs_.GetGauge("pending_points")->Set(static_cast<double>(pending_points));
   obs_.GetGauge("outbound_queued_bytes")
       ->Set(static_cast<double>(queued_bytes));
-  if (profiling_) {
-    for (const obs::TraceStage stage : obs::kReactorStages) {
-      obs::PublishPerfTotals(&obs_, obs::StagePerfLabels(stage),
-                             stages_[static_cast<std::size_t>(stage)].perf);
-    }
-    if (index_ == 0) {
-      // Process-wide gauges once, not per reactor — and on a coarse
-      // cadence: counting /proc/self/fd entries every loop turn is
-      // measurable at high turn rates.
-      const std::int64_t now_us =
-          static_cast<std::int64_t>(SteadyMicrosSinceStart());
-      if (last_process_gauges_us_ < 0 ||
-          now_us - last_process_gauges_us_ >= 500000) {
-        last_process_gauges_us_ = now_us;
-        obs::PublishProcessGauges(&obs_);
-      }
-    }
+  obs::MetricsSnapshot snap = obs_.Snapshot();
+  for (const obs::TraceStage stage : obs::kReactorStages) {
+    obs::WritePerfTotals(&snap, obs::StagePerfLabels(stage),
+                         stages_[static_cast<std::size_t>(stage)].perf);
   }
-  hub_->Publish(static_cast<std::size_t>(index_), obs_.Snapshot());
+  hub_->Publish(static_cast<std::size_t>(index_), std::move(snap));
 }
 
 void Reactor::Shutdown() {
@@ -202,7 +186,7 @@ void Reactor::Shutdown() {
       if (!pending.empty()) ProcessPending(conn, id, /*all=*/true);
     }
     TryFlush(conn);
-    CloseConn(fd);
+    CloseConn(fd, CloseCause::kShutdown);
   }
   if (listen_fd_ >= 0) {
     if (poller_.is_open()) poller_.Remove(listen_fd_);
@@ -302,7 +286,25 @@ void Reactor::AcceptReady() {
   }
 }
 
-void Reactor::CloseConn(int fd) {
+const char* Reactor::CloseCauseName(CloseCause cause) {
+  switch (cause) {
+    case CloseCause::kPeerClosed:
+      return "peer_closed";
+    case CloseCause::kSocketError:
+      return "socket_error";
+    case CloseCause::kCorruptFrame:
+      return "corrupt_frame";
+    case CloseCause::kRefused:
+      return "refused";
+    case CloseCause::kWriteError:
+      return "write_error";
+    case CloseCause::kShutdown:
+      return "shutdown";
+  }
+  return "unknown";
+}
+
+void Reactor::CloseConn(int fd, CloseCause cause) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Conn& conn = *it->second;
@@ -316,7 +318,11 @@ void Reactor::CloseConn(int fd) {
   if (poller_.is_open()) poller_.Remove(fd);
   ::close(fd);
   conns_.erase(it);
-  c_connections_closed_->Inc();
+  // Closes are rare, so the by-name lookup stays off every hot path, as
+  // for refusals.
+  obs_.GetCounter(std::string("connections_closed{cause=\"") +
+                  CloseCauseName(cause) + "\"}")
+      ->Inc();
 }
 
 std::uint64_t Reactor::Owner(const Conn& conn) const {
@@ -344,13 +350,13 @@ void Reactor::ReadReady(int fd) {
   while (!conn.paused && !conn.want_close) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n == 0) {
-      CloseConn(fd);
+      CloseConn(fd, CloseCause::kPeerClosed);
       return;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConn(fd);
+      CloseConn(fd, CloseCause::kSocketError);
       return;
     }
     c_bytes_in_->Inc(static_cast<std::uint64_t>(n));
@@ -373,10 +379,9 @@ void Reactor::ReadReady(int fd) {
       if (status == FrameDecoder::Status::kCorrupt) {
         // The byte stream cannot be resynchronized mid-frame: drop the
         // connection. (Sessions stay intact; the client can reconnect.)
-        c_corrupt_frames_->Inc();
         SPOT_LOG(Error) << "closing connection " << fd << ": "
                         << conn.decoder.error();
-        CloseConn(fd);
+        CloseConn(fd, CloseCause::kCorruptFrame);
         return;
       }
       c_frames_received_->Inc();
@@ -394,7 +399,6 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
   // anything else is a protocol violation, refused and closed.
   const std::uint8_t type = static_cast<std::uint8_t>(frame.type);
   if (!IsRequestType(type)) {
-    c_protocol_errors_->Inc();
     SendError(conn, frame.type, ErrorCode::kUnsupportedRequest,
               "unsupported request type " + std::to_string(type));
     return false;
@@ -579,7 +583,6 @@ bool Reactor::HandleFrame(Conn& conn, const Frame& frame) {
     default:
       break;
   }
-  c_protocol_errors_->Inc();
   SendError(conn, frame.type, ErrorCode::kMalformedPayload,
             "malformed request payload");
   return false;
@@ -590,7 +593,6 @@ bool Reactor::HandleIngest(Conn& conn, const std::string& payload) {
   IngestReq req;
   if (!DecodeIngest(payload, &req)) {
     coalesce.Cancel();
-    c_protocol_errors_->Inc();
     SendError(conn, MsgType::kIngest, ErrorCode::kMalformedPayload,
               "malformed ingest payload");
     conn.want_close = true;
@@ -662,7 +664,7 @@ bool Reactor::ProcessPending(Conn& conn, const std::string& id, bool all) {
         obs::TraceEvent shard_span;
         shard_span.stage = obs::TraceStage::kShardProbe;
         shard_span.ts_us = probe.start_us;
-        shard_span.dur_us = probe.dur_ns / 1000;
+        shard_span.dur_us = probe.perf.clock_ns / 1000;
         shard_span.batch_id = batch_id;
         shard_span.shard = static_cast<std::int32_t>(k);
         shard_span.session = id;
@@ -822,6 +824,7 @@ std::size_t Reactor::WriteLoop(Conn& conn) {
       conn.outbuf.clear();
       conn.out_off = 0;
       conn.want_close = true;
+      conn.close_cause = CloseCause::kWriteError;
       return sent;
     }
     conn.out_off += static_cast<std::size_t>(n);
@@ -861,7 +864,7 @@ void Reactor::WriteReady(int fd) {
   TryFlush(conn);
   UpdateBackpressure(conn);
   if (conn.want_close && conn.out_off >= conn.outbuf.size()) {
-    CloseConn(fd);
+    CloseConn(fd, conn.close_cause);
     return;
   }
   SyncPollerInterest(conn);

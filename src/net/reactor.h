@@ -93,13 +93,28 @@ class Reactor {
                   std::function<std::string()> trace_source);
 
  private:
+  /// Why a connection closed: the `cause` label of its
+  /// `connections_closed{cause="<CloseCauseName>"}` count.
+  enum class CloseCause {
+    kPeerClosed,    // the peer's FIN (recv returned 0)
+    kSocketError,   // recv failed, or the poller saw an error or hangup
+    kCorruptFrame,  // the byte stream no longer frames
+    kRefused,       // a queued kError drained first
+    kWriteError,    // send failed: the peer is gone
+    kShutdown,      // the server stopped
+  };
+  static const char* CloseCauseName(CloseCause cause);
+
   struct Conn {
     int fd = -1;
     FrameDecoder decoder{kDefaultMaxPayloadBytes};
     std::string outbuf;
     std::size_t out_off = 0;
     bool paused = false;      // reading suspended by backpressure
-    bool want_close = false;  // close once outbuf drains
+    bool want_close = false;  // close once outbuf drains, for close_cause
+    /// kRefused unless a send failed: every other mark follows a queued
+    /// kError.
+    CloseCause close_cause = CloseCause::kRefused;
     bool poll_read = true;    // interest currently registered
     bool poll_write = false;
     /// Sessions attached to (and exclusively owned by) this connection:
@@ -143,13 +158,13 @@ class Reactor {
   void FlushAllPending();
 
   /// Opens the measured window of one pipeline stage, feeding its
-  /// histogram, the flight recorder (when tracing) and its perf totals
-  /// (when profiling) — DESIGN.md Section 12.3.
+  /// histogram, its perf totals and the flight recorder (when tracing) —
+  /// DESIGN.md Section 12.3.
   obs::Stage Measure(obs::TraceStage stage);
 
-  /// Refreshes the registry's gauges and pushes a fresh snapshot into the
-  /// hub. Runs at the end of every loop turn — a few-KB copy, far off the
-  /// per-point path.
+  /// Refreshes the registry's gauges and pushes a fresh snapshot, with
+  /// each stage's perf totals written into it, into the hub. Runs at the
+  /// end of every loop turn — a few-KB copy, far off the per-point path.
   void PublishMetrics();
 
   /// True when `id` is attached to exactly this connection (it is in
@@ -169,17 +184,15 @@ class Reactor {
   std::size_t WriteLoop(Conn& conn);
   void UpdateBackpressure(Conn& conn);
   void SyncPollerInterest(Conn& conn);
-  void CloseConn(int fd);
+  /// Processes the connection's pending points, detaches its sessions,
+  /// closes the socket and counts the close under `cause`.
+  void CloseConn(int fd, CloseCause cause);
 
   bool stopping() const { return stop_->load(std::memory_order_relaxed); }
 
   const int index_;
   const SpotServerConfig& config_;
   SpotService* service_;
-  /// Per-stage CPU profiling (DESIGN.md Section 12), switched by the
-  /// service's collect_perf_counters; off, every stage hook costs one
-  /// pointer test.
-  const bool profiling_;
   const std::atomic<bool>* stop_;
 
   EpollPoller poller_;
@@ -211,13 +224,10 @@ class Reactor {
   obs::Registry obs_;
   obs::Counter* c_connections_accepted_ =
       obs_.GetCounter("connections_accepted");
-  obs::Counter* c_connections_closed_ = obs_.GetCounter("connections_closed");
   obs::Counter* c_frames_received_ = obs_.GetCounter("frames_received");
   obs::Counter* c_frames_sent_ = obs_.GetCounter("frames_sent");
   obs::Counter* c_bytes_in_ = obs_.GetCounter("bytes_in");
   obs::Counter* c_bytes_out_ = obs_.GetCounter("bytes_out");
-  obs::Counter* c_corrupt_frames_ = obs_.GetCounter("corrupt_frames");
-  obs::Counter* c_protocol_errors_ = obs_.GetCounter("protocol_errors");
   obs::Counter* c_backpressure_stalls_ =
       obs_.GetCounter("backpressure_stalls");
   obs::Counter* c_batches_run_ = obs_.GetCounter("batches_run");
@@ -243,18 +253,14 @@ class Reactor {
   std::uint64_t next_batch_seq_ = 1;
 
   /// Each pipeline stage's histogram in obs_ and its loop-thread-local
-  /// perf totals (published in PublishMetrics), indexed by TraceStage; the
-  /// engine's kShardProbe row stays empty.
+  /// perf totals (written into each published snapshot), indexed by
+  /// TraceStage; the engine's kShardProbe row stays empty.
   struct StageSinks {
     obs::Histogram* hist = nullptr;
     obs::PerfStageTotals perf;
   };
   std::array<StageSinks, static_cast<std::size_t>(obs::TraceStage::kWrite) + 1>
       stages_;
-  /// Process-level gauges (RSS, fds, uptime) are refreshed by reactor 0
-  /// only, on its first publish and then at most every ~500 ms — /proc
-  /// reads are cheap but not free. Negative until the first refresh.
-  std::int64_t last_process_gauges_us_ = -1;
 };
 
 }  // namespace net

@@ -15,6 +15,7 @@
 
 #include "common/log.h"
 #include "obs/exposition.h"
+#include "obs/perf_counters.h"
 
 namespace spot {
 namespace net {
@@ -209,6 +210,8 @@ StatsResp SpotServer::StatsSnapshot() const {
   StatsResp resp;
   resp.reactors = hub_.All();
   resp.service = service_.ObsSnapshot();
+  // Read only here, so a server nobody scrapes never reads /proc.
+  obs::WriteProcessGauges(&resp.service);
   resp.sessions = service_.QualitySnapshot();
   return resp;
 }

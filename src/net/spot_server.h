@@ -94,12 +94,13 @@ class SpotServer {
 
   /// Whole-server observability snapshot (DESIGN.md Section 9): the
   /// per-reactor registry snapshots last published to the hub and the
-  /// service's snapshot — the only record of the server's counters. Safe
-  /// from any thread at any time — it reads only mutex-guarded published
-  /// copies, never a reactor's live registry. While the server runs,
-  /// each reactor's slice is at most one loop turn stale; after Run() or
-  /// Shutdown() returned it is exact (every reactor's shutdown publishes
-  /// a final snapshot).
+  /// service's snapshot — the only record of the server's counters — with
+  /// the process gauges (RSS, open fds, uptime) read into the service's
+  /// section here. Safe from any thread at any time — it reads only
+  /// mutex-guarded published copies, never a reactor's live registry.
+  /// While the server runs, each reactor's slice is at most one loop turn
+  /// stale; after Run() or Shutdown() returned it is exact (every
+  /// reactor's shutdown publishes a final snapshot).
   StatsResp StatsSnapshot() const;
 
   /// StatsSnapshot() rendered as Prometheus text exposition (per-reactor

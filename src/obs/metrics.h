@@ -12,20 +12,14 @@
 namespace spot {
 namespace obs {
 
-/// Monotonic event counter. Plain integer, no atomics: a Counter lives in
-/// a Registry owned by exactly one thread (DESIGN.md Section 9) and is
-/// only ever read through a published MetricsSnapshot copy.
+/// Monotonic event counter, incremented where its event happens. Plain
+/// integer, no atomics: a Counter lives in a Registry owned by exactly one
+/// thread (DESIGN.md Section 9) and is only ever read through a published
+/// MetricsSnapshot copy. Totals kept elsewhere (the perf totals) are not
+/// mirrored here; their owner writes them into that copy.
 class Counter {
  public:
   void Inc(std::uint64_t n = 1) { value_ += n; }
-
-  /// Overwrites the value. Only the perf totals still mirror a running
-  /// total kept elsewhere (PublishPerfTotals copies a PerfStageTotals —
-  /// the wall and thread CPU ns that obs::Stage scopes and the engine's
-  /// BatchStageRecord sum); every other counter is incremented where its
-  /// event happens.
-  void Set(std::uint64_t v) { value_ = v; }
-
   std::uint64_t value() const { return value_; }
 
  private:

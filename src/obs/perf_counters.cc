@@ -26,15 +26,15 @@ std::string Keyed(const char* base, const std::string& labels) {
 
 }  // namespace
 
-void PublishPerfTotals(Registry* reg, const std::string& labels,
-                       const PerfStageTotals& t) {
-  reg->GetCounter(Keyed("perf_units", labels))->Set(t.units);
-  reg->GetCounter(Keyed("perf_samples", labels))->Set(t.samples);
-  reg->GetCounter(Keyed("perf_clock_ns", labels))->Set(t.clock_ns);
-  reg->GetCounter(Keyed("perf_cpu_ns", labels))->Set(t.cpu_ns);
+void WritePerfTotals(MetricsSnapshot* snap, const std::string& labels,
+                     const PerfStageTotals& t) {
+  snap->counters[Keyed("perf_units", labels)] = t.units;
+  snap->counters[Keyed("perf_samples", labels)] = t.samples;
+  snap->counters[Keyed("perf_clock_ns", labels)] = t.clock_ns;
+  snap->counters[Keyed("perf_cpu_ns", labels)] = t.cpu_ns;
 }
 
-void PublishProcessGauges(Registry* reg) {
+void WriteProcessGauges(MetricsSnapshot* snap) {
   double rss_bytes = 0.0;
   double open_fds = 0.0;
 #if defined(__linux__)
@@ -56,10 +56,10 @@ void PublishProcessGauges(Registry* reg) {
     open_fds = static_cast<double>(count);
   }
 #endif
-  reg->GetGauge("process_rss_bytes")->Set(rss_bytes);
-  reg->GetGauge("process_open_fds")->Set(open_fds);
-  reg->GetGauge("process_uptime_seconds")
-      ->Set(static_cast<double>(SteadyMicrosSinceStart()) / 1e6);
+  snap->gauges["process_rss_bytes"] = rss_bytes;
+  snap->gauges["process_open_fds"] = open_fds;
+  snap->gauges["process_uptime_seconds"] =
+      static_cast<double>(SteadyMicrosSinceStart()) / 1e6;
 }
 
 namespace {

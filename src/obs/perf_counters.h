@@ -42,21 +42,24 @@ struct PerfStageTotals {
   }
 };
 
-/// Folds `totals` into `reg` as the counters `perf_units`, `perf_samples`,
-/// `perf_clock_ns` and `perf_cpu_ns`, with `labels` embedded in the names
-/// (e.g. `stage="decode"` yields the key `perf_cpu_ns{stage="decode"}`).
-/// The exposition layer splits the name back apart and merges embedded
-/// labels with the section label (see RenderPrometheus), so the same
-/// series ride every scrape surface unchanged. Counters only: they sum
-/// across sections, and readers derive rates from the sums
-/// (PerfStageRows). Set, not Inc — the caller owns the running totals.
-void PublishPerfTotals(Registry* reg, const std::string& labels,
-                       const PerfStageTotals& totals);
+/// Writes `totals` into `snap` as the counters `perf_units`,
+/// `perf_samples`, `perf_clock_ns` and `perf_cpu_ns`, with `labels`
+/// embedded in the names (e.g. `stage="decode"` yields the key
+/// `perf_cpu_ns{stage="decode"}`). The exposition layer splits the name
+/// back apart and merges embedded labels with the section label (see
+/// RenderPrometheus), so the same series ride every scrape surface
+/// unchanged. Counters only: they sum across sections, and readers derive
+/// rates from the sums (PerfStageRows). The caller owns the running
+/// totals, the counters' one record; they are written at snapshot time,
+/// never into a Registry.
+void WritePerfTotals(MetricsSnapshot* snap, const std::string& labels,
+                     const PerfStageTotals& totals);
 
-/// Process-level gauges: `process_rss_bytes` (/proc/self/statm),
-/// `process_open_fds` (/proc/self/fd), `process_uptime_seconds` (shared
-/// steady timebase). Gauges read 0 where /proc is unavailable.
-void PublishProcessGauges(Registry* reg);
+/// Writes the process-level gauges into `snap`: `process_rss_bytes`
+/// (/proc/self/statm), `process_open_fds` (/proc/self/fd) and
+/// `process_uptime_seconds` (shared steady timebase). Gauges read 0 where
+/// /proc is unavailable.
+void WriteProcessGauges(MetricsSnapshot* snap);
 
 /// One instrumented stage pulled back out of a (possibly merged)
 /// snapshot's perf counters, rates derived from the summed counters; a

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/log.h"
+#include "common/math_util.h"
 #include "core/checkpoint.h"
 #include "grid/synapse_manager.h"
 #include "obs/stage.h"
@@ -55,7 +56,6 @@ bool SpotService::LoadTimedLocked(SpotDetector* detector,
 void SpotService::InstallLocked(Session* session,
                                 std::unique_ptr<SpotDetector> detector) {
   detector->set_num_shards(config_.num_shards);
-  detector->set_collect_perf_counters(config_.collect_perf_counters);
   // The grids' compaction counters are not checkpointed, so a reloaded
   // detector restarts them at 0: deltas count from what this one holds.
   session->last_compactions = detector->synapses().TotalCompactions();
@@ -341,8 +341,8 @@ std::vector<std::string> SpotService::SessionIds() const {
 
 namespace {
 
-std::size_t PointWidth(const DataPoint& p) { return p.values.size(); }
-std::size_t PointWidth(const std::vector<double>& v) { return v.size(); }
+const std::vector<double>& Values(const DataPoint& p) { return p.values; }
+const std::vector<double>& Values(const std::vector<double>& v) { return v; }
 
 }  // namespace
 
@@ -354,16 +354,18 @@ IngestResult SpotService::IngestImpl(const std::string& id,
   Session* session = LeaseLocked(lock, id);
   if (session == nullptr) return result;
   SpotDetector& detector = *session->detector;
-  // Width guard: points of the wrong dimensionality (possible when the
-  // batch crossed a process boundary, e.g. the network ingest layer)
-  // would index out of the session's partition — refuse the batch whole
-  // instead of feeding the detector undefined behavior.
+  // Width and finiteness guard (possible when the batch crossed a process
+  // boundary, e.g. the network ingest layer): a point of the wrong
+  // dimensionality would index out of the session's partition, and a NaN
+  // or infinite coordinate would stay in its cells' sums for as long as
+  // they live — refuse the batch whole, before the detector sees any of it.
   const std::size_t dims = static_cast<std::size_t>(detector.dimension());
   for (const auto& point : batch) {
-    if (PointWidth(point) != dims) {
-      SPOT_LOG(Error) << "Ingest('" << id << "'): point width "
-                      << PointWidth(point) << " != session dimensionality "
-                      << dims;
+    const std::vector<double>& values = Values(point);
+    if (values.size() != dims || !AllFinite(values)) {
+      SPOT_LOG(Error) << "Ingest('" << id << "'): point of width "
+                      << values.size() << " (session dimensionality " << dims
+                      << ") or with a non-finite coordinate";
       ReleaseLocked(session);
       return result;
     }
@@ -378,7 +380,7 @@ IngestResult SpotService::IngestImpl(const std::string& id,
   c_points_->Inc(after.points_processed - before.points_processed);
   c_outliers_->Inc(after.outliers_detected - before.outliers_detected);
   c_drifts_->Inc(after.drifts_detected - before.drifts_detected);
-  if (config_.collect_perf_counters) HarvestPerfLocked(result.stages);
+  HarvestPerfLocked(result.stages);
   ++session->batches_ingested;
   AccumulateQualityLocked(session, result.verdicts);
   ReleaseLocked(session);
@@ -438,13 +440,6 @@ void SpotService::HarvestPerfLocked(const BatchStageRecord& record) {
   }
   for (std::size_t k = 0; k < record.probes.size(); ++k) {
     perf_probe_totals_[k].Merge(record.probes[k].perf);
-  }
-  obs::PublishPerfTotals(&obs_, "stage=\"bin\"", perf_bin_total_);
-  for (std::size_t k = 0; k < perf_probe_totals_.size(); ++k) {
-    obs::PublishPerfTotals(
-        &obs_,
-        "stage=\"probe\",engine_shard=\"" + std::to_string(k) + "\"",
-        perf_probe_totals_[k]);
   }
 }
 
@@ -608,6 +603,12 @@ obs::MetricsSnapshot SpotService::ObsSnapshot() const {
   snap.gauges["sessions"] = static_cast<double>(sessions_.size());
   snap.gauges["resident_sessions"] =
       static_cast<double>(ResidentCountLocked());
+  obs::WritePerfTotals(&snap, "stage=\"bin\"", perf_bin_total_);
+  for (std::size_t k = 0; k < perf_probe_totals_.size(); ++k) {
+    obs::WritePerfTotals(
+        &snap, "stage=\"probe\",engine_shard=\"" + std::to_string(k) + "\"",
+        perf_probe_totals_[k]);
+  }
   return snap;
 }
 

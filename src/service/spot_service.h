@@ -40,15 +40,6 @@ struct SpotServiceConfig {
   /// exist. When empty, eviction and persistence are disabled: sessions
   /// beyond max_resident are refused instead of evicted.
   std::string checkpoint_dir;
-
-  /// Measure wall and thread CPU time for each ProcessBatch's phase-0
-  /// binning pass and per-shard probe loops (DESIGN.md Section 12) and
-  /// accumulate them into the service's ObsSnapshot as labeled `perf_*`
-  /// counters (`stage="bin"`, `stage="probe",engine_shard="k"`). The
-  /// serving tier reads the same switch to profile its reactor stages,
-  /// so this is the server's one profiling switch. Off by default;
-  /// verdicts and checkpoint bytes are bit-identical either way.
-  bool collect_perf_counters = false;
 };
 
 /// Point-in-time view of one session (the per-session half of the metrics
@@ -82,7 +73,8 @@ struct ServiceMetrics {
 };
 
 /// Result of one Ingest call. `ok` is false when the session is unknown,
-/// its reload from disk failed, or the service could not admit it.
+/// its reload from disk failed, the service could not admit it, or the
+/// batch was refused (see Ingest).
 struct IngestResult {
   bool ok = false;
   std::vector<SpotResult> verdicts;
@@ -169,7 +161,9 @@ class SpotService {
   std::vector<std::string> SessionIds() const;
 
   /// Routes one batch to `id`'s detector, transparently reloading it from
-  /// disk (and LRU-evicting another session) when it is not resident.
+  /// disk (and LRU-evicting another session) when it is not resident. A
+  /// batch with a point of the wrong width or a NaN or infinite
+  /// coordinate is refused whole (`ok` false) before the detector sees it.
   IngestResult Ingest(const std::string& id,
                       const std::vector<DataPoint>& batch);
 
@@ -221,9 +215,10 @@ class SpotService {
 
   /// Observability snapshot (DESIGN.md Section 9): checkpoint save/load
   /// duration histograms, the lifetime counters (points, outliers,
-  /// drifts, evictions, reloads, checkpoints written) and the
-  /// session-count gauges computed at read time. Safe from any thread
-  /// (locks internally).
+  /// drifts, evictions, reloads, checkpoints written), and, written at
+  /// read time, the session-count gauges and the engine's `perf_*`
+  /// counters (`stage="bin"`, `stage="probe",engine_shard="k"`; DESIGN.md
+  /// Section 12.3). Safe from any thread (locks internally).
   obs::MetricsSnapshot ObsSnapshot() const;
 
   /// Per-session detection quality (DESIGN.md Section 10.2) as labeled
@@ -344,8 +339,8 @@ class SpotService {
   /// detector (zero gauges while evicted).
   void SampleLocked(Session* session);
   /// Makes `detector` the session's resident detector: applies the
-  /// service-wide settings (shard count, stage profiling) and takes the
-  /// baseline its compaction deltas count from.
+  /// service-wide shard count and takes the baseline its compaction
+  /// deltas count from.
   void InstallLocked(Session* session, std::unique_ptr<SpotDetector> detector);
   /// Creates the session's journal sink once and attaches it to the
   /// detector.
@@ -359,8 +354,7 @@ class SpotService {
   void AccumulateQualityLocked(Session* session,
                                const std::vector<SpotResult>& verdicts);
   /// Merges one batch's stage windows (bin pass + per-shard probe loops)
-  /// into the service running totals and republishes the labeled `perf_*`
-  /// counters into obs_ (mu_ held).
+  /// into the service's running perf totals (mu_ held).
   void HarvestPerfLocked(const BatchStageRecord& record);
 
   SpotServiceConfig config_;
@@ -390,10 +384,10 @@ class SpotService {
   obs::Counter* c_outliers_ = obs_.GetCounter("outliers_detected");
   obs::Counter* c_drifts_ = obs_.GetCounter("drifts_detected");
 
-  /// Engine-tier perf accumulation (collect_perf_counters): detectors
-  /// overwrite their stage record every batch; IngestImpl merges its
-  /// deltas here (mu_ held) and republishes the labeled families into
-  /// obs_, labeled `engine_shard=` (DESIGN.md Section 12.3).
+  /// Engine-tier perf totals, their counters' one record: detectors
+  /// overwrite their stage record every batch, IngestImpl merges its
+  /// deltas here (mu_ held), and ObsSnapshot writes them as the labeled
+  /// `perf_*` families (DESIGN.md Section 12.3).
   obs::PerfStageTotals perf_bin_total_;
   std::vector<obs::PerfStageTotals> perf_probe_totals_;
 

@@ -2,12 +2,16 @@
 // Page-Hinkley drift detection, and SpotDetector behaviour.
 
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/rng.h"
+#include "core/checkpoint.h"
 #include "core/detector.h"
 #include "core/drift_detector.h"
 #include "core/reservoir.h"
@@ -22,6 +26,74 @@ namespace {
 
 TEST(SpotConfigTest, DefaultIsValid) {
   EXPECT_EQ(SpotConfig{}.Validate(), "");
+}
+
+// Every double the config serializes must be finite. NaN used to pass
+// every range check (`epsilon <= 0.0 || epsilon >= 1.0` is false for it),
+// and several fields had no check at all, so a NaN-epsilon session was
+// created and served, and its checkpoint then never loaded.
+TEST(SpotConfigTest, RejectsNonFiniteDoubles) {
+  using Field = double& (*)(SpotConfig&);
+  const std::pair<const char*, Field> fields[] = {
+      {"epsilon", [](SpotConfig& c) -> double& { return c.epsilon; }},
+      {"partition_margin",
+       [](SpotConfig& c) -> double& { return c.partition_margin; }},
+      {"domain_lo", [](SpotConfig& c) -> double& { return c.domain_lo; }},
+      {"domain_hi", [](SpotConfig& c) -> double& { return c.domain_hi; }},
+      {"rd_threshold",
+       [](SpotConfig& c) -> double& { return c.rd_threshold; }},
+      {"irsd_threshold",
+       [](SpotConfig& c) -> double& { return c.irsd_threshold; }},
+      {"fringe_factor",
+       [](SpotConfig& c) -> double& { return c.fringe_factor; }},
+      {"unsupervised crossover_prob",
+       [](SpotConfig& c) -> double& {
+         return c.unsupervised.moga.crossover_prob;
+       }},
+      {"unsupervised mutation_prob",
+       [](SpotConfig& c) -> double& {
+         return c.unsupervised.moga.mutation_prob;
+       }},
+      {"outlying_degree threshold",
+       [](SpotConfig& c) -> double& {
+         return c.unsupervised.outlying_degree.threshold;
+       }},
+      {"outlying_degree threshold_scale",
+       [](SpotConfig& c) -> double& {
+         return c.unsupervised.outlying_degree.threshold_scale;
+       }},
+      {"supervised crossover_prob",
+       [](SpotConfig& c) -> double& {
+         return c.supervised.moga.crossover_prob;
+       }},
+      {"supervised mutation_prob",
+       [](SpotConfig& c) -> double& {
+         return c.supervised.moga.mutation_prob;
+       }},
+      {"evolution mutation_prob",
+       [](SpotConfig& c) -> double& { return c.evolution.mutation_prob; }},
+      {"drift_delta", [](SpotConfig& c) -> double& { return c.drift_delta; }},
+      {"drift_lambda",
+       [](SpotConfig& c) -> double& { return c.drift_lambda; }},
+      {"prune_threshold",
+       [](SpotConfig& c) -> double& { return c.prune_threshold; }},
+  };
+  const auto bytes = [](const SpotConfig& c) {
+    ByteWriter w;
+    WriteConfigBinary(w, c);
+    return w.Take();
+  };
+  const std::string defaults = bytes(SpotConfig{});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [name, field] : fields) {
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+      SpotConfig c;
+      field(c) = bad;
+      EXPECT_NE(bytes(c), defaults) << name << " is not serialized";
+      EXPECT_NE(c.Validate(), "") << name << " = " << bad;
+    }
+  }
 }
 
 TEST(SpotConfigTest, RejectsBadValues) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +37,30 @@ TEST(PartitionTest, OutOfRangeClamps) {
   const Partition p(1, 10, 0.0, 1.0);
   EXPECT_EQ(p.IntervalIndex(0, -5.0), 0u);
   EXPECT_EQ(p.IntervalIndex(0, 42.0), 9u);
+}
+
+// The clamp happens in double, before the cast to uint32_t, so every
+// double has a cell. A cast of NaN, of an infinity or of anything past
+// 2^32 is undefined: built with GCC at -O2 on x86-64 it read 0 for NaN,
+// +inf and values past 2^63, and kept only the low 32 bits below that.
+TEST(PartitionTest, IntervalIndexIsDefinedForEveryDouble) {
+  const Partition p(1, 5, 0.0, 1.0);  // cells of width 0.2
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(p.IntervalIndex(0, std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(p.IntervalIndex(0, -inf), 0u);
+  EXPECT_EQ(p.IntervalIndex(0, inf), 4u);
+  EXPECT_EQ(p.IntervalIndex(0, -1e300), 0u);
+  EXPECT_EQ(p.IntervalIndex(0, 1e300), 4u);
+  EXPECT_EQ(p.IntervalIndex(0, 9.3e18), 4u);
+  // Scales to 2^32 + 2, whose low 32 bits would read cell 2.
+  EXPECT_EQ(p.IntervalIndex(0, 4294967298.0 / 5.0), 4u);
+  // Finite in-range values bin as before.
+  EXPECT_EQ(p.IntervalIndex(0, 0.0), 0u);
+  EXPECT_EQ(p.IntervalIndex(0, 0.1), 0u);
+  EXPECT_EQ(p.IntervalIndex(0, 0.5), 2u);
+  EXPECT_EQ(p.IntervalIndex(0, 0.79), 3u);
+  EXPECT_EQ(p.IntervalIndex(0, 0.99), 4u);
+  EXPECT_EQ(p.IntervalIndex(0, 1.0), 4u);
 }
 
 TEST(PartitionTest, DegenerateRangeWidened) {

@@ -134,6 +134,17 @@ class TestServer {
     return it == snap.counters.end() ? 0 : it->second;
   }
 
+  /// Every series of counter `family` (`family{...}`, any labels), summed
+  /// across every section.
+  std::uint64_t CounterFamily(const std::string& family) const {
+    std::uint64_t sum = 0;
+    for (const auto& [name, value] :
+         server_->StatsSnapshot().Merged().counters) {
+      if (name.rfind(family + "{", 0) == 0) sum += value;
+    }
+    return sum;
+  }
+
  private:
   std::unique_ptr<SpotServer> server_;
   std::thread thread_;
@@ -236,27 +247,13 @@ TEST(NetDifferentialTest, TwoReactorsTwoShardsByteIdentical) {
   RunDifferential(/*shards=*/2, /*reactors=*/2);
 }
 
-// The profiling differential (DESIGN.md Section 12): the same streams
-// through a profiling-on and a profiling-off server must produce
-// byte-identical wire verdicts, identical ingest stats, and — after the
-// graceful shutdown checkpoint — byte-identical checkpoint files.
-// Observation must never perturb detection; the counters only ever read
-// the hot path, they are not allowed to touch it.
-std::string FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 /// Streams in fixed-size chunks with a Flush barrier after each, so the
 /// batch boundaries the service sees are identical run to run. The free-
 /// running StreamOverWire coalesces by arrival timing, which legitimately
 /// varies the batch split (and with it stats_.batches_processed inside
 /// the checkpoint) between two otherwise identical servers — the
-/// profiling and observability differentials must only ever see the
-/// differences their knob induces.
+/// observability differential must only ever see the differences its
+/// knob induces.
 std::vector<SpotResult> StreamDeterministic(SpotClient& client,
                                             const std::string& id,
                                             const std::vector<DataPoint>& points,
@@ -271,83 +268,6 @@ std::vector<SpotResult> StreamDeterministic(SpotClient& client,
     EXPECT_TRUE(client.Flush(id, &verdicts)) << client.last_error();
   }
   return verdicts;
-}
-
-void RunProfilingDifferential(std::size_t shards, std::size_t reactors) {
-  std::vector<std::string> verdict_bytes;     // [off, on]
-  std::vector<std::string> checkpoint_bytes;  // [off, on] x 2 tenants
-  std::vector<std::uint64_t> points_ingested;  // [off, on]
-  std::vector<std::uint64_t> batches_run;      // [off, on]
-  for (const bool profile : {false, true}) {
-    const std::string dir = MakeCheckpointDir(
-        (std::string("profdiff_") + (profile ? "on" : "off") + "_" +
-         std::to_string(shards) + "x" + std::to_string(reactors))
-            .c_str());
-    SpotServiceConfig scfg;
-    scfg.num_shards = shards;
-    scfg.checkpoint_dir = dir;
-    scfg.collect_perf_counters = profile;
-    SpotServerConfig ncfg;
-    ncfg.batch_points = 48;
-    ncfg.num_reactors = reactors;
-    TestServer server(scfg, ncfg);
-
-    std::vector<std::unique_ptr<SpotClient>> clients;
-    for (int t = 0; t < 2; ++t) {
-      const std::string id = "tenant-" + std::to_string(t);
-      clients.push_back(std::make_unique<SpotClient>());
-      ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server.port()));
-      ASSERT_TRUE(clients.back()->CreateSession(id, SessionConfig(),
-                                                TenantTraining(t)))
-          << clients.back()->last_error();
-    }
-    std::string all_verdicts;
-    for (int t = 0; t < 2; ++t) {
-      const std::string id = "tenant-" + std::to_string(t);
-      const std::vector<SpotResult> verdicts = StreamDeterministic(
-          *clients[static_cast<std::size_t>(t)], id, TenantPoints(t, 500),
-          /*chunk=*/100);
-      all_verdicts += VerdictBytes(verdicts);
-    }
-    verdict_bytes.push_back(all_verdicts);
-    for (auto& client : clients) client->Disconnect();
-    server.StopAndJoin();  // graceful: drains + CheckpointAll
-    points_ingested.push_back(server.Counter("points_ingested"));
-    batches_run.push_back(server.Counter("batches_run"));
-    for (int t = 0; t < 2; ++t) {
-      checkpoint_bytes.push_back(
-          FileBytes(dir + "/tenant-" + std::to_string(t) + ".ckpt"));
-    }
-  }
-  ASSERT_EQ(verdict_bytes.size(), 2u);
-  EXPECT_EQ(verdict_bytes[0], verdict_bytes[1])
-      << "profiling perturbed verdict bytes at shards=" << shards
-      << " reactors=" << reactors;
-  EXPECT_EQ(points_ingested[0], points_ingested[1]);
-  EXPECT_EQ(batches_run[0], batches_run[1]);
-  for (int t = 0; t < 2; ++t) {
-    EXPECT_FALSE(checkpoint_bytes[static_cast<std::size_t>(t)].empty());
-    EXPECT_EQ(checkpoint_bytes[static_cast<std::size_t>(t)],
-              checkpoint_bytes[static_cast<std::size_t>(t) + 2])
-        << "profiling perturbed checkpoint bytes for tenant " << t
-        << " at shards=" << shards << " reactors=" << reactors;
-  }
-}
-
-TEST(NetDifferentialTest, ProfilingOnVsOffBitIdenticalOneShardOneReactor) {
-  RunProfilingDifferential(/*shards=*/1, /*reactors=*/1);
-}
-
-TEST(NetDifferentialTest, ProfilingOnVsOffBitIdenticalFourShardsOneReactor) {
-  RunProfilingDifferential(/*shards=*/4, /*reactors=*/1);
-}
-
-TEST(NetDifferentialTest, ProfilingOnVsOffBitIdenticalOneShardTwoReactors) {
-  RunProfilingDifferential(/*shards=*/1, /*reactors=*/2);
-}
-
-TEST(NetDifferentialTest, ProfilingOnVsOffBitIdenticalFourShardsTwoReactors) {
-  RunProfilingDifferential(/*shards=*/4, /*reactors=*/2);
 }
 
 // ------------------------------------------------------------ robustness --
@@ -431,7 +351,7 @@ TEST(NetRobustnessTest, GarbageClosesConnectionServerSurvives) {
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_EQ(server.Counter("corrupt_frames"), 1u);
+  EXPECT_EQ(server.Counter("connections_closed{cause=\"corrupt_frame\"}"), 1u);
 }
 
 TEST(NetRobustnessTest, CorruptCrcAndOversizedFramesRejected) {
@@ -471,8 +391,8 @@ TEST(NetRobustnessTest, CorruptCrcAndOversizedFramesRejected) {
   }
 
   server.StopAndJoin();
-  EXPECT_EQ(server.Counter("corrupt_frames"), 2u);
-  EXPECT_EQ(server.Counter("connections_closed"),
+  EXPECT_EQ(server.Counter("connections_closed{cause=\"corrupt_frame\"}"), 2u);
+  EXPECT_EQ(server.CounterFamily("connections_closed"),
             server.Counter("connections_accepted"));
 }
 
@@ -546,6 +466,136 @@ TEST(NetRobustnessTest, RefusedIngestProcessesNothingAfterIt) {
   const IngestResult ref = reference.Ingest("hole", next);
   ASSERT_TRUE(ref.ok);
   EXPECT_EQ(VerdictBytes(verdicts), VerdictBytes(ref.verdicts));
+}
+
+// A NaN or infinite coordinate is refused at each of the three doors that
+// already check widths: the service's Ingest, a feedback example and a
+// create's training rows (and a create's config: every double of a
+// SpotConfig must be finite). Each refusal carries its named code and is
+// counted. The bystander is a well-formed session on its own connection,
+// created before the refusals and streamed after them; its verdicts must
+// equal an in-process reference's.
+class Bystander {
+ public:
+  explicit Bystander(std::uint16_t port) {
+    EXPECT_TRUE(client_.Connect("127.0.0.1", port));
+    EXPECT_TRUE(client_.CreateSession("bystander", SessionConfig(),
+                                      TenantTraining(0)))
+        << client_.last_error();
+    EXPECT_TRUE(reference_.CreateSession("bystander", SessionConfig(),
+                                         TenantTraining(0)));
+  }
+
+  void ExpectVerdictsKept() {
+    const std::vector<DataPoint> points = TenantPoints(0, 200);
+    std::vector<SpotResult> got;
+    ASSERT_TRUE(client_.Ingest("bystander", points));
+    ASSERT_TRUE(client_.Flush("bystander", &got)) << client_.last_error();
+    const IngestResult want = reference_.Ingest("bystander", points);
+    ASSERT_TRUE(want.ok);
+    EXPECT_EQ(VerdictBytes(got), VerdictBytes(want.verdicts));
+  }
+
+ private:
+  SpotClient client_;
+  SpotService reference_{SpotServiceConfig{}};
+};
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST(NetRobustnessTest, NonFiniteIngestRefusedAndCloses) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
+  Bystander bystander(server.port());
+  int n = 0;
+  for (const double bad : kNonFinite) {
+    const std::string id = "bad-" + std::to_string(n++);
+    SpotClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(client.CreateSession(id, SessionConfig(), TenantTraining(1)))
+        << client.last_error();
+    std::vector<DataPoint> points = TenantPoints(1, 40);
+    points[9].values[2] = bad;
+    // The refusal surfaces at Ingest (draining replies in flight) or at
+    // the Flush barrier, whichever reads it first.
+    if (client.Ingest(id, points)) {
+      std::vector<SpotResult> verdicts;
+      EXPECT_FALSE(client.Flush(id, &verdicts)) << bad;
+    }
+    EXPECT_EQ(client.last_code(), ErrorCode::kIngestFailed)
+        << bad << ": " << client.last_error();
+    SessionMetrics m;
+    ASSERT_TRUE(server.service().GetMetrics(id, &m));
+    EXPECT_EQ(m.stats.points_processed, 0u) << bad;
+  }
+  bystander.ExpectVerdictsKept();
+  server.StopAndJoin();
+  EXPECT_EQ(server.Counter("refusals{code=\"ingest_failed\"}"), 3u);
+  EXPECT_EQ(server.Counter("connections_closed{cause=\"refused\"}"), 3u);
+}
+
+TEST(NetRobustnessTest, NonFiniteFeedbackExampleRefused) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
+  Bystander bystander(server.port());
+  SpotService reference{SpotServiceConfig{}};
+  SpotClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.CreateSession("fb", SessionConfig(), TenantTraining(1)))
+      << client.last_error();
+  ASSERT_TRUE(reference.CreateSession("fb", SessionConfig(),
+                                      TenantTraining(1)));
+  const std::vector<DataPoint> points = TenantPoints(1, 400);
+  std::vector<SpotResult> got;
+  ASSERT_TRUE(client.Ingest(
+      "fb", std::vector<DataPoint>(points.begin(), points.begin() + 200)));
+  ASSERT_TRUE(client.Flush("fb", &got)) << client.last_error();
+  for (const double bad : kNonFinite) {
+    std::vector<double> example = points[3].values;
+    example[1] = bad;
+    EXPECT_FALSE(client.Feedback("fb", {}, {example})) << bad;
+    EXPECT_EQ(client.last_code(), ErrorCode::kFeedbackFailed)
+        << bad << ": " << client.last_error();
+  }
+  // The refused rounds changed no state and drew no random number: the
+  // stream goes on as a reference's that never saw them.
+  ASSERT_TRUE(client.Ingest(
+      "fb", std::vector<DataPoint>(points.begin() + 200, points.end())));
+  ASSERT_TRUE(client.Flush("fb", &got)) << client.last_error();
+  const IngestResult want = reference.Ingest("fb", points);
+  ASSERT_TRUE(want.ok);
+  EXPECT_EQ(VerdictBytes(got), VerdictBytes(want.verdicts));
+  bystander.ExpectVerdictsKept();
+  server.StopAndJoin();
+  EXPECT_EQ(server.Counter("refusals{code=\"feedback_failed\"}"), 3u);
+}
+
+TEST(NetRobustnessTest, NonFiniteTrainingOrConfigRefusedAtCreate) {
+  TestServer server(SpotServiceConfig{}, SpotServerConfig{});
+  Bystander bystander(server.port());
+  SpotClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  for (const double bad : kNonFinite) {
+    std::vector<std::vector<double>> training = TenantTraining(1);
+    training[7][4] = bad;
+    EXPECT_FALSE(client.CreateSession("rows", SessionConfig(), training))
+        << bad;
+    EXPECT_EQ(client.last_code(), ErrorCode::kLearnFailed)
+        << bad << ": " << client.last_error();
+  }
+  SpotConfig nan_epsilon = SessionConfig();
+  nan_epsilon.epsilon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(client.CreateSession("eps", nan_epsilon, TenantTraining(1)));
+  EXPECT_EQ(client.last_code(), ErrorCode::kLearnFailed)
+      << client.last_error();
+  EXPECT_FALSE(server.service().HasSession("rows"));
+  EXPECT_FALSE(server.service().HasSession("eps"));
+  // A refused create keeps the connection.
+  ASSERT_TRUE(client.CreateSession("rows", SessionConfig(), TenantTraining(1)))
+      << client.last_error();
+  bystander.ExpectVerdictsKept();
+  server.StopAndJoin();
+  EXPECT_EQ(server.Counter("refusals{code=\"learn_failed\"}"), 4u);
 }
 
 TEST(NetRobustnessTest, InvalidClientInputFailsFastWithoutTouchingWire) {
@@ -1328,7 +1378,7 @@ TEST(NetObservabilityTest, MalformedStatsClosesOnlyThatConnection) {
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_GE(server.Counter("protocol_errors"), 1u);
+  EXPECT_GE(server.Counter("refusals{code=\"malformed_payload\"}"), 1u);
 }
 
 /// Sums every series of `family` (any label set) in Prometheus text.
@@ -1558,7 +1608,7 @@ TEST(NetObservabilityTest, TraceDumpOverTheWire) {
 }
 
 // One clock read per stage boundary (DESIGN.md Section 12.3): with tracing
-// and profiling on and a ring that never wraps, every reactor stage feeds
+// on and a ring that never wraps, every reactor stage feeds
 // the same windows to all three planes — as many `pipeline_<stage>_us`
 // samples as `perf_samples{stage=...}` as trace spans, and a histogram sum
 // that is the perf clock.
@@ -1570,7 +1620,6 @@ TEST(NetObservabilityTest, StageHistogramSpansAndPerfClockAgree) {
     ncfg.num_reactors = reactors;
     ncfg.batch_points = 48;
     ncfg.trace_capacity = 1 << 16;
-    scfg.collect_perf_counters = true;
     TestServer server(scfg, ncfg);
 
     std::vector<std::unique_ptr<SpotClient>> clients;
@@ -1625,6 +1674,43 @@ TEST(NetObservabilityTest, StageHistogramSpansAndPerfClockAgree) {
       EXPECT_GT(seen[stage], 0u) << obs::TraceStageName(stage);
     }
   }
+}
+
+// Profiling has no switch (DESIGN.md Section 12.2): a server built from
+// default configs at four shards feeds every stage's perf totals. One
+// streamed session leaves CPU time on the reactor's process stage and on
+// the last engine shard's probe loops, and the snapshot reads the process
+// gauges into the service's section.
+TEST(NetObservabilityTest, DefaultServerProfilesEveryStage) {
+  SpotServiceConfig scfg;
+  scfg.num_shards = 4;
+  TestServer server(scfg, SpotServerConfig{});
+  SpotClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(
+      client.CreateSession("profiled", SessionConfig(), TenantTraining(0)))
+      << client.last_error();
+  std::vector<SpotResult> verdicts;
+  ASSERT_TRUE(client.Ingest("profiled", TenantPoints(0, 300)));
+  ASSERT_TRUE(client.Flush("profiled", &verdicts)) << client.last_error();
+  ASSERT_EQ(verdicts.size(), 300u);
+  client.Disconnect();
+  server.StopAndJoin();
+
+  const StatsResp stats = server.server().StatsSnapshot();
+  ASSERT_EQ(stats.reactors.size(), 1u);
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  EXPECT_GT(counter(stats.reactors[0], "perf_cpu_ns{stage=\"process\"}"), 0u);
+  EXPECT_GT(counter(stats.service,
+                    "perf_cpu_ns{stage=\"probe\",engine_shard=\"3\"}"),
+            0u);
+  const auto rss = stats.service.gauges.find("process_rss_bytes");
+  ASSERT_NE(rss, stats.service.gauges.end());
+  EXPECT_GT(rss->second, 0.0);
 }
 
 TEST(NetObservabilityTest, TraceDumpRefusedWhenTracingOff) {
@@ -2017,7 +2103,7 @@ TEST(NetVersioningTest, UnknownRequestTypeRefusedAndCloses) {
   EXPECT_EQ(verdicts.size(), 32u);
 
   server.StopAndJoin();
-  EXPECT_EQ(server.Counter("protocol_errors"), 1u);
+  EXPECT_EQ(server.Counter("refusals{code=\"unsupported_request\"}"), 1u);
 }
 
 // Every server refusal carries its machine-readable code (the Section 11
@@ -2164,8 +2250,9 @@ bool PadToDecision(std::string* bytes, std::size_t max_payload) {
 // decoders and the service see them, and (3) mutations of whole raw
 // frames. After every mutation B sends a kFlush and a kStats sentinel:
 // every outcome must be served, refused with a named kError that
-// `refusals{code=...}` counts, or a close that `connections_closed`
-// counts (and `corrupt_frames` too, whenever the bytes no longer frame).
+// `refusals{code=...}` counts, or a close that `connections_closed{cause=...}`
+// counts under `corrupt_frame` whenever the bytes no longer frame, and
+// under `refused` after a kError otherwise.
 // The reactor's counters are checked against the tallies at every
 // sentinel. A's verdicts must equal an in-process reference, B's session
 // must end unattached and resumable, and the server must stay up.
@@ -2231,7 +2318,7 @@ TEST(NetRobustnessTest, LiveServerUnderTheMutator) {
     ASSERT_TRUE(DecodeStats(stats_frame.payload, &stats)) << what;
     std::map<std::string, std::uint64_t> delta;
     for (const auto& [name, value] : stats.reactors.at(0).counters) {
-      if (name == "connections_closed" || name == "corrupt_frames" ||
+      if (name.rfind("connections_closed{", 0) == 0 ||
           name.rfind("refusals{", 0) == 0) {
         if (value != base[name]) delta[name] = value - base[name];
       }
@@ -2284,8 +2371,8 @@ TEST(NetRobustnessTest, LiveServerUnderTheMutator) {
       EXPECT_EQ(end, RawClient::End::kClosed) << what;
     }
     if (end == RawClient::End::kClosed) {
-      ++want["connections_closed"];
-      if (corrupt) ++want["corrupt_frames"];
+      ++want[corrupt ? "connections_closed{cause=\"corrupt_frame\"}"
+                     : "connections_closed{cause=\"refused\"}"];
       reconnect_b(what);
     } else {
       check_counters(frames.back(), what);

@@ -1,7 +1,7 @@
 // Tests of the per-stage CPU profiling plane (src/obs/perf_counters.{h,cc},
 // DESIGN.md Section 12): the thread CPU clock an obs::Stage scope reads
 // inside its wall window (the fold/Cancel/Commit/nesting semantics are in
-// obs_test), the spot_perf_* publish helper, process-level gauges, and the
+// obs_test), the spot_perf_* snapshot writer, process-level gauges, and the
 // PerfStageRows reader that derives rates from summed counters.
 
 #include <chrono>
@@ -119,14 +119,13 @@ TEST(PerfStageTotalsTest, MergeAddsEveryField) {
 // --------------------------------------------------------------- publish --
 
 TEST(PublishPerfTest, TotalsPublishFourCounters) {
-  Registry reg;
   PerfStageTotals t;
   t.samples = 2;
   t.units = 10;
   t.clock_ns = 12345;
   t.cpu_ns = 6789;
-  PublishPerfTotals(&reg, "stage=\"decode\"", t);
-  const MetricsSnapshot snap = reg.Snapshot();
+  MetricsSnapshot snap;
+  WritePerfTotals(&snap, "stage=\"decode\"", t);
   EXPECT_EQ(snap.counters.at("perf_units{stage=\"decode\"}"), 10u);
   EXPECT_EQ(snap.counters.at("perf_samples{stage=\"decode\"}"), 2u);
   EXPECT_EQ(snap.counters.at("perf_clock_ns{stage=\"decode\"}"), 12345u);
@@ -136,9 +135,8 @@ TEST(PublishPerfTest, TotalsPublishFourCounters) {
 }
 
 TEST(PublishPerfTest, ProcessGaugesReadProc) {
-  Registry reg;
-  PublishProcessGauges(&reg);
-  const MetricsSnapshot snap = reg.Snapshot();
+  MetricsSnapshot snap;
+  WriteProcessGauges(&snap);
 #if defined(__linux__)
   EXPECT_GT(snap.gauges.at("process_rss_bytes"), 0.0);
   EXPECT_GT(snap.gauges.at("process_open_fds"), 0.0);
@@ -159,13 +157,12 @@ TEST(PerfStageRowsTest, RatesDeriveFromCountersSummedAcrossSections) {
   probe.units = 400;
   probe.clock_ns = 8000;
   probe.cpu_ns = 8000;
-  Registry r0, r1, svc;
-  PublishPerfTotals(&r0, "stage=\"process\"", process);
-  PublishPerfTotals(&r1, "stage=\"process\"", process);
-  PublishPerfTotals(&svc, "stage=\"probe\",engine_shard=\"2\"", probe);
-  MetricsSnapshot merged = r0.Snapshot();
-  merged.Merge(r1.Snapshot());
-  merged.Merge(svc.Snapshot());
+  MetricsSnapshot merged, r1, svc;
+  WritePerfTotals(&merged, "stage=\"process\"", process);
+  WritePerfTotals(&r1, "stage=\"process\"", process);
+  WritePerfTotals(&svc, "stage=\"probe\",engine_shard=\"2\"", probe);
+  merged.Merge(r1);
+  merged.Merge(svc);
 
   const std::vector<PerfStageRow> rows = PerfStageRows(merged);
   ASSERT_EQ(rows.size(), 2u);
@@ -183,13 +180,13 @@ TEST(PerfStageRowsTest, RatesDeriveFromCountersSummedAcrossSections) {
 }
 
 TEST(PerfStageRowsTest, ZeroUnitStageReadsZeroRates) {
-  Registry reg;
   PerfStageTotals t;
   t.samples = 3;
   t.clock_ns = 999;
-  PublishPerfTotals(&reg, "stage=\"bin\"", t);
-  PublishPerfTotals(&reg, "stage=\"write\"", PerfStageTotals{});
-  const std::vector<PerfStageRow> rows = PerfStageRows(reg.Snapshot());
+  MetricsSnapshot snap;
+  WritePerfTotals(&snap, "stage=\"bin\"", t);
+  WritePerfTotals(&snap, "stage=\"write\"", PerfStageTotals{});
+  const std::vector<PerfStageRow> rows = PerfStageRows(snap);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].stage, "bin");
   EXPECT_EQ(rows[0].units, 0u);

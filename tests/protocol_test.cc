@@ -790,9 +790,9 @@ TEST(CodecTest, MergedSumsPerfCounters) {
   totals.clock_ns = 5000;
   totals.cpu_ns = 3000;
   const auto section = [&totals](const std::string& labels) {
-    obs::Registry reg;
-    obs::PublishPerfTotals(&reg, labels, totals);
-    return reg.Snapshot();
+    obs::MetricsSnapshot snap;
+    obs::WritePerfTotals(&snap, labels, totals);
+    return snap;
   };
   StatsResp resp;
   resp.reactors = {section("stage=\"process\""),

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
@@ -502,6 +503,51 @@ TEST(SpotServiceTest, RejectsWrongWidthPoints) {
   ASSERT_TRUE(service.GetMetrics("a", &m));
   EXPECT_EQ(m.stats.points_processed, 0u);  // nothing leaked through
   EXPECT_TRUE(service.Ingest("a", Chunk(TenantStream(0, 4, 9), 0, 4)).ok);
+}
+
+// A NaN or infinite coordinate is refused in the width guard's pass,
+// before the detector sees any point of the batch, so the session goes on
+// exactly as a reference that never received the batch.
+TEST(SpotServiceTest, RejectsNonFinitePointsWithoutStateChange) {
+  SpotService service{SpotServiceConfig{}};
+  SpotService reference{SpotServiceConfig{}};
+  for (SpotService* s : {&service, &reference}) {
+    ASSERT_TRUE(s->CreateSession("a", SessionConfig(), TenantTraining(0)));
+  }
+  const auto stream = TenantStream(0, 400, 21);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    std::vector<DataPoint> poisoned = Chunk(stream, 0, 50);
+    poisoned[17].values[3] = bad;
+    EXPECT_FALSE(service.Ingest("a", poisoned).ok) << bad;
+  }
+  SessionMetrics m;
+  ASSERT_TRUE(service.GetMetrics("a", &m));
+  EXPECT_EQ(m.stats.points_processed, 0u);
+  const IngestResult got = service.Ingest("a", Chunk(stream, 0, 400));
+  const IngestResult want = reference.Ingest("a", Chunk(stream, 0, 400));
+  ASSERT_TRUE(got.ok);
+  ASSERT_TRUE(want.ok);
+  ExpectSameVerdicts(got.verdicts, want.verdicts, "after refused batches");
+}
+
+// A NaN epsilon used to pass Validate(): the session was created and
+// served, then evicted by the next create, and its checkpoint never
+// loaded again (the stored epsilon compares unequal to itself), so every
+// later Ingest failed on the reload. The create is refused now.
+TEST(SpotServiceTest, NanEpsilonSessionIsNeverCreated) {
+  SpotServiceConfig scfg;
+  scfg.max_resident = 1;
+  scfg.checkpoint_dir = MakeCheckpointDir("nan_epsilon");
+  SpotService service(scfg);
+  SpotConfig bad = SessionConfig();
+  bad.epsilon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(service.CreateSession("a", bad, TenantTraining(0)));
+  EXPECT_FALSE(service.HasSession("a"));
+  ASSERT_TRUE(service.CreateSession("b", SessionConfig(), TenantTraining(1)));
+  EXPECT_FALSE(service.Ingest("a", Chunk(TenantStream(0, 50, 22), 0, 50)).ok);
+  EXPECT_TRUE(service.Ingest("b", Chunk(TenantStream(1, 50, 23), 0, 50)).ok);
 }
 
 // Attachment: a session carries at most one owner. Create can attach it,

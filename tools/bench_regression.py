@@ -121,12 +121,11 @@ def run_loadgen(build_dir: str) -> list:
     and the cost of the wire-v3 request plane. Context only — it never
     gates.
 
-    Runs with --prof so the spawned servers profile their pipeline stages;
-    the scraped CPU ns per point of the process stage (``cpu_ns/pt``)
-    comes back in the loadgen document's ``counters`` block (merged into
-    the trajectory document). --prof is exercised under --verify here, so
-    this doubles as a regression check that profiling never perturbs
-    verdict bytes.
+    The spawned servers always profile their pipeline stages; the scraped
+    CPU ns per point of the process stage (``cpu_ns/pt``) comes back in
+    the loadgen document's ``counters`` block (merged into the trajectory
+    document). Profiling runs under --verify here, so this doubles as a
+    regression check that it never perturbs verdict bytes.
     """
     binary = os.path.join(build_dir, "tools", "spot_loadgen")
     if not os.path.exists(binary):
@@ -142,7 +141,7 @@ def run_loadgen(build_dir: str) -> list:
                 [binary, "--spawn-server", "--connections", "2",
                  "--points", "6000", "--batch", "200", "--dims", "8",
                  "--reactors", reactors, "--mix", mix, "--verify",
-                 "--prof", f"--json={raw_path}"],
+                 f"--json={raw_path}"],
                 check=True, stdout=subprocess.DEVNULL)
             with open(raw_path) as f:
                 raw = json.load(f)

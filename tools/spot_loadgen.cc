@@ -13,15 +13,12 @@
 //                [--session-prefix lg] [--csv FILE] [--skip K] [--resume]
 //                [--keep-open] [--verify] [--spawn-server]
 //                [--checkpoint-dir DIR] [--json OUT] [--trace-out FILE]
-//                [--prof]
 //
-// --prof turns on the per-stage CPU profiling plane (DESIGN.md Section
-// 12) on the spawned server (with --spawn-server) and renders a stage x
-// counter attribution table (units, wall ns/unit, CPU ns/unit, CPU/wall)
-// from the post-run scrape; against an external server the table appears
-// whenever that server runs with --prof. The process stage's CPU ns per
-// point also lands in the JSON document's `counters` block as `cpu_ns/pt`
-// for the bench-regression trajectory.
+// The post-run scrape also renders the server's per-stage CPU profiling
+// plane (DESIGN.md Section 12, always on) as a stage x counter
+// attribution table (units, wall ns/unit, CPU ns/unit, CPU/wall). The
+// process stage's CPU ns per point also lands in the JSON document's
+// `counters` block as `cpu_ns/pt` for the bench-regression trajectory.
 //
 // --mix selects the request blend on top of the ingest stream (wire v3,
 // DESIGN.md Section 11):
@@ -114,7 +111,6 @@ struct Flags {
   bool keep_open = false;
   bool verify = false;
   bool spawn_server = false;
-  bool prof = false;
   std::string checkpoint_dir;
   std::string trace_out;
   std::string mix = "alarm-heavy";
@@ -519,10 +515,9 @@ void ScrapeServerStats(const Flags& flags, std::uint16_t port,
   }
   json->Print(table, "SERVER: pipeline stage latency (scraped)");
 
-  // Stage x counter attribution (DESIGN.md Section 12), present whenever
-  // the server ran with profiling on (--prof here with --spawn-server, or
-  // the external server's own switch). The perf series ride the same
-  // kStats snapshot as the latency table, keyed by their embedded labels.
+  // Stage x counter attribution (DESIGN.md Section 12). The perf series
+  // ride the same kStats snapshot as the latency table, keyed by their
+  // embedded labels.
   const std::vector<spot::obs::PerfStageRow> perf_rows =
       spot::obs::PerfStageRows(merged);
   spot::eval::Table perf_table(
@@ -605,7 +600,6 @@ int main(int argc, char** argv) {
   flags.keep_open = ex::TakeBoolFlag(&args, "keep-open");
   flags.verify = ex::TakeBoolFlag(&args, "verify");
   flags.spawn_server = ex::TakeBoolFlag(&args, "spawn-server");
-  flags.prof = ex::TakeBoolFlag(&args, "prof");
   flags.checkpoint_dir = ex::TakeStringFlag(&args, "checkpoint-dir", "");
   flags.trace_out = ex::TakeStringFlag(&args, "trace-out", "");
   flags.mix = ex::TakeStringFlag(&args, "mix", flags.mix);
@@ -649,7 +643,6 @@ int main(int argc, char** argv) {
     scfg.num_shards = flags.shards;
     scfg.max_resident = std::max<std::size_t>(8, flags.connections);
     scfg.checkpoint_dir = flags.checkpoint_dir;
-    scfg.collect_perf_counters = flags.prof;  // both profiling tiers
     if (!scfg.checkpoint_dir.empty()) {
       ::mkdir(scfg.checkpoint_dir.c_str(), 0755);
     }

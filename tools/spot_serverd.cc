@@ -6,7 +6,6 @@
 //                [--metrics-port P] [--stats-interval SECS]
 //                [--slow-batch-ms MS] [--log-level LEVEL]
 //                [--trace-capacity N] [--trace-file PATH]
-//                [--prof]
 //
 // Observability (DESIGN.md Sections 9-10): --metrics-port serves the
 // live Prometheus text scrape — plus GET /trace (Chrome-trace JSON) and
@@ -19,11 +18,11 @@
 // here — the library default is warning); --trace-capacity sizes the
 // per-reactor flight-recorder rings (0 disables tracing, default 2048);
 // SIGUSR2 dumps the flight recorder to --trace-file (default
-// spot_trace.json) without disturbing the ingest pipeline; --prof turns
-// on the per-stage CPU profiling plane (DESIGN.md Section 12 — each
-// stage's `spot_perf_units`, `spot_perf_samples`, `spot_perf_clock_ns`
-// and `spot_perf_cpu_ns` counters appear on every scrape surface, and on
-// the --stats-interval line).
+// spot_trace.json) without disturbing the ingest pipeline. The per-stage
+// CPU profiling plane (DESIGN.md Section 12) is always on: each stage's
+// `spot_perf_units`, `spot_perf_samples`, `spot_perf_clock_ns` and
+// `spot_perf_cpu_ns` counters appear on every scrape surface, and on the
+// --stats-interval line.
 //
 // Hosts --reactors event loops (default: min(hardware cores, 8)), each an
 // epoll loop (Linux only; there is no other loop), in front of one
@@ -135,9 +134,6 @@ int main(int argc, char** argv) {
       &args, "trace-file", "spot_trace.json");
   const std::size_t stats_interval =
       spot::examples::TakeSizeFlag(&args, "stats-interval", 0);
-  // One switch for both profiling tiers: the reactors read it from the
-  // service's config.
-  scfg.collect_perf_counters = spot::examples::TakeBoolFlag(&args, "prof");
   // A server is interactive enough to default chattier than the library's
   // kWarning: startup/shutdown landmarks come through SPOT_LOG(Info).
   spot::SetLogLevel(
