@@ -63,22 +63,43 @@ double StdDev(const std::vector<double>& v) {
 
 namespace {
 
+/// Where quantile q of n sorted values lies: between the order statistics
+/// `lo` and `hi` (hi = lo + 1 unless lo is the last), `frac` of the way.
+struct QuantilePosition {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+QuantilePosition PositionOf(std::size_t n, double q) {
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(n - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+double Interpolate(double lower, double upper, double frac) {
+  return lower * (1.0 - frac) + upper * frac;
+}
+
 /// Interpolated quantile of an already-sorted non-empty vector.
 double SortedQuantile(const std::vector<double>& v, double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  const QuantilePosition p = PositionOf(v.size(), q);
+  return Interpolate(v[p.lo], v[p.hi], p.frac);
 }
 
 }  // namespace
 
 double Quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return SortedQuantile(v, q);
+  // Select the two order statistics a sort would put at lo and hi: the
+  // lower in place, then the upper as the least of what lies above it.
+  const QuantilePosition p = PositionOf(v.size(), q);
+  const auto lower = v.begin() + static_cast<std::ptrdiff_t>(p.lo);
+  std::nth_element(v.begin(), lower, v.end());
+  const double upper =
+      p.hi == p.lo ? *lower : *std::min_element(lower + 1, v.end());
+  return Interpolate(*lower, upper, p.frac);
 }
 
 std::vector<double> Quantiles(std::vector<double> v,

@@ -42,8 +42,10 @@ double Mean(const std::vector<double>& v);
 /// Population standard deviation of `v`; 0 for fewer than 2 elements.
 double StdDev(const std::vector<double>& v);
 
-/// Linear-interpolation quantile, q in [0,1]. `v` need not be sorted.
-/// Returns 0 for an empty vector.
+/// Linear-interpolation quantile, q in [0,1]. `v` need not be sorted: the
+/// two order statistics it interpolates are selected in linear time, not
+/// sorted for, and give the same double a sort would. Returns 0 for an
+/// empty vector.
 double Quantile(std::vector<double> v, double q);
 
 /// Several quantiles from one sorting pass — answers element-for-element

@@ -42,15 +42,31 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
     SPOT_LOG(Error) << "Learn() requires a non-empty training batch";
     return false;
   }
+  const std::size_t width = training_data.front().size();
   for (const auto& row : training_data) {
+    if (row.size() != width) {
+      SPOT_LOG(Error) << "Learn() refuses a training row of " << row.size()
+                      << " attributes; the first row has " << width;
+      return false;
+    }
     if (!AllFinite(row)) {
       SPOT_LOG(Error) << "Learn() refuses a training row with a NaN or "
                          "infinite attribute";
       return false;
     }
   }
+  if (knowledge != nullptr) {
+    for (const auto& example : knowledge->outlier_examples) {
+      if (example.size() != width) {
+        SPOT_LOG(Error) << "Learn() refuses an outlier example of "
+                        << example.size() << " attributes; the training "
+                        << "rows have " << width;
+        return false;
+      }
+    }
+  }
 
-  const int num_dims = static_cast<int>(training_data.front().size());
+  const int num_dims = static_cast<int>(width);
   if (num_dims > Subspace::kMaxDimensions) {
     SPOT_LOG(Error) << "dimensionality " << num_dims << " exceeds "
                     << Subspace::kMaxDimensions;
@@ -98,13 +114,18 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
     ucfg.top_subspaces_per_run +=
         std::min<std::size_t>(sst_.fixed().size(), 64);
   }
-  std::size_t cs_added = 0;
-  for (const auto& ss : LearnClusteringSubspaces(training_data, *partition_,
-                                                 ucfg, rng_.NextUint64())) {
-    if (cs_added >= config_.unsupervised.top_subspaces_per_run) break;
-    const std::size_t before = sst_.clustering().size();
-    sst_.AddClustering(ss.subspace, ss.score);
-    if (sst_.clustering().size() > before) ++cs_added;
+  // The seed is drawn even when CS takes nothing, so the SST and every
+  // later draw do not depend on whether the searches ran.
+  const std::uint64_t cs_seed = rng_.NextUint64();
+  if (config_.unsupervised.top_subspaces_per_run > 0) {
+    std::size_t cs_added = 0;
+    for (const auto& ss :
+         LearnClusteringSubspaces(training_data, *partition_, ucfg, cs_seed)) {
+      if (cs_added >= config_.unsupervised.top_subspaces_per_run) break;
+      const std::size_t before = sst_.clustering().size();
+      sst_.AddClustering(ss.subspace, ss.score);
+      if (sst_.clustering().size() > before) ++cs_added;
+    }
   }
 
   // --- OS: supervised learning from expert examples, when provided. ---

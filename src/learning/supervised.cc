@@ -71,22 +71,31 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
   moga_cfg.max_dimension = std::min(moga_cfg.max_dimension,
                                     static_cast<int>(dims.size()));
 
+  // One table for the round: group i is example i appended to the sample,
+  // so the searches score each subspace of the sample once between them.
+  const std::vector<std::vector<double>> projected_examples =
+      restricted ? ProjectRows(knowledge.outlier_examples, dims)
+                 : std::vector<std::vector<double>>();
+  const std::vector<std::vector<double>>& examples =
+      restricted ? projected_examples : knowledge.outlier_examples;
+  std::vector<TargetGroup> groups(examples.size());
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    groups[i].appended = &examples[i];
+  }
+  SparsityTable table(&reduced_partition, sample, std::move(groups));
+
   // Best score per discovered subspace across all examples.
   RankedSubspaceSet best;
 
-  for (const auto& example : knowledge.outlier_examples) {
-    const std::vector<double> projected =
-        restricted ? ProjectRows({example}, dims).front()
-                   : std::vector<double>();
-    BatchSparsityObjectives obj(&reduced_partition, sample,
-                                restricted ? &projected : &example);
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    BatchSparsityObjectives obj(&table, i);
     moga_cfg.seed = rng.NextUint64();
     for (const auto& ss :
          FindTopSparse(&obj, moga_cfg, config.top_subspaces_per_example)) {
       // Map reduced attribute indices back to original ones.
       Subspace mapped;
-      for (int i : ss.subspace.Indices()) {
-        mapped.Add(dims[static_cast<std::size_t>(i)]);
+      for (int d : ss.subspace.Indices()) {
+        mapped.Add(dims[static_cast<std::size_t>(d)]);
       }
       best.InsertBest(mapped, ss.score);
     }

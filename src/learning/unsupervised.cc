@@ -14,20 +14,27 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
     std::uint64_t seed) {
   if (training_data.empty()) return {};
   Rng rng(seed);
-
-  // Step 1: MOGA over the whole batch — global sparse subspaces.
-  BatchSparsityObjectives global_obj(&partition, &training_data);
   Nsga2Config moga_cfg = config.moga;
-  moga_cfg.seed = rng.NextUint64();
-  const std::vector<ScoredSubspace> global_top =
-      FindTopSparse(&global_obj, moga_cfg, config.top_subspaces_per_run);
+  moga_cfg.seed = rng.NextUint64();  // the global search's seed, drawn first
 
-  // Step 2: outlying degree of every training point via lead clustering
-  // under multiple data orders.
+  // Step 2 first (it draws from `rng` only after that seed, as it always
+  // did): the outlying degree of every training point via lead clustering
+  // under multiple data orders. Knowing the top points up front lets every
+  // search of this batch share one table.
   const std::vector<double> degrees =
       ComputeOutlyingDegrees(training_data, config.outlying_degree, rng);
   const std::vector<std::size_t> top_points =
       TopOutlyingIndices(degrees, config.top_outlying_points);
+  std::vector<TargetGroup> groups(1 + top_points.size());  // 0: every row
+  for (std::size_t i = 0; i < top_points.size(); ++i) {
+    groups[1 + i].rows = {top_points[i]};
+  }
+  SparsityTable table(&partition, &training_data, std::move(groups));
+
+  // Step 1: MOGA over the whole batch — global sparse subspaces.
+  BatchSparsityObjectives global_obj(&table, 0);
+  const std::vector<ScoredSubspace> global_top =
+      FindTopSparse(&global_obj, moga_cfg, config.top_subspaces_per_run);
 
   // Step 3: MOGA targeted at each top outlying point individually ("MOGA
   // is applied again on the top training data to find their top sparse
@@ -44,9 +51,8 @@ std::vector<ScoredSubspace> LearnClusteringSubspaces(
 
   const std::size_t per_point =
       std::max<std::size_t>(2, config.top_subspaces_per_run / 2);
-  for (std::size_t point : top_points) {
-    BatchSparsityObjectives targeted_obj(&partition, &training_data,
-                                         {point});
+  for (std::size_t i = 0; i < top_points.size(); ++i) {
+    BatchSparsityObjectives targeted_obj(&table, 1 + i);
     moga_cfg.seed = rng.NextUint64();
     for (const auto& ss :
          FindTopSparse(&targeted_obj, moga_cfg, per_point, seeds)) {

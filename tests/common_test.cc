@@ -248,6 +248,39 @@ TEST(VectorStatsTest, QuantileClampsAndHandlesEmpty) {
   EXPECT_DOUBLE_EQ(Quantile({5.0}, 2.0), 5.0);
 }
 
+TEST(VectorStatsTest, QuantileSelectsWhatASortWouldRead) {
+  // Quantile selects its two order statistics instead of sorting; the
+  // reference sorts and interpolates as Quantile did before, and the bit
+  // patterns must agree. Every size has ties: its values are drawn from
+  // n / 10 distinct ones (one below 20), and the 3-vector ties at the top.
+  const auto sorted_quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  Rng rng(17);
+  for (const std::size_t n : {1, 2, 3, 20000}) {
+    const std::uint64_t distinct = std::max<std::size_t>(1, n / 10);
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = 0.37 * static_cast<double>(rng.NextUint64(distinct));
+    }
+    if (n == 3) v = {2.5, 2.5, 1.0};
+    for (const double q : {0.0, 0.25, 0.5, 1.0}) {
+      EXPECT_EQ(bits(Quantile(v, q)), bits(sorted_quantile(v, q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
+}
+
 // ---------------------------------------------------------- math_util ----
 
 TEST(MathUtilTest, Distances) {

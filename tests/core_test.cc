@@ -350,6 +350,35 @@ TEST(SpotDetectorTest, LearnRejectsTooManyDims) {
   EXPECT_FALSE(det.Learn(wide));
 }
 
+// The stream width is the first training row's. A row of another width
+// would be read past its end (or cut short), so Learn refuses the batch,
+// as Ingest and ApplyFeedback refuse a point or example of the wrong
+// width, and so an expert example of another width. The refusal comes
+// before any state changes: a learned detector keeps its whole state.
+TEST(SpotDetectorTest, LearnRefusesRaggedRowsWithoutStateChange) {
+  const auto training = TrainingBatch(300, 6, 2);
+  auto short_row = training;
+  short_row[150].resize(2);
+  auto long_row = training;
+  long_row.back().push_back(0.5);
+  DomainKnowledge wide_example;
+  wide_example.outlier_examples = {std::vector<double>(7, 0.9)};
+
+  SpotDetector det(SmallConfig());
+  EXPECT_FALSE(det.Learn(short_row));
+  EXPECT_FALSE(det.Learn(long_row));
+  EXPECT_FALSE(det.Learn(training, &wide_example));
+  EXPECT_FALSE(det.learned());
+
+  ASSERT_TRUE(det.Learn(training));
+  det.ProcessBatch(TrainingBatch(50, 6, 3));
+  const std::string image = det.SaveState();
+  EXPECT_FALSE(det.Learn(short_row));
+  EXPECT_FALSE(det.Learn(long_row));
+  EXPECT_FALSE(det.Learn(training, &wide_example));
+  EXPECT_EQ(det.SaveState(), image);
+}
+
 TEST(SpotDetectorTest, LearnBuildsSstAndWarmStartsSynapses) {
   SpotDetector det(SmallConfig());
   ASSERT_TRUE(det.Learn(TrainingBatch(300, 6, 2)));

@@ -17,7 +17,10 @@
 #include "learning/sst.h"
 #include "learning/supervised.h"
 #include "learning/unsupervised.h"
+#include "moga/moga_search.h"
+#include "moga/objectives.h"
 #include "subspace/lattice.h"
+#include "subspace/subspace_set.h"
 
 namespace spot {
 namespace {
@@ -314,6 +317,106 @@ TEST_F(LearningFixture, NoExamplesNoSubspaces) {
   EXPECT_TRUE(
       LearnOutlierDrivenSubspaces(data_, *partition_, knowledge, scfg, 5)
           .empty());
+}
+
+// ---------------------------------- One table per sample, same results ----
+//
+// Each learner runs its searches over one shared SparsityTable. Every
+// search must still find exactly what it found on objectives of its own,
+// so the learners are pinned here to the pipeline as it ran with one
+// private objectives object per search.
+
+void ExpectSameRanking(const std::vector<ScoredSubspace>& got,
+                       const std::vector<ScoredSubspace>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].subspace, want[i].subspace) << i;
+    EXPECT_EQ(got[i].score, want[i].score) << i;
+  }
+}
+
+TEST_F(LearningFixture, ClusteringSearchesMatchPrivateObjectives) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Nsga2Config moga = cfg_.moga;
+    moga.seed = rng.NextUint64();
+    BatchSparsityObjectives global(partition_.get(), &data_);
+    const auto global_top =
+        FindTopSparse(&global, moga, cfg_.top_subspaces_per_run);
+    const std::vector<double> degrees =
+        ComputeOutlyingDegrees(data_, cfg_.outlying_degree, rng);
+    std::vector<Subspace> seeds;
+    RankedSubspaceSet best;
+    for (const auto& ss : global_top) {
+      seeds.push_back(ss.subspace);
+      best.InsertBest(ss.subspace, ss.score);
+    }
+    const std::size_t per_point =
+        std::max<std::size_t>(2, cfg_.top_subspaces_per_run / 2);
+    for (std::size_t point :
+         TopOutlyingIndices(degrees, cfg_.top_outlying_points)) {
+      BatchSparsityObjectives targeted(partition_.get(), &data_, {point});
+      moga.seed = rng.NextUint64();
+      for (const auto& ss : FindTopSparse(&targeted, moga, per_point, seeds)) {
+        best.InsertBest(ss.subspace, ss.score);
+      }
+    }
+    ExpectSameRanking(LearnClusteringSubspaces(data_, *partition_, cfg_, seed),
+                      best.Ranked());
+  }
+}
+
+TEST_F(LearningFixture, SupervisedSearchesMatchPrivateObjectives) {
+  // Three examples: anomalous in dim 2, in dim 3, and a copy of a row.
+  DomainKnowledge knowledge;
+  knowledge.outlier_examples = {data_[0], data_[1], data_[2]};
+  knowledge.outlier_examples[0][2] = 0.02;
+  knowledge.outlier_examples[1][3] = 0.99;
+  SupervisedConfig scfg;
+  scfg.moga.num_dims = 4;
+  scfg.moga.max_dimension = 2;
+  scfg.moga.population_size = 12;
+  scfg.moga.generations = 6;
+  scfg.top_subspaces_per_example = 4;
+
+  for (const std::vector<int>& dims :
+       {std::vector<int>{0, 1, 2, 3}, std::vector<int>{1, 2, 3}}) {
+    const bool restricted = dims.size() < 4;
+    SCOPED_TRACE(restricted ? "restricted to {1,2,3}" : "unrestricted");
+    knowledge.relevant_attributes =
+        restricted ? dims : std::vector<int>{};
+    // The reference projects the rows itself (a projection onto every
+    // attribute copies them unchanged).
+    const auto project = [&dims](const std::vector<double>& row) {
+      std::vector<double> out;
+      for (int d : dims) out.push_back(row[static_cast<std::size_t>(d)]);
+      return out;
+    };
+    std::vector<std::vector<double>> sample;
+    for (const auto& row : data_) sample.push_back(project(row));
+    const Partition reduced(static_cast<int>(dims.size()), 10, 0.0, 1.0);
+    Nsga2Config moga = scfg.moga;
+    moga.num_dims = static_cast<int>(dims.size());
+    Rng rng(11);
+    RankedSubspaceSet best;
+    for (const auto& example : knowledge.outlier_examples) {
+      const std::vector<double> target = project(example);
+      BatchSparsityObjectives obj(&reduced, &sample, &target);
+      moga.seed = rng.NextUint64();
+      for (const auto& ss :
+           FindTopSparse(&obj, moga, scfg.top_subspaces_per_example)) {
+        Subspace mapped;
+        for (int i : ss.subspace.Indices()) {
+          mapped.Add(dims[static_cast<std::size_t>(i)]);
+        }
+        best.InsertBest(mapped, ss.score);
+      }
+    }
+    ExpectSameRanking(
+        LearnOutlierDrivenSubspaces(data_, *partition_, knowledge, scfg, 11),
+        best.Ranked());
+  }
 }
 
 // ------------------------------------------------------ Self-evolution ----

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -454,12 +455,44 @@ std::vector<std::vector<std::size_t>> KernelTargets(std::size_t n) {
   return {{n - 1}, {3, 17, 17, n / 3, n / 2, n - 9, n - 2}, {}};
 }
 
+// A reference for every group of a shared table: the row sets of
+// KernelTargets over `data`, then each appended row over data + row.
+struct SharedGroups {
+  std::vector<TargetGroup> groups;
+  std::vector<std::vector<std::vector<double>>> batches;  // per group
+  std::vector<std::vector<std::size_t>> targets;          // per group
+  std::vector<std::string> labels;
+};
+
+std::string TargetsLabel(const std::vector<std::size_t>& targets) {
+  return targets.empty() ? std::string("all rows")
+                         : std::to_string(targets.size()) + " target(s)";
+}
+
+SharedGroups KernelGroups(const std::vector<std::vector<double>>& data,
+                          const std::vector<std::vector<double>>& appended) {
+  SharedGroups out;
+  for (const std::vector<std::size_t>& targets : KernelTargets(data.size())) {
+    out.groups.push_back({targets, nullptr});
+    out.batches.push_back(data);
+    out.targets.push_back(targets);
+    out.labels.push_back(TargetsLabel(targets));
+  }
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    out.groups.push_back({{}, &appended[i]});
+    std::vector<std::vector<double>> batch = data;
+    batch.push_back(appended[i]);
+    out.targets.push_back({batch.size() - 1});
+    out.batches.push_back(std::move(batch));
+    out.labels.push_back("appended row " + std::to_string(i));
+  }
+  return out;
+}
+
 void ExpectKernelMatchesReference(const Partition& partition,
                                   const std::vector<std::vector<double>>& data) {
   for (const std::vector<std::size_t>& targets : KernelTargets(data.size())) {
-    SCOPED_TRACE(targets.empty() ? std::string("all rows")
-                                 : std::to_string(targets.size()) +
-                                       " target(s)");
+    SCOPED_TRACE(TargetsLabel(targets));
     BatchSparsityObjectives obj(&partition, &data, targets);
     std::string first;
     EXPECT_EQ(CountMismatches(&obj, partition, data, targets, &first), 0u)
@@ -480,6 +513,51 @@ void ExpectKernelMatchesReference(const Partition& partition,
               0u)
         << "targeted constructor: " << first;
   }
+
+  // One table shared by every target set above plus two appended rows: the
+  // last row (its copy is in the data, so its cell is never empty) and a
+  // row taking its odd attributes from the second-to-last row (alone
+  // wherever that mix is new). Each group's search object starts in turn,
+  // so every group meets some subspaces first (the pass) and the rest as
+  // table hits, and one pass serves every subspace.
+  std::vector<std::vector<double>> appended = {data.back(), data.back()};
+  for (std::size_t d = 1; d < appended[1].size(); d += 2) {
+    appended[1][d] = data[data.size() - 2][d];
+  }
+  const SharedGroups shared = KernelGroups(data, appended);
+  SparsityTable table(&partition, &data, shared.groups);
+  std::vector<std::unique_ptr<BatchSparsityObjectives>> searches;
+  for (std::size_t g = 0; g < shared.groups.size(); ++g) {
+    searches.push_back(std::make_unique<BatchSparsityObjectives>(&table, g));
+  }
+  const std::vector<Subspace> lattice =
+      EnumerateLattice(partition.num_dims(), std::min(5, partition.num_dims()));
+  std::vector<std::size_t> mismatches(searches.size(), 0);
+  std::vector<std::string> first(searches.size());
+  for (std::size_t j = 0; j < lattice.size(); ++j) {
+    const Subspace& s = lattice[j];
+    for (std::size_t k = 0; k < searches.size(); ++k) {
+      const std::size_t g = (j + k) % searches.size();
+      const ObjectiveVector got = searches[g]->Evaluate(s);
+      const ObjectiveVector want = ReferenceObjectives(
+          partition, shared.batches[g], shared.targets[g], s);
+      for (std::size_t i = 0; i < 3; ++i) {
+        if (Bits(got.values[i]) == Bits(want.values[i])) continue;
+        if (mismatches[g]++ == 0) {
+          first[g] = s.ToString() + " objective " + std::to_string(i) +
+                     ": " + std::to_string(got.values[i]) +
+                     " vs reference " + std::to_string(want.values[i]);
+        }
+      }
+    }
+  }
+  for (std::size_t g = 0; g < searches.size(); ++g) {
+    EXPECT_EQ(mismatches[g], 0u)
+        << "shared table, " << shared.labels[g] << ": " << first[g];
+    EXPECT_EQ(searches[g]->evaluation_count(), lattice.size());
+  }
+  EXPECT_EQ(table.pass_count(), lattice.size());
+  EXPECT_EQ(table.stored_subspaces(), lattice.size());
 }
 
 TEST(ObjectivesKernelTest, MatchesReferenceAtEightDimsFiveCells) {
@@ -554,6 +632,136 @@ TEST(ObjectivesKernelTest, EvaluationMakesNoAllocationPerRow) {
   }
   EXPECT_EQ(obj.evaluation_count(), 50u);
   EXPECT_LE(t_allocations, 8u * 50u);
+}
+
+// ------------------------------------------------------- SparsityTable ----
+
+// The search object a group would get if it had no table to share: a
+// one-group table of its own over the same sample.
+std::unique_ptr<BatchSparsityObjectives> PrivateObjectives(
+    const Partition& partition, const std::vector<std::vector<double>>& data,
+    const TargetGroup& group) {
+  if (group.appended != nullptr) {
+    return std::make_unique<BatchSparsityObjectives>(&partition, &data,
+                                                     group.appended);
+  }
+  return std::make_unique<BatchSparsityObjectives>(&partition, &data,
+                                                   group.rows);
+}
+
+// Every (subspace, score) of a search archive, sorted by subspace.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> ArchiveOf(
+    const BatchSparsityObjectives& obj) {
+  std::vector<std::pair<Subspace, double>> archive;
+  obj.AppendEvaluated(&archive);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const auto& [subspace, score] : archive) {
+    out.emplace_back(subspace.bits(), Bits(score));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SparsityTableTest, SearchesShareOnePassPerSubspace) {
+  // A Learn and a feedback round in one: 403 rows of 8 dims at 5 cells
+  // and learn-bound's search budget (population 16, up to 4 dims), with
+  // the whole batch, six single rows (two of them alone in every cell) and
+  // two appended rows as the groups. The first search to meet a subspace
+  // pays its one pass; every later one reads the stored value, and still
+  // archives and returns exactly what a search of its own would.
+  const Partition partition(8, 5, 0.0, 1.0);
+  const std::vector<std::vector<double>> data = KernelRows(8, 400, 21);
+  const std::vector<std::vector<double>> examples = {
+      std::vector<double>(8, 0.9), data[7]};
+  std::vector<TargetGroup> groups(1);
+  for (std::size_t row : {0, 50, 100, 150, 401, 402}) {
+    groups.push_back({{row}, nullptr});
+  }
+  for (const auto& example : examples) groups.push_back({{}, &example});
+  SparsityTable table(&partition, &data, groups);
+  Nsga2Config cfg;
+  cfg.num_dims = 8;
+  cfg.max_dimension = 4;
+  cfg.population_size = 16;
+  cfg.generations = 8;
+  std::set<std::uint64_t> visited;  // the union of the archives
+  std::size_t evaluations = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    cfg.seed = 100 + g;
+    BatchSparsityObjectives shared(&table, g);
+    const std::vector<ScoredSubspace> got = FindTopSparse(&shared, cfg, 6);
+    const auto own = PrivateObjectives(partition, data, groups[g]);
+    const std::vector<ScoredSubspace> want = FindTopSparse(own.get(), cfg, 6);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].subspace, want[i].subspace) << i;
+      EXPECT_EQ(Bits(got[i].score), Bits(want[i].score)) << i;
+    }
+    const auto archive = ArchiveOf(shared);
+    EXPECT_EQ(archive, ArchiveOf(*own));
+    EXPECT_EQ(shared.evaluation_count(), own->evaluation_count());
+    evaluations += shared.evaluation_count();
+    for (const auto& entry : archive) visited.insert(entry.first);
+  }
+  EXPECT_EQ(table.pass_count(), visited.size());
+  EXPECT_EQ(table.stored_subspaces(), visited.size());
+  EXPECT_LT(table.pass_count(), evaluations);
+  RecordProperty("passes", static_cast<int>(table.pass_count()));
+  RecordProperty("evaluations", static_cast<int>(evaluations));
+}
+
+TEST(SparsityTableTest, PastTheCapValuesStayExactAndTheTableStopsGrowing) {
+  // 33 groups (the whole batch, 31 single rows and one appended row) over
+  // the 4943 subspaces of up to 5 of 15 dims: the table has room for
+  // kMaxTableValues / 33 of them. The groups evaluate one after another,
+  // so the first fills the table and each later one reads the stored
+  // subspaces and makes a pass of its own for every other.
+  const Partition partition(15, 4, 0.0, 1.0);
+  const std::vector<std::vector<double>> data = KernelRows(15, 40, 22);
+  const std::vector<double> example(15, 0.9);
+  std::vector<TargetGroup> groups(1);
+  for (std::size_t row = 0; row < 31; ++row) groups.push_back({{row}, nullptr});
+  groups.push_back({{}, &example});
+  ASSERT_EQ(groups.size(), 33u);
+  std::vector<std::vector<double>> with_example = data;
+  with_example.push_back(example);
+
+  SparsityTable table(&partition, &data, groups);
+  const std::vector<Subspace> lattice = EnumerateLattice(15, 5);
+  const std::size_t room = kMaxTableValues / groups.size();
+  ASSERT_LT(room, lattice.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    BatchSparsityObjectives shared(&table, g);
+    const auto own = PrivateObjectives(partition, data, groups[g]);
+    std::size_t mismatches = 0;
+    for (const Subspace& s : lattice) {
+      const ObjectiveVector got = shared.Evaluate(s);
+      const ObjectiveVector want = own->Evaluate(s);
+      for (std::size_t i = 0; i < 3; ++i) {
+        if (Bits(got.values[i]) != Bits(want.values[i])) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // Past the cap, against the reference kernel as well.
+    for (std::size_t j = room; j < lattice.size(); j += 97) {
+      const ObjectiveVector got = shared.Evaluate(lattice[j]);
+      const ObjectiveVector want =
+          groups[g].appended != nullptr
+              ? ReferenceObjectives(partition, with_example,
+                                    {with_example.size() - 1}, lattice[j])
+              : ReferenceObjectives(partition, data, groups[g].rows,
+                                    lattice[j]);
+      for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(Bits(got.values[i]), Bits(want.values[i]))
+            << lattice[j].ToString() << " objective " << i;
+      }
+    }
+    EXPECT_EQ(table.stored_subspaces(), room);
+  }
+  EXPECT_EQ(table.pass_count(),
+            lattice.size() + (groups.size() - 1) * (lattice.size() - room));
 }
 
 // --------------------------------------------------------------- Nsga2 ----

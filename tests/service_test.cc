@@ -505,6 +505,20 @@ TEST(SpotServiceTest, RejectsWrongWidthPoints) {
   EXPECT_TRUE(service.Ingest("a", Chunk(TenantStream(0, 4, 9), 0, 4)).ok);
 }
 
+// An in-process caller can hand CreateSession a ragged training matrix
+// (a wire create is rectangular by encoding). Learn refuses it, so no
+// session is created and the id stays free for a well-formed create.
+TEST(SpotServiceTest, RefusesRaggedTrainingAtCreate) {
+  SpotService service{SpotServiceConfig{}};
+  auto training = TenantTraining(0);
+  training[100].resize(2);
+  EXPECT_FALSE(service.CreateSession("a", SessionConfig(), training));
+  EXPECT_FALSE(service.HasSession("a"));
+  EXPECT_FALSE(service.Ingest("a", Chunk(TenantStream(0, 50, 24), 0, 50)).ok);
+  ASSERT_TRUE(service.CreateSession("a", SessionConfig(), TenantTraining(0)));
+  EXPECT_TRUE(service.Ingest("a", Chunk(TenantStream(0, 50, 24), 0, 50)).ok);
+}
+
 // A NaN or infinite coordinate is refused in the width guard's pass,
 // before the detector sees any point of the batch, so the session goes on
 // exactly as a reference that never received the batch.
