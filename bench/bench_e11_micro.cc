@@ -111,9 +111,10 @@ void BM_SynapseUnfusedAddThenQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SynapseUnfusedAddThenQuery)->Arg(8)->Arg(32)->Arg(128);
 
-// The detection hot path: the column kernel the engine runs at every shard
-// count. Each iteration bins a 256-point batch once, folds each arrival
-// into the total-weight counter (the engine's phase 0), then runs
+// The detection hot path: the column kernel the detector's batch loop runs
+// at every shard count. Each iteration bins a 256-point batch once, into
+// the rows of one flat frame, folds each arrival into the total-weight
+// counter (a tile's phase 0), then runs
 // SynapseShard::ProcessColumn over every tracked grid — one fused probe per
 // (point, subspace), one point after another along the column.
 void BM_SynapseShardProcessColumn(benchmark::State& state) {
@@ -135,8 +136,8 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
     for (DataPoint& p : batch) p.values = RandomPoint(rng, dims);
   }
   BatchFrame frame;
-  frame.base_coords.resize(kBatch);
-  frame.ticks.resize(kBatch);
+  frame.width = static_cast<std::size_t>(dims);
+  frame.base_cells.resize(kBatch * frame.width);
   frame.total_weights.resize(kBatch);
   std::vector<Pcs> pcs(mgr.NumTracked() * kBatch);
   std::vector<unsigned char> vetoed(pcs.size());
@@ -147,10 +148,11 @@ void BM_SynapseShardProcessColumn(benchmark::State& state) {
   for (auto _ : state) {
     const std::vector<DataPoint>& batch = batches[next++ % batches.size()];
     frame.points = batch.data();
+    frame.first_tick = tick;
     for (std::size_t j = 0; j < kBatch; ++j) {
-      frame.ticks[j] = tick++;
-      mgr.BinBase(batch[j].values, &frame.base_coords[j]);
-      frame.total_weights[j] = mgr.AddBase(frame.ticks[j]);
+      mgr.partition().BaseCellInto(batch[j].values,
+                                   frame.base_cells.data() + j * frame.width);
+      frame.total_weights[j] = mgr.AddBase(tick++);
     }
     for (std::size_t i = 0; i < mgr.NumTracked(); ++i) {
       const ShardColumn column{mgr.SubspaceAt(i), mgr.GridAt(i),

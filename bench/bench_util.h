@@ -16,6 +16,7 @@
 #include "core/spot_config.h"
 #include "eval/presets.h"
 #include "eval/table.h"
+#include "obs/exposition.h"
 #include "stream/data_point.h"
 #include "stream/synthetic.h"
 
@@ -92,17 +93,20 @@ class JsonReporter {
   /// The assembled JSON document (exposed for tests; the destructor writes
   /// it to the `--json` path).
   std::string json_doc() const {
-    std::string doc = "{\"schema\": \"spot-bench-v1\", \"bench\": " +
-                      Quote(bench_name_) + ", \"tables\": [";
+    std::string doc = "{\"schema\": \"spot-bench-v1\", \"bench\": ";
+    obs::AppendJsonString(&doc, bench_name_);
+    doc += ", \"tables\": [";
     for (std::size_t t = 0; t < tables_.size(); ++t) {
       if (t > 0) doc += ", ";
-      doc += "{\"title\": " + Quote(titles_[t]) + ", \"headers\": ";
-      doc += CellList(tables_[t].headers());
+      doc += "{\"title\": ";
+      obs::AppendJsonString(&doc, titles_[t]);
+      doc += ", \"headers\": ";
+      AppendCellList(&doc, tables_[t].headers());
       doc += ", \"rows\": [";
       const auto& rows = tables_[t].rows();
       for (std::size_t i = 0; i < rows.size(); ++i) {
         if (i > 0) doc += ", ";
-        doc += CellList(rows[i]);
+        AppendCellList(&doc, rows[i]);
       }
       doc += "]}";
     }
@@ -113,7 +117,9 @@ class JsonReporter {
         if (i > 0) doc += ", ";
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.6g", counters_[i].second);
-        doc += Quote(counters_[i].first) + ": " + buf;
+        obs::AppendJsonString(&doc, counters_[i].first);
+        doc += ": ";
+        doc += buf;
       }
       doc += "}";
     }
@@ -124,36 +130,14 @@ class JsonReporter {
   bool enabled() const { return !path_.empty(); }
 
  private:
-  static std::string Quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += "\"";
-    return out;
-  }
-
-  static std::string CellList(const std::vector<std::string>& cells) {
-    std::string out = "[";
+  static void AppendCellList(std::string* out,
+                             const std::vector<std::string>& cells) {
+    out->push_back('[');
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += Quote(cells[i]);
+      if (i > 0) *out += ", ";
+      obs::AppendJsonString(out, cells[i]);
     }
-    out += "]";
-    return out;
+    out->push_back(']');
   }
 
   std::string bench_name_;

@@ -11,7 +11,6 @@
 #include "common/bytes.h"
 #include "common/log.h"
 #include "core/detector.h"
-#include "engine/sharded_engine.h"  // LoadState resets the (complete) engine
 
 namespace spot {
 
@@ -154,7 +153,7 @@ std::string SpotDetector::SaveState(std::size_t capacity) const {
   if (learned()) {
     // Partition (lo/hi as raw bit patterns: reconstruction is exact even
     // for a FitToData partition).
-    const Partition& p = *partition_;
+    const Partition& p = synapses_->partition();
     w.U32(static_cast<std::uint32_t>(p.num_dims()));
     w.U32(static_cast<std::uint32_t>(p.cells_per_dim()));
     for (int d = 0; d < p.num_dims(); ++d) w.F64(p.lo(d));
@@ -192,7 +191,6 @@ bool SpotDetector::LoadState(const std::string& image) {
   // Tear the current state down first: a failed load must leave the
   // detector unlearned, never half-restored.
   synapses_.reset();
-  partition_.reset();
   topk_.Clear();
   stats_ = SpotStats{};
   tick_ = 0;
@@ -223,10 +221,7 @@ bool SpotDetector::LoadState(const std::string& image) {
   sst_ = Sst(config_.cs_capacity, config_.os_capacity);
   reservoir_ = ReservoirSample(config_.reservoir_capacity,
                                config_.seed ^ 0xABCDEF);
-  topk_ = TopKOutliers(config_.topk_capacity,
-                       config_.use_decay
-                           ? DecayModel(config_.omega, config_.epsilon)
-                           : DecayModel::None());
+  topk_ = TopKOutliers(config_.topk_capacity, Decay(config_));
   drift_ = PageHinkley(config_.drift_delta, config_.drift_lambda);
 
   const bool was_learned = r.Bool();
@@ -243,8 +238,8 @@ bool SpotDetector::LoadState(const std::string& image) {
     for (double& v : lo) v = r.F64();
     for (double& v : hi) v = r.F64();
     if (!r.ok()) return false;
-    partition_ = Partition(std::move(lo), std::move(hi),
-                           static_cast<int>(cells_per_dim));
+    Partition partition(std::move(lo), std::move(hi),
+                        static_cast<int>(cells_per_dim));
 
     tick_ = r.U64();
     outliers_since_os_update_ = r.U64();
@@ -260,7 +255,6 @@ bool SpotDetector::LoadState(const std::string& image) {
     if (!rng_.LoadState(r) ||
         !reservoir_.LoadState(r, static_cast<std::size_t>(num_dims)) ||
         !drift_.LoadState(r) || !sst_.LoadState(r)) {
-      partition_.reset();
       return false;
     }
     // Every SST subspace must retain only attributes the partition has:
@@ -269,32 +263,20 @@ bool SpotDetector::LoadState(const std::string& image) {
     const std::uint64_t valid_mask =
         num_dims >= 64 ? ~0ULL : ((1ULL << num_dims) - 1);
     for (const Subspace& s : sst_.AllSubspaces()) {
-      if ((s.bits() & ~valid_mask) != 0) {
-        partition_.reset();
-        return r.Fail();
-      }
+      if ((s.bits() & ~valid_mask) != 0) return r.Fail();
     }
 
     synapses_ = std::make_unique<SynapseManager>(
-        *partition_,
-        config_.use_decay ? DecayModel(config_.omega, config_.epsilon)
-                          : DecayModel::None(),
-        config_.prune_threshold, config_.compaction_period);
-    if (!synapses_->LoadState(r)) {
+        std::move(partition), Decay(config_), config_.prune_threshold,
+        config_.compaction_period);
+    if (!synapses_->LoadState(r) || !topk_.LoadState(r)) {
       synapses_.reset();
-      partition_.reset();
-      return false;
-    }
-    if (!topk_.LoadState(r)) {
-      synapses_.reset();
-      partition_.reset();
       return false;
     }
   }
 
   if (r.U64() != kTrailerMagic || !r.AtEnd()) {
     synapses_.reset();
-    partition_.reset();
     return r.Fail();
   }
 

@@ -5,7 +5,7 @@
 #include "common/log.h"
 #include "common/math_util.h"
 #include "common/timer.h"
-#include "engine/sharded_engine.h"
+#include "engine/thread_pool.h"
 #include "learning/self_evolution.h"
 #include "moga/moga_search.h"
 #include "moga/objectives.h"
@@ -13,22 +13,17 @@
 
 namespace spot {
 
-namespace {
-
-/// The decay model the top-k retention shares with the data synapses.
-DecayModel TopKDecay(const SpotConfig& config) {
+DecayModel SpotDetector::Decay(const SpotConfig& config) {
   return config.use_decay ? DecayModel(config.omega, config.epsilon)
                           : DecayModel::None();
 }
-
-}  // namespace
 
 SpotDetector::SpotDetector(const SpotConfig& config)
     : config_(config),
       rng_(config.seed),
       sst_(config.cs_capacity, config.os_capacity),
       reservoir_(config.reservoir_capacity, config.seed ^ 0xABCDEF),
-      topk_(config.topk_capacity, TopKDecay(config)),
+      topk_(config.topk_capacity, Decay(config)),
       drift_(config.drift_delta, config.drift_lambda) {}
 
 bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
@@ -64,6 +59,13 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
         return false;
       }
     }
+    for (const int attribute : knowledge->relevant_attributes) {
+      if (attribute < 0 || static_cast<std::size_t>(attribute) >= width) {
+        SPOT_LOG(Error) << "Learn() refuses relevant attribute " << attribute
+                        << "; the training rows have " << width;
+        return false;
+      }
+    }
   }
 
   const int num_dims = static_cast<int>(width);
@@ -83,13 +85,15 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
     return false;
   }
 
-  if (config_.domain_lo < config_.domain_hi) {
-    partition_ = Partition(num_dims, config_.cells_per_dim,
-                           config_.domain_lo, config_.domain_hi);
-  } else {
-    partition_ = Partition::FitToData(training_data, config_.cells_per_dim,
-                                      config_.partition_margin);
-  }
+  // The synapses own the one partition; the learners below read it there.
+  synapses_ = std::make_unique<SynapseManager>(
+      config_.domain_lo < config_.domain_hi
+          ? Partition(num_dims, config_.cells_per_dim, config_.domain_lo,
+                      config_.domain_hi)
+          : Partition::FitToData(training_data, config_.cells_per_dim,
+                                 config_.partition_margin),
+      Decay(config_), config_.prune_threshold, config_.compaction_period);
+  const Partition& partition = synapses_->partition();
 
   // --- FS: the lattice up to MaxDimension, capped by uniform sampling. ---
   std::vector<Subspace> fs;
@@ -120,7 +124,7 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
   if (config_.unsupervised.top_subspaces_per_run > 0) {
     std::size_t cs_added = 0;
     for (const auto& ss :
-         LearnClusteringSubspaces(training_data, *partition_, ucfg, cs_seed)) {
+         LearnClusteringSubspaces(training_data, partition, ucfg, cs_seed)) {
       if (cs_added >= config_.unsupervised.top_subspaces_per_run) break;
       const std::size_t before = sst_.clustering().size();
       sst_.AddClustering(ss.subspace, ss.score);
@@ -134,18 +138,12 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
     scfg.moga.num_dims = num_dims;
     scfg.moga.max_dimension = std::min(scfg.moga.max_dimension, num_dims);
     for (const auto& ss : LearnOutlierDrivenSubspaces(
-             training_data, *partition_, *knowledge, scfg,
-             rng_.NextUint64())) {
+             training_data, partition, *knowledge, scfg, rng_.NextUint64())) {
       sst_.AddOutlierDriven(ss.subspace, ss.score);
     }
   }
 
   // --- Synapses: track the SST and warm-start from the training batch. ---
-  synapses_ = std::make_unique<SynapseManager>(
-      *partition_,
-      config_.use_decay ? DecayModel(config_.omega, config_.epsilon)
-                        : DecayModel::None(),
-      config_.prune_threshold, config_.compaction_period);
   // The sink survives a re-Learn: re-apply it before SyncTrackedSubspaces
   // so the initial Track() calls journal the starting SST.
   synapses_->set_event_sink(event_sink_);
@@ -153,7 +151,7 @@ bool SpotDetector::Learn(const std::vector<std::vector<double>>& training_data,
   // OS-growth cadence or accumulated drift signal may carry across.
   stats_ = SpotStats{};
   outliers_since_os_update_ = 0;
-  topk_ = TopKOutliers(config_.topk_capacity, TopKDecay(config_));
+  topk_ = TopKOutliers(config_.topk_capacity, Decay(config_));
   drift_ = PageHinkley(config_.drift_delta, config_.drift_lambda);
   SyncTrackedSubspaces();
   tick_ = 0;
@@ -216,8 +214,21 @@ SpotResult SpotDetector::Process(const DataPoint& point) {
 std::vector<SpotResult> SpotDetector::Detect(
     const std::vector<DataPoint>& points) {
   Timer timer;
-  std::vector<SpotResult> results =
-      ShardedSpotEngine(this, config_.num_shards).ProcessBatch(points);
+  const std::size_t shards = std::max<std::size_t>(config_.num_shards, 1);
+  ThreadPool* pool = shards > 1 ? &ThreadPool::Shared() : nullptr;
+  // The stage record (DESIGN.md Section 12.3): per-batch overwrite,
+  // accumulated over the batch's tiles — the service harvests it right
+  // after ProcessBatch returns. Pure measurement on the side: the measured
+  // code is untouched, so verdicts stay bit-identical whatever it records.
+  stage_record_.bin = StageEntry{};
+  stage_record_.probes.assign(shards, StageEntry{});
+  std::vector<SpotResult> results;
+  results.reserve(points.size());
+  const std::size_t tile = kTilePointsPerShard * shards;
+  for (std::size_t begin = 0; begin < points.size(); begin += tile) {
+    ProcessTile(points.data() + begin, std::min(tile, points.size() - begin),
+                shards, pool, &results);
+  }
   stats_.detection_seconds += timer.ElapsedSeconds();
   return results;
 }
@@ -299,9 +310,10 @@ void SpotDetector::GrowOutlierDriven(const std::vector<double>& values) {
   Emit(DetectorEventKind::kOsGrowthRun, stats_.os_growth_runs);
 
   // Mini-MOGA targeted at this outlier against the recent sample.
-  BatchSparsityObjectives obj(&*partition_, &sample, &values);
+  const Partition& partition = synapses_->partition();
+  BatchSparsityObjectives obj(&partition, &sample, &values);
   Nsga2Config cfg = config_.supervised.moga;
-  cfg.num_dims = partition_->num_dims();
+  cfg.num_dims = partition.num_dims();
   cfg.max_dimension = std::min(cfg.max_dimension, cfg.num_dims);
   // A light budget: OS growth runs inside the detection loop.
   cfg.population_size = std::min(cfg.population_size, 24);
@@ -332,7 +344,8 @@ bool SpotDetector::ApplyFeedback(
     return fail("feedback carries more than " +
                 std::to_string(SpotConfig::kMaxFeedbackLabels) + " labels");
   }
-  const std::size_t dims = static_cast<std::size_t>(partition_->num_dims());
+  const Partition& partition = synapses_->partition();
+  const std::size_t dims = static_cast<std::size_t>(partition.num_dims());
   DomainKnowledge knowledge;
   knowledge.outlier_examples.reserve(point_ids.size() + examples.size());
   for (std::uint64_t id : point_ids) {
@@ -360,11 +373,11 @@ bool SpotDetector::ApplyFeedback(
   // Same supervised learner as Learn()'s expert-knowledge branch, run
   // against the reservoir's stand-in for recent data.
   SupervisedConfig scfg = config_.supervised;
-  scfg.moga.num_dims = partition_->num_dims();
+  scfg.moga.num_dims = partition.num_dims();
   scfg.moga.max_dimension =
       std::min(scfg.moga.max_dimension, scfg.moga.num_dims);
   for (const auto& ss : LearnOutlierDrivenSubspaces(
-           reservoir_.Items(), *partition_, knowledge, scfg,
+           reservoir_.Items(), partition, knowledge, scfg,
            rng_.NextUint64())) {
     sst_.AddOutlierDriven(ss.subspace, ss.score);
   }
@@ -379,10 +392,10 @@ void SpotDetector::RunSelfEvolution() {
   if (sst_.clustering().empty() || reservoir_.size() < 8) return;
   ++stats_.evolution_rounds;
   Emit(DetectorEventKind::kEvolutionRound, stats_.evolution_rounds);
+  const Partition& partition = synapses_->partition();
   SelfEvolutionConfig ecfg = config_.evolution;
-  ecfg.max_dimension = std::min(ecfg.max_dimension, partition_->num_dims());
-  EvolveClusteringSubspaces(&sst_, *partition_, reservoir_.Items(), ecfg,
-                            rng_);
+  ecfg.max_dimension = std::min(ecfg.max_dimension, partition.num_dims());
+  EvolveClusteringSubspaces(&sst_, partition, reservoir_.Items(), ecfg, rng_);
   SyncTrackedSubspaces();
 }
 
@@ -391,14 +404,15 @@ void SpotDetector::RelearnAfterDrift() {
   SPOT_LOG(Info) << "concept drift at tick " << tick_ << "; relearning CS";
   Emit(DetectorEventKind::kDriftRelearn, reservoir_.size());
   sst_.ClearClustering();
+  const Partition& partition = synapses_->partition();
   UnsupervisedConfig ucfg = config_.unsupervised;
-  ucfg.moga.num_dims = partition_->num_dims();
+  ucfg.moga.num_dims = partition.num_dims();
   ucfg.moga.max_dimension =
-      std::min(ucfg.moga.max_dimension, partition_->num_dims());
+      std::min(ucfg.moga.max_dimension, partition.num_dims());
   // Lighter budget than offline learning: this runs mid-stream.
   ucfg.moga.generations = std::max(5, ucfg.moga.generations / 3);
   for (const auto& ss : LearnClusteringSubspaces(
-           reservoir_.Items(), *partition_, ucfg, rng_.NextUint64())) {
+           reservoir_.Items(), partition, ucfg, rng_.NextUint64())) {
     sst_.AddClustering(ss.subspace, ss.score);
   }
   SyncTrackedSubspaces();

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,10 +23,10 @@
 
 namespace spot {
 
-class ShardedSpotEngine;
+class ThreadPool;
 
-/// One engine window of the last batch (DESIGN.md Section 12.3): the start
-/// of its first tile (µs, SteadyMicrosSinceStart timebase) and the
+/// One detection window of the last batch (DESIGN.md Section 12.3): the
+/// start of its first tile (µs, SteadyMicrosSinceStart timebase) and the
 /// windows' totals over the batch's tiles — their summed length
 /// (`perf.clock_ns`) and the CPU time the measuring thread spent inside
 /// them (`perf.cpu_ns`).
@@ -37,8 +36,8 @@ struct StageEntry {
 };
 
 /// The per-batch stage record: the phase-0 bin pass and one probe entry per
-/// engine shard. The serving tier turns probe entries into `shard_probe`
-/// spans and folds the perf totals into `stage="bin"` / `stage="probe"`.
+/// shard. The serving tier turns probe entries into `shard_probe` spans and
+/// folds the perf totals into `stage="bin"` / `stage="probe"`.
 struct BatchStageRecord {
   StageEntry bin;
   std::vector<StageEntry> probes;
@@ -73,8 +72,8 @@ struct SpotStats {
 
   /// Wall-clock seconds spent inside Process()/ProcessBatch() since
   /// Learn(), and the number of ProcessBatch() calls completed. These are
-  /// the one source benches and the sharded engine report throughput from
-  /// (instead of each re-deriving rates around the call sites).
+  /// the one source benches report throughput from (instead of each
+  /// re-deriving rates around the call sites).
   double detection_seconds = 0.0;
   std::uint64_t batches_processed = 0;
 
@@ -110,7 +109,7 @@ class SpotDetector {
              const DomainKnowledge* knowledge = nullptr);
 
   /// Online detection stage: one-pass processing of the next point — a
-  /// batch of one through the same engine as ProcessBatch (it is not
+  /// batch of one through the same tiles as ProcessBatch (it is not
   /// counted in SpotStats::batches_processed). Requires Learn() to have
   /// succeeded.
   SpotResult Process(const DataPoint& point);
@@ -122,10 +121,10 @@ class SpotDetector {
   /// verdict per point. Produces results identical to calling Process() on
   /// each point in sequence (same synapse updates, OS growth, evolution and
   /// drift side effects at the same ticks) — batching amortizes per-point
-  /// overhead, it is not a semantic change. Every batch runs through a
-  /// ShardedSpotEngine, which splits the per-subspace synapse work into
-  /// config.num_shards jobs on the process's shared pool (inline at one
-  /// shard); verdicts stay bit-identical at every shard count.
+  /// overhead, it is not a semantic change. Each batch runs in tiles whose
+  /// per-subspace synapse work splits into config.num_shards jobs on the
+  /// process's shared pool (inline at one shard); verdicts stay
+  /// bit-identical at every shard count.
   std::vector<SpotResult> ProcessBatch(const std::vector<DataPoint>& points);
 
   /// Convenience overload for raw value vectors (ids auto-assigned).
@@ -161,7 +160,7 @@ class SpotDetector {
   /// Callers feeding externally sourced points (e.g. the network ingest
   /// layer) validate widths against this before Process/ProcessBatch.
   int dimension() const {
-    return partition_.has_value() ? partition_->num_dims() : 0;
+    return learned() ? synapses_->partition().num_dims() : 0;
   }
   const Sst& sst() const { return sst_; }
   const SynapseManager& synapses() const { return *synapses_; }
@@ -215,17 +214,34 @@ class SpotDetector {
   const BatchStageRecord& stage_record() const { return stage_record_; }
 
  private:
-  // The sharded engine drives the per-point pipeline from its batch join
-  // (reservoir, verdict assembly, ApplyPointSideEffects) and borrows the
-  // synapses for its shard views.
-  friend class ShardedSpotEngine;
+  /// Tile points per shard. Each fork-join then hands every shard about
+  /// tracked x 64 probes whatever K is, and one shard's tile holds
+  /// tracked x 64 lane entries (about 200 KiB at 128 tracked subspaces),
+  /// which stay cache-resident from fan-out to join.
+  static constexpr std::size_t kTilePointsPerShard = 64;
 
-  /// Runs `points` through a ShardedSpotEngine built for this call and adds
-  /// the wall-clock time to the stats. Requires learned().
+  /// The decay model of `config`, shared by the synapses and the top-k
+  /// retention.
+  static DecayModel Decay(const SpotConfig& config);
+
+  /// Runs `points` as consecutive tiles of at most kTilePointsPerShard x K
+  /// points (K = config_.num_shards), fills the stage record, and adds the
+  /// wall-clock time to the stats. Requires learned(). At K = 1 every job
+  /// runs inline and ThreadPool::Shared() is never touched.
   std::vector<SpotResult> Detect(const std::vector<DataPoint>& points);
 
+  /// Phases 0-2 of one tile (DESIGN.md Section 3.8; defined in
+  /// src/engine/sharded_engine.cc): bin the `n` points at `points` into
+  /// the tile's flat frame, fold them into the grids as `num_shards` jobs
+  /// on `pool` (inline when null), then join their verdicts in arrival
+  /// order, running each point's side effects at its tick, and append them
+  /// to `results`.
+  void ProcessTile(const DataPoint* points, std::size_t n,
+                   std::size_t num_shards, ThreadPool* pool,
+                   std::vector<SpotResult>* results);
+
   void SyncTrackedSubspaces();
-  /// Post-verdict machinery of one point, run by the engine's serial join:
+  /// Post-verdict machinery of one point, run by the tile's serial join:
   /// stats, top-k retention, OS growth cadence, CS self-evolution, drift
   /// watch. `point_id`/`tick` identify the point for the top-k window (tick
   /// is the value the point's synapse update used).
@@ -235,7 +251,7 @@ class SpotDetector {
   void GrowOutlierDriven(const std::vector<double>& values);
   void RunSelfEvolution();
   void RelearnAfterDrift();
-  /// Reservoir offer of the engine's serial join: counts post-warm-up
+  /// Reservoir offer of the tile's serial join: counts post-warm-up
   /// replacements and emits kReservoirRefresh once per full turnover
   /// (~capacity replacements).
   void AddToReservoir(const std::vector<double>& values);
@@ -245,7 +261,8 @@ class SpotDetector {
   SpotConfig config_;
   Rng rng_;
   Sst sst_;
-  std::optional<Partition> partition_;
+  /// The data synapses and the one partition they own; null until Learn()
+  /// or LoadState() succeeds.
   std::unique_ptr<SynapseManager> synapses_;
   ReservoirSample reservoir_;
   /// Worst-outlier retention for QueryTopK / feedback-by-id; rebuilt by
@@ -260,7 +277,7 @@ class SpotDetector {
   /// Post-warm-up reservoir replacements (observability cadence only —
   /// never checkpointed, so a restored detector restarts the count).
   std::uint64_t reservoir_replacements_ = 0;
-  /// Filled by the engine for every batch (see stage_record()).
+  /// Filled by Detect() for every batch (see stage_record()).
   BatchStageRecord stage_record_;
 };
 

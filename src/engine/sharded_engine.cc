@@ -1,10 +1,12 @@
-#include "engine/sharded_engine.h"
+// SpotDetector's tiled batch loop (DESIGN.md Section 3.8): one tile's bin
+// pass, shard fan-out and serial join, and the helpers they share.
 
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/log.h"
 #include "common/math_util.h"
+#include "core/detector.h"
+#include "engine/thread_pool.h"
 #include "grid/synapse_manager.h"
 #include "grid/synapse_shard.h"
 #include "obs/stage.h"
@@ -72,65 +74,36 @@ void Resync(SynapseManager& synapses, std::size_t n, TileColumns* cols,
 
 }  // namespace
 
-ShardedSpotEngine::ShardedSpotEngine(SpotDetector* detector,
-                                     std::size_t num_shards)
-    : detector_(detector),
-      num_shards_(num_shards == 0 ? 1 : num_shards),
-      pool_(num_shards_ > 1 ? &ThreadPool::Shared() : nullptr) {}
-
-std::vector<SpotResult> ShardedSpotEngine::ProcessBatch(
-    const std::vector<DataPoint>& points) {
-  SpotDetector& detector = *detector_;
-  std::vector<SpotResult> results;
-  if (!detector.learned()) {
-    SPOT_LOG(Error) << "ProcessBatch() called before a successful Learn()";
-    results.resize(points.size());
-    return results;
-  }
-  results.reserve(points.size());
-  // The stage record (DESIGN.md Section 12.3): per-batch overwrite,
-  // accumulated over the batch's tiles — the service harvests it right
-  // after ProcessBatch returns. Pure measurement on the side: the measured
-  // code is untouched, so verdicts stay bit-identical whatever it records.
-  detector.stage_record_.bin = StageEntry{};
-  detector.stage_record_.probes.assign(num_shards_, StageEntry{});
-  const std::size_t tile = kTilePointsPerShard * num_shards_;
-  for (std::size_t begin = 0; begin < points.size(); begin += tile) {
-    ProcessTile(points.data() + begin,
-                std::min(tile, points.size() - begin), &results);
-  }
-  return results;
-}
-
-void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
-                                    std::vector<SpotResult>* results) {
-  SpotDetector& detector = *detector_;
-  SynapseManager& synapses = *detector.synapses_;
-  const SpotConfig& config = detector.config_;
-  const ShardRunParams params{config.rd_threshold, config.irsd_threshold,
-                              config.fringe_factor};
-  BatchStageRecord& record = detector.stage_record_;
+void SpotDetector::ProcessTile(const DataPoint* points, std::size_t n,
+                               std::size_t num_shards, ThreadPool* pool,
+                               std::vector<SpotResult>* results) {
+  SynapseManager& synapses = *synapses_;
+  const Partition& partition = synapses.partition();
+  const ShardRunParams params{config_.rd_threshold, config_.irsd_threshold,
+                              config_.fringe_factor};
   const bool first_tile = results->empty();
 
-  // Phase 0 — coordinator: bin each point once and fold its arrival into
-  // the single-owner total-weight counter, snapshotting the per-point W.
-  // The counter never depends on the tracked set, so it can run ahead of
-  // the join; every weight is exactly the W a per-point fold would read.
+  // Phase 0 — coordinator: bin each point once, into its row of the
+  // frame, and fold its arrival into the single-owner total-weight
+  // counter, snapshotting the per-point W. The counter never depends on
+  // the tracked set, so it can run ahead of the join; every weight is
+  // exactly the W a per-point fold would read.
   BatchFrame frame;
   {
-    obs::Stage bin(nullptr, &record.bin.perf);
+    obs::Stage bin(nullptr, &stage_record_.bin.perf);
     bin.set_units(n);
     frame.points = points;
-    frame.base_coords.resize(n);
-    frame.ticks.resize(n);
+    frame.width = static_cast<std::size_t>(partition.num_dims());
+    frame.first_tick = tick_;
+    frame.base_cells.resize(n * frame.width);
     frame.total_weights.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      frame.ticks[j] = detector.tick_ + j;
-      synapses.BinBase(points[j].values, &frame.base_coords[j]);
-      frame.total_weights[j] = synapses.AddBase(frame.ticks[j]);
+      partition.BaseCellInto(points[j].values,
+                             frame.base_cells.data() + j * frame.width);
+      frame.total_weights[j] = synapses.AddBase(frame.first_tick + j);
     }
     bin.Commit();
-    if (first_tile) record.bin.start_us = bin.start_us();
+    if (first_tile) stage_record_.bin.start_us = bin.start_us();
   }
 
   // Phase 1 — fan the per-subspace work out to the shards. Each worker
@@ -139,11 +112,11 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   // The tail replays below are deliberately unmeasured: they are rare
   // correction work, not the steady-state probe cost.
   TileColumns cols(synapses, n);
-  ForkJoin(pool_, num_shards_, [&](std::size_t k) {
-    StageEntry& entry = record.probes[k];
+  ForkJoin(pool, num_shards, [&](std::size_t k) {
+    StageEntry& entry = stage_record_.probes[k];
     obs::Stage probe(nullptr, &entry.perf);
     const std::size_t grids = SynapseShard::ProcessRun(
-        cols.columns, k, num_shards_, frame, 0, n, params);
+        cols.columns, k, num_shards, frame, 0, n, params);
     probe.set_units(n * grids);  // logical probes
     probe.Commit();
     if (first_tile) entry.start_us = probe.start_us();
@@ -155,16 +128,17 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
   std::uint64_t revision = synapses.revision();
   std::vector<std::size_t> fresh;
   for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t tick = frame.first_tick + j;
     // The detector clock passes each point as its verdict joins, so the
     // events its side effects emit carry that point's tick.
-    detector.tick_ = frame.ticks[j] + 1;
-    detector.AddToReservoir(points[j].values);
+    tick_ = tick + 1;
+    AddToReservoir(points[j].values);
     SpotResult result;
     double min_rd = 1.0;
     for (const ShardColumn& column : cols.columns) {
       const Pcs& pcs = column.pcs[j];
       min_rd = std::min(min_rd, pcs.rd);
-      if (pcs.IsSparse(config.rd_threshold, config.irsd_threshold) &&
+      if (pcs.IsSparse(config_.rd_threshold, config_.irsd_threshold) &&
           column.vetoed[j] == 0) {
         result.findings.push_back({column.subspace, pcs});
       }
@@ -172,8 +146,7 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
     result.is_outlier = !result.findings.empty();
     result.score = Clamp(1.0 - min_rd, 0.0, 1.0);
 
-    detector.ApplyPointSideEffects(points[j].id, frame.ticks[j],
-                                   points[j].values, result);
+    ApplyPointSideEffects(points[j].id, tick, points[j].values, result);
 
     if (synapses.revision() != revision) {
       // The tracked set changed (OS growth, self-evolution or drift
@@ -185,7 +158,7 @@ void ShardedSpotEngine::ProcessTile(const DataPoint* points, std::size_t n,
       Resync(synapses, n, &cols, &fresh);
       const std::size_t begin = j + 1;
       if (begin < n) {
-        ForkJoin(pool_, fresh.size(), [&](std::size_t f) {
+        ForkJoin(pool, fresh.size(), [&](std::size_t f) {
           CellCoords coords;
           SynapseShard::ProcessColumn(cols.columns[fresh[f]], frame, begin,
                                       n, params, &coords);

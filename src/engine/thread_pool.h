@@ -14,7 +14,7 @@
 
 namespace spot {
 
-/// Reusable fork-join pool for the sharded engine. A process has one
+/// Reusable fork-join pool for the sharded batch loop. A process has one
 /// (Shared()); every detector, service and reactor dispatches onto it.
 ///
 /// Dispatch(num_jobs, job) runs job(0..num_jobs) across the pool's worker

@@ -66,16 +66,15 @@ std::uint32_t Partition::IntervalIndex(int dim, double value) const {
 }
 
 CellCoords Partition::BaseCell(const std::vector<double>& point) const {
-  CellCoords coords;
-  BaseCellInto(point, &coords);
+  CellCoords coords(lo_.size());
+  BaseCellInto(point, coords.data());
   return coords;
 }
 
 void Partition::BaseCellInto(const std::vector<double>& point,
-                             CellCoords* out) const {
-  out->resize(lo_.size());
+                             std::uint32_t* out) const {
   for (std::size_t d = 0; d < lo_.size(); ++d) {
-    (*out)[d] = IntervalIndex(static_cast<int>(d), point[d]);
+    out[d] = IntervalIndex(static_cast<int>(d), point[d]);
   }
 }
 
@@ -85,16 +84,6 @@ CellCoords Partition::ProjectedCell(const std::vector<double>& point,
   coords.reserve(static_cast<std::size_t>(s.Dimension()));
   for (int d : s.Indices()) {
     coords.push_back(IntervalIndex(d, point[static_cast<std::size_t>(d)]));
-  }
-  return coords;
-}
-
-CellCoords Partition::ProjectBaseCell(const CellCoords& base,
-                                      const Subspace& s) const {
-  CellCoords coords;
-  coords.reserve(static_cast<std::size_t>(s.Dimension()));
-  for (int d : s.Indices()) {
-    coords.push_back(base[static_cast<std::size_t>(d)]);
   }
   return coords;
 }

@@ -50,18 +50,16 @@ class Partition {
   /// is a cell in hypercube with the finest granularity").
   CellCoords BaseCell(const std::vector<double>& point) const;
 
-  /// Allocation-free BaseCell: writes into `out` (resized as needed). The
-  /// batch detection path bins each point exactly once through this and
-  /// projects per subspace by index selection.
-  void BaseCellInto(const std::vector<double>& point, CellCoords* out) const;
+  /// Allocation-free BaseCell: writes num_dims() interval indices into the
+  /// caller's row `out`. The batch detection path bins each point exactly
+  /// once through this, into its row of the tile's flat frame, and projects
+  /// per subspace by index selection.
+  void BaseCellInto(const std::vector<double>& point, std::uint32_t* out) const;
 
   /// Projected-cell coordinates of `point` in subspace `s`: interval indices
   /// of the retained attributes only, ascending attribute order.
   CellCoords ProjectedCell(const std::vector<double>& point,
                            const Subspace& s) const;
-
-  /// Projects base-cell coordinates onto subspace `s` without re-quantizing.
-  CellCoords ProjectBaseCell(const CellCoords& base, const Subspace& s) const;
 
   /// Whether every coordinate is an interval index (< cells_per_dim). The
   /// grids' checkpoint loaders refuse cells that fail this: their indices

@@ -111,7 +111,7 @@ void ProjectedGrid::Add(const std::vector<double>& point,
   MaybeCompact(tick);
 }
 
-void ProjectedGrid::AddAt(const CellCoords& base,
+void ProjectedGrid::AddAt(const std::uint32_t* base,
                           const std::vector<double>& point,
                           std::uint64_t tick) {
   ProjectBaseInto(base, &coords_scratch_);
@@ -125,7 +125,7 @@ Pcs ProjectedGrid::AddAndQuery(const std::vector<double>& point,
   return AddAndQueryCoords(coords_scratch_, point, tick, total_weight);
 }
 
-Pcs ProjectedGrid::AddAndQueryAt(const CellCoords& base,
+Pcs ProjectedGrid::AddAndQueryAt(const std::uint32_t* base,
                                  const std::vector<double>& point,
                                  std::uint64_t tick, double total_weight) {
   ProjectBaseInto(base, &coords_scratch_);

@@ -39,8 +39,8 @@ class ByteWriter;
 /// coordinate scratch buffer, and every probe (including const queries)
 /// bumps the hash_probes() counter, so concurrent access — even concurrent
 /// const queries — is a data race. Shard whole grids across threads via the
-/// sharded engine instead, which gives each grid exactly one owning worker
-/// (DESIGN.md Section 3.8).
+/// sharded batch loop instead, which gives each grid exactly one owning
+/// worker (DESIGN.md Section 3.8).
 class ProjectedGrid {
  public:
   ProjectedGrid(Subspace subspace, const Partition* partition,
@@ -56,25 +56,28 @@ class ProjectedGrid {
   Pcs AddAndQuery(const std::vector<double>& point, std::uint64_t tick,
                   double total_weight);
 
-  /// Fused update + query from precomputed *base-cell* coordinates: the
-  /// projected coordinates are selected from `base` by dimension index
-  /// instead of re-binning the raw values. `point` still supplies the raw
-  /// values folded into the linear/squared sums. The caller bins the
-  /// full-dimensional point once and every subspace grid reuses it; point
-  /// by point, this is what the column kernel does along a column.
-  Pcs AddAndQueryAt(const CellCoords& base, const std::vector<double>& point,
-                    std::uint64_t tick, double total_weight);
+  /// Fused update + query from a precomputed *base-cell* row: `base` holds
+  /// one interval index per attribute of the partition (see
+  /// Partition::BaseCellInto), and the projected coordinates are selected
+  /// from it by dimension index instead of re-binning the raw values.
+  /// `point` still supplies the raw values folded into the linear/squared
+  /// sums. The caller bins the full-dimensional point once and every
+  /// subspace grid reuses it; point by point, this is what the column
+  /// kernel does along a column.
+  Pcs AddAndQueryAt(const std::uint32_t* base,
+                    const std::vector<double>& point, std::uint64_t tick,
+                    double total_weight);
 
   /// Update-only variant of AddAndQueryAt.
-  void AddAt(const CellCoords& base, const std::vector<double>& point,
+  void AddAt(const std::uint32_t* base, const std::vector<double>& point,
              std::uint64_t tick);
 
-  /// Projects base-cell coordinates onto this grid's subspace into `out`
+  /// Projects the base-cell row `base` onto this grid's subspace into `out`
   /// (resized to the grid's width; allocation-free once it has capacity).
-  void ProjectBaseInto(const CellCoords& base, CellCoords* out) const {
+  void ProjectBaseInto(const std::uint32_t* base, CellCoords* out) const {
     out->resize(dims_.size());
     for (std::size_t i = 0; i < dims_.size(); ++i) {
-      (*out)[i] = base[static_cast<std::size_t>(dims_[i])];
+      (*out)[i] = base[dims_[i]];
     }
   }
 

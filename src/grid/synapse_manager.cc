@@ -24,7 +24,8 @@ SynapseManager::SynapseManager(Partition partition, DecayModel model,
       prune_threshold_(prune_threshold),
       compaction_period_(compaction_period),
       total_(model_),
-      by_subspace_(2) {}
+      by_subspace_(2),
+      base_scratch_(static_cast<std::size_t>(partition_.num_dims())) {}
 
 std::uint32_t SynapseManager::IndexOf(const Subspace& s) const {
   std::uint32_t key[2];
@@ -82,9 +83,11 @@ bool SynapseManager::IsTracked(const Subspace& s) const {
 
 void SynapseManager::Add(const std::vector<double>& point,
                          std::uint64_t tick) {
-  partition_.BaseCellInto(point, &base_scratch_);
+  partition_.BaseCellInto(point, base_scratch_.data());
   total_.Observe(tick);
-  for (auto& entry : grids_) entry.grid->AddAt(base_scratch_, point, tick);
+  for (auto& entry : grids_) {
+    entry.grid->AddAt(base_scratch_.data(), point, tick);
+  }
 }
 
 Pcs SynapseManager::Query(const std::vector<double>& point,

@@ -33,7 +33,7 @@ class DetectorEventSink;
 ///
 /// Tracked grids live in a dense vector with a stable, deterministic order
 /// (insertion order, perturbed only by Untrack's swap-remove);
-/// TrackedSubspaces() and GridAt() report that order, so the sharded engine
+/// TrackedSubspaces() and GridAt() report that order, so the batch loop
 /// iterates the grids without any per-subspace hash lookup.
 class SynapseManager {
  public:
@@ -65,15 +65,8 @@ class SynapseManager {
   /// tested against.
   void Add(const std::vector<double>& point, std::uint64_t tick);
 
-  /// Bins `point` into base-cell coordinates (allocation-free once `out`
-  /// has capacity). The sharded engine bins each point exactly once and
-  /// shares the coordinates across every shard's grids.
-  void BinBase(const std::vector<double>& point, CellCoords* out) const {
-    partition_.BaseCellInto(point, out);
-  }
-
-  /// Folds the arrival at `tick` into the total weight only — the sharded
-  /// engine fans the projected-grid updates out to shard workers — and
+  /// Folds the arrival at `tick` into the total weight only — the batch
+  /// loop fans the projected-grid updates out to shard workers — and
   /// returns the decayed total stream weight right after the fold, which is
   /// the authoritative W that every subspace query for this point must use.
   double AddBase(std::uint64_t tick) {
@@ -173,7 +166,7 @@ class SynapseManager {
   DecayedCounter total_;  // W; points at model_, declared before it
   std::vector<TrackedGrid> grids_;  // dense, iterated on the hot path
   FlatIndex by_subspace_;    // subspace mask (2 words) -> dense grid index
-  CellCoords base_scratch_;  // base-cell coords, binned once per point
+  CellCoords base_scratch_;  // Add's base-cell row, one entry per attribute
   std::uint64_t revision_ = 0;
   DetectorEventSink* sink_ = nullptr;
 };

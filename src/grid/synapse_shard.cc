@@ -22,9 +22,9 @@ void SynapseShard::ProcessColumn(const ShardColumn& column,
                                  CellCoords* coords) {
   ProjectedGrid& grid = *column.grid;
   for (std::size_t j = begin; j < end; ++j) {
-    grid.ProjectBaseInto(frame.base_coords[j], coords);
+    grid.ProjectBaseInto(frame.BaseRow(j), coords);
     const Pcs pcs = grid.AddAndQueryCoords(*coords, frame.points[j].values,
-                                           frame.ticks[j],
+                                           frame.first_tick + j,
                                            frame.total_weights[j]);
     column.pcs[j] = pcs;
     // The fringe neighborhood is probed only for sparse cells, against the

@@ -12,17 +12,24 @@
 
 namespace spot {
 
-/// The per-batch inputs every shard shares read-only: the points, their
-/// base-cell coordinates (binned once by the coordinator), their ticks, and
-/// the decayed total stream weight right after each point's arrival is
+/// The per-tile inputs every shard shares read-only: the points, their
+/// base cells (binned once by the coordinator), the tick of the first point,
+/// and the decayed total stream weight right after each point's arrival is
 /// folded in — the authoritative W that every subspace query for that point
-/// uses.
-/// Entry j of every array belongs to points[j].
+/// uses. Point j arrives at tick first_tick + j; its base cell is row j of
+/// the row-major n x width array `base_cells` (width = the partition's
+/// attribute count), and total_weights[j] is its W.
 struct BatchFrame {
   const DataPoint* points = nullptr;
-  std::vector<CellCoords> base_coords;
-  std::vector<std::uint64_t> ticks;
+  std::size_t width = 0;
+  std::uint64_t first_tick = 0;
+  std::vector<std::uint32_t> base_cells;
   std::vector<double> total_weights;
+
+  /// Base cell of point j: `width` interval indices, one per attribute.
+  const std::uint32_t* BaseRow(std::size_t j) const {
+    return base_cells.data() + j * width;
+  }
 };
 
 /// One subspace's output lane of a batch run: the PCS of every point's cell
@@ -46,13 +53,13 @@ struct ShardRunParams {
   double fringe_factor = 0.0;
 };
 
-/// The column kernel of the sharded engine. Shard k of K owns the batch
+/// The column kernel of the tiled batch loop. Shard k of K owns the batch
 /// columns at dense indices k, k + K, k + 2K, ... — the manager's dense
 /// grid order sliced round-robin — and folds the whole batch into each of
 /// them on one worker thread.
 ///
 /// A shard does not own grid storage: it borrows ProjectedGrid pointers
-/// from the manager's dense list, and the engine re-slices its columns
+/// from the manager's dense list, and the detector re-slices its columns
 /// whenever the tracked set changes — Track/Untrack from OS growth,
 /// self-evolution, or drift relearning — which it detects via
 /// SynapseManager::revision().
@@ -75,9 +82,9 @@ class SynapseShard {
                                 std::size_t end,
                                 const ShardRunParams& params);
 
-  /// One column's share of a run — also used directly by the engine to
+  /// One column's share of a run — also used directly by the detector to
   /// replay the rest of a tile into grids tracked mid-tile. A plain loop
-  /// over the points: project the point's base coordinates into `coords`,
+  /// over the points: project the point's base-cell row into `coords`,
   /// make one fused fold + query probe, and scan the fringe only when the
   /// cell is sparse. `coords` is the caller's buffer, reused across
   /// columns, so the kernel allocates nothing once it has grown to the

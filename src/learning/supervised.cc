@@ -40,6 +40,10 @@ std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
   relevant.erase(std::unique(relevant.begin(), relevant.end()),
                  relevant.end());
   const bool restricted = !relevant.empty();
+  if (restricted &&
+      (relevant.front() < 0 || relevant.back() >= partition.num_dims())) {
+    return {};
+  }
 
   std::vector<int> dims;  // reduced index -> original attribute
   if (restricted) {

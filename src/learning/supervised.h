@@ -32,7 +32,8 @@ struct SupervisedConfig {
 /// Runs MOGA on each expert-provided outlier example against the training
 /// batch and returns the union of their top sparse subspaces — the OS
 /// subset of the SST. When `knowledge.relevant_attributes` is non-empty the
-/// search lattice is restricted to those attributes.
+/// search lattice is restricted to those attributes; an attribute outside
+/// [0, partition.num_dims()) yields no subspaces.
 std::vector<ScoredSubspace> LearnOutlierDrivenSubspaces(
     const std::vector<std::vector<double>>& training_data,
     const Partition& partition, const DomainKnowledge& knowledge,

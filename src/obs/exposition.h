@@ -34,8 +34,8 @@ std::string SummaryLine(const MetricsSnapshot& snap);
 
 /// Appends `s` to `*out` as a JSON string literal: quotes and backslashes
 /// escaped, control bytes as \u00XX. The journal's and the flight
-/// recorder's renderers share it; session names arrive from the wire, so
-/// nothing in them may break the document.
+/// recorder's renderers and the bench JSON documents share it; session
+/// names arrive from the wire, so nothing in them may break the document.
 void AppendJsonString(std::string* out, const std::string& s);
 
 }  // namespace obs

@@ -331,14 +331,6 @@ bool SpotService::IsResident(const std::string& id) const {
   return it != sessions_.end() && it->second.detector != nullptr;
 }
 
-std::vector<std::string> SpotService::SessionIds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) ids.push_back(id);
-  return ids;
-}
-
 namespace {
 
 const std::vector<double>& Values(const DataPoint& p) { return p.values; }

@@ -157,9 +157,6 @@ class SpotService {
   bool HasSession(const std::string& id) const;
   bool IsResident(const std::string& id) const;
 
-  /// All known session ids, sorted.
-  std::vector<std::string> SessionIds() const;
-
   /// Routes one batch to `id`'s detector, transparently reloading it from
   /// disk (and LRU-evicting another session) when it is not resident. A
   /// batch with a point of the wrong width or a NaN or infinite
@@ -362,8 +359,9 @@ class SpotService {
   mutable std::mutex mu_;
   /// Signalled whenever a lease ends or a session leaves the table.
   std::condition_variable idle_;
-  /// Ordered map: SessionIds() and LRU scans are deterministic. Nodes are
-  /// stable, so a leased Session stays valid while the lock is dropped.
+  /// Ordered map: LRU scans, CheckpointAll and QualitySnapshot walk it in
+  /// id order, so they are deterministic. Nodes are stable, so a leased
+  /// Session stays valid while the lock is dropped.
   std::map<std::string, Session> sessions_;
   /// Ids reserved by a create or open in flight, with the owner they will
   /// be attached to.

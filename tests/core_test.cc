@@ -379,6 +379,35 @@ TEST(SpotDetectorTest, LearnRefusesRaggedRowsWithoutStateChange) {
   EXPECT_EQ(det.SaveState(), image);
 }
 
+// A relevant attribute outside [0, width) names no column of the rows: Learn
+// refuses it before anything is built, whether the detector is fresh or
+// already learned (its checkpoint image stays byte for byte the same).
+TEST(SpotDetectorTest, LearnRefusesOutOfRangeRelevantAttributes) {
+  const auto training = TrainingBatch(300, 4, 2);
+  std::vector<DomainKnowledge> refused(2);
+  refused[0].relevant_attributes = {1, 9};
+  refused[1].relevant_attributes = {-1};
+  for (DomainKnowledge& knowledge : refused) {
+    knowledge.outlier_examples = {std::vector<double>(4, 0.9)};
+  }
+
+  SpotDetector det(SmallConfig());
+  for (const DomainKnowledge& knowledge : refused) {
+    EXPECT_FALSE(det.Learn(training, &knowledge));
+  }
+  EXPECT_FALSE(det.learned());
+
+  DomainKnowledge accepted = refused[0];
+  accepted.relevant_attributes = {1, 3};
+  ASSERT_TRUE(det.Learn(training, &accepted));
+  det.ProcessBatch(TrainingBatch(50, 4, 3));
+  const std::string image = det.SaveState();
+  for (const DomainKnowledge& knowledge : refused) {
+    EXPECT_FALSE(det.Learn(training, &knowledge));
+  }
+  EXPECT_EQ(det.SaveState(), image);
+}
+
 TEST(SpotDetectorTest, LearnBuildsSstAndWarmStartsSynapses) {
   SpotDetector det(SmallConfig());
   ASSERT_TRUE(det.Learn(TrainingBatch(300, 6, 2)));

@@ -1,4 +1,4 @@
-// Equivalence tests of the sharded detection engine: ShardedSpotEngine
+// Equivalence tests of the sharded batch loop: SpotDetector::ProcessBatch
 // verdicts (labels, findings, scores) and side-effect counters must be
 // bit-identical to sequential SpotDetector processing at every shard count
 // and batch size, including runs that cross CS self-evolution and
@@ -17,7 +17,6 @@
 
 #include "core/detector.h"
 #include "core/detector_events.h"
-#include "engine/sharded_engine.h"
 #include "engine/thread_pool.h"
 #include "eval/harness.h"
 #include "eval/presets.h"
@@ -102,11 +101,12 @@ void ExpectSameSideEffects(const SpotDetector& a, const SpotDetector& b,
   EXPECT_EQ(a.TrackedSubspaces(), b.TrackedSubspaces()) << label;
 }
 
-/// Drives `stream` through a ShardedSpotEngine in chunks of `batch_size`.
+/// Drives `stream` through SpotDetector::ProcessBatch at `num_shards`
+/// shards, in chunks of `batch_size`.
 std::vector<SpotResult> RunEngine(SpotDetector* det, std::size_t num_shards,
                                   const std::vector<LabeledPoint>& stream,
                                   std::size_t batch_size) {
-  ShardedSpotEngine engine(det, num_shards);
+  det->set_num_shards(num_shards);
   std::vector<SpotResult> results;
   results.reserve(stream.size());
   std::vector<DataPoint> chunk;
@@ -116,7 +116,7 @@ std::vector<SpotResult> RunEngine(SpotDetector* det, std::size_t num_shards,
          i < std::min(start + batch_size, stream.size()); ++i) {
       chunk.push_back(stream[i].point);
     }
-    for (auto& r : engine.ProcessBatch(chunk)) {
+    for (auto& r : det->ProcessBatch(chunk)) {
       results.push_back(std::move(r));
     }
   }
@@ -209,8 +209,8 @@ TEST(ShardedEngineTest, BitIdenticalToSequentialAcrossShardsAndBatches) {
   }
 }
 
-// SpotConfig::num_shards routes SpotDetector::ProcessBatch through the
-// engine transparently; verdicts match the sequential configuration.
+// SpotConfig::num_shards sets the shard count of SpotDetector::ProcessBatch
+// transparently; verdicts match the sequential configuration.
 TEST(ShardedEngineTest, DetectorDelegatesToEngineViaConfig) {
   const int kDims = 8;
   const auto training = TrainingBatch(kDims, 500);

@@ -11,6 +11,7 @@
 
 #include "grid/decay.h"
 #include "grid/partition.h"
+#include "grid/projected_grid.h"
 
 namespace spot {
 namespace {
@@ -95,8 +96,10 @@ TEST(PartitionTest, ProjectBaseCellConsistentWithProjectedCell) {
   const Partition p(5, 8, 0.0, 1.0);
   const std::vector<double> point = {0.1, 0.3, 0.5, 0.7, 0.9};
   const Subspace s = Subspace::FromIndices({0, 2, 4});
-  EXPECT_EQ(p.ProjectBaseCell(p.BaseCell(point), s),
-            p.ProjectedCell(point, s));
+  const ProjectedGrid grid(s, &p, DecayModel::None());
+  CellCoords projected;
+  grid.ProjectBaseInto(p.BaseCell(point).data(), &projected);
+  EXPECT_EQ(projected, p.ProjectedCell(point, s));
 }
 
 TEST(PartitionTest, FitToDataCoversAllPoints) {

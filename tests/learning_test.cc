@@ -311,6 +311,33 @@ TEST_F(LearningFixture, AttributeRestrictionHonored) {
   }
 }
 
+// The restriction names attributes of the partition; one outside
+// [0, num_dims) matches no column, so the learner finds nothing rather than
+// reading past the partition's bounds and the rows.
+TEST_F(LearningFixture, OutOfRangeRelevantAttributesYieldNoSubspaces) {
+  SupervisedConfig scfg;
+  scfg.moga.num_dims = 4;
+  scfg.moga.max_dimension = 2;
+  scfg.moga.population_size = 12;
+  scfg.moga.generations = 6;
+  DomainKnowledge knowledge;
+  std::vector<double> example = data_.front();
+  example[2] = 0.99;
+  knowledge.outlier_examples.push_back(example);
+  for (const std::vector<int>& relevant :
+       {std::vector<int>{1, 9}, std::vector<int>{-1}, std::vector<int>{4}}) {
+    knowledge.relevant_attributes = relevant;
+    EXPECT_TRUE(
+        LearnOutlierDrivenSubspaces(data_, *partition_, knowledge, scfg, 6)
+            .empty())
+        << "relevant attributes starting " << relevant.front();
+  }
+  knowledge.relevant_attributes = {1, 2};
+  EXPECT_FALSE(
+      LearnOutlierDrivenSubspaces(data_, *partition_, knowledge, scfg, 6)
+          .empty());
+}
+
 TEST_F(LearningFixture, NoExamplesNoSubspaces) {
   DomainKnowledge knowledge;
   SupervisedConfig scfg;

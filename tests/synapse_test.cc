@@ -1,6 +1,6 @@
 // Unit tests of the PCS machinery: ProjectedGrid RD/IRSD semantics, the
 // SynapseManager that keeps the total weight and every tracked grid, and the
-// engine's column kernel (SynapseShard::ProcessColumn).
+// batch loop's column kernel (SynapseShard::ProcessColumn).
 
 #include <cmath>
 #include <cstdint>
@@ -395,7 +395,7 @@ TEST(SlabStoreTest, BaseCoordProjectionMatchesRebinning) {
     for (double& v : p) v = rng.NextDouble();
     const double w = static_cast<double>(t + 1);
     const Pcs a = rebin.AddAndQuery(p, t, w);
-    const Pcs b = projected.AddAndQueryAt(part.BaseCell(p), p, t, w);
+    const Pcs b = projected.AddAndQueryAt(part.BaseCell(p).data(), p, t, w);
     ASSERT_EQ(a.count, b.count) << "tick " << t;
     ASSERT_EQ(a.rd, b.rd) << "tick " << t;
     ASSERT_EQ(a.irsd, b.irsd) << "tick " << t;
@@ -416,22 +416,24 @@ struct BatchLanes {
   std::vector<unsigned char> veto;
 };
 
-/// Folds `points` (ticks from `tick` on) into `mgr` the way the engine
-/// does: phase 0 bins every point and folds the total-weight counter, then
-/// SynapseShard::ProcessColumn runs over every tracked grid in dense order.
+/// Folds `points` (ticks from `tick` on) into `mgr` the way a tile does:
+/// phase 0 bins every point into its row of the flat frame and folds the
+/// total-weight counter, then SynapseShard::ProcessColumn runs over every
+/// tracked grid in dense order.
 BatchLanes FoldColumnMajor(SynapseManager* mgr,
                            const std::vector<DataPoint>& points,
                            std::uint64_t tick, const ShardRunParams& params) {
   const std::size_t n = points.size();
   BatchFrame frame;
   frame.points = points.data();
-  frame.base_coords.resize(n);
-  frame.ticks.resize(n);
+  frame.width = static_cast<std::size_t>(mgr->partition().num_dims());
+  frame.first_tick = tick;
+  frame.base_cells.resize(n * frame.width);
   frame.total_weights.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    frame.ticks[j] = tick + j;
-    mgr->BinBase(points[j].values, &frame.base_coords[j]);
-    frame.total_weights[j] = mgr->AddBase(frame.ticks[j]);
+    mgr->partition().BaseCellInto(points[j].values,
+                                  frame.base_cells.data() + j * frame.width);
+    frame.total_weights[j] = mgr->AddBase(tick + j);
   }
   BatchLanes lanes;
   lanes.pcs.resize(mgr->NumTracked() * n);
@@ -497,8 +499,7 @@ TEST(SynapseShardTest, ProcessColumnMatchesPerPointAddThenQuery) {
     for (std::size_t j = 0; j < n; ++j) {
       const std::vector<double>& p = points[j].values;
       reference.Add(p, tick + j);
-      CellCoords base;
-      reference.BinBase(p, &base);
+      const CellCoords base = reference.partition().BaseCell(p);
       for (std::size_t i = 0; i < tracked; ++i) {
         ASSERT_EQ(reference.SubspaceAt(i), column.SubspaceAt(i));
         const Pcs q = reference.Query(p, reference.SubspaceAt(i));
@@ -513,7 +514,7 @@ TEST(SynapseShardTest, ProcessColumnMatchesPerPointAddThenQuery) {
         if (q.IsSparse(params.rd_threshold, params.irsd_threshold)) {
           ++sparse;
           CellCoords coords;
-          reference.GridAt(i)->ProjectBaseInto(base, &coords);
+          reference.GridAt(i)->ProjectBaseInto(base.data(), &coords);
           expect_veto = reference.GridAt(i)->IsClusterFringe(
               coords, q.count, params.fringe_factor);
         }
@@ -580,12 +581,11 @@ TEST(SynapseShardTest, ProcessColumnMatchesFusedPerPointWithSweeps) {
     for (std::size_t j = 0; j < n; ++j) {
       const std::vector<double>& p = points[j].values;
       const double w = reference.AddBase(tick + j);
-      CellCoords base;
-      reference.BinBase(p, &base);
+      const CellCoords base = reference.partition().BaseCell(p);
       for (std::size_t i = 0; i < tracked; ++i) {
         ASSERT_EQ(reference.SubspaceAt(i), column.SubspaceAt(i));
         ProjectedGrid& grid = *reference.GridAt(i);
-        const Pcs q = grid.AddAndQueryAt(base, p, tick + j, w);
+        const Pcs q = grid.AddAndQueryAt(base.data(), p, tick + j, w);
         const Pcs& got = pcs[i * n + j];
         ASSERT_EQ(Bits(got.count), Bits(q.count))
             << "batch " << batch << " point " << j << " grid " << i;
@@ -597,7 +597,7 @@ TEST(SynapseShardTest, ProcessColumnMatchesFusedPerPointWithSweeps) {
         if (q.IsSparse(params.rd_threshold, params.irsd_threshold)) {
           ++sparse;
           CellCoords coords;
-          grid.ProjectBaseInto(base, &coords);
+          grid.ProjectBaseInto(base.data(), &coords);
           expect_veto =
               grid.IsClusterFringe(coords, q.count, params.fringe_factor);
         }
